@@ -1,4 +1,4 @@
-//! The exponential mechanism, in plain and weighted-segment forms.
+//! The exponential mechanism and the Gumbel variates behind it.
 //!
 //! Given candidates `y ∈ Y` with utility scores `u(D, y)` of sensitivity
 //! `Δu`, the exponential mechanism samples `y` with probability
@@ -8,7 +8,11 @@
 //! Sampling is done with the Gumbel-max trick in log space, which is exact
 //! (same distribution as normalized weights) and immune to `exp` overflow
 //! or underflow even when scores span thousands of nats — which happens
-//! routinely for quantile domains of width `2^40`.
+//! routinely for quantile domains of width `2^40`. The inverse
+//! sensitivity sampler streams its weighted segments through the same
+//! Gumbel-max (see `inverse_sensitivity`), using [`GUMBEL_MIN`],
+//! [`GUMBEL_MAX`] and [`skip_gumbel`] to skip the `ln`s of segments that
+//! cannot win.
 
 use crate::error::{ensure_nonempty, Result, UpdpError};
 use crate::privacy::Epsilon;
@@ -24,6 +28,35 @@ pub fn sample_gumbel<R: Rng + ?Sized>(rng: &mut R) -> f64 {
             if e > 0.0 {
                 return -e.ln();
             }
+        }
+    }
+}
+
+/// A lower bound on every variate [`sample_gumbel`] returns.
+///
+/// Its uniform is a nonzero multiple of 2⁻⁵³ below 1, so `−ln U` is at
+/// most `53·ln 2` and the variate is at least `−ln(53·ln 2) = −3.60378…`;
+/// rounded outward. Pinned by `gumbel_bounds_cover_the_extreme_uniforms`.
+pub const GUMBEL_MIN: f64 = -3.61;
+
+/// An upper bound on every variate [`sample_gumbel`] returns: the largest
+/// uniform, `1 − 2⁻⁵³`, gives `−ln(−ln(1 − 2⁻⁵³)) = 36.73680…`; rounded
+/// outward.
+pub const GUMBEL_MAX: f64 = 36.74;
+
+/// Consumes exactly the uniforms [`sample_gumbel`] would, without
+/// computing the variate — for a candidate whose score is already known
+/// to lose the Gumbel-max.
+///
+/// Below `1 − 2⁻⁵²`, `−ln U` is a positive normal number, so
+/// `sample_gumbel` accepts every nonzero `U` there on its first try; only
+/// `U = 0` and the two uniforms at or above `1 − 2⁻⁵²` need its checks.
+#[inline]
+pub fn skip_gumbel<R: Rng + ?Sized>(rng: &mut R) {
+    loop {
+        let u: f64 = rng.gen();
+        if u > 0.0 && (u < 1.0 - f64::EPSILON || -u.ln() > 0.0) {
+            return;
         }
     }
 }
@@ -65,54 +98,11 @@ pub fn exponential_mechanism<R: Rng + ?Sized>(
     Ok(best)
 }
 
-/// A segment of candidates sharing one log-weight.
-///
-/// The inverse sensitivity mechanism over an interval domain partitions
-/// the domain into `O(n)` maximal runs of equal score; each run is a
-/// `WeightedSegment` with `count` = number of candidates in the run and
-/// `log_weight` = per-candidate log weight (`−ε·len/2` for INV).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WeightedSegment {
-    /// Number of equally-weighted candidates in this segment (> 0).
-    pub count: u64,
-    /// Natural-log weight of *each* candidate in the segment.
-    pub log_weight: f64,
-}
-
-/// Samples a segment index from `segments` where segment `j` has total
-/// weight `count_j · exp(log_weight_j)`.
-///
-/// Exact sampling via Gumbel-max over `ln(count) + log_weight`. Segments
-/// with `count == 0` are skipped. Errors if every segment is empty.
-pub fn sample_weighted_segment<R: Rng + ?Sized>(
-    rng: &mut R,
-    segments: &[WeightedSegment],
-) -> Result<usize> {
-    let mut best: Option<usize> = None;
-    let mut best_score = f64::NEG_INFINITY;
-    for (j, seg) in segments.iter().enumerate() {
-        if seg.count == 0 {
-            continue;
-        }
-        // updp-lint: allow(R5, reason="-inf is the exact empty-weight sentinel in log space; equality against it is a tag check, not an approximate comparison")
-        debug_assert!(seg.log_weight.is_finite() || seg.log_weight == f64::NEG_INFINITY);
-        // updp-lint: allow(R5, reason="-inf is the exact empty-weight sentinel in log space; equality against it is a tag check, not an approximate comparison")
-        if seg.log_weight == f64::NEG_INFINITY {
-            continue;
-        }
-        let score = (seg.count as f64).ln() + seg.log_weight + sample_gumbel(rng);
-        if score > best_score {
-            best_score = score;
-            best = Some(j);
-        }
-    }
-    best.ok_or(UpdpError::EmptyDataset)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::rng::seeded;
+    use rand::RngCore;
 
     fn eps(v: f64) -> Epsilon {
         Epsilon::new(v).unwrap()
@@ -168,81 +158,72 @@ mod tests {
         assert!(exponential_mechanism(&mut rng, &[f64::NAN], 1.0, eps(1.0)).is_err());
     }
 
+    /// Replays a fixed list of raw 64-bit outputs, then panics.
+    struct Scripted(std::vec::IntoIter<u64>);
+
+    impl rand::RngCore for Scripted {
+        fn next_u32(&mut self) -> u32 {
+            self.next_u64() as u32
+        }
+        fn next_u64(&mut self) -> u64 {
+            self.0.next().expect("script exhausted")
+        }
+        fn fill_bytes(&mut self, _dest: &mut [u8]) {
+            unimplemented!()
+        }
+    }
+
+    /// The raw output that `Rng::gen::<f64>` maps to `k · 2⁻⁵³`.
+    fn raw(k: u64) -> u64 {
+        k << 11
+    }
+
+    /// Every uniform at the two ends of the 53-bit grid, plus 0.
+    fn extreme_uniforms() -> impl Iterator<Item = u64> {
+        let top = (1u64 << 53) - 1;
+        (0..=64).chain(top - 64..=top)
+    }
+
     #[test]
-    fn segment_sampling_respects_count_and_weight() {
-        let mut rng = seeded(5);
-        // Segment 0: 1000 candidates at weight e^0; segment 1: 1 candidate
-        // at weight e^0. Segment 0 should win ~1000/1001 of the time.
-        let segments = [
-            WeightedSegment {
-                count: 1000,
-                log_weight: 0.0,
-            },
-            WeightedSegment {
-                count: 1,
-                log_weight: 0.0,
-            },
-        ];
-        let trials = 50_000;
-        let mut seg0 = 0;
-        for _ in 0..trials {
-            if sample_weighted_segment(&mut rng, &segments).unwrap() == 0 {
-                seg0 += 1;
+    fn gumbel_bounds_cover_the_extreme_uniforms() {
+        // The tightest variates sit at the ends of the grid; both lie
+        // inside the outward-rounded bounds by a margin far above the
+        // rounding error of a score sum.
+        let lowest = sample_gumbel(&mut Scripted(vec![raw(1)].into_iter()));
+        let highest = sample_gumbel(&mut Scripted(vec![raw((1 << 53) - 1)].into_iter()));
+        assert!((lowest - -3.603_778_992_970_457).abs() < 1e-12, "{lowest}");
+        assert!((highest - 36.736_800_569_677_1).abs() < 1e-12, "{highest}");
+        for k in extreme_uniforms().filter(|&k| k > 0) {
+            let g = sample_gumbel(&mut Scripted(vec![raw(k)].into_iter()));
+            assert!((GUMBEL_MIN..=GUMBEL_MAX).contains(&g), "k = {k}: {g}");
+        }
+        assert!(GUMBEL_MIN < lowest - 1e-3 && GUMBEL_MAX > highest + 1e-3);
+    }
+
+    #[test]
+    fn skip_gumbel_consumes_the_same_draws_as_sample_gumbel() {
+        // Each scripted prefix ends at the first uniform sample_gumbel
+        // accepts; skip_gumbel must stop at exactly the same place.
+        let sentinel = 0xdead_beef;
+        for k in extreme_uniforms() {
+            for zeros in 0..3 {
+                let mut script = vec![raw(0); zeros];
+                script.push(raw(k));
+                script.push(raw(1 << 52));
+                script.push(sentinel);
+                let mut a = Scripted(script.clone().into_iter());
+                let mut b = Scripted(script.into_iter());
+                sample_gumbel(&mut a);
+                skip_gumbel(&mut b);
+                assert_eq!(a.next_u64(), b.next_u64(), "k = {k}, zeros = {zeros}");
             }
         }
-        let p = seg0 as f64 / trials as f64;
-        assert!(p > 0.995, "p = {p}");
-    }
-
-    #[test]
-    fn segment_sampling_balances_count_against_weight() {
-        let mut rng = seeded(6);
-        // count 100 at log-weight −ln(100) ≡ total weight 1, vs count 1 at
-        // log-weight 0 ≡ total weight 1: should be ~50/50.
-        let segments = [
-            WeightedSegment {
-                count: 100,
-                log_weight: -(100.0f64).ln(),
-            },
-            WeightedSegment {
-                count: 1,
-                log_weight: 0.0,
-            },
-        ];
-        let trials = 100_000;
-        let mut seg0 = 0;
-        for _ in 0..trials {
-            if sample_weighted_segment(&mut rng, &segments).unwrap() == 0 {
-                seg0 += 1;
-            }
+        let mut a = seeded(9);
+        let mut b = seeded(9);
+        for _ in 0..10_000 {
+            sample_gumbel(&mut a);
+            skip_gumbel(&mut b);
         }
-        let p = seg0 as f64 / trials as f64;
-        assert!((p - 0.5).abs() < 0.01, "p = {p}");
-    }
-
-    #[test]
-    fn segment_sampling_skips_empty_segments() {
-        let mut rng = seeded(7);
-        let segments = [
-            WeightedSegment {
-                count: 0,
-                log_weight: 100.0,
-            },
-            WeightedSegment {
-                count: 1,
-                log_weight: -50.0,
-            },
-        ];
-        assert_eq!(sample_weighted_segment(&mut rng, &segments).unwrap(), 1);
-    }
-
-    #[test]
-    fn segment_sampling_errors_on_all_empty() {
-        let mut rng = seeded(8);
-        let segments = [WeightedSegment {
-            count: 0,
-            log_weight: 0.0,
-        }];
-        assert!(sample_weighted_segment(&mut rng, &segments).is_err());
+        assert_eq!(a.gen::<u64>(), b.gen::<u64>());
     }
 }

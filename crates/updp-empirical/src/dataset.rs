@@ -74,13 +74,26 @@ impl SortedInts {
     /// Algorithm 3. `x` is a `u64` radius; values beyond `i64`'s range
     /// trivially cover everything.
     pub fn count_within_radius(&self, x: u64) -> usize {
+        self.count_within_radius_of(0, x)
+    }
+
+    /// `Count(D − c, x)`: the SVT query of Algorithm 3 on the recentered
+    /// data `D − c` (each value shifted with `i64` saturation, the
+    /// `D″ = D − X̃` step of Algorithm 4), answered on `D` itself.
+    /// `v ↦ v.saturating_sub(c)` is monotone, so the shifted values are
+    /// still sorted and two binary searches under that map count exactly
+    /// what they would on a shifted copy.
+    pub(crate) fn count_within_radius_of(&self, center: i64, x: u64) -> usize {
         let hi = i64::try_from(x).unwrap_or(i64::MAX);
         let lo = if x >= 1u64 << 63 {
             i64::MIN
         } else {
             -(x as i64)
         };
-        self.count_in(lo, hi)
+        let shifted = |v: i64| v.saturating_sub(center);
+        let start = self.values.partition_point(|&v| shifted(v) < lo);
+        let end = self.values.partition_point(|&v| shifted(v) <= hi);
+        end - start
     }
 
     /// `|D ∩ [lo, hi]|` via two binary searches.
@@ -116,27 +129,6 @@ impl SortedInts {
         debug_assert!(other.windows(2).all(|w| w[0] <= w[1]));
         SortedInts {
             values: merge_sorted_by(&self.values, other, |a, b| a <= b),
-        }
-    }
-
-    /// Clips every value into `[lo, hi]`, preserving sortedness.
-    pub fn clip(&self, lo: i64, hi: i64) -> SortedInts {
-        debug_assert!(lo <= hi);
-        SortedInts {
-            values: self.values.iter().map(|&v| v.clamp(lo, hi)).collect(),
-        }
-    }
-
-    /// Shifts every value by `−shift` (i.e. recenters at `shift`),
-    /// saturating at the `i64` boundary — the `D″ = D − X̃` step of
-    /// Algorithm 4.
-    pub fn shift_by(&self, shift: i64) -> SortedInts {
-        SortedInts {
-            values: self
-                .values
-                .iter()
-                .map(|&v| v.saturating_sub(shift))
-                .collect(),
         }
     }
 
@@ -251,19 +243,24 @@ mod tests {
     }
 
     #[test]
-    fn clip_and_shift() {
-        let d = SortedInts::new(vec![-100, 0, 100]).unwrap();
-        let c = d.clip(-10, 10);
-        assert_eq!(c.values(), &[-10, 0, 10]);
-        let s = d.shift_by(50);
-        assert_eq!(s.values(), &[-150, -50, 50]);
-    }
-
-    #[test]
-    fn shift_saturates() {
-        let d = SortedInts::new(vec![i64::MIN + 1]).unwrap();
-        let s = d.shift_by(10);
-        assert_eq!(s.values(), &[i64::MIN]);
+    fn count_within_radius_of_matches_a_shifted_copy() {
+        let d = SortedInts::new(vec![i64::MIN, i64::MIN + 1, -7, 0, 3, 3, i64::MAX]).unwrap();
+        for center in [0, 1, -1, 5, i64::MIN, i64::MAX, i64::MIN / 2, i64::MAX - 2] {
+            let shifted = SortedInts::new(
+                d.values()
+                    .iter()
+                    .map(|&v| v.saturating_sub(center))
+                    .collect(),
+            )
+            .unwrap();
+            for x in [0, 1, 3, 10, 1 << 62, (1 << 63) - 1, 1 << 63, u64::MAX] {
+                assert_eq!(
+                    d.count_within_radius_of(center, x),
+                    shifted.count_within_radius(x),
+                    "center {center}, x {x}"
+                );
+            }
+        }
     }
 
     #[test]

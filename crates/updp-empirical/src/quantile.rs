@@ -33,10 +33,10 @@ pub fn infinite_domain_quantile<R: Rng + ?Sized>(
     beta: f64,
 ) -> Result<QuantileResult> {
     let range = infinite_domain_range(rng, data, epsilon.scale(4.0 / 5.0), beta / 2.0)?;
-    let clipped = data.clip(range.lo, range.hi);
+    // The sampler clips every value into the range itself.
     let estimate = finite_domain_quantile(
         rng,
-        clipped.values(),
+        data.values(),
         tau,
         range.lo,
         range.hi,

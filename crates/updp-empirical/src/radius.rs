@@ -42,6 +42,19 @@ pub fn infinite_domain_radius<R: Rng + ?Sized>(
     epsilon: Epsilon,
     beta: f64,
 ) -> u64 {
+    infinite_domain_radius_about(rng, data, 0, epsilon, beta)
+}
+
+/// [`infinite_domain_radius`] of the recentered data `D − center`
+/// (saturating, as Algorithm 4's `D″ = D − X̃`), without building it:
+/// every SVT query is [`SortedInts::count_within_radius_of`].
+pub(crate) fn infinite_domain_radius_about<R: Rng + ?Sized>(
+    rng: &mut R,
+    data: &SortedInts,
+    center: i64,
+    epsilon: Epsilon,
+    beta: f64,
+) -> u64 {
     assert!(beta > 0.0 && beta < 1.0, "beta must be in (0,1)");
     let n = data.len() as f64;
     let threshold = n - 6.0 / epsilon.get() * (2.0 / beta).ln();
@@ -49,7 +62,7 @@ pub fn infinite_domain_radius<R: Rng + ?Sized>(
         rng,
         threshold,
         epsilon,
-        |i| data.count_within_radius(query_radius(i)) as f64,
+        |i| data.count_within_radius_of(center, query_radius(i)) as f64,
         DEFAULT_SVT_CAP,
     );
     // ĩ = 1 ⇒ radius 0; otherwise r̃ad = 2^{ĩ−2} = the radius of the

@@ -15,7 +15,7 @@
 //! elements fall outside `R̃(D)`.
 
 use crate::dataset::SortedInts;
-use crate::radius::infinite_domain_radius;
+use crate::radius::{infinite_domain_radius, infinite_domain_radius_about};
 use rand::Rng;
 use updp_core::error::Result;
 use updp_core::inverse_sensitivity::finite_domain_quantile;
@@ -62,12 +62,11 @@ pub fn infinite_domain_range<R: Rng + ?Sized>(
     let rad = infinite_domain_radius(rng, data, epsilon.scale(1.0 / 8.0), beta / 3.0);
     let rad_i = radius_to_i64(rad);
 
-    // Stage 2: rough location — private median of the clipped data over
-    // the finite domain [−r̃ad, r̃ad] (ε/8, β/3).
-    let clipped = data.clip(-rad_i, rad_i);
+    // Stage 2: rough location — private median of the data clipped to
+    // the finite domain [−r̃ad, r̃ad] (ε/8, β/3); the sampler clips.
     let median = finite_domain_quantile(
         rng,
-        clipped.values(),
+        data.values(),
         n.div_ceil(2),
         -rad_i,
         rad_i,
@@ -75,9 +74,10 @@ pub fn infinite_domain_range<R: Rng + ?Sized>(
         beta / 3.0,
     )?;
 
-    // Stage 3: scale around the location (3ε/4, β/3).
-    let recentered = data.shift_by(median);
-    let rad2 = infinite_domain_radius(rng, &recentered, epsilon.scale(3.0 / 4.0), beta / 3.0);
+    // Stage 3: scale around the location (3ε/4, β/3), i.e. the radius
+    // of the recentered data D − X̃.
+    let rad2 =
+        infinite_domain_radius_about(rng, data, median, epsilon.scale(3.0 / 4.0), beta / 3.0);
     let rad2_i = radius_to_i64(rad2);
 
     Ok(IntRange {
