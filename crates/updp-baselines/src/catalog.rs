@@ -39,7 +39,8 @@ use updp_statistical::estimator::{
 
 /// Validates an f64-encoded positive integer parameter (`steps`, `k`).
 fn as_count(name: &'static str, value: f64, min: f64, max: f64) -> Result<u64> {
-    // updp-lint: allow(R5, reason="fract() == 0.0 is the exact integrality test; any rounding error means the value is genuinely not an integer")
+    // `fract() == 0.0` is the exact integrality test; any rounding error
+    // means the value is genuinely not an integer.
     if !(value.is_finite() && value.fract() == 0.0 && value >= min && value <= max) {
         return Err(UpdpError::InvalidParameter {
             name,

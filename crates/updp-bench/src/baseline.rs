@@ -49,11 +49,9 @@ pub struct BaselineReport {
     /// `std::thread::available_parallelism()` on the measuring host —
     /// the context needed to interpret `speedup`.
     pub host_threads: usize,
-    /// Kernel release of the measuring host (empty when parsed from a
-    /// v1 report or when unavailable).
+    /// Kernel release of the measuring host (empty when unavailable).
     pub host_kernel: String,
-    /// CPU architecture of the measuring host (empty when parsed from
-    /// a v1 report).
+    /// CPU architecture of the measuring host.
     pub host_arch: String,
     /// Macro workload timings.
     pub micro: Vec<MicroRow>,
@@ -67,11 +65,6 @@ pub struct BaselineReport {
 /// (`host_kernel`, `host_arch`) so a baseline regenerated on
 /// different hardware is distinguishable after the fact.
 pub const SCHEMA: &str = "updp-bench-baseline/v2";
-
-/// The previous schema tag: the committed BENCH_baseline.json still
-/// carries it, and it must keep parsing (the host metadata defaults
-/// to empty).
-pub const SCHEMA_V1: &str = "updp-bench-baseline/v1";
 
 /// Gross-slowdown factor for the CI perf smoke gate
 /// (`bench_baseline --smoke --check-regression FILE`): a measured
@@ -169,22 +162,14 @@ impl BaselineReport {
     }
 
     /// Parses a report previously produced by [`BaselineReport::to_json`]
-    /// — the current v2 layout or the committed v1 one (whose host
-    /// metadata defaults to empty).
+    /// (the current schema only).
     pub fn from_json(input: &str) -> Result<Self, String> {
         let value = JsonValue::parse(input)?;
         let obj = value.as_object("top level")?;
         let schema = obj.get_str("schema")?;
-        if schema != SCHEMA && schema != SCHEMA_V1 {
-            return Err(format!(
-                "unknown schema `{schema}`, expected `{SCHEMA}` (or legacy `{SCHEMA_V1}`)"
-            ));
+        if schema != SCHEMA {
+            return Err(format!("unknown schema `{schema}`, expected `{SCHEMA}`"));
         }
-        let (host_kernel, host_arch) = if schema == SCHEMA {
-            (obj.get_str("host_kernel")?, obj.get_str("host_arch")?)
-        } else {
-            (String::new(), String::new())
-        };
         let micro = obj
             .get_array("micro")?
             .iter()
@@ -203,8 +188,8 @@ impl BaselineReport {
         Ok(BaselineReport {
             schema,
             host_threads: obj.get_usize("host_threads")?,
-            host_kernel,
-            host_arch,
+            host_kernel: obj.get_str("host_kernel")?,
+            host_arch: obj.get_str("host_arch")?,
             micro,
             experiments_quick: ExperimentsQuick {
                 serial_ms: eq.get_f64("serial_ms")?,
@@ -269,23 +254,6 @@ mod tests {
     }
 
     #[test]
-    fn parses_the_committed_report_format() {
-        // The pre-promotion writer emitted micro rows on single lines;
-        // the shared parser must keep reading that committed layout.
-        let legacy = "{\n  \"schema\": \"updp-bench-baseline/v1\",\n  \"host_threads\": 1,\n  \
-                      \"micro\": [\n    {\"workload\": \"estimate_mean\", \"n\": 10000, \"ms\": 1.5}\n  ],\n  \
-                      \"experiments_quick\": {\"serial_ms\": 10, \"parallel_ms\": 10, \"threads\": 1, \"speedup\": 1},\n  \
-                      \"note\": \"legacy layout\"\n}\n";
-        let report = BaselineReport::from_json(legacy).unwrap();
-        assert_eq!(report.micro.len(), 1);
-        assert_eq!(report.experiments_quick.threads, 1);
-        // v1 carries no host metadata: the fields default to empty.
-        assert_eq!(report.schema, SCHEMA_V1);
-        assert_eq!(report.host_kernel, "");
-        assert_eq!(report.host_arch, "");
-    }
-
-    #[test]
     fn rejects_mangled_input() {
         assert!(BaselineReport::from_json("").is_err());
         assert!(BaselineReport::from_json("{}").is_err());
@@ -331,7 +299,7 @@ mod tests {
     #[test]
     fn missing_keys_are_named_in_errors() {
         let err = BaselineReport::from_json(
-            "{\"schema\": \"updp-bench-baseline/v1\", \"host_threads\": 1}",
+            "{\"schema\": \"updp-bench-baseline/v2\", \"host_threads\": 1}",
         )
         .unwrap_err();
         assert!(err.contains("micro"), "unhelpful error: {err}");

@@ -2,9 +2,10 @@
 //! perf-baseline report schema ([`baseline`], written by the
 //! `bench_baseline` binary into `BENCH_baseline.json`).
 
-// The workspace ships zero `unsafe` blocks; every crate forbids them so
-// updp-lint's R4 (safety-comment) holds vacuously — see DESIGN.md §9.
 #![forbid(unsafe_code)]
+// Library code returns values; output streams belong to binaries
+// (DESIGN.md §9).
+#![cfg_attr(not(test), deny(clippy::print_stdout, clippy::print_stderr))]
 
 pub mod baseline;
 

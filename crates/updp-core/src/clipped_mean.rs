@@ -164,7 +164,8 @@ pub fn private_clipped_mean<R: Rng + ?Sized>(
     ensure_finite(data, "private_clipped_mean input")?;
     let mean = clipped_mean(data, lo, hi)?;
     let width = hi - lo;
-    // updp-lint: allow(R5, reason="exact zero-width degeneracy test: hi - lo == 0.0 iff hi == lo bitwise up to zero sign, and only that case is data-independent")
+    // Exact zero-width degeneracy test: hi - lo == 0.0 iff hi == lo
+    // bitwise up to zero sign, and only that case is data-independent.
     if width == 0.0 {
         // Degenerate interval: the clipped mean is data-independent
         // (always `lo`), so releasing it exactly is 0-DP.

@@ -15,7 +15,8 @@ use rand::Rng;
 /// `Pr[K = k] = (1 − α)/(1 + α) · α^{|k|}`.
 pub fn sample_two_sided_geometric<R: Rng + ?Sized>(rng: &mut R, alpha: f64) -> i64 {
     debug_assert!((0.0..1.0).contains(&alpha), "alpha must be in [0, 1)");
-    // updp-lint: allow(R5, reason="alpha == 0.0 exactly (infinite epsilon) collapses the distribution to the point mass at 0; near-zero alpha must still sample")
+    // `alpha == 0.0` exactly (infinite epsilon) collapses the distribution
+    // to the point mass at 0; near-zero alpha must still sample.
     if alpha == 0.0 {
         return 0;
     }

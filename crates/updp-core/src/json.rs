@@ -1,8 +1,7 @@
 //! First-party JSON: the one shared writer/parser of the workspace.
 //!
-//! The build environment has no crates.io access and the vendored
-//! `serde` shim carries no JSON backend, so the workspace owns a
-//! minimal JSON implementation. It began life inside
+//! The build environment has no crates.io access, so the workspace
+//! owns a minimal JSON implementation. It began life inside
 //! `updp-bench::baseline` as the perf-report codec and was promoted
 //! here so every schema — the perf baseline (`BENCH_baseline.json`),
 //! the serving ledger snapshot, the `updp-serve` wire format, and the
@@ -71,7 +70,8 @@ impl<'a> Object<'a> {
     /// The numeric field `key` as a non-negative integer.
     pub fn get_usize(&self, key: &str) -> Result<usize, String> {
         let x = self.get_f64(key)?;
-        // updp-lint: allow(R5, reason="fract() == 0.0 is the exact integrality test for a JSON number; inexact values must be rejected, not rounded")
+        // `fract() == 0.0` is the exact integrality test for a JSON
+        // number; inexact values must be rejected, not rounded.
         if x >= 0.0 && x.fract() == 0.0 && x <= u64::MAX as f64 {
             Ok(x as usize)
         } else {

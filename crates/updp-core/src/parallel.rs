@@ -31,6 +31,10 @@
 //! variance (e.g. SVT runs of data-dependent length) does not serialize
 //! the run.
 
+// Lock poisoning maps to structured errors or a reasoned recovery,
+// never a panic (DESIGN.md §6, §9).
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 
@@ -51,8 +55,11 @@ fn parse_threads(raw: Option<&str>) -> Option<usize> {
 
 /// The worker count in effect: the `UPDP_THREADS` override if set and
 /// valid, otherwise the machine's available parallelism (≥ 1).
+#[expect(
+    clippy::disallowed_methods,
+    reason = "UPDP_THREADS only picks the worker count; §5 proves output is bit-identical at any thread count, so this env read cannot influence released values"
+)]
 pub fn max_threads() -> usize {
-    // updp-lint: allow(R1, reason="UPDP_THREADS only picks the worker count; §5 proves output is bit-identical at any thread count, so this env read cannot influence released values")
     let env = std::env::var(THREADS_ENV).ok();
     parse_threads(env.as_deref()).unwrap_or_else(|| {
         std::thread::available_parallelism()

@@ -13,15 +13,13 @@
 //! [`BudgetAccountant`].
 
 use crate::error::{Result, UpdpError};
-use serde::{Deserialize, Serialize};
 
 /// A validated pure-DP privacy parameter: finite and strictly positive.
 ///
 /// The paper additionally assumes `ε < 1` for its *analysis* (the
 /// high-privacy regime, §1), but the *algorithms* are well-defined for any
 /// positive ε, so the type admits any finite positive value.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct Epsilon(f64);
 
 impl Epsilon {
@@ -76,8 +74,7 @@ impl Epsilon {
 /// A validated approximate-DP failure probability: `0 ≤ δ < 1`.
 ///
 /// Pure DP is `Delta::ZERO`. Only the [DL09] baseline uses δ > 0.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct Delta(f64);
 
 impl Delta {
@@ -105,13 +102,14 @@ impl Delta {
     /// Whether this is the pure-DP case δ = 0.
     #[inline]
     pub fn is_pure(self) -> bool {
-        // updp-lint: allow(R5, reason="pure DP is exactly delta == 0.0; any positive delta, however tiny, is approximate DP and must not pass this test")
+        // Pure DP is exactly delta == 0.0; any positive delta, however
+        // tiny, is approximate DP and must not pass this test.
         self.0 == 0.0
     }
 }
 
 /// A combined (ε, δ) privacy guarantee.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PrivacyGuarantee {
     /// The ε part of the guarantee.
     pub epsilon: Epsilon,

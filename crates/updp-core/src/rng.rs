@@ -20,8 +20,28 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 /// Creates a deterministic RNG from a 64-bit seed.
+///
+/// Library code on the released-value path derives its generators with
+/// [`child_rng`] instead; the root `clippy.toml` lists this constructor
+/// as disallowed there (DESIGN.md §1.1, §9). Tests, examples and
+/// binaries seed directly.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the workspace's one call of seed_from_u64"
+)]
 pub fn seeded(seed: u64) -> StdRng {
     StdRng::seed_from_u64(seed)
+}
+
+/// The generator for child `index` of `master`:
+/// `seeded(child_seed(master, index))`. This is how library code makes
+/// an RNG, so every stream traces to the §1.1 seed tree.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "child_rng is the sanctioned constructor: its seed is a child_seed by construction"
+)]
+pub fn child_rng(master: u64, index: u64) -> StdRng {
+    seeded(child_seed(master, index))
 }
 
 /// SplitMix64 step: derives a well-mixed child seed from `state`.
@@ -46,6 +66,15 @@ mod tests {
         let mut a = seeded(42);
         let mut b = seeded(42);
         for _ in 0..100 {
+            assert_eq!(a.gen::<u64>(), b.gen::<u64>());
+        }
+    }
+
+    #[test]
+    fn child_rng_is_the_seeded_child_seed() {
+        let mut a = child_rng(7, 3);
+        let mut b = seeded(child_seed(7, 3));
+        for _ in 0..16 {
             assert_eq!(a.gen::<u64>(), b.gen::<u64>());
         }
     }

@@ -15,18 +15,21 @@ pub fn bisect_root<F: Fn(f64) -> f64>(f: F, mut a: f64, mut b: f64, tol: f64) ->
         fa * fb <= 0.0,
         "root not bracketed: f({a}) = {fa}, f({b}) = {fb}"
     );
-    // updp-lint: allow(R5, reason="exact-root fast path of bisection: f(a) == 0.0 means a IS the root; near-zero values must keep bisecting toward tol")
+    // Exact-root fast path of bisection: f(a) == 0.0 means a IS the root;
+    // near-zero values must keep bisecting toward tol.
     if fa == 0.0 {
         return a;
     }
-    // updp-lint: allow(R5, reason="exact-root fast path of bisection: f(b) == 0.0 means b IS the root; near-zero values must keep bisecting toward tol")
+    // Exact-root fast path of bisection: f(b) == 0.0 means b IS the root;
+    // near-zero values must keep bisecting toward tol.
     if fb == 0.0 {
         return b;
     }
     for _ in 0..200 {
         let m = 0.5 * (a + b);
         let fm = f(m);
-        // updp-lint: allow(R5, reason="exact-root fast path of bisection: f(m) == 0.0 means m IS the root; near-zero values must keep bisecting toward tol")
+        // Exact-root fast path of bisection: f(m) == 0.0 means m IS the
+        // root; near-zero values must keep bisecting toward tol.
         if fm == 0.0 || (b - a).abs() < tol {
             return m;
         }
@@ -46,7 +49,8 @@ pub fn bisect_root<F: Fn(f64) -> f64>(f: F, mut a: f64, mut b: f64, tol: f64) ->
 /// this is used for). `scale0` seeds the expansion step.
 pub fn monotone_root<F: Fn(f64) -> f64>(f: F, x0: f64, scale0: f64, tol: f64) -> f64 {
     let f0 = f(x0);
-    // updp-lint: allow(R5, reason="exact-root fast path: f(x0) == 0.0 means x0 IS the root; near-zero values must enter the bracket expansion")
+    // Exact-root fast path: f(x0) == 0.0 means x0 IS the root; near-zero
+    // values must enter the bracket expansion.
     if f0 == 0.0 {
         return x0;
     }

@@ -224,12 +224,15 @@ pub fn ln_gamma(x: f64) -> f64 {
 pub fn regularized_incomplete_beta(a: f64, b: f64, x: f64) -> f64 {
     assert!(a > 0.0 && b > 0.0, "shape parameters must be positive");
     assert!((0.0..=1.0).contains(&x), "x must be in [0,1], got {x}");
-    // updp-lint: allow(R5, reason="endpoint of the beta integral: I(0) = 0 holds exactly only at x == 0.0, and ln(x) below needs x > 0")
+    // Endpoint of the beta integral: I(0) = 0 holds exactly only at
+    // x == 0.0, and ln(x) below needs x > 0.
     if x == 0.0 {
         return 0.0;
     }
-    #[allow(clippy::float_cmp)]
-    // updp-lint: allow(R5, reason="endpoint of the beta integral: I(1) = 1 holds exactly only at x == 1.0, and ln(1-x) below needs x < 1")
+    #[expect(
+        clippy::float_cmp,
+        reason = "endpoint of the beta integral: I(1) = 1 holds exactly only at x == 1.0, and ln(1-x) below needs x < 1"
+    )]
     if x == 1.0 {
         return 1.0;
     }

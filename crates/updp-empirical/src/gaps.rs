@@ -30,7 +30,7 @@
 
 use rand::seq::SliceRandom;
 use std::sync::Arc;
-use updp_core::rng::{child_seed, seeded};
+use updp_core::rng::child_rng;
 
 use crate::view::sorted_copy;
 
@@ -58,7 +58,7 @@ impl GapSummary {
     pub fn build(data: &[f64]) -> Self {
         let n = data.len();
         let mut idx: Vec<usize> = (0..n).collect();
-        let mut rng = seeded(child_seed(GAP_PAIRING_SALT, n as u64));
+        let mut rng = child_rng(GAP_PAIRING_SALT, n as u64);
         idx.shuffle(&mut rng);
         let mut gaps = Vec::with_capacity(n / 2);
         for p in idx.chunks_exact(2) {

@@ -45,7 +45,8 @@ pub fn infinite_domain_mean<R: Rng + ?Sized>(
     let mean = clipped_mean_i64(data.values(), range.lo, range.hi)?;
     let n = data.len() as f64;
     let width = range.width() as f64;
-    // updp-lint: allow(R5, reason="width is an i64 range cast to f64, so 0.0 is exact: the degenerate single-bucket range needs no Laplace noise (sensitivity 0)")
+    // The width is an i64 range cast to f64, so 0.0 is exact: the degenerate
+    // single-bucket range needs no Laplace noise (sensitivity 0).
     let estimate = if width == 0.0 {
         mean
     } else {

@@ -43,12 +43,16 @@
 //! sorting plus run merging (the proptest-pinned `merge_sorted_f64`
 //! lemma) yields the identical byte sequence at any `UPDP_THREADS`.
 
+// Lock poisoning maps to structured errors or a reasoned recovery,
+// never a panic (DESIGN.md §6, §9).
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use crate::dataset::SortedInts;
 use crate::discretize::Discretizer;
 use crate::gaps::GapSummary;
 // BTreeMap, not HashMap: grid caches sit in the determinism scope and
 // `successor` iterates them, so container order must be a pure
-// function of the keys (updp-lint R2, DESIGN.md §5/§7).
+// function of the keys (DESIGN.md §5/§7, §9).
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
@@ -124,7 +128,8 @@ pub fn sorted_copy_threads(data: &[f64], threads: usize) -> Vec<f64> {
             })
         };
         if runs.len() % 2 == 1 {
-            next.push(runs.pop().expect("odd run count implies non-empty"));
+            // The odd run out carries over unmerged.
+            next.extend(runs.pop());
         }
         runs = next;
     }
@@ -138,7 +143,7 @@ pub fn sorted_copy_threads(data: &[f64], threads: usize) -> Vec<f64> {
 /// never block each other after the first build. Each grid is stamped
 /// with a build counter so [`ColumnCache::successor`] can carry the
 /// freshest [`MAX_CARRIED_GRIDS`] forward.
-/// Lock-poisoning policy (updp-lint R3, DESIGN.md §6): every artifact
+/// Lock-poisoning policy (DESIGN.md §6, §9): every artifact
 /// here is a pure function of the column, so the cache is *only* an
 /// optimization — a poisoned `grids` lock (a builder panicked) is
 /// handled by bypassing the cache (compute fresh, skip insertion),
@@ -184,7 +189,7 @@ impl ColumnCache {
     /// The cached pair-gap summary for this column, building it on
     /// first use — or `None` when the summary path is not enabled.
     ///
-    /// Poison-degrading like `grids` (updp-lint R3, DESIGN.md §6): the
+    /// Poison-degrading like `grids` (DESIGN.md §6, §9): the
     /// summary is a pure function of the column (the pairing seed
     /// derives from the column length, not from any mechanism RNG), so
     /// racing builders produce identical summaries and a poisoned slot

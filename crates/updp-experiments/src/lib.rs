@@ -14,6 +14,19 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+// Determinism contracts (DESIGN.md §9): no clocks, environment reads,
+// hash-ordered collections or ad-hoc seeding (the lists live in the
+// root clippy.toml), and no prints in library code. Test builds and
+// binaries are exempt.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::disallowed_methods,
+        clippy::disallowed_types,
+        clippy::print_stdout,
+        clippy::print_stderr
+    )
+)]
 
 pub mod ablation_exps;
 pub mod config;

@@ -5,10 +5,8 @@
 //! in markdown. Keeping rendering centralized guarantees the published
 //! tables are regenerable byte-for-byte.
 
-use serde::Serialize;
-
 /// A rendered experiment: title, claim under test, columns, rows, notes.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Table {
     /// Experiment id (e.g. `gauss-mean`).
     pub id: String,

@@ -14,14 +14,13 @@
 //! [`ErrorStats`] is bit-identical at any thread count (`UPDP_THREADS`
 //! contract) and identical to the historical serial loop.
 
-use serde::Serialize;
 use updp_core::error::Result;
 use updp_core::parallel::par_map_indexed;
-use updp_core::rng::{child_seed, seeded};
+use updp_core::rng::child_rng;
 use updp_statistical::{DataView, EstimateParams, Estimator};
 
 /// Robust summary of absolute errors over repeated trials.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ErrorStats {
     /// Median absolute error among successful trials.
     pub median: f64,
@@ -58,7 +57,7 @@ where
     F: Fn(u64, &mut rand::rngs::StdRng) -> T + Sync,
 {
     par_map_indexed(trials, |t| {
-        let mut rng = seeded(child_seed(master, offset + t as u64));
+        let mut rng = child_rng(master, offset + t as u64);
         f(t as u64, &mut rng)
     })
 }
@@ -160,7 +159,8 @@ pub fn fmt_err(v: f64) -> String {
     if v.is_nan() {
         return "-".into();
     }
-    // updp-lint: allow(R5, reason="table formatting: exactly-zero errors print as `0`; near-zero errors must keep their scientific form to stay machine-diffable")
+    // Table formatting: exactly-zero errors print as `0`; near-zero errors
+    // must keep their scientific form to stay machine-diffable.
     if v == 0.0 {
         return "0".into();
     }
@@ -178,6 +178,7 @@ pub fn fmt_err(v: f64) -> String {
 #[allow(clippy::float_cmp)]
 mod tests {
     use super::*;
+    use updp_core::rng::{child_seed, seeded};
 
     #[test]
     fn summarize_quantiles() {

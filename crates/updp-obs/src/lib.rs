@@ -13,8 +13,7 @@
 //! - **Clock-free.** No `Instant`, no `SystemTime` anywhere in this
 //!   crate. Durations and timestamps arrive as plain `u64`
 //!   microseconds/milliseconds measured by the caller (transport code
-//!   that already lives outside the R1 ambient-authority lint scope).
-//!   `updp-obs` only aggregates values it is handed.
+//!   in updp-serve); `updp-obs` only aggregates values it is handed.
 //! - **Non-throwing.** Recording never panics and never returns
 //!   errors; a poisoned lock degrades to dropping the observation
 //!   rather than taking the request path down.
@@ -25,6 +24,19 @@
 //!
 //! The crate is dependency-free except for `updp_core::json`, the
 //! workspace's single JSON codec, used for the `?format=json` render.
+
+#![forbid(unsafe_code)]
+// Clock-free and hash-order-free by construction, enforced by the root
+// clippy.toml lists (DESIGN.md §9, §11); no prints in library code.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::disallowed_methods,
+        clippy::disallowed_types,
+        clippy::print_stdout,
+        clippy::print_stderr
+    )
+)]
 
 mod metrics;
 mod registry;

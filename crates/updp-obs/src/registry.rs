@@ -8,6 +8,10 @@
 //! sorted label order (`BTreeMap`), and histogram edges are the fixed
 //! power-of-two boundaries of [`crate::Histogram`].
 
+// Lock poisoning maps to structured errors or a reasoned recovery,
+// never a panic (DESIGN.md §6, §9).
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use std::collections::BTreeMap;
 use std::sync::{Arc, RwLock};
 

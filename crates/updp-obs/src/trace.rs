@@ -1,6 +1,10 @@
 //! Bounded ring buffers of recent request events — the flight
 //! recorder behind `GET /v1/trace` and `--log-json`.
 
+// Lock poisoning maps to structured errors or a reasoned recovery,
+// never a panic (DESIGN.md §6, §9).
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use std::collections::VecDeque;
 use std::sync::Mutex;
 

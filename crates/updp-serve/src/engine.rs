@@ -20,7 +20,7 @@
 //!    [`PreparedDataset`](updp_statistical::PreparedDataset) snapshot
 //!    (no registry lock is held during estimation; repeated queries
 //!    reuse its cached sorted/discretized artifacts); query `i`
-//!    derives its generator from `child_seed(request_seed, i)`
+//!    derives its generator with `child_rng(request_seed, i)`
 //!    (DESIGN.md §1.1), so the response is bit-reproducible for a
 //!    given seed at any thread count.
 //! 3. **Settle** — in query order, hardened releases charge their
@@ -37,13 +37,12 @@
 //! public-parameter scale — see the trait docs), and the ledger is
 //! debited `0.9·ε + 0.1·ε·(1 + inflation)` per DESIGN.md §1.3/§6.
 
-use crate::ledger::{Ledger, LedgerError, Refusal};
+use crate::ledger::{Grant, Ledger, LedgerError, Refusal};
 use crate::registry::Dataset;
-use rand::rngs::StdRng;
 use std::collections::HashMap;
 use updp_core::parallel::par_map_indexed;
 use updp_core::privacy::Epsilon;
-use updp_core::rng::{child_seed, seeded};
+use updp_core::rng::child_rng;
 use updp_core::snapping::{snapped_laplace_mechanism, snapping_epsilon_inflation, snapping_lambda};
 use updp_core::UpdpError;
 use updp_statistical::{EstimateParams, Estimator, Release, DEFAULT_BETA};
@@ -345,11 +344,7 @@ pub(crate) fn execute_batch_observed(
     // One `reserve_many` call: item-by-item semantics, one snapshot
     // write for the whole batch.
     let nominal: Vec<f64> = specs.iter().map(|s| s.epsilon).collect();
-    let granted: Vec<Option<Refusal>> = ledger
-        .reserve_many(&dataset.name, &nominal)?
-        .into_iter()
-        .map(Result::err)
-        .collect();
+    let grant = ledger.reserve_many(&dataset.name, &nominal)?;
 
     // Phase 2: concurrent execution with per-query child seeds, all
     // against ONE immutable snapshot — no lock is held while
@@ -357,18 +352,16 @@ pub(crate) fn execute_batch_observed(
     // version (and shares its artifact caches).
     let view = prepared.view();
     let executed: Vec<Option<Result<Execution, UpdpError>>> = par_map_indexed(specs.len(), |i| {
-        granted[i].is_none().then(|| {
-            let mut rng = seeded(child_seed(seed, i as u64));
-            // Timing lives here (not in updp-obs) so the clock read
-            // stays in transport-scoped code; the result feeds metrics
-            // only, never the estimate.
-            let started = obs.map(|_| std::time::Instant::now());
-            let result = run_query(&view, estimators[i], &specs[i], mode, &mut rng);
-            if let (Some(obs), Some(started)) = (obs, started) {
-                obs.record_engine_query(estimators[i].name(), started.elapsed().as_micros() as u64);
-            }
-            result
-        })
+        // Timing lives here (not in updp-obs) so the clock read
+        // stays in transport-scoped code; the result feeds metrics
+        // only, never the estimate.
+        let started = obs.map(|_| std::time::Instant::now());
+        let result =
+            run_query(&grant, i, &view, estimators[i], &specs[i], mode, seed).transpose()?;
+        if let (Some(obs), Some(started)) = (obs, started) {
+            obs.record_engine_query(estimators[i].name(), started.elapsed().as_micros() as u64);
+        }
+        Some(result)
     });
     drop(view);
     drop(prepared);
@@ -383,20 +376,21 @@ pub(crate) fn execute_batch_observed(
         })
         .collect();
     let mut topups = if inflations.is_empty() {
-        Vec::new()
+        None
     } else {
-        ledger.reserve_many(&dataset.name, &inflations)?
+        Some(ledger.reserve_many(&dataset.name, &inflations)?)
     }
-    .into_iter();
+    .into_iter()
+    .flatten();
     let mut outcomes = Vec::with_capacity(specs.len());
     for (i, spec) in specs.iter().enumerate() {
         let kind = estimators[i].name();
-        let outcome = match (&granted[i], &executed[i]) {
-            (Some(refusal), _) => QueryOutcome::Refused {
+        let outcome = match (&grant[i], &executed[i]) {
+            (Err(refusal), _) => QueryOutcome::Refused {
                 kind,
                 refusal: *refusal,
             },
-            (None, Some(Ok(execution))) => {
+            (Ok(_), Some(Ok(execution))) => {
                 let topup = if execution.inflation() > 0.0 {
                     topups.next().expect("one top-up per inflated query").err()
                 } else {
@@ -421,11 +415,11 @@ pub(crate) fn execute_batch_observed(
                     }
                 }
             }
-            (None, Some(Err(e))) => QueryOutcome::Failed {
+            (Ok(_), Some(Err(e))) => QueryOutcome::Failed {
                 kind,
                 message: e.to_string(),
             },
-            (None, None) => unreachable!("granted query skipped execution"),
+            (Ok(_), None) => unreachable!("granted query skipped execution"),
         };
         outcomes.push(outcome);
     }
@@ -451,19 +445,35 @@ fn eps(v: f64) -> Result<Epsilon, UpdpError> {
     Epsilon::new(v)
 }
 
-/// Runs one granted query through the estimator trait. In hardened
-/// mode the estimator runs at `ESTIMATOR_SHARE·ε` and each released
-/// scalar is re-released through the snapping mechanism at its share
-/// of `RELEASE_SHARE·ε`, noised at the estimator's own
+/// Runs query `i` of a batch through the estimator trait, or returns
+/// `Ok(None)` when `grant` refused it. This is the crate's one call of
+/// `Estimator::estimate` (R9 in DESIGN.md §9): the `Grant` is proof
+/// that the ledger debited the query's ε before any noise is drawn.
+/// The query's generator is `child_rng(seed, i)`, so the response is
+/// bit-reproducible for a given seed at any thread count.
+///
+/// In hardened mode the estimator runs at `ESTIMATOR_SHARE·ε` and each
+/// released scalar is re-released through the snapping mechanism at
+/// its share of `RELEASE_SHARE·ε`, noised at the estimator's own
 /// [`Release::sensitivities`] proxy (a privately-released or
 /// public-parameter scale, so reusing it is post-processing).
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the ledger Grant proves the query's ε was debited first"
+)]
 fn run_query(
+    grant: &Grant,
+    i: usize,
     view: &updp_statistical::DataView<'_>,
     estimator: &dyn Estimator,
     spec: &QuerySpec,
     mode: ReleaseMode,
-    rng: &mut StdRng,
-) -> Result<Execution, UpdpError> {
+    seed: u64,
+) -> Result<Option<Execution>, UpdpError> {
+    let Some(Ok(_)) = grant.get(i) else {
+        return Ok(None);
+    };
+    let mut rng = child_rng(seed, i as u64);
     let (est_eps, rel_eps) = match mode {
         ReleaseMode::Raw => (spec.epsilon, 0.0),
         ReleaseMode::Hardened { .. } => {
@@ -471,13 +481,13 @@ fn run_query(
         }
     };
     let params = query_params(spec, est_eps)?;
-    let released: Release = estimator.estimate(rng, view, &params)?;
+    let released: Release = estimator.estimate(&mut rng, view, &params)?;
 
     match mode {
-        ReleaseMode::Raw => Ok(Execution {
+        ReleaseMode::Raw => Ok(Some(Execution {
             values: released.values,
             release: ReleaseInfo::Raw,
-        }),
+        })),
         ReleaseMode::Hardened { bound } => {
             let per_scalar = eps(rel_eps / released.values.len() as f64)?;
             let mut values = Vec::with_capacity(released.values.len());
@@ -487,7 +497,7 @@ fn run_query(
                 let sensitivity = sensitivity.max(f64::MIN_POSITIVE);
                 let scale = sensitivity / per_scalar.get();
                 values.push(snapped_laplace_mechanism(
-                    rng,
+                    &mut rng,
                     value,
                     sensitivity,
                     per_scalar,
@@ -496,14 +506,14 @@ fn run_query(
                 lambdas.push(snapping_lambda(scale));
                 inflation += per_scalar.get() * snapping_epsilon_inflation(scale, bound);
             }
-            Ok(Execution {
+            Ok(Some(Execution {
                 values,
                 release: ReleaseInfo::Snapped {
                     lambdas,
                     bound,
                     inflation,
                 },
-            })
+            }))
         }
     }
 }
@@ -517,6 +527,7 @@ mod tests {
     use crate::registry::Registry;
     use rand::Rng;
     use updp_core::privacy::Delta;
+    use updp_core::rng::{child_seed, seeded};
     use updp_dist::{ContinuousDistribution, Gaussian};
     use updp_statistical::estimate_mean;
 

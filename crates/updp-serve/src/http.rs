@@ -12,12 +12,10 @@ use std::io::{BufRead, Write};
 
 /// Upper bound on the request head (request line + headers).
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
-/// How many consecutive read timeouts a *mid-request* read survives
-/// before the connection is dropped. The server's 500 ms socket
-/// timeout exists so idle connections can poll the shutdown flag;
-/// once a request has started arriving, stalls are tolerated up to
-/// this cap (~2 minutes) so slow uploads are not cut off, while a
-/// wedged peer still cannot pin the connection forever.
+/// How many consecutive read timeouts a client read survives before
+/// the connection is dropped: slow responses are tolerated (~2 minutes
+/// at a 500 ms socket timeout), while a wedged server still cannot pin
+/// the client forever.
 pub const MAX_READ_STALLS: usize = 240;
 /// Upper bound on a request body (64 MiB ≈ an 8M-record f64 dataset
 /// in JSON — registrations beyond that should arrive in appends).
@@ -36,7 +34,7 @@ pub struct Request {
     pub keep_alive: bool,
 }
 
-/// Protocol errors while reading a request.
+/// Protocol errors while reading a request or response.
 #[derive(Debug)]
 pub enum HttpError {
     /// Underlying socket error.
@@ -44,12 +42,6 @@ pub enum HttpError {
     /// The peer sent something that is not valid HTTP/1.1 (or exceeds
     /// the size limits).
     Malformed(String),
-    /// A read timeout fired while the connection was idle between
-    /// requests (no byte of the next request seen yet). Only possible
-    /// when the caller set a socket read timeout; the server's accept
-    /// loop uses it to poll its shutdown flag so an idle keep-alive
-    /// connection can never pin the process alive.
-    IdleTimeout,
 }
 
 impl std::fmt::Display for HttpError {
@@ -57,7 +49,6 @@ impl std::fmt::Display for HttpError {
         match self {
             HttpError::Io(e) => write!(f, "i/o: {e}"),
             HttpError::Malformed(reason) => write!(f, "malformed request: {reason}"),
-            HttpError::IdleTimeout => write!(f, "idle read timeout"),
         }
     }
 }
@@ -68,9 +59,6 @@ impl From<std::io::Error> for HttpError {
     }
 }
 
-/// Reads one line terminated by `\n`, enforcing the head budget, and
-/// strips the trailing `\r\n`/`\n`. `Ok(None)` signals clean EOF
-/// before any byte (the peer closed an idle keep-alive connection).
 fn is_timeout(e: &std::io::Error) -> bool {
     matches!(
         e.kind(),
@@ -78,22 +66,16 @@ fn is_timeout(e: &std::io::Error) -> bool {
     )
 }
 
-fn read_line(
-    stream: &mut impl BufRead,
-    budget: &mut usize,
-    first: bool,
-) -> Result<Option<String>, HttpError> {
+/// Reads one line terminated by `\n`, enforcing the head budget, and
+/// strips the trailing `\r\n`/`\n`. Read timeouts are stalls,
+/// tolerated up to [`MAX_READ_STALLS`].
+fn read_line(stream: &mut impl BufRead, budget: &mut usize) -> Result<String, HttpError> {
     let mut line = Vec::new();
     let mut stalls = 0usize;
     loop {
         let mut byte = [0u8; 1];
         match stream.read(&mut byte) {
-            Ok(0) => {
-                if first && line.is_empty() {
-                    return Ok(None);
-                }
-                return Err(HttpError::Malformed("unexpected EOF in head".into()));
-            }
+            Ok(0) => return Err(HttpError::Malformed("unexpected EOF in head".into())),
             Ok(_) => {
                 stalls = 0;
                 *budget = budget
@@ -104,18 +86,11 @@ fn read_line(
                         line.pop();
                     }
                     return String::from_utf8(line)
-                        .map(Some)
                         .map_err(|_| HttpError::Malformed("non-UTF-8 head".into()));
                 }
                 line.push(byte[0]);
             }
             Err(e) if is_timeout(&e) => {
-                // Before the first byte of a request this is the idle
-                // shutdown-poll signal; mid-request it is a stall,
-                // tolerated up to MAX_READ_STALLS.
-                if first && line.is_empty() {
-                    return Err(HttpError::IdleTimeout);
-                }
                 stalls += 1;
                 if stalls > MAX_READ_STALLS {
                     return Err(HttpError::Io(e));
@@ -153,8 +128,7 @@ fn read_body(stream: &mut impl BufRead, len: usize) -> Result<Vec<u8>, HttpError
 }
 
 /// Parses the request line into `(METHOD, path)`, validating the
-/// HTTP/1.x version tag. Shared by the blocking reader and the
-/// incremental [`RequestParser`].
+/// HTTP/1.x version tag.
 fn parse_request_line(request_line: &str) -> Result<(String, String), HttpError> {
     let mut parts = request_line.split_whitespace();
     let (method, path, version) = match (parts.next(), parts.next(), parts.next(), parts.next()) {
@@ -171,9 +145,8 @@ fn parse_request_line(request_line: &str) -> Result<(String, String), HttpError>
     Ok((method, path))
 }
 
-/// Applies one header line to the framing state. Shared by the
-/// blocking reader and the incremental [`RequestParser`] so both
-/// enforce the same smuggling refusals.
+/// Applies one header line to the framing state, enforcing the
+/// smuggling refusals.
 fn apply_header(
     line: &str,
     content_length: &mut Option<usize>,
@@ -217,39 +190,6 @@ fn apply_header(
     Ok(())
 }
 
-/// Reads one request. `Ok(None)` means the peer closed the idle
-/// connection cleanly (normal end of a keep-alive session).
-pub fn read_request(stream: &mut impl BufRead) -> Result<Option<Request>, HttpError> {
-    let mut budget = MAX_HEAD_BYTES;
-    let Some(request_line) = read_line(stream, &mut budget, true)? else {
-        return Ok(None);
-    };
-    let (method, path) = parse_request_line(&request_line)?;
-    let mut content_length: Option<usize> = None;
-    let mut keep_alive = true; // HTTP/1.1 default
-    loop {
-        let line = read_line(stream, &mut budget, false)?
-            .ok_or_else(|| HttpError::Malformed("EOF in headers".into()))?;
-        if line.is_empty() {
-            break;
-        }
-        apply_header(&line, &mut content_length, &mut keep_alive)?;
-    }
-    let content_length = content_length.unwrap_or(0);
-    if content_length > MAX_BODY_BYTES {
-        return Err(HttpError::Malformed(format!(
-            "body of {content_length} bytes exceeds the {MAX_BODY_BYTES}-byte limit"
-        )));
-    }
-    let body = read_body(stream, content_length)?;
-    Ok(Some(Request {
-        method,
-        path,
-        body,
-        keep_alive,
-    }))
-}
-
 /// A parsed-but-bodiless head: the framing state the incremental
 /// parser carries while body bytes stream in.
 #[derive(Debug)]
@@ -264,10 +204,9 @@ struct PendingBody {
 /// whatever bytes the socket yields — split at **any** byte boundary,
 /// including mid-request-line, mid-header, or mid-body — and it
 /// returns each request exactly once, as soon as its last byte
-/// arrives. The framing rules (head/body caps, duplicate
-/// Content-Length and Transfer-Encoding refusals, keep-alive
-/// semantics) are shared with the blocking [`read_request`], so the
-/// reactor and the legacy codec cannot drift apart.
+/// arrives. It enforces the head/body caps, refuses duplicate
+/// Content-Length and any Transfer-Encoding (request-smuggling
+/// vectors), and applies HTTP/1.1 keep-alive semantics.
 ///
 /// Errors are sticky in practice: the caller must stop feeding a
 /// parser that returned `Err` (the stream is desynchronized; the
@@ -335,7 +274,7 @@ impl RequestParser {
 
 /// Byte length of the head (request line + headers + blank line) if
 /// the blank line has arrived, tolerating both `\r\n` and bare `\n`
-/// terminators like the blocking reader.
+/// terminators.
 fn find_head_end(buf: &[u8]) -> Option<usize> {
     let mut pos = 0;
     while let Some(nl) = buf[pos..].iter().position(|&b| b == b'\n') {
@@ -393,8 +332,7 @@ pub fn reason(status: u16) -> &'static str {
 }
 
 /// Renders one JSON response into bytes (the reactor enqueues these
-/// on its per-connection write queues; the blocking path writes them
-/// straight to the socket).
+/// on its per-connection write queues).
 pub fn encode_response(status: u16, body: &str, keep_alive: bool) -> Vec<u8> {
     encode_response_with_type(status, body, keep_alive, "application/json")
 }
@@ -458,8 +396,7 @@ pub fn write_request(
 /// allocate unboundedly.
 pub fn read_response(stream: &mut impl BufRead) -> Result<(u16, String), HttpError> {
     let mut budget = MAX_HEAD_BYTES;
-    let status_line = read_line(stream, &mut budget, false)?
-        .ok_or_else(|| HttpError::Malformed("EOF before status line".into()))?;
+    let status_line = read_line(stream, &mut budget)?;
     let mut parts = status_line.split_whitespace();
     let version = parts
         .next()
@@ -479,8 +416,7 @@ pub fn read_response(stream: &mut impl BufRead) -> Result<(u16, String), HttpErr
     })?;
     let mut content_length: Option<usize> = None;
     loop {
-        let line = read_line(stream, &mut budget, false)?
-            .ok_or_else(|| HttpError::Malformed("EOF in headers".into()))?;
+        let line = read_line(stream, &mut budget)?;
         if line.is_empty() {
             break;
         }
@@ -514,13 +450,28 @@ mod tests {
     use super::*;
     use std::io::BufReader;
 
+    /// Parses `wire` as exactly one complete request.
+    fn parse_one(wire: &[u8]) -> Request {
+        let mut parser = RequestParser::new();
+        let mut requests = parser.feed(wire).unwrap();
+        assert_eq!(requests.len(), 1, "expected one request");
+        assert!(parser.is_idle());
+        requests.remove(0)
+    }
+
+    /// The parser's refusal text for `wire`.
+    fn refusal(wire: &str) -> String {
+        match RequestParser::new().feed(wire.as_bytes()) {
+            Err(HttpError::Malformed(reason)) => reason,
+            other => panic!("accepted {wire:?}: {other:?}"),
+        }
+    }
+
     #[test]
     fn request_round_trips_through_the_codec() {
         let mut wire = Vec::new();
         write_request(&mut wire, "POST", "/v1/query", "{\"a\":1}").unwrap();
-        let req = read_request(&mut BufReader::new(wire.as_slice()))
-            .unwrap()
-            .unwrap();
+        let req = parse_one(&wire);
         assert_eq!(req.method, "POST");
         assert_eq!(req.path, "/v1/query");
         assert_eq!(req.body, b"{\"a\":1}");
@@ -541,33 +492,45 @@ mod tests {
 
     #[test]
     fn connection_close_clears_keep_alive() {
-        let wire = b"GET /v1/healthz HTTP/1.1\r\nConnection: close\r\n\r\n";
-        let req = read_request(&mut BufReader::new(wire.as_slice()))
-            .unwrap()
-            .unwrap();
+        let req = parse_one(b"GET /v1/healthz HTTP/1.1\r\nConnection: close\r\n\r\n");
         assert!(!req.keep_alive);
         assert!(req.body.is_empty());
     }
 
+    /// EOF on a fresh parser, or right after a complete request, is a
+    /// clean keep-alive close; EOF mid-request is a truncation.
     #[test]
-    fn idle_eof_is_a_clean_none() {
-        let empty: &[u8] = b"";
-        assert!(read_request(&mut BufReader::new(empty)).unwrap().is_none());
+    fn idle_eof_is_clean_and_partial_eof_is_not() {
+        let mut parser = RequestParser::new();
+        assert!(parser.feed(b"").unwrap().is_empty());
+        assert!(parser.is_idle());
+        assert!(parser.feed(b"GET /x HTTP/1.1\r\n").unwrap().is_empty());
+        assert!(!parser.is_idle(), "half a head must not read as idle");
+        let mut parser = RequestParser::new();
+        assert!(parser
+            .feed(b"POST /x HTTP/1.1\r\nContent-Length: 3\r\n\r\nab")
+            .unwrap()
+            .is_empty());
+        assert!(!parser.is_idle(), "half a body must not read as idle");
     }
 
     #[test]
     fn malformed_heads_are_rejected() {
-        for bad in [
-            "NOT-HTTP\r\n\r\n",
-            "GET /x HTTP/2\r\n\r\n",
-            "POST /x HTTP/1.1\r\nContent-Length: nope\r\n\r\n",
-            "POST /x HTTP/1.1\r\nbadheader\r\n\r\n",
-            "POST /x HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nhello\r\n0\r\n\r\n",
+        for (wire, needle) in [
+            ("NOT-HTTP\r\n\r\n", "bad request line"),
+            ("GET /x HTTP/2\r\n\r\n", "bad version"),
+            (
+                "POST /x HTTP/1.1\r\nContent-Length: nope\r\n\r\n",
+                "bad content-length",
+            ),
+            ("POST /x HTTP/1.1\r\nbadheader\r\n\r\n", "bad header"),
+            (
+                "POST /x HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nhello\r\n0\r\n\r\n",
+                "transfer-encoding is not supported",
+            ),
         ] {
-            assert!(
-                read_request(&mut BufReader::new(bad.as_bytes())).is_err(),
-                "accepted {bad:?}"
-            );
+            let reason = refusal(wire);
+            assert!(reason.contains(needle), "`{reason}` missing `{needle}`");
         }
     }
 
@@ -579,17 +542,11 @@ mod tests {
         // Even identical repeats are refused: no legitimate client
         // sends two.
         let identical = "POST /x HTTP/1.1\r\nContent-Length: 3\r\nContent-Length: 3\r\n\r\nabc";
-        for wire in [differing, identical] {
-            match read_request(&mut BufReader::new(wire.as_bytes())) {
-                Err(HttpError::Malformed(reason)) => {
-                    assert!(reason.contains("duplicate content-length"), "{reason}")
-                }
-                other => panic!("accepted duplicate content-length: {other:?}"),
-            }
-        }
-        // Case-insensitive: header names match ASCII-case-insensitively.
+        // Header names match ASCII-case-insensitively.
         let mixed = "POST /x HTTP/1.1\r\nContent-Length: 3\r\ncontent-length: 3\r\n\r\nabc";
-        assert!(read_request(&mut BufReader::new(mixed.as_bytes())).is_err());
+        for wire in [differing, identical, mixed] {
+            assert_eq!(refusal(wire), "duplicate content-length header");
+        }
     }
 
     #[test]
@@ -626,35 +583,6 @@ mod tests {
         // Duplicate response Content-Length is refused too.
         let wire = "HTTP/1.1 200 OK\r\nContent-Length: 2\r\nContent-Length: 2\r\n\r\nok";
         assert!(read_response(&mut BufReader::new(wire.as_bytes())).is_err());
-    }
-
-    #[test]
-    fn oversized_bodies_are_refused_before_allocation() {
-        let wire = format!(
-            "POST /x HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
-            MAX_BODY_BYTES + 1
-        );
-        assert!(matches!(
-            read_request(&mut BufReader::new(wire.as_bytes())),
-            Err(HttpError::Malformed(_))
-        ));
-    }
-
-    #[test]
-    fn two_requests_on_one_connection() {
-        let mut wire = Vec::new();
-        write_request(&mut wire, "GET", "/v1/healthz", "").unwrap();
-        write_request(&mut wire, "POST", "/v1/shutdown", "{}").unwrap();
-        let mut reader = BufReader::new(wire.as_slice());
-        assert_eq!(
-            read_request(&mut reader).unwrap().unwrap().path,
-            "/v1/healthz"
-        );
-        assert_eq!(
-            read_request(&mut reader).unwrap().unwrap().path,
-            "/v1/shutdown"
-        );
-        assert!(read_request(&mut reader).unwrap().is_none());
     }
 
     /// The slow-loris shape without any wall clock: every possible
@@ -725,27 +653,7 @@ mod tests {
         let got = parser.feed(&wire).unwrap();
         let paths: Vec<&str> = got.iter().map(|r| r.path.as_str()).collect();
         assert_eq!(paths, ["/v1/q0", "/v1/q1", "/v1/q2", "/v1/q3", "/v1/q4"]);
-    }
-
-    /// The incremental parser enforces the same refusals, with the
-    /// same error text, as the blocking reader.
-    #[test]
-    fn incremental_parser_matches_blocking_reader_refusals() {
-        for wire in [
-            "NOT-HTTP\r\n\r\n",
-            "GET /x HTTP/2\r\n\r\n",
-            "POST /x HTTP/1.1\r\nContent-Length: 3\r\nContent-Length: 5\r\n\r\nabcde",
-            "POST /x HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n",
-        ] {
-            let blocking = read_request(&mut BufReader::new(wire.as_bytes()));
-            let incremental = RequestParser::new().feed(wire.as_bytes());
-            match (blocking, incremental) {
-                (Err(HttpError::Malformed(a)), Err(HttpError::Malformed(b))) => {
-                    assert_eq!(a, b, "error text diverged for {wire:?}")
-                }
-                other => panic!("expected matching Malformed errors for {wire:?}: {other:?}"),
-            }
-        }
+        assert!(parser.is_idle(), "a complete pipeline leaves no residue");
     }
 
     #[test]

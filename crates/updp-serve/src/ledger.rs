@@ -23,6 +23,10 @@
 //! ledger entries survive even `drop` — budget is a property of the
 //! *data subjects*, not of the in-memory copy of the data.
 
+// Lock poisoning maps to structured errors or a reasoned recovery,
+// never a panic (DESIGN.md §6, §9).
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use std::collections::{BTreeMap, HashMap};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
@@ -85,6 +89,41 @@ impl std::fmt::Display for LedgerError {
                 )
             }
         }
+    }
+}
+
+/// Proof that the ledger has decided a batch of reservations: one
+/// outcome per requested amount, in request order (`Ok` = granted,
+/// `Err` = refused). Only [`Ledger::reserve_many`] mints a `Grant`,
+/// and it returns one only after the granted spend is persisted, so
+/// code holding a `Grant` runs after the debit (DESIGN.md §6.2). The
+/// serve engine's one call of `Estimator::estimate` takes a `Grant`.
+///
+/// A `Grant` cannot be built anywhere else:
+///
+/// ```compile_fail
+/// use updp_serve::ledger::Grant;
+/// let forged = Grant { outcomes: Vec::new() };
+/// ```
+#[derive(Debug)]
+pub struct Grant {
+    outcomes: Vec<Result<Account, Refusal>>,
+}
+
+impl std::ops::Deref for Grant {
+    type Target = [Result<Account, Refusal>];
+
+    fn deref(&self) -> &Self::Target {
+        &self.outcomes
+    }
+}
+
+impl IntoIterator for Grant {
+    type Item = Result<Account, Refusal>;
+    type IntoIter = std::vec::IntoIter<Result<Account, Refusal>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.outcomes.into_iter()
     }
 }
 
@@ -168,8 +207,16 @@ impl Ledger {
     /// caller runs any mechanism; the new account state is returned.
     /// An exhausted budget yields `Ok(Err(Refusal))` — a *normal*
     /// outcome, distinct from ledger failures.
+    #[expect(
+        clippy::expect_used,
+        reason = "reserve_many returns exactly one outcome per amount"
+    )]
     pub fn reserve(&self, name: &str, eps: f64) -> Result<Result<Account, Refusal>, LedgerError> {
-        Ok(self.reserve_many(name, &[eps])?.pop().expect("one item"))
+        Ok(self
+            .reserve_many(name, &[eps])?
+            .into_iter()
+            .next()
+            .expect("one outcome per amount"))
     }
 
     /// Reserves a sequence of ε amounts against `name` in one atomic
@@ -177,11 +224,7 @@ impl Ledger {
     /// the lock (identical semantics to calling [`Ledger::reserve`]
     /// item by item), but the snapshot is persisted **once**, so a
     /// batch request costs one file write instead of one per query.
-    pub fn reserve_many(
-        &self,
-        name: &str,
-        amounts: &[f64],
-    ) -> Result<Vec<Result<Account, Refusal>>, LedgerError> {
+    pub fn reserve_many(&self, name: &str, amounts: &[f64]) -> Result<Grant, LedgerError> {
         for &eps in amounts {
             if !(eps.is_finite() && eps > 0.0) {
                 return Err(LedgerError::BadParameter(format!(
@@ -225,7 +268,7 @@ impl Ledger {
             // loses an unreleased answer, never replays budget.
             self.persist()?;
         }
-        Ok(outcomes)
+        Ok(Grant { outcomes })
     }
 
     /// The current account state for `name`.
@@ -272,6 +315,12 @@ impl Ledger {
     /// and each re-renders the *current* state under a brief accounts
     /// lock, so whichever writer runs last writes the newest state —
     /// the file is monotone even under concurrent mutations.
+    ///
+    /// Lock order: `persist_lock` → `accounts`, taken only here. Every
+    /// other method takes `accounts` alone and releases it before
+    /// calling this; `refusals` is never held with another lock. The
+    /// lock fields are private to this module, so no caller can nest
+    /// them in another order (DESIGN.md §9).
     fn persist(&self) -> Result<(), LedgerError> {
         let Some(path) = &self.path else {
             return Ok(());

@@ -48,9 +48,17 @@
 #![warn(missing_docs)]
 // `deny` rather than `forbid`: the one audited exception is the epoll
 // syscall shim ([`poll`]), which opts back in at module level with
-// `// SAFETY:` comments on every unsafe block (updp-lint R4 enforces
-// the comments). Everything else in the crate still refuses unsafe.
+// `// SAFETY:` comments on every unsafe block (clippy's
+// `undocumented_unsafe_blocks` enforces the comments). Everything else
+// in the crate still refuses unsafe.
 #![deny(unsafe_code)]
+// Reserve before estimate and child-seeded generators (this crate's
+// clippy.toml, DESIGN.md §6.2/§9), and no prints in library code.
+// Test builds and binaries are exempt.
+#![cfg_attr(
+    not(test),
+    deny(clippy::disallowed_methods, clippy::print_stdout, clippy::print_stderr)
+)]
 
 pub mod client;
 pub mod engine;

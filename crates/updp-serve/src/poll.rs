@@ -7,14 +7,27 @@
 //! `epoll_ctl`, `epoll_wait`, `close`, `setsockopt` — all exported by
 //! the libc `std` already links) and wraps them in safe RAII types.
 //! Every `unsafe` block carries a `// SAFETY:` comment stating the
-//! invariant it relies on (updp-lint R4); everything outside this
-//! module stays `deny(unsafe_code)`.
+//! invariant it relies on (clippy's `undocumented_unsafe_blocks`);
+//! everything outside this module stays `deny(unsafe_code)`.
 //!
 //! The wake channel deliberately needs **no** unsafe at all: it is a
 //! non-blocking [`std::os::unix::net::UnixStream`] pair whose read end
 //! is registered in the epoll set — the first-party stand-in for an
 //! eventfd.
 
+// No panic surface outside the `catch_unwind` dispatch boundary: a
+// panic here kills a worker and every connection it owns (DESIGN.md
+// §9, §10).
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::indexing_slicing
+    )
+)]
 // The audited exception to the crate-wide `#![deny(unsafe_code)]`:
 // raw-syscall FFI is the entire point of this module.
 #![allow(unsafe_code)]

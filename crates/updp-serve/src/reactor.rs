@@ -30,6 +30,20 @@
 //! and ledger ordering keeps the same per-request atomicity it had
 //! under thread-per-connection (DESIGN.md §10).
 
+// No panic surface outside the `catch_unwind` dispatch boundary: a
+// panic here kills a worker and every connection it owns (DESIGN.md
+// §9, §10).
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::indexing_slicing
+    )
+)]
+
 use crate::http::{encode_response_with_type, HttpError, Request, RequestParser};
 use crate::metrics::{endpoint_label, ShardMetrics};
 use crate::poll::{self, Epoll, Events, WakePipe};
@@ -536,8 +550,12 @@ fn read_and_dispatch(
         if conn.req_started.is_none() && shard.enabled() {
             conn.req_started = Some(Instant::now());
         }
-        // updp-lint: allow(R10, reason="io::Read contract bounds n by scratch.len(); a checked form would hide a shim bug instead of surfacing it")
-        let requests = match conn.parser.feed(&scratch[..n]) {
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "io::Read contract bounds n by scratch.len(); a checked form would hide a shim bug instead of surfacing it"
+        )]
+        let chunk = &scratch[..n];
+        let requests = match conn.parser.feed(chunk) {
             Ok(requests) => requests,
             Err(HttpError::Malformed(reason)) => {
                 conn.enqueue(400, &wire::error_body("bad_request", &reason), false);
@@ -653,8 +671,13 @@ fn dispatch(
         if config.log_json {
             // The opt-in --log-json flight-recorder stream: one JSON
             // line per request on stderr, for operators tailing logs.
-            // updp-lint: allow(R6, reason="--log-json stderr stream is an operator-facing product surface, gated behind an opt-in config flag")
-            eprintln!("{}", event.to_json().to_compact());
+            #[expect(
+                clippy::print_stderr,
+                reason = "--log-json stderr stream is an operator-facing product surface, gated behind an opt-in config flag"
+            )]
+            {
+                eprintln!("{}", event.to_json().to_compact());
+            }
         }
         metrics.trace_event(shard.index, event);
     }

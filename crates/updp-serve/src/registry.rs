@@ -36,6 +36,10 @@
 //! datasets are one column, and the multivariate mean estimator
 //! consumes per-coordinate columns directly without re-slicing rows.
 
+// Lock poisoning maps to structured errors or a reasoned recovery,
+// never a panic (DESIGN.md §6, §9).
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -253,6 +257,14 @@ impl Dataset {
     /// it; the write lock is held only for the `Arc` swap. This is
     /// lost-update-safe because both callers hold the pending mutex,
     /// which serializes publications.
+    ///
+    /// Lock order: registry shard → `pending` → `snapshot`.
+    /// `buffer_append` and `flush` hold `pending` and call this, which
+    /// takes `snapshot` (read, then write); `Registry::list` holds a
+    /// shard lock while it reads each dataset's `snapshot` and
+    /// `pending` in turn. Nothing takes a lock earlier in the order
+    /// while holding a later one. The lock fields are private to this
+    /// module, so no caller can nest them differently (DESIGN.md §9).
     fn publish(&self, delta: &[Vec<f64>]) -> Result<(usize, u64), RegistryError> {
         let parent = self.snapshot()?;
         let next = Arc::new(parent.append(delta));

@@ -12,23 +12,6 @@ use updp_core::json::JsonValue;
 /// queue/transport time separately from in-handler time.
 pub const SCHEMA: &str = "updp-serve-loadgen/v5";
 
-/// The previous schema tag. v4 added host metadata (`host_kernel`,
-/// `host_arch`) alongside `host_threads`, and the reactor-era
-/// high-connection-count sweep rows (64/256/1024) in the batch
-/// workload; a committed v4 report still parses (the v5 server-side
-/// columns default to zero).
-pub const SCHEMA_V4: &str = "updp-serve-loadgen/v4";
-
-/// Two schemas back. v3 added the streaming workload rows and the
-/// top-level `streaming_ratio` field; a committed v3 report still
-/// parses (the v4 host metadata defaults to empty), so old baselines
-/// remain readable.
-pub const SCHEMA_V3: &str = "updp-serve-loadgen/v3";
-
-/// Three schemas back. A committed v2 report (no `streaming_ratio`,
-/// no streaming rows, no host metadata) still parses too.
-pub const SCHEMA_V2: &str = "updp-serve-loadgen/v2";
-
 /// Host metadata for the report: `(kernel release, architecture)`.
 /// Reports carry it so a baseline regenerated on different hardware
 /// is distinguishable after the fact.
@@ -47,8 +30,7 @@ pub struct LoadRun {
     /// query pays the full discretize-and-sort), or
     /// `"repeat-quantile-warm"` (one dataset queried repeatedly — the
     /// `PreparedDataset` grid cache absorbs the sort). Cold vs warm
-    /// p50/p99 is the cache win. Since v3, the streaming ingestion
-    /// triple: `"streaming-append"` (buffered 1-row appends),
+    /// p50/p99 is the cache win. Then the streaming ingestion triple: `"streaming-append"` (buffered 1-row appends),
     /// `"streaming-flush"` (publication of the pending delta log — the
     /// `O(n + k)` cache merge), and `"streaming-query"` (quantile
     /// queries against freshly-published snapshots; materially below
@@ -71,8 +53,7 @@ pub struct LoadRun {
     /// `/v1/metrics` handle-latency histogram delta. Bucketed
     /// (nearest-rank on log₂ bucket upper edges), so it is coarser
     /// than the client-side `p50_ms`; the gap between the two is
-    /// queue + transport time. Zero when parsed from a pre-v5 report
-    /// or when the scrape was unavailable.
+    /// queue + transport time. Zero when the scrape was unavailable.
     pub server_p50_ms: f64,
     /// Server-side 99th-percentile handler latency (ms); see
     /// `server_p50_ms`.
@@ -92,18 +73,15 @@ pub struct ServeReport {
     pub schema: String,
     /// `available_parallelism()` on the measuring host.
     pub host_threads: usize,
-    /// Kernel release of the measuring host (empty when parsed from a
-    /// pre-v4 report or when unavailable).
+    /// Kernel release of the measuring host (empty when unavailable).
     pub host_kernel: String,
-    /// CPU architecture of the measuring host (empty when parsed from
-    /// a pre-v4 report).
+    /// CPU architecture of the measuring host.
     pub host_arch: String,
     /// Records per request-target dataset (batch workload).
     pub dataset_records: usize,
     /// Records per dataset in the repeat-quantile workloads.
     pub quantile_records: usize,
-    /// Append:query ratio of the streaming workload (`"1:1"`; empty
-    /// when parsed from a pre-v3 report).
+    /// Append:query ratio of the streaming workload (`"1:1"`).
     pub streaming_ratio: String,
     /// One row per connection count (the committed file measures 1
     /// and 8).
@@ -151,46 +129,19 @@ impl ServeReport {
     }
 
     /// Parses a report previously produced by [`ServeReport::to_json`]
-    /// — the current v5 layout or a committed v4/v3/v2 one (v4 lacks
-    /// the server-side columns, which default to zero; v3 additionally
-    /// lacks host metadata; v2 additionally lacks `streaming_ratio`
-    /// and the streaming rows). Missing legacy fields default to
-    /// empty/zero.
+    /// (the current schema only).
     pub fn from_json(input: &str) -> Result<Self, String> {
         let doc = JsonValue::parse(input)?;
         let obj = doc.as_object("top level")?;
         let schema = obj.get_str("schema")?;
-        if schema != SCHEMA && schema != SCHEMA_V4 && schema != SCHEMA_V3 && schema != SCHEMA_V2 {
-            return Err(format!(
-                "unknown schema `{schema}`, expected `{SCHEMA}` (or legacy `{SCHEMA_V4}`/`{SCHEMA_V3}`/`{SCHEMA_V2}`)"
-            ));
+        if schema != SCHEMA {
+            return Err(format!("unknown schema `{schema}`, expected `{SCHEMA}`"));
         }
-        let streaming_ratio = if schema == SCHEMA_V2 {
-            String::new()
-        } else {
-            obj.get_str("streaming_ratio")?
-        };
-        let (host_kernel, host_arch) = if schema == SCHEMA_V3 || schema == SCHEMA_V2 {
-            (String::new(), String::new())
-        } else {
-            (obj.get_str("host_kernel")?, obj.get_str("host_arch")?)
-        };
         let runs = obj
             .get_array("runs")?
             .iter()
             .map(|v| -> Result<LoadRun, String> {
                 let run = v.as_object("run")?;
-                let (server_p50_ms, server_p99_ms, server_503, server_panics) = if schema == SCHEMA
-                {
-                    (
-                        run.get_f64("server_p50_ms")?,
-                        run.get_f64("server_p99_ms")?,
-                        run.get_usize("server_503")?,
-                        run.get_usize("server_panics")?,
-                    )
-                } else {
-                    (0.0, 0.0, 0, 0)
-                };
                 Ok(LoadRun {
                     workload: run.get_str("workload")?,
                     connections: run.get_usize("connections")?,
@@ -199,21 +150,21 @@ impl ServeReport {
                     rps: run.get_f64("rps")?,
                     p50_ms: run.get_f64("p50_ms")?,
                     p99_ms: run.get_f64("p99_ms")?,
-                    server_p50_ms,
-                    server_p99_ms,
-                    server_503,
-                    server_panics,
+                    server_p50_ms: run.get_f64("server_p50_ms")?,
+                    server_p99_ms: run.get_f64("server_p99_ms")?,
+                    server_503: run.get_usize("server_503")?,
+                    server_panics: run.get_usize("server_panics")?,
                 })
             })
             .collect::<Result<Vec<_>, _>>()?;
         Ok(ServeReport {
             schema,
             host_threads: obj.get_usize("host_threads")?,
-            host_kernel,
-            host_arch,
+            host_kernel: obj.get_str("host_kernel")?,
+            host_arch: obj.get_str("host_arch")?,
             dataset_records: obj.get_usize("dataset_records")?,
             quantile_records: obj.get_usize("quantile_records")?,
-            streaming_ratio,
+            streaming_ratio: obj.get_str("streaming_ratio")?,
             runs,
             note: obj.get_str("note")?,
         })
@@ -292,122 +243,6 @@ mod tests {
         assert!(ServeReport::from_json("{\"schema\": \"updp-bench-baseline/v1\"}").is_err());
         let json = sample().to_json();
         assert!(ServeReport::from_json(&json[..json.len() - 2]).is_err());
-    }
-
-    #[test]
-    fn committed_v4_layout_still_parses() {
-        // The exact shape of the BENCH_serve.json committed before
-        // the v5 bump: no server-side flight-recorder columns. Old
-        // baselines must stay readable, with those columns zero.
-        let v4 = r#"{
-  "schema": "updp-serve-loadgen/v4",
-  "host_threads": 1,
-  "host_kernel": "6.1.0-test",
-  "host_arch": "x86_64",
-  "dataset_records": 10000,
-  "quantile_records": 100000,
-  "streaming_ratio": "1:1",
-  "runs": [
-    {
-      "workload": "batch",
-      "connections": 64,
-      "requests": 640,
-      "wall_ms": 812.75,
-      "rps": 787.4500153798832,
-      "p50_ms": 71.924,
-      "p99_ms": 117.30999999999999
-    }
-  ],
-  "note": "hardened batch (mean + p90 + iqr) per request"
-}
-"#;
-        let report = ServeReport::from_json(v4).unwrap();
-        assert_eq!(report.schema, SCHEMA_V4);
-        assert_eq!(report.host_kernel, "6.1.0-test");
-        assert_eq!(report.runs[0].p50_ms, 71.924);
-        assert_eq!(report.runs[0].server_p50_ms, 0.0);
-        assert_eq!(report.runs[0].server_p99_ms, 0.0);
-        assert_eq!(report.runs[0].server_503, 0);
-        assert_eq!(report.runs[0].server_panics, 0);
-        // Re-rendering writes the current layout, which round-trips.
-        let mut upgraded = report.clone();
-        upgraded.schema = SCHEMA.into();
-        let json = upgraded.to_json();
-        assert_eq!(ServeReport::from_json(&json).unwrap(), upgraded);
-    }
-
-    #[test]
-    fn committed_v3_layout_still_parses() {
-        // The exact shape of the BENCH_serve.json committed before
-        // the v4 bump: no `host_kernel`/`host_arch`. Old baselines
-        // must stay readable.
-        let v3 = r#"{
-  "schema": "updp-serve-loadgen/v3",
-  "host_threads": 1,
-  "dataset_records": 10000,
-  "quantile_records": 100000,
-  "streaming_ratio": "1:1",
-  "runs": [
-    {
-      "workload": "batch",
-      "connections": 1,
-      "requests": 500,
-      "wall_ms": 319.2396,
-      "rps": 1566.2217343963594,
-      "p50_ms": 0.6157670000000001,
-      "p99_ms": 0.9463959999999999
-    }
-  ],
-  "note": "hardened batch (mean + p90 + iqr) per request"
-}
-"#;
-        let report = ServeReport::from_json(v3).unwrap();
-        assert_eq!(report.schema, SCHEMA_V3);
-        assert_eq!(report.host_kernel, "");
-        assert_eq!(report.host_arch, "");
-        assert_eq!(report.streaming_ratio, "1:1");
-        assert_eq!(report.runs[0].p50_ms, 0.6157670000000001);
-        // Re-rendering writes the current layout, which round-trips.
-        let mut upgraded = report.clone();
-        upgraded.schema = SCHEMA.into();
-        let json = upgraded.to_json();
-        assert_eq!(ServeReport::from_json(&json).unwrap(), upgraded);
-    }
-
-    #[test]
-    fn committed_v2_layout_still_parses() {
-        // The exact shape of the BENCH_serve.json committed before the
-        // v3 bump: no `streaming_ratio`, no streaming rows. Old
-        // baselines must stay readable.
-        let v2 = r#"{
-  "schema": "updp-serve-loadgen/v2",
-  "host_threads": 1,
-  "dataset_records": 10000,
-  "quantile_records": 100000,
-  "runs": [
-    {
-      "workload": "repeat-quantile-cold",
-      "connections": 1,
-      "requests": 100,
-      "wall_ms": 593.9923,
-      "rps": 168.35235069545513,
-      "p50_ms": 5.754673,
-      "p99_ms": 10.455720999999999
-    }
-  ],
-  "note": "hardened batch (mean + p90 + iqr) per request"
-}
-"#;
-        let report = ServeReport::from_json(v2).unwrap();
-        assert_eq!(report.schema, SCHEMA_V2);
-        assert_eq!(report.streaming_ratio, "");
-        assert_eq!(report.runs.len(), 1);
-        assert_eq!(report.runs[0].p50_ms, 5.754673);
-        // Re-rendering writes the current layout, which round-trips.
-        let mut upgraded = report.clone();
-        upgraded.schema = SCHEMA.into();
-        let json = upgraded.to_json();
-        assert_eq!(ServeReport::from_json(&json).unwrap(), upgraded);
     }
 
     #[test]

@@ -140,7 +140,9 @@ pub fn pair_gaps<R: Rng + ?Sized>(rng: &mut R, data: &[f64]) -> Gaps {
     let mut has_nan = false;
     for p in idx.chunks_exact(2) {
         let g = (data[p[0]] - data[p[1]]).abs();
-        // updp-lint: allow(R5, reason="Algorithm 7 counts exactly-coincident pairs: gap == 0.0 iff the two draws are equal, and any positive gap however small belongs in min_positive")
+        // Algorithm 7 counts exactly-coincident pairs: gap == 0.0 iff the
+        // two draws are equal, and any positive gap however small belongs
+        // in min_positive.
         if g == 0.0 {
             zeros += 1;
         } else if g < min_positive {

@@ -45,6 +45,9 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+// Library code returns values; output streams belong to binaries
+// (DESIGN.md §9).
+#![cfg_attr(not(test), deny(clippy::print_stdout, clippy::print_stderr))]
 
 pub use updp_baselines as baselines;
 pub use updp_core as core;
