@@ -1,13 +1,10 @@
 //! First-party JSON: the one shared writer/parser of the workspace.
 //!
 //! The build environment has no crates.io access, so the workspace
-//! owns a minimal JSON implementation. It began life inside
-//! `updp-bench::baseline` as the perf-report codec and was promoted
-//! here so every schema — the perf baseline (`BENCH_baseline.json`),
-//! the serving ledger snapshot, the `updp-serve` wire format, and the
-//! load-generator report (`BENCH_serve.json`) — flows through exactly
-//! one implementation with its own tests. `updp-bench` re-exports this
-//! module for backwards compatibility.
+//! owns a minimal JSON implementation, so every schema — the serving
+//! ledger snapshot, the `updp-serve` wire format, the `/v1/metrics`
+//! and `/v1/trace` bodies, and the benchmark's result lines — flows
+//! through exactly one implementation with its own tests.
 //!
 //! Scope: the JSON subset the workspace schemas use — objects, arrays,
 //! strings (with `\uXXXX` and surrogate-pair escapes), finite numbers,
@@ -144,7 +141,7 @@ impl JsonValue {
     }
 
     /// Serializes pretty-printed with two-space indentation (the
-    /// on-disk report format).
+    /// on-disk ledger snapshot format).
     pub fn to_pretty(&self) -> String {
         let mut out = String::new();
         self.write(&mut out, Some(2), 0);

@@ -72,7 +72,7 @@ fn erf_series(x: f64) -> f64 {
         let nf = n as f64;
         term *= -x2 * (2.0 * nf + 1.0) / ((nf + 1.0) * (2.0 * nf + 3.0));
         let new = sum + term;
-        // Exact equality is the convergence criterion: the series has
+        // Exact equality is the convergence test: the series has
         // converged precisely when the next term no longer moves the
         // f64 partial sum. A tolerance would stop early and change the
         // released bits.

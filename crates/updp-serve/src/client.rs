@@ -1,6 +1,6 @@
 //! A small blocking client over the same first-party HTTP codec —
-//! shared by the `serve-client` CLI, the `loadgen` driver, and the
-//! end-to-end tests.
+//! shared by the `serve-client` CLI, the end-to-end tests, and the
+//! out-of-process benchmark driver (`perfbench/`).
 
 use crate::http::{read_response, write_request, HttpError};
 use std::io::BufReader;
@@ -141,8 +141,7 @@ impl Connection {
         self.request("GET", "/v1/metrics", "")
     }
 
-    /// `GET /v1/metrics?format=json`: the same families as JSON
-    /// (what `loadgen` scrapes for server-side latency).
+    /// `GET /v1/metrics?format=json`: the same families as JSON.
     pub fn metrics_json(&mut self) -> Result<String, ClientError> {
         self.request("GET", "/v1/metrics?format=json", "")
     }
@@ -154,7 +153,7 @@ impl Connection {
 }
 
 /// Builds a single-dataset query body (the shape `serve-client` and
-/// `loadgen` send).
+/// the benchmark driver send).
 pub fn query_body(
     dataset: &str,
     seed: u64,

@@ -358,17 +358,6 @@ pub fn encode_response_with_type(
     wire
 }
 
-/// Writes one JSON response.
-pub fn write_response(
-    stream: &mut impl Write,
-    status: u16,
-    body: &str,
-    keep_alive: bool,
-) -> std::io::Result<()> {
-    stream.write_all(&encode_response(status, body, keep_alive))?;
-    stream.flush()
-}
-
 /// Writes one JSON request (client side).
 pub fn write_request(
     stream: &mut impl Write,
@@ -392,8 +381,8 @@ pub fn write_request(
 /// `Malformed` error, never a silent default), duplicate
 /// `Content-Length` headers are refused, and the declared body length
 /// is capped at [`MAX_BODY_BYTES`] **before** any allocation — so a
-/// rogue `Content-Length: 1e18` cannot make `serve-client`/`loadgen`
-/// allocate unboundedly.
+/// rogue `Content-Length: 1e18` cannot make a client allocate
+/// unboundedly.
 pub fn read_response(stream: &mut impl BufRead) -> Result<(u16, String), HttpError> {
     let mut budget = MAX_HEAD_BYTES;
     let status_line = read_line(stream, &mut budget)?;
@@ -480,8 +469,7 @@ mod tests {
 
     #[test]
     fn response_round_trips_through_the_codec() {
-        let mut wire = Vec::new();
-        write_response(&mut wire, 403, "{\"error\":true}", false).unwrap();
+        let wire = encode_response(403, "{\"error\":true}", false);
         let (status, body) = read_response(&mut BufReader::new(wire.as_slice())).unwrap();
         assert_eq!(status, 403);
         assert_eq!(body, "{\"error\":true}");
@@ -677,17 +665,5 @@ mod tests {
             parser.feed(wire.as_bytes()),
             Err(HttpError::Malformed(reason)) if reason.contains("exceeds")
         ));
-    }
-
-    #[test]
-    fn encode_response_matches_write_response() {
-        let mut written = Vec::new();
-        write_response(&mut written, 503, "{\"code\":\"overloaded\"}", false).unwrap();
-        assert_eq!(
-            written,
-            encode_response(503, "{\"code\":\"overloaded\"}", false)
-        );
-        let text = String::from_utf8(written).unwrap();
-        assert!(text.starts_with("HTTP/1.1 503 Service Unavailable\r\n"));
     }
 }

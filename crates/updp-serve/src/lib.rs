@@ -23,17 +23,18 @@
 //!   wire), executed concurrently through `updp_core::parallel` with
 //!   the §1.1 child-seed scheme (bit-reproducible given the request
 //!   seed), with the hardened snapping release mode on by default;
-//! * [`http`] / [`wire`] — the first-party HTTP codec (blocking and
-//!   incremental parsers sharing one set of framing rules) and the
-//!   JSON wire schema (shared `updp_core::json` implementation);
+//! * [`http`] / [`wire`] — the first-party HTTP codec (the
+//!   incremental server-side request parser and response encoder,
+//!   plus the client's blocking request writer and response reader)
+//!   and the JSON wire schema (shared `updp_core::json`
+//!   implementation);
 //! * [`server`] / [`poll`] — routing plus the sharded epoll reactor
 //!   (DESIGN.md §10): `--workers` event-loop shards over non-blocking
 //!   sockets, bounded write queues with structured 503 backpressure,
 //!   and event-driven shutdown; [`poll`] is the one audited unsafe
 //!   module (the raw epoll syscall shim);
-//! * [`client`] — the blocking client used by `serve-client`,
-//!   `loadgen`, and the e2e tests;
-//! * [`report`] — the `BENCH_serve.json` load-test report schema;
+//! * [`client`] — the blocking client used by `serve-client`, the
+//!   e2e tests, and the benchmark driver (`perfbench/`);
 //! * `metrics` — the flight recorder (DESIGN.md §11): per-shard
 //!   reactor counters, per-endpoint latency histograms, per-estimator
 //!   engine timings and per-dataset ε gauges over [`updp_obs`],
@@ -42,8 +43,10 @@
 //!   observe-only: released bytes are bit-identical with metrics on
 //!   or off.
 //!
-//! Binaries: `updp-serve` (the server), `serve-client` (scripted
-//! queries), `loadgen` (throughput/latency measurement).
+//! Binaries: `updp-serve` (the server) and `serve-client` (scripted
+//! queries). Throughput and latency are measured out of process by
+//! the repository benchmark (`perfbench/`, declared in
+//! `BENCHMARK.json`).
 
 #![warn(missing_docs)]
 // `deny` rather than `forbid`: the one audited exception is the epoll
@@ -68,7 +71,6 @@ pub(crate) mod metrics;
 pub mod poll;
 pub(crate) mod reactor;
 pub mod registry;
-pub mod report;
 pub mod server;
 pub mod wire;
 

@@ -149,23 +149,19 @@ impl Server {
     /// Binds `addr` (use port 0 for an ephemeral port) over `ledger`
     /// with the immediate (unbuffered) flush policy.
     pub fn bind(addr: &str, ledger: Ledger) -> std::io::Result<Server> {
-        Server::bind_with_policy(addr, ledger, FlushPolicy::immediate())
+        Server::bind_with_config(
+            addr,
+            ledger,
+            FlushPolicy::immediate(),
+            ServerConfig::default(),
+        )
     }
 
     /// Binds `addr` over `ledger` with an explicit write-buffer
-    /// [`FlushPolicy`] (DESIGN.md §8): appends coalesce into a pending
+    /// [`FlushPolicy`] (DESIGN.md §8: appends coalesce into a pending
     /// delta log and publish one snapshot per threshold crossing or
-    /// explicit `POST /v1/flush`.
-    pub fn bind_with_policy(
-        addr: &str,
-        ledger: Ledger,
-        policy: FlushPolicy,
-    ) -> std::io::Result<Server> {
-        Server::bind_with_config(addr, ledger, policy, ServerConfig::default())
-    }
-
-    /// Binds with explicit transport knobs ([`ServerConfig`]) on top
-    /// of the flush policy.
+    /// explicit `POST /v1/flush`) and explicit transport knobs
+    /// ([`ServerConfig`]).
     pub fn bind_with_config(
         addr: &str,
         ledger: Ledger,
@@ -637,7 +633,7 @@ fn query(state: &AppState, body: &str) -> Routed {
         Err(e) => return ledger_error(&e),
     };
     // Every query refused ⇒ the whole request was starved: 403 so
-    // scripted callers (CI smoke, loadgen) fail loudly.
+    // scripted callers (CI smoke, the benchmark driver) fail loudly.
     let starved = outcomes
         .iter()
         .all(|o| matches!(o, QueryOutcome::Refused { .. }));

@@ -13,7 +13,7 @@ use std::path::PathBuf;
 use updp_core::json::JsonValue;
 use updp_dist::ContinuousDistribution;
 use updp_serve::client::{query_body, query_body_named, ClientError, Connection, NamedQuery};
-use updp_serve::{FlushPolicy, Ledger, Server};
+use updp_serve::{FlushPolicy, Ledger, Server, ServerConfig};
 
 fn temp_ledger(tag: &str) -> PathBuf {
     let path = std::env::temp_dir().join(format!("updp-e2e-{}-{tag}.json", std::process::id()));
@@ -372,8 +372,13 @@ fn buffered_appends_plus_flush_bitwise_equal_one_bulk_append() {
     // snapshot version with the SAME bits as one bulk append of the
     // identical rows — the client cannot tell how the rows arrived.
     let policy = FlushPolicy::buffered(usize::MAX, std::time::Duration::from_secs(86_400));
-    let buffered =
-        Server::bind_with_policy("127.0.0.1:0", Ledger::in_memory(), policy).expect("bind");
+    let buffered = Server::bind_with_config(
+        "127.0.0.1:0",
+        Ledger::in_memory(),
+        policy,
+        ServerConfig::default(),
+    )
+    .expect("bind");
     let addr_a = buffered.local_addr().expect("local addr").to_string();
     let server_a = std::thread::spawn(move || buffered.run());
     let (addr_b, server_b) = start(Ledger::in_memory());

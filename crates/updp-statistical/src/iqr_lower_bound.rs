@@ -126,9 +126,8 @@ impl Gaps {
 /// periodically-patterned data: no fixed arrangement can force all gaps
 /// to collapse.
 ///
-/// Public for benchmarking (`updp-bench`'s `scaling` bench compares
-/// this against the historical sort-based implementation); not part of
-/// the estimator API surface.
+/// Public so the benchmark (`perfbench/`'s replay) can time the
+/// pair-gap stage on its own; not part of the estimator API surface.
 pub fn pair_gaps<R: Rng + ?Sized>(rng: &mut R, data: &[f64]) -> Gaps {
     use rand::seq::SliceRandom;
     let mut idx: Vec<usize> = (0..data.len()).collect();
