@@ -1,4 +1,4 @@
-//! [BS19]-style trimmed-mean estimator (A1 + A2).
+//! \[BS19\]-style trimmed-mean estimator (A1 + A2).
 //!
 //! Bun & Steinke release an m-trimmed mean with noise calibrated to the
 //! *smooth sensitivity* of the trimmed mean, under CDP; the paper
@@ -8,12 +8,12 @@
 //! Laplace noise scaled by `S(D)/ε`.
 //!
 //! **Substitution note (DESIGN.md §3.5):** Laplace noise with β-smooth
-//! sensitivity gives a slightly weaker formal guarantee than [BS19]'s
+//! sensitivity gives a slightly weaker formal guarantee than \[BS19\]'s
 //! calibrated noise distributions; the *utility shape* — in particular
 //! the `σ²/(ε²α²)` term and the `log(R/σ_min)` dependence of Eq. (7) that
 //! the paper's Eq. (8) improves on — is preserved, which is what the
 //! `arb-mean` experiment measures. The assumed range enters through the
-//! clipping to `[−R, R]` exactly as in [BS19].
+//! clipping to `[−R, R]` exactly as in \[BS19\].
 
 use rand::Rng;
 use updp_core::clipped_mean::clip;
@@ -60,7 +60,7 @@ fn smooth_sensitivity(sorted: &[f64], m: usize, beta_smooth: f64, r: f64) -> f64
     best
 }
 
-/// [BS19]-style ε-DP(-flavored) trimmed mean under A1 (`μ ∈ [−r, r]`).
+/// \[BS19\]-style ε-DP(-flavored) trimmed mean under A1 (`μ ∈ [−r, r]`).
 ///
 /// `trim_frac` is the fraction trimmed from *each* side (default 0.05 in
 /// the experiments).

@@ -16,8 +16,8 @@
 //! re-release. For the baselines the proxies are derived from the
 //! *assumed* public parameters (`2r/n` for A1-clipped means, the
 //! `σ_max`-capped pair-moment scale for the variance estimators, the
-//! assumed-moment truncation radius for [KSU20]) or from the released
-//! value itself ([DL09]'s grid cell — post-processing of a DP output).
+//! assumed-moment truncation radius for \[KSU20\]) or from the released
+//! value itself (\[DL09\]'s grid cell — post-processing of a DP output).
 //! They mirror each mechanism's own final-release noise scale, so
 //! hardening costs a constant factor, never a change of error regime.
 //! The non-private estimators report `0.0` (no meaningful scale;
@@ -50,7 +50,7 @@ fn as_count(name: &'static str, value: f64, min: f64, max: f64) -> Result<u64> {
     Ok(value as u64)
 }
 
-/// [KV18] Gaussian mean under A1 + A2 + A3.
+/// \[KV18\] Gaussian mean under A1 + A2 + A3.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Kv18Mean;
 
@@ -93,7 +93,7 @@ impl Estimator for Kv18Mean {
     }
 }
 
-/// [KV18] Gaussian variance under A2 + A3.
+/// \[KV18\] Gaussian variance under A2 + A3.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Kv18Variance;
 
@@ -258,7 +258,7 @@ impl Estimator for CoinPressVariance {
     }
 }
 
-/// [KSU20] heavy-tailed truncated mean under A1 + a k-th moment bound.
+/// \[KSU20\] heavy-tailed truncated mean under A1 + a k-th moment bound.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Ksu20Mean;
 
@@ -312,7 +312,7 @@ impl Estimator for Ksu20Mean {
     }
 }
 
-/// [BS19]-style trimmed mean with smooth sensitivity under A1.
+/// \[BS19\]-style trimmed mean with smooth sensitivity under A1.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Bs19TrimmedMean;
 
@@ -361,7 +361,7 @@ impl Estimator for Bs19TrimmedMean {
     }
 }
 
-/// [DL09] propose-test-release IQR — universal, but (ε, δ)-DP only.
+/// \[DL09\] propose-test-release IQR — universal, but (ε, δ)-DP only.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Dl09Iqr;
 

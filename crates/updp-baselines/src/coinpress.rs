@@ -1,4 +1,4 @@
-//! CoinPress-style iterative Gaussian estimators ([KLSU19]/[BDKU20],
+//! CoinPress-style iterative Gaussian estimators (\[KLSU19\]/\[BDKU20\],
 //! A1 + A2), in a pure-DP Laplace variant.
 //!
 //! The published CoinPress runs under zCDP with Gaussian noise; following

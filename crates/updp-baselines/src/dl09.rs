@@ -1,4 +1,4 @@
-//! [DL09] Dwork–Lei propose-test-release IQR ((ε, δ)-DP).
+//! \[DL09\] Dwork–Lei propose-test-release IQR ((ε, δ)-DP).
 //!
 //! The *only* prior universal estimator in Table 1 — but it fundamentally
 //! requires `δ > 0`: propose-test-release privately checks whether the
@@ -6,7 +6,7 @@
 //! leaves its grid cell) and refuses to answer otherwise, and the test
 //! itself leaks with probability δ.
 //!
-//! Following [DL09] §3 ("Scale"), the scale axis is discretized into
+//! Following \[DL09\] §3 ("Scale"), the scale axis is discretized into
 //! multiplicative grid cells of width `e^{1/ln n}` — finer grids give
 //! better accuracy but fail the stability test more often. The released
 //! value is the (deterministic) cell center, so the error is the cell
@@ -64,7 +64,7 @@ fn stability_distance(sorted: &[f64], cell_lo: f64, cell_hi: f64) -> usize {
     n
 }
 
-/// (ε, δ)-DP propose-test-release IQR ([DL09]).
+/// (ε, δ)-DP propose-test-release IQR (\[DL09\]).
 ///
 /// Returns [`UpdpError::MechanismRefused`] when the stability test fails
 /// (the designed-in refusal branch of PTR) and an error for degenerate

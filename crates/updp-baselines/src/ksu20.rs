@@ -1,4 +1,4 @@
-//! [KSU20]-style heavy-tailed mean estimator (A1 + A2).
+//! \[KSU20\]-style heavy-tailed mean estimator (A1 + A2).
 //!
 //! For `P` with k-th central moment `μ_k ≤ μ̄_k` (assumed!) and
 //! `μ ∈ [−R, R]` (assumed!):
@@ -24,7 +24,7 @@ use updp_core::privacy::Epsilon;
 /// Upper limit on histogram bins (see `kv18`).
 const MAX_BINS: usize = 1 << 22;
 
-/// [KSU20]-style ε-DP heavy-tailed mean under A1 (`μ ∈ [−r, r]`) and A2
+/// \[KSU20\]-style ε-DP heavy-tailed mean under A1 (`μ ∈ [−r, r]`) and A2
 /// (`μ_k ≤ mu_k_bound` for the given `k`).
 pub fn ksu20_mean<R: Rng + ?Sized>(
     rng: &mut R,

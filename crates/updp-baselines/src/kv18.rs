@@ -1,4 +1,4 @@
-//! [KV18] Karwa–Vadhan-style pure-DP Gaussian estimators (A1 + A2 + A3).
+//! \[KV18\] Karwa–Vadhan-style pure-DP Gaussian estimators (A1 + A2 + A3).
 //!
 //! The strongest prior pure-DP Gaussian mean/variance estimators. Both
 //! are two-stage histogram constructions and *require* the assumed bounds
@@ -39,7 +39,7 @@ fn noisy_argmax<R: Rng + ?Sized>(rng: &mut R, counts: &[usize], epsilon: Epsilon
     best
 }
 
-/// [KV18]-style ε-DP Gaussian σ estimate via a log-scale histogram over
+/// \[KV18\]-style ε-DP Gaussian σ estimate via a log-scale histogram over
 /// the *assumed* `[sigma_min, sigma_max]` (assumption A2).
 pub fn kv18_sigma<R: Rng + ?Sized>(
     rng: &mut R,
@@ -85,7 +85,7 @@ pub fn kv18_sigma<R: Rng + ?Sized>(
         .clamp(sigma_min, sigma_max))
 }
 
-/// [KV18]-style ε-DP Gaussian mean under A1 (`μ ∈ [−r, r]`) given a
+/// \[KV18\]-style ε-DP Gaussian mean under A1 (`μ ∈ [−r, r]`) given a
 /// (possibly rough) σ estimate.
 pub fn kv18_mean_given_sigma<R: Rng + ?Sized>(
     rng: &mut R,
@@ -127,7 +127,7 @@ pub fn kv18_mean_given_sigma<R: Rng + ?Sized>(
     Ok(mean + sample_laplace(rng, (hi - lo) / (half.get() * n)))
 }
 
-/// Full [KV18] pipeline: σ from A2 bounds (ε/2), then the mean under A1
+/// Full \[KV18\] pipeline: σ from A2 bounds (ε/2), then the mean under A1
 /// (ε/2). Requires A3 (Gaussian data) for its utility guarantee.
 pub fn kv18_gaussian_mean<R: Rng + ?Sized>(
     rng: &mut R,
@@ -142,7 +142,7 @@ pub fn kv18_gaussian_mean<R: Rng + ?Sized>(
     kv18_mean_given_sigma(rng, data, r, sigma, half)
 }
 
-/// [KV18]-style ε-DP Gaussian variance: log-histogram coarse estimate
+/// \[KV18\]-style ε-DP Gaussian variance: log-histogram coarse estimate
 /// (ε/2), then a clipped release of the paired second moment (ε/2).
 pub fn kv18_gaussian_variance<R: Rng + ?Sized>(
     rng: &mut R,

@@ -1,4 +1,4 @@
-//! Privacy amplification by subsampling (Theorem 2.4, [BBG18]).
+//! Privacy amplification by subsampling (Theorem 2.4, \[BBG18\]).
 //!
 //! Running an ε-DP mechanism on a without-replacement subsample of rate
 //! `η` yields `log(1 + η(e^ε − 1))`-DP on the full dataset. The statistical

@@ -48,7 +48,7 @@ pub enum UpdpError {
     },
     /// A mechanism declined to produce an answer. Pure-DP mechanisms in
     /// this crate never fail this way; it exists for (ε,δ)-DP baselines
-    /// such as propose-test-release ([DL09]) whose privacy argument
+    /// such as propose-test-release (\[DL09\]) whose privacy argument
     /// *requires* a refusal branch.
     MechanismRefused {
         /// Which mechanism refused.

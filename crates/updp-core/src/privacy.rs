@@ -73,7 +73,7 @@ impl Epsilon {
 
 /// A validated approximate-DP failure probability: `0 ≤ δ < 1`.
 ///
-/// Pure DP is `Delta::ZERO`. Only the [DL09] baseline uses δ > 0.
+/// Pure DP is `Delta::ZERO`. Only the \[DL09\] baseline uses δ > 0.
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct Delta(f64);
 

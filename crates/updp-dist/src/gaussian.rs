@@ -1,7 +1,7 @@
 //! The Gaussian (normal) distribution `N(μ, σ²)`.
 //!
-//! The paper's marquee comparisons (Theorems 4.6 and 5.3 vs. [KV18] and
-//! [KLSU19]/[BDKU20]) are stated for Gaussians, where every functional has
+//! The paper's marquee comparisons (Theorems 4.6 and 5.3 vs. \[KV18\] and
+//! \[KLSU19\]/\[BDKU20\]) are stated for Gaussians, where every functional has
 //! a closed form: `ϕ(β) = 2σ·Φ⁻¹((1+β)/2)`, `IQR = 2σ·Φ⁻¹(3/4)`, and
 //! `μ_k = σ^k · 2^{k/2} Γ((k+1)/2)/√π` (which is `σ^k (k−1)!!` for even k).
 

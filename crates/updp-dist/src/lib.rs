@@ -13,7 +13,7 @@
 //!
 //! | Family | Why it is here |
 //! |---|---|
-//! | [`gaussian::Gaussian`] | Theorems 4.6 & 5.3 vs [KV18]/[KLSU19] |
+//! | [`gaussian::Gaussian`] | Theorems 4.6 & 5.3 vs \[KV18\]/\[KLSU19\] |
 //! | [`uniform::Uniform`] | intro's mid-range example |
 //! | [`laplace::LaplaceDist`] | light-tailed non-Gaussian control |
 //! | [`exponential::Exponential`] | asymmetric truncation-bias terms |

@@ -7,7 +7,7 @@
 //!
 //! Theorem 3.3: error `O((γ(D)/(εn))·log(log(γ(D))/β))` — an optimality
 //! ratio of `O(log log γ(D)/ε)` against the instance lower bound
-//! `L_in-nbr(D) = Θ(γ(D)/n)` of [HLY21], and an *exponential* improvement
+//! `L_in-nbr(D) = Θ(γ(D)/n)` of \[HLY21\], and an *exponential* improvement
 //! over the `O(log N/ε)` ratio of the best prior finite-domain estimator.
 //! Theorem 3.4 shows `Ω(log log N/ε)` is necessary, so this is worst-case
 //! optimal among instance-optimal mechanisms.

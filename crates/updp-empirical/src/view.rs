@@ -27,16 +27,14 @@
 //! consume **no randomness** — so feeding an estimator a cached
 //! artifact instead of a freshly computed one never changes the
 //! estimator's RNG draw sequence, and released values stay
-//! bit-identical to the uncached path. The pair-gap structure of
-//! Algorithm 7 historically drew its pairing from mechanism coins and
-//! was therefore not cacheable; DESIGN.md §12 replaces that pairing
-//! with a snapshot-derived pseudorandom permutation
-//! ([`crate::gaps::GapSummary`]), making a per-column gap summary
-//! cache-legal. Because routing consumers through the summary changes
-//! *which* coins they draw (the per-call shuffle disappears), the
-//! summary is strictly **opt-in** via
-//! [`PreparedDataset::with_gap_summaries`]: default snapshots and bare
-//! views keep the historical draw sequence bit-for-bit.
+//! bit-identical to the uncached path. The one exception is opt-in: the
+//! pair-gap structure of Algorithms 7 and 9 ([`GapSummary`]) pairs the
+//! records by a permutation, and a cache can only hold the summary whose
+//! permutation derives from the snapshot itself (DESIGN.md §12.3). An
+//! estimator served that summary skips drawing the permutation from its
+//! own coins, so the summary is enabled only through
+//! [`PreparedDataset::with_gap_summaries`]; default snapshots and bare
+//! views pair with the mechanism's coins.
 //!
 //! Cold sorted-copy builds go through [`sorted_copy`], a deterministic
 //! parallel merge sort: `total_cmp` ties are bit-identical, so chunked
@@ -56,12 +54,12 @@ use crate::gaps::GapSummary;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
-use updp_core::error::Result;
+use updp_core::error::{ensure_finite, Result, UpdpError};
 
 /// How many grids [`PreparedDataset::append`] carries forward to the
 /// successor snapshot (most recently built first). Quantile/IQR
 /// buckets are `IQR̲/n`, so a growing dataset retires old buckets as
-/// `n` advances; merging every historical grid into every successor
+/// `n` advances; merging every earlier grid into every successor
 /// would make publication cost `O(G·n)` and hold dead grids alive
 /// forever. The freshest few cover the live buckets.
 pub const MAX_CARRIED_GRIDS: usize = 4;
@@ -141,8 +139,8 @@ pub fn sorted_copy_threads(data: &[f64], threads: usize) -> Vec<f64> {
 /// Both artifacts are built at most once per cache (the grid: once per
 /// distinct bucket size) and shared as `Arc`s, so concurrent readers
 /// never block each other after the first build. Each grid is stamped
-/// with a build counter so [`ColumnCache::successor`] can carry the
-/// freshest [`MAX_CARRIED_GRIDS`] forward.
+/// with a build counter so an append (`ColumnCache::successor`) can
+/// carry the freshest [`MAX_CARRIED_GRIDS`] forward.
 /// Lock-poisoning policy (DESIGN.md §6, §9): every artifact
 /// here is a pure function of the column, so the cache is *only* an
 /// optimization — a poisoned `grids` lock (a builder panicked) is
@@ -203,7 +201,7 @@ impl ColumnCache {
                 return Some(summary.clone());
             }
         }
-        let built = GapSummary::build_arc(data);
+        let built = Arc::new(GapSummary::build(data));
         match self.gaps.write() {
             Ok(mut slot) => Some(slot.get_or_insert_with(|| built).clone()),
             Err(_) => Some(built),
@@ -225,8 +223,8 @@ impl ColumnCache {
     ///   A delta value the bucket cannot map (overflow) drops that
     ///   grid instead: the successor rebuilds lazily and reports the
     ///   canonical data-order error.
-    /// * Cold parent (nothing built) → empty cache, exactly the
-    ///   historical lazy behaviour.
+    /// * Cold parent (nothing built) → empty cache; every artifact
+    ///   builds lazily.
     fn successor(&self, delta: &[f64]) -> ColumnCache {
         let Some(parent_sorted) = self.sorted.get() else {
             // Grids force the sorted copy first (see `grid`), so a
@@ -245,7 +243,7 @@ impl ColumnCache {
         // Freshest grids first; older buckets (typically retired by
         // the `n`-dependent bucket choice) rebuild lazily if ever
         // queried again. A poisoned parent cache carries nothing: the
-        // successor rebuilds lazily, the historical cold behaviour.
+        // successor rebuilds lazily, as from a cold parent.
         let mut carried: Vec<(u64, u64, Arc<SortedInts>)> = self.grids.read().map_or_else(
             |_| Vec::new(),
             |grids| {
@@ -318,7 +316,7 @@ impl ColumnCache {
 ///
 /// When a `total_cmp`-sorted copy is available the mapping
 /// `x ↦ round(x/b)` is monotone, so the integer sequence is already
-/// sorted and the historical `O(n log n)` [`SortedInts::new`] sort is
+/// sorted and the `O(n log n)` [`SortedInts::new`] sort is
 /// skipped — the result is the identical sorted multiset either way.
 /// On a mapping error the column is re-discretized in **data order**
 /// so the reported error (first offending element) matches
@@ -394,8 +392,8 @@ impl<'a> ColumnView<'a> {
 
     /// The cached pair-gap summary, built on first use — `None` for
     /// bare views and for caches that have not opted in via
-    /// [`PreparedDataset::with_gap_summaries`]. Consumers fork on this:
-    /// `None` keeps the historical per-call random pairing bit-for-bit.
+    /// [`PreparedDataset::with_gap_summaries`], whose consumers pair
+    /// the records with their own coins instead.
     pub fn gap_summary(&self) -> Option<Arc<GapSummary>> {
         self.cache.and_then(|cache| cache.gap_summary(self.data))
     }
@@ -404,6 +402,17 @@ impl<'a> ColumnView<'a> {
     /// bare views; never triggers a build) — a cache-effect diagnostic.
     pub fn has_gap_summary(&self) -> bool {
         self.cache.is_some_and(ColumnCache::has_gap_summary)
+    }
+
+    /// Rejects a column holding a non-finite record with
+    /// `NonFiniteInput { context }`: an O(1) check when the view carries
+    /// a gap summary, an O(n) scan otherwise.
+    pub fn ensure_finite(&self, context: &'static str) -> Result<()> {
+        match self.gap_summary() {
+            Some(summary) if summary.all_finite() => Ok(()),
+            Some(_) => Err(UpdpError::NonFiniteInput { context }),
+            None => ensure_finite(self.data, context),
+        }
     }
 
     /// The sorted integer grid `round(x/bucket)` (cached per distinct
@@ -509,7 +518,6 @@ pub struct PreparedDataset {
     columns: Vec<Vec<f64>>,
     caches: Vec<ColumnCache>,
     version: u64,
-    gap_summaries: bool,
 }
 
 impl PreparedDataset {
@@ -520,7 +528,6 @@ impl PreparedDataset {
             columns,
             caches,
             version: 0,
-            gap_summaries: false,
         }
     }
 
@@ -528,9 +535,9 @@ impl PreparedDataset {
     /// every column of this snapshot and its appended successors.
     ///
     /// **This changes draw sequences**: quantile/IQR consumers served
-    /// a summary skip the per-call pairing shuffle, so their released
-    /// values differ from the historical path (equally valid draws of
-    /// the same mechanisms, and still fully deterministic per
+    /// a summary skip drawing the pairing from their own coins, so their
+    /// released values differ from a default snapshot's (equally valid
+    /// draws of the same mechanisms, and still fully deterministic per
     /// `(snapshot, seed)`). The experiment suite therefore never calls
     /// this; the serving registry opts in at registration.
     #[must_use]
@@ -538,13 +545,13 @@ impl PreparedDataset {
         for cache in &mut self.caches {
             cache.gaps_enabled = true;
         }
-        self.gap_summaries = true;
         self
     }
 
-    /// Whether the gap-summary path is enabled (diagnostic).
+    /// Whether the gap-summary path is enabled (diagnostic; false for a
+    /// snapshot without columns).
     pub fn gap_summaries_enabled(&self) -> bool {
-        self.gap_summaries
+        self.caches.iter().any(|cache| cache.gaps_enabled)
     }
 
     /// Record dimension.
@@ -583,11 +590,6 @@ impl PreparedDataset {
         )
     }
 
-    /// A cached view of one column (panics if out of range).
-    pub fn column_view(&self, i: usize) -> ColumnView<'_> {
-        ColumnView::cached(&self.columns[i], &self.caches[i])
-    }
-
     /// Derives the post-append snapshot: `extra` columns (same
     /// dimension, validated by the caller) concatenated onto copies of
     /// the current columns, with a bumped version.
@@ -623,7 +625,6 @@ impl PreparedDataset {
             columns,
             caches,
             version: self.version + 1,
-            gap_summaries: self.gap_summaries,
         }
     }
 }

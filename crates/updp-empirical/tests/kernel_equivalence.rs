@@ -93,7 +93,6 @@ proptest! {
         let cached = next.view().col(0).gap_summary().expect("opt-in propagates");
         let fresh = GapSummary::build(&next.columns()[0]);
         assert_bits_equal(cached.sorted_gaps(), fresh.sorted_gaps(), "gaps");
-        prop_assert_eq!(cached.records(), fresh.records());
         prop_assert_eq!(cached.all_finite(), fresh.all_finite());
 
         for x in [-1.0, -0.0, 0.0, 1e-300, 0.5, 1e3, 1e300, f64::INFINITY, f64::NAN] {

@@ -1,6 +1,6 @@
 //! Experiments for IQR estimation (Sections 4.1 and 6).
 //!
-//! `iqr-lb` (Thm 4.3), `iqr` (Thm 6.2 vs [DL09]).
+//! `iqr-lb` (Thm 4.3), `iqr` (Thm 6.2 vs \[DL09\]).
 
 use crate::config::ExpConfig;
 use crate::table::Table;
@@ -76,7 +76,7 @@ pub fn iqr_lb(cfg: &ExpConfig) -> Table {
     t
 }
 
-/// `iqr` — Theorem 6.2 vs [DL09]: `α ∝ 1/(εn)` against `α ∝ 1/(ε log n)`,
+/// `iqr` — Theorem 6.2 vs \[DL09\]: `α ∝ 1/(εn)` against `α ∝ 1/(ε log n)`,
 /// pure ε-DP against (ε, δ)-DP-with-refusals.
 pub fn iqr(cfg: &ExpConfig) -> Table {
     let mut t = Table::new(

@@ -182,7 +182,7 @@ pub fn table1(cfg: &ExpConfig) -> Table {
     t
 }
 
-/// `gauss-mean` — Theorem 4.6 vs [KV18]/[KLSU19, BDKU20]: same
+/// `gauss-mean` — Theorem 4.6 vs \[KV18\]/[KLSU19, BDKU20]: same
 /// `σ²/α² + σ/(εα)` behaviour with no `log R` requirement.
 pub fn gauss_mean(cfg: &ExpConfig) -> Table {
     let mut t = Table::new(
@@ -241,7 +241,7 @@ pub fn gauss_mean(cfg: &ExpConfig) -> Table {
     t
 }
 
-/// `heavy-mean` — Theorem 4.9 vs [KSU20]: parity under an honest moment
+/// `heavy-mean` — Theorem 4.9 vs \[KSU20\]: parity under an honest moment
 /// bound, decisive win under misspecification (which is unavoidable when
 /// `μ_{2k} = ∞`).
 pub fn heavy_mean(cfg: &ExpConfig) -> Table {
@@ -318,7 +318,7 @@ pub fn heavy_mean(cfg: &ExpConfig) -> Table {
 }
 
 /// `arb-mean` — Eq. (8): finite-σ² distributions where σ_max/σ_min style
-/// assumptions are hopeless; compare against [BS19] and [KSU20] k=2.
+/// assumptions are hopeless; compare against \[BS19\] and \[KSU20\] k=2.
 pub fn arb_mean(cfg: &ExpConfig) -> Table {
     let mut t = Table::new(
         "arb-mean",

@@ -4,7 +4,7 @@
 //! probability" (footnote 4), so experiments report *median* and
 //! *90th-percentile* absolute error over many trials — the mean would be
 //! polluted by the designed-in failure probability β. Failures
-//! (mechanism refusals, e.g. [DL09]'s PTR) are counted, not averaged in.
+//! (mechanism refusals, e.g. \[DL09\]'s PTR) are counted, not averaged in.
 //!
 //! # Parallel execution (DESIGN.md §5)
 //!

@@ -15,7 +15,7 @@
 //! rewrites the snapshot (JSON via [`updp_core::json`], temp file +
 //! rename so a crash never leaves a torn file) *before the caller
 //! observes the grant* — but the file I/O happens outside the
-//! accounts mutex (see [`Ledger::persist`]) so queries on other
+//! accounts mutex (see `Ledger::persist`) so queries on other
 //! datasets only contend on the arithmetic. On startup the snapshot
 //! is reloaded, so **restarting the server cannot replay spent
 //! budget**: re-registering a known dataset name resumes from its

@@ -421,13 +421,13 @@ impl Registry {
         let dataset = Arc::new(Dataset {
             name: name.into(),
             dim: columns.len(),
-            // Serving opts in to the cache-legal pair-gap summary
-            // (DESIGN.md §12): warm quantile/IQR queries answer gap
-            // counts from a per-snapshot cached summary instead of an
-            // O(n) per-call scan. The experiment suite never opts in,
-            // so its outputs stay byte-identical to the historical
-            // path; serve-side draws are equally valid and stay fully
-            // deterministic per (snapshot, seed).
+            // Serving opts in to the snapshot-paired gap summary
+            // (DESIGN.md §12.3): warm quantile/IQR queries answer gap
+            // counts from a per-snapshot cached summary instead of
+            // pairing the column per call. The experiment suite never
+            // opts in and pairs with the mechanism's coins; serve-side
+            // draws are equally valid and stay fully deterministic per
+            // (snapshot, seed).
             snapshot: RwLock::new(Arc::new(PreparedDataset::new(columns).with_gap_summaries())),
             pending: Mutex::new(Pending::default()),
         });

@@ -1,6 +1,6 @@
 //! The long-lived serving process: routing and the
 //! registry/ledger/engine wiring, served by the sharded epoll
-//! reactor in [`crate::reactor`] (DESIGN.md §10) — a fixed worker
+//! reactor in `crate::reactor` (DESIGN.md §10) — a fixed worker
 //! pool of event loops over non-blocking sockets, with bounded
 //! per-connection write queues and event-driven shutdown. All shared
 //! state sits behind the registry/ledger synchronization described

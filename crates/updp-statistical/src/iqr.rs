@@ -10,13 +10,13 @@
 //!
 //! Theorem 6.2: sample complexity with privacy term
 //! `Õ(1/(εα·θ(α/4)))` — convergence `α ∝ 1/(εn) + 1/√n`, versus the
-//! previous (and only prior) universal IQR estimator [DL09], which needs
+//! previous (and only prior) universal IQR estimator \[DL09\], which needs
 //! `(ε, δ)`-DP *and* converges at `α ∝ 1/(ε log n)` — exponentially
 //! slower in n. The `iqr` experiment measures exactly this gap.
 
 use crate::iqr_lower_bound::estimate_iqr_lower_bound_view;
 use rand::Rng;
-use updp_core::error::{ensure_finite, Result, UpdpError};
+use updp_core::error::{Result, UpdpError};
 use updp_core::privacy::Epsilon;
 use updp_empirical::discretize::real_quantile_view;
 use updp_empirical::view::{ColumnCache, ColumnView};
@@ -64,20 +64,8 @@ pub fn estimate_iqr_view<R: Rng + ?Sized>(
         let cache = ColumnCache::new();
         return estimate_iqr_view(rng, &ColumnView::cached(view.data(), &cache), epsilon, beta);
     }
-    let data = view.data();
-    // With an opt-in pair-gap summary attached (DESIGN.md §12) the
-    // O(n) finiteness scan collapses to an O(1) check with the same
-    // error; without one, behavior is bit-identical to before.
-    match view.gap_summary() {
-        Some(summary) if summary.all_finite() => {}
-        Some(_) => {
-            return Err(UpdpError::NonFiniteInput {
-                context: "estimate_iqr input",
-            })
-        }
-        None => ensure_finite(data, "estimate_iqr input")?,
-    }
-    let n = data.len();
+    view.ensure_finite("estimate_iqr input")?;
+    let n = view.len();
     if n < MIN_N {
         return Err(UpdpError::InsufficientData {
             required: MIN_N,

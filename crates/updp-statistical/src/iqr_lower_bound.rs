@@ -15,11 +15,17 @@
 //! `ϕ(1/16)/4 ≤ IQR̲ ≤ IQR`, at a sample cost of only
 //! `O(ε⁻¹·(log log(1/ϕ(1/16)) + log log IQR))` — the log-log terms in
 //! every statistical theorem come from here.
+//!
+//! The gap multiset `G` and its counting query `|{g ≤ x}|` are one
+//! structure, [`updp_empirical::gaps::GapSummary`], with two pairing
+//! sources: the mechanism's coins ([`pair_gaps`], bare views) or the
+//! snapshot itself (the cached summary of an opted-in view).
 
 use rand::Rng;
-use updp_core::error::{ensure_finite, Result, UpdpError};
+use updp_core::error::{Result, UpdpError};
 use updp_core::privacy::Epsilon;
 use updp_core::svt::{sparse_vector, DEFAULT_SVT_CAP};
+pub use updp_empirical::gaps::pair_gaps;
 use updp_empirical::view::ColumnView;
 
 /// Floor for the returned scale: ~the smallest positive normal `f64`.
@@ -27,145 +33,6 @@ use updp_empirical::view::ColumnView;
 /// having more than `3n′/16` exactly-coincident pairs; any smaller bucket
 /// would be meaningless at `f64` precision anyway.
 const SCALE_FLOOR: f64 = 1e-300;
-
-/// The multiset of pair gaps `G = {|X − X′|}`, stored **unsorted** with
-/// a precomputed range summary.
-///
-/// Algorithm 7's only use of `G` is the counting query
-/// `|G ∩ [0, x]|` at the `O(log log)` SVT thresholds, so the former
-/// eager full `O(n log n)` sort bought nothing a per-threshold `O(n)`
-/// count does not provide. The summary (`zeros`, `min_positive`,
-/// `max`) makes thresholds outside the data's dynamic range `O(1)`:
-/// the doubling/halving SVT searches only pay a linear pass while the
-/// threshold is *inside* the gap range, and the degenerate
-/// all-identical-data descent (which runs to the SVT cap) costs `O(1)`
-/// per step. As a backstop for adversarially wide gap ranges (gaps
-/// spread over hundreds of octaves, where the searches probe many
-/// in-range thresholds), the structure falls back to sorting once —
-/// the historical cost — after [`LINEAR_SCAN_BUDGET`] linear scans and
-/// answers by binary search from then on.
-#[derive(Debug, Clone)]
-pub struct Gaps {
-    values: Vec<f64>,
-    zeros: usize,
-    min_positive: f64,
-    max: f64,
-    has_nan: bool,
-    linear_scans: std::cell::Cell<usize>,
-    sorted: std::cell::OnceCell<Vec<f64>>,
-}
-
-/// In-range linear scans [`Gaps::count_le`] performs before sorting
-/// once and switching to binary search. Typical Algorithm 7 runs probe
-/// only a handful of in-range thresholds and never reach this.
-pub const LINEAR_SCAN_BUDGET: usize = 32;
-
-impl Gaps {
-    /// Number of pairs `n′ = ⌊n/2⌋`.
-    pub fn len(&self) -> usize {
-        self.values.len()
-    }
-
-    /// True when there are no pairs.
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
-    }
-
-    /// The raw (unsorted) gap values.
-    pub fn values(&self) -> &[f64] {
-        &self.values
-    }
-
-    /// The counting query `|G ∩ [0, x]|` — exactly the value
-    /// `partition_point(v ≤ x)` returned on the formerly-sorted
-    /// (`total_cmp`) vector, for any input including NaN gaps from
-    /// non-finite data. `O(1)` when `x` falls outside
-    /// `[min positive gap, max gap]`, an `O(n)` scan inside it, and
-    /// amortized `O(log n)` once the scan budget is exhausted.
-    pub fn count_le(&self, x: f64) -> usize {
-        if x < 0.0 {
-            // Gaps are ≥ 0 or NaN; neither satisfies v ≤ x < 0.
-            return 0;
-        }
-        if !self.has_nan {
-            // The summary excludes NaNs, so these shortcuts are only
-            // exact when no gap is NaN.
-            if x < self.min_positive {
-                // Only the exactly-zero gaps are ≤ x (covers x = ±0.0).
-                return self.zeros;
-            }
-            if x >= self.max {
-                return self.values.len();
-            }
-        }
-        if let Some(sorted) = self.sorted.get() {
-            return sorted.partition_point(|&v| v <= x);
-        }
-        if self.linear_scans.get() >= LINEAR_SCAN_BUDGET {
-            let sorted = self.sorted.get_or_init(|| {
-                let mut v = self.values.clone();
-                v.sort_by(f64::total_cmp);
-                v
-            });
-            return sorted.partition_point(|&v| v <= x);
-        }
-        self.linear_scans.set(self.linear_scans.get() + 1);
-        self.values.iter().filter(|&&v| v <= x).count()
-    }
-}
-
-/// Randomly pairs up the elements (the paper's "randomly group the
-/// elements in D into pairs") and returns the absolute gaps
-/// `G = {|X − X′|}` as a [`Gaps`] counting structure.
-///
-/// The pairing permutation is drawn from the mechanism's own coins,
-/// independent of the data, so one record of `D` still influences
-/// exactly one element of `G` and counting queries on `G` retain
-/// sensitivity 1. Random (rather than consecutive or strided) pairing
-/// also makes the estimator robust to callers handing in *sorted* or
-/// periodically-patterned data: no fixed arrangement can force all gaps
-/// to collapse.
-///
-/// Public so the benchmark (`perfbench/`'s replay) can time the
-/// pair-gap stage on its own; not part of the estimator API surface.
-pub fn pair_gaps<R: Rng + ?Sized>(rng: &mut R, data: &[f64]) -> Gaps {
-    use rand::seq::SliceRandom;
-    let mut idx: Vec<usize> = (0..data.len()).collect();
-    idx.shuffle(rng);
-    let mut values = Vec::with_capacity(data.len() / 2);
-    let mut zeros = 0usize;
-    let mut min_positive = f64::INFINITY;
-    let mut max = f64::NEG_INFINITY;
-    let mut has_nan = false;
-    for p in idx.chunks_exact(2) {
-        let g = (data[p[0]] - data[p[1]]).abs();
-        // Algorithm 7 counts exactly-coincident pairs: gap == 0.0 iff the
-        // two draws are equal, and any positive gap however small belongs
-        // in min_positive.
-        if g == 0.0 {
-            zeros += 1;
-        } else if g < min_positive {
-            min_positive = g;
-        }
-        if g > max {
-            max = g;
-        }
-        // NaN (possible only for non-finite inputs, which the estimator
-        // itself rejects upstream) disables the summary shortcuts so
-        // counts stay exact for any caller of this public helper.
-        has_nan |= g.is_nan();
-        values.push(g);
-    }
-    Gaps {
-        values,
-        zeros,
-        min_positive,
-        max,
-        has_nan,
-        linear_scans: std::cell::Cell::new(0),
-        sorted: std::cell::OnceCell::new(),
-    }
-}
 
 /// ε-DP lower bound on the IQR (Algorithm 7).
 ///
@@ -177,59 +44,29 @@ pub fn estimate_iqr_lower_bound<R: Rng + ?Sized>(
     epsilon: Epsilon,
     beta: f64,
 ) -> Result<f64> {
-    ensure_finite(data, "estimate_iqr_lower_bound input")?;
-    if data.len() < 4 {
-        return Err(UpdpError::InsufficientData {
-            required: 4,
-            actual: data.len(),
-            context: "EstimateIQRLowerBound pairing",
-        });
-    }
-    if !(beta > 0.0 && beta < 1.0) {
-        return Err(UpdpError::InvalidParameter {
-            name: "beta",
-            reason: format!("must be in (0,1), got {beta}"),
-        });
-    }
-
-    let gaps = pair_gaps(rng, data);
-    Ok(iqr_lb_search(rng, gaps.len(), epsilon, |x| {
-        gaps.count_le(x)
-    }))
+    estimate_iqr_lower_bound_view(rng, &ColumnView::bare(data), epsilon, beta)
 }
 
 /// [`estimate_iqr_lower_bound`] over a [`ColumnView`].
 ///
-/// When the view carries a cache-legal pair-gap summary (DESIGN.md
-/// §12, opt-in via `PreparedDataset::with_gap_summaries`), the per-call
-/// pairing shuffle and `O(n)` gap scan are replaced by the cached
-/// summary: finiteness is an O(1) check, counting queries are
-/// `O(log n)` binary searches, and the warm path does no per-call work
-/// linear in `n`. Validation order and error values match the bare
-/// path exactly. Because the summary path consumes **no** shuffle
-/// coins, its SVT draw sequence — and hence the released value —
-/// differs from the historical path; both are equally valid draws of
-/// Algorithm 7, and the summary path is bit-reproducible per
-/// `(snapshot, seed)`. Views without a summary defer to
-/// [`estimate_iqr_lower_bound`] bit-for-bit.
+/// The pair gaps come from the view's cached gap summary when it
+/// carries one (DESIGN.md §12.3, opt-in via
+/// `PreparedDataset::with_gap_summaries`): no per-call pairing, an O(1)
+/// finiteness check and O(log n) counting queries. Otherwise the
+/// records are paired with the mechanism's coins ([`pair_gaps`]). The
+/// two sources draw different coins, so they release different (equally
+/// valid) values; each is bit-reproducible per `(data, seed)`.
 pub fn estimate_iqr_lower_bound_view<R: Rng + ?Sized>(
     rng: &mut R,
     view: &ColumnView<'_>,
     epsilon: Epsilon,
     beta: f64,
 ) -> Result<f64> {
-    let Some(summary) = view.gap_summary() else {
-        return estimate_iqr_lower_bound(rng, view.data(), epsilon, beta);
-    };
-    if !summary.all_finite() {
-        return Err(UpdpError::NonFiniteInput {
-            context: "estimate_iqr_lower_bound input",
-        });
-    }
-    if summary.records() < 4 {
+    view.ensure_finite("estimate_iqr_lower_bound input")?;
+    if view.len() < 4 {
         return Err(UpdpError::InsufficientData {
             required: 4,
-            actual: summary.records(),
+            actual: view.len(),
             context: "EstimateIQRLowerBound pairing",
         });
     }
@@ -239,16 +76,17 @@ pub fn estimate_iqr_lower_bound_view<R: Rng + ?Sized>(
             reason: format!("must be in (0,1), got {beta}"),
         });
     }
-    Ok(iqr_lb_search(rng, summary.pairs(), epsilon, |x| {
-        summary.count_le(x)
+    let gaps = match view.gap_summary() {
+        Some(summary) => summary,
+        None => std::sync::Arc::new(pair_gaps(rng, view.data())),
+    };
+    Ok(iqr_lb_search(rng, gaps.pairs(), epsilon, |x| {
+        gaps.count_le(x)
     }))
 }
 
-/// The two-SVT scale search of Algorithm 7 (lines 3–9), abstracted
-/// over the gap counting query so the per-call [`Gaps`] structure and
-/// the cached [`updp_empirical::gaps::GapSummary`] share one
-/// implementation. For a fixed `count_le` the draw sequence is exactly
-/// the historical inline code's.
+/// The two-SVT scale search of Algorithm 7 (lines 3–9) over the gap
+/// counting query `count_le(x) = |{g ≤ x}|`.
 fn iqr_lb_search<R: Rng + ?Sized>(
     rng: &mut R,
     pairs: usize,
@@ -330,130 +168,6 @@ mod tests {
         assert_eq!(pow2(-2), 0.25);
         assert_eq!(pow2(5000), f64::MAX);
         assert_eq!(pow2(-5000), SCALE_FLOOR);
-    }
-
-    #[test]
-    fn pair_gaps_shape_and_determinism() {
-        let data = [1.0, 4.0, 10.0, 3.0, 5.0];
-        let mut a = seeded(1);
-        let mut b = seeded(1);
-        let ga = pair_gaps(&mut a, &data);
-        let gb = pair_gaps(&mut b, &data);
-        assert_eq!(
-            ga.values(),
-            gb.values(),
-            "same coins must give the same pairing"
-        );
-        assert_eq!(ga.len(), 2, "n = 5 yields 2 pairs");
-        assert!(ga.values().iter().all(|&g| g >= 0.0));
-    }
-
-    #[test]
-    fn count_le_matches_sorted_partition_point() {
-        // The linear/summary-assisted count must agree exactly with the
-        // historical sorted-vector partition_point at every threshold
-        // the SVT searches can probe.
-        let mut rng = seeded(42);
-        use rand::Rng;
-        let data: Vec<f64> = (0..501).map(|_| rng.gen::<f64>() * 16.0 - 8.0).collect();
-        let gaps = pair_gaps(&mut rng, &data);
-        let mut sorted: Vec<f64> = gaps.values().to_vec();
-        sorted.sort_by(f64::total_cmp);
-        for k in -40i32..40 {
-            let x = pow2(k);
-            assert_eq!(
-                gaps.count_le(x),
-                sorted.partition_point(|&v| v <= x),
-                "mismatch at threshold 2^{k}"
-            );
-        }
-        for x in [-1.0, -0.0, 0.0, f64::INFINITY, f64::MAX, f64::NAN] {
-            assert_eq!(
-                gaps.count_le(x),
-                sorted.partition_point(|&v| v <= x),
-                "mismatch at threshold {x}"
-            );
-        }
-    }
-
-    #[test]
-    fn count_le_on_degenerate_and_tiny_inputs() {
-        // All-identical data: every gap is zero; counts must be n′ for
-        // any x ≥ 0 and 0 below, all via the O(1) summary path.
-        let mut rng = seeded(3);
-        let gaps = pair_gaps(&mut rng, &[7.0; 100]);
-        assert_eq!(gaps.len(), 50);
-        assert_eq!(gaps.count_le(0.0), 50);
-        assert_eq!(gaps.count_le(1e-300), 50);
-        assert_eq!(gaps.count_le(-1.0), 0);
-        // Empty gaps (n < 2 would be rejected upstream, but the
-        // structure itself must not misbehave).
-        let empty = pair_gaps(&mut rng, &[1.0]);
-        assert!(empty.is_empty());
-        assert_eq!(empty.count_le(1.0), 0);
-    }
-
-    #[test]
-    fn count_le_exact_with_nan_gaps() {
-        // The estimator rejects non-finite data upstream, but the
-        // public helper must stay exact (vs the total_cmp-sorted
-        // partition_point reference) even when gaps contain NaN.
-        let data = [1.0, f64::NAN, 3.0, 8.0, 2.0, 2.0];
-        let mut rng = seeded(11);
-        let gaps = pair_gaps(&mut rng, &data);
-        let mut sorted = gaps.values().to_vec();
-        sorted.sort_by(f64::total_cmp);
-        for x in [-1.0, -0.0, 0.0, 2.0, 5.0, 1e300, f64::INFINITY, f64::NAN] {
-            assert_eq!(
-                gaps.count_le(x),
-                sorted.partition_point(|&v| v <= x),
-                "mismatch at threshold {x}"
-            );
-        }
-    }
-
-    #[test]
-    fn count_le_sorted_fallback_stays_exact() {
-        // Exhaust the linear-scan budget with in-range probes; the
-        // lazily-sorted binary-search path must return identical
-        // counts to the scans it replaces.
-        let mut rng = seeded(12);
-        use rand::Rng;
-        let data: Vec<f64> = (0..400).map(|_| rng.gen::<f64>() * 1e6).collect();
-        let gaps = pair_gaps(&mut rng, &data);
-        let mut sorted_ref = gaps.values().to_vec();
-        sorted_ref.sort_by(f64::total_cmp);
-        for k in 0..(LINEAR_SCAN_BUDGET * 3) {
-            let x = 2f64.powi((k % 40) as i32);
-            assert_eq!(
-                gaps.count_le(x),
-                sorted_ref.partition_point(|&v| v <= x),
-                "probe {k} at threshold {x}"
-            );
-        }
-    }
-
-    #[test]
-    fn pair_gaps_robust_to_sorted_and_periodic_input() {
-        // Sorted input: random pairing keeps gaps at the spread scale
-        // (E|i − j| ≈ n/3 for random index pairs), where consecutive
-        // pairing would collapse them to 1.
-        let sorted: Vec<f64> = (0..1000).map(f64::from).collect();
-        let mut rng = seeded(2);
-        let g = pair_gaps(&mut rng, &sorted);
-        let mut vals: Vec<f64> = g.values().to_vec();
-        vals.sort_by(f64::total_cmp);
-        assert!(
-            vals[vals.len() / 2] > 100.0,
-            "median sorted gap {}",
-            vals[vals.len() / 2]
-        );
-        // Periodic input with period dividing every fixed stride: random
-        // pairing still produces mostly non-zero gaps.
-        let periodic: Vec<f64> = (0..1000).map(|i| (i % 100) as f64).collect();
-        let g = pair_gaps(&mut rng, &periodic);
-        let nonzero = g.len() - g.count_le(0.0);
-        assert!(nonzero > 450, "only {nonzero}/500 non-zero gaps");
     }
 
     #[test]

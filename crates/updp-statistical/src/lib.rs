@@ -11,7 +11,7 @@
 //! | 7 `EstimateIQRLowerBound` | [`iqr_lower_bound`] | 4.3 — the private bucket size |
 //! | 8 `EstimateMean` | [`mean`] | 4.5 (general), 4.6 (Gaussian), 4.9 (heavy-tailed) |
 //! | 9 `EstimateVariance` | [`variance`] | 5.2 (general), 5.3 (Gaussian), 5.5 (heavy-tailed — first of its kind) |
-//! | 10 `EstimateIQR` | [`iqr`] | 6.2 — `α ∝ 1/(εn)` vs [DL09]'s `1/(ε log n)` |
+//! | 10 `EstimateIQR` | [`iqr`] | 6.2 — `α ∝ 1/(εn)` vs \[DL09\]'s `1/(ε log n)` |
 //! | general quantiles (extension) | [`quantile`] | §1's "1/4 and 3/4 are not important" made concrete |
 //! | multivariate mean (extension, §1.2) | [`multivariate`] | coordinate-wise Laplace composition, `Õ(d^{3/2}/(εn))` in ℓ₂ |
 //!
@@ -53,9 +53,7 @@ pub use estimator::{
     DEFAULT_BETA,
 };
 pub use iqr::{estimate_iqr, estimate_iqr_view, IqrEstimate};
-pub use iqr_lower_bound::{
-    estimate_iqr_lower_bound, estimate_iqr_lower_bound_view, pair_gaps, Gaps,
-};
+pub use iqr_lower_bound::{estimate_iqr_lower_bound, estimate_iqr_lower_bound_view, pair_gaps};
 pub use mean::{
     estimate_mean, estimate_mean_with_bucket, estimate_mean_with_subsample, MeanEstimate,
 };

@@ -77,34 +77,14 @@ pub fn estimate_mean<R: Rng + ?Sized>(
     // Stage 1 (ε/8): private bucket size.
     let bucket = estimate_iqr_lower_bound(rng, data, epsilon.scale(1.0 / 8.0), beta / 9.0)?;
 
-    // Stage 2: subsample of m = εn values (at least enough for the range
-    // finder's own pairing plumbing, at most n), drawn into the reusable
-    // per-thread scratch buffer.
-    let m = ((epsilon.get() * n as f64).ceil() as usize).clamp(MIN_N.min(n), n);
-
-    // Stage 3 (amplified to 3ε/4): range on the subsample.
-    let inner = paper_inner_epsilon(epsilon);
-    let range = with_subsample(rng, data, m, |rng, subsample| {
-        real_range(rng, subsample, bucket, inner.scale(3.0 / 4.0), beta / 9.0)
-    })?;
-
-    // Stage 4 (ε/8): clipped mean of the FULL data over R̃(D′), fused
-    // with the clipping-bias count — one pass over the data.
-    let (mean, clipped) = clipped_mean_with_outside(data, range.lo, range.hi)?;
-    let width = range.width();
-    let estimate = if width > 0.0 {
-        mean + sample_laplace(rng, 8.0 * width / (epsilon.get() * n as f64))
-    } else {
-        mean
-    };
-
-    Ok(MeanEstimate {
-        estimate,
+    range_and_release(
+        rng,
+        data,
+        epsilon,
+        beta,
         bucket,
-        range,
-        subsample: m,
-        clipped,
-    })
+        default_subsample(epsilon, n),
+    )
 }
 
 /// Variant taking an externally-chosen bucket size, for the
@@ -134,25 +114,14 @@ pub fn estimate_mean_with_bucket<R: Rng + ?Sized>(
             reason: format!("must be finite and positive, got {bucket}"),
         });
     }
-    let m = ((epsilon.get() * n as f64).ceil() as usize).clamp(MIN_N.min(n), n);
-    let inner = paper_inner_epsilon(epsilon);
-    let range = with_subsample(rng, data, m, |rng, subsample| {
-        real_range(rng, subsample, bucket, inner.scale(3.0 / 4.0), beta / 9.0)
-    })?;
-    let (mean, clipped) = clipped_mean_with_outside(data, range.lo, range.hi)?;
-    let width = range.width();
-    let estimate = if width > 0.0 {
-        mean + sample_laplace(rng, 8.0 * width / (epsilon.get() * n as f64))
-    } else {
-        mean
-    };
-    Ok(MeanEstimate {
-        estimate,
+    range_and_release(
+        rng,
+        data,
+        epsilon,
+        beta,
         bucket,
-        range,
-        subsample: m,
-        clipped,
-    })
+        default_subsample(epsilon, n),
+    )
 }
 
 /// Variant exposing the subsample size for the `ablate-subsample`
@@ -175,6 +144,28 @@ pub fn estimate_mean_with_subsample<R: Rng + ?Sized>(
         });
     }
     let bucket = estimate_iqr_lower_bound(rng, data, epsilon.scale(1.0 / 8.0), beta / 9.0)?;
+    range_and_release(rng, data, epsilon, beta, bucket, m)
+}
+
+/// Stage 2's subsample size `m = εn`, at least enough for the range
+/// finder's own pairing plumbing and at most `n`.
+fn default_subsample(epsilon: Epsilon, n: usize) -> usize {
+    ((epsilon.get() * n as f64).ceil() as usize).clamp(MIN_N.min(n), n)
+}
+
+/// Stages 2–4 of Algorithm 8 for a given bucket: draw an `m`-subsample
+/// into the reusable per-thread scratch buffer, find its range
+/// (amplified to 3ε/4), then release the clipped mean of the FULL data
+/// over `R̃(D′)` (fused with the clipping-bias count, one pass) plus
+/// Laplace noise at the ε/8 scale `8·|R̃|/(εn)`.
+fn range_and_release<R: Rng + ?Sized>(
+    rng: &mut R,
+    data: &[f64],
+    epsilon: Epsilon,
+    beta: f64,
+    bucket: f64,
+    m: usize,
+) -> Result<MeanEstimate> {
     let inner = paper_inner_epsilon(epsilon);
     let range = with_subsample(rng, data, m, |rng, subsample| {
         real_range(rng, subsample, bucket, inner.scale(3.0 / 4.0), beta / 9.0)
@@ -182,7 +173,7 @@ pub fn estimate_mean_with_subsample<R: Rng + ?Sized>(
     let (mean, clipped) = clipped_mean_with_outside(data, range.lo, range.hi)?;
     let width = range.width();
     let estimate = if width > 0.0 {
-        mean + sample_laplace(rng, 8.0 * width / (epsilon.get() * n as f64))
+        mean + sample_laplace(rng, 8.0 * width / (epsilon.get() * data.len() as f64))
     } else {
         mean
     };

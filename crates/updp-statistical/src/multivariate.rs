@@ -1,7 +1,7 @@
 //! Multivariate mean estimation — the §1.2 extension.
 //!
-//! The paper (§1.2): "Using the idea of [HLY21] but replacing [the]
-//! Gaussian mechanism with [the] Laplace mechanism, we can extend our
+//! The paper (§1.2): "Using the idea of \[HLY21\] but replacing \[the\]
+//! Gaussian mechanism with \[the\] Laplace mechanism, we can extend our
 //! pure-DP estimator to the multivariate case. However, it does not get
 //! the optimal privacy term Õ(d/(εn))" — achieving the optimal
 //! d-dependence is listed as the paper's first open problem, open even

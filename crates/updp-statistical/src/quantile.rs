@@ -39,12 +39,7 @@ pub struct QuantileEstimate {
 /// Minimum dataset size accepted.
 pub const MIN_N: usize = 16;
 
-fn validate(data: &[f64], q: f64, beta: f64) -> Result<usize> {
-    ensure_finite(data, "estimate_quantile input")?;
-    validate_params(data.len(), q, beta)
-}
-
-fn validate_params(n: usize, q: f64, beta: f64) -> Result<usize> {
+fn validate(n: usize, q: f64, beta: f64) -> Result<usize> {
     if n < MIN_N {
         return Err(UpdpError::InsufficientData {
             required: MIN_N,
@@ -82,8 +77,8 @@ pub fn estimate_quantile<R: Rng + ?Sized>(
 /// [`estimate_quantile`] over a [`ColumnView`]: with a cached view the
 /// discretized grid for the privately-chosen bucket is built once per
 /// `(dataset version, bucket)` and reused across calls. When the view
-/// additionally carries a pair-gap summary (DESIGN.md §12, opt-in),
-/// the per-call `O(n)` finiteness scan and pair-gap scan are replaced
+/// additionally carries a pair-gap summary (DESIGN.md §12.3, opt-in),
+/// the per-call `O(n)` finiteness scan and pairing pass are replaced
 /// by O(1)/O(log n) summary queries, so warm repeat queries do no
 /// per-call work linear in `n` outside the mechanism itself.
 /// Bit-identical to [`estimate_quantile`] for the same seed whenever
@@ -95,16 +90,8 @@ pub fn estimate_quantile_view<R: Rng + ?Sized>(
     epsilon: Epsilon,
     beta: f64,
 ) -> Result<QuantileEstimate> {
-    let data = view.data();
-    let n = match view.gap_summary() {
-        Some(summary) if summary.all_finite() => validate_params(data.len(), q, beta)?,
-        Some(_) => {
-            return Err(UpdpError::NonFiniteInput {
-                context: "estimate_quantile input",
-            })
-        }
-        None => validate(data, q, beta)?,
-    };
+    view.ensure_finite("estimate_quantile input")?;
+    let n = validate(view.len(), q, beta)?;
     let half = epsilon.scale(0.5);
     let lb = estimate_iqr_lower_bound_view(rng, view, half, beta / 2.0)?;
     let bucket = (lb / n as f64).max(f64::MIN_POSITIVE);
@@ -135,8 +122,9 @@ pub fn estimate_quantile_range<R: Rng + ?Sized>(
             reason: format!("need q_lo < q_hi, got {q_lo} and {q_hi}"),
         });
     }
-    let n = validate(data, q_lo, beta)?;
-    validate(data, q_hi, beta)?;
+    ensure_finite(data, "estimate_quantile input")?;
+    let n = validate(data.len(), q_lo, beta)?;
+    validate(n, q_hi, beta)?;
     let third = epsilon.scale(1.0 / 3.0);
     let lb = estimate_iqr_lower_bound(rng, data, third, beta / 6.0)?;
     let bucket = (lb / n as f64).max(f64::MIN_POSITIVE);

@@ -22,6 +22,7 @@ use updp_core::error::{ensure_finite, Result, UpdpError};
 use updp_core::laplace::sample_laplace;
 use updp_core::privacy::Epsilon;
 use updp_empirical::discretize::real_radius;
+use updp_empirical::gaps::map_random_pairs;
 
 /// Diagnostics accompanying a universal variance estimate.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -73,22 +74,15 @@ pub fn estimate_variance<R: Rng + ?Sized>(
     // ~1e155+-magnitude differences overflow f64; clamp to MAX — a
     // deterministic per-record preprocessing that cannot affect privacy,
     // and such values are clipped by the radius anyway.
-    let h: Vec<f64> = {
-        use rand::seq::SliceRandom;
-        let mut idx: Vec<usize> = (0..n).collect();
-        idx.shuffle(rng);
-        idx.chunks_exact(2)
-            .map(|p| {
-                let d = data[p[0]] - data[p[1]];
-                let z = d * d;
-                if z.is_finite() {
-                    z
-                } else {
-                    f64::MAX
-                }
-            })
-            .collect()
-    };
+    let h = map_random_pairs(rng, data, |a, b| {
+        let d = a - b;
+        let z = d * d;
+        if z.is_finite() {
+            z
+        } else {
+            f64::MAX
+        }
+    });
     let n_prime = h.len();
 
     // Stage 3: subsample εn′ products into the reusable per-thread
