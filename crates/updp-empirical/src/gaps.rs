@@ -52,11 +52,11 @@ const LINEAR_SCAN_BUDGET: usize = 32;
 /// uniform shuffle drawn from `rng`, then consecutive indices of the
 /// shuffle) and maps each pair `(data[i], data[j])` through `f`. With
 /// odd `n` the last shuffled index is left out.
-pub fn map_random_pairs<R: Rng + ?Sized, T>(
+pub fn map_random_pairs<R: Rng + ?Sized>(
     rng: &mut R,
     data: &[f64],
-    mut f: impl FnMut(f64, f64) -> T,
-) -> Vec<T> {
+    f: impl Fn(f64, f64) -> f64,
+) -> Vec<f64> {
     let mut idx: Vec<usize> = (0..data.len()).collect();
     idx.shuffle(rng);
     idx.chunks_exact(2)
@@ -81,8 +81,8 @@ pub fn pair_gaps<R: Rng + ?Sized>(rng: &mut R, data: &[f64]) -> GapSummary {
 /// inside it, and the all-identical-data descent (which runs to the SVT
 /// cap) costs O(1) per step. Inside the range, unsorted gaps are
 /// scanned linearly; after 32 scans they are sorted once, and sorted
-/// gaps answer by `partition_point`. The lazy sort is
-/// thread-safe, so a cached summary can be shared via `Arc`.
+/// gaps answer by `partition_point`. The lazy sort is thread-safe, so
+/// a cached summary can be shared via `Arc`.
 #[derive(Debug)]
 pub struct GapSummary {
     all_finite: bool,

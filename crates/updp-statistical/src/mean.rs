@@ -77,14 +77,8 @@ pub fn estimate_mean<R: Rng + ?Sized>(
     // Stage 1 (ε/8): private bucket size.
     let bucket = estimate_iqr_lower_bound(rng, data, epsilon.scale(1.0 / 8.0), beta / 9.0)?;
 
-    range_and_release(
-        rng,
-        data,
-        epsilon,
-        beta,
-        bucket,
-        default_subsample(epsilon, n),
-    )
+    let m = default_subsample(epsilon, n);
+    range_and_release(rng, data, epsilon, beta, bucket, m)
 }
 
 /// Variant taking an externally-chosen bucket size, for the
@@ -114,14 +108,8 @@ pub fn estimate_mean_with_bucket<R: Rng + ?Sized>(
             reason: format!("must be finite and positive, got {bucket}"),
         });
     }
-    range_and_release(
-        rng,
-        data,
-        epsilon,
-        beta,
-        bucket,
-        default_subsample(epsilon, n),
-    )
+    let m = default_subsample(epsilon, n);
+    range_and_release(rng, data, epsilon, beta, bucket, m)
 }
 
 /// Variant exposing the subsample size for the `ablate-subsample`
