@@ -15,9 +15,18 @@
 //! inverse-CDF construction used by the paper's analysis, not hardened
 //! against the Mironov floating-point attack; [`crate::snapping`] is the
 //! hardened release path (DESIGN.md §1.3).
+//!
+//! The one Fisher–Yates swap loop of the workspace also lives here
+//! ([`shuffle`], [`partial_shuffle`]): a block of
+//! [`FISHER_YATES_BLOCK`] steps draws its swap targets first, reads
+//! them all so their cache misses overlap, then swaps in order. Draws,
+//! swap order and trailing generator state are those of the vendored
+//! `SliceRandom::shuffle` and `seq::index::sample`, so the permutation
+//! is identical (DESIGN.md §12.3).
 
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
+use std::ops::Range;
 
 /// Creates a deterministic RNG from a 64-bit seed.
 ///
@@ -54,6 +63,110 @@ pub fn child_seed(master: u64, index: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
     z ^ (z >> 31)
+}
+
+/// Fisher–Yates steps whose swap targets are drawn, and read, before
+/// any of their swaps is applied.
+pub const FISHER_YATES_BLOCK: usize = 64;
+
+/// An index width for a Fisher–Yates pool: `u32` halves the memory a
+/// pool streams through and is what columns of up to `u32::MAX` rows
+/// use; `usize` is the same kernel for longer columns.
+pub trait PoolIndex: Copy {
+    /// The longest pool whose indices this width holds without
+    /// truncation.
+    const MAX_LEN: usize;
+    /// `i` at this width; callers keep `i < MAX_LEN`.
+    fn from_index(i: usize) -> Self;
+    /// The index as `usize`.
+    fn index(self) -> usize;
+}
+
+impl PoolIndex for u32 {
+    const MAX_LEN: usize = u32::MAX as usize;
+    #[inline]
+    fn from_index(i: usize) -> Self {
+        i as u32
+    }
+    #[inline]
+    fn index(self) -> usize {
+        self as usize
+    }
+}
+
+impl PoolIndex for usize {
+    const MAX_LEN: usize = usize::MAX;
+    #[inline]
+    fn from_index(i: usize) -> Self {
+        i
+    }
+    #[inline]
+    fn index(self) -> usize {
+        self
+    }
+}
+
+/// Refills `pool` with the identity `0..n`, reusing its allocation.
+///
+/// Panics if `n` exceeds `I::MAX_LEN`: an index is never truncated.
+pub fn fill_identity<I: PoolIndex>(pool: &mut Vec<I>, n: usize) {
+    assert!(
+        n <= I::MAX_LEN,
+        "{n} indices do not fit a pool of width {}",
+        std::mem::size_of::<I>()
+    );
+    pool.clear();
+    pool.extend((0..n).map(I::from_index));
+}
+
+/// Shuffles `pool` uniformly: the permutation and trailing generator
+/// state of the vendored `SliceRandom::shuffle` (`j = gen_range(0..i + 1)`
+/// for `i = n − 1, …, 1`).
+pub fn shuffle<I: PoolIndex, R: Rng + ?Sized>(rng: &mut R, pool: &mut [I]) {
+    let n = pool.len();
+    fisher_yates(rng, pool, (1..n).rev().map(|i| (i, 0..i + 1)));
+}
+
+/// Moves a uniform `m`-sample of `pool` into `pool[..m]`, in draw
+/// order: on the identity pool, the indices and trailing generator
+/// state of the vendored `seq::index::sample(rng, n, m)`
+/// (`j = gen_range(i..n)` for `i = 0, …, m − 1`).
+///
+/// Panics if `m > pool.len()`, matching `seq::index::sample`.
+pub fn partial_shuffle<I: PoolIndex, R: Rng + ?Sized>(rng: &mut R, pool: &mut [I], m: usize) {
+    let n = pool.len();
+    assert!(m <= n, "cannot sample {m} indices from 0..{n}");
+    fisher_yates(rng, pool, (0..m).map(|i| (i, i..n)));
+}
+
+/// The blocked Fisher–Yates kernel: step `(i, range)` swaps `pool[i]`
+/// with `pool[gen_range(range)]`. Per block it draws every target in
+/// step order, reads every `pool[j]` (independent loads, so the cache
+/// misses of a large pool overlap instead of queueing behind each
+/// swap), then applies the swaps in step order. The reads change
+/// nothing, so the result is the plain step-by-step loop's.
+fn fisher_yates<I: PoolIndex, R: Rng + ?Sized>(
+    rng: &mut R,
+    pool: &mut [I],
+    mut steps: impl Iterator<Item = (usize, Range<usize>)>,
+) {
+    let mut block = [(0usize, 0usize); FISHER_YATES_BLOCK];
+    loop {
+        let mut len = 0;
+        for (i, range) in steps.by_ref().take(FISHER_YATES_BLOCK) {
+            block[len] = (i, rng.gen_range(range));
+            len += 1;
+        }
+        if len == 0 {
+            return;
+        }
+        let block = &block[..len];
+        let warm = block.iter().fold(0, |acc, &(_, j)| acc ^ pool[j].index());
+        std::hint::black_box(warm);
+        for &(i, j) in block {
+            pool.swap(i, j);
+        }
+    }
 }
 
 #[cfg(test)]

@@ -1,19 +1,23 @@
 //! The pair-gap structure of Algorithms 7 and 9 (DESIGN.md §12.3).
 //!
 //! Both algorithms "randomly group the elements in D into pairs".
-//! [`map_random_pairs`] is that step, once: shuffle the record indices,
-//! pair them up, and map each pair. Algorithm 9 maps a pair to its
-//! squared gap; Algorithm 7 maps it to the absolute gap `|X − X′|` and
-//! asks one counting query, `|{g : g ≤ x}|`, answered by
-//! [`GapSummary::count_le`]. A summary has two pairing sources:
+//! [`for_each_random_pair`] is that step, once: shuffle the record
+//! indices with the blocked Fisher–Yates kernel
+//! ([`updp_core::rng::shuffle`], `u32` indices up to `u32::MAX` rows),
+//! pair consecutive shuffled indices, and visit each pair. Algorithm 9
+//! maps a pair to its squared gap ([`map_random_pairs`]). Algorithm 7
+//! only counts absolute gaps `|X − X′|` below its SVT thresholds, which
+//! are all powers of two ([`pow2`]), so a [`GapSummary`] keeps no gaps:
+//! it counts each one in its octave, the smallest `k` with `g ≤ 2ᵏ`,
+//! and answers [`GapSummary::count_le_pow2`] from cumulative counts in
+//! O(1). A summary has two pairing sources:
 //!
-//! * [`pair_gaps`] takes the permutation from the mechanism's coins and
-//!   keeps the gaps unsorted: the bare path, used by the experiments;
+//! * [`pair_gaps`] takes the permutation from the mechanism's coins:
+//!   the bare path, used by the experiments;
 //! * [`GapSummary::build`] takes it from
 //!   `child_rng(GAP_PAIRING_SALT, n)`, a pure function of the column
-//!   length, and sorts the gaps once. The result is cache-legal, so the
-//!   serving cache builds one per snapshot
-//!   ([`crate::view::ColumnCache`]).
+//!   length. The result is cache-legal, so the serving cache builds one
+//!   per snapshot ([`crate::view::ColumnCache`]).
 //!
 //! Two properties carry the privacy and robustness arguments, for
 //! either source:
@@ -29,118 +33,116 @@
 //!   so no arrangement of a hostile caller's rows (sorted, periodic)
 //!   can force all gaps to collapse.
 
-use rand::seq::SliceRandom;
 use rand::Rng;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
-use updp_core::rng::child_rng;
-
-use crate::view::sorted_copy;
+use updp_core::rng::{child_rng, fill_identity, shuffle, PoolIndex};
 
 /// Domain-separation salt for the pairing permutation seed. Any fixed
 /// odd constant works; it only needs to differ from the trial-engine
 /// masters so a snapshot's pairing never aliases a mechanism stream.
 pub const GAP_PAIRING_SALT: u64 = 0x9a7_9a17_9a17;
 
-/// In-range linear scans [`GapSummary::count_le`] performs on unsorted
-/// gaps before sorting them once and switching to binary search.
-/// Typical Algorithm 7 runs probe only a handful of in-range thresholds
-/// and never reach this; gaps spread over hundreds of octaves do.
-const LINEAR_SCAN_BUDGET: usize = 32;
+/// Floor of Algorithm 7's scales, and so of [`pow2`]: ~the smallest
+/// positive normal `f64`. Reaching it means the data is (privately
+/// indistinguishable from) having more than `3n′/16` exactly-coincident
+/// pairs; any smaller bucket would be meaningless at `f64` precision.
+pub const SCALE_FLOOR: f64 = 1e-300;
+
+/// Exponents below this saturate [`pow2`] to [`SCALE_FLOOR`].
+const POW2_MIN_EXP: i32 = -1021;
+/// Exponents above this saturate [`pow2`] to `f64::MAX`.
+const POW2_MAX_EXP: i32 = 1023;
+
+/// `2ᵏ` as `f64`, saturating to avoid 0/∞ surprises far out: the SVT
+/// thresholds of Algorithm 7.
+pub fn pow2(k: i32) -> f64 {
+    if k > POW2_MAX_EXP {
+        f64::MAX
+    } else if k < POW2_MIN_EXP {
+        SCALE_FLOOR
+    } else {
+        2f64.powi(k)
+    }
+}
+
+/// Octaves a gap is keyed by: the smallest `k` with `g ≤ 2ᵏ`, clamped
+/// below at −1022 (zeros and subnormals share the lowest octave, which
+/// no probe resolves) and at most 1024 (the gaps in `(2¹⁰²³, f64::MAX]`).
+const MIN_OCTAVE: i32 = -1022;
+const MAX_OCTAVE: i32 = 1024;
+const OCTAVES: usize = (MAX_OCTAVE - MIN_OCTAVE + 1) as usize;
 
 /// Randomly groups `data` into `⌊n/2⌋` pairs of original indices (a
 /// uniform shuffle drawn from `rng`, then consecutive indices of the
-/// shuffle) and maps each pair `(data[i], data[j])` through `f`. With
-/// odd `n` the last shuffled index is left out.
+/// shuffle) and visits each pair `(data[i], data[j])`. With odd `n` the
+/// last shuffled index is left out. The permutation is the vendored
+/// `SliceRandom::shuffle`'s, at any index width.
+pub fn for_each_random_pair<R: Rng + ?Sized>(
+    rng: &mut R,
+    data: &[f64],
+    mut f: impl FnMut(f64, f64),
+) {
+    if data.len() <= <u32 as PoolIndex>::MAX_LEN {
+        pair_up::<u32, R>(rng, data, &mut f);
+    } else {
+        pair_up::<usize, R>(rng, data, &mut f);
+    }
+}
+
+/// [`for_each_random_pair`] at one index width.
+fn pair_up<I: PoolIndex, R: Rng + ?Sized>(rng: &mut R, data: &[f64], f: &mut impl FnMut(f64, f64)) {
+    let mut pool = Vec::new();
+    fill_identity::<I>(&mut pool, data.len());
+    shuffle(rng, &mut pool);
+    for p in pool.chunks_exact(2) {
+        f(data[p[0].index()], data[p[1].index()]);
+    }
+}
+
+/// Maps each random pair of [`for_each_random_pair`] through `f`, in
+/// pairing order.
 pub fn map_random_pairs<R: Rng + ?Sized>(
     rng: &mut R,
     data: &[f64],
     f: impl Fn(f64, f64) -> f64,
 ) -> Vec<f64> {
-    let mut idx: Vec<usize> = (0..data.len()).collect();
-    idx.shuffle(rng);
-    idx.chunks_exact(2)
-        .map(|p| f(data[p[0]], data[p[1]]))
-        .collect()
+    let mut out = Vec::with_capacity(data.len() / 2);
+    for_each_random_pair(rng, data, |a, b| out.push(f(a, b)));
+    out
 }
 
-/// The absolute gaps `G = {|X − X′|}` of a random pairing drawn from
-/// the mechanism's coins `rng`, unsorted.
+/// The gap summary of a random pairing drawn from the mechanism's
+/// coins `rng`.
 ///
 /// Public so the benchmark can time the pair-gap stage on its own.
 pub fn pair_gaps<R: Rng + ?Sized>(rng: &mut R, data: &[f64]) -> GapSummary {
-    let gaps = map_random_pairs(rng, data, |a, b| (a - b).abs());
-    GapSummary::from_gaps(data, gaps)
+    let mut counter = OctaveCounter::new();
+    for_each_random_pair(rng, data, |a, b| counter.add((a - b).abs()));
+    counter.finish(data.iter().all(|x| x.is_finite()))
 }
 
-/// The pair-gap multiset of one column, answering `|{g : g ≤ x}|`.
+/// The pair-gap multiset of one column, reduced to what Algorithm 7
+/// asks of it: `|{g : g ≤ pow2(k)}|` for every `k`.
 ///
-/// Besides the gaps it keeps a range summary (`zeros`, smallest
-/// positive gap, largest gap) that answers thresholds outside the gap
-/// range in O(1): the SVT searches of Algorithm 7 only pay for probes
-/// inside it, and the all-identical-data descent (which runs to the SVT
-/// cap) costs O(1) per step. Inside the range, unsorted gaps are
-/// scanned linearly; after 32 scans they are sorted once, and sorted
-/// gaps answer by `partition_point`. The lazy sort is thread-safe, so
-/// a cached summary can be shared via `Arc`.
-#[derive(Debug)]
+/// It holds one cumulative count per octave (~16 KB whatever the
+/// column length) and one exact count at [`SCALE_FLOOR`], which is not
+/// a power of two. Immutable once built, so a cached summary is shared
+/// via `Arc`.
+#[derive(Debug, PartialEq, Eq)]
 pub struct GapSummary {
     all_finite: bool,
     pairs: usize,
-    zeros: usize,
-    min_positive: f64,
-    max: f64,
-    has_nan: bool,
-    /// Gaps in pairing order; empty when the summary was built sorted.
-    unsorted: Vec<f64>,
-    /// Relaxed: the count only decides when to sort; the sorted gaps
-    /// are published by the `OnceLock`.
-    linear_scans: AtomicUsize,
-    sorted: OnceLock<Vec<f64>>,
+    /// `|{g : g ≤ SCALE_FLOOR}|`.
+    le_floor: usize,
+    /// `le_octave[k − MIN_OCTAVE] = |{g : g ≤ 2ᵏ}|`; the last entry
+    /// (`k = 1024`) counts every finite gap, i.e. `|{g : g ≤ f64::MAX}|`.
+    le_octave: Box<[usize]>,
 }
 
 impl GapSummary {
     /// Builds the cache-legal summary of a column snapshot: the pairing
-    /// permutation comes from `child_rng(GAP_PAIRING_SALT, n)`, and the
-    /// gaps are sorted by `total_cmp` once. Only the sorted copy is kept.
+    /// permutation comes from `child_rng(GAP_PAIRING_SALT, n)`.
     pub fn build(data: &[f64]) -> Self {
-        let mut summary = pair_gaps(&mut child_rng(GAP_PAIRING_SALT, data.len() as u64), data);
-        let unsorted = std::mem::take(&mut summary.unsorted);
-        summary.sorted = OnceLock::from(sorted_copy(&unsorted));
-        summary
-    }
-
-    fn from_gaps(data: &[f64], gaps: Vec<f64>) -> Self {
-        let mut zeros = 0usize;
-        let mut min_positive = f64::INFINITY;
-        let mut max = f64::NEG_INFINITY;
-        let mut has_nan = false;
-        for &g in &gaps {
-            // A gap is exactly 0.0 iff the two records are equal; any
-            // positive gap however small belongs in `min_positive`.
-            if g == 0.0 {
-                zeros += 1;
-            } else if g < min_positive {
-                min_positive = g;
-            }
-            if g > max {
-                max = g;
-            }
-            // NaN (only from non-finite records) disables the range
-            // shortcuts so counts stay exact for any input.
-            has_nan |= g.is_nan();
-        }
-        GapSummary {
-            all_finite: data.iter().all(|x| x.is_finite()),
-            pairs: gaps.len(),
-            zeros,
-            min_positive,
-            max,
-            has_nan,
-            unsorted: gaps,
-            linear_scans: AtomicUsize::new(0),
-            sorted: OnceLock::new(),
-        }
+        pair_gaps(&mut child_rng(GAP_PAIRING_SALT, data.len() as u64), data)
     }
 
     /// Number of gap pairs (`⌊records/2⌋`).
@@ -154,39 +156,72 @@ impl GapSummary {
         self.all_finite
     }
 
-    /// `|{g : g ≤ x}|`, exactly `partition_point(v ≤ x)` on the
-    /// `total_cmp`-sorted gaps, for every `x` including NaN, ±inf and
-    /// −0.0. `abs()` clears sign bits, so gaps are `≥ 0.0` or `+NaN`;
-    /// NaNs sort last and `v <= x` is false for them, so the predicate
-    /// is prefix-true on the sorted gaps.
-    ///
-    /// O(1) outside `[smallest positive gap, largest gap]`; inside it,
-    /// O(log n) on sorted gaps and O(n) on unsorted ones until the scan
-    /// budget is spent.
-    pub fn count_le(&self, x: f64) -> usize {
-        if x < 0.0 {
-            return 0;
+    /// `|{g : g ≤ pow2(k)}|`, exactly `partition_point(v ≤ pow2(k))` on
+    /// the `total_cmp`-sorted gaps, in O(1). NaN and +∞ gaps (from
+    /// non-finite records, or finite ones ~`f64::MAX` apart) lie above
+    /// every threshold and are never counted.
+    pub fn count_le_pow2(&self, k: i32) -> usize {
+        if k < POW2_MIN_EXP {
+            self.le_floor
+        } else {
+            self.le_octave[(k.min(MAX_OCTAVE) - MIN_OCTAVE) as usize]
         }
-        if !self.has_nan {
-            if x < self.min_positive {
-                // Only the exactly-zero gaps are ≤ x (covers x = ±0.0).
-                return self.zeros;
-            }
-            if x >= self.max {
-                return self.pairs;
-            }
+    }
+}
+
+/// The octave of a gap `g ≥ 0` (or `+NaN`), as an index into
+/// `le_octave`; `None` for +∞ and NaN.
+#[inline]
+fn octave_slot(g: f64) -> Option<usize> {
+    debug_assert!(g.is_sign_positive(), "gaps are absolute values");
+    let bits = g.to_bits();
+    let biased = (bits >> 52) as i32;
+    if biased == 0x7ff {
+        return None;
+    }
+    // g = 2^(biased − 1023) · 1.mantissa: exactly a power of two iff the
+    // mantissa is zero, otherwise one octave up.
+    let k = biased - 1023 + i32::from(bits & ((1 << 52) - 1) != 0);
+    Some((k.max(MIN_OCTAVE) - MIN_OCTAVE) as usize)
+}
+
+/// Accumulates gaps into per-octave counts.
+struct OctaveCounter {
+    pairs: usize,
+    le_floor: usize,
+    counts: Box<[usize]>,
+}
+
+impl OctaveCounter {
+    fn new() -> Self {
+        OctaveCounter {
+            pairs: 0,
+            le_floor: 0,
+            counts: vec![0; OCTAVES].into_boxed_slice(),
         }
-        if self.sorted.get().is_none()
-            && self.linear_scans.fetch_add(1, Ordering::Relaxed) < LINEAR_SCAN_BUDGET
-        {
-            return self.unsorted.iter().filter(|&&v| v <= x).count();
-        }
-        self.sorted_gaps().partition_point(|&v| v <= x)
     }
 
-    /// The `total_cmp`-sorted gaps (sorting them now if they are not).
-    pub fn sorted_gaps(&self) -> &[f64] {
-        self.sorted.get_or_init(|| sorted_copy(&self.unsorted))
+    #[inline]
+    fn add(&mut self, g: f64) {
+        self.pairs += 1;
+        self.le_floor += usize::from(g <= SCALE_FLOOR);
+        if let Some(slot) = octave_slot(g) {
+            self.counts[slot] += 1;
+        }
+    }
+
+    fn finish(mut self, all_finite: bool) -> GapSummary {
+        let mut total = 0;
+        for count in self.counts.iter_mut() {
+            total += *count;
+            *count = total;
+        }
+        GapSummary {
+            all_finite,
+            pairs: self.pairs,
+            le_floor: self.le_floor,
+            le_octave: self.counts,
+        }
     }
 }
 
@@ -198,124 +233,198 @@ mod tests {
     use super::*;
     use updp_core::rng::seeded;
 
-    fn reference_count(gaps: &[f64], x: f64) -> usize {
+    /// Every exponent the probes cover, through `pow2`'s saturation at
+    /// both ends.
+    const PROBE_KS: std::ops::RangeInclusive<i32> = -1100..=1100;
+
+    /// Asserts `summary` answers every probe like the sorted `gaps`.
+    fn assert_exact(summary: &GapSummary, gaps: &[f64]) {
         let mut sorted = gaps.to_vec();
         sorted.sort_by(f64::total_cmp);
-        sorted.partition_point(|&v| v <= x)
+        let reference = |x: f64| sorted.partition_point(|&v| v <= x);
+        assert_eq!(summary.pairs(), gaps.len());
+        for k in PROBE_KS {
+            assert_eq!(summary.count_le_pow2(k), reference(pow2(k)), "k={k}");
+        }
+        for k in [i32::MIN, -5000, 5000, i32::MAX] {
+            assert_eq!(summary.count_le_pow2(k), reference(pow2(k)), "k={k}");
+        }
+        let floor = summary.count_le_pow2(POW2_MIN_EXP - 1);
+        assert_eq!(floor, reference(SCALE_FLOOR));
+        let max = summary.count_le_pow2(POW2_MAX_EXP + 1);
+        assert_eq!(max, reference(f64::MAX));
     }
 
-    const PROBES: [f64; 8] = [
-        -1.0,
-        -0.0,
-        0.0,
-        1e-300,
-        f64::MAX,
-        f64::INFINITY,
-        f64::NAN,
-        f64::MIN_POSITIVE,
-    ];
+    fn summarize(gaps: &[f64]) -> GapSummary {
+        let mut counter = OctaveCounter::new();
+        gaps.iter().for_each(|&g| counter.add(g));
+        counter.finish(true)
+    }
+
+    /// The reference gaps of `pair_gaps` on the same coins.
+    fn gaps_of(rng: &mut impl Rng, data: &[f64]) -> Vec<f64> {
+        map_random_pairs(rng, data, |a, b| (a - b).abs())
+    }
+
+    fn one_ulp_up(x: f64) -> f64 {
+        f64::from_bits(x.to_bits() + 1)
+    }
+
+    /// `2ᵏ` for every `k ∈ [−1074, 1023]`, built from its bits (`powi`
+    /// underflows to 0 below −1022).
+    fn exact_pow2(k: i32) -> f64 {
+        if k >= -1022 {
+            f64::from_bits(((k + 1023) as u64) << 52)
+        } else {
+            f64::from_bits(1 << (k + 1074))
+        }
+    }
+
+    #[test]
+    fn pow2_saturates() {
+        for k in POW2_MIN_EXP..=POW2_MAX_EXP {
+            assert_eq!(pow2(k), exact_pow2(k), "k={k}");
+        }
+        assert_eq!(pow2(0), 1.0);
+        assert_eq!(pow2(3), 8.0);
+        assert_eq!(pow2(-2), 0.25);
+        assert_eq!(pow2(1023), 2f64.powi(1023));
+        assert_eq!(pow2(-1021), f64::MIN_POSITIVE * 2.0);
+        assert_eq!(pow2(5000), f64::MAX);
+        assert_eq!(pow2(-5000), SCALE_FLOOR);
+    }
+
+    #[test]
+    fn octave_counts_are_exact_at_every_edge() {
+        // Zeros, every subnormal and normal power of two, one ulp above
+        // and below each, the floor and its neighbours, f64::MAX, +∞
+        // and NaN.
+        let mut gaps = vec![0.0, 0.0, SCALE_FLOOR, f64::MAX, f64::INFINITY, f64::NAN];
+        gaps.extend([SCALE_FLOOR.next_down(), SCALE_FLOOR.next_up()]);
+        gaps.extend([f64::MIN_POSITIVE / 2.0, f64::MIN_POSITIVE.next_down()]);
+        for k in -1074..=1023 {
+            let p = exact_pow2(k);
+            gaps.extend([p, one_ulp_up(p), p.next_down()]);
+        }
+        assert_exact(&summarize(&gaps), &gaps);
+        assert_exact(&summarize(&[]), &[]);
+        assert_exact(
+            &summarize(&[f64::NAN, f64::INFINITY]),
+            &[f64::NAN, f64::INFINITY],
+        );
+    }
+
+    #[test]
+    fn count_le_pow2_is_exact_on_edge_columns() {
+        let powers: Vec<f64> = (-1074..=1023).step_by(7).map(exact_pow2).collect();
+        let columns: Vec<Vec<f64>> = vec![
+            // Exact zeros: heavy duplication.
+            (0..200).map(|i| f64::from(i % 3)).collect(),
+            // Subnormal gaps.
+            (0..200).map(|i| f64::from(i) * 5e-324).collect(),
+            // Exact powers of two, and one ulp above them.
+            powers.iter().flat_map(|&p| [0.0, p]).collect(),
+            powers.iter().flat_map(|&p| [p, 2.0 * p]).collect(),
+            powers.iter().flat_map(|&p| [0.0, one_ulp_up(p)]).collect(),
+            // +∞ gaps from finite records.
+            (0..200)
+                .map(|i| if i % 2 == 0 { 1e308 } else { -1e308 })
+                .collect(),
+            vec![f64::MAX, -f64::MAX, 1.0, 2.0, 1e-300, 0.0],
+            // Non-finite records: NaN gaps.
+            vec![1.0, f64::NAN, 3.0, 8.0, 2.0, 2.0, f64::INFINITY, 5.0],
+        ];
+        for (c, data) in columns.iter().enumerate() {
+            let paired = pair_gaps(&mut seeded(c as u64), data);
+            assert_exact(&paired, &gaps_of(&mut seeded(c as u64), data));
+            let n = data.len() as u64;
+            let built = GapSummary::build(data);
+            assert_exact(&built, &gaps_of(&mut child_rng(GAP_PAIRING_SALT, n), data));
+            assert_eq!(built.all_finite(), data.iter().all(|x| x.is_finite()));
+        }
+    }
+
+    #[test]
+    fn count_le_pow2_is_exact_on_random_columns() {
+        let mut rng = seeded(42);
+        let data: Vec<f64> = (0..501).map(|_| rng.gen::<f64>() * 16.0 - 8.0).collect();
+        let gaps = gaps_of(&mut seeded(5), &data);
+        assert_exact(&pair_gaps(&mut seeded(5), &data), &gaps);
+    }
 
     #[test]
     fn summary_is_deterministic_per_snapshot() {
         let data: Vec<f64> = (0..101).map(|i| (i as f64) * 1.37 - 50.0).collect();
         let a = GapSummary::build(&data);
-        let b = GapSummary::build(&data);
-        let bits =
-            |s: &GapSummary| -> Vec<u64> { s.sorted_gaps().iter().map(|g| g.to_bits()).collect() };
-        assert_eq!(bits(&a), bits(&b));
+        assert_eq!(a, GapSummary::build(&data));
         assert_eq!(a.pairs(), 50);
         assert!(a.all_finite());
-        assert!(a.unsorted.is_empty(), "a built summary keeps one copy");
     }
 
     #[test]
     fn build_is_pair_gaps_on_the_snapshot_coins() {
         let data: Vec<f64> = (0..64).map(|i| ((i * 37) % 64) as f64 * 0.5).collect();
-        let built = GapSummary::build(&data);
         let paired = pair_gaps(&mut child_rng(GAP_PAIRING_SALT, 64), &data);
-        assert_eq!(built.sorted_gaps(), paired.sorted_gaps());
+        assert_eq!(GapSummary::build(&data), paired);
     }
 
     #[test]
     fn pairing_depends_on_length_not_values() {
+        // Doubling every record doubles every gap: octave k moves to k+1.
         let a = GapSummary::build(&[1.0, 2.0, 3.0, 4.0]);
-        let b = GapSummary::build(&[10.0, 20.0, 30.0, 40.0]);
-        let scaled: Vec<f64> = a.sorted_gaps().iter().map(|g| g * 10.0).collect();
-        assert_eq!(scaled, b.sorted_gaps());
+        let b = GapSummary::build(&[2.0, 4.0, 6.0, 8.0]);
+        for k in -10..10 {
+            assert_eq!(a.count_le_pow2(k), b.count_le_pow2(k + 1), "k={k}");
+        }
     }
 
     #[test]
     fn pair_gaps_shape_and_determinism() {
         let data = [1.0, 4.0, 10.0, 3.0, 5.0];
         let ga = pair_gaps(&mut seeded(1), &data);
-        let gb = pair_gaps(&mut seeded(1), &data);
-        assert_eq!(ga.unsorted, gb.unsorted, "same coins, same pairing");
+        assert_eq!(
+            ga,
+            pair_gaps(&mut seeded(1), &data),
+            "same coins, same pairing"
+        );
         assert_eq!(ga.pairs(), 2, "n = 5 yields 2 pairs");
-        assert!(ga.unsorted.iter().all(|&g| g >= 0.0));
     }
 
     #[test]
-    fn count_le_matches_sorted_partition_point() {
-        // Every SVT threshold, on both pairing sources.
-        let mut rng = seeded(42);
-        let data: Vec<f64> = (0..501).map(|_| rng.gen::<f64>() * 16.0 - 8.0).collect();
-        let unsorted = pair_gaps(&mut rng, &data);
-        let gaps = unsorted.unsorted.clone();
-        let built = GapSummary::build(&data);
-        let built_gaps = built.sorted_gaps().to_vec();
-        let thresholds = (-40i32..40).map(|k| 2f64.powi(k)).chain(PROBES);
-        for x in thresholds {
-            assert_eq!(unsorted.count_le(x), reference_count(&gaps, x), "x={x}");
-            assert_eq!(built.count_le(x), reference_count(&built_gaps, x), "x={x}");
-        }
-    }
-
-    #[test]
-    fn count_le_sorted_fallback_stays_exact() {
-        // Exhaust the scan budget with in-range probes; the lazily
-        // sorted binary search must return the counts the scans did.
-        let mut rng = seeded(12);
-        let data: Vec<f64> = (0..400).map(|_| rng.gen::<f64>() * 1e6).collect();
-        let summary = pair_gaps(&mut rng, &data);
-        let gaps = summary.unsorted.clone();
-        for k in 0..(LINEAR_SCAN_BUDGET * 3) {
-            // Gaps lie in (0, 1e6); thresholds 1e3 … 9.6e4 fall inside.
-            let x = 1e3 * (k + 1) as f64;
-            assert_eq!(summary.count_le(x), reference_count(&gaps, x), "probe {k}");
-        }
-        assert!(summary.sorted.get().is_some(), "budget spent, gaps sorted");
-    }
-
-    #[test]
-    fn count_le_exact_with_nan_gaps() {
-        let data = [1.0, f64::NAN, 3.0, 8.0, 2.0, 2.0, f64::INFINITY, 5.0];
-        let summary = pair_gaps(&mut seeded(11), &data);
-        let built = GapSummary::build(&data);
-        assert!(!summary.all_finite() && !built.all_finite());
-        let gaps = summary.unsorted.clone();
-        for x in [2.0, 5.0, 1e300].into_iter().chain(PROBES) {
-            assert_eq!(summary.count_le(x), reference_count(&gaps, x), "x={x}");
-            assert_eq!(built.count_le(x), reference_count(built.sorted_gaps(), x));
-        }
-        assert_eq!(built.count_le(f64::NAN), 0);
+    fn index_widths_pair_identically() {
+        // Columns past u32::MAX rows pair at usize width; forced here on
+        // a small column, it must visit the u32 pairs in the same order.
+        let data: Vec<f64> = (0..1001).map(|i| f64::from(i).sqrt()).collect();
+        let visit = |wide: bool| {
+            let mut pairs = Vec::new();
+            let mut f = |a: f64, b: f64| pairs.push((a, b));
+            if wide {
+                pair_up::<usize, _>(&mut seeded(3), &data, &mut f);
+            } else {
+                pair_up::<u32, _>(&mut seeded(3), &data, &mut f);
+            }
+            pairs
+        };
+        assert_eq!(visit(true), visit(false));
+        assert_eq!(visit(false).len(), 500);
     }
 
     #[test]
     fn degenerate_and_tiny_inputs() {
-        // All-identical data: every gap is zero, answered in O(1).
+        // All-identical data: every gap is zero.
         let same = pair_gaps(&mut seeded(3), &[7.0; 100]);
         assert_eq!(same.pairs(), 50);
-        assert_eq!(same.count_le(0.0), 50);
-        assert_eq!(same.count_le(1e-300), 50);
-        assert_eq!(same.count_le(-1.0), 0);
-        assert_eq!(same.linear_scans.load(Ordering::Relaxed), 0);
+        for k in [-5000, -1021, 0, 1023, 5000] {
+            assert_eq!(same.count_le_pow2(k), 50, "k={k}");
+        }
         for data in [&[][..], &[1.0]] {
             let empty = pair_gaps(&mut seeded(3), data);
             assert_eq!(empty.pairs(), 0);
-            assert_eq!(empty.count_le(1.0), 0);
-            assert_eq!(GapSummary::build(data).count_le(1.0), 0);
+            assert_eq!(empty.count_le_pow2(0), 0);
+            assert_eq!(GapSummary::build(data).count_le_pow2(0), 0);
         }
-        assert_eq!(GapSummary::build(&[1.0, 4.0]).sorted_gaps(), &[3.0]);
+        let one = GapSummary::build(&[1.0, 4.0]);
+        assert_eq!((one.count_le_pow2(1), one.count_le_pow2(2)), (0, 1));
         assert_eq!(GapSummary::build(&[1.0, 4.0, 9.0]).pairs(), 1);
     }
 
@@ -323,17 +432,17 @@ mod tests {
     fn pairing_is_robust_to_sorted_and_periodic_input() {
         // Sorted input: random pairing keeps gaps at the spread scale
         // (E|i − j| ≈ n/3 for random index pairs), where consecutive
-        // pairing would collapse them to 1.
+        // pairing would collapse them to 1: most gaps exceed 2⁶.
         let sorted: Vec<f64> = (0..1000).map(f64::from).collect();
         let mut rng = seeded(2);
         let g = pair_gaps(&mut rng, &sorted);
-        let median = g.sorted_gaps()[g.pairs() / 2];
-        assert!(median > 100.0, "median sorted gap {median}");
+        let small = g.count_le_pow2(6);
+        assert!(small < g.pairs() / 4, "{small}/500 gaps ≤ 64");
         // Periodic input with period dividing every fixed stride: random
         // pairing still produces mostly non-zero gaps.
         let periodic: Vec<f64> = (0..1000).map(|i| (i % 100) as f64).collect();
         let g = pair_gaps(&mut rng, &periodic);
-        let nonzero = g.pairs() - g.count_le(0.0);
+        let nonzero = g.pairs() - g.count_le_pow2(-5000);
         assert!(nonzero > 450, "only {nonzero}/500 non-zero gaps");
     }
 }

@@ -5,12 +5,14 @@
 //!   same sequence as the serial `sort_by(f64::total_cmp)` at every
 //!   thread count, across `NaN`/`-0.0`/`±inf`/subnormal bit patterns;
 //! * the cached pair-gap summary of a snapshot reached by appends is
-//!   bitwise identical to a fresh summary built over the concatenated
-//!   column (the summary is a pure function of the column), and its
-//!   `count_le` matches the naive filter for every threshold.
+//!   identical to a fresh summary built over the concatenated column
+//!   (the summary is a pure function of the column), and its
+//!   `count_le_pow2` matches the naive filter over the snapshot-paired
+//!   gaps at every power-of-two threshold.
 
 use proptest::prelude::*;
-use updp_empirical::gaps::GapSummary;
+use updp_core::rng::child_rng;
+use updp_empirical::gaps::{map_random_pairs, pow2, GapSummary, GAP_PAIRING_SALT};
 use updp_empirical::view::{sorted_copy_threads, PreparedDataset};
 
 /// Replaces a mask-selected subset of `values` with adversarial bit
@@ -70,8 +72,9 @@ proptest! {
     }
 
     /// The gap summary of an append-chain snapshot equals a fresh
-    /// summary over the concatenated column, bitwise — and `count_le`
-    /// equals the naive filter at every probed threshold.
+    /// summary over the concatenated column — and `count_le_pow2`
+    /// equals the naive filter at every `pow2` threshold, through its
+    /// saturation at both ends.
     #[test]
     fn gap_summary_matches_fresh_scan_over_append_chains(
         mut base in prop::collection::vec(-1e6f64..1e6, 1..48),
@@ -90,18 +93,18 @@ proptest! {
         let _ = warm.view().col(0).gap_summary();
         let next = warm.append(&[delta]);
 
+        let column = &next.columns()[0];
         let cached = next.view().col(0).gap_summary().expect("opt-in propagates");
-        let fresh = GapSummary::build(&next.columns()[0]);
-        assert_bits_equal(cached.sorted_gaps(), fresh.sorted_gaps(), "gaps");
-        prop_assert_eq!(cached.all_finite(), fresh.all_finite());
+        let fresh = GapSummary::build(column);
+        prop_assert_eq!(&*cached, &fresh);
 
-        for x in [-1.0, -0.0, 0.0, 1e-300, 0.5, 1e3, 1e300, f64::INFINITY, f64::NAN] {
-            let naive = fresh
-                .sorted_gaps()
-                .iter()
-                .filter(|&&g| g <= x)
-                .count();
-            prop_assert_eq!(cached.count_le(x), naive, "threshold {}", x);
+        let mut coins = child_rng(GAP_PAIRING_SALT, column.len() as u64);
+        let gaps = map_random_pairs(&mut coins, column, |a, b| (a - b).abs());
+        prop_assert_eq!(cached.pairs(), gaps.len());
+        for k in -1100..=1100 {
+            let x = pow2(k);
+            let naive = gaps.iter().filter(|&&g| g <= x).count();
+            prop_assert_eq!(cached.count_le_pow2(k), naive, "k {}", k);
         }
     }
 }

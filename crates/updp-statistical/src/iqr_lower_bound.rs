@@ -16,23 +16,19 @@
 //! `O(ε⁻¹·(log log(1/ϕ(1/16)) + log log IQR))` — the log-log terms in
 //! every statistical theorem come from here.
 //!
-//! The gap multiset `G` and its counting query `|{g ≤ x}|` are one
-//! structure, [`updp_empirical::gaps::GapSummary`], with two pairing
-//! sources: the mechanism's coins ([`pair_gaps`], bare views) or the
-//! snapshot itself (the cached summary of an opted-in view).
+//! The gap multiset `G` and its counting query `|{g ≤ 2ᵏ}|` are one
+//! structure, [`updp_empirical::gaps::GapSummary`]: per-octave counts,
+//! with two pairing sources: the mechanism's coins ([`pair_gaps`], bare
+//! views) or the snapshot itself (the cached summary of an opted-in
+//! view).
 
 use rand::Rng;
 use updp_core::error::{Result, UpdpError};
 use updp_core::privacy::Epsilon;
 use updp_core::svt::{sparse_vector, DEFAULT_SVT_CAP};
 pub use updp_empirical::gaps::pair_gaps;
+use updp_empirical::gaps::{pow2, GapSummary, SCALE_FLOOR};
 use updp_empirical::view::ColumnView;
-
-/// Floor for the returned scale: ~the smallest positive normal `f64`.
-/// Reaching it means the data is (privately indistinguishable from)
-/// having more than `3n′/16` exactly-coincident pairs; any smaller bucket
-/// would be meaningless at `f64` precision anyway.
-const SCALE_FLOOR: f64 = 1e-300;
 
 /// ε-DP lower bound on the IQR (Algorithm 7).
 ///
@@ -51,9 +47,10 @@ pub fn estimate_iqr_lower_bound<R: Rng + ?Sized>(
 ///
 /// The pair gaps come from the view's cached gap summary when it
 /// carries one (DESIGN.md §12.3, opt-in via
-/// `PreparedDataset::with_gap_summaries`): no per-call pairing, an O(1)
-/// finiteness check and O(log n) counting queries. Otherwise the
-/// records are paired with the mechanism's coins ([`pair_gaps`]). The
+/// `PreparedDataset::with_gap_summaries`): no per-call pairing and an
+/// O(1) finiteness check. Otherwise the records are paired with the
+/// mechanism's coins ([`pair_gaps`]). Either way every counting query
+/// is an O(1) lookup in the summary's per-octave counts. The
 /// two sources draw different coins, so they release different (equally
 /// valid) values; each is bit-reproducible per `(data, seed)`.
 pub fn estimate_iqr_lower_bound_view<R: Rng + ?Sized>(
@@ -80,20 +77,13 @@ pub fn estimate_iqr_lower_bound_view<R: Rng + ?Sized>(
         Some(summary) => summary,
         None => std::sync::Arc::new(pair_gaps(rng, view.data())),
     };
-    Ok(iqr_lb_search(rng, gaps.pairs(), epsilon, |x| {
-        gaps.count_le(x)
-    }))
+    Ok(iqr_lb_search(rng, &gaps, epsilon))
 }
 
 /// The two-SVT scale search of Algorithm 7 (lines 3–9) over the gap
-/// counting query `count_le(x) = |{g ≤ x}|`.
-fn iqr_lb_search<R: Rng + ?Sized>(
-    rng: &mut R,
-    pairs: usize,
-    epsilon: Epsilon,
-    count_le: impl Fn(f64) -> usize,
-) -> f64 {
-    let n_prime = pairs as f64;
+/// counting query `|{g ≤ pow2(k)}|`.
+fn iqr_lb_search<R: Rng + ?Sized>(rng: &mut R, gaps: &GapSummary, epsilon: Epsilon) -> f64 {
+    let n_prime = gaps.pairs() as f64;
     let threshold = 3.0 * n_prime / 16.0;
     let half = epsilon.scale(0.5);
 
@@ -103,7 +93,7 @@ fn iqr_lb_search<R: Rng + ?Sized>(
         rng,
         threshold,
         half,
-        |i| count_le(pow2(i as i32)) as f64,
+        |i| gaps.count_le_pow2(i as i32) as f64,
         DEFAULT_SVT_CAP,
     );
 
@@ -112,7 +102,7 @@ fn iqr_lb_search<R: Rng + ?Sized>(
         rng,
         -threshold,
         half,
-        |j| -(count_le(pow2(-(j as i32))) as f64),
+        |j| -(gaps.count_le_pow2(-(j as i32)) as f64),
         DEFAULT_SVT_CAP,
     );
 
@@ -123,17 +113,6 @@ fn iqr_lb_search<R: Rng + ?Sized>(
         pow2(-(down.index as i32))
     };
     result.max(SCALE_FLOOR)
-}
-
-/// `2^k` as `f64`, saturating to avoid 0/∞ surprises far out.
-fn pow2(k: i32) -> f64 {
-    if k > 1023 {
-        f64::MAX
-    } else if k < -1021 {
-        SCALE_FLOOR
-    } else {
-        2f64.powi(k)
-    }
 }
 
 /// Theorem 4.3's minimum sample size (with explicit constants `c₁ = c₂ =
@@ -159,15 +138,6 @@ mod tests {
 
     fn eps(v: f64) -> Epsilon {
         Epsilon::new(v).unwrap()
-    }
-
-    #[test]
-    fn pow2_saturates() {
-        assert_eq!(pow2(0), 1.0);
-        assert_eq!(pow2(3), 8.0);
-        assert_eq!(pow2(-2), 0.25);
-        assert_eq!(pow2(5000), f64::MAX);
-        assert_eq!(pow2(-5000), SCALE_FLOOR);
     }
 
     #[test]
@@ -260,7 +230,7 @@ mod tests {
     #[test]
     fn degenerate_identical_data_hits_floor() {
         // All points identical: every gap is 0; SVT#1 fires immediately
-        // (count = n′ ≥ T at x = 1? count_le(1) = n′ > 3n′/16, so the
+        // (count = n′ ≥ T at x = 1? count_le_pow2(0) = n′ > 3n′/16, so the
         // first query already fires → ĩ = 1 → descend), and the descent
         // never crosses, ending at the floor.
         let data = vec![3.25f64; 2000];

@@ -5,18 +5,21 @@
 //! `seq::index::sample` allocates a fresh `Vec<usize>` index pool of
 //! length `n` plus a fresh `Vec<f64>` for the values per call — two
 //! `O(n)` heap allocations per trial that dominate allocator traffic in
-//! many-trial experiments. This module keeps both buffers in
-//! thread-local scratch (safe under `updp_core::parallel`, which gives
-//! each worker thread its own locals) and replays **exactly** the same
-//! partial Fisher–Yates RNG draw sequence as
-//! `rand::seq::index::sample`, so subsamples — and therefore every
-//! downstream estimate — are bit-identical to the allocating path.
+//! many-trial experiments. This module keeps a `u32` index pool and the
+//! value buffer in thread-local scratch (safe under
+//! `updp_core::parallel`, which gives each worker thread its own
+//! locals) and runs the workspace's blocked Fisher–Yates kernel,
+//! [`updp_core::rng::partial_shuffle`], over it. The kernel replays
+//! **exactly** the draw sequence of `rand::seq::index::sample`, so
+//! subsamples — and therefore every downstream estimate — are
+//! bit-identical to the allocating path.
 
 use rand::Rng;
 use std::cell::RefCell;
+use updp_core::rng::{fill_identity, partial_shuffle, PoolIndex};
 
 thread_local! {
-    static SCRATCH: RefCell<(Vec<usize>, Vec<f64>)> =
+    static SCRATCH: RefCell<(Vec<u32>, Vec<f64>)> =
         const { RefCell::new((Vec::new(), Vec::new())) };
 }
 
@@ -35,25 +38,31 @@ where
     R: Rng + ?Sized,
     F: FnOnce(&mut R, &[f64]) -> T,
 {
-    let n = data.len();
-    assert!(m <= n, "cannot sample {m} indices from 0..{n}");
     SCRATCH.with(|cell| {
         let (pool, values) = &mut *cell.borrow_mut();
-        // Refill the index pool in place: O(n) writes, no allocation
-        // once the high-water capacity is reached.
-        pool.clear();
-        pool.extend(0..n);
-        // Partial Fisher–Yates with the identical draw sequence
-        // (`gen_range(i..n)` per position) as the vendored
-        // `seq::index::sample`.
-        for i in 0..m {
-            let j = rng.gen_range(i..n);
-            pool.swap(i, j);
+        if data.len() <= <u32 as PoolIndex>::MAX_LEN {
+            subsample_into(rng, pool, data, m, values);
+        } else {
+            subsample_into::<usize, R>(rng, &mut Vec::new(), data, m, values);
         }
-        values.clear();
-        values.extend(pool[..m].iter().map(|&i| data[i]));
         f(rng, values)
     })
+}
+
+/// Refills `pool` with `0..n` in place (no allocation once the
+/// high-water capacity is reached), partially shuffles its first `m`
+/// positions and gathers their values into `values`.
+fn subsample_into<I: PoolIndex, R: Rng + ?Sized>(
+    rng: &mut R,
+    pool: &mut Vec<I>,
+    data: &[f64],
+    m: usize,
+    values: &mut Vec<f64>,
+) {
+    fill_identity(pool, data.len());
+    partial_shuffle(rng, pool, m);
+    values.clear();
+    values.extend(pool[..m].iter().map(|&i| data[i.index()]));
 }
 
 #[cfg(test)]
@@ -82,6 +91,24 @@ mod tests {
             // The generator must be left in the identical state.
             assert_eq!(after_a, after_b, "m = {m}");
         }
+    }
+
+    #[test]
+    fn index_widths_draw_the_same_subsample() {
+        // Columns past u32::MAX rows subsample at usize width; forced
+        // here on a small column, it must equal the u32 draw.
+        let data: Vec<f64> = (0..300).map(|i| f64::from(i).cos()).collect();
+        let draw = |wide: bool| {
+            let mut rng = seeded(21);
+            let mut values = Vec::new();
+            if wide {
+                subsample_into::<usize, _>(&mut rng, &mut Vec::new(), &data, 130, &mut values);
+            } else {
+                subsample_into::<u32, _>(&mut rng, &mut Vec::new(), &data, 130, &mut values);
+            }
+            (values, rng.gen::<u64>())
+        };
+        assert_eq!(draw(true), draw(false));
     }
 
     #[test]
