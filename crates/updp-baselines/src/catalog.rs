@@ -2,10 +2,11 @@
 //! [`Estimator`] trait.
 //!
 //! Every baseline becomes a first-class, name-addressable estimator —
-//! servable over the wire, dispatchable by the experiment trial runner
-//! — with its required assumptions (`A1` = a-priori mean range, `A2` =
-//! variance/moment bounds, `A3` = distribution family) and its privacy
-//! guarantee carried as metadata. Each `estimate` implementation calls
+//! dispatchable by the experiment trial runner, and servable over the
+//! wire when its [`Privacy`] is pure ε-DP — with its required
+//! assumptions (`A1` = a-priori mean range, `A2` = variance/moment
+//! bounds, `A3` = distribution family) and its privacy guarantee
+//! carried as metadata. Each `estimate` implementation calls
 //! the module's free function with the **same arguments in the same
 //! order**, so trait dispatch is bit-identical to a direct call on the
 //! same seed (pinned by the workspace equivalence suite).
@@ -20,8 +21,8 @@
 //! value itself (\[DL09\]'s grid cell — post-processing of a DP output).
 //! They mirror each mechanism's own final-release noise scale, so
 //! hardening costs a constant factor, never a change of error regime.
-//! The non-private estimators report `0.0` (no meaningful scale;
-//! hardened consumers clamp to a floor).
+//! The non-private estimators report `0.0`: they are never served, so
+//! no hardened release reads it.
 
 use crate::bs19::bs19_trimmed_mean_view;
 use crate::coinpress::{coinpress_mean, coinpress_variance};
@@ -34,7 +35,7 @@ use rand::RngCore;
 use updp_core::error::{Result, UpdpError};
 use updp_core::privacy::Delta;
 use updp_statistical::estimator::{
-    check_declared, scalar_column, DataView, EstimateParams, Estimator, ParamSpec, Release,
+    check_declared, scalar_column, DataView, EstimateParams, Estimator, ParamSpec, Privacy, Release,
 };
 
 /// Validates an f64-encoded positive integer parameter (`steps`, `k`).
@@ -335,8 +336,8 @@ impl Estimator for Bs19TrimmedMean {
         "mean"
     }
 
-    fn privacy(&self) -> &'static str {
-        "ε-DP-flavored (smooth sensitivity + Laplace)"
+    fn privacy(&self) -> Privacy {
+        Privacy::ApproxDp
     }
 
     fn assumptions(&self) -> &'static [&'static str] {
@@ -381,8 +382,8 @@ impl Estimator for Dl09Iqr {
         "iqr"
     }
 
-    fn privacy(&self) -> &'static str {
-        "(ε, δ)-DP"
+    fn privacy(&self) -> Privacy {
+        Privacy::ApproxDp
     }
 
     fn params(&self) -> &'static [ParamSpec] {
@@ -471,8 +472,8 @@ impl Estimator for NonPrivateMean {
         "mean"
     }
 
-    fn privacy(&self) -> &'static str {
-        "none"
+    fn privacy(&self) -> Privacy {
+        Privacy::NonPrivate
     }
 
     fn estimate(
@@ -499,8 +500,8 @@ impl Estimator for NonPrivateVariance {
         "variance"
     }
 
-    fn privacy(&self) -> &'static str {
-        "none"
+    fn privacy(&self) -> Privacy {
+        Privacy::NonPrivate
     }
 
     fn estimate(
@@ -527,8 +528,8 @@ impl Estimator for NonPrivateIqr {
         "iqr"
     }
 
-    fn privacy(&self) -> &'static str {
-        "none"
+    fn privacy(&self) -> Privacy {
+        Privacy::NonPrivate
     }
 
     fn estimate(
@@ -585,11 +586,25 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), 11, "duplicate estimator names");
+        let mut not_pure: Vec<&str> = Vec::new();
         for est in &catalog {
             assert!(!est.statistic().is_empty());
-            assert!(!est.privacy().is_empty());
             assert!(!est.multi_column(), "all baselines are scalar");
+            if est.privacy() != Privacy::PureDp {
+                not_pure.push(est.name());
+            }
         }
+        not_pure.sort_unstable();
+        assert_eq!(
+            not_pure,
+            [
+                "bs19",
+                "dl09",
+                "nonprivate",
+                "nonprivate_iqr",
+                "nonprivate_variance"
+            ]
+        );
     }
 
     #[test]

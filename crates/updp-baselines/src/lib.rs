@@ -4,15 +4,19 @@
 //! the original constructions (with pure-DP noise substitutions recorded
 //! in DESIGN.md where the originals use CDP/zCDP):
 //!
-//! | Module | Prior work | Assumptions | Privacy |
-//! |---|---|---|---|
-//! | [`nonprivate`] | textbook estimators | — | none |
-//! | [`naive_clip`] | folklore clipped Laplace | A1 | ε-DP |
-//! | [`kv18`] | Karwa–Vadhan histograms | A1, A2, A3 | ε-DP |
-//! | [`coinpress`] | KLSU19/BDKU20 iterative | A1, A2 | ε-DP (Laplace variant) |
-//! | [`ksu20`] | heavy-tailed truncated mean | A1, A2 | ε-DP |
-//! | [`bs19`] | trimmed mean, smooth sensitivity | A1 | ε-DP-flavored (see module docs) |
-//! | [`dl09`] | propose-test-release IQR | none (universal!) | **(ε, δ)-DP only** |
+//! | Module | Prior work | Assumptions | Privacy | Served |
+//! |---|---|---|---|---|
+//! | [`nonprivate`] | textbook estimators | — | none | no |
+//! | [`naive_clip`] | folklore clipped Laplace | A1 | ε-DP | yes |
+//! | [`kv18`] | Karwa–Vadhan histograms | A1, A2, A3 | ε-DP | yes |
+//! | [`coinpress`] | KLSU19/BDKU20 iterative | A1, A2 | ε-DP (Laplace variant) | yes |
+//! | [`ksu20`] | heavy-tailed truncated mean | A1, A2 | ε-DP | yes |
+//! | [`bs19`] | trimmed mean, smooth sensitivity | A1 | (ε, δ)-DP (see module docs) | no |
+//! | [`dl09`] | propose-test-release IQR | none (universal!) | **(ε, δ)-DP only** | no |
+//!
+//! "Served" means `updp-serve`'s catalog lists it: that catalog admits
+//! only [`Privacy::PureDp`](updp_statistical::Privacy::PureDp)
+//! estimators, because its budget ledger sums ε and has no δ.
 //!
 //! The experiments in `updp-experiments` run each of these against the
 //! universal estimators on workloads that satisfy — and that violate —

@@ -9,7 +9,7 @@
 //!   flush    NAME
 //!   drop     NAME
 //!   list
-//!   query    NAME --seed S [--raw] [--mean E] [--variance E]
+//!   query    NAME --seed S [--mean E] [--variance E]
 //!            [--quantile Q:E] [--iqr E] [--multi-mean E]
 //!            [--estimator NAME:E]... [--param k=v]...
 //!   estimators
@@ -146,7 +146,6 @@ fn main() {
             let seed = args
                 .f64_value("--seed")
                 .unwrap_or_else(|| die("query needs --seed")) as u64;
-            let raw = args.flag("--raw");
             let mut queries: Vec<(&str, f64, Option<f64>)> = Vec::new();
             if let Some(eps) = args.f64_value("--mean") {
                 queries.push(("mean", eps, None));
@@ -198,7 +197,7 @@ fn main() {
             }
             args.finish();
             if named.is_empty() {
-                connection.query(&query_body(&name, seed, raw, &queries))
+                connection.query(&query_body(&name, seed, false, &queries))
             } else {
                 if !queries.is_empty() {
                     die("mix of kind flags and --estimator is not supported; use --estimator for all");
@@ -211,7 +210,7 @@ fn main() {
                         params: params.iter().map(|(k, v)| (k.as_str(), *v)).collect(),
                     })
                     .collect();
-                connection.query(&query_body_named(&name, seed, raw, &named))
+                connection.query(&query_body_named(&name, seed, &named))
             }
         }
         "estimators" => {

@@ -153,7 +153,9 @@ impl Connection {
 }
 
 /// Builds a single-dataset query body (the shape `serve-client` and
-/// the benchmark driver send).
+/// the benchmark driver send). `raw` is sent as the body's `"raw"`
+/// field, which the server accepts only as `false`: every release is
+/// snapped, and `"raw": true` is answered with a 400 `bad_request`.
 pub fn query_body(
     dataset: &str,
     seed: u64,
@@ -192,7 +194,7 @@ pub struct NamedQuery<'a> {
 
 /// Builds a query body addressing estimators by catalog name with
 /// per-query `params` objects (the general wire shape).
-pub fn query_body_named(dataset: &str, seed: u64, raw: bool, queries: &[NamedQuery<'_>]) -> String {
+pub fn query_body_named(dataset: &str, seed: u64, queries: &[NamedQuery<'_>]) -> String {
     let queries = queries
         .iter()
         .map(|query| {
@@ -218,7 +220,6 @@ pub fn query_body_named(dataset: &str, seed: u64, raw: bool, queries: &[NamedQue
     JsonValue::object(vec![
         ("dataset", dataset.into()),
         ("seed", (seed as f64).into()),
-        ("raw", raw.into()),
         ("queries", JsonValue::Array(queries)),
     ])
     .to_compact()

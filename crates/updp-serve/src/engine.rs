@@ -1,20 +1,20 @@
-//! The query engine: budgeted, deterministic, optionally hardened —
-//! dispatching any registered estimator **by name**.
+//! The query engine: budgeted, deterministic, hardened — dispatching
+//! any served estimator **by name**.
 //!
 //! A batch request is a list of independent queries against one
 //! dataset plus a client seed. Each query names an estimator from the
-//! [`EstimatorCatalog`] — the five universal estimators *and* every
-//! Table 1 baseline (`"kv18"`, `"dl09"`, …, with their required
-//! assumptions echoed back in the response). Execution is three
-//! deterministic phases:
+//! [`EstimatorCatalog`]: the five universal estimators and the six
+//! pure ε-DP Table 1 baselines (`"kv18"`, `"coinpress"`, …, with their
+//! required assumptions echoed back in the response). Execution is
+//! three deterministic phases:
 //!
 //! 1. **Validate + Reserve** — estimator names are resolved and their
-//!    parameters validated *before any budget moves*; then, in query
-//!    order, each query's nominal ε is atomically reserved in the
-//!    [`crate::ledger::Ledger`]; refusals are recorded and those
-//!    queries never execute. Sequential reservation makes the refusal
-//!    pattern a pure function of the ledger state and the request,
-//!    independent of thread scheduling.
+//!    parameters and the clamp bound validated *before any budget
+//!    moves*; then, in query order, each query's nominal ε is
+//!    atomically reserved in the [`crate::ledger::Ledger`]; refusals
+//!    are recorded and those queries never execute. Sequential
+//!    reservation makes the refusal pattern a pure function of the
+//!    ledger state and the request, independent of thread scheduling.
 //! 2. **Execute** — granted queries run concurrently through
 //!    [`updp_core::parallel::par_map_indexed`] against one
 //!    [`PreparedDataset`](updp_statistical::PreparedDataset) snapshot
@@ -23,19 +23,19 @@
 //!    derives its generator with `child_rng(request_seed, i)`
 //!    (DESIGN.md §1.1), so the response is bit-reproducible for a
 //!    given seed at any thread count.
-//! 3. **Settle** — in query order, hardened releases charge their
-//!    snapping ε inflation as a top-up (it depends on the privately
-//!    derived noise scale, so it is only known post-execution). A
-//!    failed top-up converts the result into a refusal.
+//! 3. **Settle** — in query order, each release charges its snapping
+//!    ε inflation as a top-up (it depends on the privately derived
+//!    noise scale, so it is only known post-execution). A failed
+//!    top-up converts the result into a refusal.
 //!
-//! **Hardened release mode** (on by default; `"raw": true` opts out
-//! for experiment parity) routes every scalar release through
-//! [`updp_core::snapping::snapped_laplace_mechanism`]: the estimator
-//! runs at `0.9·ε`, the remaining `0.1·ε` pays for the snapped
-//! re-release whose sensitivity proxy is the estimator's own
-//! [`Release::sensitivities`] entry (a privately derived or
-//! public-parameter scale — see the trait docs), and the ledger is
-//! debited `0.9·ε + 0.1·ε·(1 + inflation)` per DESIGN.md §1.3/§6.
+//! **Every release is hardened**: each scalar goes through
+//! [`updp_core::snapping::snapped_laplace_mechanism`] (Mironov, CCS
+//! 2012). The estimator runs at `0.9·ε`, the remaining `0.1·ε` pays
+//! for the snapped re-release whose sensitivity proxy is the
+//! estimator's own [`Release::sensitivities`] entry (a privately
+//! derived or public-parameter scale — see the trait docs), and the
+//! ledger is debited `0.9·ε + 0.1·ε·(1 + inflation)` per DESIGN.md
+//! §1.3/§6.
 
 use crate::ledger::{Grant, Ledger, LedgerError, Refusal};
 use crate::registry::Dataset;
@@ -45,19 +45,21 @@ use updp_core::privacy::Epsilon;
 use updp_core::rng::child_rng;
 use updp_core::snapping::{snapped_laplace_mechanism, snapping_epsilon_inflation, snapping_lambda};
 use updp_core::UpdpError;
-use updp_statistical::{EstimateParams, Estimator, Release, DEFAULT_BETA};
+use updp_statistical::{EstimateParams, Estimator, Privacy, Release, DEFAULT_BETA};
 
-/// Budget share driving the underlying estimator in hardened mode.
+/// Budget share driving the underlying estimator.
 pub const ESTIMATOR_SHARE: f64 = 0.9;
-/// Budget share paying for the snapped release in hardened mode.
+/// Budget share paying for the snapped release.
 pub const RELEASE_SHARE: f64 = 1.0 - ESTIMATOR_SHARE;
 
-/// Default clamp bound `B` for hardened releases (DESIGN.md §6);
-/// requests may override it per batch.
+/// Default clamp bound `B` for releases (DESIGN.md §6); requests may
+/// override it per batch.
 pub const DEFAULT_BOUND: f64 = 1e9;
 
-/// The name-keyed estimator registry served by the engine: the five
-/// universal estimators plus every `updp-baselines` comparator.
+/// The name-keyed estimator registry served by the engine: every
+/// [`Privacy::PureDp`] estimator — the five universal ones plus the
+/// pure ε-DP `updp-baselines` comparators. The ledger sums ε under
+/// basic composition, which accounts for nothing weaker.
 pub struct EstimatorCatalog {
     by_name: HashMap<&'static str, Box<dyn Estimator>>,
 }
@@ -77,12 +79,14 @@ impl Default for EstimatorCatalog {
 }
 
 impl EstimatorCatalog {
-    /// The full standard catalog (universal + baselines).
+    /// The standard catalog: every pure ε-DP universal and baseline
+    /// estimator (11 names).
     pub fn standard() -> Self {
         let mut by_name: HashMap<&'static str, Box<dyn Estimator>> = HashMap::new();
         for est in updp_statistical::universal_estimators()
             .into_iter()
             .chain(updp_baselines::baseline_estimators())
+            .filter(|est| est.privacy() == Privacy::PureDp)
         {
             let previous = by_name.insert(est.name(), est);
             debug_assert!(previous.is_none(), "duplicate estimator name");
@@ -122,8 +126,8 @@ impl EstimatorCatalog {
 pub struct QuerySpec {
     /// The estimator's registry name (`"mean"`, `"kv18"`, …).
     pub estimator: String,
-    /// Nominal ε this query spends (hardened mode adds the snapping
-    /// inflation on top).
+    /// Nominal ε this query spends (the snapping inflation is charged
+    /// on top).
     pub epsilon: f64,
     /// Estimator-specific parameters (quantile level `q`, assumed
     /// range `r`, …) as declared by the estimator's `ParamSpec`s.
@@ -147,46 +151,41 @@ impl QuerySpec {
     }
 }
 
-/// How released values leave the server.
+/// How released values leave the server: snapped-Laplace hardened
+/// releases (Mironov, CCS 2012), the only mode.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ReleaseMode {
-    /// Default: snapped-Laplace hardened release (Mironov, CCS 2012).
+    /// Snapped release clamped to `[-bound, bound]`.
     Hardened {
-        /// Clamp bound `B`: releases land in `[-B, B]`.
+        /// Clamp bound `B`: finite and positive, else the batch fails
+        /// with [`EngineError::BadQuery`] before any budget moves.
         bound: f64,
     },
-    /// Experiment-parity opt-out: the estimator output verbatim.
-    Raw,
 }
 
-/// The release metadata attached to a successful result.
+/// The snapping metadata attached to a successful result: one grid
+/// width `Λ` per released scalar.
 #[derive(Debug, Clone, PartialEq)]
-pub enum ReleaseInfo {
-    /// Raw mode: no snapping.
-    Raw,
-    /// Hardened mode: one grid width `Λ` per released scalar.
-    Snapped {
-        /// Grid widths — every released value is a multiple of its Λ.
-        lambdas: Vec<f64>,
-        /// The clamp bound in effect.
-        bound: f64,
-        /// Total ε inflation charged on top of the nominal ε.
-        inflation: f64,
-    },
+pub struct ReleaseInfo {
+    /// Grid widths — every released value is a multiple of its Λ.
+    pub lambdas: Vec<f64>,
+    /// The clamp bound in effect.
+    pub bound: f64,
+    /// Total ε inflation charged on top of the nominal ε.
+    pub inflation: f64,
 }
 
 /// Outcome of one query in a batch.
 #[derive(Debug, Clone, PartialEq)]
 pub enum QueryOutcome {
-    /// The query ran and released values.
+    /// The query ran and released values (pure ε-DP, like every
+    /// served estimator).
     Released {
         /// The estimator's registry name.
         kind: &'static str,
         /// Table 1 assumptions the estimator's utility requires
         /// (echoed to the client; empty for universal estimators).
         assumptions: &'static [&'static str],
-        /// The privacy guarantee the values carry.
-        privacy: &'static str,
         /// Released value(s) — one entry, except `multi-mean`.
         values: Vec<f64>,
         /// Total ε debited from the ledger for this query.
@@ -284,8 +283,8 @@ fn validate_spec(
     Ok(())
 }
 
-/// Builds the `EstimateParams` for a spec at an effective ε (the full
-/// nominal ε in raw mode, `0.9·ε` in hardened mode).
+/// Builds the `EstimateParams` for a spec at an effective ε (the
+/// nominal ε in validation, `ESTIMATOR_SHARE·ε` in execution).
 fn query_params(spec: &QuerySpec, effective_epsilon: f64) -> Result<EstimateParams, UpdpError> {
     let mut params = EstimateParams::new(Epsilon::new(effective_epsilon)?).with_beta(DEFAULT_BETA);
     for (name, value) in &spec.options {
@@ -324,6 +323,12 @@ pub(crate) fn execute_batch_observed(
     mode: ReleaseMode,
     obs: Option<&crate::metrics::ServeMetrics>,
 ) -> Result<Vec<QueryOutcome>, EngineError> {
+    let ReleaseMode::Hardened { bound } = mode;
+    if !(bound.is_finite() && bound > 0.0) {
+        return Err(EngineError::BadQuery(format!(
+            "bound must be finite and positive, got {bound}"
+        )));
+    }
     for spec in specs {
         validate_spec(catalog, spec, dataset.dim)?;
     }
@@ -357,7 +362,7 @@ pub(crate) fn execute_batch_observed(
         // only, never the estimate.
         let started = obs.map(|_| std::time::Instant::now());
         let result =
-            run_query(&grant, i, &view, estimators[i], &specs[i], mode, seed).transpose()?;
+            run_query(&grant, i, &view, estimators[i], &specs[i], bound, seed).transpose()?;
         if let (Some(obs), Some(started)) = (obs, started) {
             obs.record_engine_query(estimators[i].name(), started.elapsed().as_micros() as u64);
         }
@@ -371,7 +376,9 @@ pub(crate) fn execute_batch_observed(
     let inflations: Vec<f64> = executed
         .iter()
         .filter_map(|e| match e {
-            Some(Ok(execution)) if execution.inflation() > 0.0 => Some(execution.inflation()),
+            Some(Ok(execution)) if execution.release.inflation > 0.0 => {
+                Some(execution.release.inflation)
+            }
             _ => None,
         })
         .collect();
@@ -391,7 +398,8 @@ pub(crate) fn execute_batch_observed(
                 refusal: *refusal,
             },
             (Ok(_), Some(Ok(execution))) => {
-                let topup = if execution.inflation() > 0.0 {
+                let inflation = execution.release.inflation;
+                let topup = if inflation > 0.0 {
                     topups.next().expect("one top-up per inflated query").err()
                 } else {
                     None
@@ -400,16 +408,15 @@ pub(crate) fn execute_batch_observed(
                     Some(refusal) => QueryOutcome::Refused { kind, refusal },
                     None => {
                         if let Some(obs) = obs {
-                            if execution.inflation() > 0.0 {
-                                obs.record_engine_inflation(kind, execution.inflation());
+                            if inflation > 0.0 {
+                                obs.record_engine_inflation(kind, inflation);
                             }
                         }
                         QueryOutcome::Released {
                             kind,
                             assumptions: estimators[i].assumptions(),
-                            privacy: estimators[i].privacy(),
                             values: execution.values.clone(),
-                            epsilon_charged: spec.epsilon + execution.inflation(),
+                            epsilon_charged: spec.epsilon + inflation,
                             release: execution.release.clone(),
                         }
                     }
@@ -432,19 +439,6 @@ struct Execution {
     release: ReleaseInfo,
 }
 
-impl Execution {
-    fn inflation(&self) -> f64 {
-        match &self.release {
-            ReleaseInfo::Raw => 0.0,
-            ReleaseInfo::Snapped { inflation, .. } => *inflation,
-        }
-    }
-}
-
-fn eps(v: f64) -> Result<Epsilon, UpdpError> {
-    Epsilon::new(v)
-}
-
 /// Runs query `i` of a batch through the estimator trait, or returns
 /// `Ok(None)` when `grant` refused it. This is the crate's one call of
 /// `Estimator::estimate` (R9 in DESIGN.md §9): the `Grant` is proof
@@ -452,8 +446,7 @@ fn eps(v: f64) -> Result<Epsilon, UpdpError> {
 /// The query's generator is `child_rng(seed, i)`, so the response is
 /// bit-reproducible for a given seed at any thread count.
 ///
-/// In hardened mode the estimator runs at `ESTIMATOR_SHARE·ε` and each
-/// released scalar is re-released through the snapping mechanism at
+/// The estimator runs at `ESTIMATOR_SHARE·ε` and each released scalar is re-released through the snapping mechanism at
 /// its share of `RELEASE_SHARE·ε`, noised at the estimator's own
 /// [`Release::sensitivities`] proxy (a privately-released or
 /// public-parameter scale, so reusing it is post-processing).
@@ -467,55 +460,41 @@ fn run_query(
     view: &updp_statistical::DataView<'_>,
     estimator: &dyn Estimator,
     spec: &QuerySpec,
-    mode: ReleaseMode,
+    bound: f64,
     seed: u64,
 ) -> Result<Option<Execution>, UpdpError> {
     let Some(Ok(_)) = grant.get(i) else {
         return Ok(None);
     };
     let mut rng = child_rng(seed, i as u64);
-    let (est_eps, rel_eps) = match mode {
-        ReleaseMode::Raw => (spec.epsilon, 0.0),
-        ReleaseMode::Hardened { .. } => {
-            (spec.epsilon * ESTIMATOR_SHARE, spec.epsilon * RELEASE_SHARE)
-        }
-    };
-    let params = query_params(spec, est_eps)?;
+    let params = query_params(spec, spec.epsilon * ESTIMATOR_SHARE)?;
     let released: Release = estimator.estimate(&mut rng, view, &params)?;
 
-    match mode {
-        ReleaseMode::Raw => Ok(Some(Execution {
-            values: released.values,
-            release: ReleaseInfo::Raw,
-        })),
-        ReleaseMode::Hardened { bound } => {
-            let per_scalar = eps(rel_eps / released.values.len() as f64)?;
-            let mut values = Vec::with_capacity(released.values.len());
-            let mut lambdas = Vec::with_capacity(released.values.len());
-            let mut inflation = 0.0;
-            for (&value, &sensitivity) in released.values.iter().zip(&released.sensitivities) {
-                let sensitivity = sensitivity.max(f64::MIN_POSITIVE);
-                let scale = sensitivity / per_scalar.get();
-                values.push(snapped_laplace_mechanism(
-                    &mut rng,
-                    value,
-                    sensitivity,
-                    per_scalar,
-                    bound,
-                )?);
-                lambdas.push(snapping_lambda(scale));
-                inflation += per_scalar.get() * snapping_epsilon_inflation(scale, bound);
-            }
-            Ok(Some(Execution {
-                values,
-                release: ReleaseInfo::Snapped {
-                    lambdas,
-                    bound,
-                    inflation,
-                },
-            }))
-        }
+    let per_scalar = Epsilon::new(spec.epsilon * RELEASE_SHARE / released.values.len() as f64)?;
+    let mut values = Vec::with_capacity(released.values.len());
+    let mut lambdas = Vec::with_capacity(released.values.len());
+    let mut inflation = 0.0;
+    for (&value, &sensitivity) in released.values.iter().zip(&released.sensitivities) {
+        let sensitivity = sensitivity.max(f64::MIN_POSITIVE);
+        let scale = sensitivity / per_scalar.get();
+        values.push(snapped_laplace_mechanism(
+            &mut rng,
+            value,
+            sensitivity,
+            per_scalar,
+            bound,
+        )?);
+        lambdas.push(snapping_lambda(scale));
+        inflation += per_scalar.get() * snapping_epsilon_inflation(scale, bound);
     }
+    Ok(Some(Execution {
+        values,
+        release: ReleaseInfo {
+            lambdas,
+            bound,
+            inflation,
+        },
+    }))
 }
 
 #[cfg(test)]
@@ -526,10 +505,12 @@ mod tests {
     use super::*;
     use crate::registry::Registry;
     use rand::Rng;
-    use updp_core::privacy::Delta;
     use updp_core::rng::{child_seed, seeded};
     use updp_dist::{ContinuousDistribution, Gaussian};
-    use updp_statistical::estimate_mean;
+
+    const HARDENED: ReleaseMode = ReleaseMode::Hardened {
+        bound: DEFAULT_BOUND,
+    };
 
     fn catalog() -> EstimatorCatalog {
         EstimatorCatalog::standard()
@@ -558,14 +539,11 @@ mod tests {
         let (registry, ledger) = gaussian_registry(4_000);
         let dataset = registry.get("g").unwrap();
         let catalog = catalog();
-        let mode = ReleaseMode::Hardened {
-            bound: DEFAULT_BOUND,
-        };
-        let a = execute_batch(&dataset, &catalog, &ledger, &batch(), 7, mode).unwrap();
-        let b = execute_batch(&dataset, &catalog, &ledger, &batch(), 7, mode).unwrap();
+        let a = execute_batch(&dataset, &catalog, &ledger, &batch(), 7, HARDENED).unwrap();
+        let b = execute_batch(&dataset, &catalog, &ledger, &batch(), 7, HARDENED).unwrap();
         assert_eq!(a, b);
         // And a different seed produces different draws.
-        let c = execute_batch(&dataset, &catalog, &ledger, &batch(), 8, mode).unwrap();
+        let c = execute_batch(&dataset, &catalog, &ledger, &batch(), 8, HARDENED).unwrap();
         assert_ne!(a, c);
     }
 
@@ -576,8 +554,7 @@ mod tests {
         let catalog = catalog();
         let run = |threads: &str| {
             std::env::set_var(updp_core::parallel::THREADS_ENV, threads);
-            let out =
-                execute_batch(&dataset, &catalog, &ledger, &batch(), 7, ReleaseMode::Raw).unwrap();
+            let out = execute_batch(&dataset, &catalog, &ledger, &batch(), 7, HARDENED).unwrap();
             std::env::remove_var(updp_core::parallel::THREADS_ENV);
             out
         };
@@ -590,17 +567,7 @@ mod tests {
         let dataset = registry.get("g").unwrap();
         let catalog = catalog();
         let spent_before = ledger.account("g").unwrap().spent;
-        let outcomes = execute_batch(
-            &dataset,
-            &catalog,
-            &ledger,
-            &batch(),
-            3,
-            ReleaseMode::Hardened {
-                bound: DEFAULT_BOUND,
-            },
-        )
-        .unwrap();
+        let outcomes = execute_batch(&dataset, &catalog, &ledger, &batch(), 3, HARDENED).unwrap();
         let mut nominal = 0.0;
         for (outcome, spec) in outcomes.iter().zip(batch()) {
             nominal += spec.epsilon;
@@ -609,7 +576,7 @@ mod tests {
                     values,
                     epsilon_charged,
                     release:
-                        ReleaseInfo::Snapped {
+                        ReleaseInfo {
                             lambdas, inflation, ..
                         },
                     ..
@@ -634,35 +601,47 @@ mod tests {
     }
 
     #[test]
-    fn raw_mode_matches_the_bare_estimator() {
-        let (registry, ledger) = gaussian_registry(4_000);
+    fn catalog_serves_exactly_the_pure_dp_estimators() {
+        let catalog = catalog();
+        assert_eq!(
+            catalog.names(),
+            [
+                "coinpress",
+                "coinpress_variance",
+                "iqr",
+                "ksu20",
+                "kv18",
+                "kv18_variance",
+                "mean",
+                "multi-mean",
+                "naive_clip",
+                "quantile",
+                "variance",
+            ]
+        );
+        for est in catalog.iter() {
+            assert_eq!(est.privacy(), Privacy::PureDp, "{}", est.name());
+        }
+    }
+
+    #[test]
+    fn invalid_bound_is_a_pre_budget_bad_query() {
+        let (registry, ledger) = gaussian_registry(1_000);
         let dataset = registry.get("g").unwrap();
         let catalog = catalog();
-        let specs = vec![QuerySpec::new("mean", 0.5)];
-        let out = execute_batch(&dataset, &catalog, &ledger, &specs, 11, ReleaseMode::Raw).unwrap();
-        let mut rng = seeded(child_seed(11, 0));
-        let direct = estimate_mean(
-            &mut rng,
-            &dataset.snapshot().unwrap().columns()[0],
-            Epsilon::new(0.5).unwrap(),
-            DEFAULT_BETA,
-        )
-        .unwrap();
-        match &out[0] {
-            QueryOutcome::Released {
-                values,
-                epsilon_charged,
-                release,
-                assumptions,
-                ..
-            } => {
-                assert_eq!(values[0].to_bits(), direct.estimate.to_bits());
-                assert_eq!(*epsilon_charged, 0.5);
-                assert_eq!(*release, ReleaseInfo::Raw);
-                assert!(assumptions.is_empty());
-            }
-            other => panic!("{other:?}"),
+        for bound in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let err = execute_batch(
+                &dataset,
+                &catalog,
+                &ledger,
+                &batch(),
+                1,
+                ReleaseMode::Hardened { bound },
+            )
+            .unwrap_err();
+            assert!(matches!(err, EngineError::BadQuery(_)), "{bound}: {err:?}");
         }
+        assert_eq!(ledger.account("g").unwrap().spent, 0.0);
     }
 
     #[test]
@@ -676,21 +655,37 @@ mod tests {
                 .with("sigma_min", 0.1)
                 .with("sigma_max", 100.0),
             QuerySpec::new("naive_clip", 0.5).with("r", 1000.0),
-            QuerySpec::new("dl09", 0.5),
-            QuerySpec::new("nonprivate", 0.5),
         ];
-        let out = execute_batch(&dataset, &catalog, &ledger, &specs, 21, ReleaseMode::Raw).unwrap();
+        let out = execute_batch(&dataset, &catalog, &ledger, &specs, 21, HARDENED).unwrap();
 
-        // kv18 value matches the direct free function on the same
-        // child seed, and carries its Table 1 assumptions.
-        let mut rng = seeded(child_seed(21, 0));
+        // kv18's served value is the direct free function at
+        // ESTIMATOR_SHARE·ε on query 0's child stream, snapped with the
+        // same stream at RELEASE_SHARE·ε and the trait's sensitivity
+        // proxy; it carries its Table 1 assumptions.
+        let snapshot = dataset.snapshot().unwrap();
+        let params = query_params(&specs[0], 0.5 * ESTIMATOR_SHARE).unwrap();
+        let mut rng = child_rng(21, 0);
+        let released = catalog
+            .get("kv18")
+            .unwrap()
+            .estimate(&mut rng, &snapshot.view(), &params)
+            .unwrap();
         let direct = updp_baselines::kv18_gaussian_mean(
-            &mut rng,
-            &dataset.snapshot().unwrap().columns()[0],
+            &mut seeded(child_seed(21, 0)),
+            &snapshot.columns()[0],
             1000.0,
             0.1,
             100.0,
-            Epsilon::new(0.5).unwrap(),
+            Epsilon::new(0.5 * ESTIMATOR_SHARE).unwrap(),
+        )
+        .unwrap();
+        assert_eq!(released.primary().to_bits(), direct.to_bits());
+        let expected = snapped_laplace_mechanism(
+            &mut rng,
+            direct,
+            released.sensitivities[0],
+            Epsilon::new(0.5 * RELEASE_SHARE).unwrap(),
+            DEFAULT_BOUND,
         )
         .unwrap();
         match &out[0] {
@@ -698,25 +693,21 @@ mod tests {
                 kind,
                 values,
                 assumptions,
-                privacy,
                 ..
             } => {
                 assert_eq!(*kind, "kv18");
-                assert_eq!(values[0].to_bits(), direct.to_bits());
+                assert_eq!(values[0].to_bits(), expected.to_bits());
                 assert_eq!(*assumptions, &["A1", "A2", "A3"]);
-                assert_eq!(*privacy, "ε-DP");
             }
             other => panic!("{other:?}"),
         }
-        match &out[2] {
-            QueryOutcome::Released { privacy, .. } => assert_eq!(*privacy, "(ε, δ)-DP"),
-            // DL09's PTR may legitimately refuse on stability; that
-            // surfaces as Failed, not a panic.
-            QueryOutcome::Failed { message, .. } => assert!(message.contains("DL09")),
-            other => panic!("{other:?}"),
-        }
-        match &out[3] {
-            QueryOutcome::Released { privacy, .. } => assert_eq!(*privacy, "none"),
+        match &out[1] {
+            QueryOutcome::Released {
+                kind, assumptions, ..
+            } => {
+                assert_eq!(*kind, "naive_clip");
+                assert_eq!(*assumptions, &["A1"]);
+            }
             other => panic!("{other:?}"),
         }
     }
@@ -726,16 +717,25 @@ mod tests {
         let (registry, ledger) = gaussian_registry(1_000);
         let dataset = registry.get("g").unwrap();
         let catalog = catalog();
-        let specs = vec![QuerySpec::new("mode", 0.5)];
-        let err =
-            execute_batch(&dataset, &catalog, &ledger, &specs, 1, ReleaseMode::Raw).unwrap_err();
-        match &err {
-            EngineError::UnknownEstimator { name, known } => {
-                assert_eq!(name, "mode");
-                assert!(known.contains(&"kv18"));
-                assert!(known.contains(&"mean"));
+        // Exact statistics and (ε, δ)-DP baselines are not served.
+        for unknown in [
+            "mode",
+            "nonprivate",
+            "nonprivate_variance",
+            "nonprivate_iqr",
+            "dl09",
+            "bs19",
+        ] {
+            let specs = vec![QuerySpec::new(unknown, 0.5).with("r", 1000.0)];
+            let err = execute_batch(&dataset, &catalog, &ledger, &specs, 1, HARDENED).unwrap_err();
+            match &err {
+                EngineError::UnknownEstimator { name, known } => {
+                    assert_eq!(name, unknown);
+                    assert!(known.contains(&"kv18"));
+                    assert!(known.contains(&"mean"));
+                }
+                other => panic!("{other:?}"),
             }
-            other => panic!("{other:?}"),
         }
         // No budget moved.
         assert_eq!(ledger.account("g").unwrap().spent, 0.0);
@@ -747,8 +747,7 @@ mod tests {
         let dataset = registry.get("g").unwrap();
         let catalog = catalog();
         let specs = vec![QuerySpec::new("kv18", 0.5)];
-        let err =
-            execute_batch(&dataset, &catalog, &ledger, &specs, 1, ReleaseMode::Raw).unwrap_err();
+        let err = execute_batch(&dataset, &catalog, &ledger, &specs, 1, HARDENED).unwrap_err();
         assert!(matches!(err, EngineError::BadQuery(_)), "{err:?}");
         assert_eq!(ledger.account("g").unwrap().spent, 0.0);
     }
@@ -760,8 +759,7 @@ mod tests {
         let catalog = catalog();
         let ledger = Ledger::in_memory();
         ledger.register("g", 1.2).unwrap();
-        let outcomes =
-            execute_batch(&dataset, &catalog, &ledger, &batch(), 5, ReleaseMode::Raw).unwrap();
+        let outcomes = execute_batch(&dataset, &catalog, &ledger, &batch(), 5, HARDENED).unwrap();
         assert!(matches!(outcomes[0], QueryOutcome::Released { .. }));
         assert!(matches!(outcomes[1], QueryOutcome::Released { .. }));
         match &outcomes[2] {
@@ -789,8 +787,7 @@ mod tests {
         // Both the historical wire name and the underscore alias work.
         for name in ["multi-mean", "multi_mean"] {
             let specs = vec![QuerySpec::new(name, 2.0)];
-            let out =
-                execute_batch(&dataset, &catalog, &ledger, &specs, 1, ReleaseMode::Raw).unwrap();
+            let out = execute_batch(&dataset, &catalog, &ledger, &specs, 1, HARDENED).unwrap();
             match &out[0] {
                 QueryOutcome::Released { values, kind, .. } => {
                     assert_eq!(*kind, "multi-mean");
@@ -814,8 +811,7 @@ mod tests {
         let dataset = registry.get("mv").unwrap();
         let catalog = catalog();
         let specs = vec![QuerySpec::new("mean", 0.1)];
-        let err =
-            execute_batch(&dataset, &catalog, &ledger, &specs, 1, ReleaseMode::Raw).unwrap_err();
+        let err = execute_batch(&dataset, &catalog, &ledger, &specs, 1, HARDENED).unwrap_err();
         assert!(matches!(err, EngineError::BadQuery(_)));
         // Validation happens before any budget moves.
         assert_eq!(ledger.account("mv").unwrap().spent, 0.0);
@@ -832,7 +828,7 @@ mod tests {
         let dataset = registry.get("tiny").unwrap();
         let catalog = catalog();
         let specs = vec![QuerySpec::new("mean", 0.25)];
-        let out = execute_batch(&dataset, &catalog, &ledger, &specs, 1, ReleaseMode::Raw).unwrap();
+        let out = execute_batch(&dataset, &catalog, &ledger, &specs, 1, HARDENED).unwrap();
         assert!(matches!(&out[0], QueryOutcome::Failed { .. }), "{out:?}");
         assert_eq!(ledger.account("tiny").unwrap().spent, 0.25);
     }
@@ -847,33 +843,16 @@ mod tests {
         let dataset = registry.get("g").unwrap();
         let catalog = catalog();
         let specs = vec![QuerySpec::new("quantile", 0.25).with("q", 0.5)];
-        let a = execute_batch(&dataset, &catalog, &ledger, &specs, 5, ReleaseMode::Raw).unwrap();
+        let a = execute_batch(&dataset, &catalog, &ledger, &specs, 5, HARDENED).unwrap();
         let cached_after_first = dataset.snapshot().unwrap().view().col(0).cached_grids();
         assert!(cached_after_first >= 1, "first query must warm the cache");
-        let b = execute_batch(&dataset, &catalog, &ledger, &specs, 5, ReleaseMode::Raw).unwrap();
+        let b = execute_batch(&dataset, &catalog, &ledger, &specs, 5, HARDENED).unwrap();
         assert_eq!(a, b);
         assert_eq!(
             dataset.snapshot().unwrap().view().col(0).cached_grids(),
             cached_after_first,
             "same-seed repeat must not grow the grid cache"
         );
-    }
-
-    #[test]
-    fn dl09_delta_zero_rejected_pre_budget() {
-        let (registry, ledger) = gaussian_registry(1_000);
-        let dataset = registry.get("g").unwrap();
-        let catalog = catalog();
-        let specs = vec![QuerySpec::new("dl09", 0.5).with("delta", 0.0)];
-        let err =
-            execute_batch(&dataset, &catalog, &ledger, &specs, 1, ReleaseMode::Raw).unwrap_err();
-        assert!(matches!(err, EngineError::BadQuery(_)));
-        assert_eq!(ledger.account("g").unwrap().spent, 0.0);
-        // A valid delta runs (or refuses inside PTR, but spends).
-        let specs =
-            vec![QuerySpec::new("dl09", 0.5).with("delta", Delta::new(1e-6).unwrap().get())];
-        let out = execute_batch(&dataset, &catalog, &ledger, &specs, 1, ReleaseMode::Raw).unwrap();
-        assert!(!matches!(&out[0], QueryOutcome::Refused { .. }));
     }
 
     #[test]

@@ -18,11 +18,13 @@
 //!   a persisted snapshot so restarts cannot replay budget;
 //! * [`engine`] — batched queries dispatched **by estimator name**
 //!   through the workspace [`updp_statistical::Estimator`] trait:
-//!   the five universal estimators plus every Table 1 baseline
-//!   (`kv18`, `coinpress`, `dl09`, …, assumptions echoed on the
-//!   wire), executed concurrently through `updp_core::parallel` with
-//!   the §1.1 child-seed scheme (bit-reproducible given the request
-//!   seed), with the hardened snapping release mode on by default;
+//!   the 11 pure ε-DP estimators — the five universal ones plus the
+//!   pure ε-DP Table 1 baselines (`kv18`, `coinpress`, …,
+//!   assumptions echoed on the wire) — executed concurrently through
+//!   `updp_core::parallel` with the §1.1 child-seed scheme
+//!   (bit-reproducible given the request seed). Every release is
+//!   snapped (Mironov, CCS 2012), so everything the ledger charges
+//!   for is pure ε-DP under basic composition;
 //! * [`http`] / [`wire`] — the first-party HTTP codec (the
 //!   incremental server-side request parser and response encoder,
 //!   plus the client's blocking request writer and response reader)

@@ -601,23 +601,15 @@ fn query(state: &AppState, body: &str) -> Routed {
         Ok(d) => d,
         Err(e) => return registry_error(&e),
     };
-    let mode = if request.raw {
-        ReleaseMode::Raw
-    } else {
-        if !(request.bound.is_finite() && request.bound > 0.0) {
-            return error(400, "bad_request", "bound must be finite and positive");
-        }
-        ReleaseMode::Hardened {
-            bound: request.bound,
-        }
-    };
     let outcomes = match execute_batch_observed(
         &dataset,
         &state.estimators,
         &state.ledger,
         &request.specs,
         request.seed,
-        mode,
+        ReleaseMode::Hardened {
+            bound: request.bound,
+        },
         Some(&state.metrics),
     ) {
         Ok(outcomes) => outcomes,

@@ -16,7 +16,7 @@
 //!  "params": {"r": 1000, "sigma_min": 0.1, "sigma_max": 100}}
 //! ```
 
-use crate::engine::{QueryOutcome, QuerySpec, ReleaseInfo, DEFAULT_BOUND};
+use crate::engine::{QueryOutcome, QuerySpec, DEFAULT_BOUND};
 use crate::ledger::Account;
 use updp_core::json::JsonValue;
 
@@ -106,9 +106,7 @@ pub struct QueryRequest {
     pub dataset: String,
     /// Request seed: the response is bit-reproducible given it.
     pub seed: u64,
-    /// `true` opts out of the hardened snapping release.
-    pub raw: bool,
-    /// Clamp bound for hardened releases.
+    /// Clamp bound for the snapped releases.
     pub bound: f64,
     /// The batch, in order.
     pub specs: Vec<QuerySpec>,
@@ -153,8 +151,9 @@ fn parse_spec(q: &JsonValue) -> Result<QuerySpec, WireError> {
 }
 
 /// Parses a query body:
-/// `{"dataset", "seed", "raw"?, "bound"?, "queries": [{"estimator"|"kind",
-/// "epsilon", "q"?, "params"?}, …]}`.
+/// `{"dataset", "seed", "bound"?, "queries": [{"estimator"|"kind",
+/// "epsilon", "q"?, "params"?}, …]}`. Every release is snapped, so a
+/// `"raw"` field may only be `false`; `"raw": true` is a bad request.
 pub fn parse_query(body: &str) -> Result<QueryRequest, WireError> {
     let doc = JsonValue::parse(body)?;
     let obj = doc.as_object("query request")?;
@@ -171,11 +170,14 @@ pub fn parse_query(body: &str) -> Result<QueryRequest, WireError> {
             "seed must be an integer in [0, 2^53], got {seed}"
         )));
     }
-    let raw = match obj.opt("raw") {
-        Some(JsonValue::Bool(b)) => *b,
-        Some(_) => return Err(WireError("`raw` must be a boolean".into())),
-        None => false,
-    };
+    match obj.opt("raw") {
+        None | Some(JsonValue::Bool(false)) => {}
+        Some(_) => {
+            return Err(WireError(
+                "`raw` must be false: every release is snapped".into(),
+            ))
+        }
+    }
     let bound = match obj.opt("bound") {
         Some(v) => v.as_f64("bound")?,
         None => DEFAULT_BOUND,
@@ -191,7 +193,6 @@ pub fn parse_query(body: &str) -> Result<QueryRequest, WireError> {
     Ok(QueryRequest {
         dataset: obj.get_str("dataset")?,
         seed: seed as u64,
-        raw,
         bound,
         specs,
     })
@@ -257,39 +258,35 @@ fn strings(items: &[&str]) -> JsonValue {
     JsonValue::Array(items.iter().map(|&s| s.into()).collect())
 }
 
+/// The `"privacy"` every served estimator and release reports: the
+/// catalog serves pure ε-DP estimators only.
+const PURE_DP: &str = "ε-DP";
+
 /// Renders one query outcome as its wire object.
 pub fn outcome_json(outcome: &QueryOutcome) -> JsonValue {
     match outcome {
         QueryOutcome::Released {
             kind,
             assumptions,
-            privacy,
             values,
             epsilon_charged,
             release,
-        } => {
-            let release = match release {
-                ReleaseInfo::Raw => JsonValue::object(vec![("snapped", false.into())]),
-                ReleaseInfo::Snapped {
-                    lambdas,
-                    bound,
-                    inflation,
-                } => JsonValue::object(vec![
+        } => JsonValue::object(vec![
+            ("kind", (*kind).into()),
+            ("assumptions", strings(assumptions)),
+            ("privacy", PURE_DP.into()),
+            ("values", JsonValue::numbers(values)),
+            ("epsilon_charged", (*epsilon_charged).into()),
+            (
+                "release",
+                JsonValue::object(vec![
                     ("snapped", true.into()),
-                    ("lambdas", JsonValue::numbers(lambdas)),
-                    ("bound", (*bound).into()),
-                    ("epsilon_inflation", (*inflation).into()),
+                    ("lambdas", JsonValue::numbers(&release.lambdas)),
+                    ("bound", release.bound.into()),
+                    ("epsilon_inflation", release.inflation.into()),
                 ]),
-            };
-            JsonValue::object(vec![
-                ("kind", (*kind).into()),
-                ("assumptions", strings(assumptions)),
-                ("privacy", (*privacy).into()),
-                ("values", JsonValue::numbers(values)),
-                ("epsilon_charged", (*epsilon_charged).into()),
-                ("release", release),
-            ])
-        }
+            ),
+        ]),
         QueryOutcome::Refused { kind, refusal } => JsonValue::object(vec![
             ("kind", (*kind).into()),
             (
@@ -323,7 +320,6 @@ pub fn query_response(
     JsonValue::object(vec![
         ("dataset", request.dataset.as_str().into()),
         ("seed", (request.seed as f64).into()),
-        ("raw", request.raw.into()),
         (
             "results",
             JsonValue::Array(outcomes.iter().map(outcome_json).collect()),
@@ -333,9 +329,9 @@ pub fn query_response(
     .to_compact()
 }
 
-/// Renders the `/v1/estimators` catalog listing: every servable
-/// estimator with its statistic, privacy guarantee, Table 1
-/// assumptions, and declared parameters.
+/// Renders the `/v1/estimators` catalog listing: every served
+/// estimator with its statistic, privacy guarantee (pure ε-DP),
+/// Table 1 assumptions, and declared parameters.
 pub fn estimators_response<'a>(
     estimators: impl Iterator<Item = &'a dyn updp_statistical::Estimator>,
 ) -> String {
@@ -359,7 +355,7 @@ pub fn estimators_response<'a>(
             JsonValue::object(vec![
                 ("name", est.name().into()),
                 ("statistic", est.statistic().into()),
-                ("privacy", est.privacy().into()),
+                ("privacy", PURE_DP.into()),
                 ("assumptions", strings(est.assumptions())),
                 ("multi_column", est.multi_column().into()),
                 ("params", JsonValue::Array(params)),
@@ -390,14 +386,13 @@ mod tests {
     #[test]
     fn query_parses_the_full_surface() {
         let req = parse_query(
-            r#"{"dataset":"a","seed":42,"raw":true,"bound":100,
+            r#"{"dataset":"a","seed":42,"raw":false,"bound":100,
                 "queries":[{"kind":"mean","epsilon":0.1},
                            {"kind":"quantile","q":0.9,"epsilon":0.2},
                            {"kind":"multi-mean","epsilon":0.3}]}"#,
         )
         .unwrap();
         assert_eq!(req.seed, 42);
-        assert!(req.raw);
         assert_eq!(req.bound, 100.0);
         assert_eq!(req.specs.len(), 3);
         assert_eq!(req.specs[1].estimator, "quantile");
@@ -407,10 +402,10 @@ mod tests {
     #[test]
     fn query_parses_named_estimators_with_params() {
         let req = parse_query(
-            r#"{"dataset":"a","seed":1,"raw":true,
+            r#"{"dataset":"a","seed":1,
                 "queries":[{"estimator":"kv18","epsilon":0.2,
                             "params":{"r":1000,"sigma_min":0.1,"sigma_max":100}},
-                           {"estimator":"dl09","epsilon":0.1}]}"#,
+                           {"estimator":"mean","epsilon":0.1}]}"#,
         )
         .unwrap();
         assert_eq!(req.specs[0].estimator, "kv18");
@@ -455,7 +450,6 @@ mod tests {
         let req =
             parse_query(r#"{"dataset":"a","seed":1,"queries":[{"kind":"iqr","epsilon":0.1}]}"#)
                 .unwrap();
-        assert!(!req.raw, "hardened release must be the default");
         assert_eq!(req.bound, DEFAULT_BOUND);
     }
 
@@ -469,6 +463,13 @@ mod tests {
         .is_err());
         assert!(parse_query(r#"{"dataset":"a","seed":1,"queries":[]}"#).is_err());
         assert!(parse_query(r#"{"dataset":"a","seed":1,"queries":[{"epsilon":0.1}]}"#).is_err());
+        // Every release is snapped: `raw` may only be false.
+        for raw in ["true", "1", "\"yes\""] {
+            let body = format!(
+                r#"{{"dataset":"a","seed":1,"raw":{raw},"queries":[{{"kind":"mean","epsilon":0.1}}]}}"#
+            );
+            assert!(parse_query(&body).unwrap_err().0.contains("raw"), "{raw}");
+        }
     }
 
     #[test]
@@ -492,14 +493,18 @@ mod tests {
         let body = outcome_json(&QueryOutcome::Released {
             kind: "kv18",
             assumptions: &["A1", "A2", "A3"],
-            privacy: "ε-DP",
             values: vec![1.5],
             epsilon_charged: 0.2,
-            release: ReleaseInfo::Raw,
+            release: crate::engine::ReleaseInfo {
+                lambdas: vec![0.5],
+                bound: DEFAULT_BOUND,
+                inflation: 0.0,
+            },
         })
         .to_compact();
         assert!(body.contains(r#""assumptions":["A1","A2","A3"]"#), "{body}");
         assert!(body.contains(r#""privacy":"ε-DP""#), "{body}");
+        assert!(body.contains(r#""snapped":true"#), "{body}");
     }
 
     #[test]
@@ -512,7 +517,7 @@ mod tests {
             .unwrap()
             .get_array("estimators")
             .unwrap();
-        assert!(rows.len() >= 16, "got {} estimators", rows.len());
+        assert_eq!(rows.len(), 11, "got {} estimators", rows.len());
         let kv18 = rows
             .iter()
             .map(|r| r.as_object("row").unwrap())

@@ -151,15 +151,16 @@ fn register_query_repeat_exhaust_restart() {
 }
 
 #[test]
-fn raw_mode_and_dataset_lifecycle() {
+fn hardened_release_and_dataset_lifecycle() {
     let (addr, server) = start(Ledger::in_memory());
     let mut client = Connection::open(&addr).expect("connect");
 
     client.register("d", 10.0, &gaussian(2_000)).unwrap();
 
-    // Raw mode: un-snapped values, exactly the nominal ε charged.
+    // A snapped release charges the nominal ε plus its reported
+    // inflation, and nothing else.
     let body = client
-        .query(&query_body("d", 3, true, &[("mean", 0.5, None)]))
+        .query(&query_body("d", 3, false, &[("mean", 0.5, None)]))
         .unwrap();
     let doc = JsonValue::parse(&body).unwrap();
     let results = doc
@@ -169,9 +170,15 @@ fn raw_mode_and_dataset_lifecycle() {
         .unwrap()
         .to_vec();
     let result = results[0].as_object("result").unwrap();
-    assert_eq!(result.get_f64("epsilon_charged").unwrap(), 0.5);
+    let charged = result.get_f64("epsilon_charged").unwrap();
     let release = result.get("release").unwrap().as_object("release").unwrap();
-    assert!(!release.get_bool("snapped").unwrap());
+    assert!(release.get_bool("snapped").unwrap());
+    assert_eq!(
+        charged,
+        0.5 + release.get_f64("epsilon_inflation").unwrap(),
+        "{body}"
+    );
+    assert!(charged > 0.5, "{body}");
 
     // Append then list reflects the new count and the spent budget.
     let body = client
@@ -191,10 +198,20 @@ fn raw_mode_and_dataset_lifecycle() {
     client
         .request("POST", "/v1/drop", r#"{"name":"d"}"#)
         .unwrap();
-    let err = client.query(&query_body("d", 4, true, &[("mean", 0.1, None)]));
+    let err = client.query(&query_body("d", 4, false, &[("mean", 0.1, None)]));
     assert!(matches!(err, Err(ClientError::Status { status: 404, .. })));
     let body = client.register("d", 1e9, &gaussian(2_000)).unwrap();
-    assert!(body.contains("\"spent\":0.5"), "{body}");
+    let doc = JsonValue::parse(&body).unwrap();
+    let spent = doc
+        .as_object("register response")
+        .unwrap()
+        .get("budget")
+        .unwrap()
+        .as_object("budget")
+        .unwrap()
+        .get_f64("spent")
+        .unwrap();
+    assert_eq!(spent, charged, "{body}");
     assert!(
         body.contains("\"total\":10"),
         "re-register raised the pinned budget: {body}"
@@ -222,7 +239,7 @@ fn baselines_by_name_with_assumptions_and_unknown_estimator_error() {
 
     // The estimator catalog is discoverable.
     let listing = client.request("GET", "/v1/estimators", "").unwrap();
-    for name in ["mean", "kv18", "coinpress", "dl09", "nonprivate"] {
+    for name in ["mean", "kv18", "coinpress", "naive_clip"] {
         assert!(
             listing.contains(&format!("\"name\":\"{name}\"")),
             "{listing}"
@@ -235,7 +252,6 @@ fn baselines_by_name_with_assumptions_and_unknown_estimator_error() {
         query_body_named(
             "b",
             seed,
-            true,
             &[
                 NamedQuery {
                     estimator: "kv18",
@@ -264,7 +280,6 @@ fn baselines_by_name_with_assumptions_and_unknown_estimator_error() {
     let err = client.query(&query_body_named(
         "b",
         1,
-        true,
         &[NamedQuery {
             estimator: "mode",
             epsilon: 0.1,
@@ -282,7 +297,6 @@ fn baselines_by_name_with_assumptions_and_unknown_estimator_error() {
     let err = client.query(&query_body_named(
         "b",
         1,
-        true,
         &[NamedQuery {
             estimator: "kv18",
             epsilon: 0.1,
@@ -297,6 +311,105 @@ fn baselines_by_name_with_assumptions_and_unknown_estimator_error() {
         body.contains("sigma_min") || body.contains("missing required"),
         "{body}"
     );
+
+    client.shutdown().unwrap();
+    server.join().unwrap().unwrap();
+}
+
+/// The dataset's `spent` from `GET /v1/datasets`.
+fn spent_of(client: &mut Connection, name: &str) -> f64 {
+    let listing = client.request("GET", "/v1/datasets", "").unwrap();
+    let doc = JsonValue::parse(&listing).unwrap();
+    let rows = doc
+        .as_object("listing")
+        .unwrap()
+        .get_array("datasets")
+        .unwrap()
+        .to_vec();
+    let row = rows
+        .iter()
+        .map(|row| row.as_object("row").unwrap())
+        .find(|row| row.get_str("name").unwrap() == name)
+        .expect("dataset listed");
+    row.get("budget")
+        .unwrap()
+        .as_object("budget")
+        .unwrap()
+        .get_f64("spent")
+        .unwrap()
+}
+
+#[test]
+fn only_pure_dp_snapped_releases_are_served() {
+    let (addr, server) = start(Ledger::in_memory());
+    let mut client = Connection::open(&addr).expect("connect");
+    client.register("p", 10.0, &gaussian(2_000)).unwrap();
+    client
+        .query(&query_body("p", 1, false, &[("mean", 0.1, None)]))
+        .unwrap();
+    let spent = spent_of(&mut client, "p");
+    assert!(spent > 0.1, "a released mean charges 0.1 plus inflation");
+
+    // The catalog lists 11 pure ε-DP estimators and nothing else.
+    let listing = client.request("GET", "/v1/estimators", "").unwrap();
+    let doc = JsonValue::parse(&listing).unwrap();
+    let rows = doc
+        .as_object("listing")
+        .unwrap()
+        .get_array("estimators")
+        .unwrap()
+        .to_vec();
+    assert_eq!(rows.len(), 11, "{listing}");
+    for row in &rows {
+        let row = row.as_object("row").unwrap();
+        assert_eq!(row.get_str("privacy").unwrap(), "ε-DP", "{listing}");
+    }
+
+    // Exact statistics and (ε, δ)-DP baselines are not served.
+    for name in [
+        "nonprivate",
+        "nonprivate_variance",
+        "nonprivate_iqr",
+        "dl09",
+        "bs19",
+    ] {
+        let err = client.query(&query_body_named(
+            "p",
+            2,
+            &[NamedQuery {
+                estimator: name,
+                epsilon: 0.1,
+                params: vec![("r", 1000.0)],
+            }],
+        ));
+        let Err(ClientError::Status { status, body }) = err else {
+            panic!("{name}: expected unknown_estimator, got {err:?}");
+        };
+        assert_eq!(status, 400, "{name}: {body}");
+        assert!(body.contains(r#""code":"unknown_estimator""#), "{body}");
+        assert_eq!(spent_of(&mut client, "p"), spent, "{name} spent budget");
+    }
+
+    // There is no un-snapped release mode, and an invalid clamp bound
+    // is refused before any budget moves.
+    for (body, code) in [
+        (
+            r#"{"dataset":"p","seed":3,"raw":true,"queries":[{"kind":"mean","epsilon":0.1}]}"#,
+            "bad_request",
+        ),
+        (
+            r#"{"dataset":"p","seed":3,"bound":0,"queries":[{"kind":"mean","epsilon":0.1}]}"#,
+            "bad_query",
+        ),
+    ] {
+        let (status, response) = client.request_raw("POST", "/v1/query", body).unwrap();
+        assert_eq!(status, 400, "{response}");
+        assert!(
+            response.contains(&format!(r#""code":"{code}""#)),
+            "{response}"
+        );
+        assert_eq!(spent_of(&mut client, "p"), spent, "{body} spent budget");
+    }
 
     client.shutdown().unwrap();
     server.join().unwrap().unwrap();
@@ -318,7 +431,7 @@ fn append_invalidates_the_cached_snapshot_over_the_wire() {
             .query(&query_body(
                 "acc",
                 seed,
-                true,
+                false,
                 &[("quantile", 0.5, Some(0.5))],
             ))
             .unwrap();
@@ -461,11 +574,12 @@ fn shutdown_completes_despite_an_idle_keep_alive_connection() {
 #[test]
 fn concurrent_clients_share_one_budget_safely() {
     // 8 client threads race 40 queries of ε = 0.05 against a budget
-    // of 1.0: exactly 20 can be granted. The refusal *count* is
+    // of 1.025: each costs 0.05 plus a snapping inflation far below
+    // 0.025/20, so exactly 20 can be granted. The refusal *count* is
     // deterministic even though which thread wins each grant is not.
     let (addr, server) = start(Ledger::in_memory());
     let mut setup = Connection::open(&addr).expect("connect");
-    setup.register("hot", 1.0, &gaussian(2_000)).unwrap();
+    setup.register("hot", 1.025, &gaussian(2_000)).unwrap();
 
     let granted: usize = std::thread::scope(|scope| {
         let addr = addr.as_str();
@@ -479,7 +593,7 @@ fn concurrent_clients_share_one_budget_safely() {
                                 .query(&query_body(
                                     "hot",
                                     (worker * 5 + i) as u64,
-                                    true,
+                                    false,
                                     &[("mean", 0.05, None)],
                                 ))
                                 .is_ok()

@@ -159,12 +159,13 @@ fn budget_refusals_are_counted_per_dataset() {
     let mut conn = Connection::open(&addr).expect("connect");
     conn.register("tiny", 0.01, &[1.0, 2.0, 3.0])
         .expect("register");
-    // Raw mode keeps the accounting exact: the first query spends the
-    // whole budget, the second is refused outright (403).
-    conn.query(&query_body("tiny", 1, true, &[("mean", 0.01, None)]))
+    // Three records are too few for the estimator, so the first query
+    // fails after reserving its nominal ε with no snapping top-up: it
+    // spends the whole budget, and the second is refused outright (403).
+    conn.query(&query_body("tiny", 1, false, &[("mean", 0.01, None)]))
         .expect("first query spends the budget");
     let err = conn
-        .query(&query_body("tiny", 2, true, &[("mean", 0.01, None)]))
+        .query(&query_body("tiny", 2, false, &[("mean", 0.01, None)]))
         .expect_err("starved request is 403");
     assert!(err.to_string().contains("403"), "{err}");
 

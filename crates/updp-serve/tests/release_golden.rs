@@ -1,13 +1,18 @@
 //! Byte-for-byte pin of the serve releases.
 //!
 //! A fixed batch (`mean`, `variance`, `quantile` at `q = 0.9`, `iqr`)
-//! runs through `execute_batch` on a seeded 4 000-row Gaussian dataset
-//! in both release modes, once on the registered snapshot and once
-//! after `Registry::append`. The registry opts every snapshot into the
-//! snapshot-paired gap summary (DESIGN.md §12), so the two stages cover
-//! the summary and its rebuild on the successor. Each outcome is
-//! rendered with `wire::outcome_json` and compared with
-//! `tests/golden/releases.txt`.
+//! runs on a seeded 4 000-row Gaussian dataset, once on the registered
+//! snapshot and once after `Registry::append`. The registry opts every
+//! snapshot into the snapshot-paired gap summary (DESIGN.md §12), so
+//! the two stages cover the summary and its rebuild on the successor.
+//! Each stage pins two things against `tests/golden/releases.txt`:
+//!
+//! * `estimate` rows — the un-snapped estimator values, each
+//!   estimator called through the trait on the stage's snapshot with
+//!   query `i`'s generator `child_rng(BATCH_SEED, i)` at the full
+//!   nominal ε;
+//! * `hardened` rows — the served releases of `execute_batch`,
+//!   rendered with `wire::outcome_json`.
 //!
 //! A deliberate regeneration is
 //!
@@ -18,10 +23,13 @@
 //! and a change that does so must say why in its description.
 
 use std::path::{Path, PathBuf};
-use updp_core::rng::seeded;
+use updp_core::json::JsonValue;
+use updp_core::privacy::Epsilon;
+use updp_core::rng::{child_rng, seeded};
 use updp_dist::{ContinuousDistribution, Gaussian};
 use updp_serve::engine::{execute_batch, DEFAULT_BOUND};
 use updp_serve::{wire, EstimatorCatalog, Ledger, QuerySpec, Registry, ReleaseMode};
+use updp_statistical::{EstimateParams, DEFAULT_BETA};
 
 const BATCH_SEED: u64 = 7;
 
@@ -46,26 +54,41 @@ fn render_stage(
     catalog: &EstimatorCatalog,
 ) {
     let dataset = registry.get("g").expect("registered dataset");
-    let modes = [
-        ("raw", ReleaseMode::Raw),
-        (
-            "hardened",
-            ReleaseMode::Hardened {
-                bound: DEFAULT_BOUND,
-            },
-        ),
-    ];
     let specs = batch();
-    for (label, mode) in modes {
-        let outcomes = execute_batch(&dataset, catalog, ledger, &specs, BATCH_SEED, mode)
-            .expect("batch executes");
-        for (spec, outcome) in specs.iter().zip(&outcomes) {
-            out.push_str(&format!(
-                "{stage} {label} {}: {}\n",
-                spec.estimator,
-                wire::outcome_json(outcome).to_compact()
-            ));
+
+    let snapshot = dataset.snapshot().expect("snapshot");
+    let view = snapshot.view();
+    for (i, spec) in specs.iter().enumerate() {
+        let mut params = EstimateParams::new(Epsilon::new(spec.epsilon).expect("valid ε"))
+            .with_beta(DEFAULT_BETA);
+        for (name, value) in &spec.options {
+            params.set(name, *value);
         }
+        let released = catalog
+            .get(&spec.estimator)
+            .expect("served estimator")
+            .estimate(&mut child_rng(BATCH_SEED, i as u64), &view, &params)
+            .expect("estimate");
+        out.push_str(&format!(
+            "{stage} estimate {}: {}\n",
+            spec.estimator,
+            JsonValue::object(vec![("values", JsonValue::numbers(&released.values))]).to_compact()
+        ));
+    }
+    drop(view);
+    drop(snapshot);
+
+    let mode = ReleaseMode::Hardened {
+        bound: DEFAULT_BOUND,
+    };
+    let outcomes =
+        execute_batch(&dataset, catalog, ledger, &specs, BATCH_SEED, mode).expect("batch executes");
+    for (spec, outcome) in specs.iter().zip(&outcomes) {
+        out.push_str(&format!(
+            "{stage} hardened {}: {}\n",
+            spec.estimator,
+            wire::outcome_json(outcome).to_compact()
+        ));
     }
 }
 

@@ -76,6 +76,22 @@ impl Release {
     }
 }
 
+/// The privacy guarantee an estimator's released values carry.
+///
+/// Only [`Privacy::PureDp`] composes under basic composition (Lemma
+/// 2.2), so a budget ledger that sums ε can account for nothing else;
+/// the serving catalog admits pure ε-DP estimators only.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Privacy {
+    /// Pure ε-DP (δ = 0).
+    PureDp,
+    /// (ε, δ)-DP with δ > 0, or a mechanism (Laplace on smooth
+    /// sensitivity) that guarantees no better.
+    ApproxDp,
+    /// Exact statistics: no privacy.
+    NonPrivate,
+}
+
 /// Declares one named `f64` parameter an estimator understands beyond
 /// the universal `(ε, β)` pair.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -210,8 +226,8 @@ pub trait Estimator: Send + Sync {
     fn statistic(&self) -> &'static str;
 
     /// The privacy guarantee the released values carry.
-    fn privacy(&self) -> &'static str {
-        "ε-DP"
+    fn privacy(&self) -> Privacy {
+        Privacy::PureDp
     }
 
     /// Table 1 assumptions the estimator's *utility* needs (`"A1"` =
@@ -780,7 +796,7 @@ mod tests {
         assert_eq!(names.len(), 5);
         for est in &catalog {
             assert!(est.assumptions().is_empty(), "universal = assumption-free");
-            assert_eq!(est.privacy(), "ε-DP");
+            assert_eq!(est.privacy(), Privacy::PureDp);
         }
     }
 

@@ -48,7 +48,7 @@ pub mod variance;
 
 pub use estimator::{
     check_declared, universal_estimators, AllEstimates, ColumnCache, ColumnView, DataView,
-    EstimateParams, Estimator, ParamSpec, PreparedDataset, Release, UniversalEstimator,
+    EstimateParams, Estimator, ParamSpec, PreparedDataset, Privacy, Release, UniversalEstimator,
     UniversalIqr, UniversalMean, UniversalMultiMean, UniversalQuantile, UniversalVariance,
     DEFAULT_BETA,
 };
