@@ -37,15 +37,6 @@ pub enum UpdpError {
         /// Where the non-finite value was observed.
         context: &'static str,
     },
-    /// Discretization overflowed the `i64` bucket domain. This can only
-    /// happen with astronomically small bucket sizes relative to the data
-    /// magnitude; see `updp-empirical::discretize`.
-    DomainOverflow {
-        /// The real value whose bucket index did not fit in `i64`.
-        value: f64,
-        /// The bucket size in effect.
-        bucket: f64,
-    },
     /// A mechanism declined to produce an answer. Pure-DP mechanisms in
     /// this crate never fail this way; it exists for (ε,δ)-DP baselines
     /// such as propose-test-release (\[DL09\]) whose privacy argument
@@ -83,10 +74,6 @@ impl fmt::Display for UpdpError {
             UpdpError::NonFiniteInput { context } => {
                 write!(f, "non-finite (NaN or infinite) input in {context}")
             }
-            UpdpError::DomainOverflow { value, bucket } => write!(
-                f,
-                "value {value} with bucket size {bucket} overflows the i64 bucket domain"
-            ),
             UpdpError::MechanismRefused { mechanism, reason } => {
                 write!(f, "mechanism {mechanism} refused to answer: {reason}")
             }

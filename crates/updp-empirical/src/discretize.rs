@@ -7,6 +7,14 @@
 //! precise accounting is Theorems 3.6–3.9. The statistical estimators of
 //! Sections 4–6 choose `b` privately from the data (a lower bound on the
 //! IQR), which is the whole trick that removes assumption A2.
+//!
+//! The map is total on finite data: bucket indices saturate at `±2⁶²`,
+//! so when Algorithm 7 returns a tiny IQR̲ (allowed with probability β)
+//! far records land on the bound and the estimate is merely bad, not an
+//! error. Given the bucket — already private — saturation is a fixed
+//! per-record map: neighbouring datasets stay neighbouring, every
+//! downstream mechanism keeps its ε, and the integer layer is
+//! overflow-safe at `±2⁶²` (`i128` widths, saturating recentering).
 
 use crate::dataset::SortedInts;
 use crate::mean::{infinite_domain_mean, EmpiricalMeanResult};
@@ -40,25 +48,14 @@ impl Discretizer {
         self.bucket
     }
 
-    /// Maps a real value to its bucket index `round(x/b)`.
-    ///
-    /// Errors with [`UpdpError::DomainOverflow`] if the index does not fit
-    /// in `i64` (only possible for astronomically small buckets).
-    pub fn to_int(&self, x: f64) -> Result<i64> {
-        if !x.is_finite() {
-            return Err(UpdpError::NonFiniteInput {
-                context: "discretization",
-            });
-        }
-        let idx = (x / self.bucket).round();
-        if idx >= -(2f64.powi(62)) && idx <= 2f64.powi(62) {
-            Ok(idx as i64)
-        } else {
-            Err(UpdpError::DomainOverflow {
-                value: x,
-                bucket: self.bucket,
-            })
-        }
+    /// Maps a real value to its bucket index `round(x/b)`, saturated at
+    /// `±2⁶²` so that a tiny private bucket cannot fail the estimate
+    /// (ε-DP argument in the module docs). Non-finite `x` has no bucket
+    /// (`±∞` saturates, NaN maps to 0): callers reject such columns
+    /// first, as [`Discretizer::discretize`] does.
+    pub fn to_int(&self, x: f64) -> i64 {
+        let limit = 2f64.powi(62);
+        (x / self.bucket).round().clamp(-limit, limit) as i64
     }
 
     /// Maps a bucket index back to the real bucket center.
@@ -70,11 +67,7 @@ impl Discretizer {
     pub fn discretize(&self, data: &[f64]) -> Result<SortedInts> {
         ensure_nonempty(data)?;
         ensure_finite(data, "discretization input")?;
-        let ints = data
-            .iter()
-            .map(|&x| self.to_int(x))
-            .collect::<Result<Vec<i64>>>()?;
-        SortedInts::new(ints)
+        SortedInts::new(data.iter().map(|&x| self.to_int(x)).collect())
     }
 }
 
@@ -199,7 +192,7 @@ mod tests {
         let d = Discretizer::new(0.25).unwrap();
         for i in -100..100 {
             let x = i as f64 * 0.1379;
-            let back = d.to_real(d.to_int(x).unwrap());
+            let back = d.to_real(d.to_int(x));
             assert!((back - x).abs() <= 0.125 + 1e-12, "x = {x}, back = {back}");
         }
     }
@@ -209,16 +202,28 @@ mod tests {
         assert!(Discretizer::new(0.0).is_err());
         assert!(Discretizer::new(-1.0).is_err());
         assert!(Discretizer::new(f64::NAN).is_err());
+        // Non-finite columns have no grid: the column check reports them.
         let d = Discretizer::new(1.0).unwrap();
-        assert!(d.to_int(f64::NAN).is_err());
-        assert!(d.to_int(f64::INFINITY).is_err());
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(matches!(
+                d.discretize(&[1.0, bad]),
+                Err(UpdpError::NonFiniteInput { .. })
+            ));
+        }
     }
 
     #[test]
-    fn overflow_is_reported() {
+    fn far_values_saturate_at_the_index_bound() {
+        let limit = 1i64 << 62;
         let d = Discretizer::new(1e-300).unwrap();
-        let err = d.to_int(1e10).unwrap_err();
-        assert!(matches!(err, UpdpError::DomainOverflow { .. }));
+        assert_eq!(d.to_int(1e10), limit);
+        assert_eq!(d.to_int(-1e10), -limit);
+        assert_eq!(d.to_int(f64::MAX), limit);
+        // In-range indices are untouched, up to the bound itself.
+        assert_eq!(d.to_int(3e-300), 3);
+        assert_eq!(Discretizer::new(1.0).unwrap().to_int(2f64.powi(62)), limit);
+        let grid = d.discretize(&[1e10, -1e10, 0.0]).unwrap();
+        assert_eq!(grid.values(), &[-limit, 0, limit]);
     }
 
     #[test]

@@ -222,9 +222,8 @@ impl ColumnCache {
     /// * The [`MAX_CARRIED_GRIDS`] most recently built grids →
     ///   discretize the sorted `delta` (monotone map, already sorted)
     ///   and merge it into the parent's [`SortedInts`] in `O(n + k)`.
-    ///   A delta value the bucket cannot map (overflow) drops that
-    ///   grid instead: the successor rebuilds lazily and reports the
-    ///   canonical data-order error.
+    ///   Saturation makes the map total on finite values; a non-finite
+    ///   delta drops every carried grid (lazy rebuild, canonical error).
     /// * Cold parent (nothing built) → empty cache; every artifact
     ///   builds lazily.
     fn successor(&self, delta: &[f64]) -> ColumnCache {
@@ -257,6 +256,9 @@ impl ColumnCache {
         );
         carried.sort_by_key(|&(stamp, _, _)| std::cmp::Reverse(stamp));
         carried.truncate(MAX_CARRIED_GRIDS);
+        if !ends_finite(&sorted_delta) {
+            carried.clear();
+        }
 
         // Build the successor's grid map before wrapping it in its
         // lock. Reverse order: oldest carried grid stamped first, so
@@ -267,11 +269,9 @@ impl ColumnCache {
             let Ok(disc) = Discretizer::new(f64::from_bits(key)) else {
                 continue;
             };
-            let ints: Result<Vec<i64>> = sorted_delta.iter().map(|&x| disc.to_int(x)).collect();
-            if let Ok(ints) = ints {
-                let next = stamp.fetch_add(1, Ordering::Relaxed);
-                grids.insert(key, (next, Arc::new(grid.merge_sorted(&ints))));
-            }
+            let ints: Vec<i64> = sorted_delta.iter().map(|&x| disc.to_int(x)).collect();
+            let next = stamp.fetch_add(1, Ordering::Relaxed);
+            grids.insert(key, (next, Arc::new(grid.merge_sorted(&ints))));
         }
         let successor = ColumnCache {
             sorted: OnceLock::new(),
@@ -297,11 +297,7 @@ impl ColumnCache {
                 return Ok(hit.clone());
             }
         }
-        let grid = Arc::new(build_grid(
-            data,
-            Some(self.sorted(data).as_slice()),
-            bucket,
-        )?);
+        let grid = Arc::new(build_grid(data, &self.sorted(data), bucket)?);
         // Racing builders compute identical grids (the build is a pure
         // function of the column and the bucket); first insert wins.
         // A poisoned lock skips the insert: the grid is still correct,
@@ -314,28 +310,26 @@ impl ColumnCache {
     }
 }
 
-/// Discretizes a column into its sorted integer grid.
-///
-/// When a `total_cmp`-sorted copy is available the mapping
-/// `x ↦ round(x/b)` is monotone, so the integer sequence is already
-/// sorted and the `O(n log n)` [`SortedInts::new`] sort is
-/// skipped — the result is the identical sorted multiset either way.
-/// On a mapping error the column is re-discretized in **data order**
-/// so the reported error (first offending element) matches
-/// [`Discretizer::discretize`] exactly.
-fn build_grid(data: &[f64], sorted: Option<&[f64]>, bucket: f64) -> Result<SortedInts> {
+/// Discretizes a column into its sorted integer grid from its
+/// `total_cmp`-sorted copy. The saturating map `x ↦ round(x/b)` is
+/// monotone and total on finite values, so the integers come out sorted
+/// (no `O(n log n)` [`SortedInts::new`] sort). `total_cmp` puts every NaN
+/// and `±∞` at the ends of a sorted run, so one O(1) look at the ends
+/// decides whether [`Discretizer::discretize`] must report the canonical
+/// error instead.
+fn build_grid(data: &[f64], sorted: &[f64], bucket: f64) -> Result<SortedInts> {
     let disc = Discretizer::new(bucket)?;
-    match sorted {
-        Some(sorted) => {
-            let ints: Result<Vec<i64>> = sorted.iter().map(|&x| disc.to_int(x)).collect();
-            match ints {
-                Ok(ints) if !ints.is_empty() => SortedInts::from_sorted(ints),
-                // Empty or failed: delegate for the canonical error.
-                _ => disc.discretize(data),
-            }
-        }
-        None => disc.discretize(data),
+    if ends_finite(sorted) {
+        SortedInts::from_sorted(sorted.iter().map(|&x| disc.to_int(x)).collect())
+    } else {
+        disc.discretize(data)
     }
+}
+
+/// Whether a `total_cmp`-sorted run holds only finite values (true when
+/// empty): NaN and `±∞` sort to its ends.
+fn ends_finite(sorted: &[f64]) -> bool {
+    sorted.first().is_none_or(|x| x.is_finite()) && sorted.last().is_none_or(|x| x.is_finite())
 }
 
 /// Merges two `total_cmp`-sorted runs in `O(n + k)`. Under `total_cmp`
@@ -417,14 +411,15 @@ impl<'a> ColumnView<'a> {
         }
     }
 
-    /// The sorted integer grid `round(x/bucket)` (cached per distinct
-    /// bucket when a cache is attached). Bit-identical to
-    /// `Discretizer::new(bucket)?.discretize(data)` in values *and*
-    /// error reporting.
+    /// The sorted integer grid `round(x/bucket)`, saturated at `±2⁶²`
+    /// (cached per distinct bucket when a cache is attached).
+    /// Bit-identical to `Discretizer::new(bucket)?.discretize(data)` in
+    /// values *and* error reporting: the only errors left are an
+    /// invalid bucket and an empty or non-finite column.
     pub fn grid(&self, bucket: f64) -> Result<Arc<SortedInts>> {
         match self.cache {
             Some(cache) => cache.grid(self.data, bucket),
-            None => Ok(Arc::new(build_grid(self.data, None, bucket)?)),
+            None => Ok(Arc::new(Discretizer::new(bucket)?.discretize(self.data)?)),
         }
     }
 
@@ -674,20 +669,30 @@ mod tests {
 
     #[test]
     fn grid_error_matches_discretize_error() {
-        // Overflowing bucket: the cached path must report the same
-        // canonical (data-order) error as Discretizer::discretize.
-        let data = [1e10, 2.0];
+        // A bucket far too small for the data saturates instead of
+        // failing: cached and bare grids equal the discretizer's.
+        let data = [1e10, 2.0, -1e10];
         let cache = ColumnCache::new();
         let view = ColumnView::cached(&data, &cache);
-        let err = format!("{}", view.grid(1e-300).unwrap_err());
-        let reference = format!(
-            "{}",
-            Discretizer::new(1e-300)
-                .unwrap()
-                .discretize(&data)
-                .unwrap_err()
-        );
-        assert_eq!(err, reference);
+        let reference = Discretizer::new(1e-300).unwrap().discretize(&data).unwrap();
+        assert_eq!(*view.grid(1e-300).unwrap(), reference);
+        assert_eq!(*ColumnView::bare(&data).grid(1e-300).unwrap(), reference);
+        // A non-finite column reports the canonical error on every path.
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let data = [1.0, bad, 2.0];
+            let cache = ColumnCache::new();
+            let reference = format!(
+                "{}",
+                Discretizer::new(0.5)
+                    .unwrap()
+                    .discretize(&data)
+                    .unwrap_err()
+            );
+            let cached = ColumnView::cached(&data, &cache).grid(0.5).unwrap_err();
+            let bare = ColumnView::bare(&data).grid(0.5).unwrap_err();
+            assert_eq!(format!("{cached}"), reference);
+            assert_eq!(format!("{bare}"), reference);
+        }
         // Invalid bucket errors pass through as well.
         assert!(view.grid(0.0).is_err());
         assert!(ColumnView::bare(&data).grid(f64::NAN).is_err());
@@ -784,31 +789,36 @@ mod tests {
     }
 
     #[test]
-    fn unmappable_delta_drops_the_grid_and_keeps_the_canonical_error() {
-        // Parent grid builds fine; the delta overflows the bucket's
-        // integer range, so the carried grid must be dropped and the
-        // lazy rebuild must report the same error as a cold build.
+    fn extreme_delta_saturates_into_the_carried_grid() {
+        // The delta lies far beyond the bucket's index bound: the
+        // carried grid saturates it and equals a fresh build bit for bit.
         let parent = PreparedDataset::new(vec![vec![1.0, 2.0]]);
         let _ = parent.view().col(0).sorted();
         let _ = parent.view().col(0).grid(1e-3).unwrap();
-        let next = parent.append(&[vec![1e30]]);
+        let next = parent.append(&[vec![1e30, -f64::MAX]]);
         assert!(next.view().col(0).has_sorted(), "sorted copy still warm");
-        assert_eq!(next.view().col(0).cached_grids(), 0, "bad grid dropped");
-        let err = format!("{}", next.view().col(0).grid(1e-3).unwrap_err());
-        let reference = format!(
-            "{}",
-            Discretizer::new(1e-3)
-                .unwrap()
-                .discretize(next.columns()[0].as_slice())
-                .unwrap_err()
+        assert_eq!(next.view().col(0).cached_grids(), 1, "grid carried");
+        let fresh = PreparedDataset::new(next.columns().to_vec());
+        assert_eq!(
+            *next.view().col(0).grid(1e-3).unwrap(),
+            *fresh.view().col(0).grid(1e-3).unwrap()
         );
-        assert_eq!(err, reference);
-        // A NaN delta likewise drops grids (NaN cannot discretize) but
-        // keeps the sorted copy warm — total_cmp orders NaN fine.
+        // A NaN delta drops grids (NaN cannot discretize) but keeps the
+        // sorted copy warm — total_cmp orders NaN fine — and the lazy
+        // rebuild reports the same error as a cold build.
         let nan = parent.append(&[vec![f64::NAN]]);
         assert!(nan.view().col(0).has_sorted());
         assert_eq!(nan.view().col(0).cached_grids(), 0);
         assert!(nan.view().col(0).sorted().last().unwrap().is_nan());
+        let err = format!("{}", nan.view().col(0).grid(1e-3).unwrap_err());
+        let reference = format!(
+            "{}",
+            Discretizer::new(1e-3)
+                .unwrap()
+                .discretize(nan.columns()[0].as_slice())
+                .unwrap_err()
+        );
+        assert_eq!(err, reference);
     }
 
     #[test]

@@ -834,6 +834,40 @@ mod tests {
     }
 
     #[test]
+    fn tiny_private_buckets_release_instead_of_failing() {
+        // At ε = 0.02 these request seeds draw an IQR lower bound far
+        // below the data's scale; a bucket index past ±2⁶² once failed
+        // the query after its ε was spent. It now saturates.
+        let data = Gaussian::new(1000.0, 10.0)
+            .unwrap()
+            .sample_vec(&mut seeded(1), 10_000);
+        let registry = Registry::new();
+        registry.register("g", vec![data]).unwrap();
+        // Snapping at such a bucket inflates ε hugely (seed 2398's iqr
+        // tops up ~2.4e8), so the budget must not refuse the release.
+        let ledger = Ledger::in_memory();
+        ledger.register("g", 1e12).unwrap();
+        let dataset = registry.get("g").unwrap();
+        let catalog = catalog();
+        let specs = vec![
+            QuerySpec::new("mean", 0.02),
+            QuerySpec::new("variance", 0.02),
+            QuerySpec::new("quantile", 0.02).with("q", 0.9),
+            QuerySpec::new("iqr", 0.02),
+        ];
+        for seed in [342, 636, 2398] {
+            let out = execute_batch(&dataset, &catalog, &ledger, &specs, seed, HARDENED).unwrap();
+            for outcome in &out {
+                assert!(
+                    matches!(outcome, QueryOutcome::Released { values, .. }
+                        if values.iter().all(|v| v.is_finite())),
+                    "seed {seed}: {outcome:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn repeated_quantile_queries_reuse_the_snapshot_grid() {
         // The cache effect: after one quantile query, the snapshot has
         // a grid cached for the privately-chosen bucket; a repeat

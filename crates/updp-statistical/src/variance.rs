@@ -102,14 +102,23 @@ pub fn estimate_variance<R: Rng + ?Sized>(
             inner.scale(3.0 / 4.0),
             beta / 7.0,
         )
-    })?;
+    })?
+    // (r̃ad + ½)·IQR̲² can overflow too; clamp this private value the same way.
+    .min(f64::MAX);
 
     // Stage 5 (ε/4 via the 8·rad/(εn) = 4·rad/(εn′) scale): clipped mean
     // of ALL products over [0, r̃ad] — fused with the clipping-bias
     // count into one pass — halved since E[Z] = 2σ².
     let (mean, clipped) = clipped_mean_with_outside(&h, 0.0, radius.max(0.0))?;
     let noisy = if radius > 0.0 {
-        mean + sample_laplace(rng, 8.0 * radius / (epsilon.get() * n as f64))
+        let scale = 8.0 * radius / (epsilon.get() * n as f64);
+        // Past r̃ad = f64::MAX/8 the scale overflows: scale a unit draw
+        // (same coins), which overflows only where the noise does.
+        mean + if scale.is_finite() {
+            sample_laplace(rng, scale)
+        } else {
+            sample_laplace(rng, 1.0) * (8.0 / (epsilon.get() * n as f64)) * radius
+        }
     } else {
         mean
     };
