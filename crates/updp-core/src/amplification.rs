@@ -30,17 +30,6 @@ pub fn paper_inner_epsilon(epsilon: Epsilon) -> Epsilon {
     Epsilon::new(inner).expect("inner epsilon is positive and finite")
 }
 
-/// Inverse of [`amplified_epsilon`]: the largest inner ε whose subsampled
-/// execution at `rate` is `target`-DP.
-pub fn inner_epsilon_for(target: Epsilon, rate: f64) -> Epsilon {
-    assert!(
-        rate > 0.0 && rate <= 1.0,
-        "sampling rate must be in (0, 1], got {rate}"
-    );
-    let inner = (1.0 + (target.get().exp() - 1.0) / rate).ln();
-    Epsilon::new(inner).expect("inner epsilon is positive and finite")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -86,15 +75,6 @@ mod tests {
         // ε′ > ε: the subsample gets a *larger* working budget.
         for e in [0.05, 0.2, 0.8] {
             assert!(paper_inner_epsilon(eps(e)).get() > e);
-        }
-    }
-
-    #[test]
-    fn inner_for_inverts_amplified() {
-        for (e, rate) in [(0.3, 0.25), (0.05, 0.01), (1.5, 0.5)] {
-            let inner = inner_epsilon_for(eps(e), rate);
-            let outer = amplified_epsilon(inner, rate);
-            assert!((outer.get() - e).abs() < 1e-10);
         }
     }
 

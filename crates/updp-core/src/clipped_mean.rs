@@ -5,10 +5,7 @@
 //! paper's mean estimators reduce to this once a privatized range has been
 //! found; the art is entirely in choosing `[l, r]`.
 
-use crate::error::{ensure_finite, ensure_nonempty, Result, UpdpError};
-use crate::laplace::sample_laplace;
-use crate::privacy::Epsilon;
-use rand::Rng;
+use crate::error::{ensure_nonempty, Result, UpdpError};
 
 /// Clips a single value into `[lo, hi]`.
 #[inline]
@@ -30,80 +27,6 @@ pub fn clip_i64(x: i64, lo: i64, hi: i64) -> i64 {
 /// autovectorizes; 64 f64s fill eight AVX-512 / sixteen SSE2 registers
 /// and stay far below any overflow bound the integer kernels need.
 pub const KERNEL_CHUNK: usize = 64;
-
-/// The shared clip+count+mean kernel: per [`KERNEL_CHUNK`]-wide chunk,
-/// clamp into a stack buffer and count out-of-range elements
-/// branchlessly (two simple elementwise loops, written to
-/// autovectorize), then fold the clamped chunk through **exactly** the
-/// serial streaming recurrence of the historical implementation.
-///
-/// Bit-identity argument (DESIGN.md §12): the mean recurrence
-/// `m += (c − m)/(i+1)` is order-dependent and is **not** re-associated
-/// — it consumes the same clamped values in the same order as before.
-/// Only the clamp (elementwise, no cross-element data flow) and the
-/// count (integer addition, exact and associative) are re-chunked, and
-/// neither can change any released bit.
-fn clipped_mean_outside_kernel(data: &[f64], lo: f64, hi: f64) -> (f64, usize) {
-    let mut mean = 0.0f64;
-    let mut outside = 0usize;
-    let mut i = 0usize;
-    let mut buf = [0.0f64; KERNEL_CHUNK];
-    let mut chunks = data.chunks_exact(KERNEL_CHUNK);
-    for chunk in &mut chunks {
-        for (slot, &x) in buf.iter_mut().zip(chunk) {
-            *slot = x.clamp(lo, hi);
-        }
-        let mut out = 0usize;
-        for &x in chunk {
-            out += usize::from(x < lo) + usize::from(x > hi);
-        }
-        outside += out;
-        for &c in &buf {
-            mean += (c - mean) / (i + 1) as f64;
-            i += 1;
-        }
-    }
-    for &x in chunks.remainder() {
-        outside += usize::from(x < lo) + usize::from(x > hi);
-        let c = x.clamp(lo, hi);
-        mean += (c - mean) / (i + 1) as f64;
-        i += 1;
-    }
-    (mean, outside)
-}
-
-/// The (non-private) clipped mean `μ(Clip(D, [lo, hi]))`.
-///
-/// Uses a numerically stable streaming mean; clipping bounds every term by
-/// `max(|lo|, |hi|)` so no intermediate overflow is possible. The clamp
-/// pass is chunked to autovectorize ([`KERNEL_CHUNK`]); the recurrence
-/// itself is untouched, so the result is bit-identical to the
-/// historical per-element loop.
-pub fn clipped_mean(data: &[f64], lo: f64, hi: f64) -> Result<f64> {
-    ensure_nonempty(data)?;
-    validate_interval(lo, hi)?;
-    // Mean-only kernel: same chunked clamp + untouched recurrence as
-    // `clipped_mean_outside_kernel`, minus the outside-count loop the
-    // caller would discard.
-    let mut mean = 0.0f64;
-    let mut i = 0usize;
-    let mut buf = [0.0f64; KERNEL_CHUNK];
-    let mut chunks = data.chunks_exact(KERNEL_CHUNK);
-    for chunk in &mut chunks {
-        for (slot, &x) in buf.iter_mut().zip(chunk) {
-            *slot = x.clamp(lo, hi);
-        }
-        for &c in &buf {
-            mean += (c - mean) / (i + 1) as f64;
-            i += 1;
-        }
-    }
-    for &x in chunks.remainder() {
-        mean += (x.clamp(lo, hi) - mean) / (i + 1) as f64;
-        i += 1;
-    }
-    Ok(mean)
-}
 
 /// Exact clipped sum `Σ clamp(x, [lo, hi])` with `i128` accumulation.
 ///
@@ -149,67 +72,61 @@ pub fn clipped_mean_i64(data: &[i64], lo: i64, hi: i64) -> Result<f64> {
     Ok(sum as f64 / data.len() as f64)
 }
 
-/// ε-DP release of the clipped mean:
-/// `ClippedMean(D, [lo, hi]) + Lap((hi − lo)/(εn))`.
+/// The (non-private) clipped mean `μ(Clip(D, [lo, hi]))`: the first
+/// half of [`clipped_mean_with_outside`].
 ///
-/// This is the exact mechanism invoked by Algorithms 5, 8, and 9 (each
-/// with its own noise multiplier folded into `epsilon`).
-pub fn private_clipped_mean<R: Rng + ?Sized>(
-    rng: &mut R,
-    data: &[f64],
-    lo: f64,
-    hi: f64,
-    epsilon: Epsilon,
-) -> Result<f64> {
-    ensure_finite(data, "private_clipped_mean input")?;
-    let mean = clipped_mean(data, lo, hi)?;
-    let width = hi - lo;
-    // Exact zero-width degeneracy test: hi - lo == 0.0 iff hi == lo
-    // bitwise up to zero sign, and only that case is data-independent.
-    if width == 0.0 {
-        // Degenerate interval: the clipped mean is data-independent
-        // (always `lo`), so releasing it exactly is 0-DP.
-        return Ok(mean);
-    }
-    let scale = width / (epsilon.get() * data.len() as f64);
-    Ok(mean + sample_laplace(rng, scale))
+/// Uses a numerically stable streaming mean; clipping bounds every term by
+/// `max(|lo|, |hi|)` so no intermediate overflow is possible.
+pub fn clipped_mean(data: &[f64], lo: f64, hi: f64) -> Result<f64> {
+    Ok(clipped_mean_with_outside(data, lo, hi)?.0)
 }
 
-/// The number of elements of `data` strictly outside `[lo, hi]` — the
-/// clipping bias diagnostic reported by the statistical estimators.
+/// Fused single-pass clipped mean and the number of elements of `data`
+/// strictly outside `[lo, hi]` (the clipping bias diagnostic of
+/// Algorithms 8 and 9). NaN compares false on both sides, so NaNs are
+/// not counted as outside.
 ///
-/// Branchless: each element contributes `(x < lo) + (x > hi)` as
-/// integers, which vectorizes to compare+mask lanes. NaN compares
-/// false on both sides, so NaNs are not counted — exactly the
-/// behavior of the historical `x < lo || x > hi` filter.
-pub fn count_outside(data: &[f64], lo: f64, hi: f64) -> usize {
+/// Per [`KERNEL_CHUNK`]-wide chunk, the kernel clamps into a stack
+/// buffer and counts out-of-range elements branchlessly (two simple
+/// elementwise loops, written to autovectorize), then folds the clamped
+/// chunk through **exactly** the serial streaming recurrence of the
+/// historical implementation.
+///
+/// Bit-identity argument (DESIGN.md §12): the mean recurrence
+/// `m += (c − m)/(i+1)` is order-dependent and is **not** re-associated
+/// — it consumes the same clamped values in the same order as before.
+/// Only the clamp (elementwise, no cross-element data flow) and the
+/// count (integer addition, exact and associative) are re-chunked, and
+/// neither can change any released bit.
+pub fn clipped_mean_with_outside(data: &[f64], lo: f64, hi: f64) -> Result<(f64, usize)> {
+    ensure_nonempty(data)?;
+    validate_interval(lo, hi)?;
+    let mut mean = 0.0f64;
     let mut outside = 0usize;
+    let mut i = 0usize;
+    let mut buf = [0.0f64; KERNEL_CHUNK];
     let mut chunks = data.chunks_exact(KERNEL_CHUNK);
     for chunk in &mut chunks {
+        for (slot, &x) in buf.iter_mut().zip(chunk) {
+            *slot = x.clamp(lo, hi);
+        }
         let mut out = 0usize;
         for &x in chunk {
             out += usize::from(x < lo) + usize::from(x > hi);
         }
         outside += out;
+        for &c in &buf {
+            mean += (c - mean) / (i + 1) as f64;
+            i += 1;
+        }
     }
     for &x in chunks.remainder() {
         outside += usize::from(x < lo) + usize::from(x > hi);
+        let c = x.clamp(lo, hi);
+        mean += (c - mean) / (i + 1) as f64;
+        i += 1;
     }
-    outside
-}
-
-/// Fused single-pass `(clipped_mean, count_outside)`.
-///
-/// The Algorithm 8/9 hot path needs both the clipped mean (the release)
-/// and the number of clipped elements (the bias diagnostic); computing
-/// them separately re-reads the full dataset. Both are produced by the
-/// shared chunked kernel, with the mean accumulated by *exactly* the
-/// same streaming recurrence as [`clipped_mean`] — the returned mean is
-/// bit-identical to calling the two functions separately.
-pub fn clipped_mean_with_outside(data: &[f64], lo: f64, hi: f64) -> Result<(f64, usize)> {
-    ensure_nonempty(data)?;
-    validate_interval(lo, hi)?;
-    Ok(clipped_mean_outside_kernel(data, lo, hi))
+    Ok((mean, outside))
 }
 
 fn validate_interval(lo: f64, hi: f64) -> Result<()> {
@@ -276,33 +193,9 @@ mod tests {
     }
 
     #[test]
-    fn private_mean_concentrates_with_large_n() {
-        let mut rng = seeded(1);
-        let n = 10_000;
-        let data: Vec<f64> = (0..n).map(|i| (i % 100) as f64).collect();
-        let truth = clipped_mean(&data, 0.0, 99.0).unwrap();
-        let eps = Epsilon::new(1.0).unwrap();
-        let est = private_clipped_mean(&mut rng, &data, 0.0, 99.0, eps).unwrap();
-        // noise scale = 99/(1·10000) ≈ 0.01
-        assert!((est - truth).abs() < 0.2, "est {est} vs truth {truth}");
-    }
-
-    #[test]
-    fn private_mean_degenerate_interval() {
-        let mut rng = seeded(2);
-        let data = [1.0, 2.0, 3.0];
-        let eps = Epsilon::new(1.0).unwrap();
-        let est = private_clipped_mean(&mut rng, &data, 5.0, 5.0, eps).unwrap();
-        assert_eq!(est, 5.0);
-    }
-
-    #[test]
     fn rejects_invalid_intervals_and_nan() {
-        let mut rng = seeded(3);
-        let eps = Epsilon::new(1.0).unwrap();
         assert!(clipped_mean(&[1.0], 2.0, 1.0).is_err());
         assert!(clipped_mean(&[1.0], f64::NAN, 1.0).is_err());
-        assert!(private_clipped_mean(&mut rng, &[f64::NAN], 0.0, 1.0, eps).is_err());
         assert!(clipped_mean_i64(&[1], 2, 1).is_err());
         assert!(clipped_mean(&[], 0.0, 1.0).is_err());
     }
@@ -310,8 +203,8 @@ mod tests {
     #[test]
     fn count_outside_counts() {
         let data = [-5.0, 0.0, 5.0, 10.0, 15.0];
-        assert_eq!(count_outside(&data, 0.0, 10.0), 2);
-        assert_eq!(count_outside(&data, -10.0, 20.0), 0);
+        assert_eq!(clipped_mean_with_outside(&data, 0.0, 10.0).unwrap().1, 2);
+        assert_eq!(clipped_mean_with_outside(&data, -10.0, 20.0).unwrap().1, 0);
     }
 
     #[test]
@@ -327,7 +220,8 @@ mod tests {
                 mean.to_bits(),
                 clipped_mean(&data, lo, hi).unwrap().to_bits()
             );
-            assert_eq!(outside, count_outside(&data, lo, hi));
+            let filtered = data.iter().filter(|&&x| x < lo || x > hi).count();
+            assert_eq!(outside, filtered);
         }
         assert!(clipped_mean_with_outside(&[], 0.0, 1.0).is_err());
         assert!(clipped_mean_with_outside(&[1.0], 2.0, 1.0).is_err());
@@ -374,7 +268,6 @@ mod tests {
                 let (m, o) = clipped_mean_with_outside(&data, lo, hi).unwrap();
                 assert_eq!(m.to_bits(), rm.to_bits(), "n={n} lo={lo} hi={hi}");
                 assert_eq!(o, ro);
-                assert_eq!(count_outside(&data, lo, hi), ro);
                 assert_eq!(clipped_mean(&data, lo, hi).unwrap().to_bits(), rm.to_bits());
             }
         }

@@ -47,13 +47,6 @@ pub enum UpdpError {
         /// Why it refused.
         reason: String,
     },
-    /// A privacy-budget accountant was asked for more budget than remains.
-    BudgetExceeded {
-        /// ε requested by the caller.
-        requested: f64,
-        /// ε still available.
-        available: f64,
-    },
 }
 
 impl fmt::Display for UpdpError {
@@ -77,13 +70,6 @@ impl fmt::Display for UpdpError {
             UpdpError::MechanismRefused { mechanism, reason } => {
                 write!(f, "mechanism {mechanism} refused to answer: {reason}")
             }
-            UpdpError::BudgetExceeded {
-                requested,
-                available,
-            } => write!(
-                f,
-                "privacy budget exceeded: requested ε={requested}, available ε={available}"
-            ),
         }
     }
 }
@@ -100,6 +86,20 @@ pub fn ensure_finite(data: &[f64], context: &'static str) -> Result<()> {
         Ok(())
     } else {
         Err(UpdpError::NonFiniteInput { context })
+    }
+}
+
+/// Validates the utility failure probability `β ∈ (0, 1)`, returning
+/// [`UpdpError::InvalidParameter`] (never panicking) otherwise; NaN is
+/// rejected.
+pub fn ensure_beta(beta: f64) -> Result<()> {
+    if beta > 0.0 && beta < 1.0 {
+        Ok(())
+    } else {
+        Err(UpdpError::InvalidParameter {
+            name: "beta",
+            reason: format!("must be in (0,1), got {beta}"),
+        })
     }
 }
 

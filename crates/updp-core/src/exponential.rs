@@ -1,21 +1,20 @@
-//! The exponential mechanism and the Gumbel variates behind it.
+//! The Gumbel variates behind the exponential mechanism.
 //!
 //! Given candidates `y ∈ Y` with utility scores `u(D, y)` of sensitivity
 //! `Δu`, the exponential mechanism samples `y` with probability
 //! `∝ exp(ε·u(D,y) / (2Δu))` and satisfies ε-DP. The inverse sensitivity
-//! mechanism (Section 2.5) instantiates it with `u = −len(Q, D, y)`.
+//! mechanism (Section 2.5) instantiates it with `u = −len(Q, D, y)`; it
+//! is the only instance in the workspace, so the mechanism itself lives
+//! in `inverse_sensitivity` and this module keeps only its noise.
 //!
 //! Sampling is done with the Gumbel-max trick in log space, which is exact
 //! (same distribution as normalized weights) and immune to `exp` overflow
 //! or underflow even when scores span thousands of nats — which happens
 //! routinely for quantile domains of width `2^40`. The inverse
-//! sensitivity sampler streams its weighted segments through the same
-//! Gumbel-max (see `inverse_sensitivity`), using [`GUMBEL_MIN`],
-//! [`GUMBEL_MAX`] and [`skip_gumbel`] to skip the `ln`s of segments that
-//! cannot win.
+//! sensitivity sampler streams its weighted segments through the
+//! Gumbel-max, using [`GUMBEL_MIN`], [`GUMBEL_MAX`] and [`skip_gumbel`]
+//! to skip the `ln`s of segments that cannot win.
 
-use crate::error::{ensure_nonempty, Result, UpdpError};
-use crate::privacy::Epsilon;
 use rand::Rng;
 
 /// Draws one standard Gumbel variate: `−ln(−ln U)` for `U ~ Uniform(0,1)`.
@@ -61,102 +60,11 @@ pub fn skip_gumbel<R: Rng + ?Sized>(rng: &mut R) {
     }
 }
 
-/// The exponential mechanism over an explicit candidate list.
-///
-/// Samples index `i` with probability `∝ exp(ε·utilities[i] / (2·Δu))`.
-/// Returns the chosen index. Errors on empty input, non-positive
-/// sensitivity, or non-finite utilities (use `f64::NEG_INFINITY`-free
-/// scores; impossible candidates should simply be omitted).
-pub fn exponential_mechanism<R: Rng + ?Sized>(
-    rng: &mut R,
-    utilities: &[f64],
-    sensitivity: f64,
-    epsilon: Epsilon,
-) -> Result<usize> {
-    ensure_nonempty(utilities)?;
-    if !(sensitivity.is_finite() && sensitivity > 0.0) {
-        return Err(UpdpError::InvalidParameter {
-            name: "sensitivity",
-            reason: format!("must be finite and positive, got {sensitivity}"),
-        });
-    }
-    if utilities.iter().any(|u| !u.is_finite()) {
-        return Err(UpdpError::NonFiniteInput {
-            context: "exponential mechanism utilities",
-        });
-    }
-    let factor = epsilon.get() / (2.0 * sensitivity);
-    let mut best = 0;
-    let mut best_score = f64::NEG_INFINITY;
-    for (i, &u) in utilities.iter().enumerate() {
-        let score = factor * u + sample_gumbel(rng);
-        if score > best_score {
-            best_score = score;
-            best = i;
-        }
-    }
-    Ok(best)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::rng::seeded;
     use rand::RngCore;
-
-    fn eps(v: f64) -> Epsilon {
-        Epsilon::new(v).unwrap()
-    }
-
-    #[test]
-    fn prefers_high_utility() {
-        let mut rng = seeded(1);
-        let utilities = [0.0, 0.0, 40.0, 0.0];
-        let mut counts = [0usize; 4];
-        for _ in 0..500 {
-            let i = exponential_mechanism(&mut rng, &utilities, 1.0, eps(1.0)).unwrap();
-            counts[i] += 1;
-        }
-        assert!(counts[2] > 480, "counts = {counts:?}");
-    }
-
-    #[test]
-    fn frequencies_match_exponential_weights() {
-        let mut rng = seeded(2);
-        // Two candidates with utility gap g: ratio should be e^{εg/2}.
-        let utilities = [0.0, 2.0];
-        let e = eps(1.0);
-        let trials = 200_000;
-        let mut hit1 = 0;
-        for _ in 0..trials {
-            if exponential_mechanism(&mut rng, &utilities, 1.0, e).unwrap() == 1 {
-                hit1 += 1;
-            }
-        }
-        let p1 = hit1 as f64 / trials as f64;
-        let expected = (1.0f64).exp() / (1.0 + (1.0f64).exp()); // e^{ε·2/2} vs e^0
-        assert!(
-            (p1 - expected).abs() < 0.01,
-            "p1 = {p1}, expected {expected}"
-        );
-    }
-
-    #[test]
-    fn survives_huge_score_ranges() {
-        let mut rng = seeded(3);
-        // Scores spanning thousands of nats would overflow a naive exp.
-        let utilities: Vec<f64> = (0..100).map(|i| -(i as f64) * 100.0).collect();
-        let i = exponential_mechanism(&mut rng, &utilities, 1.0, eps(1.0)).unwrap();
-        assert_eq!(i, 0);
-    }
-
-    #[test]
-    fn rejects_bad_inputs() {
-        let mut rng = seeded(4);
-        assert!(exponential_mechanism(&mut rng, &[], 1.0, eps(1.0)).is_err());
-        assert!(exponential_mechanism(&mut rng, &[0.0], 0.0, eps(1.0)).is_err());
-        assert!(exponential_mechanism(&mut rng, &[f64::NAN], 1.0, eps(1.0)).is_err());
-    }
 
     /// Replays a fixed list of raw 64-bit outputs, then panics.
     struct Scripted(std::vec::IntoIter<u64>);

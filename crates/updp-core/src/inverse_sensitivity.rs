@@ -20,7 +20,7 @@
 //! `(2/ε)·log(|X|/β)` of either end), because INV can behave arbitrarily
 //! badly there; Lemma 2.8 then gives rank error `≤ (4/ε)·log(|X|/β)`.
 
-use crate::error::{Result, UpdpError};
+use crate::error::{ensure_beta, Result, UpdpError};
 use crate::exponential::{sample_gumbel, skip_gumbel, GUMBEL_MAX, GUMBEL_MIN};
 use crate::privacy::Epsilon;
 use rand::Rng;
@@ -70,12 +70,7 @@ pub fn finite_domain_quantile<R: Rng + ?Sized>(
             reason: format!("lo ({lo}) must not exceed hi ({hi})"),
         });
     }
-    if !(beta > 0.0 && beta < 1.0) {
-        return Err(UpdpError::InvalidParameter {
-            name: "beta",
-            reason: format!("must be in (0, 1), got {beta}"),
-        });
-    }
+    ensure_beta(beta)?;
     debug_assert!(sorted.windows(2).all(|w| w[0] <= w[1]), "input not sorted");
 
     if lo == hi {

@@ -4,19 +4,18 @@
 //! (Dong & Yi, PODS 2023). This crate implements every DP building block
 //! used by the paper:
 //!
-//! * [`privacy`] — validated ε/δ types, basic composition (Lemma 2.2),
-//!   budget accounting;
+//! * [`privacy`] — validated ε/δ types and budget splitting (basic
+//!   composition, Lemma 2.2);
 //! * [`laplace`] — the Laplace mechanism (Lemma 2.3) and tail bounds;
 //! * [`svt`] — the Sparse Vector Technique (Algorithm 1; Lemmas 2.5–2.6)
 //!   over lazily-evaluated, possibly infinite query streams;
-//! * [`exponential`] — the exponential mechanism with log-space
-//!   Gumbel-max sampling and weighted-segment support;
+//! * [`exponential`] — the Gumbel variates behind the exponential
+//!   mechanism's log-space Gumbel-max sampling;
 //! * [`inverse_sensitivity`] — the inverse sensitivity mechanism and
 //!   `FiniteDomainQuantile` (Algorithm 2; Lemmas 2.7–2.8);
 //! * [`clipped_mean`] — the clipped mean estimator (Section 2.6);
 //! * [`amplification`] — privacy amplification by subsampling
 //!   (Theorem 2.4);
-//! * [`geometric`] — the discrete-Laplace mechanism (extension);
 //! * [`snapping`] — Mironov's floating-point-safe snapped Laplace
 //!   release (hardening extension);
 //! * [`rng`] — deterministic seeding utilities for reproducible
@@ -52,7 +51,6 @@ pub mod amplification;
 pub mod clipped_mean;
 pub mod error;
 pub mod exponential;
-pub mod geometric;
 pub mod inverse_sensitivity;
 pub mod json;
 pub mod laplace;
@@ -63,4 +61,4 @@ pub mod snapping;
 pub mod svt;
 
 pub use error::{Result, UpdpError};
-pub use privacy::{BudgetAccountant, Delta, Epsilon, PrivacyGuarantee};
+pub use privacy::{Delta, Epsilon};

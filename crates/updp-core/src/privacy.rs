@@ -1,4 +1,4 @@
-//! Privacy-parameter types and budget accounting.
+//! Privacy-parameter types and budget splitting.
 //!
 //! A mechanism `M : Xⁿ → Y` is (ε, δ)-DP if for all neighboring datasets
 //! `D ~ D′` and measurable `S ⊆ Y`,
@@ -9,8 +9,9 @@
 //! ε is represented by the validated newtype [`Epsilon`] so that "ε is
 //! positive and finite" is checked exactly once, at the API boundary, and
 //! every internal algorithm can rely on it. Budget splitting (basic
-//! composition, Lemma 2.2) is expressed through [`Epsilon::scale`] and the
-//! [`BudgetAccountant`].
+//! composition, Lemma 2.2) is expressed through [`Epsilon::scale`] and
+//! [`Epsilon::split`]; the one ε accountant is the serving ledger
+//! (`updp-serve`).
 
 use crate::error::{Result, UpdpError};
 
@@ -108,96 +109,13 @@ impl Delta {
     }
 }
 
-/// A combined (ε, δ) privacy guarantee.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PrivacyGuarantee {
-    /// The ε part of the guarantee.
-    pub epsilon: Epsilon,
-    /// The δ part; zero for pure DP.
-    pub delta: Delta,
-}
-
-impl PrivacyGuarantee {
-    /// A pure ε-DP guarantee.
-    pub fn pure(epsilon: Epsilon) -> Self {
-        PrivacyGuarantee {
-            epsilon,
-            delta: Delta::ZERO,
-        }
-    }
-
-    /// Basic composition (Lemma 2.2): both ε and δ add.
-    pub fn compose(self, other: PrivacyGuarantee) -> Self {
-        PrivacyGuarantee {
-            epsilon: Epsilon(self.epsilon.0 + other.epsilon.0),
-            delta: Delta((self.delta.0 + other.delta.0).min(1.0 - f64::EPSILON)),
-        }
-    }
-}
-
 /// Absolute slack allowed when comparing accumulated ε spend against a
 /// total budget: repeated splitting (e.g. ten shares of `total/10`)
-/// need not sum to exactly `total` in floating point. Shared by
-/// [`BudgetAccountant`] and the serving ledger (`updp-serve`) so the
+/// need not sum to exactly `total` in floating point. Shared by the
+/// serving ledger (`updp-serve`) and the `perfbench` ε audit so the
 /// overshoot rule has exactly one definition.
 pub fn budget_tolerance(total: f64) -> f64 {
     1e-9 * total.max(1.0)
-}
-
-/// A simple sequential-composition budget accountant.
-///
-/// Mechanisms that make several sub-calls (e.g. `EstimateMean`, which runs
-/// `EstimateIQRLowerBound`, a subsampled range finder, and one Laplace
-/// release) use an accountant to assert — in tests and debug builds — that
-/// their internal budget arithmetic adds up to the advertised total.
-#[derive(Debug, Clone)]
-pub struct BudgetAccountant {
-    total: f64,
-    spent: f64,
-    log: Vec<(&'static str, f64)>,
-}
-
-impl BudgetAccountant {
-    /// Creates an accountant with `total` ε of budget.
-    pub fn new(total: Epsilon) -> Self {
-        BudgetAccountant {
-            total: total.get(),
-            spent: 0.0,
-            log: Vec::new(),
-        }
-    }
-
-    /// Requests `share` of ε for a sub-mechanism labeled `label`.
-    ///
-    /// Returns the share back (for ergonomic chaining) or an error if it
-    /// would exceed the remaining budget beyond floating-point tolerance.
-    pub fn charge(&mut self, label: &'static str, share: Epsilon) -> Result<Epsilon> {
-        let eps = share.get();
-        if self.spent + eps > self.total + budget_tolerance(self.total) {
-            return Err(UpdpError::BudgetExceeded {
-                requested: eps,
-                available: self.total - self.spent,
-            });
-        }
-        self.spent += eps;
-        self.log.push((label, eps));
-        Ok(share)
-    }
-
-    /// ε spent so far.
-    pub fn spent(&self) -> f64 {
-        self.spent
-    }
-
-    /// ε remaining.
-    pub fn remaining(&self) -> f64 {
-        (self.total - self.spent).max(0.0)
-    }
-
-    /// The itemized spend log: `(label, ε)` pairs in charge order.
-    pub fn log(&self) -> &[(&'static str, f64)] {
-        &self.log
-    }
 }
 
 #[cfg(test)]
@@ -236,40 +154,5 @@ mod tests {
         assert!(Delta::new(-0.1).is_err());
         assert!(Delta::ZERO.is_pure());
         assert!(!Delta::new(1e-6).unwrap().is_pure());
-    }
-
-    #[test]
-    fn guarantee_composition_adds() {
-        let a = PrivacyGuarantee::pure(Epsilon::new(0.3).unwrap());
-        let b = PrivacyGuarantee {
-            epsilon: Epsilon::new(0.2).unwrap(),
-            delta: Delta::new(1e-8).unwrap(),
-        };
-        let c = a.compose(b);
-        assert!((c.epsilon.get() - 0.5).abs() < 1e-15);
-        assert!((c.delta.get() - 1e-8).abs() < 1e-20);
-    }
-
-    #[test]
-    fn accountant_tracks_and_rejects_overspend() {
-        let total = Epsilon::new(1.0).unwrap();
-        let mut acc = BudgetAccountant::new(total);
-        acc.charge("stage-1", total.scale(0.5)).unwrap();
-        acc.charge("stage-2", total.scale(0.5)).unwrap();
-        assert!(acc.remaining() < 1e-9);
-        let err = acc.charge("stage-3", total.scale(0.5)).unwrap_err();
-        assert!(matches!(err, UpdpError::BudgetExceeded { .. }));
-        assert_eq!(acc.log().len(), 2);
-    }
-
-    #[test]
-    fn accountant_tolerates_float_rounding() {
-        let total = Epsilon::new(1.0).unwrap();
-        let mut acc = BudgetAccountant::new(total);
-        // Ten shares of 0.1 may not sum to exactly 1.0 in floating point.
-        for _ in 0..10 {
-            acc.charge("share", total.scale(0.1)).unwrap();
-        }
-        assert!(acc.remaining() < 1e-9);
     }
 }

@@ -294,36 +294,9 @@ fn beta_cf(a: f64, b: f64, x: f64) -> f64 {
     h
 }
 
-/// Double factorial `n!! = n·(n−2)·(n−4)⋯` with `0!! = (−1)!! = 1`.
-pub fn double_factorial(n: i64) -> f64 {
-    if n <= 0 {
-        return 1.0;
-    }
-    let mut acc = 1.0f64;
-    let mut k = n;
-    while k > 0 {
-        acc *= k as f64;
-        k -= 2;
-    }
-    acc
-}
-
 /// `n!` as f64 (exact for `n ≤ 22`, then best f64 approximation).
 pub fn factorial(n: u32) -> f64 {
     (1..=n).fold(1.0f64, |acc, k| acc * k as f64)
-}
-
-/// `C(n, k)` as f64.
-pub fn binomial(n: u32, k: u32) -> f64 {
-    if k > n {
-        return 0.0;
-    }
-    let k = k.min(n - k);
-    let mut acc = 1.0f64;
-    for i in 0..k {
-        acc = acc * (n - i) as f64 / (i + 1) as f64;
-    }
-    acc
 }
 
 #[cfg(test)]
@@ -460,22 +433,8 @@ mod tests {
     }
 
     #[test]
-    fn double_factorial_values() {
-        assert_eq!(double_factorial(-1), 1.0);
-        assert_eq!(double_factorial(0), 1.0);
-        assert_eq!(double_factorial(1), 1.0);
-        assert_eq!(double_factorial(5), 15.0);
-        assert_eq!(double_factorial(6), 48.0);
-        assert_eq!(double_factorial(7), 105.0);
-    }
-
-    #[test]
-    fn factorial_and_binomial() {
+    fn factorial_values() {
         assert_eq!(factorial(0), 1.0);
         assert_eq!(factorial(5), 120.0);
-        assert_eq!(binomial(10, 3), 120.0);
-        assert_eq!(binomial(4, 0), 1.0);
-        assert_eq!(binomial(3, 5), 0.0);
-        assert_eq!(binomial(52, 5), 2_598_960.0);
     }
 }

@@ -106,11 +106,6 @@ impl SortedInts {
         end - start
     }
 
-    /// Number of elements `< x`.
-    pub fn count_below(&self, x: i64) -> usize {
-        self.values.partition_point(|&v| v < x)
-    }
-
     /// The τ-th order statistic `X_τ` (1-based), with the paper's edge
     /// convention `X_i = X_1` for `i < 1` and `X_i = X_n` for `i > n`.
     pub fn order_statistic(&self, tau: i64) -> i64 {
@@ -222,14 +217,12 @@ mod tests {
     }
 
     #[test]
-    fn count_in_and_below() {
+    fn count_in_counts_inclusive_ranges() {
         let d = SortedInts::new(vec![1, 2, 2, 2, 5]).unwrap();
         assert_eq!(d.count_in(2, 2), 3);
         assert_eq!(d.count_in(0, 10), 5);
         assert_eq!(d.count_in(3, 4), 0);
         assert_eq!(d.count_in(5, 1), 0);
-        assert_eq!(d.count_below(2), 1);
-        assert_eq!(d.count_below(6), 5);
     }
 
     #[test]

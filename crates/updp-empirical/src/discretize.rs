@@ -22,7 +22,7 @@ use crate::quantile::infinite_domain_quantile;
 use crate::radius::infinite_domain_radius;
 use crate::range::infinite_domain_range;
 use rand::Rng;
-use updp_core::error::{ensure_finite, ensure_nonempty, Result, UpdpError};
+use updp_core::error::{ensure_beta, ensure_finite, ensure_nonempty, Result, UpdpError};
 use updp_core::privacy::Epsilon;
 
 /// A real ↔ integer bucket mapping with bucket size `b`.
@@ -97,6 +97,7 @@ pub fn real_radius<R: Rng + ?Sized>(
     epsilon: Epsilon,
     beta: f64,
 ) -> Result<f64> {
+    ensure_beta(beta)?;
     let disc = Discretizer::new(bucket)?;
     let ints = disc.discretize(data)?;
     let rad = infinite_domain_radius(rng, &ints, epsilon, beta);

@@ -16,7 +16,7 @@ use crate::dataset::SortedInts;
 use crate::range::{infinite_domain_range, IntRange};
 use rand::Rng;
 use updp_core::clipped_mean::clipped_mean_i64;
-use updp_core::error::Result;
+use updp_core::error::{ensure_beta, Result};
 use updp_core::laplace::sample_laplace;
 use updp_core::privacy::Epsilon;
 
@@ -41,6 +41,7 @@ pub fn infinite_domain_mean<R: Rng + ?Sized>(
     epsilon: Epsilon,
     beta: f64,
 ) -> Result<EmpiricalMeanResult> {
+    ensure_beta(beta)?;
     let range = infinite_domain_range(rng, data, epsilon.scale(4.0 / 5.0), beta / 2.0)?;
     let mean = clipped_mean_i64(data.values(), range.lo, range.hi)?;
     let n = data.len() as f64;

@@ -10,7 +10,7 @@
 use crate::dataset::SortedInts;
 use crate::range::{infinite_domain_range, IntRange};
 use rand::Rng;
-use updp_core::error::Result;
+use updp_core::error::{ensure_beta, Result};
 use updp_core::inverse_sensitivity::finite_domain_quantile;
 use updp_core::privacy::Epsilon;
 
@@ -32,6 +32,7 @@ pub fn infinite_domain_quantile<R: Rng + ?Sized>(
     epsilon: Epsilon,
     beta: f64,
 ) -> Result<QuantileResult> {
+    ensure_beta(beta)?;
     let range = infinite_domain_range(rng, data, epsilon.scale(4.0 / 5.0), beta / 2.0)?;
     // The sampler clips every value into the range itself.
     let estimate = finite_domain_quantile(

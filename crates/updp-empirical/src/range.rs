@@ -17,7 +17,7 @@
 use crate::dataset::SortedInts;
 use crate::radius::{infinite_domain_radius, infinite_domain_radius_about};
 use rand::Rng;
-use updp_core::error::Result;
+use updp_core::error::{ensure_beta, Result};
 use updp_core::inverse_sensitivity::finite_domain_quantile;
 use updp_core::privacy::Epsilon;
 
@@ -55,7 +55,7 @@ pub fn infinite_domain_range<R: Rng + ?Sized>(
     epsilon: Epsilon,
     beta: f64,
 ) -> Result<IntRange> {
-    assert!(beta > 0.0 && beta < 1.0, "beta must be in (0,1)");
+    ensure_beta(beta)?;
     let n = data.len();
 
     // Stage 1: radius (ε/8, β/3).

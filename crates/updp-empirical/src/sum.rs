@@ -17,7 +17,7 @@ use crate::dataset::SortedInts;
 use crate::range::{infinite_domain_range, IntRange};
 use rand::Rng;
 use updp_core::clipped_mean::clipped_sum_i64;
-use updp_core::error::Result;
+use updp_core::error::{ensure_beta, Result};
 use updp_core::laplace::sample_laplace;
 use updp_core::privacy::Epsilon;
 
@@ -44,6 +44,7 @@ pub fn infinite_domain_sum<R: Rng + ?Sized>(
     epsilon: Epsilon,
     beta: f64,
 ) -> Result<SumResult> {
+    ensure_beta(beta)?;
     let range = infinite_domain_range(rng, data, epsilon.scale(4.0 / 5.0), beta / 2.0)?;
     // Chunked clip+sum kernel (bit-identical to the historical
     // per-element i128 loop — integer addition is exact).

@@ -1,5 +1,5 @@
 //! Bounded ring buffers of recent request events — the flight
-//! recorder behind `GET /v1/trace` and `--log-json`.
+//! recorder behind `GET /v1/trace`.
 
 // Lock poisoning maps to structured errors or a reasoned recovery,
 // never a panic (DESIGN.md §6, §9).
@@ -42,8 +42,8 @@ pub struct TraceEvent {
 }
 
 impl TraceEvent {
-    /// The event as a JSON object (used by `/v1/trace` and the
-    /// `--log-json` stderr lines).
+    /// The event as a JSON object (one element of the `/v1/trace`
+    /// response).
     pub fn to_json(&self) -> JsonValue {
         JsonValue::object(vec![
             ("id", JsonValue::Number(self.id as f64)),

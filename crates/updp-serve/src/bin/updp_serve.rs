@@ -29,8 +29,6 @@
 //!   `/v1/metrics` and `/v1/trace` then render empty families. The
 //!   recorder is observe-only, so released bytes are identical either
 //!   way.
-//! * `--log-json` — emit one structured JSON line per request on
-//!   stderr (the flight-recorder stream).
 //! * `--threads` — worker count for the deterministic parallel data
 //!   kernels (the cold sorted-copy build, DESIGN.md §12); sets
 //!   `UPDP_THREADS` for this process. `0`/unset: auto (available
@@ -43,7 +41,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: updp-serve [--addr HOST:PORT] [--ledger PATH] [--port-file PATH] \
          [--buffer-rows N] [--buffer-age-ms MS] [--workers N] [--max-conns N] \
-         [--no-metrics] [--log-json] [--threads N]"
+         [--no-metrics] [--threads N]"
     );
     std::process::exit(2);
 }
@@ -78,7 +76,6 @@ fn main() {
                 config.max_connections = value("--max-conns").parse().unwrap_or_else(|_| usage())
             }
             "--no-metrics" => config.metrics = false,
-            "--log-json" => config.log_json = true,
             "--threads" => {
                 let threads: usize = value("--threads").parse().unwrap_or_else(|_| usage());
                 // Before any worker thread exists, so the write is

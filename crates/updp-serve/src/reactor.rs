@@ -668,17 +668,6 @@ fn dispatch(
                 .map(|d| d.as_millis() as u64)
                 .unwrap_or(0),
         };
-        if config.log_json {
-            // The opt-in --log-json flight-recorder stream: one JSON
-            // line per request on stderr, for operators tailing logs.
-            #[expect(
-                clippy::print_stderr,
-                reason = "--log-json stderr stream is an operator-facing product surface, gated behind an opt-in config flag"
-            )]
-            {
-                eprintln!("{}", event.to_json().to_compact());
-            }
-        }
         metrics.trace_event(shard.index, event);
     }
     if is_shutdown {

@@ -58,9 +58,6 @@ pub struct ServerConfig {
     /// released bytes are bit-identical with instrumentation hot or
     /// cold.
     pub metrics: bool,
-    /// Emit one structured JSON line per request on stderr (the
-    /// opt-in `--log-json` flight-recorder stream).
-    pub log_json: bool,
 }
 
 impl Default for ServerConfig {
@@ -71,7 +68,6 @@ impl Default for ServerConfig {
             max_write_queue: 256 * 1024,
             send_buffer: None,
             metrics: true,
-            log_json: false,
         }
     }
 }

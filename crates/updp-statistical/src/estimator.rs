@@ -1,35 +1,28 @@
-//! The `Estimator` abstraction and the high-level facade.
+//! The `Estimator` trait: the workspace-wide uniform interface.
 //!
-//! Two layers live here:
+//! [`Estimator`] unifies *every* estimator (the five universal ones
+//! implemented in this crate and the Table 1 comparators in
+//! `updp-baselines`) behind one signature: `estimate(&mut rng,
+//! &DataView, &EstimateParams) -> Release`. Consumers (the serving
+//! engine's name-keyed registry, the experiment trial runner) dispatch
+//! through it instead of hand-rolled per-estimator glue. The dispatch
+//! layer is pure plumbing: a trait call is **bit-identical** to the
+//! direct free function on the same seed (pinned by the workspace
+//! equivalence suite), so routing a caller through the trait can never
+//! change a released value.
 //!
-//! * [`Estimator`] — the workspace-wide trait unifying *every*
-//!   estimator (the five universal ones implemented in this crate and
-//!   the Table 1 comparators in `updp-baselines`) behind one
-//!   signature: `estimate(&mut rng, &DataView, &EstimateParams) ->
-//!   Release`. Consumers (the serving engine's name-keyed registry,
-//!   the experiment trial runner) dispatch through it instead of
-//!   hand-rolled per-estimator glue. The dispatch layer is pure
-//!   plumbing: a trait call is **bit-identical** to the direct free
-//!   function on the same seed (pinned by the workspace equivalence
-//!   suite), so routing a caller through the trait can never change a
-//!   released value.
-//! * [`UniversalEstimator`] — the configured facade bundling ε and β
-//!   so applications configure once and call
-//!   [`UniversalEstimator::mean`] / [`variance`](UniversalEstimator::variance)
-//!   / [`iqr`](UniversalEstimator::iqr) /
-//!   [`quantile`](UniversalEstimator::quantile) /
-//!   [`multi_mean`](UniversalEstimator::multi_mean). **Each call
-//!   spends a fresh ε** — callers estimating several parameters of the
-//!   *same* dataset should split their total budget across calls
-//!   (basic composition, Lemma 2.2), e.g. with [`Epsilon::split`].
+//! Applications that hold a plain `&[f64]` call the free functions
+//! ([`crate::estimate_mean`], [`crate::estimate_variance`], …) directly.
+//! **Each call spends its own ε** — callers estimating several
+//! parameters of the *same* dataset split their total budget across
+//! calls (basic composition, Lemma 2.2), e.g. with [`Epsilon::split`].
 
-use crate::iqr::{estimate_iqr, estimate_iqr_view, IqrEstimate};
-use crate::mean::{estimate_mean, MeanEstimate};
-use crate::multivariate::{estimate_mean_multivariate, MultivariateMeanEstimate};
+use crate::iqr::estimate_iqr_view;
+use crate::mean::estimate_mean;
 use crate::quantile::estimate_quantile_view;
-use crate::variance::{estimate_variance, VarianceEstimate};
-use rand::{Rng, RngCore};
-use updp_core::error::{Result, UpdpError};
+use crate::variance::estimate_variance;
+use rand::RngCore;
+use updp_core::error::{ensure_beta, Result, UpdpError};
 use updp_core::privacy::Epsilon;
 pub use updp_empirical::view::{ColumnCache, ColumnView, DataView, PreparedDataset};
 
@@ -446,7 +439,7 @@ impl Estimator for UniversalIqr {
 
 /// The multivariate mean (§1.2 extension) as an [`Estimator`]: one
 /// universal mean per column at ε/d and β/d (basic composition), the
-/// same arithmetic as [`estimate_mean_multivariate`].
+/// same arithmetic as [`crate::estimate_mean_multivariate`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct UniversalMultiMean;
 
@@ -473,6 +466,7 @@ impl Estimator for UniversalMultiMean {
         if d == 0 {
             return Err(UpdpError::EmptyDataset);
         }
+        ensure_beta(params.beta)?;
         let per_coord = params.epsilon.scale(1.0 / d as f64);
         let per_beta = params.beta / d as f64;
         let mut release = Release {
@@ -504,187 +498,15 @@ pub fn universal_estimators() -> Vec<Box<dyn Estimator>> {
     ]
 }
 
-/// A configured universal private estimator.
-///
-/// ```
-/// use updp_statistical::UniversalEstimator;
-/// use updp_core::privacy::Epsilon;
-/// use updp_core::rng::seeded;
-///
-/// let est = UniversalEstimator::new(Epsilon::new(0.5).unwrap());
-/// let mut rng = seeded(7);
-/// // Any data, any scale, no range/variance assumptions:
-/// let data: Vec<f64> = (0..5000).map(|i| 1e6 + (i % 100) as f64).collect();
-/// let mean = est.mean(&mut rng, &data).unwrap();
-/// assert!((mean.estimate - 1e6).abs() < 1e3);
-/// ```
-#[derive(Debug, Clone, Copy)]
-pub struct UniversalEstimator {
-    epsilon: Epsilon,
-    beta: f64,
-}
-
-impl UniversalEstimator {
-    /// Creates an estimator with privacy parameter `epsilon` and the
-    /// default β = 1/3 (the paper's "constant success probability").
-    pub fn new(epsilon: Epsilon) -> Self {
-        UniversalEstimator {
-            epsilon,
-            beta: DEFAULT_BETA,
-        }
-    }
-
-    /// Sets a custom utility failure probability β ∈ (0, 1).
-    pub fn with_beta(mut self, beta: f64) -> Self {
-        assert!(beta > 0.0 && beta < 1.0, "beta must be in (0,1)");
-        self.beta = beta;
-        self
-    }
-
-    /// The configured ε.
-    pub fn epsilon(&self) -> Epsilon {
-        self.epsilon
-    }
-
-    /// The configured β.
-    pub fn beta(&self) -> f64 {
-        self.beta
-    }
-
-    /// ε-DP universal mean estimate (Algorithm 8, Theorem 4.5).
-    pub fn mean<R: Rng + ?Sized>(&self, rng: &mut R, data: &[f64]) -> Result<MeanEstimate> {
-        estimate_mean(rng, data, self.epsilon, self.beta)
-    }
-
-    /// ε-DP universal variance estimate (Algorithm 9, Theorem 5.2).
-    pub fn variance<R: Rng + ?Sized>(&self, rng: &mut R, data: &[f64]) -> Result<VarianceEstimate> {
-        estimate_variance(rng, data, self.epsilon, self.beta)
-    }
-
-    /// ε-DP universal IQR estimate (Algorithm 10, Theorem 6.2).
-    pub fn iqr<R: Rng + ?Sized>(&self, rng: &mut R, data: &[f64]) -> Result<IqrEstimate> {
-        estimate_iqr(rng, data, self.epsilon, self.beta)
-    }
-
-    /// ε-DP universal estimate of the `q`-quantile `F⁻¹(q)` (extension
-    /// of Algorithm 10; see [`crate::quantile`]).
-    pub fn quantile<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        data: &[f64],
-        q: f64,
-    ) -> Result<crate::quantile::QuantileEstimate> {
-        crate::quantile::estimate_quantile(rng, data, q, self.epsilon, self.beta)
-    }
-
-    /// ε-DP universal multivariate mean (§1.2 extension): one
-    /// universal mean per coordinate at ε/d under basic composition.
-    /// `data` is row-major — each inner slice is one d-dimensional
-    /// record (see [`estimate_mean_multivariate`]).
-    pub fn multi_mean<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        data: &[Vec<f64>],
-    ) -> Result<MultivariateMeanEstimate> {
-        estimate_mean_multivariate(rng, data, self.epsilon, self.beta)
-    }
-
-    /// Estimates all three parameters on one dataset, splitting the
-    /// configured ε evenly so the *total* privacy cost is ε (Lemma 2.2).
-    pub fn all<R: Rng + ?Sized>(&self, rng: &mut R, data: &[f64]) -> Result<AllEstimates> {
-        let shares = self.epsilon.split(&[1.0, 1.0, 1.0]);
-        Ok(AllEstimates {
-            mean: estimate_mean(rng, data, shares[0], self.beta)?,
-            variance: estimate_variance(rng, data, shares[1], self.beta)?,
-            iqr: estimate_iqr(rng, data, shares[2], self.beta)?,
-        })
-    }
-}
-
-/// Mean, variance, and IQR estimated together under one total ε.
-#[derive(Debug, Clone, Copy)]
-pub struct AllEstimates {
-    /// The mean estimate.
-    pub mean: MeanEstimate,
-    /// The variance estimate.
-    pub variance: VarianceEstimate,
-    /// The IQR estimate.
-    pub iqr: IqrEstimate,
-}
-
 #[cfg(test)]
 // Exact `==` on f64 is deliberate in tests: they pin bit-identical
 // outputs (DESIGN.md §5), so an epsilon tolerance would weaken them.
 #[allow(clippy::float_cmp)]
 mod tests {
     use super::*;
+    use crate::iqr::estimate_iqr;
     use updp_core::rng::seeded;
     use updp_dist::{ContinuousDistribution, Gaussian};
-
-    #[test]
-    fn facade_round_trip() {
-        let g = Gaussian::new(50.0, 5.0).unwrap();
-        let mut rng = seeded(1);
-        let data = g.sample_vec(&mut rng, 30_000);
-        let est = UniversalEstimator::new(Epsilon::new(1.0).unwrap());
-        let m = est.mean(&mut rng, &data).unwrap();
-        let v = est.variance(&mut rng, &data).unwrap();
-        let i = est.iqr(&mut rng, &data).unwrap();
-        assert!((m.estimate - 50.0).abs() < 1.0, "mean {}", m.estimate);
-        assert!((v.estimate - 25.0).abs() < 5.0, "variance {}", v.estimate);
-        assert!((i.estimate - g.iqr()).abs() < 1.0, "iqr {}", i.estimate);
-    }
-
-    #[test]
-    fn all_splits_budget() {
-        let g = Gaussian::new(0.0, 1.0).unwrap();
-        let mut rng = seeded(2);
-        let data = g.sample_vec(&mut rng, 30_000);
-        let est = UniversalEstimator::new(Epsilon::new(1.5).unwrap());
-        let all = est.all(&mut rng, &data).unwrap();
-        assert!(all.mean.estimate.abs() < 0.5);
-        assert!((all.variance.estimate - 1.0).abs() < 0.5);
-        assert!((all.iqr.estimate - g.iqr()).abs() < 0.5);
-    }
-
-    #[test]
-    fn facade_quantile() {
-        let g = Gaussian::new(10.0, 2.0).unwrap();
-        let mut rng = seeded(3);
-        let data = g.sample_vec(&mut rng, 20_000);
-        let est = UniversalEstimator::new(Epsilon::new(1.0).unwrap());
-        let q = est.quantile(&mut rng, &data, 0.9).unwrap();
-        let truth = g.quantile(0.9);
-        assert!((q.estimate - truth).abs() < 0.3, "p90 {}", q.estimate);
-    }
-
-    #[test]
-    fn beta_configuration() {
-        let est = UniversalEstimator::new(Epsilon::new(1.0).unwrap()).with_beta(0.05);
-        assert_eq!(est.beta(), 0.05);
-        assert_eq!(est.epsilon().get(), 1.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "beta must be in (0,1)")]
-    fn invalid_beta_panics() {
-        let _ = UniversalEstimator::new(Epsilon::new(1.0).unwrap()).with_beta(1.0);
-    }
-
-    #[test]
-    fn facade_multi_mean() {
-        let mut rng = seeded(20);
-        let g0 = Gaussian::new(10.0, 1.0).unwrap();
-        let g1 = Gaussian::new(-5.0, 2.0).unwrap();
-        let rows: Vec<Vec<f64>> = (0..20_000)
-            .map(|_| vec![g0.sample(&mut rng), g1.sample(&mut rng)])
-            .collect();
-        let est = UniversalEstimator::new(Epsilon::new(2.0).unwrap());
-        let r = est.multi_mean(&mut rng, &rows).unwrap();
-        assert_eq!(r.estimate.len(), 2);
-        assert!((r.estimate[0] - 10.0).abs() < 0.5, "{:?}", r.estimate);
-        assert!((r.estimate[1] + 5.0).abs() < 0.5, "{:?}", r.estimate);
-    }
 
     #[test]
     fn trait_dispatch_matches_free_functions_bit_for_bit() {

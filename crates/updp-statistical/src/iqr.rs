@@ -16,7 +16,7 @@
 
 use crate::iqr_lower_bound::estimate_iqr_lower_bound_view;
 use rand::Rng;
-use updp_core::error::{Result, UpdpError};
+use updp_core::error::{ensure_beta, Result, UpdpError};
 use updp_core::privacy::Epsilon;
 use updp_empirical::discretize::real_quantile_view;
 use updp_empirical::view::{ColumnCache, ColumnView};
@@ -73,12 +73,7 @@ pub fn estimate_iqr_view<R: Rng + ?Sized>(
             context: "EstimateIQR",
         });
     }
-    if !(beta > 0.0 && beta < 1.0) {
-        return Err(UpdpError::InvalidParameter {
-            name: "beta",
-            reason: format!("must be in (0,1), got {beta}"),
-        });
-    }
+    ensure_beta(beta)?;
 
     let third = epsilon.scale(1.0 / 3.0);
     let lb = estimate_iqr_lower_bound_view(rng, view, third, beta / 6.0)?;

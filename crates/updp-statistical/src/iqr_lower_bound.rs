@@ -23,7 +23,7 @@
 //! view).
 
 use rand::Rng;
-use updp_core::error::{Result, UpdpError};
+use updp_core::error::{ensure_beta, Result, UpdpError};
 use updp_core::privacy::Epsilon;
 use updp_core::svt::{sparse_vector, DEFAULT_SVT_CAP};
 pub use updp_empirical::gaps::pair_gaps;
@@ -67,12 +67,7 @@ pub fn estimate_iqr_lower_bound_view<R: Rng + ?Sized>(
             context: "EstimateIQRLowerBound pairing",
         });
     }
-    if !(beta > 0.0 && beta < 1.0) {
-        return Err(UpdpError::InvalidParameter {
-            name: "beta",
-            reason: format!("must be in (0,1), got {beta}"),
-        });
-    }
+    ensure_beta(beta)?;
     let gaps = match view.gap_summary() {
         Some(summary) => summary,
         None => std::sync::Arc::new(pair_gaps(rng, view.data())),

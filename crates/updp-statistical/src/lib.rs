@@ -15,7 +15,10 @@
 //! | general quantiles (extension) | [`quantile`] | §1's "1/4 and 3/4 are not important" made concrete |
 //! | multivariate mean (extension, §1.2) | [`multivariate`] | coordinate-wise Laplace composition, `Õ(d^{3/2}/(εn))` in ℓ₂ |
 //!
-//! [`UniversalEstimator`] is the one-stop configured facade.
+//! Each estimator has two ways in: its free function (e.g.
+//! [`estimate_mean`] on a `&[f64]`), and the [`Estimator`] trait in
+//! [`estimator`], through which the serving engine and the experiment
+//! runner dispatch by name. The two are bit-identical on the same seed.
 //!
 //! All estimators run in `O(n log n)` time and are universal: utility
 //! guarantees degrade only with log-log of the ill-behavedness `1/ϕ(1/16)`
@@ -47,10 +50,9 @@ mod scratch;
 pub mod variance;
 
 pub use estimator::{
-    check_declared, universal_estimators, AllEstimates, ColumnCache, ColumnView, DataView,
-    EstimateParams, Estimator, ParamSpec, PreparedDataset, Privacy, Release, UniversalEstimator,
-    UniversalIqr, UniversalMean, UniversalMultiMean, UniversalQuantile, UniversalVariance,
-    DEFAULT_BETA,
+    check_declared, universal_estimators, ColumnCache, ColumnView, DataView, EstimateParams,
+    Estimator, ParamSpec, PreparedDataset, Privacy, Release, UniversalIqr, UniversalMean,
+    UniversalMultiMean, UniversalQuantile, UniversalVariance, DEFAULT_BETA,
 };
 pub use iqr::{estimate_iqr, estimate_iqr_view, IqrEstimate};
 pub use iqr_lower_bound::{estimate_iqr_lower_bound, estimate_iqr_lower_bound_view, pair_gaps};

@@ -26,7 +26,7 @@ use crate::scratch::with_subsample;
 use rand::Rng;
 use updp_core::amplification::paper_inner_epsilon;
 use updp_core::clipped_mean::clipped_mean_with_outside;
-use updp_core::error::{ensure_finite, Result, UpdpError};
+use updp_core::error::{ensure_beta, ensure_finite, Result, UpdpError};
 use updp_core::laplace::sample_laplace;
 use updp_core::privacy::Epsilon;
 use updp_empirical::discretize::{real_range, RealRange};
@@ -67,12 +67,7 @@ pub fn estimate_mean<R: Rng + ?Sized>(
             context: "EstimateMean",
         });
     }
-    if !(beta > 0.0 && beta < 1.0) {
-        return Err(UpdpError::InvalidParameter {
-            name: "beta",
-            reason: format!("must be in (0,1), got {beta}"),
-        });
-    }
+    ensure_beta(beta)?;
 
     // Stage 1 (ε/8): private bucket size.
     let bucket = estimate_iqr_lower_bound(rng, data, epsilon.scale(1.0 / 8.0), beta / 9.0)?;
@@ -102,6 +97,7 @@ pub fn estimate_mean_with_bucket<R: Rng + ?Sized>(
             context: "EstimateMean",
         });
     }
+    ensure_beta(beta)?;
     if !(bucket.is_finite() && bucket > 0.0) {
         return Err(UpdpError::InvalidParameter {
             name: "bucket",
@@ -131,6 +127,7 @@ pub fn estimate_mean_with_subsample<R: Rng + ?Sized>(
             reason: format!("subsample size {m} out of range for n = {n}"),
         });
     }
+    ensure_beta(beta)?;
     let bucket = estimate_iqr_lower_bound(rng, data, epsilon.scale(1.0 / 8.0), beta / 9.0)?;
     range_and_release(rng, data, epsilon, beta, bucket, m)
 }

@@ -18,7 +18,7 @@
 
 use crate::mean::{estimate_mean, MeanEstimate};
 use rand::Rng;
-use updp_core::error::{Result, UpdpError};
+use updp_core::error::{ensure_beta, Result, UpdpError};
 use updp_core::privacy::Epsilon;
 
 /// Result of a multivariate universal mean estimation.
@@ -57,6 +57,7 @@ pub fn estimate_mean_multivariate<R: Rng + ?Sized>(
             reason: "all records must have the same dimension".into(),
         });
     }
+    ensure_beta(beta)?;
     let per_coord = epsilon.scale(1.0 / d as f64);
     // β is also split so the whole vector succeeds w.p. ≥ 1 − β.
     let per_beta = beta / d as f64;

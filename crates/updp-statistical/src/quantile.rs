@@ -18,7 +18,7 @@
 
 use crate::iqr_lower_bound::{estimate_iqr_lower_bound, estimate_iqr_lower_bound_view};
 use rand::Rng;
-use updp_core::error::{ensure_finite, Result, UpdpError};
+use updp_core::error::{ensure_beta, ensure_finite, Result, UpdpError};
 use updp_core::privacy::Epsilon;
 use updp_empirical::discretize::real_quantile_view;
 use updp_empirical::view::{ColumnCache, ColumnView};
@@ -53,12 +53,7 @@ fn validate(n: usize, q: f64, beta: f64) -> Result<usize> {
             reason: format!("quantile level must be in (0,1), got {q}"),
         });
     }
-    if !(beta > 0.0 && beta < 1.0) {
-        return Err(UpdpError::InvalidParameter {
-            name: "beta",
-            reason: format!("must be in (0,1), got {beta}"),
-        });
-    }
+    ensure_beta(beta)?;
     Ok(n)
 }
 

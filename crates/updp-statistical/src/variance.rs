@@ -18,7 +18,7 @@ use crate::scratch::with_subsample;
 use rand::Rng;
 use updp_core::amplification::paper_inner_epsilon;
 use updp_core::clipped_mean::clipped_mean_with_outside;
-use updp_core::error::{ensure_finite, Result, UpdpError};
+use updp_core::error::{ensure_beta, ensure_finite, Result, UpdpError};
 use updp_core::laplace::sample_laplace;
 use updp_core::privacy::Epsilon;
 use updp_empirical::discretize::real_radius;
@@ -58,12 +58,7 @@ pub fn estimate_variance<R: Rng + ?Sized>(
             context: "EstimateVariance",
         });
     }
-    if !(beta > 0.0 && beta < 1.0) {
-        return Err(UpdpError::InvalidParameter {
-            name: "beta",
-            reason: format!("must be in (0,1), got {beta}"),
-        });
-    }
+    ensure_beta(beta)?;
 
     // Stage 1 (ε/8): bucket scale.
     let bucket = estimate_iqr_lower_bound(rng, data, epsilon.scale(1.0 / 8.0), beta / 7.0)?;

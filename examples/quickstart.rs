@@ -16,42 +16,41 @@ fn main() -> Result<()> {
     let mut rng = rng::seeded(2023);
     let data = secret_distribution.sample_vec(&mut rng, 50_000);
 
-    // One configured estimator, total privacy cost ε = 1 for all three
-    // parameters (the budget is split internally via basic composition).
+    // Total privacy cost ε = 1 for all three parameters: one equal
+    // share per release (basic composition, Lemma 2.2).
     let epsilon = Epsilon::new(1.0).expect("valid epsilon");
-    let estimator = UniversalEstimator::new(epsilon);
-    let all = estimator.all(&mut rng, &data)?;
+    let shares = epsilon.split(&[1.0, 1.0, 1.0]);
+    let mean = estimate_mean(&mut rng, &data, shares[0], DEFAULT_BETA)?;
+    let variance = estimate_variance(&mut rng, &data, shares[1], DEFAULT_BETA)?;
+    let iqr = estimate_iqr(&mut rng, &data, shares[2], DEFAULT_BETA)?;
 
     println!("universal private estimators (total ε = {})", epsilon.get());
     println!("  records           : {}", data.len());
     println!(
         "  mean              : {:>12.2}   (true {:.2})",
-        all.mean.estimate,
+        mean.estimate,
         secret_distribution.mean()
     );
     println!(
         "  variance          : {:>12.2}   (true {:.2})",
-        all.variance.estimate,
+        variance.estimate,
         secret_distribution.variance()
     );
     println!(
         "  IQR               : {:>12.2}   (true {:.2})",
-        all.iqr.estimate,
+        iqr.estimate,
         secret_distribution.iqr()
     );
     println!();
     println!("diagnostics:");
-    println!(
-        "  bucket (private IQR lower bound) : {:.4}",
-        all.mean.bucket
-    );
+    println!("  bucket (private IQR lower bound) : {:.4}", mean.bucket);
     println!(
         "  clipping range found privately   : [{:.1}, {:.1}]",
-        all.mean.range.lo, all.mean.range.hi
+        mean.range.lo, mean.range.hi
     );
     println!(
         "  full-data points clipped         : {} of {}",
-        all.mean.clipped,
+        mean.clipped,
         data.len()
     );
     Ok(())

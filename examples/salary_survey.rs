@@ -29,10 +29,8 @@ fn main() -> Result<()> {
     }
 
     let epsilon = Epsilon::new(0.5).expect("valid epsilon");
-    let estimator = UniversalEstimator::new(epsilon);
-
-    let mean = estimator.mean(&mut rng, &salaries)?;
-    let iqr = estimator.iqr(&mut rng, &salaries)?;
+    let mean = estimate_mean(&mut rng, &salaries, epsilon, DEFAULT_BETA)?;
+    let iqr = estimate_iqr(&mut rng, &salaries, epsilon, DEFAULT_BETA)?;
 
     // Non-private truth for reference (the curator can see it).
     let true_mean = salaries.iter().sum::<f64>() / n as f64;

@@ -18,7 +18,6 @@ use updp::prelude::*;
 fn main() -> Result<()> {
     let mut rng = rng::seeded(99);
     let epsilon = Epsilon::new(0.8).expect("valid epsilon");
-    let estimator = UniversalEstimator::new(epsilon);
 
     println!("per-cohort private variance (ε = {} each):", epsilon.get());
     println!(
@@ -38,7 +37,7 @@ fn main() -> Result<()> {
     for (name, sigma, offset) in cohorts {
         let dist = Gaussian::new(offset, sigma).expect("valid parameters");
         let readings = dist.sample_vec(&mut rng, 40_000);
-        let var = estimator.variance(&mut rng, &readings)?;
+        let var = estimate_variance(&mut rng, &readings, epsilon, DEFAULT_BETA)?;
         let truth = sigma * sigma;
         println!(
             "  {:>10}  {:>14.4e}  {:>14.4e}  {:>8.2}%   [{name}]",

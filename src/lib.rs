@@ -19,16 +19,20 @@
 //!     .map(|i| 60_000.0 + 15_000.0 * ((i % 97) as f64 / 97.0 - 0.5))
 //!     .collect();
 //!
-//! let est = UniversalEstimator::new(Epsilon::new(1.0).unwrap());
-//! let mean = est.mean(&mut rng, &data).unwrap();
+//! let epsilon = Epsilon::new(1.0).unwrap();
+//! let mean = estimate_mean(&mut rng, &data, epsilon, DEFAULT_BETA).unwrap();
 //! assert!((mean.estimate - 60_000.0).abs() < 1_000.0);
 //! ```
+//!
+//! Each call spends its own ε. To estimate several parameters of one
+//! dataset under a total ε, split it first (basic composition, Lemma
+//! 2.2): `epsilon.split(&[1.0, 1.0, 1.0])` gives one share per call.
 //!
 //! ## Crate map
 //!
 //! | Re-export | Crate | Contents |
 //! |---|---|---|
-//! | [`core`] | `updp-core` | DP primitives: Laplace, SVT, exponential & inverse-sensitivity mechanisms, budgets |
+//! | [`core`] | `updp-core` | DP primitives: Laplace, SVT, inverse-sensitivity mechanism, clipped mean, amplification, ε/δ types |
 //! | [`dist`] | `updp-dist` | distributions with exact ground-truth functionals (`ϕ(β)`, `θ(κ)`, `μ_k`, …) |
 //! | [`empirical`] | `updp-empirical` | §3 instance-optimal empirical estimators over unbounded domains |
 //! | [`statistical`] | `updp-statistical` | §4–6 universal estimators (`EstimateMean`/`Variance`/`IQR`) + the workspace [`Estimator`](statistical::Estimator) trait |
@@ -64,6 +68,6 @@ pub mod prelude {
         estimate_iqr, estimate_mean, estimate_mean_multivariate, estimate_quantile,
         estimate_quantile_range, estimate_variance, DataView, EstimateParams, Estimator,
         IqrEstimate, MeanEstimate, MultivariateMeanEstimate, PreparedDataset, QuantileEstimate,
-        Release, UniversalEstimator, VarianceEstimate,
+        Release, VarianceEstimate, DEFAULT_BETA,
     };
 }

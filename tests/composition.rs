@@ -1,8 +1,9 @@
 //! Budget-composition integration tests: sequential releases on one
-//! dataset compose per Lemma 2.2, and the accountant arithmetic used by
-//! the facade adds up to the advertised totals.
+//! dataset compose per Lemma 2.2, and the internal stage budgets of the
+//! estimators add up to the advertised totals.
 
-use updp::core::privacy::{BudgetAccountant, Epsilon, PrivacyGuarantee};
+use updp::core::amplification::{amplified_epsilon, paper_inner_epsilon};
+use updp::core::privacy::{budget_tolerance, Epsilon};
 use updp::core::rng::seeded;
 use updp::dist::{ContinuousDistribution, Gaussian};
 
@@ -11,38 +12,21 @@ fn eps(v: f64) -> Epsilon {
 }
 
 #[test]
-fn facade_all_uses_exactly_the_advertised_budget() {
-    // `UniversalEstimator::all` splits ε into three equal shares;
-    // replaying the split through an accountant must spend exactly ε.
-    let total = eps(0.9);
-    let mut acc = BudgetAccountant::new(total);
-    for (label, share) in [("mean", 0), ("variance", 1), ("iqr", 2)] {
-        let _ = share;
-        acc.charge(label, total.scale(1.0 / 3.0)).unwrap();
-    }
-    assert!(acc.remaining() < 1e-9, "remaining {}", acc.remaining());
-    assert_eq!(acc.log().len(), 3);
-}
-
-#[test]
 fn internal_stage_budgets_of_estimate_mean_sum_to_epsilon() {
     // Algorithm 8's budget: ε/8 (IQR lower bound) + amplified 3ε′/4
     // (range on the εn-subsample, which costs 3ε/4 after Theorem 2.4)
     // + ε/8 (the Laplace release at scale 8|R̃|/(εn)).
     let e = eps(0.6);
-    let mut acc = BudgetAccountant::new(e);
-    acc.charge("iqr-lower-bound", e.scale(1.0 / 8.0)).unwrap();
     // Amplification: inner ε′ = ln((e^ε−1)/ε + 1) at rate ε amplifies
     // back to ε; the 3/4 share costs at most 3ε/4.
-    let inner = updp::core::amplification::paper_inner_epsilon(e);
-    let outer_cost = updp::core::amplification::amplified_epsilon(inner.scale(3.0 / 4.0), e.get());
+    let inner = paper_inner_epsilon(e);
+    let outer_cost = amplified_epsilon(inner.scale(3.0 / 4.0), e.get());
     assert!(outer_cost.get() <= 3.0 * e.get() / 4.0 + 1e-12);
-    acc.charge("subsampled-range", outer_cost).unwrap();
-    acc.charge("laplace-release", e.scale(1.0 / 8.0)).unwrap();
+    let total = e.get() / 8.0 + outer_cost.get() + e.get() / 8.0;
     assert!(
-        acc.remaining() >= 0.0,
-        "budget overspent by {}",
-        -acc.remaining()
+        total <= e.get() + budget_tolerance(e.get()),
+        "budget overspent: stages sum to {total}, ε = {}",
+        e.get()
     );
 }
 
@@ -71,15 +55,6 @@ fn repeated_releases_degrade_gracefully_with_budget_split() {
     let eight = err_at(8, 20);
     assert!(one < 0.1, "single release error {one}");
     assert!(eight < 1.0, "8-way split worst error {eight}");
-}
-
-#[test]
-fn guarantee_composition_matches_accountant() {
-    let a = PrivacyGuarantee::pure(eps(0.25));
-    let b = PrivacyGuarantee::pure(eps(0.35));
-    let c = a.compose(b);
-    assert!((c.epsilon.get() - 0.6).abs() < 1e-12);
-    assert!(c.delta.is_pure());
 }
 
 #[test]

@@ -13,15 +13,15 @@ fn eps(v: f64) -> Epsilon {
     Epsilon::new(v).unwrap()
 }
 
-/// Median absolute error over repeated trials through the facade.
+/// Median absolute error over repeated trials of `estimate_mean`.
 fn mean_median_err(dist: &dyn ContinuousDistribution, n: usize, e: f64, master: u64) -> f64 {
-    let est = UniversalEstimator::new(eps(e));
     let truth = dist.mean();
     let mut errs: Vec<f64> = (0..20)
         .map(|t| {
             let mut rng = seeded(child_seed(master, t));
             let data = dist.sample_vec(&mut rng, n);
-            (est.mean(&mut rng, &data).unwrap().estimate - truth).abs()
+            let est = estimate_mean(&mut rng, &data, eps(e), DEFAULT_BETA).unwrap();
+            (est.estimate - truth).abs()
         })
         .collect();
     errs.sort_by(f64::total_cmp);
@@ -59,26 +59,20 @@ fn all_estimates_under_one_budget_are_consistent() {
     let g = Gaussian::new(-40.0, 5.0).unwrap();
     let mut rng = seeded(2);
     let data = g.sample_vec(&mut rng, 40_000);
-    let est = UniversalEstimator::new(eps(1.5)).with_beta(0.1);
-    let all = est.all(&mut rng, &data).unwrap();
+    let shares = eps(1.5).split(&[1.0, 1.0, 1.0]);
+    let mean = estimate_mean(&mut rng, &data, shares[0], 0.1).unwrap();
+    let variance = estimate_variance(&mut rng, &data, shares[1], 0.1).unwrap();
+    let iqr = estimate_iqr(&mut rng, &data, shares[2], 0.1).unwrap();
+    assert!((mean.estimate + 40.0).abs() < 1.0, "mean {}", mean.estimate);
     assert!(
-        (all.mean.estimate + 40.0).abs() < 1.0,
-        "mean {}",
-        all.mean.estimate
-    );
-    assert!(
-        (all.variance.estimate - 25.0).abs() < 5.0,
+        (variance.estimate - 25.0).abs() < 5.0,
         "variance {}",
-        all.variance.estimate
+        variance.estimate
     );
-    assert!(
-        (all.iqr.estimate - g.iqr()).abs() < 1.0,
-        "iqr {}",
-        all.iqr.estimate
-    );
+    assert!((iqr.estimate - g.iqr()).abs() < 1.0, "iqr {}", iqr.estimate);
     // Cross-consistency: for Gaussians IQR ≈ 1.349σ.
-    let sigma_from_var = all.variance.estimate.sqrt();
-    let sigma_from_iqr = all.iqr.estimate / 1.3489795;
+    let sigma_from_var = variance.estimate.sqrt();
+    let sigma_from_iqr = iqr.estimate / 1.3489795;
     assert!(
         (sigma_from_var - sigma_from_iqr).abs() < 1.0,
         "σ estimates disagree: {sigma_from_var} vs {sigma_from_iqr}"
@@ -88,13 +82,12 @@ fn all_estimates_under_one_budget_are_consistent() {
 #[test]
 fn pipeline_is_deterministic_given_seed() {
     let g = Gaussian::standard();
-    let est = UniversalEstimator::new(eps(0.7));
     let run = || {
         let mut rng = seeded(77);
         let data = g.sample_vec(&mut rng, 5_000);
-        let m = est.mean(&mut rng, &data).unwrap();
-        let v = est.variance(&mut rng, &data).unwrap();
-        let i = est.iqr(&mut rng, &data).unwrap();
+        let m = estimate_mean(&mut rng, &data, eps(0.7), DEFAULT_BETA).unwrap();
+        let v = estimate_variance(&mut rng, &data, eps(0.7), DEFAULT_BETA).unwrap();
+        let i = estimate_iqr(&mut rng, &data, eps(0.7), DEFAULT_BETA).unwrap();
         (m.estimate, v.estimate, i.estimate)
     };
     assert_eq!(run(), run());
@@ -107,10 +100,9 @@ fn cauchy_mean_runs_without_crashing_iqr_stays_accurate() {
     let c = Cauchy::new(5.0, 2.0).unwrap();
     let mut rng = seeded(3);
     let data = c.sample_vec(&mut rng, 20_000);
-    let est = UniversalEstimator::new(eps(1.0));
-    let m = est.mean(&mut rng, &data).unwrap();
+    let m = estimate_mean(&mut rng, &data, eps(1.0), DEFAULT_BETA).unwrap();
     assert!(m.estimate.is_finite());
-    let i = est.iqr(&mut rng, &data).unwrap();
+    let i = estimate_iqr(&mut rng, &data, eps(1.0), DEFAULT_BETA).unwrap();
     assert!(
         (i.estimate - c.iqr()).abs() / c.iqr() < 0.25,
         "iqr {}",
@@ -169,9 +161,8 @@ fn variance_and_iqr_consistent_on_laplace() {
     let l = LaplaceDist::new(0.0, 3.0).unwrap();
     let mut rng = seeded(6);
     let data = l.sample_vec(&mut rng, 60_000);
-    let est = UniversalEstimator::new(eps(1.0));
-    let v = est.variance(&mut rng, &data).unwrap();
-    let i = est.iqr(&mut rng, &data).unwrap();
+    let v = estimate_variance(&mut rng, &data, eps(1.0), DEFAULT_BETA).unwrap();
+    let i = estimate_iqr(&mut rng, &data, eps(1.0), DEFAULT_BETA).unwrap();
     let b_from_var = (v.estimate / 2.0).sqrt();
     let b_from_iqr = i.estimate / (2.0 * std::f64::consts::LN_2);
     assert!(

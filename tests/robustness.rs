@@ -283,3 +283,115 @@ fn variance_clipping_radius_saturates_at_f64_max() {
         assert!(r.radius.is_finite(), "seed {seed}: {r:?}");
     }
 }
+
+#[test]
+fn invalid_beta_is_an_error_never_a_panic() {
+    use updp::empirical as emp;
+    use updp::statistical as stat;
+    let mut rng = seeded(17);
+    let data: Vec<f64> = (0..2_000)
+        .map(|i| ((i * 37) % 1_000) as f64 * 0.01)
+        .collect();
+    let view = emp::ColumnView::bare(&data);
+    let rows: Vec<Vec<f64>> = data.iter().map(|&x| vec![x, -x]).collect();
+    let ints = SortedInts::new((0..2_000).map(|i| (i * 37) % 1_000).collect()).unwrap();
+    let (e, n) = (eps(1.0), data.len());
+    for beta in [0.0, 1.0, -0.1, 2.0, f64::NAN] {
+        let rng = &mut rng;
+        let calls: Vec<(&str, updp::core::Result<()>)> = vec![
+            (
+                "estimate_mean",
+                stat::estimate_mean(rng, &data, e, beta).map(drop),
+            ),
+            (
+                "estimate_mean_with_bucket",
+                stat::estimate_mean_with_bucket(rng, &data, e, beta, 0.01).map(drop),
+            ),
+            (
+                "estimate_mean_with_subsample",
+                stat::estimate_mean_with_subsample(rng, &data, e, beta, 100).map(drop),
+            ),
+            (
+                "estimate_mean_multivariate",
+                stat::estimate_mean_multivariate(rng, &rows, e, beta).map(drop),
+            ),
+            (
+                "estimate_variance",
+                stat::estimate_variance(rng, &data, e, beta).map(drop),
+            ),
+            (
+                "estimate_iqr",
+                stat::estimate_iqr(rng, &data, e, beta).map(drop),
+            ),
+            (
+                "estimate_iqr_view",
+                stat::estimate_iqr_view(rng, &view, e, beta).map(drop),
+            ),
+            (
+                "estimate_iqr_lower_bound",
+                stat::estimate_iqr_lower_bound(rng, &data, e, beta).map(drop),
+            ),
+            (
+                "estimate_iqr_lower_bound_view",
+                stat::estimate_iqr_lower_bound_view(rng, &view, e, beta).map(drop),
+            ),
+            (
+                "estimate_quantile",
+                estimate_quantile(rng, &data, 0.9, e, beta).map(drop),
+            ),
+            (
+                "estimate_quantile_view",
+                stat::estimate_quantile_view(rng, &view, 0.9, e, beta).map(drop),
+            ),
+            (
+                "estimate_quantile_range",
+                estimate_quantile_range(rng, &data, 0.1, 0.9, e, beta).map(drop),
+            ),
+            (
+                "real_radius",
+                emp::real_radius(rng, &data, 0.01, e, beta).map(drop),
+            ),
+            (
+                "real_range",
+                emp::real_range(rng, &data, 0.01, e, beta).map(drop),
+            ),
+            (
+                "real_mean",
+                emp::real_mean(rng, &data, 0.01, e, beta).map(drop),
+            ),
+            (
+                "real_quantile",
+                emp::real_quantile(rng, &data, n / 2, 0.01, e, beta).map(drop),
+            ),
+            (
+                "real_quantile_view",
+                emp::real_quantile_view(rng, &view, n / 2, 0.01, e, beta).map(drop),
+            ),
+            (
+                "infinite_domain_range",
+                emp::infinite_domain_range(rng, &ints, e, beta).map(drop),
+            ),
+            (
+                "infinite_domain_quantile",
+                emp::infinite_domain_quantile(rng, &ints, n / 2, e, beta).map(drop),
+            ),
+            (
+                "infinite_domain_mean",
+                infinite_domain_mean(rng, &ints, e, beta).map(drop),
+            ),
+            (
+                "infinite_domain_sum",
+                infinite_domain_sum(rng, &ints, e, beta).map(drop),
+            ),
+        ];
+        for (name, result) in calls {
+            assert!(
+                matches!(
+                    result,
+                    Err(UpdpError::InvalidParameter { name: "beta", .. })
+                ),
+                "{name}(β = {beta}): {result:?}"
+            );
+        }
+    }
+}
