@@ -109,6 +109,73 @@ fn prometheus_text_golden() {
     assert_eq!(registry.render_prometheus(&[scraped_again]), expected);
 }
 
+/// The JSON twin of `prometheus_text_golden`: one family of each
+/// registered kind plus a scrape-time family whose label needs
+/// escaping and whose sample is not finite (JSON writes `null`).
+#[test]
+fn json_render_golden() {
+    let mut registry = Registry::new();
+    let requests = registry.counters("r_total", "Requests.", &["endpoint"]);
+    let epsilon = registry.float_counters("e_total", "Epsilon.", &["estimator"]);
+    let active = registry.gauges("a", "Active.", &[]);
+    let latency = registry.histograms("h_seconds", "Latency.", &["endpoint"]);
+
+    requests.with_labels(&["/v1/query"]).add(3);
+    requests.with_labels(&["/v1/healthz"]).inc();
+    epsilon.with_labels(&["mean"]).add(0.25);
+    active.with_labels(&[]).set(-2);
+    let h = latency.with_labels(&["/v1/query"]);
+    h.observe_micros(3); // bucket 2 (le = 4 µs)
+    h.observe_micros(600); // bucket 10 (le = 1024 µs)
+
+    let scraped = ScrapedFamily {
+        name: "s".into(),
+        help: "Scraped \"now\".".into(),
+        kind: Kind::Gauge,
+        label_keys: vec!["dataset".into()],
+        samples: vec![
+            (vec!["a\"b\\c".into()], f64::INFINITY),
+            (vec!["plain".into()], 1.5),
+        ],
+    };
+    let json = registry.render_json(&[scraped]).to_compact();
+
+    let buckets: Vec<String> = (0..32)
+        .map(|i| {
+            let le = if i < 31 {
+                (1u64 << i).to_string()
+            } else {
+                "null".into()
+            };
+            let count = u32::from(i == 2 || i == 10);
+            format!("{{\"le_micros\":{le},\"count\":{count}}}")
+        })
+        .collect();
+    let expected = [
+        "{\"families\":[",
+        "{\"name\":\"r_total\",\"kind\":\"counter\",\"help\":\"Requests.\",",
+        "\"label_keys\":[\"endpoint\"],\"samples\":[",
+        "{\"labels\":{\"endpoint\":\"/v1/healthz\"},\"value\":1},",
+        "{\"labels\":{\"endpoint\":\"/v1/query\"},\"value\":3}]},",
+        "{\"name\":\"e_total\",\"kind\":\"counter\",\"help\":\"Epsilon.\",",
+        "\"label_keys\":[\"estimator\"],\"samples\":[",
+        "{\"labels\":{\"estimator\":\"mean\"},\"value\":0.25}]},",
+        "{\"name\":\"a\",\"kind\":\"gauge\",\"help\":\"Active.\",",
+        "\"label_keys\":[],\"samples\":[{\"labels\":{},\"value\":-2}]},",
+        "{\"name\":\"h_seconds\",\"kind\":\"histogram\",\"help\":\"Latency.\",",
+        "\"label_keys\":[\"endpoint\"],\"samples\":[",
+        "{\"labels\":{\"endpoint\":\"/v1/query\"},\"count\":2,\"sum_micros\":603,",
+        &format!("\"buckets\":[{}]}}]}},", buckets.join(",")),
+        "{\"name\":\"s\",\"kind\":\"gauge\",\"help\":\"Scraped \\\"now\\\".\",",
+        "\"label_keys\":[\"dataset\"],\"samples\":[",
+        "{\"labels\":{\"dataset\":\"a\\\"b\\\\c\"},\"value\":null},",
+        "{\"labels\":{\"dataset\":\"plain\"},\"value\":1.5}]}",
+        "]}",
+    ]
+    .concat();
+    assert_eq!(json, expected);
+}
+
 #[test]
 fn json_render_round_trips_and_matches_text_counts() {
     let mut registry = Registry::new();
