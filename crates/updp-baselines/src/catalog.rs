@@ -413,9 +413,7 @@ impl Estimator for Dl09Iqr {
         let est = dl09_iqr_view(rng, col, params.epsilon, delta)?;
         // The released value's own multiplicative grid cell, in
         // absolute terms (post-processing of the DP release).
-        Ok(Release::scalar(est.estimate, est.estimate * est.log_cell)
-            .with_diagnostic("log_cell", est.log_cell)
-            .with_diagnostic("stability", est.stability))
+        Ok(Release::scalar(est.estimate, est.estimate * est.log_cell))
     }
 }
 

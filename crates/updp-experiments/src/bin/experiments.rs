@@ -2,8 +2,7 @@
 //!
 //! ```text
 //! experiments <id>... | all   [--quick] [--trials N] [--seed S]
-//!                             [--threads K] [--markdown] [--out DIR]
-//!                             [--list]
+//!                             [--threads K] [--out DIR] [--list]
 //! ```
 //!
 //! Trials run on the deterministic parallel engine (DESIGN.md §5):
@@ -11,14 +10,14 @@
 //! time, never a single output bit.
 //!
 //! Each experiment prints an aligned table; `--out DIR` additionally
-//! writes `<id>.txt` (and `<id>.md` with `--markdown`) so EXPERIMENTS.md
-//! is regenerable.
+//! writes `<id>.txt`, the form the quick goldens under
+//! `tests/golden/` are kept in.
 
 use std::io::Write;
 use updp_experiments::{find, registry, ExpConfig};
 
 fn usage() -> ! {
-    eprintln!("usage: experiments <id>...|all [--quick] [--trials N] [--seed S] [--threads K] [--markdown] [--out DIR] [--list]");
+    eprintln!("usage: experiments <id>...|all [--quick] [--trials N] [--seed S] [--threads K] [--out DIR] [--list]");
     eprintln!("\navailable experiments:");
     for (id, desc, _) in registry() {
         eprintln!("  {id:18} {desc}");
@@ -34,7 +33,6 @@ fn main() {
 
     let mut cfg = ExpConfig::default();
     let mut ids: Vec<String> = Vec::new();
-    let mut markdown = false;
     let mut out_dir: Option<String> = None;
     let mut i = 0;
     while i < args.len() {
@@ -50,7 +48,6 @@ fn main() {
                 cfg.quick = true;
                 cfg.trials = t;
             }
-            "--markdown" => markdown = true,
             "--trials" => {
                 i += 1;
                 cfg.trials = args
@@ -110,12 +107,6 @@ fn main() {
         if let Some(dir) = &out_dir {
             let mut fh = std::fs::File::create(format!("{dir}/{id}.txt")).expect("write table");
             fh.write_all(rendered.as_bytes()).expect("write table");
-            if markdown {
-                let mut mh =
-                    std::fs::File::create(format!("{dir}/{id}.md")).expect("write markdown");
-                mh.write_all(table.render_markdown().as_bytes())
-                    .expect("write markdown");
-            }
         }
     }
 }

@@ -10,7 +10,8 @@
 //! cargo run --release -p updp-experiments --bin experiments -- <id|all> [--quick]
 //! ```
 //!
-//! EXPERIMENTS.md records claim-vs-measured for every table.
+//! The quick goldens under `tests/golden/` pin every table's `--quick`
+//! render byte-for-byte.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

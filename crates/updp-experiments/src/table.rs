@@ -1,9 +1,9 @@
 //! Plain-text experiment tables.
 //!
 //! Each experiment returns a [`Table`]; the `experiments` binary renders
-//! them aligned for the terminal and EXPERIMENTS.md records the same rows
-//! in markdown. Keeping rendering centralized guarantees the published
-//! tables are regenerable byte-for-byte.
+//! them aligned for the terminal, and the quick goldens under
+//! `tests/golden/` pin the same text. Keeping rendering centralized
+//! guarantees the tables are regenerable byte-for-byte.
 
 /// A rendered experiment: title, claim under test, columns, rows, notes.
 #[derive(Debug, Clone)]
@@ -88,23 +88,6 @@ impl Table {
         }
         out
     }
-
-    /// Renders as a GitHub-flavored markdown table.
-    pub fn render_markdown(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!("### `{}` — {}\n\n", self.id, self.title));
-        out.push_str(&format!("**Claim.** {}\n\n", self.claim));
-        out.push_str(&format!("| {} |\n", self.headers.join(" | ")));
-        out.push_str(&format!("|{}\n", "---|".repeat(self.headers.len())));
-        for row in &self.rows {
-            out.push_str(&format!("| {} |\n", row.join(" | ")));
-        }
-        out.push('\n');
-        for note in &self.notes {
-            out.push_str(&format!("- {note}\n"));
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -141,13 +124,6 @@ mod tests {
             wide.find("0.001").unwrap(),
             "misaligned:\n{s}"
         );
-    }
-
-    #[test]
-    fn markdown_has_separator() {
-        let s = sample().render_markdown();
-        assert!(s.contains("|---|---|"));
-        assert!(s.starts_with("### `x`"));
     }
 
     #[test]

@@ -1,5 +1,7 @@
 //! First-party observability for the workspace: metrics primitives, a
-//! Prometheus/JSON registry, and bounded request-trace rings.
+//! registry that copies its families into [`FamilySnapshot`]s, one
+//! renderer per scrape format ([`render_prometheus`], [`render_json`])
+//! over such snapshots, and bounded request-trace rings.
 //!
 //! # Design constraints
 //!
@@ -19,8 +21,9 @@
 //!   rather than taking the request path down.
 //! - **Deterministic rendering.** Histogram bucket boundaries are
 //!   fixed powers of two, label sets render in sorted (BTreeMap)
-//!   order, and families render in registration order, so two
-//!   snapshots of equal state produce byte-equal exposition text.
+//!   order, and families render in the order of the snapshot list
+//!   (registration order for the registry's own), so two snapshots of
+//!   equal state produce byte-equal exposition text.
 //!
 //! The crate is dependency-free except for `updp_core::json`, the
 //! workspace's single JSON codec, used for the `?format=json` render.
@@ -46,5 +49,7 @@ pub use metrics::{
     bucket_index, upper_edge_micros, Counter, FloatCounter, Gauge, Histogram, HistogramSnapshot,
     BUCKETS,
 };
-pub use registry::{Family, Kind, Registry, ScrapedFamily};
+pub use registry::{
+    render_json, render_prometheus, Family, FamilySnapshot, Kind, Metric, Registry, Sample,
+};
 pub use trace::{TraceEvent, TraceRing};

@@ -1,38 +1,21 @@
-//! Lock-free metric primitives: striped counters, gauges with
+//! Lock-free metric primitives: relaxed-atomic counters, gauges with
 //! high-water tracking, float accumulators, and a fixed-boundary
 //! log₂-bucketed latency histogram with mergeable snapshots.
 
-use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
-
-/// Number of stripes a [`Counter`] spreads its increments across.
-const STRIPES: usize = 8;
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 
 /// Number of histogram buckets. Bucket `i < BUCKETS - 1` covers
 /// values `v` with `2^(i-1) < v <= 2^i` microseconds (bucket 0 covers
 /// `v <= 1`); the last bucket is the `+Inf` overflow.
 pub const BUCKETS: usize = 32;
 
-static NEXT_STRIPE: AtomicUsize = AtomicUsize::new(0);
-
-thread_local! {
-    /// Each thread gets a stable stripe assignment round-robin, so
-    /// concurrent incrementers mostly touch distinct cache lines.
-    static STRIPE: usize = NEXT_STRIPE.fetch_add(1, Ordering::Relaxed) % STRIPES;
-}
-
-/// One cache line worth of counter so adjacent stripes don't false-share.
-#[repr(align(64))]
-#[derive(Default)]
-struct PaddedU64(AtomicU64);
-
-/// A monotonically increasing counter, striped across cache lines so
-/// many threads can increment it without contending on one atomic.
+/// A monotonically increasing counter: one relaxed atomic.
 ///
-/// Reads (`get`) sum the stripes; they are linearizable per stripe but
-/// the total is a relaxed snapshot, which is all a metric needs.
+/// Relaxed ordering loses no increment; a read is a snapshot that
+/// needs no ordering against other metrics.
 #[derive(Default)]
 pub struct Counter {
-    stripes: [PaddedU64; STRIPES],
+    value: AtomicU64,
 }
 
 impl Counter {
@@ -48,15 +31,12 @@ impl Counter {
 
     /// Adds `n`.
     pub fn add(&self, n: u64) {
-        STRIPE.with(|&s| self.stripes[s].0.fetch_add(n, Ordering::Relaxed));
+        self.value.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// The current total across all stripes.
+    /// The current total.
     pub fn get(&self) -> u64 {
-        self.stripes
-            .iter()
-            .map(|s| s.0.load(Ordering::Relaxed))
-            .sum()
+        self.value.load(Ordering::Relaxed)
     }
 }
 

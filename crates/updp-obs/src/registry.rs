@@ -1,12 +1,16 @@
-//! Metric families and the registry that renders them.
+//! Metric families, the registry that holds them, and the two
+//! renderers.
 //!
 //! A [`Family`] is a named metric with a fixed set of label keys and a
 //! lazily-created child per label-value combination. The [`Registry`]
-//! owns every family and renders the whole set as Prometheus text
-//! exposition format or JSON (via `updp_core::json`). Rendering is
-//! deterministic: families appear in registration order, children in
-//! sorted label order (`BTreeMap`), and histogram edges are the fixed
-//! power-of-two boundaries of [`crate::Histogram`].
+//! owns every family and copies the whole set into
+//! [`FamilySnapshot`]s; [`render_prometheus`] (text exposition format)
+//! and [`render_json`] (via `updp_core::json`) read nothing else, so a
+//! scrape-time family built outside the registry renders exactly like
+//! a registered one. Rendering is deterministic: families appear in
+//! the order given (registration order for the registry's own),
+//! children in sorted label order (`BTreeMap`), and histogram edges
+//! are the fixed power-of-two boundaries of [`crate::Histogram`].
 
 // Lock poisoning maps to structured errors or a reasoned recovery,
 // never a panic (DESIGN.md §6, §9).
@@ -17,7 +21,9 @@ use std::sync::{Arc, RwLock};
 
 use updp_core::json::JsonValue;
 
-use crate::metrics::{upper_edge_micros, Counter, FloatCounter, Gauge, Histogram, BUCKETS};
+use crate::metrics::{
+    upper_edge_micros, Counter, FloatCounter, Gauge, Histogram, HistogramSnapshot,
+};
 
 /// What a family measures, for exposition `# TYPE` lines.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,6 +46,71 @@ impl Kind {
     }
 }
 
+/// One sample's value: a scalar, or a histogram's buckets and sum.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Sample {
+    /// A counter or gauge reading.
+    Value(f64),
+    /// A histogram's state (boxed: it is 33 words).
+    Histogram(Box<HistogramSnapshot>),
+}
+
+/// A metric type a [`Family`] can hold: its exposition kind and how to
+/// read its current [`Sample`].
+pub trait Metric: Default + Send + Sync + 'static {
+    /// The `# TYPE` every family of this metric renders.
+    const KIND: Kind;
+    /// The current reading.
+    fn sample(&self) -> Sample;
+}
+
+impl Metric for Counter {
+    const KIND: Kind = Kind::Counter;
+    fn sample(&self) -> Sample {
+        Sample::Value(self.get() as f64)
+    }
+}
+
+impl Metric for FloatCounter {
+    const KIND: Kind = Kind::Counter;
+    fn sample(&self) -> Sample {
+        Sample::Value(self.get())
+    }
+}
+
+impl Metric for Gauge {
+    const KIND: Kind = Kind::Gauge;
+    fn sample(&self) -> Sample {
+        Sample::Value(self.get() as f64)
+    }
+}
+
+impl Metric for Histogram {
+    const KIND: Kind = Kind::Histogram;
+    fn sample(&self) -> Sample {
+        Sample::Histogram(Box::new(self.snapshot()))
+    }
+}
+
+/// A point-in-time copy of one family: what both renderers read.
+/// Registered families produce these through [`Registry::snapshot`];
+/// values that live outside the registry (e.g. the privacy ledger's ε
+/// accounts, read from their single source of truth) are built as
+/// `FamilySnapshot`s at scrape time and rendered alongside.
+#[derive(Debug, Clone, PartialEq)]
+pub struct FamilySnapshot {
+    /// Metric name (`snake_case`, `_total` suffix for counters).
+    pub name: &'static str,
+    /// One-line help text.
+    pub help: &'static str,
+    /// What the family measures.
+    pub kind: Kind,
+    /// Label keys, matching every sample's label values.
+    pub label_keys: &'static [&'static str],
+    /// `(label values, sample)` rows, rendered in the given order.
+    pub samples: Vec<(Vec<String>, Sample)>,
+}
+
 /// A named metric with labelled children, created on first use.
 ///
 /// Children live behind an `RwLock<BTreeMap>`: reads (the hot
@@ -47,18 +118,13 @@ impl Kind {
 /// lock; only the first observation for a new label set takes the
 /// exclusive lock.
 pub struct Family<M> {
+    name: &'static str,
+    help: &'static str,
     label_keys: &'static [&'static str],
     children: RwLock<BTreeMap<Vec<String>, Arc<M>>>,
 }
 
-impl<M: Default> Family<M> {
-    fn new(label_keys: &'static [&'static str]) -> Family<M> {
-        Family {
-            label_keys,
-            children: RwLock::new(BTreeMap::new()),
-        }
-    }
-
+impl<M: Metric> Family<M> {
     /// The child for `labels` (one value per label key, in key order),
     /// created on first use.
     ///
@@ -81,57 +147,38 @@ impl<M: Default> Family<M> {
         let mut children = self.children.write().unwrap_or_else(|e| e.into_inner());
         Arc::clone(children.entry(key).or_default())
     }
+}
 
-    /// Sorted `(label values, child)` pairs for rendering.
-    fn collect(&self) -> Vec<(Vec<String>, Arc<M>)> {
-        self.children
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .iter()
-            .map(|(k, v)| (k.clone(), Arc::clone(v)))
-            .collect()
+/// A registered family with its metric type erased, so one registry
+/// holds families of every type.
+trait Snapshot: Send + Sync {
+    fn snapshot(&self) -> FamilySnapshot;
+}
+
+impl<M: Metric> Snapshot for Family<M> {
+    /// Children in sorted label order.
+    fn snapshot(&self) -> FamilySnapshot {
+        let children = self.children.read().unwrap_or_else(|e| e.into_inner());
+        FamilySnapshot {
+            name: self.name,
+            help: self.help,
+            kind: M::KIND,
+            label_keys: self.label_keys,
+            samples: children
+                .iter()
+                .map(|(labels, child)| (labels.clone(), child.sample()))
+                .collect(),
+        }
     }
 }
 
-enum Handle {
-    Counters(Arc<Family<Counter>>),
-    Floats(Arc<Family<FloatCounter>>),
-    Gauges(Arc<Family<Gauge>>),
-    Histograms(Arc<Family<Histogram>>),
-}
-
-struct FamilyMeta {
-    name: &'static str,
-    help: &'static str,
-    label_keys: &'static [&'static str],
-    handle: Handle,
-}
-
-/// A set of metric families rendered together.
+/// The metric families a process records.
 ///
-/// Families are registered once at startup (the registry hands back
-/// `Arc<Family<_>>` handles the instrumented code keeps); scrapes can
-/// additionally pass [`ScrapedFamily`] rows for values that live
-/// outside the registry (e.g. the privacy ledger's ε accounts, read
-/// from their single source of truth at scrape time).
+/// Families are registered once at startup; the registry hands back
+/// `Arc<Family<_>>` handles the instrumented code keeps.
 #[derive(Default)]
 pub struct Registry {
-    families: Vec<FamilyMeta>,
-}
-
-/// A family materialized at scrape time from external state rather
-/// than stored in the registry.
-pub struct ScrapedFamily {
-    /// Metric name (`snake_case`, `_total` suffix for counters).
-    pub name: String,
-    /// One-line help text.
-    pub help: String,
-    /// Counter or gauge (scraped histograms are not supported).
-    pub kind: Kind,
-    /// Label keys, matching every sample's label values.
-    pub label_keys: Vec<String>,
-    /// `(label values, value)` rows; rendered in the given order.
-    pub samples: Vec<(Vec<String>, f64)>,
+    families: Vec<Arc<dyn Snapshot>>,
 }
 
 impl Registry {
@@ -140,290 +187,136 @@ impl Registry {
         Registry::default()
     }
 
-    /// Registers a counter family and returns its handle.
-    pub fn counters(
+    /// Registers a family of `M` metrics and returns its handle.
+    pub fn register<M: Metric>(
         &mut self,
         name: &'static str,
         help: &'static str,
         label_keys: &'static [&'static str],
-    ) -> Arc<Family<Counter>> {
-        let family = Arc::new(Family::new(label_keys));
-        self.families.push(FamilyMeta {
+    ) -> Arc<Family<M>> {
+        let family = Arc::new(Family {
             name,
             help,
             label_keys,
-            handle: Handle::Counters(Arc::clone(&family)),
+            children: RwLock::new(BTreeMap::new()),
         });
+        self.families.push(Arc::clone(&family) as Arc<dyn Snapshot>);
         family
     }
 
-    /// Registers a float-valued counter family (rendered as a counter).
-    pub fn float_counters(
-        &mut self,
-        name: &'static str,
-        help: &'static str,
-        label_keys: &'static [&'static str],
-    ) -> Arc<Family<FloatCounter>> {
-        let family = Arc::new(Family::new(label_keys));
-        self.families.push(FamilyMeta {
-            name,
-            help,
-            label_keys,
-            handle: Handle::Floats(Arc::clone(&family)),
-        });
-        family
+    /// Every family, in registration order.
+    pub fn snapshot(&self) -> Vec<FamilySnapshot> {
+        self.families
+            .iter()
+            .map(|family| family.snapshot())
+            .collect()
     }
+}
 
-    /// Registers a gauge family and returns its handle.
-    pub fn gauges(
-        &mut self,
-        name: &'static str,
-        help: &'static str,
-        label_keys: &'static [&'static str],
-    ) -> Arc<Family<Gauge>> {
-        let family = Arc::new(Family::new(label_keys));
-        self.families.push(FamilyMeta {
-            name,
-            help,
-            label_keys,
-            handle: Handle::Gauges(Arc::clone(&family)),
-        });
-        family
-    }
-
-    /// Registers a histogram family and returns its handle.
-    pub fn histograms(
-        &mut self,
-        name: &'static str,
-        help: &'static str,
-        label_keys: &'static [&'static str],
-    ) -> Arc<Family<Histogram>> {
-        let family = Arc::new(Family::new(label_keys));
-        self.families.push(FamilyMeta {
-            name,
-            help,
-            label_keys,
-            handle: Handle::Histograms(Arc::clone(&family)),
-        });
-        family
-    }
-
-    /// Renders Prometheus text exposition format (version 0.0.4),
-    /// followed by the scrape-time `extra` families.
-    pub fn render_prometheus(&self, extra: &[ScrapedFamily]) -> String {
-        let mut out = String::new();
-        for meta in &self.families {
-            let kind = match meta.handle {
-                Handle::Counters(_) | Handle::Floats(_) => Kind::Counter,
-                Handle::Gauges(_) => Kind::Gauge,
-                Handle::Histograms(_) => Kind::Histogram,
-            };
-            header(&mut out, meta.name, meta.help, kind);
-            match &meta.handle {
-                Handle::Counters(family) => {
-                    for (labels, child) in family.collect() {
-                        sample(
+/// Renders Prometheus text exposition format (version 0.0.4).
+pub fn render_prometheus(families: &[FamilySnapshot]) -> String {
+    let mut out = String::new();
+    for family in families {
+        header(&mut out, family.name, family.help, family.kind);
+        let keys = family.label_keys;
+        for (labels, sample) in &family.samples {
+            match sample {
+                Sample::Value(value) => line(&mut out, family.name, keys, labels, None, *value),
+                Sample::Histogram(snap) => {
+                    let bucket = format!("{}_bucket", family.name);
+                    let mut cumulative = 0u64;
+                    for (i, &count) in snap.counts.iter().enumerate() {
+                        cumulative += count;
+                        let le = match upper_edge_micros(i) {
+                            Some(edge) => seconds_text(edge),
+                            None => "+Inf".to_string(),
+                        };
+                        line(
                             &mut out,
-                            meta.name,
-                            meta.label_keys,
-                            &labels,
-                            &[],
-                            child.get() as f64,
+                            &bucket,
+                            keys,
+                            labels,
+                            Some(&le),
+                            cumulative as f64,
                         );
                     }
-                }
-                Handle::Floats(family) => {
-                    for (labels, child) in family.collect() {
-                        sample(
-                            &mut out,
-                            meta.name,
-                            meta.label_keys,
-                            &labels,
-                            &[],
-                            child.get(),
-                        );
-                    }
-                }
-                Handle::Gauges(family) => {
-                    for (labels, child) in family.collect() {
-                        sample(
-                            &mut out,
-                            meta.name,
-                            meta.label_keys,
-                            &labels,
-                            &[],
-                            child.get() as f64,
-                        );
-                    }
-                }
-                Handle::Histograms(family) => {
-                    for (labels, child) in family.collect() {
-                        let snap = child.snapshot();
-                        let mut cumulative = 0u64;
-                        for (i, &count) in snap.counts.iter().enumerate() {
-                            cumulative += count;
-                            let le = match upper_edge_micros(i) {
-                                Some(edge) => seconds_text(edge),
-                                None => "+Inf".to_string(),
-                            };
-                            sample(
-                                &mut out,
-                                &format!("{}_bucket", meta.name),
-                                meta.label_keys,
-                                &labels,
-                                &[("le", &le)],
-                                cumulative as f64,
-                            );
-                        }
-                        sample(
-                            &mut out,
-                            &format!("{}_sum", meta.name),
-                            meta.label_keys,
-                            &labels,
-                            &[],
-                            snap.sum_micros as f64 / 1e6,
-                        );
-                        sample(
-                            &mut out,
-                            &format!("{}_count", meta.name),
-                            meta.label_keys,
-                            &labels,
-                            &[],
-                            snap.count() as f64,
-                        );
-                    }
+                    let sum = format!("{}_sum", family.name);
+                    line(
+                        &mut out,
+                        &sum,
+                        keys,
+                        labels,
+                        None,
+                        snap.sum_micros as f64 / 1e6,
+                    );
+                    let count = format!("{}_count", family.name);
+                    line(&mut out, &count, keys, labels, None, snap.count() as f64);
                 }
             }
         }
-        for scraped in extra {
-            header(&mut out, &scraped.name, &scraped.help, scraped.kind);
-            let keys: Vec<&str> = scraped.label_keys.iter().map(String::as_str).collect();
-            for (labels, value) in &scraped.samples {
-                sample(&mut out, &scraped.name, &keys, labels, &[], *value);
-            }
-        }
-        out
     }
+    out
+}
 
-    /// Renders the same state as JSON: a `families` array where each
-    /// entry carries `name`, `kind`, `help`, `label_keys`, and
-    /// `samples` (scalar `value` rows, or histogram rows with
-    /// non-cumulative `buckets` + `sum_micros` so scrape deltas merge
-    /// exactly).
-    pub fn render_json(&self, extra: &[ScrapedFamily]) -> JsonValue {
-        let mut families = Vec::new();
-        for meta in &self.families {
-            let (kind, samples) = match &meta.handle {
-                Handle::Counters(family) => (
-                    Kind::Counter,
-                    family
-                        .collect()
-                        .into_iter()
-                        .map(|(labels, child)| {
-                            scalar_json(meta.label_keys, &labels, child.get() as f64)
-                        })
-                        .collect(),
-                ),
-                Handle::Floats(family) => (
-                    Kind::Counter,
-                    family
-                        .collect()
-                        .into_iter()
-                        .map(|(labels, child)| scalar_json(meta.label_keys, &labels, child.get()))
-                        .collect(),
-                ),
-                Handle::Gauges(family) => (
-                    Kind::Gauge,
-                    family
-                        .collect()
-                        .into_iter()
-                        .map(|(labels, child)| {
-                            scalar_json(meta.label_keys, &labels, child.get() as f64)
-                        })
-                        .collect(),
-                ),
-                Handle::Histograms(family) => (
-                    Kind::Histogram,
-                    family
-                        .collect()
-                        .into_iter()
-                        .map(|(labels, child)| {
-                            let snap = child.snapshot();
-                            let buckets: Vec<JsonValue> = (0..BUCKETS)
-                                .map(|i| {
-                                    JsonValue::object(vec![
-                                        (
-                                            "le_micros",
-                                            match upper_edge_micros(i) {
-                                                Some(edge) => JsonValue::Number(edge as f64),
-                                                None => JsonValue::Null,
-                                            },
-                                        ),
-                                        ("count", JsonValue::Number(snap.counts[i] as f64)),
-                                    ])
-                                })
-                                .collect();
-                            JsonValue::object(vec![
-                                ("labels", labels_json(meta.label_keys, &labels)),
-                                ("count", JsonValue::Number(snap.count() as f64)),
-                                ("sum_micros", JsonValue::Number(snap.sum_micros as f64)),
-                                ("buckets", JsonValue::Array(buckets)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            };
-            families.push(family_json(
-                meta.name,
-                meta.help,
-                kind,
-                meta.label_keys,
-                samples,
-            ));
-        }
-        for scraped in extra {
-            let keys: Vec<&str> = scraped.label_keys.iter().map(String::as_str).collect();
-            let samples = scraped
+/// Renders the same families as JSON: a `families` array where each
+/// entry carries `name`, `kind`, `help`, `label_keys`, and `samples`
+/// (scalar `value` rows, or histogram rows with non-cumulative
+/// `buckets` + `sum_micros` so scrape deltas merge exactly).
+pub fn render_json(families: &[FamilySnapshot]) -> JsonValue {
+    let families = families
+        .iter()
+        .map(|family| {
+            let samples = family
                 .samples
                 .iter()
-                .map(|(labels, value)| scalar_json(&keys, labels, *value))
+                .map(|(labels, sample)| {
+                    let labels = labels_json(family.label_keys, labels);
+                    match sample {
+                        Sample::Value(value) => JsonValue::object(vec![
+                            ("labels", labels),
+                            ("value", JsonValue::Number(*value)),
+                        ]),
+                        Sample::Histogram(snap) => JsonValue::object(vec![
+                            ("labels", labels),
+                            ("count", JsonValue::Number(snap.count() as f64)),
+                            ("sum_micros", JsonValue::Number(snap.sum_micros as f64)),
+                            ("buckets", buckets_json(snap)),
+                        ]),
+                    }
+                })
                 .collect();
-            families.push(family_json(
-                &scraped.name,
-                &scraped.help,
-                scraped.kind,
-                &keys,
-                samples,
-            ));
-        }
-        JsonValue::object(vec![("families", JsonValue::Array(families))])
-    }
+            JsonValue::object(vec![
+                ("name", JsonValue::from(family.name)),
+                ("kind", JsonValue::from(family.kind.exposition())),
+                ("help", JsonValue::from(family.help)),
+                (
+                    "label_keys",
+                    JsonValue::Array(family.label_keys.iter().map(|&k| k.into()).collect()),
+                ),
+                ("samples", JsonValue::Array(samples)),
+            ])
+        })
+        .collect();
+    JsonValue::object(vec![("families", JsonValue::Array(families))])
 }
 
-fn family_json(
-    name: &str,
-    help: &str,
-    kind: Kind,
-    label_keys: &[&str],
-    samples: Vec<JsonValue>,
-) -> JsonValue {
-    JsonValue::object(vec![
-        ("name", JsonValue::from(name)),
-        ("kind", JsonValue::from(kind.exposition())),
-        ("help", JsonValue::from(help)),
-        (
-            "label_keys",
-            JsonValue::Array(label_keys.iter().map(|&k| JsonValue::from(k)).collect()),
-        ),
-        ("samples", JsonValue::Array(samples)),
-    ])
-}
-
-fn scalar_json(label_keys: &[&str], labels: &[String], value: f64) -> JsonValue {
-    JsonValue::object(vec![
-        ("labels", labels_json(label_keys, labels)),
-        ("value", JsonValue::Number(value)),
-    ])
+/// Per-bucket (non-cumulative) counts with their upper edges; the
+/// `+Inf` bucket's edge is `null`.
+fn buckets_json(snap: &HistogramSnapshot) -> JsonValue {
+    JsonValue::Array(
+        snap.counts
+            .iter()
+            .enumerate()
+            .map(|(i, &count)| {
+                let le = upper_edge_micros(i)
+                    .map_or(JsonValue::Null, |edge| JsonValue::Number(edge as f64));
+                JsonValue::object(vec![
+                    ("le_micros", le),
+                    ("count", JsonValue::Number(count as f64)),
+                ])
+            })
+            .collect(),
+    )
 }
 
 fn labels_json(label_keys: &[&str], labels: &[String]) -> JsonValue {
@@ -449,35 +342,28 @@ fn header(out: &mut String, name: &str, help: &str, kind: Kind) {
     out.push('\n');
 }
 
-/// One exposition line: `name{labels} value`. Extra fixed labels
-/// (e.g. `le`) render after the family's own.
-fn sample(
+/// One exposition line: `name{labels} value`. A histogram bucket's
+/// `le` label renders after the family's own.
+fn line(
     out: &mut String,
     name: &str,
     label_keys: &[&str],
     labels: &[String],
-    extra: &[(&str, &str)],
+    le: Option<&str>,
     value: f64,
 ) {
     out.push_str(name);
-    if !label_keys.is_empty() || !extra.is_empty() {
+    if !label_keys.is_empty() || le.is_some() {
         out.push('{');
-        let mut first = true;
-        for (key, val) in label_keys.iter().zip(labels) {
-            if !first {
+        let pairs = label_keys
+            .iter()
+            .copied()
+            .zip(labels.iter().map(String::as_str))
+            .chain(le.map(|le| ("le", le)));
+        for (i, (key, val)) in pairs.enumerate() {
+            if i > 0 {
                 out.push(',');
             }
-            first = false;
-            out.push_str(key);
-            out.push_str("=\"");
-            out.push_str(&escape_label(val));
-            out.push('"');
-        }
-        for (key, val) in extra {
-            if !first {
-                out.push(',');
-            }
-            first = false;
             out.push_str(key);
             out.push_str("=\"");
             out.push_str(&escape_label(val));
@@ -550,14 +436,14 @@ mod tests {
     #[test]
     fn children_are_created_once_and_sorted() {
         let mut registry = Registry::new();
-        let family = registry.counters("t_total", "t", &["k"]);
+        let family = registry.register::<Counter>("t_total", "t", &["k"]);
         family.with_labels(&["b"]).add(2);
         family.with_labels(&["a"]).inc();
         family.with_labels(&["b"]).inc();
-        let rows = family.collect();
+        let rows = registry.snapshot().remove(0).samples;
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[0].0, vec!["a".to_string()]);
         assert_eq!(rows[1].0, vec!["b".to_string()]);
-        assert_eq!(rows[1].1.get(), 3);
+        assert_eq!(rows[1].1, Sample::Value(3.0));
     }
 }

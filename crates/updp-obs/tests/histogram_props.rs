@@ -1,8 +1,9 @@
 //! Property pins for the histogram algebra: per-shard snapshots must
 //! fold in any order — and any grouping — to the same totals, with
 //! the empty snapshot as identity, and re-rendering equal state must
-//! be byte-stable. These are the laws `/v1/metrics` relies on when it
-//! merges shard histograms at scrape time.
+//! be byte-stable. `/v1/metrics` renders each shard's child as its own
+//! sample; these are the laws a consumer relies on when it merges
+//! those samples, or takes deltas between two scrapes.
 
 use proptest::prelude::*;
 use updp_obs::{Histogram, HistogramSnapshot};

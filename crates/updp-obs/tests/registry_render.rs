@@ -5,23 +5,27 @@
 //! in sorted label order.
 
 use updp_core::json::JsonValue;
-use updp_obs::{Kind, Registry, ScrapedFamily};
+use updp_obs::{
+    render_json, render_prometheus, Counter, FamilySnapshot, FloatCounter, Gauge, Histogram, Kind,
+    Registry, Sample,
+};
 
 #[test]
 fn prometheus_text_golden() {
     let mut registry = Registry::new();
-    let requests = registry.counters(
+    let requests = registry.register::<Counter>(
         "updp_http_requests_total",
         "Requests dispatched, by endpoint.",
         &["endpoint"],
     );
-    let active = registry.gauges("updp_reactor_connections_active", "Open connections.", &[]);
-    let epsilon = registry.float_counters(
+    let active =
+        registry.register::<Gauge>("updp_reactor_connections_active", "Open connections.", &[]);
+    let epsilon = registry.register::<FloatCounter>(
         "updp_engine_epsilon_charged_total",
         "Total epsilon charged.",
         &["estimator"],
     );
-    let latency = registry.histograms(
+    let latency = registry.register::<Histogram>(
         "updp_http_handle_seconds",
         "Handler wall time.",
         &["endpoint"],
@@ -36,14 +40,16 @@ fn prometheus_text_golden() {
     h.observe_micros(3); // bucket 2 (le = 4 µs)
     h.observe_micros(3_000_000); // bucket 22 (le ≈ 4.19 s)
 
-    let scraped = ScrapedFamily {
-        name: "updp_ledger_epsilon_remaining".into(),
-        help: "Remaining budget.".into(),
+    let scraped = FamilySnapshot {
+        name: "updp_ledger_epsilon_remaining",
+        help: "Remaining budget.",
         kind: Kind::Gauge,
-        label_keys: vec!["dataset".into()],
-        samples: vec![(vec!["salaries".into()], 1.5)],
+        label_keys: &["dataset"],
+        samples: vec![(vec!["salaries".into()], Sample::Value(1.5))],
     };
-    let text = registry.render_prometheus(&[scraped]);
+    let mut families = registry.snapshot();
+    families.push(scraped.clone());
+    let text = render_prometheus(&families);
 
     let mut expected = String::new();
     expected.push_str(concat!(
@@ -99,14 +105,9 @@ fn prometheus_text_golden() {
     assert_eq!(text, expected);
 
     // Equal state renders byte-identically — the scrape-stability pin.
-    let scraped_again = ScrapedFamily {
-        name: "updp_ledger_epsilon_remaining".into(),
-        help: "Remaining budget.".into(),
-        kind: Kind::Gauge,
-        label_keys: vec!["dataset".into()],
-        samples: vec![(vec!["salaries".into()], 1.5)],
-    };
-    assert_eq!(registry.render_prometheus(&[scraped_again]), expected);
+    let mut families_again = registry.snapshot();
+    families_again.push(scraped);
+    assert_eq!(render_prometheus(&families_again), expected);
 }
 
 /// The JSON twin of `prometheus_text_golden`: one family of each
@@ -115,10 +116,10 @@ fn prometheus_text_golden() {
 #[test]
 fn json_render_golden() {
     let mut registry = Registry::new();
-    let requests = registry.counters("r_total", "Requests.", &["endpoint"]);
-    let epsilon = registry.float_counters("e_total", "Epsilon.", &["estimator"]);
-    let active = registry.gauges("a", "Active.", &[]);
-    let latency = registry.histograms("h_seconds", "Latency.", &["endpoint"]);
+    let requests = registry.register::<Counter>("r_total", "Requests.", &["endpoint"]);
+    let epsilon = registry.register::<FloatCounter>("e_total", "Epsilon.", &["estimator"]);
+    let active = registry.register::<Gauge>("a", "Active.", &[]);
+    let latency = registry.register::<Histogram>("h_seconds", "Latency.", &["endpoint"]);
 
     requests.with_labels(&["/v1/query"]).add(3);
     requests.with_labels(&["/v1/healthz"]).inc();
@@ -128,17 +129,19 @@ fn json_render_golden() {
     h.observe_micros(3); // bucket 2 (le = 4 µs)
     h.observe_micros(600); // bucket 10 (le = 1024 µs)
 
-    let scraped = ScrapedFamily {
-        name: "s".into(),
-        help: "Scraped \"now\".".into(),
+    let scraped = FamilySnapshot {
+        name: "s",
+        help: "Scraped \"now\".",
         kind: Kind::Gauge,
-        label_keys: vec!["dataset".into()],
+        label_keys: &["dataset"],
         samples: vec![
-            (vec!["a\"b\\c".into()], f64::INFINITY),
-            (vec!["plain".into()], 1.5),
+            (vec!["a\"b\\c".into()], Sample::Value(f64::INFINITY)),
+            (vec!["plain".into()], Sample::Value(1.5)),
         ],
     };
-    let json = registry.render_json(&[scraped]).to_compact();
+    let mut families = registry.snapshot();
+    families.push(scraped);
+    let json = render_json(&families).to_compact();
 
     let buckets: Vec<String> = (0..32)
         .map(|i| {
@@ -179,12 +182,12 @@ fn json_render_golden() {
 #[test]
 fn json_render_round_trips_and_matches_text_counts() {
     let mut registry = Registry::new();
-    let requests = registry.counters("r_total", "requests", &["endpoint"]);
+    let requests = registry.register::<Counter>("r_total", "requests", &["endpoint"]);
     requests.with_labels(&["/v1/query"]).add(7);
-    let latency = registry.histograms("h_seconds", "latency", &[]);
+    let latency = registry.register::<Histogram>("h_seconds", "latency", &[]);
     latency.with_labels(&[]).observe_micros(500);
 
-    let json = registry.render_json(&[]);
+    let json = render_json(&registry.snapshot());
     let parsed = JsonValue::parse(&json.to_compact()).expect("self-produced JSON parses");
     let families = parsed
         .as_object("metrics")
@@ -219,12 +222,12 @@ fn json_render_round_trips_and_matches_text_counts() {
         .is_none());
 }
 
-/// The striped-counter hammer: heavy concurrent increments from many
-/// threads with interleaved reads lose no update.
+/// The counter hammer: heavy concurrent increments from many threads
+/// with interleaved reads lose no update.
 #[test]
 fn concurrent_counter_hammer_is_exact() {
     let mut registry = Registry::new();
-    let family = registry.counters("hammer_total", "hammer", &["worker_kind"]);
+    let family = registry.register::<Counter>("hammer_total", "hammer", &["worker_kind"]);
     const THREADS: usize = 16;
     const PER_THREAD: u64 = 50_000;
 

@@ -8,15 +8,10 @@
 //! here is a dependency-free serving path (the build environment has
 //! no crates.io access).
 
-use std::io::{BufRead, Write};
+use std::io::{BufRead, Read, Write};
 
 /// Upper bound on the request head (request line + headers).
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
-/// How many consecutive read timeouts a client read survives before
-/// the connection is dropped: slow responses are tolerated (~2 minutes
-/// at a 500 ms socket timeout), while a wedged server still cannot pin
-/// the client forever.
-pub const MAX_READ_STALLS: usize = 240;
 /// Upper bound on a request body (64 MiB ≈ an 8M-record f64 dataset
 /// in JSON — registrations beyond that should arrive in appends).
 pub const MAX_BODY_BYTES: usize = 64 * 1024 * 1024;
@@ -59,72 +54,27 @@ impl From<std::io::Error> for HttpError {
     }
 }
 
-fn is_timeout(e: &std::io::Error) -> bool {
-    matches!(
-        e.kind(),
-        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-    )
-}
-
-/// Reads one line terminated by `\n`, enforcing the head budget, and
-/// strips the trailing `\r\n`/`\n`. Read timeouts are stalls,
-/// tolerated up to [`MAX_READ_STALLS`].
+/// Reads one head line with `read_until`, charging it to the head
+/// budget, and strips the trailing `\r\n`/`\n`.
 fn read_line(stream: &mut impl BufRead, budget: &mut usize) -> Result<String, HttpError> {
     let mut line = Vec::new();
-    let mut stalls = 0usize;
-    loop {
-        let mut byte = [0u8; 1];
-        match stream.read(&mut byte) {
-            Ok(0) => return Err(HttpError::Malformed("unexpected EOF in head".into())),
-            Ok(_) => {
-                stalls = 0;
-                *budget = budget
-                    .checked_sub(1)
-                    .ok_or_else(|| HttpError::Malformed("head too large".into()))?;
-                if byte[0] == b'\n' {
-                    if line.last() == Some(&b'\r') {
-                        line.pop();
-                    }
-                    return String::from_utf8(line)
-                        .map_err(|_| HttpError::Malformed("non-UTF-8 head".into()));
-                }
-                line.push(byte[0]);
-            }
-            Err(e) if is_timeout(&e) => {
-                stalls += 1;
-                if stalls > MAX_READ_STALLS {
-                    return Err(HttpError::Io(e));
-                }
-            }
-            Err(e) => return Err(HttpError::Io(e)),
-        }
+    let n = stream
+        .by_ref()
+        .take(*budget as u64)
+        .read_until(b'\n', &mut line)?;
+    if line.pop() != Some(b'\n') {
+        let reason = if n == *budget {
+            "head too large"
+        } else {
+            "unexpected EOF in head"
+        };
+        return Err(HttpError::Malformed(reason.into()));
     }
-}
-
-/// Reads exactly `len` body bytes, tolerating mid-transfer timeouts
-/// up to [`MAX_READ_STALLS`] (std's `read_exact` would fail on the
-/// first timeout and leave the buffer state unspecified).
-fn read_body(stream: &mut impl BufRead, len: usize) -> Result<Vec<u8>, HttpError> {
-    let mut body = vec![0u8; len];
-    let mut filled = 0usize;
-    let mut stalls = 0usize;
-    while filled < len {
-        match stream.read(&mut body[filled..]) {
-            Ok(0) => return Err(HttpError::Malformed("unexpected EOF in body".into())),
-            Ok(n) => {
-                filled += n;
-                stalls = 0;
-            }
-            Err(e) if is_timeout(&e) => {
-                stalls += 1;
-                if stalls > MAX_READ_STALLS {
-                    return Err(HttpError::Io(e));
-                }
-            }
-            Err(e) => return Err(HttpError::Io(e)),
-        }
+    *budget -= n;
+    if line.last() == Some(&b'\r') {
+        line.pop();
     }
-    Ok(body)
+    String::from_utf8(line).map_err(|_| HttpError::Malformed("non-UTF-8 head".into()))
 }
 
 /// Parses the request line into `(METHOD, path)`, validating the
@@ -169,11 +119,17 @@ fn apply_header(
                     "duplicate content-length header".into(),
                 ));
             }
-            *content_length = Some(
-                value
-                    .parse()
-                    .map_err(|_| HttpError::Malformed(format!("bad content-length `{value}`")))?,
-            );
+            // The grammar is 1*DIGIT; `parse` alone would also take a
+            // leading `+`, framing the body differently from a proxy
+            // that follows the grammar.
+            match value.parse() {
+                Ok(n) if value.bytes().all(|b| b.is_ascii_digit()) => *content_length = Some(n),
+                _ => {
+                    return Err(HttpError::Malformed(format!(
+                        "bad content-length `{value}`"
+                    )))
+                }
+            }
         }
         "connection" => *keep_alive = !value.eq_ignore_ascii_case("close"),
         // Chunked framing is not implemented; silently ignoring it
@@ -378,8 +334,9 @@ pub fn write_request(
 ///
 /// Defensive against a misbehaving server: the status line is parsed
 /// explicitly (a missing or non-numeric status code is a distinct
-/// `Malformed` error, never a silent default), duplicate
-/// `Content-Length` headers are refused, and the declared body length
+/// `Malformed` error, never a silent default), headers go through the
+/// request parser's own framing checks (duplicate or non-digit
+/// `Content-Length`, any `Transfer-Encoding`), and the declared body length
 /// is capped at [`MAX_BODY_BYTES`] **before** any allocation — so a
 /// rogue `Content-Length: 1e18` cannot make a client allocate
 /// unboundedly.
@@ -404,23 +361,13 @@ pub fn read_response(stream: &mut impl BufRead) -> Result<(u16, String), HttpErr
         ))
     })?;
     let mut content_length: Option<usize> = None;
+    let mut keep_alive = true;
     loop {
         let line = read_line(stream, &mut budget)?;
         if line.is_empty() {
             break;
         }
-        if let Some((name, value)) = line.split_once(':') {
-            if name.eq_ignore_ascii_case("content-length") {
-                if content_length.is_some() {
-                    return Err(HttpError::Malformed(
-                        "duplicate content-length header".into(),
-                    ));
-                }
-                content_length = Some(value.trim().parse().map_err(|_| {
-                    HttpError::Malformed(format!("bad content-length `{}`", value.trim()))
-                })?);
-            }
-        }
+        apply_header(&line, &mut content_length, &mut keep_alive)?;
     }
     let content_length = content_length.unwrap_or(0);
     if content_length > MAX_BODY_BYTES {
@@ -428,7 +375,11 @@ pub fn read_response(stream: &mut impl BufRead) -> Result<(u16, String), HttpErr
             "response body of {content_length} bytes exceeds the {MAX_BODY_BYTES}-byte limit"
         )));
     }
-    let body = read_body(stream, content_length)?;
+    let mut body = vec![0u8; content_length];
+    stream.read_exact(&mut body).map_err(|e| match e.kind() {
+        std::io::ErrorKind::UnexpectedEof => HttpError::Malformed("unexpected EOF in body".into()),
+        _ => HttpError::Io(e),
+    })?;
     String::from_utf8(body)
         .map(|text| (status, text))
         .map_err(|_| HttpError::Malformed("non-UTF-8 body".into()))
@@ -534,6 +485,59 @@ mod tests {
         let mixed = "POST /x HTTP/1.1\r\nContent-Length: 3\r\ncontent-length: 3\r\n\r\nabc";
         for wire in [differing, identical, mixed] {
             assert_eq!(refusal(wire), "duplicate content-length header");
+        }
+    }
+
+    /// Content-Length is `1*DIGIT`: a sign or an empty value is a
+    /// framing disagreement waiting for a proxy that reads it
+    /// differently, so both are refused.
+    #[test]
+    fn request_content_length_must_be_digits() {
+        for value in ["+2", ""] {
+            let wire = format!("POST /x HTTP/1.1\r\nContent-Length: {value}\r\n\r\nok");
+            let reason = refusal(&wire);
+            assert!(reason.contains("bad content-length"), "{value:?}: {reason}");
+        }
+    }
+
+    #[test]
+    fn response_content_length_must_be_digits() {
+        for value in ["+2", ""] {
+            let wire = format!("HTTP/1.1 200 OK\r\nContent-Length: {value}\r\n\r\nok");
+            match read_response(&mut BufReader::new(wire.as_bytes())) {
+                Err(HttpError::Malformed(reason)) => {
+                    assert!(reason.contains("bad content-length"), "{value:?}: {reason}")
+                }
+                other => panic!("accepted Content-Length {value:?}: {other:?}"),
+            }
+        }
+    }
+
+    /// A response cut short in its head or body, or with a head over
+    /// the budget, is `Malformed`, never a short read passed off as
+    /// a whole one.
+    #[test]
+    fn truncated_and_oversized_responses_are_malformed() {
+        let long_header = format!(
+            "HTTP/1.1 200 OK\r\nX: {}\r\n\r\n",
+            "a".repeat(MAX_HEAD_BYTES)
+        );
+        for (wire, needle) in [
+            ("", "unexpected EOF in head"),
+            (
+                "HTTP/1.1 200 OK\r\nContent-Length: 2",
+                "unexpected EOF in head",
+            ),
+            (
+                "HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nok",
+                "unexpected EOF in body",
+            ),
+            (long_header.as_str(), "head too large"),
+        ] {
+            match read_response(&mut BufReader::new(wire.as_bytes())) {
+                Err(HttpError::Malformed(reason)) => assert_eq!(reason, needle),
+                other => panic!("accepted {wire:?}: {other:?}"),
+            }
         }
     }
 

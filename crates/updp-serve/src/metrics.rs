@@ -11,9 +11,8 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use updp_core::json::JsonValue;
 use updp_obs::{
-    Counter, Family, FloatCounter, Gauge, Histogram, Registry as ObsRegistry, ScrapedFamily,
+    Counter, Family, FamilySnapshot, FloatCounter, Gauge, Histogram, Registry as ObsRegistry,
     TraceEvent, TraceRing,
 };
 
@@ -57,82 +56,82 @@ impl ServeMetrics {
     /// exist, so `/v1/metrics` renders the same shape either way).
     pub(crate) fn new(workers: usize, enabled: bool) -> ServeMetrics {
         let mut registry = ObsRegistry::new();
-        let accepted = registry.counters(
+        let accepted = registry.register(
             "updp_reactor_connections_accepted_total",
             "Connections accepted, by reactor shard.",
             &["shard"],
         );
-        let rejected_cap = registry.counters(
+        let rejected_cap = registry.register(
             "updp_reactor_connections_rejected_total",
             "Connections answered a pre-queued 503 at the connection cap, by shard.",
             &["shard"],
         );
-        let overloaded = registry.counters(
+        let overloaded = registry.register(
             "updp_reactor_overloaded_total",
             "Requests answered 503 because the write queue was full, by shard.",
             &["shard"],
         );
-        let panics = registry.counters(
+        let panics = registry.register(
             "updp_reactor_handler_panics_total",
             "Handler panics caught by the reactor, by shard.",
             &["shard"],
         );
-        let bytes_read = registry.counters(
+        let bytes_read = registry.register(
             "updp_reactor_bytes_read_total",
             "Bytes read from peers, by shard.",
             &["shard"],
         );
-        let bytes_written = registry.counters(
+        let bytes_written = registry.register(
             "updp_reactor_bytes_written_total",
             "Bytes written to peers, by shard.",
             &["shard"],
         );
-        let wakeups = registry.counters(
+        let wakeups = registry.register(
             "updp_reactor_wakeups_total",
             "epoll_wait returns, by shard.",
             &["shard"],
         );
-        let queue_high_water = registry.gauges(
+        let queue_high_water = registry.register(
             "updp_reactor_write_queue_high_water_bytes",
             "Largest write-queue depth observed, by shard.",
             &["shard"],
         );
-        let write_seconds = registry.histograms(
+        let write_seconds = registry.register(
             "updp_http_write_seconds",
             "Time from response enqueue to the write queue draining, by shard.",
             &["shard"],
         );
-        let requests = registry.counters(
+        let requests = registry.register(
             "updp_http_requests_total",
             "Requests dispatched, by endpoint.",
             &["endpoint"],
         );
-        let responses = registry.counters(
+        let responses = registry.register(
             "updp_http_responses_total",
             "Responses by endpoint and status class.",
             &["endpoint", "class"],
         );
-        let parse_seconds = registry.histograms(
+        let parse_seconds = registry.register(
             "updp_http_parse_seconds",
             "Time from first request byte to a complete parse, by endpoint.",
             &["endpoint"],
         );
-        let handle_seconds = registry.histograms(
+        let handle_seconds = registry.register(
             "updp_http_handle_seconds",
             "Handler (route) wall time, by endpoint.",
             &["endpoint"],
         );
-        let engine_queries = registry.counters(
+        let engine_queries = registry.register(
             "updp_engine_queries_total",
             "Estimator executions, by estimator name.",
             &["estimator"],
         );
-        let engine_seconds = registry.histograms(
+        let engine_seconds = registry.register(
             "updp_engine_query_seconds",
             "Estimator execution wall time, by estimator name.",
             &["estimator"],
         );
-        let engine_inflation = registry.float_counters(
+        let engine_inflation = registry.register(
             "updp_engine_epsilon_inflation_total",
             "Total snapping epsilon inflation charged, by estimator name.",
             &["estimator"],
@@ -255,15 +254,9 @@ impl ServeMetrics {
         events
     }
 
-    /// Prometheus text exposition of every family plus the
-    /// scrape-time `extra` rows.
-    pub(crate) fn render_prometheus(&self, extra: &[ScrapedFamily]) -> String {
-        self.registry.render_prometheus(extra)
-    }
-
-    /// The same state as JSON.
-    pub(crate) fn render_json(&self, extra: &[ScrapedFamily]) -> JsonValue {
-        self.registry.render_json(extra)
+    /// Every registered family, in registration order.
+    pub(crate) fn snapshot(&self) -> Vec<FamilySnapshot> {
+        self.registry.snapshot()
     }
 }
 
@@ -412,7 +405,7 @@ mod tests {
                 unix_ms: 0,
             },
         );
-        let text = metrics.render_prometheus(&[]);
+        let text = updp_obs::render_prometheus(&metrics.snapshot());
         assert!(text.contains("# TYPE updp_http_requests_total counter"));
         assert!(!text.contains("updp_http_requests_total{"));
         assert!(metrics.trace_snapshot().is_empty());
@@ -427,7 +420,7 @@ mod tests {
         metrics.record_request("/v1/query", 200, 3, 40);
         metrics.record_request("/v1/query", 403, 1, 9);
         metrics.record_engine_inflation("mean", 0.001);
-        let text = metrics.render_prometheus(&[]);
+        let text = updp_obs::render_prometheus(&metrics.snapshot());
         assert!(text.contains("updp_reactor_connections_accepted_total{shard=\"1\"} 1"));
         assert!(text.contains("updp_http_requests_total{endpoint=\"/v1/query\"} 2"));
         assert!(text.contains("updp_http_responses_total{endpoint=\"/v1/query\",class=\"2xx\"} 1"));

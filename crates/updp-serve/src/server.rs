@@ -31,7 +31,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 use updp_core::json::JsonValue;
-use updp_obs::{Kind, ScrapedFamily};
+use updp_obs::{FamilySnapshot, Kind, Sample};
 
 /// Transport knobs for the reactor (DESIGN.md §10). The defaults are
 /// the production configuration; tests tighten them to make the
@@ -371,36 +371,40 @@ fn shutdown(state: &AppState) -> Routed {
 }
 
 /// `GET /v1/metrics`: Prometheus text by default, JSON with
-/// `?format=json`. Registry families render from their atomics;
-/// ledger ε accounts, refusal counts, pending rows, active
-/// connections, and uptime are scraped from their single sources of
-/// truth at render time.
+/// `?format=json`. Registry families snapshot their atomics; ledger ε
+/// accounts, refusal counts, pending rows, active connections, and
+/// uptime are read from their single sources of truth at scrape time
+/// and appended, and both formats render the one list.
 fn metrics_scrape(state: &AppState, path: &str) -> Routed {
     let format = path.split_once('?').map(|(_, q)| q).unwrap_or("");
-    let extra = scraped_families(state);
+    let mut families = state.metrics.snapshot();
+    families.extend(scraped_families(state));
     match format {
         "" | "format=text" | "format=prometheus" => {
-            Routed::text(200, state.metrics.render_prometheus(&extra))
+            Routed::text(200, updp_obs::render_prometheus(&families))
         }
-        "format=json" => Routed::json(200, state.metrics.render_json(&extra).to_compact()),
+        "format=json" => Routed::json(200, updp_obs::render_json(&families).to_compact()),
         other => error(400, "bad_request", &format!("unknown query `{other}`")),
     }
 }
 
 /// The scrape-time families: values owned by the ledger/registry/
 /// reactor rather than duplicated into metric state.
-fn scraped_families(state: &AppState) -> Vec<ScrapedFamily> {
+fn scraped_families(state: &AppState) -> Vec<FamilySnapshot> {
     let accounts = state.ledger.list().unwrap_or_default();
-    let gauge = |name: &str, help: &str, rows: Vec<(Vec<String>, f64)>, kind| ScrapedFamily {
-        name: name.to_string(),
-        help: help.to_string(),
+    let family = |name, help, kind, rows: Vec<(Vec<String>, f64)>| FamilySnapshot {
+        name,
+        help,
         kind,
         label_keys: if rows.iter().any(|(labels, _)| !labels.is_empty()) {
-            vec!["dataset".to_string()]
+            &["dataset"]
         } else {
-            Vec::new()
+            &[]
         },
-        samples: rows,
+        samples: rows
+            .into_iter()
+            .map(|(labels, value)| (labels, Sample::Value(value)))
+            .collect(),
     };
     let per_account = |f: fn(&crate::ledger::Account) -> f64| -> Vec<(Vec<String>, f64)> {
         accounts
@@ -409,38 +413,39 @@ fn scraped_families(state: &AppState) -> Vec<ScrapedFamily> {
             .collect()
     };
     vec![
-        gauge(
+        family(
             "updp_ledger_epsilon_budget",
             "Total epsilon budget pinned at first registration, by dataset.",
-            per_account(|a| a.budget),
             Kind::Gauge,
+            per_account(|a| a.budget),
         ),
-        gauge(
+        family(
             "updp_ledger_epsilon_spent",
             "Epsilon spent (monotone, survives restarts), by dataset.",
-            per_account(|a| a.spent),
             Kind::Gauge,
+            per_account(|a| a.spent),
         ),
-        gauge(
+        family(
             "updp_ledger_epsilon_remaining",
             "Epsilon still available, by dataset.",
-            per_account(|a| a.remaining()),
             Kind::Gauge,
+            per_account(|a| a.remaining()),
         ),
-        gauge(
+        family(
             "updp_ledger_refusals_total",
             "budget_exhausted refusals served this process lifetime, by dataset.",
+            Kind::Counter,
             state
                 .ledger
                 .refusal_counts()
                 .into_iter()
                 .map(|(name, count)| (vec![name], count as f64))
                 .collect(),
-            Kind::Counter,
         ),
-        gauge(
+        family(
             "updp_registry_pending_rows",
             "Unflushed delta-log rows, by dataset.",
+            Kind::Gauge,
             state
                 .registry
                 .list()
@@ -448,19 +453,18 @@ fn scraped_families(state: &AppState) -> Vec<ScrapedFamily> {
                 .into_iter()
                 .map(|row| (vec![row.name], row.pending as f64))
                 .collect(),
-            Kind::Gauge,
         ),
-        gauge(
+        family(
             "updp_reactor_connections_active",
             "Open connections across all shards.",
-            vec![(Vec::new(), state.conns.load(Ordering::SeqCst) as f64)],
             Kind::Gauge,
+            vec![(Vec::new(), state.conns.load(Ordering::SeqCst) as f64)],
         ),
-        gauge(
+        family(
             "updp_server_uptime_seconds",
             "Seconds since the server bound its listener.",
-            vec![(Vec::new(), state.started.elapsed().as_secs_f64())],
             Kind::Gauge,
+            vec![(Vec::new(), state.started.elapsed().as_secs_f64())],
         ),
     ]
 }

@@ -43,8 +43,6 @@ pub struct Release {
     /// never raw data. `0.0` means "no meaningful scale" (non-private
     /// estimators); hardened consumers clamp to a positive floor.
     pub sensitivities: Vec<f64>,
-    /// Named numeric diagnostics (bucket sizes, clip counts, …).
-    pub diagnostics: Vec<(&'static str, f64)>,
 }
 
 impl Release {
@@ -53,14 +51,7 @@ impl Release {
         Release {
             values: vec![value],
             sensitivities: vec![sensitivity],
-            diagnostics: Vec::new(),
         }
-    }
-
-    /// Attaches a named diagnostic (builder style).
-    pub fn with_diagnostic(mut self, name: &'static str, value: f64) -> Self {
-        self.diagnostics.push((name, value));
-        self
     }
 
     /// The first released value (the scalar, for scalar statistics).
@@ -316,14 +307,10 @@ impl Estimator for UniversalMean {
     ) -> Result<Release> {
         let col = scalar_column(view, "mean")?;
         let est = estimate_mean(rng, col.data(), params.epsilon, params.beta)?;
-        Ok(
-            Release::scalar(est.estimate, est.range.width() / col.len() as f64)
-                .with_diagnostic("bucket", est.bucket)
-                .with_diagnostic("range_lo", est.range.lo)
-                .with_diagnostic("range_hi", est.range.hi)
-                .with_diagnostic("subsample", est.subsample as f64)
-                .with_diagnostic("clipped", est.clipped as f64),
-        )
+        Ok(Release::scalar(
+            est.estimate,
+            est.range.width() / col.len() as f64,
+        ))
     }
 }
 
@@ -348,13 +335,10 @@ impl Estimator for UniversalVariance {
     ) -> Result<Release> {
         let col = scalar_column(view, "variance")?;
         let est = estimate_variance(rng, col.data(), params.epsilon, params.beta)?;
-        Ok(
-            Release::scalar(est.estimate, est.radius / est.pairs.max(1) as f64)
-                .with_diagnostic("bucket", est.bucket)
-                .with_diagnostic("radius", est.radius)
-                .with_diagnostic("pairs", est.pairs as f64)
-                .with_diagnostic("clipped", est.clipped as f64),
-        )
+        Ok(Release::scalar(
+            est.estimate,
+            est.radius / est.pairs.max(1) as f64,
+        ))
     }
 }
 
@@ -403,9 +387,7 @@ impl Estimator for UniversalQuantile {
         let col = scalar_column(view, "quantile")?;
         let q = params.resolve(&QUANTILE_PARAMS[0])?;
         let est = estimate_quantile_view(rng, col, q, params.epsilon, params.beta)?;
-        Ok(Release::scalar(est.estimate, est.bucket)
-            .with_diagnostic("bucket", est.bucket)
-            .with_diagnostic("rank", est.rank as f64))
+        Ok(Release::scalar(est.estimate, est.bucket))
     }
 }
 
@@ -430,10 +412,7 @@ impl Estimator for UniversalIqr {
     ) -> Result<Release> {
         let col = scalar_column(view, "iqr")?;
         let est = estimate_iqr_view(rng, col, params.epsilon, params.beta)?;
-        Ok(Release::scalar(est.estimate, est.bucket)
-            .with_diagnostic("bucket", est.bucket)
-            .with_diagnostic("q1", est.q1)
-            .with_diagnostic("q3", est.q3))
+        Ok(Release::scalar(est.estimate, est.bucket))
     }
 }
 
@@ -472,7 +451,6 @@ impl Estimator for UniversalMultiMean {
         let mut release = Release {
             values: Vec::with_capacity(d),
             sensitivities: Vec::with_capacity(d),
-            diagnostics: Vec::new(),
         };
         for col in view.cols() {
             let est = estimate_mean(rng, col.data(), per_coord, per_beta)?;
