@@ -80,7 +80,7 @@ pub fn bs19_trimmed_mean<R: Rng + ?Sized>(
 /// under `total_cmp`, so `clip(sort(D))` and the historical
 /// `sort(clip(D))` are the *same* sequence — outputs are bit-identical
 /// for the same seed.
-pub fn bs19_trimmed_mean_view<R: Rng + ?Sized>(
+pub(crate) fn bs19_trimmed_mean_view<R: Rng + ?Sized>(
     rng: &mut R,
     view: &ColumnView<'_>,
     r: f64,

@@ -25,7 +25,7 @@
 //! no hardened release reads it.
 
 use crate::bs19::bs19_trimmed_mean_view;
-use crate::coinpress::{coinpress_mean, coinpress_variance};
+use crate::coinpress::{coinpress_mean, coinpress_variance, DEFAULT_STEPS};
 use crate::dl09::dl09_iqr_view;
 use crate::ksu20::ksu20_mean;
 use crate::kv18::{kv18_gaussian_mean, kv18_gaussian_variance};
@@ -56,7 +56,7 @@ fn as_count(name: &'static str, value: f64, min: f64, max: f64) -> Result<u64> {
 pub struct Kv18Mean;
 
 /// [`Kv18Mean`]'s parameter table.
-pub const KV18_MEAN_PARAMS: &[ParamSpec] = &[
+pub(crate) const KV18_MEAN_PARAMS: &[ParamSpec] = &[
     ParamSpec::required("r", "assumed mean range bound: μ ∈ [−r, r] (A1)"),
     ParamSpec::required("sigma_min", "assumed lower σ bound (A2)"),
     ParamSpec::required("sigma_max", "assumed upper σ bound (A2)"),
@@ -99,7 +99,7 @@ impl Estimator for Kv18Mean {
 pub struct Kv18Variance;
 
 /// [`Kv18Variance`]'s parameter table.
-pub const KV18_VARIANCE_PARAMS: &[ParamSpec] = &[
+pub(crate) const KV18_VARIANCE_PARAMS: &[ParamSpec] = &[
     ParamSpec::required("sigma_min", "assumed lower σ bound (A2)"),
     ParamSpec::required("sigma_max", "assumed upper σ bound (A2)"),
 ];
@@ -144,10 +144,10 @@ impl Estimator for Kv18Variance {
 pub struct CoinPressMean;
 
 /// [`CoinPressMean`]'s parameter table.
-pub const COINPRESS_MEAN_PARAMS: &[ParamSpec] = &[
+pub(crate) const COINPRESS_MEAN_PARAMS: &[ParamSpec] = &[
     ParamSpec::required("r", "assumed mean range bound: μ ∈ [−r, r] (A1)"),
     ParamSpec::required("sigma", "assumed σ scale (A2)"),
-    ParamSpec::optional("steps", 4.0, "clip-and-shrink iterations"),
+    ParamSpec::optional("steps", DEFAULT_STEPS as f64, "clip-and-shrink iterations"),
 ];
 
 impl Estimator for CoinPressMean {
@@ -203,10 +203,10 @@ impl Estimator for CoinPressMean {
 pub struct CoinPressVariance;
 
 /// [`CoinPressVariance`]'s parameter table.
-pub const COINPRESS_VARIANCE_PARAMS: &[ParamSpec] = &[
+pub(crate) const COINPRESS_VARIANCE_PARAMS: &[ParamSpec] = &[
     ParamSpec::required("sigma_min", "assumed lower σ bound (A2)"),
     ParamSpec::required("sigma_max", "assumed upper σ bound (A2)"),
-    ParamSpec::optional("steps", 4.0, "clip-and-shrink iterations"),
+    ParamSpec::optional("steps", DEFAULT_STEPS as f64, "clip-and-shrink iterations"),
 ];
 
 impl Estimator for CoinPressVariance {
@@ -264,7 +264,7 @@ impl Estimator for CoinPressVariance {
 pub struct Ksu20Mean;
 
 /// [`Ksu20Mean`]'s parameter table.
-pub const KSU20_PARAMS: &[ParamSpec] = &[
+pub(crate) const KSU20_PARAMS: &[ParamSpec] = &[
     ParamSpec::required("r", "assumed mean range bound: μ ∈ [−r, r] (A1)"),
     ParamSpec::required("mu_k_bound", "assumed k-th central moment bound (A2-style)"),
     ParamSpec::optional("k", 2.0, "moment order (≥ 2)"),
@@ -318,7 +318,7 @@ impl Estimator for Ksu20Mean {
 pub struct Bs19TrimmedMean;
 
 /// [`Bs19TrimmedMean`]'s parameter table.
-pub const BS19_PARAMS: &[ParamSpec] = &[
+pub(crate) const BS19_PARAMS: &[ParamSpec] = &[
     ParamSpec::required("r", "assumed mean range bound: μ ∈ [−r, r] (A1)"),
     ParamSpec::optional(
         "trim_frac",
@@ -367,7 +367,7 @@ impl Estimator for Bs19TrimmedMean {
 pub struct Dl09Iqr;
 
 /// [`Dl09Iqr`]'s parameter table.
-pub const DL09_PARAMS: &[ParamSpec] = &[ParamSpec::optional(
+pub(crate) const DL09_PARAMS: &[ParamSpec] = &[ParamSpec::optional(
     "delta",
     1e-6,
     "the δ of the (ε, δ)-DP guarantee (must be > 0)",
@@ -422,7 +422,7 @@ impl Estimator for Dl09Iqr {
 pub struct NaiveClipMean;
 
 /// [`NaiveClipMean`]'s parameter table.
-pub const NAIVE_CLIP_PARAMS: &[ParamSpec] = &[ParamSpec::required(
+pub(crate) const NAIVE_CLIP_PARAMS: &[ParamSpec] = &[ParamSpec::required(
     "r",
     "assumed mean range bound: μ ∈ [−r, r] (A1)",
 )];

@@ -20,7 +20,7 @@ use updp_core::privacy::Epsilon;
 
 /// Default number of clip-and-shrink iterations (CoinPress uses t ≤ 10;
 /// 2–4 captures nearly all the gain).
-pub const DEFAULT_STEPS: usize = 4;
+pub(crate) const DEFAULT_STEPS: usize = 4;
 
 /// Pure-DP CoinPress-style Gaussian mean under A1 (`μ ∈ [−r, r]`) and A2
 /// (`σ` known up to the given value).

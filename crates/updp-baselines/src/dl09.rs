@@ -81,7 +81,7 @@ pub fn dl09_iqr<R: Rng + ?Sized>(
 /// [`dl09_iqr`] over a [`ColumnView`]: the `total_cmp`-sorted copy
 /// comes from the view (cached by serving snapshots), everything else
 /// is identical — bit-identical outputs for the same seed.
-pub fn dl09_iqr_view<R: Rng + ?Sized>(
+pub(crate) fn dl09_iqr_view<R: Rng + ?Sized>(
     rng: &mut R,
     view: &ColumnView<'_>,
     epsilon: Epsilon,

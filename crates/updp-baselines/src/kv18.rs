@@ -41,7 +41,7 @@ fn noisy_argmax<R: Rng + ?Sized>(rng: &mut R, counts: &[usize], epsilon: Epsilon
 
 /// \[KV18\]-style ε-DP Gaussian σ estimate via a log-scale histogram over
 /// the *assumed* `[sigma_min, sigma_max]` (assumption A2).
-pub fn kv18_sigma<R: Rng + ?Sized>(
+pub(crate) fn kv18_sigma<R: Rng + ?Sized>(
     rng: &mut R,
     data: &[f64],
     sigma_min: f64,
@@ -87,7 +87,7 @@ pub fn kv18_sigma<R: Rng + ?Sized>(
 
 /// \[KV18\]-style ε-DP Gaussian mean under A1 (`μ ∈ [−r, r]`) given a
 /// (possibly rough) σ estimate.
-pub fn kv18_mean_given_sigma<R: Rng + ?Sized>(
+pub(crate) fn kv18_mean_given_sigma<R: Rng + ?Sized>(
     rng: &mut R,
     data: &[f64],
     r: f64,

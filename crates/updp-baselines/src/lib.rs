@@ -47,15 +47,15 @@ pub mod kv18;
 pub mod naive_clip;
 pub mod nonprivate;
 
-pub use bs19::{bs19_trimmed_mean, bs19_trimmed_mean_view};
+pub use bs19::bs19_trimmed_mean;
 pub use catalog::{
     baseline_estimators, Bs19TrimmedMean, CoinPressMean, CoinPressVariance,
     Dl09Iqr as Dl09Estimator, Ksu20Mean, Kv18Mean, Kv18Variance, NaiveClipMean, NonPrivateIqr,
     NonPrivateMean, NonPrivateVariance,
 };
-pub use coinpress::{coinpress_mean, coinpress_variance, DEFAULT_STEPS};
-pub use dl09::{dl09_iqr, dl09_iqr_view, Dl09Iqr};
+pub use coinpress::{coinpress_mean, coinpress_variance};
+pub use dl09::{dl09_iqr, Dl09Iqr};
 pub use ksu20::ksu20_mean;
-pub use kv18::{kv18_gaussian_mean, kv18_gaussian_variance, kv18_mean_given_sigma, kv18_sigma};
+pub use kv18::{kv18_gaussian_mean, kv18_gaussian_variance};
 pub use naive_clip::naive_clipped_mean;
-pub use nonprivate::{sample_iqr, sample_iqr_view, sample_mean, sample_midrange, sample_variance};
+pub use nonprivate::{sample_iqr, sample_mean, sample_midrange, sample_variance};

@@ -35,7 +35,7 @@ pub fn sample_iqr(data: &[f64]) -> Result<f64> {
 
 /// [`sample_iqr`] over a [`ColumnView`] (the sorted copy comes from
 /// the view; identical values).
-pub fn sample_iqr_view(view: &ColumnView<'_>) -> Result<f64> {
+pub(crate) fn sample_iqr_view(view: &ColumnView<'_>) -> Result<f64> {
     let data = view.data();
     ensure_nonempty(data)?;
     ensure_finite(data, "sample_iqr")?;

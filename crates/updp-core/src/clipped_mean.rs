@@ -16,7 +16,7 @@ pub fn clip(x: f64, lo: f64, hi: f64) -> f64 {
 
 /// Clips a single integer value into `[lo, hi]`.
 #[inline]
-pub fn clip_i64(x: i64, lo: i64, hi: i64) -> i64 {
+pub(crate) fn clip_i64(x: i64, lo: i64, hi: i64) -> i64 {
     debug_assert!(lo <= hi);
     x.clamp(lo, hi)
 }
@@ -26,14 +26,14 @@ pub fn clip_i64(x: i64, lo: i64, hi: i64) -> i64 {
 /// loops have a known trip count the compiler unrolls and
 /// autovectorizes; 64 f64s fill eight AVX-512 / sixteen SSE2 registers
 /// and stay far below any overflow bound the integer kernels need.
-pub const KERNEL_CHUNK: usize = 64;
+pub(crate) const KERNEL_CHUNK: usize = 64;
 
 /// Exact clipped sum `Σ clamp(x, [lo, hi])` with `i128` accumulation.
 ///
 /// Unlike the f64 streaming mean, integer addition is associative and
 /// the clamp is elementwise, so this kernel may be freely re-chunked
 /// without changing a single bit. When `max(|lo|, |hi|)` guarantees a
-/// [`KERNEL_CHUNK`]-wide partial cannot overflow `i64`, chunks
+/// `KERNEL_CHUNK`-wide partial cannot overflow `i64`, chunks
 /// accumulate in `i64` (which autovectorizes — `i128` adds do not) and
 /// fold into the `i128` total; otherwise it falls back to the
 /// historical per-element `i128` accumulation. Both paths are exact.
@@ -86,7 +86,7 @@ pub fn clipped_mean(data: &[f64], lo: f64, hi: f64) -> Result<f64> {
 /// Algorithms 8 and 9). NaN compares false on both sides, so NaNs are
 /// not counted as outside.
 ///
-/// Per [`KERNEL_CHUNK`]-wide chunk, the kernel clamps into a stack
+/// Per `KERNEL_CHUNK`-wide chunk, the kernel clamps into a stack
 /// buffer and counts out-of-range elements branchlessly (two simple
 /// elementwise loops, written to autovectorize), then folds the clamped
 /// chunk through **exactly** the serial streaming recurrence of the

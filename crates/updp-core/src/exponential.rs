@@ -12,14 +12,14 @@
 //! or underflow even when scores span thousands of nats — which happens
 //! routinely for quantile domains of width `2^40`. The inverse
 //! sensitivity sampler streams its weighted segments through the
-//! Gumbel-max, using [`GUMBEL_MIN`], [`GUMBEL_MAX`] and [`skip_gumbel`]
+//! Gumbel-max, using `GUMBEL_MIN`, `GUMBEL_MAX` and `skip_gumbel`
 //! to skip the `ln`s of segments that cannot win.
 
 use rand::Rng;
 
 /// Draws one standard Gumbel variate: `−ln(−ln U)` for `U ~ Uniform(0,1)`.
 #[inline]
-pub fn sample_gumbel<R: Rng + ?Sized>(rng: &mut R) -> f64 {
+pub(crate) fn sample_gumbel<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     loop {
         let u: f64 = rng.gen();
         if u > 0.0 {
@@ -36,12 +36,12 @@ pub fn sample_gumbel<R: Rng + ?Sized>(rng: &mut R) -> f64 {
 /// Its uniform is a nonzero multiple of 2⁻⁵³ below 1, so `−ln U` is at
 /// most `53·ln 2` and the variate is at least `−ln(53·ln 2) = −3.60378…`;
 /// rounded outward. Pinned by `gumbel_bounds_cover_the_extreme_uniforms`.
-pub const GUMBEL_MIN: f64 = -3.61;
+pub(crate) const GUMBEL_MIN: f64 = -3.61;
 
 /// An upper bound on every variate [`sample_gumbel`] returns: the largest
 /// uniform, `1 − 2⁻⁵³`, gives `−ln(−ln(1 − 2⁻⁵³)) = 36.73680…`; rounded
 /// outward.
-pub const GUMBEL_MAX: f64 = 36.74;
+pub(crate) const GUMBEL_MAX: f64 = 36.74;
 
 /// Consumes exactly the uniforms [`sample_gumbel`] would, without
 /// computing the variate — for a candidate whose score is already known
@@ -51,7 +51,7 @@ pub const GUMBEL_MAX: f64 = 36.74;
 /// `sample_gumbel` accepts every nonzero `U` there on its first try; only
 /// `U = 0` and the two uniforms at or above `1 − 2⁻⁵²` need its checks.
 #[inline]
-pub fn skip_gumbel<R: Rng + ?Sized>(rng: &mut R) {
+pub(crate) fn skip_gumbel<R: Rng + ?Sized>(rng: &mut R) {
     loop {
         let u: f64 = rng.gen();
         if u > 0.0 && (u < 1.0 - f64::EPSILON || -u.ln() > 0.0) {

@@ -29,7 +29,7 @@ use std::f64::consts::LN_2;
 /// The rank-clamping margin of Algorithm 2: `(2/ε)·log(|X|/β)`.
 ///
 /// `domain_size` is `|X| = hi − lo + 1`.
-pub fn rank_clamp_margin(epsilon: Epsilon, domain_size: f64, beta: f64) -> f64 {
+pub(crate) fn rank_clamp_margin(epsilon: Epsilon, domain_size: f64, beta: f64) -> f64 {
     (2.0 / epsilon.get()) * (domain_size / beta).ln().max(1.0)
 }
 

@@ -45,38 +45,6 @@ pub fn laplace_mechanism<R: Rng + ?Sized>(
     Ok(value + sample_laplace(rng, sensitivity / epsilon.get()))
 }
 
-/// Two-sided tail probability `Pr[|Lap(scale)| ≥ t]` for `t ≥ 0`.
-#[inline]
-pub fn laplace_tail(scale: f64, t: f64) -> f64 {
-    debug_assert!(t >= 0.0);
-    (-t / scale).exp()
-}
-
-/// The magnitude `t` such that `Pr[|Lap(scale)| ≥ t] = beta`.
-///
-/// This is the `(b/1)·log(1/β)` bound used in the paper's utility proofs.
-#[inline]
-pub fn laplace_tail_bound(scale: f64, beta: f64) -> f64 {
-    debug_assert!(beta > 0.0 && beta < 1.0);
-    scale * (1.0 / beta).ln()
-}
-
-/// Density of `Lap(scale)` at `x`.
-#[inline]
-pub fn laplace_pdf(scale: f64, x: f64) -> f64 {
-    (-x.abs() / scale).exp() / (2.0 * scale)
-}
-
-/// CDF of `Lap(scale)` at `x`.
-#[inline]
-pub fn laplace_cdf(scale: f64, x: f64) -> f64 {
-    if x < 0.0 {
-        0.5 * (x / scale).exp()
-    } else {
-        1.0 - 0.5 * (-x / scale).exp()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -116,47 +84,12 @@ mod tests {
             .filter(|_| sample_laplace(&mut rng, b).abs() >= t)
             .count() as f64
             / n as f64;
-        let analytic = laplace_tail(b, t);
+        // Pr[|Lap(b)| ≥ t] = exp(−t/b).
+        let analytic = (-t / b).exp();
         assert!(
             (exceed - analytic).abs() < 0.01,
             "empirical {exceed} vs analytic {analytic}"
         );
-    }
-
-    #[test]
-    fn tail_bound_inverts_tail() {
-        let b = 1.7;
-        for beta in [0.5, 0.1, 0.01] {
-            let t = laplace_tail_bound(b, beta);
-            assert!((laplace_tail(b, t) - beta).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn cdf_is_monotone_and_bounded() {
-        let b = 1.0;
-        let mut prev = 0.0;
-        for i in -50..=50 {
-            let x = i as f64 / 5.0;
-            let c = laplace_cdf(b, x);
-            assert!((0.0..=1.0).contains(&c));
-            assert!(c >= prev);
-            prev = c;
-        }
-        assert!((laplace_cdf(b, 0.0) - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn pdf_integrates_to_one() {
-        let b = 0.8;
-        let mut sum = 0.0;
-        let h = 0.001;
-        let mut x = -30.0;
-        while x < 30.0 {
-            sum += laplace_pdf(b, x) * h;
-            x += h;
-        }
-        assert!((sum - 1.0).abs() < 1e-3, "integral = {sum}");
     }
 
     #[test]

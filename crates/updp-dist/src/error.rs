@@ -13,7 +13,7 @@ pub struct DistError {
 
 impl DistError {
     /// Convenience constructor.
-    pub fn bad_param(name: &'static str, reason: &'static str) -> Self {
+    pub(crate) fn bad_param(name: &'static str, reason: &'static str) -> Self {
         DistError { name, reason }
     }
 }

@@ -69,5 +69,5 @@ pub use lognormal::LogNormal;
 pub use mixture::GaussianMixture;
 pub use pareto::Pareto;
 pub use student_t::StudentT;
-pub use traits::{numeric_central_moment, ContinuousDistribution};
-pub use uniform::{midrange, Uniform};
+pub use traits::ContinuousDistribution;
+pub use uniform::Uniform;

@@ -31,7 +31,7 @@ impl LogNormal {
     }
 
     /// Raw moment `E[X^n] = exp(nμ + n²σ²/2)`.
-    pub fn raw_moment(&self, n: u32) -> f64 {
+    pub(crate) fn raw_moment(&self, n: u32) -> f64 {
         let nf = n as f64;
         (nf * self.mu + 0.5 * nf * nf * self.sigma * self.sigma).exp()
     }

@@ -59,11 +59,6 @@ impl GaussianMixture {
             (0.5, Gaussian::new(separation / 2.0, sigma)?),
         ])
     }
-
-    /// Number of mixture components.
-    pub fn num_components(&self) -> usize {
-        self.components.len()
-    }
 }
 
 impl ContinuousDistribution for GaussianMixture {

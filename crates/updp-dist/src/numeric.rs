@@ -8,7 +8,7 @@
 /// Finds a root of `f` in `[a, b]` by bisection with a secant
 /// acceleration (regula falsi flavor), assuming `f(a)` and `f(b)` bracket
 /// a sign change. Returns the midpoint of the final bracket.
-pub fn bisect_root<F: Fn(f64) -> f64>(f: F, mut a: f64, mut b: f64, tol: f64) -> f64 {
+pub(crate) fn bisect_root<F: Fn(f64) -> f64>(f: F, mut a: f64, mut b: f64, tol: f64) -> f64 {
     let mut fa = f(a);
     let fb = f(b);
     assert!(
@@ -47,7 +47,7 @@ pub fn bisect_root<F: Fn(f64) -> f64>(f: F, mut a: f64, mut b: f64, tol: f64) ->
 ///
 /// `f` must be monotone non-decreasing (true of the CDF-minus-p functions
 /// this is used for). `scale0` seeds the expansion step.
-pub fn monotone_root<F: Fn(f64) -> f64>(f: F, x0: f64, scale0: f64, tol: f64) -> f64 {
+pub(crate) fn monotone_root<F: Fn(f64) -> f64>(f: F, x0: f64, scale0: f64, tol: f64) -> f64 {
     let f0 = f(x0);
     // Exact-root fast path: f(x0) == 0.0 means x0 IS the root; near-zero
     // values must enter the bracket expansion.
@@ -73,7 +73,7 @@ pub fn monotone_root<F: Fn(f64) -> f64>(f: F, x0: f64, scale0: f64, tol: f64) ->
 }
 
 /// Golden-section minimization of a unimodal `f` over `[a, b]`.
-pub fn golden_section_min<F: Fn(f64) -> f64>(f: F, mut a: f64, mut b: f64, tol: f64) -> f64 {
+pub(crate) fn golden_section_min<F: Fn(f64) -> f64>(f: F, mut a: f64, mut b: f64, tol: f64) -> f64 {
     const INV_PHI: f64 = 0.618_033_988_749_894_9;
     let mut c = b - INV_PHI * (b - a);
     let mut d = a + INV_PHI * (b - a);
@@ -102,7 +102,7 @@ pub fn golden_section_min<F: Fn(f64) -> f64>(f: F, mut a: f64, mut b: f64, tol: 
 
 /// Adaptive Simpson quadrature of `f` over `[a, b]` with absolute
 /// tolerance `tol`.
-pub fn adaptive_simpson<F: Fn(f64) -> f64>(f: F, a: f64, b: f64, tol: f64) -> f64 {
+pub(crate) fn adaptive_simpson<F: Fn(f64) -> f64>(f: F, a: f64, b: f64, tol: f64) -> f64 {
     fn simpson<F: Fn(f64) -> f64>(f: &F, a: f64, m: f64, b: f64) -> f64 {
         (b - a) / 6.0 * (f(a) + 4.0 * f(m) + f(b))
     }

@@ -38,7 +38,7 @@ impl Pareto {
     }
 
     /// Raw moment `E[X^n] = α·x_m^n/(α − n)` for `n < α`, else `∞`.
-    pub fn raw_moment(&self, n: u32) -> f64 {
+    pub(crate) fn raw_moment(&self, n: u32) -> f64 {
         let nf = n as f64;
         if nf >= self.alpha {
             f64::INFINITY

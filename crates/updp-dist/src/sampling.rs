@@ -10,7 +10,7 @@ use rand::Rng;
 use rand::RngCore;
 
 /// Draws a standard normal variate (Box–Muller, polar-free form).
-pub fn sample_standard_normal(rng: &mut dyn RngCore) -> f64 {
+pub(crate) fn sample_standard_normal(rng: &mut dyn RngCore) -> f64 {
     loop {
         let u1: f64 = rng.gen();
         if u1 <= 0.0 {
@@ -27,7 +27,7 @@ pub fn sample_standard_normal(rng: &mut dyn RngCore) -> f64 {
 }
 
 /// Draws `Exp(1)` via inverse CDF.
-pub fn sample_standard_exponential(rng: &mut dyn RngCore) -> f64 {
+pub(crate) fn sample_standard_exponential(rng: &mut dyn RngCore) -> f64 {
     loop {
         let u: f64 = rng.gen();
         if u > 0.0 {
@@ -38,7 +38,7 @@ pub fn sample_standard_exponential(rng: &mut dyn RngCore) -> f64 {
 
 /// Draws `Gamma(shape, 1)` via Marsaglia–Tsang (2000), with the standard
 /// boost for `shape < 1`.
-pub fn sample_standard_gamma(rng: &mut dyn RngCore, shape: f64) -> f64 {
+pub(crate) fn sample_standard_gamma(rng: &mut dyn RngCore, shape: f64) -> f64 {
     assert!(shape > 0.0 && shape.is_finite(), "shape must be positive");
     if shape < 1.0 {
         // Γ(a) = Γ(a+1) · U^{1/a}
@@ -70,7 +70,7 @@ pub fn sample_standard_gamma(rng: &mut dyn RngCore, shape: f64) -> f64 {
 }
 
 /// Draws `χ²_ν` (chi-squared with `nu` degrees of freedom).
-pub fn sample_chi_squared(rng: &mut dyn RngCore, nu: f64) -> f64 {
+pub(crate) fn sample_chi_squared(rng: &mut dyn RngCore, nu: f64) -> f64 {
     2.0 * sample_standard_gamma(rng, nu / 2.0)
 }
 

@@ -37,11 +37,6 @@ impl StudentT {
         Ok(StudentT { nu, loc, scale })
     }
 
-    /// Degrees of freedom ν.
-    pub fn nu(&self) -> f64 {
-        self.nu
-    }
-
     /// Standard-t CDF at `t` via `I_x(ν/2, 1/2)`.
     fn std_cdf(&self, t: f64) -> f64 {
         let x = self.nu / (self.nu + t * t);

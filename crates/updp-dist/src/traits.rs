@@ -44,7 +44,7 @@ pub trait ContinuousDistribution: Send + Sync {
     /// `NaN` when the mean itself is undefined.
     ///
     /// Default: quantile-domain quadrature via
-    /// [`numeric_central_moment`]; distributions with closed forms
+    /// `numeric_central_moment`; distributions with closed forms
     /// override it.
     fn central_moment(&self, k: u32) -> f64 {
         numeric_central_moment(self, k)
@@ -136,7 +136,7 @@ pub trait ContinuousDistribution: Send + Sync {
 /// Shared by the trait default and by overrides that only special-case
 /// divergent moments. Accurate for distributions whose k-th moment exists;
 /// heavy-tailed distributions must override with `∞` for divergent k.
-pub fn numeric_central_moment<D: ContinuousDistribution + ?Sized>(dist: &D, k: u32) -> f64 {
+pub(crate) fn numeric_central_moment<D: ContinuousDistribution + ?Sized>(dist: &D, k: u32) -> f64 {
     let mu = dist.mean();
     if !mu.is_finite() {
         return f64::NAN;

@@ -34,11 +34,6 @@ impl Uniform {
         self.a
     }
 
-    /// Upper endpoint.
-    pub fn upper(&self) -> f64 {
-        self.b
-    }
-
     fn width(&self) -> f64 {
         self.b - self.a
     }
@@ -88,21 +83,6 @@ impl ContinuousDistribution for Uniform {
         assert!(beta > 0.0 && beta < 1.0);
         beta * self.width()
     }
-}
-
-/// The mid-range estimator `(X₍₁₎ + X₍ₙ₎)/2` from the paper's
-/// introduction — optimal for uniform data, terrible for Gaussians.
-pub fn midrange(data: &[f64]) -> Option<f64> {
-    if data.is_empty() {
-        return None;
-    }
-    let mut min = f64::INFINITY;
-    let mut max = f64::NEG_INFINITY;
-    for &x in data {
-        min = min.min(x);
-        max = max.max(x);
-    }
-    Some(0.5 * (min + max))
 }
 
 #[cfg(test)]
@@ -157,21 +137,5 @@ mod tests {
             let x = u.sample(&mut rng);
             assert!((-1.0..=1.0).contains(&x));
         }
-    }
-
-    #[test]
-    fn midrange_converges_fast_on_uniform() {
-        let u = Uniform::new(0.0, 1.0).unwrap();
-        let mut rng = StdRng::seed_from_u64(2);
-        let n = 10_000;
-        let data = u.sample_vec(&mut rng, n);
-        let mr = midrange(&data).unwrap();
-        // mid-range error is O(1/n).
-        assert!((mr - 0.5).abs() < 10.0 / n as f64, "midrange = {mr}");
-    }
-
-    #[test]
-    fn midrange_empty_is_none() {
-        assert_eq!(midrange(&[]), None);
     }
 }

@@ -108,7 +108,7 @@ impl SortedInts {
 
     /// The τ-th order statistic `X_τ` (1-based), with the paper's edge
     /// convention `X_i = X_1` for `i < 1` and `X_i = X_n` for `i > n`.
-    pub fn order_statistic(&self, tau: i64) -> i64 {
+    pub(crate) fn order_statistic(&self, tau: i64) -> i64 {
         let idx = tau.clamp(1, self.values.len() as i64) as usize - 1;
         self.values[idx]
     }
@@ -120,7 +120,7 @@ impl SortedInts {
     /// `SortedInts::new(concat)` without its `O(n log n)` sort. This
     /// is the grid-maintenance primitive of the streaming append path
     /// (DESIGN.md §8).
-    pub fn merge_sorted(&self, other: &[i64]) -> SortedInts {
+    pub(crate) fn merge_sorted(&self, other: &[i64]) -> SortedInts {
         debug_assert!(other.windows(2).all(|w| w[0] <= w[1]));
         SortedInts {
             values: merge_sorted_by(&self.values, other, |a, b| a <= b),

@@ -100,7 +100,7 @@ pub fn real_radius<R: Rng + ?Sized>(
     ensure_beta(beta)?;
     let disc = Discretizer::new(bucket)?;
     let ints = disc.discretize(data)?;
-    let rad = infinite_domain_radius(rng, &ints, epsilon, beta);
+    let rad = infinite_domain_radius(rng, &ints, epsilon, beta)?;
     // Integer radius r covers buckets [−r, r]; bucket r has real extent
     // (r + 1/2)·b.
     Ok((rad as f64 + 0.5) * bucket)

@@ -1,7 +1,7 @@
 //! The pair-gap structure of Algorithms 7 and 9 (DESIGN.md §12.3).
 //!
 //! Both algorithms "randomly group the elements in D into pairs".
-//! [`for_each_random_pair`] is that step, once: shuffle the record
+//! `for_each_random_pair` is that step, once: shuffle the record
 //! indices with the blocked Fisher–Yates kernel
 //! ([`updp_core::rng::shuffle`], `u32` indices up to `u32::MAX` rows),
 //! pair consecutive shuffled indices, and visit each pair. Algorithm 9
@@ -76,7 +76,7 @@ const OCTAVES: usize = (MAX_OCTAVE - MIN_OCTAVE + 1) as usize;
 /// shuffle) and visits each pair `(data[i], data[j])`. With odd `n` the
 /// last shuffled index is left out. The permutation is the vendored
 /// `SliceRandom::shuffle`'s, at any index width.
-pub fn for_each_random_pair<R: Rng + ?Sized>(
+pub(crate) fn for_each_random_pair<R: Rng + ?Sized>(
     rng: &mut R,
     data: &[f64],
     mut f: impl FnMut(f64, f64),
@@ -98,7 +98,7 @@ fn pair_up<I: PoolIndex, R: Rng + ?Sized>(rng: &mut R, data: &[f64], f: &mut imp
     }
 }
 
-/// Maps each random pair of [`for_each_random_pair`] through `f`, in
+/// Maps each random pair of `for_each_random_pair` through `f`, in
 /// pairing order.
 pub fn map_random_pairs<R: Rng + ?Sized>(
     rng: &mut R,
@@ -152,7 +152,7 @@ impl GapSummary {
 
     /// Whether every record of the column is finite, so consumers can
     /// replace their O(n) `ensure_finite` scan with an O(1) check.
-    pub fn all_finite(&self) -> bool {
+    pub(crate) fn all_finite(&self) -> bool {
         self.all_finite
     }
 

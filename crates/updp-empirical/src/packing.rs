@@ -88,16 +88,6 @@ impl PackingFamily {
             (self.moved as f64) * 2f64.powi(i as i32) / self.n as f64
         }
     }
-
-    /// The per-dataset error the theorem says some dataset must incur:
-    /// `γ(D(i))/(3εn)·log log₂ N` with `γ(D(i)) = 2^i`.
-    pub fn lower_bound_error(&self, i: u32, epsilon: Epsilon) -> f64 {
-        if i == 0 {
-            return 0.0;
-        }
-        2f64.powi(i as i32) / (3.0 * epsilon.get() * self.n as f64)
-            * (self.log2_n as f64).ln().max(1.0)
-    }
 }
 
 #[cfg(test)]
@@ -138,14 +128,6 @@ mod tests {
             let d = f.dataset(i).unwrap();
             assert!((d.mean() - expected).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn lower_bound_grows_with_domain() {
-        let e = eps(1.0);
-        let small = PackingFamily::new(8, 1000, e).unwrap();
-        let large = PackingFamily::new(48, 1000, e).unwrap();
-        assert!(large.lower_bound_error(8, e) > small.lower_bound_error(8, e));
     }
 
     #[test]

@@ -16,6 +16,7 @@
 
 use crate::dataset::SortedInts;
 use rand::Rng;
+use updp_core::error::{ensure_beta, Result};
 use updp_core::privacy::Epsilon;
 use updp_core::svt::{sparse_vector, DEFAULT_SVT_CAP};
 
@@ -35,19 +36,21 @@ fn query_radius(i: usize) -> u64 {
 /// ε-DP estimate of `rad(D)` (Algorithm 3).
 ///
 /// Returns a radius `r̃ad(D)` satisfying Theorem 3.1 with probability
-/// ≥ 1 − β.
+/// ≥ 1 − β, or `InvalidParameter { name: "beta" }` unless β ∈ (0, 1).
 pub fn infinite_domain_radius<R: Rng + ?Sized>(
     rng: &mut R,
     data: &SortedInts,
     epsilon: Epsilon,
     beta: f64,
-) -> u64 {
-    infinite_domain_radius_about(rng, data, 0, epsilon, beta)
+) -> Result<u64> {
+    ensure_beta(beta)?;
+    Ok(infinite_domain_radius_about(rng, data, 0, epsilon, beta))
 }
 
 /// [`infinite_domain_radius`] of the recentered data `D − center`
 /// (saturating, as Algorithm 4's `D″ = D − X̃`), without building it:
-/// every SVT query is [`SortedInts::count_within_radius_of`].
+/// every SVT query is [`SortedInts::count_within_radius_of`]. The
+/// caller has checked β.
 pub(crate) fn infinite_domain_radius_about<R: Rng + ?Sized>(
     rng: &mut R,
     data: &SortedInts,
@@ -115,7 +118,7 @@ mod tests {
         let mut hits = 0;
         for seed in 0..100 {
             let mut rng = seeded(seed);
-            if infinite_domain_radius(&mut rng, &d, eps(1.0), 0.1) == 0 {
+            if infinite_domain_radius(&mut rng, &d, eps(1.0), 0.1).unwrap() == 0 {
                 hits += 1;
             }
         }
@@ -133,7 +136,7 @@ mod tests {
         let mut violations = 0;
         for seed in 0..200 {
             let mut rng = seeded(seed);
-            let r = infinite_domain_radius(&mut rng, &d, eps(1.0), 0.05);
+            let r = infinite_domain_radius(&mut rng, &d, eps(1.0), 0.05).unwrap();
             if r > 2 * rad {
                 violations += 1;
             }
@@ -152,7 +155,7 @@ mod tests {
         let mut failures = 0;
         for seed in 0..100 {
             let mut rng = seeded(1000 + seed);
-            let r = infinite_domain_radius(&mut rng, &d, e, beta);
+            let r = infinite_domain_radius(&mut rng, &d, e, beta).unwrap();
             let outside = d.len() - d.count_within_radius(r);
             let bound = radius_outside_bound(e, d.radius(), beta);
             if (outside as f64) > bound {
@@ -170,7 +173,7 @@ mod tests {
         values.push(-(1i64 << 50));
         let d = dataset(values);
         let mut rng = seeded(7);
-        let r = infinite_domain_radius(&mut rng, &d, eps(1.0), 0.1);
+        let r = infinite_domain_radius(&mut rng, &d, eps(1.0), 0.1).unwrap();
         assert!(r >= 1u64 << 50, "undershot: {r}");
         assert!(r <= 1u64 << 51, "overshot: {r}");
     }
@@ -181,7 +184,7 @@ mod tests {
         let mut rng = seeded(8);
         // With n = 3 the threshold is deeply negative: SVT fires almost
         // immediately, returning a tiny radius — allowed, just useless.
-        let r = infinite_domain_radius(&mut rng, &d, eps(0.01), 0.3);
+        let r = infinite_domain_radius(&mut rng, &d, eps(0.01), 0.3).unwrap();
         // Only checking termination and type sanity.
         let _ = r;
     }
@@ -192,8 +195,8 @@ mod tests {
         let mut a = seeded(42);
         let mut b = seeded(42);
         assert_eq!(
-            infinite_domain_radius(&mut a, &d, eps(0.5), 0.1),
-            infinite_domain_radius(&mut b, &d, eps(0.5), 0.1)
+            infinite_domain_radius(&mut a, &d, eps(0.5), 0.1).unwrap(),
+            infinite_domain_radius(&mut b, &d, eps(0.5), 0.1).unwrap()
         );
     }
 }

@@ -59,7 +59,7 @@ pub fn infinite_domain_range<R: Rng + ?Sized>(
     let n = data.len();
 
     // Stage 1: radius (ε/8, β/3).
-    let rad = infinite_domain_radius(rng, data, epsilon.scale(1.0 / 8.0), beta / 3.0);
+    let rad = infinite_domain_radius(rng, data, epsilon.scale(1.0 / 8.0), beta / 3.0)?;
     let rad_i = radius_to_i64(rad);
 
     // Stage 2: rough location — private median of the data clipped to

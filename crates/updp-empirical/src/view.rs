@@ -64,7 +64,7 @@ use updp_core::error::{ensure_finite, Result, UpdpError};
 /// `n` advances; merging every earlier grid into every successor
 /// would make publication cost `O(G·n)` and hold dead grids alive
 /// forever. The freshest few cover the live buckets.
-pub const MAX_CARRIED_GRIDS: usize = 4;
+pub(crate) const MAX_CARRIED_GRIDS: usize = 4;
 
 /// Columns shorter than this sort serially even when `UPDP_THREADS`
 /// permits parallelism. Experiment trials are themselves parallelized
@@ -72,12 +72,12 @@ pub const MAX_CARRIED_GRIDS: usize = 4;
 /// pools; only genuinely large cold builds (the serving registry's
 /// registration path) clear this bar. Chosen so the O(n) merge rounds
 /// amortize the thread spawn cost even on modest hosts.
-pub const PAR_SORT_MIN_LEN: usize = 1 << 17;
+pub(crate) const PAR_SORT_MIN_LEN: usize = 1 << 17;
 
 /// A `total_cmp`-sorted copy of `data`, parallel for large columns.
 ///
 /// Honors `UPDP_THREADS` via [`updp_core::parallel::max_threads`];
-/// columns below [`PAR_SORT_MIN_LEN`] take the serial fast path
+/// columns below `PAR_SORT_MIN_LEN` take the serial fast path
 /// unconditionally. Output is bit-identical at any thread count (see
 /// [`sorted_copy_threads`]).
 pub fn sorted_copy(data: &[f64]) -> Vec<f64> {
@@ -142,7 +142,7 @@ pub fn sorted_copy_threads(data: &[f64], threads: usize) -> Vec<f64> {
 /// distinct bucket size) and shared as `Arc`s, so concurrent readers
 /// never block each other after the first build. Each grid is stamped
 /// with a build counter so an append (`ColumnCache::successor`) can
-/// carry the freshest [`MAX_CARRIED_GRIDS`] forward.
+/// carry the freshest `MAX_CARRIED_GRIDS` forward.
 /// Lock-poisoning policy (DESIGN.md §6, §9): every artifact
 /// here is a pure function of the column, so the cache is *only* an
 /// optimization — a poisoned `grids` lock (a builder panicked) is

@@ -30,12 +30,8 @@ fn reference_range<R: Rng>(
     beta: f64,
 ) -> IntRange {
     let to_i64 = |rad: u64| i64::try_from(rad).unwrap_or(i64::MAX);
-    let rad_i = to_i64(infinite_domain_radius(
-        rng,
-        data,
-        epsilon.scale(1.0 / 8.0),
-        beta / 3.0,
-    ));
+    let rad_i =
+        to_i64(infinite_domain_radius(rng, data, epsilon.scale(1.0 / 8.0), beta / 3.0).unwrap());
     let clipped = map_sorted(data, |v| v.clamp(-rad_i, rad_i));
     let median = finite_domain_quantile(
         rng,
@@ -48,12 +44,9 @@ fn reference_range<R: Rng>(
     )
     .unwrap();
     let recentered = map_sorted(data, |v| v.saturating_sub(median));
-    let rad2_i = to_i64(infinite_domain_radius(
-        rng,
-        &recentered,
-        epsilon.scale(3.0 / 4.0),
-        beta / 3.0,
-    ));
+    let rad2_i = to_i64(
+        infinite_domain_radius(rng, &recentered, epsilon.scale(3.0 / 4.0), beta / 3.0).unwrap(),
+    );
     IntRange {
         lo: median.saturating_sub(rad2_i),
         hi: median.saturating_add(rad2_i),

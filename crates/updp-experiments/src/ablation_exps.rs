@@ -19,7 +19,7 @@ fn eps(v: f64) -> Epsilon {
 /// makes `ϕ(1/16)` tiny. The sample requirement grows only like
 /// `log log(1/ϕ)`, so the error should degrade *gracefully* as the spike
 /// sharpens by 8 orders of magnitude.
-pub fn ill_behaved(cfg: &ExpConfig) -> Table {
+pub(crate) fn ill_behaved(cfg: &ExpConfig) -> Table {
     let mut t = Table::new(
         "ill-behaved",
         "Graceful degradation on ill-behaved P (spike mixtures)",
@@ -80,7 +80,7 @@ pub fn ill_behaved(cfg: &ExpConfig) -> Table {
 /// `ablate-subsample` — §4.2: sweep the subsample size around the
 /// prescribed `m = εn`; both much smaller and much larger m should be
 /// worse (bias vs noise trade-off).
-pub fn ablate_subsample(cfg: &ExpConfig) -> Table {
+pub(crate) fn ablate_subsample(cfg: &ExpConfig) -> Table {
     let mut t = Table::new(
         "ablate-subsample",
         "Subsample size ablation around the paper's m = εn (§4.2)",
@@ -116,7 +116,7 @@ pub fn ablate_subsample(cfg: &ExpConfig) -> Table {
 
 /// `ablate-bucket` — §4.1: compare the private `IQR̲` bucket against
 /// oracle and deliberately-wrong buckets.
-pub fn ablate_bucket(cfg: &ExpConfig) -> Table {
+pub(crate) fn ablate_bucket(cfg: &ExpConfig) -> Table {
     let mut t = Table::new(
         "ablate-bucket",
         "Bucket-size ablation: private IQR̲ vs oracle vs wrong (§4.1)",

@@ -2,12 +2,12 @@
 //!
 //! ```text
 //! experiments <id>... | all   [--quick] [--trials N] [--seed S]
-//!                             [--threads K] [--out DIR] [--list]
+//!                             [--out DIR] [--list]
 //! ```
 //!
 //! Trials run on the deterministic parallel engine (DESIGN.md §5):
-//! `--threads K` (equivalent to `UPDP_THREADS=K`) only changes wall
-//! time, never a single output bit.
+//! its worker count, `UPDP_THREADS=K`, only changes wall time, never a
+//! single output bit.
 //!
 //! Each experiment prints an aligned table; `--out DIR` additionally
 //! writes `<id>.txt`, the form the quick goldens under
@@ -17,7 +17,9 @@ use std::io::Write;
 use updp_experiments::{find, registry, ExpConfig};
 
 fn usage() -> ! {
-    eprintln!("usage: experiments <id>...|all [--quick] [--trials N] [--seed S] [--threads K] [--out DIR] [--list]");
+    eprintln!(
+        "usage: experiments <id>...|all [--quick] [--trials N] [--seed S] [--out DIR] [--list]"
+    );
     eprintln!("\navailable experiments:");
     for (id, desc, _) in registry() {
         eprintln!("  {id:18} {desc}");
@@ -61,14 +63,6 @@ fn main() {
                     .get(i)
                     .and_then(|s| s.parse().ok())
                     .unwrap_or_else(|| usage());
-            }
-            "--threads" => {
-                i += 1;
-                let k: usize = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage());
-                std::env::set_var(updp_core::parallel::THREADS_ENV, k.to_string());
             }
             "--out" => {
                 i += 1;

@@ -42,7 +42,7 @@ impl ExpConfig {
 
     /// A per-experiment master seed derived from the experiment id, so
     /// reordering experiments never changes any one experiment's output.
-    pub fn master_for(&self, id: &str) -> u64 {
+    pub(crate) fn master_for(&self, id: &str) -> u64 {
         let mut h: u64 = 0xcbf29ce484222325;
         for b in id.bytes() {
             h ^= b as u64;

@@ -58,7 +58,7 @@ pub fn radius(cfg: &ExpConfig) -> Table {
                 master,
                 (wi * 100 + ei * 10) as u64 * 1000,
                 |_t, rng| {
-                    let r = infinite_domain_radius(rng, &data, epsilon, 0.1);
+                    let r = infinite_domain_radius(rng, &data, epsilon, 0.1).unwrap();
                     (
                         r as f64 / rad as f64,
                         (n - data.count_within_radius(r)) as f64,
@@ -131,7 +131,7 @@ pub fn range(cfg: &ExpConfig) -> Table {
 /// `emp-mean` — Theorem 3.3: error `O((γ/(εn))·log log γ)`; the measured
 /// ratio `err·εn/γ` is the achieved optimality ratio, which must stay
 /// ~log log γ (compare with the `O(log N)` ratio of prior art).
-pub fn emp_mean(cfg: &ExpConfig) -> Table {
+pub(crate) fn emp_mean(cfg: &ExpConfig) -> Table {
     let mut t = Table::new(
         "emp-mean",
         "InfiniteDomainMean instance-optimality (Thm 3.3)",
@@ -233,7 +233,7 @@ pub fn packing(cfg: &ExpConfig) -> Table {
 
 /// `emp-quantile` — Theorem 3.5: rank error `O(ε⁻¹ log γ(D))` across
 /// width magnitudes and quantile positions.
-pub fn emp_quantile(cfg: &ExpConfig) -> Table {
+pub(crate) fn emp_quantile(cfg: &ExpConfig) -> Table {
     let mut t = Table::new(
         "emp-quantile",
         "InfiniteDomainQuantile rank error (Thm 3.5)",

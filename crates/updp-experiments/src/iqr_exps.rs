@@ -16,7 +16,7 @@ fn eps(v: f64) -> Epsilon {
 
 /// `iqr-lb` — Theorem 4.3: `ϕ(1/16)/4 ≤ IQR̲ ≤ IQR` on well- and
 /// ill-behaved distributions alike.
-pub fn iqr_lb(cfg: &ExpConfig) -> Table {
+pub(crate) fn iqr_lb(cfg: &ExpConfig) -> Table {
     let mut t = Table::new(
         "iqr-lb",
         "EstimateIQRLowerBound sandwich bound (Thm 4.3)",

@@ -36,7 +36,7 @@ fn stats_for(
 
 /// `table1` — the assumption matrix: every baseline fails when its
 /// assumptions fail; the universal estimator never needs them.
-pub fn table1(cfg: &ExpConfig) -> Table {
+pub(crate) fn table1(cfg: &ExpConfig) -> Table {
     let mut t = Table::new(
         "table1",
         "Assumption matrix (paper Table 1): who survives broken assumptions?",
@@ -184,7 +184,7 @@ pub fn table1(cfg: &ExpConfig) -> Table {
 
 /// `gauss-mean` — Theorem 4.6 vs \[KV18\]/[KLSU19, BDKU20]: same
 /// `σ²/α² + σ/(εα)` behaviour with no `log R` requirement.
-pub fn gauss_mean(cfg: &ExpConfig) -> Table {
+pub(crate) fn gauss_mean(cfg: &ExpConfig) -> Table {
     let mut t = Table::new(
         "gauss-mean",
         "Gaussian mean: universal vs A1/A2-dependent baselines (Thm 4.6)",
@@ -244,7 +244,7 @@ pub fn gauss_mean(cfg: &ExpConfig) -> Table {
 /// `heavy-mean` — Theorem 4.9 vs \[KSU20\]: parity under an honest moment
 /// bound, decisive win under misspecification (which is unavoidable when
 /// `μ_{2k} = ∞`).
-pub fn heavy_mean(cfg: &ExpConfig) -> Table {
+pub(crate) fn heavy_mean(cfg: &ExpConfig) -> Table {
     let mut t = Table::new(
         "heavy-mean",
         "Heavy-tailed mean: universal vs KSU20 with (mis)specified moment bounds (Thm 4.9)",
@@ -319,7 +319,7 @@ pub fn heavy_mean(cfg: &ExpConfig) -> Table {
 
 /// `arb-mean` — Eq. (8): finite-σ² distributions where σ_max/σ_min style
 /// assumptions are hopeless; compare against \[BS19\] and \[KSU20\] k=2.
-pub fn arb_mean(cfg: &ExpConfig) -> Table {
+pub(crate) fn arb_mean(cfg: &ExpConfig) -> Table {
     let mut t = Table::new(
         "arb-mean",
         "Arbitrary finite-variance distributions (Eq. 8 vs Eq. 6/7)",

@@ -17,7 +17,7 @@ fn eps(v: f64) -> Epsilon {
 
 /// `multi-mean` — ℓ₂ error of the coordinate-wise universal estimator
 /// as a function of dimension, against the d^{3/2}/(εn) reference curve.
-pub fn multi_mean(cfg: &ExpConfig) -> Table {
+pub(crate) fn multi_mean(cfg: &ExpConfig) -> Table {
     let mut t = Table::new(
         "multi-mean",
         "Multivariate mean via coordinate-wise composition (§1.2 extension)",

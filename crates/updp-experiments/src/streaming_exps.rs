@@ -34,7 +34,7 @@ type CheckpointErrors = Vec<[Option<f64>; 3]>;
 
 /// `streaming` — estimator error trajectory as records arrive through
 /// the incremental append path.
-pub fn streaming(cfg: &ExpConfig) -> Table {
+pub(crate) fn streaming(cfg: &ExpConfig) -> Table {
     let mut t = Table::new(
         "streaming",
         "Streaming ingestion: universal-estimator error as records arrive",

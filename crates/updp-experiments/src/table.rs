@@ -41,7 +41,7 @@ impl Table {
     }
 
     /// Appends a row; must match the header arity.
-    pub fn push_row(&mut self, cells: Vec<String>) {
+    pub(crate) fn push_row(&mut self, cells: Vec<String>) {
         assert_eq!(
             cells.len(),
             self.headers.len(),

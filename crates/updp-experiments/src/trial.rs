@@ -37,7 +37,7 @@ pub struct ErrorStats {
 
 impl ErrorStats {
     /// Fraction of trials that produced an estimate.
-    pub fn success_rate(&self) -> f64 {
+    pub(crate) fn success_rate(&self) -> f64 {
         (self.trials - self.failures) as f64 / self.trials.max(1) as f64
     }
 }
@@ -51,7 +51,7 @@ impl ErrorStats {
 /// `offset` parameter preserves the historical per-cell seed layouts
 /// (e.g. `di·1000 + trial`) so outputs match the former hand-rolled
 /// serial loops bit for bit.
-pub fn trial_map<T, F>(trials: usize, master: u64, offset: u64, f: F) -> Vec<T>
+pub(crate) fn trial_map<T, F>(trials: usize, master: u64, offset: u64, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(u64, &mut rand::rngs::StdRng) -> T + Sync,
@@ -67,7 +67,7 @@ where
 /// absolute errors.
 ///
 /// `f` returns the *estimate*; `Err` counts as a failure. Trials run in
-/// parallel (see [`trial_map`]); the returned [`ErrorStats`] is
+/// parallel (see `trial_map`); the returned [`ErrorStats`] is
 /// bit-identical at any `UPDP_THREADS` setting.
 pub fn run_trials<F>(trials: usize, master: u64, truth: f64, f: F) -> ErrorStats
 where
@@ -97,7 +97,7 @@ where
 /// free function. Trait dispatch is bit-identical to the direct free
 /// function on the same seed (the equivalence suite pins this), so
 /// routing an experiment through here never changes its table.
-pub fn estimator_trials<F>(
+pub(crate) fn estimator_trials<F>(
     trials: usize,
     master: u64,
     truth: f64,
@@ -155,7 +155,7 @@ pub fn summarize(mut errors: Vec<f64>, trials: usize, failures: usize) -> ErrorS
 
 /// Formats an error value compactly for tables (3 significant digits,
 /// scientific when needed).
-pub fn fmt_err(v: f64) -> String {
+pub(crate) fn fmt_err(v: f64) -> String {
     if v.is_nan() {
         return "-".into();
     }

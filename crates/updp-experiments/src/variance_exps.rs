@@ -37,7 +37,7 @@ fn stats_for(
 /// `gauss-var` — Theorem 5.3: the universal estimator tracks σ across 12
 /// orders of magnitude with NO σ_min/σ_max, while both baselines need the
 /// bounds and degrade when they are loose.
-pub fn gauss_var(cfg: &ExpConfig) -> Table {
+pub(crate) fn gauss_var(cfg: &ExpConfig) -> Table {
     let mut t = Table::new(
         "gauss-var",
         "Gaussian variance across scale decades (Thm 5.3 vs Eq. 10/11)",
@@ -96,7 +96,7 @@ pub fn gauss_var(cfg: &ExpConfig) -> Table {
 /// `heavy-var` — Theorem 5.5: the first private variance estimator for
 /// heavy-tailed distributions; only the non-private estimator exists as a
 /// reference.
-pub fn heavy_var(cfg: &ExpConfig) -> Table {
+pub(crate) fn heavy_var(cfg: &ExpConfig) -> Table {
     let mut t = Table::new(
         "heavy-var",
         "Heavy-tailed variance — first of its kind (Thm 5.5)",

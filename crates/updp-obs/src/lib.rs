@@ -45,10 +45,7 @@ mod metrics;
 mod registry;
 mod trace;
 
-pub use metrics::{
-    bucket_index, upper_edge_micros, Counter, FloatCounter, Gauge, Histogram, HistogramSnapshot,
-    BUCKETS,
-};
+pub use metrics::{Counter, FloatCounter, Gauge, Histogram, HistogramSnapshot, BUCKETS};
 pub use registry::{
     render_json, render_prometheus, Family, FamilySnapshot, Kind, Metric, Registry, Sample,
 };

@@ -113,14 +113,14 @@ impl FloatCounter {
 
 /// The bucket index a microsecond value falls into: bucket `i` has
 /// upper edge `2^i` µs, and the last bucket absorbs everything larger.
-pub fn bucket_index(micros: u64) -> usize {
+pub(crate) fn bucket_index(micros: u64) -> usize {
     let bits = u64::BITS - micros.saturating_sub(1).leading_zeros();
     (bits as usize).min(BUCKETS - 1)
 }
 
 /// The inclusive upper edge of bucket `i` in microseconds, or `None`
 /// for the final `+Inf` bucket.
-pub fn upper_edge_micros(i: usize) -> Option<u64> {
+pub(crate) fn upper_edge_micros(i: usize) -> Option<u64> {
     if i + 1 < BUCKETS {
         Some(1u64 << i)
     } else {

@@ -41,13 +41,24 @@ fn parse_data(text: &str) -> Vec<f64> {
         .collect()
 }
 
-/// Deterministic Gaussian(100, 5) sample for quickstart registration.
+/// Deterministic Gaussian(100, 5) sample for quickstart registration:
+/// Box–Muller standard normals `z` (a draw `u1 ≤ 0` or a non-finite `z`
+/// is redrawn), scaled to `100 + 5z`.
 fn gaussian(n: usize) -> Vec<f64> {
-    use updp_dist::ContinuousDistribution;
+    use rand::Rng;
     let mut rng = updp_core::rng::seeded(0xDA7A);
-    updp_dist::Gaussian::new(100.0, 5.0)
-        .expect("valid parameters")
-        .sample_vec(&mut rng, n)
+    let mut standard_normal = || loop {
+        let u1: f64 = rng.gen();
+        if u1 <= 0.0 {
+            continue;
+        }
+        let u2: f64 = rng.gen();
+        let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
+        if z.is_finite() {
+            return z;
+        }
+    };
+    (0..n).map(|_| 100.0 + 5.0 * standard_normal()).collect()
 }
 
 struct Args(Vec<String>);
@@ -251,6 +262,23 @@ fn main() {
         Err(ClientError::Transport(reason)) => {
             eprintln!("serve-client: {reason}");
             std::process::exit(1);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use updp_dist::ContinuousDistribution;
+
+    #[test]
+    fn demo_data_matches_the_distribution_layer_bit_for_bit() {
+        let expected = updp_dist::Gaussian::new(100.0, 5.0)
+            .expect("valid parameters")
+            .sample_vec(&mut updp_core::rng::seeded(0xDA7A), 5000);
+        let got = super::gaussian(5000);
+        assert_eq!(got.len(), expected.len());
+        for (i, (g, e)) in got.iter().zip(&expected).enumerate() {
+            assert_eq!(g.to_bits(), e.to_bits(), "draw {i}: {g} vs {e}");
         }
     }
 }

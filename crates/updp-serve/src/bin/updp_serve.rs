@@ -3,7 +3,7 @@
 //! ```text
 //! updp-serve [--addr HOST:PORT] [--ledger PATH] [--port-file PATH]
 //!            [--buffer-rows N] [--buffer-age-ms MS]
-//!            [--workers N] [--max-conns N]
+//!            [--workers N] [--max-conns N] [--no-metrics]
 //! ```
 //!
 //! * `--addr` — bind address; default `127.0.0.1:7817`. Use port 0
@@ -29,19 +29,19 @@
 //!   `/v1/metrics` and `/v1/trace` then render empty families. The
 //!   recorder is observe-only, so released bytes are identical either
 //!   way.
-//! * `--threads` — worker count for the deterministic parallel data
-//!   kernels (the cold sorted-copy build, DESIGN.md §12); sets
-//!   `UPDP_THREADS` for this process. `0`/unset: auto (available
-//!   parallelism). Released bytes are identical at any value — the §5
-//!   contract — so this is purely a performance knob.
+//!
+//! The deterministic parallel data kernels (the cold sorted-copy
+//! build, DESIGN.md §12) take their worker count from the
+//! `UPDP_THREADS` environment variable (`0`/unset: available
+//! parallelism). Released bytes are identical at any value — the §5
+//! contract — so it is purely a performance knob.
 
 use updp_serve::{FlushPolicy, Ledger, Server, ServerConfig};
 
 fn usage() -> ! {
     eprintln!(
         "usage: updp-serve [--addr HOST:PORT] [--ledger PATH] [--port-file PATH] \
-         [--buffer-rows N] [--buffer-age-ms MS] [--workers N] [--max-conns N] \
-         [--no-metrics] [--threads N]"
+         [--buffer-rows N] [--buffer-age-ms MS] [--workers N] [--max-conns N] [--no-metrics]"
     );
     std::process::exit(2);
 }
@@ -76,12 +76,6 @@ fn main() {
                 config.max_connections = value("--max-conns").parse().unwrap_or_else(|_| usage())
             }
             "--no-metrics" => config.metrics = false,
-            "--threads" => {
-                let threads: usize = value("--threads").parse().unwrap_or_else(|_| usage());
-                // Before any worker thread exists, so the write is
-                // race-free; the kernels re-read it per build.
-                std::env::set_var(updp_core::parallel::THREADS_ENV, threads.to_string());
-            }
             _ => usage(),
         }
     }

@@ -50,7 +50,7 @@ use updp_statistical::{EstimateParams, Estimator, Privacy, Release, DEFAULT_BETA
 /// Budget share driving the underlying estimator.
 pub const ESTIMATOR_SHARE: f64 = 0.9;
 /// Budget share paying for the snapped release.
-pub const RELEASE_SHARE: f64 = 1.0 - ESTIMATOR_SHARE;
+pub(crate) const RELEASE_SHARE: f64 = 1.0 - ESTIMATOR_SHARE;
 
 /// Default clamp bound `B` for releases (DESIGN.md §6); requests may
 /// override it per batch.

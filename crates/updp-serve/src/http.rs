@@ -11,10 +11,10 @@
 use std::io::{BufRead, Read, Write};
 
 /// Upper bound on the request head (request line + headers).
-pub const MAX_HEAD_BYTES: usize = 16 * 1024;
+pub(crate) const MAX_HEAD_BYTES: usize = 16 * 1024;
 /// Upper bound on a request body (64 MiB ≈ an 8M-record f64 dataset
 /// in JSON — registrations beyond that should arrive in appends).
-pub const MAX_BODY_BYTES: usize = 64 * 1024 * 1024;
+pub(crate) const MAX_BODY_BYTES: usize = 64 * 1024 * 1024;
 
 /// A parsed HTTP request.
 #[derive(Debug, Clone, PartialEq)]
@@ -179,12 +179,6 @@ impl RequestParser {
         RequestParser::default()
     }
 
-    /// True when no partial request is buffered — EOF here is a clean
-    /// keep-alive close rather than a truncated request.
-    pub fn is_idle(&self) -> bool {
-        self.buf.is_empty() && self.pending.is_none()
-    }
-
     /// Consumes `chunk` and returns every request it completed (zero
     /// or more — pipelined peers can complete several in one read).
     pub fn feed(&mut self, chunk: &[u8]) -> Result<Vec<Request>, HttpError> {
@@ -296,7 +290,7 @@ pub fn encode_response(status: u16, body: &str, keep_alive: bool) -> Vec<u8> {
 /// Like [`encode_response`] but with an explicit `Content-Type`
 /// (`/v1/metrics` serves Prometheus text exposition, everything else
 /// is JSON).
-pub fn encode_response_with_type(
+pub(crate) fn encode_response_with_type(
     status: u16,
     body: &str,
     keep_alive: bool,
@@ -337,7 +331,7 @@ pub fn write_request(
 /// `Malformed` error, never a silent default), headers go through the
 /// request parser's own framing checks (duplicate or non-digit
 /// `Content-Length`, any `Transfer-Encoding`), and the declared body length
-/// is capped at [`MAX_BODY_BYTES`] **before** any allocation — so a
+/// is capped at `MAX_BODY_BYTES` **before** any allocation — so a
 /// rogue `Content-Length: 1e18` cannot make a client allocate
 /// unboundedly.
 pub fn read_response(stream: &mut impl BufRead) -> Result<(u16, String), HttpError> {
@@ -389,6 +383,14 @@ pub fn read_response(stream: &mut impl BufRead) -> Result<(u16, String), HttpErr
 mod tests {
     use super::*;
     use std::io::BufReader;
+
+    impl RequestParser {
+        /// True when no partial request is buffered — EOF here is a
+        /// clean keep-alive close rather than a truncated request.
+        fn is_idle(&self) -> bool {
+            self.buf.is_empty() && self.pending.is_none()
+        }
+    }
 
     /// Parses `wire` as exactly one complete request.
     fn parse_one(wire: &[u8]) -> Request {

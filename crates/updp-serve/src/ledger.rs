@@ -34,7 +34,7 @@ use updp_core::json::JsonValue;
 use updp_core::privacy::budget_tolerance;
 
 /// Snapshot schema tag; bump on breaking changes.
-pub const SCHEMA: &str = "updp-serve-ledger/v1";
+pub(crate) const SCHEMA: &str = "updp-serve-ledger/v1";
 
 /// Budget state of one dataset.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -47,7 +47,7 @@ pub struct Account {
 
 impl Account {
     /// ε still available.
-    pub fn remaining(&self) -> f64 {
+    pub(crate) fn remaining(&self) -> f64 {
         (self.budget - self.spent).max(0.0)
     }
 }
@@ -201,29 +201,15 @@ impl Ledger {
         Ok(Account { budget, spent: 0.0 })
     }
 
-    /// Atomically reserves `eps` of `name`'s budget.
-    ///
-    /// On success the spend is committed (and persisted) before the
-    /// caller runs any mechanism; the new account state is returned.
-    /// An exhausted budget yields `Ok(Err(Refusal))` — a *normal*
-    /// outcome, distinct from ledger failures.
-    #[expect(
-        clippy::expect_used,
-        reason = "reserve_many returns exactly one outcome per amount"
-    )]
-    pub fn reserve(&self, name: &str, eps: f64) -> Result<Result<Account, Refusal>, LedgerError> {
-        Ok(self
-            .reserve_many(name, &[eps])?
-            .into_iter()
-            .next()
-            .expect("one outcome per amount"))
-    }
-
     /// Reserves a sequence of ε amounts against `name` in one atomic
     /// step: per-item grant/refuse decisions are made in order under
-    /// the lock (identical semantics to calling [`Ledger::reserve`]
-    /// item by item), but the snapshot is persisted **once**, so a
-    /// batch request costs one file write instead of one per query.
+    /// the lock, but the snapshot is persisted **once**, so a batch
+    /// request costs one file write instead of one per query.
+    ///
+    /// Each granted spend is committed (and persisted) before the
+    /// caller runs any mechanism. An exhausted budget refuses that item
+    /// with `Err(Refusal)` in the grant — a *normal* outcome, distinct
+    /// from ledger failures.
     pub fn reserve_many(&self, name: &str, amounts: &[f64]) -> Result<Grant, LedgerError> {
         for &eps in amounts {
             if !(eps.is_finite() && eps > 0.0) {
@@ -285,7 +271,7 @@ impl Ledger {
     /// sorted by name. Not persisted; resets on restart. Degrades to
     /// an empty list on lock poisoning (observability must not fail
     /// the scrape).
-    pub fn refusal_counts(&self) -> Vec<(String, u64)> {
+    pub(crate) fn refusal_counts(&self) -> Vec<(String, u64)> {
         match self.refusals.lock() {
             Ok(refusals) => refusals.iter().map(|(k, &v)| (k.clone(), v)).collect(),
             Err(_) => Vec::new(),
@@ -303,12 +289,6 @@ impl Ledger {
             .collect();
         rows.sort_by(|a, b| a.0.cmp(&b.0));
         Ok(rows)
-    }
-
-    /// Serializes the current state as a snapshot document.
-    pub fn snapshot_json(&self) -> Result<String, LedgerError> {
-        let accounts = self.accounts.lock().map_err(|_| LedgerError::Poisoned)?;
-        Ok(render_snapshot(&accounts))
     }
 
     /// Writes the snapshot file. Writers serialize on `persist_lock`
@@ -391,6 +371,17 @@ fn parse_snapshot(text: &str) -> Result<HashMap<String, Account>, LedgerError> {
 #[allow(clippy::float_cmp)]
 mod tests {
     use super::*;
+
+    impl Ledger {
+        /// Reserves one amount: `reserve_many` of a single item.
+        fn reserve(&self, name: &str, eps: f64) -> Result<Result<Account, Refusal>, LedgerError> {
+            Ok(self
+                .reserve_many(name, &[eps])?
+                .into_iter()
+                .next()
+                .expect("one outcome per amount"))
+        }
+    }
 
     fn temp_path(tag: &str) -> PathBuf {
         let path = std::env::temp_dir().join(format!(
@@ -486,7 +477,7 @@ mod tests {
         ledger.register("b", 2.0).unwrap();
         ledger.register("a", 1.0).unwrap();
         ledger.reserve("a", 0.25).unwrap().unwrap();
-        let accounts = parse_snapshot(&ledger.snapshot_json().unwrap()).unwrap();
+        let accounts = parse_snapshot(&render_snapshot(&ledger.accounts.lock().unwrap())).unwrap();
         assert_eq!(accounts.len(), 2);
         assert_eq!(
             accounts["a"],

@@ -30,11 +30,11 @@
 //!   plus the client's blocking request writer and response reader)
 //!   and the JSON wire schema (shared `updp_core::json`
 //!   implementation);
-//! * [`server`] / [`poll`] — routing plus the sharded epoll reactor
+//! * [`server`] — routing plus the sharded epoll reactor
 //!   (DESIGN.md §10): `--workers` event-loop shards over non-blocking
 //!   sockets, bounded write queues with structured 503 backpressure,
-//!   and event-driven shutdown; [`poll`] is the one audited unsafe
-//!   module (the raw epoll syscall shim);
+//!   and event-driven shutdown. The private `poll` module is the one
+//!   audited unsafe module (the raw epoll syscall shim);
 //! * [`client`] — the blocking client used by `serve-client`, the
 //!   e2e tests, and the benchmark driver (`perfbench/`);
 //! * `metrics` — the flight recorder (DESIGN.md §11): per-shard
@@ -52,7 +52,7 @@
 
 #![warn(missing_docs)]
 // `deny` rather than `forbid`: the one audited exception is the epoll
-// syscall shim ([`poll`]), which opts back in at module level with
+// syscall shim (`poll`), which opts back in at module level with
 // `// SAFETY:` comments on every unsafe block (clippy's
 // `undocumented_unsafe_blocks` enforces the comments). Everything else
 // in the crate still refuses unsafe.
@@ -70,7 +70,7 @@ pub mod engine;
 pub mod http;
 pub mod ledger;
 pub(crate) mod metrics;
-pub mod poll;
+mod poll;
 pub(crate) mod reactor;
 pub mod registry;
 pub mod server;

@@ -38,15 +38,15 @@ use std::os::unix::io::{AsRawFd, RawFd};
 use std::os::unix::net::UnixStream;
 
 /// Readiness: the connection can be read without blocking.
-pub const IN: u32 = 0x001; // EPOLLIN
+pub(crate) const IN: u32 = 0x001; // EPOLLIN
 /// Readiness: the connection can be written without blocking.
-pub const OUT: u32 = 0x004; // EPOLLOUT
+pub(crate) const OUT: u32 = 0x004; // EPOLLOUT
 /// The peer shut down its writing half (half-close).
-pub const RDHUP: u32 = 0x2000; // EPOLLRDHUP
+pub(crate) const RDHUP: u32 = 0x2000; // EPOLLRDHUP
 /// Wake at most one of the epoll instances sharing a registration —
 /// tames the accept thundering herd across worker shards (kernel
 /// ≥ 4.5; [`Epoll::add`] callers fall back to a plain add on EINVAL).
-pub const EXCLUSIVE: u32 = 1 << 28; // EPOLLEXCLUSIVE
+pub(crate) const EXCLUSIVE: u32 = 1 << 28; // EPOLLEXCLUSIVE
 
 const ERR: u32 = 0x008; // EPOLLERR
 const HUP: u32 = 0x010; // EPOLLHUP
@@ -112,16 +112,11 @@ impl Events {
         }
     }
 
-    /// The events delivered by the last [`Epoll::wait`].
-    pub fn iter(&self) -> impl Iterator<Item = Event> + '_ {
-        self.buf.iter().take(self.len).map(Self::decode)
-    }
-
     /// The `i`-th delivered event, `None` past the delivered count.
     /// Indexed access lets the reactor walk the batch without
     /// allocating (it mutates its slab while iterating, so it cannot
-    /// hold [`Events::iter`]'s borrow); the checked form keeps the
-    /// event loop panic-free (§10).
+    /// hold a borrow of the batch); the checked form keeps the event
+    /// loop panic-free (§10).
     pub fn get(&self, i: usize) -> Option<Event> {
         if i >= self.len {
             return None;
@@ -182,12 +177,12 @@ impl Epoll {
     }
 
     /// Changes the registered interest set of `fd`.
-    pub fn modify(&self, fd: RawFd, token: u64, events: u32) -> io::Result<()> {
+    pub(crate) fn modify(&self, fd: RawFd, token: u64, events: u32) -> io::Result<()> {
         self.ctl(EPOLL_CTL_MOD, fd, events, token)
     }
 
     /// Removes `fd` from the interest set.
-    pub fn delete(&self, fd: RawFd) -> io::Result<()> {
+    pub(crate) fn delete(&self, fd: RawFd) -> io::Result<()> {
         self.ctl(EPOLL_CTL_DEL, fd, 0, 0)
     }
 
@@ -232,7 +227,7 @@ impl Drop for Epoll {
 /// bound per-connection kernel memory at high connection counts and
 /// to make the backpressure path testable with deterministic-sized
 /// buffers.
-pub fn set_send_buffer(fd: RawFd, bytes: usize) -> io::Result<()> {
+pub(crate) fn set_send_buffer(fd: RawFd, bytes: usize) -> io::Result<()> {
     let value = bytes.min(c_int::MAX as usize) as c_int;
     // SAFETY: optval points at a live c_int for the duration of the
     // call and optlen is exactly its size; the kernel only reads it.
@@ -274,12 +269,12 @@ impl WakePipe {
     }
 
     /// The fd to register in the epoll set (read interest).
-    pub fn raw_fd(&self) -> RawFd {
+    pub(crate) fn raw_fd(&self) -> RawFd {
         self.rx.as_raw_fd()
     }
 
     /// A cloned sending half.
-    pub fn handle(&self) -> io::Result<WakeHandle> {
+    pub(crate) fn handle(&self) -> io::Result<WakeHandle> {
         Ok(WakeHandle {
             tx: self.tx.try_clone()?,
         })
@@ -299,7 +294,7 @@ impl WakeHandle {
     /// Queues a wake byte. A full pipe already guarantees a pending
     /// wake, so every outcome leaves the receiver waking up; errors
     /// are deliberately ignored.
-    pub fn wake(&self) {
+    pub(crate) fn wake(&self) {
         use std::io::Write;
         let _ = (&self.tx).write(&[1u8]);
     }
@@ -325,7 +320,7 @@ mod tests {
         let mut client = TcpStream::connect(addr).unwrap();
         client.write_all(b"x").unwrap();
         assert_eq!(epoll.wait(&mut events, 1000).unwrap(), 1);
-        let event = events.iter().next().unwrap();
+        let event = events.get(0).unwrap();
         assert_eq!(event.token, 7);
         assert!(event.readable);
 

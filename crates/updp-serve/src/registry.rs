@@ -7,7 +7,7 @@
 //! restart-replay impossible) and is validated to a conservative token
 //! alphabet so it can appear verbatim in URLs, file names, and logs.
 //!
-//! Concurrency layout: names hash to one of [`SHARDS`] shards, each an
+//! Concurrency layout: names hash to one of `SHARDS` shards, each an
 //! independent `RwLock<HashMap>`; dataset *contents* are an immutable
 //! [`PreparedDataset`] snapshot behind a per-dataset
 //! `RwLock<Arc<…>>`. Queries clone the `Arc` and estimate **without
@@ -50,10 +50,10 @@ use updp_statistical::PreparedDataset;
 /// Number of registry shards. A fixed small power of two: enough to
 /// decorrelate unrelated datasets' lock traffic, cheap to scan for
 /// listings.
-pub const SHARDS: usize = 16;
+pub(crate) const SHARDS: usize = 16;
 
 /// Maximum dataset-name length (the name is the wire-visible id).
-pub const MAX_NAME_LEN: usize = 64;
+pub(crate) const MAX_NAME_LEN: usize = 64;
 
 /// When a buffered append publishes the pending delta log
 /// (DESIGN.md §8). Thresholds are checked at write time: a snapshot is
@@ -179,7 +179,7 @@ impl Dataset {
     }
 
     /// Rows buffered in the pending delta log.
-    pub fn pending_rows(&self) -> Result<usize, RegistryError> {
+    pub(crate) fn pending_rows(&self) -> Result<usize, RegistryError> {
         Ok(self
             .pending
             .lock()
@@ -321,7 +321,7 @@ impl std::fmt::Display for RegistryError {
 }
 
 /// Validates a dataset name: `[A-Za-z0-9_-]{1,64}`.
-pub fn validate_name(name: &str) -> Result<(), RegistryError> {
+pub(crate) fn validate_name(name: &str) -> Result<(), RegistryError> {
     let ok = !name.is_empty()
         && name.len() <= MAX_NAME_LEN
         && name
@@ -337,7 +337,7 @@ pub fn validate_name(name: &str) -> Result<(), RegistryError> {
 /// Validates a column-major payload: at least one column, equal
 /// lengths, all values finite. Public so the server can vet a
 /// register request *before* touching the budget ledger.
-pub fn validate_columns(columns: &[Vec<f64>]) -> Result<(), RegistryError> {
+pub(crate) fn validate_columns(columns: &[Vec<f64>]) -> Result<(), RegistryError> {
     if columns.is_empty() {
         return Err(RegistryError::BadData("no columns".into()));
     }
@@ -378,7 +378,7 @@ impl Default for Registry {
 }
 
 impl Registry {
-    /// Creates an empty registry with [`SHARDS`] shards and the
+    /// Creates an empty registry with `SHARDS` shards and the
     /// immediate (unbuffered) flush policy.
     pub fn new() -> Self {
         Registry::with_policy(FlushPolicy::immediate())
@@ -478,7 +478,7 @@ impl Registry {
     /// Drops a dataset's data (published and pending). The budget
     /// ledger entry deliberately survives (see `crate::ledger`):
     /// dropping and re-registering a name must not mint fresh budget.
-    pub fn drop_dataset(&self, name: &str) -> Result<(), RegistryError> {
+    pub(crate) fn drop_dataset(&self, name: &str) -> Result<(), RegistryError> {
         self.shard(name)
             .write()
             .map_err(|_| RegistryError::Poisoned)?

@@ -88,7 +88,7 @@ pub fn parse_append(body: &str) -> Result<(String, Vec<Vec<f64>>), WireError> {
 }
 
 /// Parses a drop body: `{"name"}`.
-pub fn parse_drop(body: &str) -> Result<String, WireError> {
+pub(crate) fn parse_drop(body: &str) -> Result<String, WireError> {
     let doc = JsonValue::parse(body)?;
     Ok(doc.as_object("drop request")?.get_str("name")?)
 }
@@ -199,7 +199,7 @@ pub fn parse_query(body: &str) -> Result<QueryRequest, WireError> {
 }
 
 /// `{"error": {"code", "message"}}`.
-pub fn error_body(code: &str, message: &str) -> String {
+pub(crate) fn error_body(code: &str, message: &str) -> String {
     JsonValue::object(vec![(
         "error",
         JsonValue::object(vec![("code", code.into()), ("message", message.into())]),
@@ -210,7 +210,7 @@ pub fn error_body(code: &str, message: &str) -> String {
 /// Renders the `/v1/healthz` readiness body: liveness plus uptime,
 /// worker count, active connections, and per-dataset pending
 /// delta-log rows (DESIGN.md §8) so operators can see unflushed data.
-pub fn healthz_body(
+pub(crate) fn healthz_body(
     uptime_ms: u64,
     workers: usize,
     active_connections: usize,
@@ -237,7 +237,7 @@ pub fn healthz_body(
 
 /// Renders the `/v1/trace` body: the flight recorder's buffered
 /// request events, oldest first.
-pub fn trace_body(events: &[updp_obs::TraceEvent]) -> String {
+pub(crate) fn trace_body(events: &[updp_obs::TraceEvent]) -> String {
     JsonValue::object(vec![(
         "events",
         JsonValue::Array(events.iter().map(updp_obs::TraceEvent::to_json).collect()),
@@ -246,7 +246,7 @@ pub fn trace_body(events: &[updp_obs::TraceEvent]) -> String {
 }
 
 /// The budget trailer attached to dataset-touching responses.
-pub fn budget_json(account: &Account) -> JsonValue {
+pub(crate) fn budget_json(account: &Account) -> JsonValue {
     JsonValue::object(vec![
         ("total", account.budget.into()),
         ("spent", account.spent.into()),
@@ -332,7 +332,7 @@ pub fn query_response(
 /// Renders the `/v1/estimators` catalog listing: every served
 /// estimator with its statistic, privacy guarantee (pure ε-DP),
 /// Table 1 assumptions, and declared parameters.
-pub fn estimators_response<'a>(
+pub(crate) fn estimators_response<'a>(
     estimators: impl Iterator<Item = &'a dyn updp_statistical::Estimator>,
 ) -> String {
     let rows = estimators

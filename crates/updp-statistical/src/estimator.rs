@@ -348,7 +348,7 @@ impl Estimator for UniversalVariance {
 pub struct UniversalQuantile;
 
 /// The quantile estimator's parameter table.
-pub const QUANTILE_PARAMS: &[ParamSpec] = &[ParamSpec::required(
+pub(crate) const QUANTILE_PARAMS: &[ParamSpec] = &[ParamSpec::required(
     "q",
     "quantile level in (0,1), e.g. 0.9 for the p90",
 )];

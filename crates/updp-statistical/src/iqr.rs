@@ -35,7 +35,7 @@ pub struct IqrEstimate {
 }
 
 /// Minimum dataset size accepted.
-pub const MIN_N: usize = 16;
+pub(crate) const MIN_N: usize = 16;
 
 /// The universal ε-DP IQR estimator (Algorithm 10).
 pub fn estimate_iqr<R: Rng + ?Sized>(

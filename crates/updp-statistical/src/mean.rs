@@ -49,7 +49,7 @@ pub struct MeanEstimate {
 /// Minimum dataset size the implementation accepts. Theorem 4.5's actual
 /// requirement is distribution-dependent; this floor only guards the
 /// pairing and subsampling plumbing.
-pub const MIN_N: usize = 16;
+pub(crate) const MIN_N: usize = 16;
 
 /// The universal ε-DP mean estimator (Algorithm 8).
 pub fn estimate_mean<R: Rng + ?Sized>(

@@ -37,7 +37,7 @@ pub struct QuantileEstimate {
 }
 
 /// Minimum dataset size accepted.
-pub const MIN_N: usize = 16;
+pub(crate) const MIN_N: usize = 16;
 
 fn validate(n: usize, q: f64, beta: f64) -> Result<usize> {
     if n < MIN_N {

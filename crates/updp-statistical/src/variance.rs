@@ -40,7 +40,7 @@ pub struct VarianceEstimate {
 }
 
 /// Minimum dataset size accepted (pairing + subsampling plumbing).
-pub const MIN_N: usize = 32;
+pub(crate) const MIN_N: usize = 32;
 
 /// The universal ε-DP variance estimator (Algorithm 9).
 pub fn estimate_variance<R: Rng + ?Sized>(

@@ -13,9 +13,9 @@
 //! ```
 
 use updp::core::rng;
-use updp::dist::{ContinuousDistribution, Exponential, Gaussian, LogNormal};
 use updp::prelude::*;
 use updp::statistical::estimate_mean_multivariate;
+use updp_dist::{ContinuousDistribution, Exponential, Gaussian, LogNormal};
 
 fn main() -> Result<()> {
     let mut rng = rng::seeded(31337);

@@ -13,8 +13,8 @@
 
 use updp::core::privacy::Epsilon;
 use updp::core::rng;
-use updp::dist::{ContinuousDistribution, Pareto};
 use updp::empirical::discretize::real_quantile;
+use updp_dist::{ContinuousDistribution, Pareto};
 
 fn main() -> updp::core::Result<()> {
     let mut rng = rng::seeded(5150);

@@ -6,8 +6,8 @@
 //! ```
 
 use updp::core::rng;
-use updp::dist::{ContinuousDistribution, Gaussian};
 use updp::prelude::*;
+use updp_dist::{ContinuousDistribution, Gaussian};
 
 fn main() -> Result<()> {
     // Pretend this is sensitive data we know nothing about: the analyst

@@ -13,8 +13,8 @@
 
 use updp::baselines::naive_clipped_mean;
 use updp::core::rng;
-use updp::dist::{ContinuousDistribution, LogNormal};
 use updp::prelude::*;
+use updp_dist::{ContinuousDistribution, LogNormal};
 
 fn main() -> Result<()> {
     let mut rng = rng::seeded(7);

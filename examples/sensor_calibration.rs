@@ -12,8 +12,8 @@
 //! ```
 
 use updp::core::rng;
-use updp::dist::{ContinuousDistribution, Gaussian};
 use updp::prelude::*;
+use updp_dist::{ContinuousDistribution, Gaussian};
 
 fn main() -> Result<()> {
     let mut rng = rng::seeded(99);

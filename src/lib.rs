@@ -33,12 +33,15 @@
 //! | Re-export | Crate | Contents |
 //! |---|---|---|
 //! | [`core`] | `updp-core` | DP primitives: Laplace, SVT, inverse-sensitivity mechanism, clipped mean, amplification, ε/δ types |
-//! | [`dist`] | `updp-dist` | distributions with exact ground-truth functionals (`ϕ(β)`, `θ(κ)`, `μ_k`, …) |
 //! | [`empirical`] | `updp-empirical` | §3 instance-optimal empirical estimators over unbounded domains |
 //! | [`statistical`] | `updp-statistical` | §4–6 universal estimators (`EstimateMean`/`Variance`/`IQR`) + the workspace [`Estimator`](statistical::Estimator) trait |
 //! | [`baselines`] | `updp-baselines` | Table 1 comparators: KV18, CoinPress, KSU20, BS19, DL09 — all behind the `Estimator` catalog |
 //!
 //! The [`prelude`] pulls in the handful of names most applications need.
+//! The distributions with exact ground-truth functionals (`ϕ(β)`,
+//! `θ(κ)`, `μ_k`, …) that the examples, tests and experiments sample
+//! from live in the separate `updp-dist` crate: the estimators assume no
+//! distribution family, so no estimator depends on it.
 //!
 //! ## Privacy model
 //!
@@ -55,7 +58,6 @@
 
 pub use updp_baselines as baselines;
 pub use updp_core as core;
-pub use updp_dist as dist;
 pub use updp_empirical as empirical;
 pub use updp_statistical as statistical;
 
@@ -63,7 +65,6 @@ pub use updp_statistical as statistical;
 pub mod prelude {
     pub use updp_core::privacy::{Delta, Epsilon};
     pub use updp_core::{Result, UpdpError};
-    pub use updp_dist::ContinuousDistribution;
     pub use updp_statistical::{
         estimate_iqr, estimate_mean, estimate_mean_multivariate, estimate_quantile,
         estimate_quantile_range, estimate_variance, DataView, EstimateParams, Estimator,

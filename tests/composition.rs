@@ -5,7 +5,7 @@
 use updp::core::amplification::{amplified_epsilon, paper_inner_epsilon};
 use updp::core::privacy::{budget_tolerance, Epsilon};
 use updp::core::rng::seeded;
-use updp::dist::{ContinuousDistribution, Gaussian};
+use updp_dist::{ContinuousDistribution, Gaussian};
 
 fn eps(v: f64) -> Epsilon {
     Epsilon::new(v).unwrap()

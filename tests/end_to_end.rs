@@ -3,11 +3,11 @@
 
 use updp::core::privacy::Epsilon;
 use updp::core::rng::{child_seed, seeded};
-use updp::dist::{
+use updp::prelude::*;
+use updp_dist::{
     Affine, Cauchy, ContinuousDistribution, Exponential, Gaussian, GaussianMixture, LaplaceDist,
     LogNormal, Pareto, StudentT, Uniform,
 };
-use updp::prelude::*;
 
 fn eps(v: f64) -> Epsilon {
     Epsilon::new(v).unwrap()

@@ -11,7 +11,6 @@
 
 use updp::core::privacy::{Delta, Epsilon};
 use updp::core::rng::seeded;
-use updp::dist::{ContinuousDistribution, Gaussian, LogNormal};
 use updp::statistical::{
     estimate_iqr, estimate_mean, estimate_mean_multivariate, estimate_quantile, estimate_variance,
     ColumnCache, ColumnView, DataView, EstimateParams, Estimator, PreparedDataset, UniversalIqr,
@@ -23,6 +22,7 @@ use updp_baselines::{
     sample_variance, Bs19TrimmedMean, CoinPressMean, CoinPressVariance, Dl09Estimator, Ksu20Mean,
     Kv18Mean, Kv18Variance, NaiveClipMean, NonPrivateIqr, NonPrivateMean, NonPrivateVariance,
 };
+use updp_dist::{ContinuousDistribution, Gaussian, LogNormal};
 
 fn eps(v: f64) -> Epsilon {
     Epsilon::new(v).unwrap()

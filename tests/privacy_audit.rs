@@ -86,7 +86,7 @@ fn radius_output_distribution_satisfies_epsilon_dp() {
     let d2 = SortedInts::new(base).unwrap();
     let run = |d: SortedInts, master: u64| {
         histogram(TRIALS, master, move |rng| {
-            infinite_domain_radius(rng, &d, eps, 0.1) as i64
+            infinite_domain_radius(rng, &d, eps, 0.1).unwrap() as i64
         })
     };
     let p = run(d1, 3);

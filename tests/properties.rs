@@ -222,7 +222,7 @@ proptest! {
         sigma in 0.01f64..100.0,
         p in 0.001f64..0.999,
     ) {
-        use updp::dist::{ContinuousDistribution, Gaussian};
+        use updp_dist::{ContinuousDistribution, Gaussian};
         let g = Gaussian::new(mu, sigma).unwrap();
         let x = g.quantile(p);
         prop_assert!((g.cdf(x) - p).abs() < 1e-8);

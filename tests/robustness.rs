@@ -156,7 +156,7 @@ fn tiny_private_buckets_saturate_instead_of_failing() {
     // below the data's scale, as Theorems 4.3–6.2 allow with
     // probability β. These seeds once drove a bucket index past ±2⁶²
     // and failed the call; the saturating grid answers every one.
-    use updp::dist::{ContinuousDistribution, Gaussian};
+    use updp_dist::{ContinuousDistribution, Gaussian};
     let data = Gaussian::new(1000.0, 10.0)
         .unwrap()
         .sample_vec(&mut seeded(1), 10_000);
@@ -366,6 +366,10 @@ fn invalid_beta_is_an_error_never_a_panic() {
             (
                 "real_quantile_view",
                 emp::real_quantile_view(rng, &view, n / 2, 0.01, e, beta).map(drop),
+            ),
+            (
+                "infinite_domain_radius",
+                emp::infinite_domain_radius(rng, &ints, e, beta).map(drop),
             ),
             (
                 "infinite_domain_range",
