@@ -169,6 +169,30 @@ fn fisher_yates<I: PoolIndex, R: Rng + ?Sized>(
     }
 }
 
+/// Replays a fixed list of raw 64-bit outputs, then panics: a
+/// generator that puts chosen uniforms in front of the Gumbel samplers.
+#[cfg(test)]
+pub(crate) struct Scripted(pub(crate) std::vec::IntoIter<u64>);
+
+#[cfg(test)]
+impl rand::RngCore for Scripted {
+    fn next_u32(&mut self) -> u32 {
+        self.next_u64() as u32
+    }
+    fn next_u64(&mut self) -> u64 {
+        self.0.next().expect("script exhausted")
+    }
+    fn fill_bytes(&mut self, _dest: &mut [u8]) {
+        unimplemented!()
+    }
+}
+
+/// The raw output that `Rng::gen::<f64>` maps to `k · 2⁻⁵³`.
+#[cfg(test)]
+pub(crate) fn raw_uniform(k: u64) -> u64 {
+    k << 11
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -68,15 +68,9 @@ pub(crate) fn infinite_domain_radius_about<R: Rng + ?Sized>(
         |i| data.count_within_radius_of(center, query_radius(i)) as f64,
         DEFAULT_SVT_CAP,
     );
-    // ĩ = 1 ⇒ radius 0; otherwise r̃ad = 2^{ĩ−2} = the radius of the
-    // query *before* the one that fired... per Algorithm 3 the returned
-    // radius is the one of the firing query: ĩ-th query has radius
-    // 2^{ĩ−2} for ĩ ≥ 2.
-    if outcome.index <= 1 {
-        0
-    } else {
-        query_radius(outcome.index - 1)
-    }
+    // Algorithm 3 returns the radius of the query that fired: the ĩ-th
+    // (1-based; ĩ ≥ 1) is query_radius(ĩ − 1), 0 for ĩ = 1.
+    query_radius(outcome.index - 1)
 }
 
 /// The count bound of Theorem 3.1 (up to its universal constant):
