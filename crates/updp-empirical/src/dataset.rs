@@ -113,20 +113,6 @@ impl SortedInts {
         self.values[idx]
     }
 
-    /// Merges this multiset with another **sorted** run of values in
-    /// `O(n + k)`, preserving sortedness. Because both inputs are
-    /// sorted, the merged sequence is exactly the sorted multiset of
-    /// the concatenation — bit-identical to
-    /// `SortedInts::new(concat)` without its `O(n log n)` sort. This
-    /// is the grid-maintenance primitive of the streaming append path
-    /// (DESIGN.md §8).
-    pub(crate) fn merge_sorted(&self, other: &[i64]) -> SortedInts {
-        debug_assert!(other.windows(2).all(|w| w[0] <= w[1]));
-        SortedInts {
-            values: merge_sorted_by(&self.values, other, |a, b| a <= b),
-        }
-    }
-
     /// The empirical mean `μ(D)` as `f64` (exact i128 accumulation).
     ///
     /// Routed through the chunked [`clipped_sum_i64`] kernel with the
@@ -139,31 +125,6 @@ impl SortedInts {
         let sum = clipped_sum_i64(&self.values, self.min(), self.max());
         sum as f64 / self.values.len() as f64
     }
-}
-
-/// Merges two runs sorted under `le` ("less or equal") in `O(n + k)`.
-/// When `le` is (consistent with) a total order, the output is exactly
-/// the sorted multiset of the concatenation; when equal-comparing
-/// elements are indistinguishable (identical `i64`s, or `f64`s under
-/// `total_cmp` where ties are bit-identical), the output is
-/// bit-identical to fully sorting the concatenation regardless of how
-/// ties are broken. Shared by [`SortedInts::merge_sorted`] and the
-/// sorted-copy maintenance in [`crate::view`].
-pub(crate) fn merge_sorted_by<T: Copy>(a: &[T], b: &[T], le: impl Fn(&T, &T) -> bool) -> Vec<T> {
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < a.len() && j < b.len() {
-        if le(&a[i], &b[j]) {
-            out.push(a[i]);
-            i += 1;
-        } else {
-            out.push(b[j]);
-            j += 1;
-        }
-    }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&b[j..]);
-    out
 }
 
 #[cfg(test)]
@@ -253,23 +214,6 @@ mod tests {
                     "center {center}, x {x}"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn merge_sorted_matches_rebuild() {
-        let base = SortedInts::new(vec![5, -2, 9, 0, 5]).unwrap();
-        for delta in [
-            vec![],
-            vec![-7, 3, 5, 12],
-            vec![5, 5],
-            vec![i64::MIN, i64::MAX],
-        ] {
-            let merged = base.merge_sorted(&delta);
-            let mut concat = base.values().to_vec();
-            concat.extend_from_slice(&delta);
-            let rebuilt = SortedInts::new(concat).unwrap();
-            assert_eq!(merged, rebuilt, "delta {delta:?}");
         }
     }
 

@@ -15,11 +15,11 @@
 //!   `updp_statistical::estimator::Estimator::estimate`;
 //! * [`PreparedDataset`] — an immutable snapshot owning columns *and*
 //!   caches, shared as `Arc<PreparedDataset>` by the serving registry;
-//!   `append` derives a **new** snapshot (bumped version) whose warm
-//!   artifacts are merge-maintained from the parent in `O(n + k)`
-//!   rather than rebuilt, so cached artifacts can never leak across
-//!   data versions yet appends never pay the cold `O(n log n)` path
-//!   twice.
+//!   `append` derives a **new** snapshot (bumped version) whose sorted
+//!   copy, when the parent built one, is merge-maintained in `O(n + k)`
+//!   rather than re-sorted, so cached artifacts can never leak across
+//!   data versions yet appends never pay the cold `O(n log n)` sort
+//!   twice. Grids and the gap summary rebuild lazily (DESIGN.md §8.1).
 //!
 //! # Determinism contract (DESIGN.md §7)
 //!
@@ -50,21 +50,11 @@
 use crate::dataset::SortedInts;
 use crate::discretize::Discretizer;
 use crate::gaps::GapSummary;
-// BTreeMap, not HashMap: grid caches sit in the determinism scope and
-// `successor` iterates them, so container order must be a pure
-// function of the keys (DESIGN.md §5/§7, §9).
+// BTreeMap, not HashMap: `HashMap` is a disallowed type in this crate
+// (rule R2, DESIGN.md §9) — its iteration order is seeded per process.
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
 use updp_core::error::{ensure_finite, Result, UpdpError};
-
-/// How many grids [`PreparedDataset::append`] carries forward to the
-/// successor snapshot (most recently built first). Quantile/IQR
-/// buckets are `IQR̲/n`, so a growing dataset retires old buckets as
-/// `n` advances; merging every earlier grid into every successor
-/// would make publication cost `O(G·n)` and hold dead grids alive
-/// forever. The freshest few cover the live buckets.
-pub(crate) const MAX_CARRIED_GRIDS: usize = 4;
 
 /// Columns shorter than this sort serially even when `UPDP_THREADS`
 /// permits parallelism. Experiment trials are themselves parallelized
@@ -138,11 +128,9 @@ pub fn sorted_copy_threads(data: &[f64], threads: usize) -> Vec<f64> {
 
 /// Lazily-built, thread-safe artifacts of one `f64` column.
 ///
-/// Both artifacts are built at most once per cache (the grid: once per
+/// Every artifact is built at most once per cache (the grid: once per
 /// distinct bucket size) and shared as `Arc`s, so concurrent readers
-/// never block each other after the first build. Each grid is stamped
-/// with a build counter so an append (`ColumnCache::successor`) can
-/// carry the freshest `MAX_CARRIED_GRIDS` forward.
+/// never block each other after the first build.
 /// Lock-poisoning policy (DESIGN.md §6, §9): every artifact
 /// here is a pure function of the column, so the cache is *only* an
 /// optimization — a poisoned `grids` lock (a builder panicked) is
@@ -151,9 +139,8 @@ pub fn sorted_copy_threads(data: &[f64], threads: usize) -> Vec<f64> {
 #[derive(Debug, Default)]
 pub struct ColumnCache {
     sorted: OnceLock<Arc<Vec<f64>>>,
-    grids: RwLock<BTreeMap<u64, (u64, Arc<SortedInts>)>>,
-    stamp: AtomicU64,
-    gaps: RwLock<Option<Arc<GapSummary>>>,
+    grids: RwLock<BTreeMap<u64, Arc<SortedInts>>>,
+    gaps: OnceLock<Arc<GapSummary>>,
     /// Whether [`ColumnCache::gap_summary`] may build and serve the
     /// snapshot-derived pair-gap summary. Off by default: the summary
     /// path changes which coins consumers draw, so it must be enabled
@@ -181,107 +168,47 @@ impl ColumnCache {
     }
 
     /// Whether a gap summary has been built (diagnostic; never
-    /// triggers a build; a poisoned slot reads as absent).
+    /// triggers a build).
     pub fn has_gap_summary(&self) -> bool {
-        self.gaps.read().is_ok_and(|slot| slot.is_some())
+        self.gaps.get().is_some()
     }
 
     /// The cached pair-gap summary for this column, building it on
     /// first use — or `None` when the summary path is not enabled.
     ///
-    /// Poison-degrading like `grids` (DESIGN.md §6, §9): the
-    /// summary is a pure function of the column (the pairing seed
+    /// The summary is a pure function of the column (the pairing seed
     /// derives from the column length, not from any mechanism RNG), so
-    /// racing builders produce identical summaries and a poisoned slot
-    /// just means this call's fresh build is served uncached.
+    /// which caller builds it never matters.
     pub fn gap_summary(&self, data: &[f64]) -> Option<Arc<GapSummary>> {
         if !self.gaps_enabled {
             return None;
         }
-        if let Ok(slot) = self.gaps.read() {
-            if let Some(summary) = slot.as_ref() {
-                return Some(summary.clone());
-            }
-        }
-        let built = Arc::new(GapSummary::build(data));
-        match self.gaps.write() {
-            Ok(mut slot) => Some(slot.get_or_insert_with(|| built).clone()),
-            Err(_) => Some(built),
-        }
+        Some(
+            self.gaps
+                .get_or_init(|| Arc::new(GapSummary::build(data)))
+                .clone(),
+        )
     }
 
-    /// Derives the cache of the `old ++ delta` successor column,
-    /// carrying **warm** artifacts forward instead of discarding them
-    /// (DESIGN.md §8).
-    ///
-    /// * Sorted copy built → sort only the `k`-row `delta` and merge
-    ///   the two `total_cmp`-sorted runs in `O(n + k)`. `total_cmp` is
-    ///   a total order on bit patterns (elements that compare equal
-    ///   are bit-identical), so the merge is bit-identical to a fresh
-    ///   full sort of the concatenation.
-    /// * The [`MAX_CARRIED_GRIDS`] most recently built grids →
-    ///   discretize the sorted `delta` (monotone map, already sorted)
-    ///   and merge it into the parent's [`SortedInts`] in `O(n + k)`.
-    ///   Saturation makes the map total on finite values; a non-finite
-    ///   delta drops every carried grid (lazy rebuild, canonical error).
-    /// * Cold parent (nothing built) → empty cache; every artifact
-    ///   builds lazily.
+    /// Derives the cache of the `old ++ delta` successor column
+    /// (DESIGN.md §8). A built sorted copy is carried forward: sort
+    /// only the `k`-row `delta` and merge the two `total_cmp`-sorted
+    /// runs in `O(n + k)`, bit-identical to a fresh full sort of the
+    /// concatenation. Everything else starts empty and builds lazily.
+    /// Grids are not carried because the quantile/IQR bucket `IQR̲/n`
+    /// moves with `n`, so no successor asks for a parent's bucket; the
+    /// gap summary is not carried because its pairing permutation is a
+    /// function of the column length. The opt-in flag persists.
     fn successor(&self, delta: &[f64]) -> ColumnCache {
-        let Some(parent_sorted) = self.sorted.get() else {
-            // Grids force the sorted copy first (see `grid`), so a
-            // missing sorted copy implies no grids either. The gap
-            // summary is never carried (the pairing permutation is a
-            // function of the column *length*, which the append just
-            // changed), but the opt-in flag persists.
-            return ColumnCache {
-                gaps_enabled: self.gaps_enabled,
-                ..ColumnCache::default()
-            };
+        let sorted = match self.sorted.get() {
+            Some(parent) => OnceLock::from(Arc::new(merge_sorted_f64(parent, &sorted_copy(delta)))),
+            None => OnceLock::new(),
         };
-        let sorted_delta = sorted_copy(delta);
-        let merged = merge_sorted_f64(parent_sorted, &sorted_delta);
-
-        // Freshest grids first; older buckets (typically retired by
-        // the `n`-dependent bucket choice) rebuild lazily if ever
-        // queried again. A poisoned parent cache carries nothing: the
-        // successor rebuilds lazily, as from a cold parent.
-        let mut carried: Vec<(u64, u64, Arc<SortedInts>)> = self.grids.read().map_or_else(
-            |_| Vec::new(),
-            |grids| {
-                grids
-                    .iter()
-                    .map(|(&key, (stamp, grid))| (*stamp, key, grid.clone()))
-                    .collect()
-            },
-        );
-        carried.sort_by_key(|&(stamp, _, _)| std::cmp::Reverse(stamp));
-        carried.truncate(MAX_CARRIED_GRIDS);
-        if !ends_finite(&sorted_delta) {
-            carried.clear();
-        }
-
-        // Build the successor's grid map before wrapping it in its
-        // lock. Reverse order: oldest carried grid stamped first, so
-        // relative recency survives chained appends.
-        let stamp = AtomicU64::new(0);
-        let mut grids = BTreeMap::new();
-        for (_, key, grid) in carried.into_iter().rev() {
-            let Ok(disc) = Discretizer::new(f64::from_bits(key)) else {
-                continue;
-            };
-            let ints: Vec<i64> = sorted_delta.iter().map(|&x| disc.to_int(x)).collect();
-            let next = stamp.fetch_add(1, Ordering::Relaxed);
-            grids.insert(key, (next, Arc::new(grid.merge_sorted(&ints))));
-        }
-        let successor = ColumnCache {
-            sorted: OnceLock::new(),
-            grids: RwLock::new(grids),
-            stamp,
-            gaps: RwLock::new(None),
+        ColumnCache {
+            sorted,
             gaps_enabled: self.gaps_enabled,
-        };
-        let _ = successor.sorted.set(Arc::new(merged));
-        successor
+            ..ColumnCache::default()
+        }
     }
 
     fn sorted(&self, data: &[f64]) -> Arc<Vec<f64>> {
@@ -293,7 +220,7 @@ impl ColumnCache {
     fn grid(&self, data: &[f64], bucket: f64) -> Result<Arc<SortedInts>> {
         let key = bucket.to_bits();
         if let Ok(grids) = self.grids.read() {
-            if let Some((_, hit)) = grids.get(&key) {
+            if let Some(hit) = grids.get(&key) {
                 return Ok(hit.clone());
             }
         }
@@ -302,9 +229,8 @@ impl ColumnCache {
         // function of the column and the bucket); first insert wins.
         // A poisoned lock skips the insert: the grid is still correct,
         // the cache just stops absorbing new entries.
-        let stamp = self.stamp.fetch_add(1, Ordering::Relaxed);
         match self.grids.write() {
-            Ok(mut grids) => Ok(grids.entry(key).or_insert((stamp, grid)).1.clone()),
+            Ok(mut grids) => Ok(grids.entry(key).or_insert(grid).clone()),
             Err(_) => Ok(grid),
         }
     }
@@ -337,7 +263,20 @@ fn ends_finite(sorted: &[f64]) -> bool {
 /// merged sequence is bit-identical to sorting the concatenation from
 /// scratch — regardless of how ties are broken.
 fn merge_sorted_f64(a: &[f64], b: &[f64]) -> Vec<f64> {
-    crate::dataset::merge_sorted_by(a, b, |x, y| x.total_cmp(y).is_le())
+    let mut out = Vec::with_capacity(a.len() + b.len());
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        if a[i].total_cmp(&b[j]).is_le() {
+            out.push(a[i]);
+            i += 1;
+        } else {
+            out.push(b[j]);
+            j += 1;
+        }
+    }
+    out.extend_from_slice(&a[i..]);
+    out.extend_from_slice(&b[j..]);
+    out
 }
 
 /// One column of a [`DataView`]: the raw data plus an optional cache.
@@ -507,9 +446,9 @@ impl<'a> DataView<'a> {
 /// the `Arc` and estimate without holding any registry lock. Mutation
 /// is copy-on-write: [`PreparedDataset::append`] builds a **new**
 /// snapshot at `version + 1`, so a cached sorted copy or grid can
-/// never describe stale data — warm parent artifacts are carried
-/// forward by an `O(n + k)` merge (bit-identical to a fresh build),
-/// cold ones stay lazy.
+/// never describe stale data — a built parent sorted copy is carried
+/// forward by an `O(n + k)` merge (bit-identical to a fresh sort),
+/// every other artifact builds lazily.
 #[derive(Debug)]
 pub struct PreparedDataset {
     columns: Vec<Vec<f64>>,
@@ -591,14 +530,13 @@ impl PreparedDataset {
     /// dimension, validated by the caller) concatenated onto copies of
     /// the current columns, with a bumped version.
     ///
-    /// **Warm caches are carried forward incrementally** (DESIGN.md
-    /// §8): a built sorted copy is extended by merging the sorted
-    /// `k`-row delta in `O(n + k)` instead of re-sorting, and each
-    /// built discretized grid absorbs the delta the same way. Both
-    /// merge-maintained artifacts are bit-identical to what a fresh
-    /// build over the concatenated column would produce (pinned by the
-    /// append-equivalence suite), so this is purely a cost change.
-    /// Artifacts the parent never built stay lazy, exactly as before.
+    /// **A warm sorted copy is carried forward incrementally** (DESIGN.md
+    /// §8): it is extended by merging the sorted `k`-row delta in
+    /// `O(n + k)` instead of re-sorting, bit-identical to a fresh sort
+    /// of the concatenated column (pinned by the append-equivalence
+    /// suite). Grids and the gap summary start empty and build lazily
+    /// on first use: the quantile/IQR bucket `IQR̲/n` moves with `n`,
+    /// so a carried grid would never be read.
     pub fn append(&self, extra: &[Vec<f64>]) -> PreparedDataset {
         debug_assert_eq!(extra.len(), self.columns.len());
         let columns: Vec<Vec<f64>> = self
@@ -720,7 +658,7 @@ mod tests {
     }
 
     #[test]
-    fn warm_append_carries_caches_forward_bitwise() {
+    fn warm_append_carries_only_the_sorted_copy_bitwise() {
         let parent = PreparedDataset::new(vec![vec![5.0, 1.0, 3.0, -0.0, 0.0]]);
         // Warm both artifacts on the parent.
         let _ = parent.view().col(0).sorted();
@@ -728,11 +666,12 @@ mod tests {
         let _ = parent.view().col(0).grid(2.0).unwrap();
 
         let next = parent.append(&[vec![2.5, -1.0, 0.0]]);
-        // The successor starts warm: no lazy build has run yet, but
-        // the sorted copy and both grids are already present…
+        // The successor starts with the merged sorted copy and no
+        // grids; the lazily built ones…
         assert!(next.view().col(0).has_sorted());
-        assert_eq!(next.view().col(0).cached_grids(), 2);
-        // …and bit-identical to a fresh cold build over the same rows.
+        assert_eq!(next.view().col(0).cached_grids(), 0);
+        // …and the sorted copy are bit-identical to a fresh cold build
+        // over the same rows.
         let fresh = PreparedDataset::new(next.columns().to_vec());
         let merged_sorted = next.view().col(0).sorted();
         let fresh_sorted = fresh.view().col(0).sorted();
@@ -750,36 +689,6 @@ mod tests {
     }
 
     #[test]
-    fn append_carries_only_the_freshest_grids() {
-        let parent = PreparedDataset::new(vec![(0..256).map(|i| i as f64 * 0.37).collect()]);
-        let view = parent.view();
-        let _ = view.col(0).sorted();
-        // Build MAX_CARRIED_GRIDS + 3 grids; only the freshest
-        // MAX_CARRIED_GRIDS survive the append.
-        let buckets: Vec<f64> = (0..MAX_CARRIED_GRIDS + 3)
-            .map(|i| 0.5 + i as f64 * 0.25)
-            .collect();
-        for &bucket in &buckets {
-            let _ = view.col(0).grid(bucket).unwrap();
-        }
-        let next = parent.append(&[vec![1.0, 2.0]]);
-        assert_eq!(next.view().col(0).cached_grids(), MAX_CARRIED_GRIDS);
-        // The carried ones are the most recently built, still bitwise
-        // equal to a fresh build — and a second append keeps carrying
-        // them (relative recency survives the chain).
-        let fresh = PreparedDataset::new(next.columns().to_vec());
-        for &bucket in &buckets[buckets.len() - MAX_CARRIED_GRIDS..] {
-            assert_eq!(
-                *next.view().col(0).grid(bucket).unwrap(),
-                *fresh.view().col(0).grid(bucket).unwrap(),
-                "bucket {bucket}"
-            );
-        }
-        let third = next.append(&[vec![3.0]]);
-        assert_eq!(third.view().col(0).cached_grids(), MAX_CARRIED_GRIDS);
-    }
-
-    #[test]
     fn cold_append_stays_lazy() {
         let parent = PreparedDataset::new(vec![vec![2.0, 1.0]]);
         let next = parent.append(&[vec![3.0]]);
@@ -789,23 +698,24 @@ mod tests {
     }
 
     #[test]
-    fn extreme_delta_saturates_into_the_carried_grid() {
-        // The delta lies far beyond the bucket's index bound: the
-        // carried grid saturates it and equals a fresh build bit for bit.
+    fn extreme_delta_saturates_into_the_rebuilt_grid() {
+        // The delta lies far beyond the bucket's index bound: the grid
+        // rebuilt from the merged sorted copy saturates it and equals a
+        // fresh build bit for bit.
         let parent = PreparedDataset::new(vec![vec![1.0, 2.0]]);
         let _ = parent.view().col(0).sorted();
         let _ = parent.view().col(0).grid(1e-3).unwrap();
         let next = parent.append(&[vec![1e30, -f64::MAX]]);
         assert!(next.view().col(0).has_sorted(), "sorted copy still warm");
-        assert_eq!(next.view().col(0).cached_grids(), 1, "grid carried");
+        assert_eq!(next.view().col(0).cached_grids(), 0, "grid not carried");
         let fresh = PreparedDataset::new(next.columns().to_vec());
         assert_eq!(
             *next.view().col(0).grid(1e-3).unwrap(),
             *fresh.view().col(0).grid(1e-3).unwrap()
         );
-        // A NaN delta drops grids (NaN cannot discretize) but keeps the
-        // sorted copy warm — total_cmp orders NaN fine — and the lazy
-        // rebuild reports the same error as a cold build.
+        // A NaN delta keeps the sorted copy warm — total_cmp orders NaN
+        // fine — and the lazy grid build reports the same error as a
+        // cold build.
         let nan = parent.append(&[vec![f64::NAN]]);
         assert!(nan.view().col(0).has_sorted());
         assert_eq!(nan.view().col(0).cached_grids(), 0);

@@ -12,7 +12,7 @@
 //!   `Arc<PreparedDataset>` snapshots whose sorted/discretized
 //!   artifacts are cached across queries; appends coalesce in a
 //!   per-dataset delta log (DESIGN.md §8) and publish successor
-//!   snapshots with merge-maintained caches;
+//!   snapshots with a merge-maintained sorted copy;
 //! * [`ledger`] — the ε accountant: atomic per-query reservation
 //!   under basic composition, structured refusals on exhaustion, and
 //!   a persisted snapshot so restarts cannot replay budget;

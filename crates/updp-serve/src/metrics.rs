@@ -9,6 +9,7 @@
 //! transport code (`reactor.rs`, `engine.rs`); this module and
 //! `updp-obs` only aggregate the microsecond values they are handed.
 
+use crate::server::ROUTES;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use updp_obs::{
@@ -351,25 +352,15 @@ fn status_class(status: u16) -> &'static str {
 }
 
 /// Normalizes a request path to a bounded endpoint label: known
-/// routes keep their path (query string stripped), everything else —
-/// including 404 probes — collapses to `"other"` so hostile paths
-/// cannot inflate label cardinality.
+/// routes (`ROUTES`) keep their path (query string stripped),
+/// everything else — including 404 probes — collapses to `"other"` so
+/// hostile paths cannot inflate label cardinality.
 pub(crate) fn endpoint_label(path: &str) -> &'static str {
     let route = path.split('?').next().unwrap_or(path);
-    match route {
-        "/v1/healthz" => "/v1/healthz",
-        "/v1/datasets" => "/v1/datasets",
-        "/v1/estimators" => "/v1/estimators",
-        "/v1/register" => "/v1/register",
-        "/v1/append" => "/v1/append",
-        "/v1/flush" => "/v1/flush",
-        "/v1/drop" => "/v1/drop",
-        "/v1/query" => "/v1/query",
-        "/v1/shutdown" => "/v1/shutdown",
-        "/v1/metrics" => "/v1/metrics",
-        "/v1/trace" => "/v1/trace",
-        _ => "other",
-    }
+    ROUTES
+        .into_iter()
+        .find(|&known| known == route)
+        .unwrap_or("other")
 }
 
 #[cfg(test)]
@@ -382,6 +373,9 @@ mod tests {
         assert_eq!(endpoint_label("/v1/metrics?format=json"), "/v1/metrics");
         assert_eq!(endpoint_label("/v1/../../etc/passwd"), "other");
         assert_eq!(endpoint_label("/v1/nope"), "other");
+        for route in ROUTES {
+            assert_eq!(endpoint_label(route), route);
+        }
     }
 
     #[test]

@@ -18,8 +18,9 @@
 //! queries never touch) and publishes a successor snapshot only when
 //! the [`FlushPolicy`]'s row or age threshold is hit — or when
 //! [`Registry::flush`] is called explicitly. Publication is
-//! copy-on-write: it derives a new snapshot (warm artifact caches
-//! merge-maintained in `O(n + k)`, version + 1) and swaps the `Arc`,
+//! copy-on-write: it derives a new snapshot (a warm sorted copy
+//! merge-maintained in `O(n + k)`, grids rebuilt lazily, version + 1)
+//! and swaps the `Arc`,
 //! so the sorted/discretized artifacts cached by `PreparedDataset` can
 //! never describe stale rows, while in-flight queries keep their
 //! consistent old snapshot. A burst of N small appends therefore costs
@@ -190,13 +191,17 @@ impl Dataset {
     /// Buffers `columns` and publishes if `policy` says so. The
     /// pending mutex is held across a triggered publication so
     /// concurrent appends publish their deltas in arrival order;
-    /// queries never take this mutex.
+    /// queries never take this mutex. A zero-row payload is a no-op:
+    /// it neither publishes nor starts the pending log's age clock.
     fn buffer_append(
         &self,
         columns: Vec<Vec<f64>>,
         policy: &FlushPolicy,
     ) -> Result<AppendOutcome, RegistryError> {
         let mut pending = self.pending.lock().map_err(|_| RegistryError::Poisoned)?;
+        if columns.first().is_none_or(Vec::is_empty) {
+            return self.unflushed(pending.rows());
+        }
         if pending.columns.is_empty() {
             pending.since = Some(Instant::now());
             pending.columns = columns;
@@ -219,10 +224,16 @@ impl Dataset {
                 flushed: true,
             });
         }
+        self.unflushed(rows)
+    }
+
+    /// The outcome of an append that left `pending` rows buffered and
+    /// published nothing.
+    fn unflushed(&self, pending: usize) -> Result<AppendOutcome, RegistryError> {
         let snapshot = self.snapshot()?;
         Ok(AppendOutcome {
             records: snapshot.len(),
-            pending: rows,
+            pending,
             version: snapshot.version(),
             flushed: false,
         })
@@ -249,7 +260,7 @@ impl Dataset {
         })
     }
 
-    /// Swaps in the successor snapshot for `delta` (caches
+    /// Swaps in the successor snapshot for `delta` (a warm sorted copy
     /// merge-maintained by [`PreparedDataset::append`]).
     ///
     /// The `O(n + k)` successor build runs on a read-clone of the
@@ -451,8 +462,8 @@ impl Registry {
     /// [`FlushPolicy::immediate`] every append publishes, matching the
     /// historical behaviour. Publication never mutates a snapshot:
     /// queries already holding the old `Arc` finish on consistent
-    /// data, and the successor's warm caches are merge-maintained in
-    /// `O(n + k)`.
+    /// data, and the successor's warm sorted copy is merge-maintained
+    /// in `O(n + k)`.
     pub fn append(
         &self,
         name: &str,
@@ -610,6 +621,44 @@ mod tests {
     }
 
     #[test]
+    fn empty_append_is_a_no_op() {
+        for policy in [
+            FlushPolicy::immediate(),
+            FlushPolicy::buffered(1000, Duration::from_millis(50)),
+        ] {
+            let reg = Registry::with_policy(policy);
+            reg.register("e", col(&[1.0, 2.0])).unwrap();
+            let dataset = reg.get("e").unwrap();
+            let before = dataset.snapshot().unwrap();
+            let outcome = reg.append("e", col(&[])).unwrap();
+            assert_eq!(
+                outcome,
+                AppendOutcome {
+                    records: 2,
+                    pending: 0,
+                    version: 0,
+                    flushed: false
+                },
+                "{policy:?}"
+            );
+            assert_eq!(dataset.pending_rows().unwrap(), 0);
+            assert!(Arc::ptr_eq(&before, &dataset.snapshot().unwrap()));
+        }
+        // An empty append must not start the pending log's age clock:
+        // a later 1-row append still finds the log young.
+        let reg = Registry::with_policy(FlushPolicy::buffered(1000, Duration::from_millis(50)));
+        reg.register("e", col(&[1.0])).unwrap();
+        reg.append("e", col(&[])).unwrap();
+        std::thread::sleep(Duration::from_millis(80));
+        let outcome = reg.append("e", col(&[2.0])).unwrap();
+        assert!(!outcome.flushed);
+        assert_eq!(
+            (outcome.records, outcome.pending, outcome.version),
+            (1, 1, 0)
+        );
+    }
+
+    #[test]
     fn rejects_duplicates_bad_names_and_bad_data() {
         let reg = Registry::new();
         reg.register("a", col(&[1.0])).unwrap();
@@ -658,7 +707,7 @@ mod tests {
     }
 
     #[test]
-    fn append_replaces_the_snapshot_and_carries_caches_forward() {
+    fn append_replaces_the_snapshot_and_carries_the_sorted_copy() {
         let reg = Registry::new();
         reg.register("v", col(&[5.0, 1.0, 3.0])).unwrap();
         let dataset = reg.get("v").unwrap();
@@ -674,10 +723,10 @@ mod tests {
         assert!(!Arc::ptr_eq(&before, &after), "append must swap snapshots");
         assert_eq!(after.version(), 1);
         assert_eq!(after.len(), 5);
-        // The successor's artifacts arrive warm (merge-maintained) and
-        // already see the appended rows…
+        // The successor's sorted copy arrives warm (merge-maintained),
+        // its grids do not, and it already sees the appended rows…
         assert!(after.view().col(0).has_sorted());
-        assert!(after.view().col(0).cached_grids() >= 1);
+        assert_eq!(after.view().col(0).cached_grids(), 0);
         assert_eq!(
             after.view().col(0).sorted().as_slice(),
             &[1.0, 3.0, 5.0, 7.0, 9.0]

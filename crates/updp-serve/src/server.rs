@@ -313,21 +313,26 @@ pub(crate) fn route(state: &AppState, request: &Request) -> Routed {
     }
 }
 
+/// Every served path. A wrong method on one of them answers 405, and
+/// each is its own metrics endpoint label (`endpoint_label`).
+pub(crate) const ROUTES: [&str; 11] = [
+    "/v1/healthz",
+    "/v1/datasets",
+    "/v1/estimators",
+    "/v1/register",
+    "/v1/append",
+    "/v1/flush",
+    "/v1/drop",
+    "/v1/query",
+    "/v1/shutdown",
+    "/v1/metrics",
+    "/v1/trace",
+];
+
+/// Whether `path` is a served route, matched verbatim (query string
+/// and all).
 fn known_path(path: &str) -> bool {
-    matches!(
-        path,
-        "/v1/healthz"
-            | "/v1/datasets"
-            | "/v1/estimators"
-            | "/v1/register"
-            | "/v1/append"
-            | "/v1/flush"
-            | "/v1/drop"
-            | "/v1/query"
-            | "/v1/shutdown"
-            | "/v1/metrics"
-            | "/v1/trace"
-    )
+    ROUTES.contains(&path)
 }
 
 /// The readiness probe: liveness plus uptime, worker count, active
@@ -632,4 +637,33 @@ fn query(state: &AppState, body: &str) -> Routed {
     let status = if starved { 403 } else { 200 };
     Routed::json(status, wire::query_response(&request, &outcomes, &account))
         .tagged(&request.dataset)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn wrong_method_on_every_route_is_405() {
+        let state = AppState {
+            registry: Registry::new(),
+            ledger: Ledger::in_memory(),
+            estimators: EstimatorCatalog::standard(),
+            metrics: ServeMetrics::new(1, false),
+            conns: AtomicUsize::new(0),
+            started: Instant::now(),
+            workers: 1,
+            shutdown: AtomicBool::new(false),
+            panic_route: AtomicBool::new(false),
+        };
+        for path in ROUTES {
+            let request = Request {
+                method: "DELETE".into(),
+                path: path.into(),
+                body: Vec::new(),
+                keep_alive: false,
+            };
+            assert_eq!(route(&state, &request).status, 405, "{path}");
+        }
+    }
 }
