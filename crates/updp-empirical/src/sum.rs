@@ -8,10 +8,11 @@
 //! with error `O((rad(D)/ε)·log log rad(D))` — the "significant
 //! improvement" the paper points out.
 //!
-//! Construction: sum = n·mean is tempting but wasteful — the clipped
-//! *sum* has sensitivity `max(|lo|, |hi|)` directly, so we privatize the
-//! range once (Algorithm 4) and release
-//! `Σ Clip(Xᵢ, R̃) + Lap(max(|R̃.lo|, |R̃.hi|)·5/ε)`.
+//! Construction: privatize the range once with 4ε/5 (Algorithm 4) and
+//! release `Σ Clip(Xᵢ, R̃) + Lap(5·(R̃.hi − R̃.lo)/ε)` with the other
+//! ε/5. Replacing one record moves the clipped sum by at most
+//! `R̃.hi − R̃.lo`: the replace-one sensitivity that `clipped_mean` also
+//! uses in its `(r − l)/n`.
 
 use crate::dataset::SortedInts;
 use crate::range::{infinite_domain_range, IntRange};
@@ -49,12 +50,8 @@ pub fn infinite_domain_sum<R: Rng + ?Sized>(
     // Chunked clip+sum kernel (bit-identical to the historical
     // per-element i128 loop — integer addition is exact).
     let clipped_sum = clipped_sum_i64(data.values(), range.lo, range.hi);
-    // Sensitivity of the clipped sum: replacing one record moves it by at
-    // most max(|lo|, |hi|) + ... — precisely (hi − lo) if both ends share
-    // a sign, max(|lo|, |hi|) + min... a clean upper bound is
-    // max(|lo|, |hi|) · 2 when signs differ; use the exact width-free
-    // bound: one record contributes a value in [lo, hi], so swapping it
-    // changes the sum by at most (hi − lo).
+    // Each record contributes a value in [lo, hi], so replacing one
+    // changes the clipped sum by at most hi − lo.
     let sensitivity = range.width() as f64;
     let estimate = if sensitivity > 0.0 {
         clipped_sum as f64 + sample_laplace(rng, 5.0 * sensitivity / epsilon.get())

@@ -382,13 +382,12 @@ pub(crate) fn execute_batch_observed(
             _ => None,
         })
         .collect();
-    let mut topups = if inflations.is_empty() {
+    let topups = if inflations.is_empty() {
         None
     } else {
         Some(ledger.reserve_many(&dataset.name, &inflations)?)
-    }
-    .into_iter()
-    .flatten();
+    };
+    let mut topups = topups.iter().flat_map(|grant| grant.iter().copied());
     let mut outcomes = Vec::with_capacity(specs.len());
     for (i, spec) in specs.iter().enumerate() {
         let kind = estimators[i].name();

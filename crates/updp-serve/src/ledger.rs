@@ -118,15 +118,6 @@ impl std::ops::Deref for Grant {
     }
 }
 
-impl IntoIterator for Grant {
-    type Item = Result<Account, Refusal>;
-    type IntoIter = std::vec::IntoIter<Result<Account, Refusal>>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.outcomes.into_iter()
-    }
-}
-
 /// The ledger: every account behind one mutex (held only for the
 /// budget arithmetic — never across file I/O), optionally mirrored to
 /// a snapshot file on each mutation. Snapshot writes serialize on a
@@ -157,7 +148,10 @@ impl Ledger {
     }
 
     /// Opens a ledger backed by `path`, reloading the snapshot if one
-    /// exists (a missing file is an empty ledger, not an error).
+    /// exists (a missing file is an empty ledger, not an error). A
+    /// malformed snapshot is a [`LedgerError::Snapshot`], never a
+    /// reset: that includes a non-finite or non-positive budget, a
+    /// non-finite or negative spent, and a name that appears twice.
     pub fn open(path: &Path) -> Result<Self, LedgerError> {
         let accounts = match std::fs::read_to_string(path) {
             Ok(text) => parse_snapshot(&text)?,
@@ -352,13 +346,26 @@ fn parse_snapshot(text: &str) -> Result<HashMap<String, Account>, LedgerError> {
         let mut accounts = HashMap::new();
         for row in obj.get_array("datasets")? {
             let row = row.as_object("dataset row")?;
-            accounts.insert(
-                row.get_str("name")?,
-                Account {
-                    budget: row.get_f64("budget")?,
-                    spent: row.get_f64("spent")?,
-                },
-            );
+            let name = row.get_str("name")?;
+            let account = Account {
+                budget: row.get_f64("budget")?,
+                spent: row.get_f64("spent")?,
+            };
+            // Fail closed: a row that could grant ε it never had, or
+            // a second row that could reset an exhausted account, is
+            // corruption. `spent > budget` stays legal (an operator
+            // may lower a budget).
+            if !(account.budget.is_finite() && account.budget > 0.0) {
+                return Err(format!("row `{name}`: budget must be finite and positive"));
+            }
+            if !(account.spent.is_finite() && account.spent >= 0.0) {
+                return Err(format!(
+                    "row `{name}`: spent must be finite and non-negative"
+                ));
+            }
+            if accounts.insert(name.clone(), account).is_some() {
+                return Err(format!("row `{name}` appears twice"));
+            }
         }
         Ok(accounts)
     };
@@ -375,10 +382,9 @@ mod tests {
     impl Ledger {
         /// Reserves one amount: `reserve_many` of a single item.
         fn reserve(&self, name: &str, eps: f64) -> Result<Result<Account, Refusal>, LedgerError> {
-            Ok(self
+            Ok(*self
                 .reserve_many(name, &[eps])?
-                .into_iter()
-                .next()
+                .first()
                 .expect("one outcome per amount"))
         }
     }
@@ -461,7 +467,7 @@ mod tests {
         many.register("d", 1.0).unwrap();
         let amounts = [0.4, 0.4, 0.4, 0.2];
         let batched = many.reserve_many("d", &amounts).unwrap();
-        for (&eps, from_batch) in amounts.iter().zip(batched) {
+        for (&eps, from_batch) in amounts.iter().zip(batched.iter()) {
             let single = one.reserve("d", eps).unwrap();
             assert_eq!(single.is_ok(), from_batch.is_ok(), "eps {eps}");
         }
@@ -509,8 +515,39 @@ mod tests {
     #[test]
     fn corrupt_snapshot_is_an_error_not_a_reset() {
         let path = temp_path("corrupt");
-        std::fs::write(&path, "{ not json").unwrap();
-        assert!(matches!(Ledger::open(&path), Err(LedgerError::Snapshot(_))));
+        let row = |budget: &str, spent: &str| {
+            format!(r#"{{"name": "a", "budget": {budget}, "spent": {spent}}}"#)
+        };
+        let snapshot = |rows: &[String]| {
+            format!(
+                r#"{{"schema": "{SCHEMA}", "datasets": [{}]}}"#,
+                rows.join(",")
+            )
+        };
+        for text in [
+            "{ not json".to_string(),
+            // Parses to −∞ spent: every grant would succeed.
+            snapshot(&[row("1", "-1e999")]),
+            // Parses to an infinite budget.
+            snapshot(&[row("1e999", "0")]),
+            // Negative spent: five extra ε.
+            snapshot(&[row("1", "-5")]),
+            // A later fresh row would reset the exhausted account.
+            snapshot(&[row("1", "1"), row("1", "0")]),
+        ] {
+            std::fs::write(&path, &text).unwrap();
+            assert!(
+                matches!(Ledger::open(&path), Err(LedgerError::Snapshot(_))),
+                "{text}"
+            );
+        }
+        // The fail-closed checks keep legal rows: an operator may
+        // lower a budget below what was already spent.
+        std::fs::write(&path, snapshot(&[row("1", "2")])).unwrap();
+        assert_eq!(
+            Ledger::open(&path).unwrap().account("a").unwrap().spent,
+            2.0
+        );
         let _ = std::fs::remove_file(&path);
     }
 

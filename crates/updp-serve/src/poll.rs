@@ -10,10 +10,8 @@
 //! invariant it relies on (clippy's `undocumented_unsafe_blocks`);
 //! everything outside this module stays `deny(unsafe_code)`.
 //!
-//! The wake channel deliberately needs **no** unsafe at all: it is a
-//! non-blocking [`std::os::unix::net::UnixStream`] pair whose read end
-//! is registered in the epoll set — the first-party stand-in for an
-//! eventfd.
+//! The reactor's wake channel, a `UnixStream` pair on the server
+//! state, needs no unsafe and does not live here.
 
 // No panic surface outside the `catch_unwind` dispatch boundary: a
 // panic here kills a worker and every connection it owns (DESIGN.md
@@ -34,8 +32,7 @@
 
 use std::io;
 use std::os::raw::{c_int, c_void};
-use std::os::unix::io::{AsRawFd, RawFd};
-use std::os::unix::net::UnixStream;
+use std::os::unix::io::RawFd;
 
 /// Readiness: the connection can be read without blocking.
 pub(crate) const IN: u32 = 0x001; // EPOLLIN
@@ -47,6 +44,11 @@ pub(crate) const RDHUP: u32 = 0x2000; // EPOLLRDHUP
 /// tames the accept thundering herd across worker shards (kernel
 /// ≥ 4.5; [`Epoll::add`] callers fall back to a plain add on EINVAL).
 pub(crate) const EXCLUSIVE: u32 = 1 << 28; // EPOLLEXCLUSIVE
+
+/// `accept` errno: the process is out of file descriptors.
+pub(crate) const EMFILE: i32 = 24;
+/// `accept` errno: the system is out of file descriptors.
+pub(crate) const ENFILE: i32 = 23;
 
 const ERR: u32 = 0x008; // EPOLLERR
 const HUP: u32 = 0x010; // EPOLLHUP
@@ -246,65 +248,13 @@ pub(crate) fn set_send_buffer(fd: RawFd, bytes: usize) -> io::Result<()> {
     Ok(())
 }
 
-/// The reactor's shutdown/wake channel: a non-blocking socketpair
-/// standing in for an eventfd, built entirely from safe std.
-pub struct WakePipe {
-    rx: UnixStream,
-    tx: UnixStream,
-}
-
-/// The sending half handed to other threads; waking is lock-free and
-/// never blocks.
-pub struct WakeHandle {
-    tx: UnixStream,
-}
-
-impl WakePipe {
-    /// Creates the pair; both ends non-blocking.
-    pub fn new() -> io::Result<WakePipe> {
-        let (tx, rx) = UnixStream::pair()?;
-        rx.set_nonblocking(true)?;
-        tx.set_nonblocking(true)?;
-        Ok(WakePipe { rx, tx })
-    }
-
-    /// The fd to register in the epoll set (read interest).
-    pub(crate) fn raw_fd(&self) -> RawFd {
-        self.rx.as_raw_fd()
-    }
-
-    /// A cloned sending half.
-    pub(crate) fn handle(&self) -> io::Result<WakeHandle> {
-        Ok(WakeHandle {
-            tx: self.tx.try_clone()?,
-        })
-    }
-
-    /// Consumes all pending wake bytes (level-triggered registration:
-    /// drain or spin).
-    pub fn drain(&self) {
-        use std::io::Read;
-        let mut sink = [0u8; 64];
-        // Reads on a non-blocking socket: loop until WouldBlock/empty.
-        while matches!((&self.rx).read(&mut sink), Ok(n) if n > 0) {}
-    }
-}
-
-impl WakeHandle {
-    /// Queues a wake byte. A full pipe already guarantees a pending
-    /// wake, so every outcome leaves the receiver waking up; errors
-    /// are deliberately ignored.
-    pub(crate) fn wake(&self) {
-        use std::io::Write;
-        let _ = (&self.tx).write(&[1u8]);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::io::Write;
     use std::net::{TcpListener, TcpStream};
+    use std::os::unix::io::AsRawFd;
+    use std::os::unix::net::UnixStream;
 
     #[test]
     fn epoll_reports_readability_on_a_real_socket() {
@@ -328,21 +278,29 @@ mod tests {
         assert_eq!(epoll.wait(&mut events, 0).unwrap(), 0);
     }
 
+    /// The premise of the reactor's one wake channel: an unread byte
+    /// keeps a level-triggered registration ready, in every epoll set
+    /// that holds one, on every wait — until that set deletes it.
     #[test]
-    fn wake_pipe_round_trips_and_drains() {
-        let pipe = WakePipe::new().unwrap();
-        let epoll = Epoll::new().unwrap();
-        epoll.add(pipe.raw_fd(), 1, IN).unwrap();
+    fn one_unread_byte_wakes_every_registered_epoll() {
+        let (tx, rx) = UnixStream::pair().unwrap();
+        let shards = [Epoll::new().unwrap(), Epoll::new().unwrap()];
         let mut events = Events::with_capacity(4);
-        assert_eq!(epoll.wait(&mut events, 0).unwrap(), 0);
+        for epoll in &shards {
+            epoll.add(rx.as_raw_fd(), 1, IN).unwrap();
+            assert_eq!(epoll.wait(&mut events, 0).unwrap(), 0);
+        }
 
-        let handle = pipe.handle().unwrap();
-        handle.wake();
-        handle.wake();
-        assert_eq!(epoll.wait(&mut events, 1000).unwrap(), 1);
-        pipe.drain();
-        // Drained: level-triggered readiness is gone.
-        assert_eq!(epoll.wait(&mut events, 0).unwrap(), 0);
+        (&tx).write_all(&[1]).unwrap();
+        for _ in 0..3 {
+            for epoll in &shards {
+                assert_eq!(epoll.wait(&mut events, 1000).unwrap(), 1);
+                assert!(events.get(0).unwrap().readable);
+            }
+        }
+        shards[0].delete(rx.as_raw_fd()).unwrap();
+        assert_eq!(shards[0].wait(&mut events, 0).unwrap(), 0);
+        assert_eq!(shards[1].wait(&mut events, 0).unwrap(), 1);
     }
 
     #[test]

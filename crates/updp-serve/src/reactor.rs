@@ -4,8 +4,16 @@
 //! `--workers N` threads (default: available parallelism) each own an
 //! epoll instance; every worker registers the shared listener
 //! (`EPOLLEXCLUSIVE` where the kernel supports it, so one accept
-//! readiness wakes one shard instead of all of them) plus a wake pipe
-//! for event-driven shutdown — no polling timeouts on the hot path.
+//! readiness wakes one shard instead of all of them) plus the read end
+//! of the one wake channel on [`AppState`], which shutdown makes
+//! readable for every shard at once — no polling timeouts on the hot
+//! path.
+//!
+//! [`run`] builds every shard before any thread starts, so a startup
+//! error (an epoll instance or registration refused, say at the
+//! descriptor limit) returns with no thread running. A worker that
+//! fails later begins the same shutdown `POST /v1/shutdown` does, and
+//! `run` returns its error once every shard has drained.
 //!
 //! Per connection the worker keeps a non-blocking socket, an
 //! incremental [`RequestParser`] (so requests split at any byte
@@ -21,6 +29,11 @@
 //!   accepts (so the peer gets an answer instead of a SYN backlog
 //!   timeout) but the connection is born with a pre-queued 503 and
 //!   closes once it flushes.
+//! * **descriptor limit** — when `accept` fails with `EMFILE` or
+//!   `ENFILE`, the peer stays queued and the level-triggered listener
+//!   stays readable, so the shard stops watching the listener for
+//!   [`ACCEPT_PAUSE`] instead of spinning, and keeps serving its
+//!   connections meanwhile.
 //! * **panic isolation** — `route` runs under `catch_unwind`; a
 //!   panicking handler costs that request a 500 and its connection,
 //!   never the worker or its other connections.
@@ -46,7 +59,7 @@
 
 use crate::http::{encode_response_with_type, HttpError, Request, RequestParser};
 use crate::metrics::{endpoint_label, ShardMetrics};
-use crate::poll::{self, Epoll, Events, WakePipe};
+use crate::poll::{self, Epoll, Events};
 use crate::server::{route, AppState, DrainSummary, ServerConfig, CONTENT_TYPE_JSON};
 use crate::wire;
 use std::io::{self, Read, Write};
@@ -54,11 +67,10 @@ use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 use updp_obs::TraceEvent;
 
-/// Slab token of the wake pipe.
+/// Slab token of the wake channel's read end.
 const TOKEN_WAKE: u64 = u64::MAX;
 /// Slab token of the shared listener.
 const TOKEN_LISTENER: u64 = u64::MAX - 1;
@@ -77,15 +89,9 @@ pub(crate) const DRAIN_DEADLINE: Duration = Duration::from_secs(2);
 /// Epoll timeout while draining, so the deadline is observed even
 /// with no socket activity.
 const DRAIN_TICK_MS: i32 = 25;
-
-/// State shared by every worker shard. The live-connection count
-/// (the accept-then-503 cap) lives on [`AppState`] so `/v1/healthz`
-/// and `/v1/metrics` can read it; the reactor is its only writer.
-struct Shared {
-    state: Arc<AppState>,
-    /// One wake handle per worker; shutdown wakes every shard.
-    wakes: Vec<poll::WakeHandle>,
-}
+/// How long a shard stops watching the listener after `accept` ran
+/// out of descriptors.
+const ACCEPT_PAUSE: Duration = Duration::from_millis(100);
 
 /// One connection owned by one worker shard.
 struct Conn {
@@ -158,61 +164,51 @@ impl Conn {
 
 /// Runs the reactor until shutdown completes. Consumes the listener;
 /// returns the summed per-shard [`DrainSummary`] once every shard has
-/// drained.
+/// drained, or the first worker error.
 pub(crate) fn run(
     listener: TcpListener,
-    state: Arc<AppState>,
-    config: ServerConfig,
+    state: &AppState,
+    config: &ServerConfig,
 ) -> io::Result<DrainSummary> {
     listener.set_nonblocking(true)?;
-    let workers = config.resolved_workers();
-    let mut pipes = Vec::with_capacity(workers);
-    let mut wakes = Vec::with_capacity(workers);
-    for _ in 0..workers {
-        let pipe = WakePipe::new()?;
-        wakes.push(pipe.handle()?);
-        pipes.push(pipe);
-    }
-    let shared = Shared { state, wakes };
-    let shared = &shared;
-    let config = &config;
+    let workers = (0..state.workers)
+        .map(|index| Worker::new(index, &listener, state, config))
+        .collect::<io::Result<Vec<_>>>()?;
     std::thread::scope(|scope| {
-        let mut pipes = pipes.into_iter();
-        let first = match pipes.next() {
-            Some(pipe) => pipe,
-            None => WakePipe::new()?, // unreachable: workers >= 1
-        };
-        let mut handles = Vec::new();
-        for (offset, pipe) in pipes.enumerate() {
-            let listener = listener.try_clone()?;
-            // Panics cannot escape a worker (route runs under
-            // catch_unwind); a worker exiting early only happens on
-            // catastrophic epoll failure, which worker 0 reports too.
-            handles.push(scope.spawn(move || {
-                match Worker::new(offset + 1, listener, pipe, shared, config) {
-                    Ok(worker) => worker.serve().unwrap_or_default(),
-                    Err(_) => DrainSummary::default(),
-                }
-            }));
-        }
-        // Worker 0 runs on the calling thread; the scope joins the
-        // rest before returning.
-        let mut summary = Worker::new(0, listener, first, shared, config)?.serve()?;
+        let handles: Vec<_> = workers
+            .into_iter()
+            .map(|worker| {
+                // A failed worker stops the server the way
+                // `POST /v1/shutdown` does: every other shard drains.
+                scope.spawn(move || worker.serve().inspect_err(|_| state.begin_shutdown()))
+            })
+            .collect();
+        // Join every shard before reporting the first error.
+        let mut summary = DrainSummary::default();
+        let mut failure = None;
         for handle in handles {
-            let shard = handle.join().unwrap_or_default();
-            summary.drained += shard.drained;
-            summary.aborted += shard.aborted;
+            match handle.join() {
+                Ok(Ok(shard)) => {
+                    summary.drained += shard.drained;
+                    summary.aborted += shard.aborted;
+                }
+                Ok(Err(e)) => {
+                    failure.get_or_insert(e);
+                }
+                Err(_) => {
+                    failure.get_or_insert_with(|| io::Error::other("a reactor worker panicked"));
+                }
+            }
         }
-        Ok(summary)
+        failure.map_or(Ok(summary), Err)
     })
 }
 
 /// One shard: an epoll instance plus the connections it owns.
 struct Worker<'a> {
     epoll: Epoll,
-    listener: TcpListener,
-    pipe: WakePipe,
-    shared: &'a Shared,
+    listener: &'a TcpListener,
+    state: &'a AppState,
     config: &'a ServerConfig,
     slab: Vec<Option<Conn>>,
     /// Reusable slab indices.
@@ -224,7 +220,9 @@ struct Worker<'a> {
     scratch: Vec<u8>,
     draining: bool,
     deadline: Option<Instant>,
-    listener_active: bool,
+    /// Set while the listener is unwatched after descriptor
+    /// exhaustion: when to watch it again.
+    accept_paused_until: Option<Instant>,
     /// This shard's pre-resolved metric handles.
     shard: ShardMetrics,
     /// Connections that flushed and closed cleanly during drain.
@@ -236,27 +234,16 @@ struct Worker<'a> {
 impl<'a> Worker<'a> {
     fn new(
         index: usize,
-        listener: TcpListener,
-        pipe: WakePipe,
-        shared: &'a Shared,
+        listener: &'a TcpListener,
+        state: &'a AppState,
         config: &'a ServerConfig,
     ) -> io::Result<Worker<'a>> {
         let epoll = Epoll::new()?;
-        epoll.add(pipe.raw_fd(), TOKEN_WAKE, poll::IN)?;
-        let lfd = listener.as_raw_fd();
-        // EPOLLEXCLUSIVE needs kernel ≥ 4.5; fall back to a plain add
-        // (herd wakeups, still correct) when it is refused.
-        if epoll
-            .add(lfd, TOKEN_LISTENER, poll::IN | poll::EXCLUSIVE)
-            .is_err()
-        {
-            epoll.add(lfd, TOKEN_LISTENER, poll::IN)?;
-        }
-        Ok(Worker {
+        epoll.add(state.wake.as_raw_fd(), TOKEN_WAKE, poll::IN)?;
+        let worker = Worker {
             epoll,
             listener,
-            pipe,
-            shared,
+            state,
             config,
             slab: Vec::new(),
             free: Vec::new(),
@@ -264,29 +251,58 @@ impl<'a> Worker<'a> {
             scratch: vec![0u8; READ_CHUNK],
             draining: false,
             deadline: None,
-            listener_active: true,
-            shard: shared.state.metrics.shard(index),
+            accept_paused_until: None,
+            shard: state.metrics.shard(index),
             drained: 0,
             aborted: 0,
-        })
+        };
+        worker.watch_listener()?;
+        Ok(worker)
+    }
+
+    /// Registers the shared listener. `EPOLLEXCLUSIVE` needs kernel
+    /// ≥ 4.5; fall back to a plain add (herd wakeups, still correct)
+    /// when it is refused.
+    fn watch_listener(&self) -> io::Result<()> {
+        let fd = self.listener.as_raw_fd();
+        self.epoll
+            .add(fd, TOKEN_LISTENER, poll::IN | poll::EXCLUSIVE)
+            .or_else(|_| self.epoll.add(fd, TOKEN_LISTENER, poll::IN))
     }
 
     fn serve(mut self) -> io::Result<DrainSummary> {
         let mut events = Events::with_capacity(EVENTS_CAP);
         loop {
-            let timeout = if self.draining { DRAIN_TICK_MS } else { -1 };
+            let timeout = if self.draining {
+                DRAIN_TICK_MS
+            } else {
+                // While accepting is paused, wake in time to watch the
+                // listener again.
+                self.accept_paused_until.map_or(-1, |until| {
+                    until.saturating_duration_since(Instant::now()).as_millis() as i32 + 1
+                })
+            };
             let fired = self.epoll.wait(&mut events, timeout)?;
             self.shard.wakeup();
             for i in 0..fired {
                 let Some(event) = events.get(i) else { break };
                 match event.token {
-                    TOKEN_WAKE => self.pipe.drain(),
+                    // The wake byte is never read; the shutdown flag
+                    // is checked below.
+                    TOKEN_WAKE => {}
                     TOKEN_LISTENER => self.accept_ready(),
                     token => self.conn_ready(token as usize, event),
                 }
             }
-            if !self.draining && self.shared.state.shutdown_requested() {
+            if !self.draining && self.state.shutdown_requested() {
                 self.enter_drain();
+            }
+            if self
+                .accept_paused_until
+                .is_some_and(|until| Instant::now() >= until)
+            {
+                self.accept_paused_until = None;
+                self.watch_listener()?;
             }
             self.free.append(&mut self.freed);
             if self.draining && self.drain_finished() {
@@ -303,10 +319,18 @@ impl<'a> Worker<'a> {
     /// pre-queued 503 (accept-then-503: the peer gets a structured
     /// answer instead of a connect timeout).
     fn accept_ready(&mut self) {
-        while self.listener_active {
+        loop {
             let stream = match self.listener.accept() {
                 Ok((stream, _)) => stream,
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
+                // Out of descriptors: the peer stays queued and the
+                // level-triggered listener stays readable, so retrying
+                // now would spin. Unwatch it for a while.
+                Err(e) if matches!(e.raw_os_error(), Some(poll::EMFILE | poll::ENFILE)) => {
+                    let _ = self.epoll.delete(self.listener.as_raw_fd());
+                    self.accept_paused_until = Some(Instant::now() + ACCEPT_PAUSE);
+                    return;
+                }
                 // Transient (ECONNABORTED & friends): the next
                 // readiness event retries.
                 Err(_) => return,
@@ -321,8 +345,8 @@ impl<'a> Worker<'a> {
                 let _ = poll::set_send_buffer(stream.as_raw_fd(), bytes);
             }
             self.shard.accepted();
-            let over_cap = self.shared.state.conns.fetch_add(1, Ordering::SeqCst)
-                >= self.config.max_connections;
+            let over_cap =
+                self.state.conns.fetch_add(1, Ordering::SeqCst) >= self.config.max_connections;
             let mut conn = Conn::new(stream);
             if over_cap {
                 self.shard.rejected_at_cap();
@@ -375,7 +399,7 @@ impl<'a> Worker<'a> {
                 read_and_dispatch(
                     &mut conn,
                     &mut self.scratch,
-                    self.shared,
+                    self.state,
                     self.config,
                     &self.shard,
                 )
@@ -421,23 +445,24 @@ impl<'a> Worker<'a> {
     /// force-closes bypass this and count as aborted instead.
     fn discard(&mut self, idx: usize, conn: Conn) {
         drop(conn);
-        self.shared.state.conns.fetch_sub(1, Ordering::SeqCst);
-        if self.draining || self.shared.state.shutdown_requested() {
+        self.state.conns.fetch_sub(1, Ordering::SeqCst);
+        if self.draining || self.state.shutdown_requested() {
             self.drained += 1;
         }
         self.freed.push(idx);
     }
 
-    /// Shutdown observed: stop accepting, mark every connection
+    /// Shutdown observed: stop watching the wake channel (its byte is
+    /// never read) and the listener, for good; mark every connection
     /// closing (idle ones close now; ones with queued responses flush
     /// first), and start the drain deadline.
     fn enter_drain(&mut self) {
         self.draining = true;
         self.deadline = Some(Instant::now() + DRAIN_DEADLINE);
-        if self.listener_active {
-            let _ = self.epoll.delete(self.listener.as_raw_fd());
-            self.listener_active = false;
-        }
+        let _ = self.epoll.delete(self.state.wake.as_raw_fd());
+        // Already unwatched if accepting was paused.
+        let _ = self.epoll.delete(self.listener.as_raw_fd());
+        self.accept_paused_until = None;
         for idx in 0..self.slab.len() {
             let Some(mut conn) = self.slab.get_mut(idx).and_then(Option::take) else {
                 continue;
@@ -459,7 +484,7 @@ impl<'a> Worker<'a> {
                     // Force-close with bytes still queued: aborted,
                     // not drained (so not via `discard`).
                     drop(conn);
-                    self.shared.state.conns.fetch_sub(1, Ordering::SeqCst);
+                    self.state.conns.fetch_sub(1, Ordering::SeqCst);
                     self.freed.push(idx);
                     self.aborted += 1;
                 }
@@ -528,7 +553,7 @@ fn sink(conn: &mut Conn, scratch: &mut [u8], shard: &ShardMetrics) -> bool {
 fn read_and_dispatch(
     conn: &mut Conn,
     scratch: &mut [u8],
-    shared: &Shared,
+    state: &AppState,
     config: &ServerConfig,
     shard: &ShardMetrics,
 ) -> bool {
@@ -564,7 +589,7 @@ fn read_and_dispatch(
             Err(_) => return true,
         };
         for request in &requests {
-            dispatch(conn, request, shared, config, shard);
+            dispatch(conn, request, state, config, shard);
             if conn.closing {
                 // A close-after-this response (shutdown, parse-error,
                 // backpressure, Connection: close) ends the session;
@@ -588,7 +613,7 @@ fn read_and_dispatch(
 fn dispatch(
     conn: &mut Conn,
     request: &Request,
-    shared: &Shared,
+    state: &AppState,
     config: &ServerConfig,
     shard: &ShardMetrics,
 ) {
@@ -616,7 +641,7 @@ fn dispatch(
         .unwrap_or(0);
     let is_shutdown = request.method == "POST" && request.path == "/v1/shutdown";
     let handle_started = shard.enabled().then(Instant::now);
-    let routed = catch_unwind(AssertUnwindSafe(|| route(&shared.state, request)));
+    let routed = catch_unwind(AssertUnwindSafe(|| route(state, request)));
     let handle_micros = handle_started.map_or(0, |t| t.elapsed().as_micros() as u64);
     let (status, dataset, bytes_out) = match routed {
         Ok(routed) => {
@@ -644,7 +669,7 @@ fn dispatch(
     if conn.queued() > 0 && conn.out_since.is_none() && shard.enabled() {
         conn.out_since = Some(Instant::now());
     }
-    let metrics = &shared.state.metrics;
+    let metrics = &state.metrics;
     metrics.record_request(
         endpoint_label(&request.path),
         status,
@@ -671,9 +696,6 @@ fn dispatch(
         metrics.trace_event(shard.index, event);
     }
     if is_shutdown {
-        shared.state.begin_shutdown();
-        for wake in &shared.wakes {
-            wake.wake();
-        }
+        state.begin_shutdown();
     }
 }

@@ -173,12 +173,6 @@ impl Dataset {
         Ok(self.len()? == 0)
     }
 
-    /// The current published snapshot version (0 at registration, +1
-    /// per publication).
-    pub fn version(&self) -> Result<u64, RegistryError> {
-        Ok(self.snapshot()?.version())
-    }
-
     /// Rows buffered in the pending delta log.
     pub(crate) fn pending_rows(&self) -> Result<usize, RegistryError> {
         Ok(self
@@ -401,11 +395,6 @@ impl Registry {
             shards: (0..SHARDS).map(|_| RwLock::new(HashMap::new())).collect(),
             policy,
         }
-    }
-
-    /// The registry's flush policy.
-    pub fn policy(&self) -> FlushPolicy {
-        self.policy
     }
 
     fn shard(&self, name: &str) -> &RwLock<HashMap<String, Arc<Dataset>>> {

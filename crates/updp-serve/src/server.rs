@@ -4,7 +4,7 @@
 //! pool of event loops over non-blocking sockets, with bounded
 //! per-connection write queues and event-driven shutdown. All shared
 //! state sits behind the registry/ledger synchronization described
-//! in their modules. The HTTP surface:
+//! in their modules. The HTTP surface (the eleven paths of `ROUTES`):
 //!
 //! | Route | Body | Effect |
 //! |---|---|---|
@@ -17,6 +17,8 @@
 //! | `POST /v1/drop` | `{name}` | drop data (ledger entry survives) |
 //! | `POST /v1/query` | see [`crate::wire::parse_query`] | budgeted batch estimation |
 //! | `POST /v1/shutdown` | — | graceful stop |
+//! | `GET /v1/metrics[?format=json]` | — | metric families, Prometheus text or JSON |
+//! | `GET /v1/trace` | — | recent request events, per shard |
 
 use crate::engine::{
     execute_batch_observed, EngineError, EstimatorCatalog, QueryOutcome, ReleaseMode,
@@ -26,9 +28,10 @@ use crate::ledger::{Ledger, LedgerError};
 use crate::metrics::{endpoint_label, ServeMetrics};
 use crate::registry::{FlushPolicy, Registry, RegistryError};
 use crate::{reactor, wire};
+use std::io::Write;
 use std::net::{SocketAddr, TcpListener};
+use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
 use updp_core::json::JsonValue;
 use updp_obs::{FamilySnapshot, Kind, Sample};
@@ -84,7 +87,11 @@ impl ServerConfig {
     }
 }
 
-/// Shared server state.
+/// Shared server state, including the reactor's one wake channel: a
+/// socketpair, written without blocking, whose read end every shard
+/// registers, level-triggered, in its epoll set. Nobody ever reads it, so the
+/// single byte `AppState::begin_shutdown` writes keeps every shard
+/// waking until it enters drain and deletes the registration.
 pub struct AppState {
     /// The sharded dataset registry.
     pub registry: Registry,
@@ -103,20 +110,51 @@ pub struct AppState {
     /// Resolved reactor worker count.
     pub(crate) workers: usize,
     shutdown: AtomicBool,
+    /// The read end of the wake channel (registered by every shard).
+    pub(crate) wake: UnixStream,
+    wake_tx: UnixStream,
     /// Test-only hook: arms the panicking `/v1/test/panic` route used
     /// to prove reactor panic isolation. Never set in production.
     panic_route: AtomicBool,
 }
 
 impl AppState {
-    /// True once a `POST /v1/shutdown` has been served.
+    /// Fresh state over `ledger`, sized for the resolved worker count.
+    fn new(
+        policy: FlushPolicy,
+        ledger: Ledger,
+        config: &ServerConfig,
+    ) -> std::io::Result<AppState> {
+        let (wake, wake_tx) = UnixStream::pair()?;
+        wake_tx.set_nonblocking(true)?;
+        let workers = config.resolved_workers();
+        Ok(AppState {
+            registry: Registry::with_policy(policy),
+            ledger,
+            estimators: EstimatorCatalog::standard(),
+            metrics: ServeMetrics::new(workers, config.metrics),
+            conns: AtomicUsize::new(0),
+            started: Instant::now(),
+            workers,
+            shutdown: AtomicBool::new(false),
+            wake,
+            wake_tx,
+            panic_route: AtomicBool::new(false),
+        })
+    }
+
+    /// True once shutdown has begun.
     pub(crate) fn shutdown_requested(&self) -> bool {
         self.shutdown.load(Ordering::SeqCst)
     }
 
-    /// Flips the shutdown flag (the reactor then wakes every shard).
+    /// Flips the shutdown flag and wakes every shard. Called by
+    /// `POST /v1/shutdown` and by a reactor worker that fails.
     pub(crate) fn begin_shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
+        // A full socket buffer already holds an unread byte, so every
+        // outcome leaves the shards woken; the error is ignored.
+        let _ = (&self.wake_tx).write(&[1]);
     }
 }
 
@@ -137,7 +175,7 @@ pub struct DrainSummary {
 /// A bound-but-not-yet-running server.
 pub struct Server {
     listener: TcpListener,
-    state: Arc<AppState>,
+    state: AppState,
     config: ServerConfig,
 }
 
@@ -164,20 +202,9 @@ impl Server {
         policy: FlushPolicy,
         config: ServerConfig,
     ) -> std::io::Result<Server> {
-        let workers = config.resolved_workers();
         Ok(Server {
             listener: TcpListener::bind(addr)?,
-            state: Arc::new(AppState {
-                registry: Registry::with_policy(policy),
-                ledger,
-                estimators: EstimatorCatalog::standard(),
-                metrics: ServeMetrics::new(workers, config.metrics),
-                conns: AtomicUsize::new(0),
-                started: Instant::now(),
-                workers,
-                shutdown: AtomicBool::new(false),
-                panic_route: AtomicBool::new(false),
-            }),
+            state: AppState::new(policy, ledger, &config)?,
             config,
         })
     }
@@ -198,9 +225,11 @@ impl Server {
 
     /// Serves on the epoll reactor until a `POST /v1/shutdown`
     /// arrives, then drains every in-flight connection before
-    /// returning the drain's outcome.
+    /// returning the drain's outcome. A shard that cannot start fails
+    /// the call before any thread runs; one that fails later shuts
+    /// the server down, and its error is returned after the drain.
     pub fn run(self) -> std::io::Result<DrainSummary> {
-        reactor::run(self.listener, self.state, self.config)
+        reactor::run(self.listener, &self.state, &self.config)
     }
 }
 
@@ -645,17 +674,12 @@ mod tests {
 
     #[test]
     fn wrong_method_on_every_route_is_405() {
-        let state = AppState {
-            registry: Registry::new(),
-            ledger: Ledger::in_memory(),
-            estimators: EstimatorCatalog::standard(),
-            metrics: ServeMetrics::new(1, false),
-            conns: AtomicUsize::new(0),
-            started: Instant::now(),
+        let config = ServerConfig {
             workers: 1,
-            shutdown: AtomicBool::new(false),
-            panic_route: AtomicBool::new(false),
+            metrics: false,
+            ..ServerConfig::default()
         };
+        let state = AppState::new(FlushPolicy::immediate(), Ledger::in_memory(), &config).unwrap();
         for path in ROUTES {
             let request = Request {
                 method: "DELETE".into(),

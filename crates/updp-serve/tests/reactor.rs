@@ -1,14 +1,18 @@
 //! Reactor-specific acceptance over real sockets: backpressure
 //! (bounded write queues ⇒ structured 503 + teardown, no worker
 //! stall), panic isolation, the accept-then-503 connection cap,
-//! pipelining order, and a 64-connection concurrency smoke.
+//! pipelining order, a 64-connection concurrency smoke, and the
+//! server binary under a lowered descriptor limit (every shard starts
+//! or the process exits; accepting pauses instead of spinning).
 //!
 //! The protocol-level e2e flows live in `e2e.rs`; everything here is
 //! about the transport contracts of DESIGN.md §10.
 
-use std::io::{BufReader, Write};
+use std::io::{BufReader, Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
+use std::process::{Child, Command, Stdio};
+use std::time::{Duration, Instant};
 use updp_serve::client::Connection;
 use updp_serve::http::read_response;
 use updp_serve::{DrainSummary, FlushPolicy, Ledger, Server, ServerConfig};
@@ -253,4 +257,186 @@ fn sixty_four_concurrent_connections_are_served() {
 
     setup.shutdown().expect("shutdown");
     server.join().expect("join").expect("clean shutdown");
+}
+
+/// The server binary (`--addr 127.0.0.1:0`, ledger in the temp dir)
+/// started under `ulimit -n {limit}` with its stdio detached; killed on
+/// drop, so a failing assertion cannot leave it running.
+struct Limited(Child);
+
+impl Limited {
+    fn spawn(limit: usize, tag: &str, args: &[&str]) -> Limited {
+        let child = Command::new("/bin/sh")
+            .arg("-c")
+            .arg(format!("ulimit -n {limit}; exec \"$0\" \"$@\""))
+            .arg(env!("CARGO_BIN_EXE_updp-serve"))
+            .args(["--addr", "127.0.0.1:0", "--ledger"])
+            .arg(temp_ledger(tag))
+            .args(args)
+            .stdin(Stdio::null())
+            .stdout(Stdio::null())
+            .stderr(Stdio::null())
+            .spawn()
+            .expect("spawn updp-serve");
+        Limited(child)
+    }
+
+    /// The link targets of the server's open descriptors.
+    fn fds(&self) -> Vec<String> {
+        let Ok(dir) = std::fs::read_dir(format!("/proc/{}/fd", self.0.id())) else {
+            return Vec::new();
+        };
+        dir.filter_map(|entry| std::fs::read_link(entry.ok()?.path()).ok())
+            .map(|target| target.to_string_lossy().into_owned())
+            .collect()
+    }
+
+    /// User + system CPU time, in clock ticks.
+    fn cpu_ticks(&self) -> u64 {
+        let stat = std::fs::read_to_string(format!("/proc/{}/stat", self.0.id())).expect("stat");
+        // Fields after the parenthesised command name start at field
+        // 3 (state); utime and stime are fields 14 and 15.
+        let (_, rest) = stat.rsplit_once(')').expect("stat format");
+        let fields: Vec<&str> = rest.split_whitespace().collect();
+        fields[11].parse::<u64>().expect("utime") + fields[12].parse::<u64>().expect("stime")
+    }
+
+    /// Polls every 20 ms for up to `limit` until `done` holds.
+    fn wait_for(&mut self, limit: Duration, mut done: impl FnMut(&mut Limited) -> bool) -> bool {
+        let deadline = Instant::now() + limit;
+        while Instant::now() < deadline {
+            if done(self) {
+                return true;
+            }
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        false
+    }
+}
+
+impl Drop for Limited {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+/// A shard that cannot start must stop the server, never leave it up
+/// with a shard missing: under every descriptor limit a two-shard
+/// server either exits non-zero or runs both epoll instances.
+#[test]
+fn startup_under_a_descriptor_limit_runs_every_shard_or_exits() {
+    let (mut exited, mut served) = (Vec::new(), Vec::new());
+    for limit in 4..=16 {
+        let mut server = Limited::spawn(limit, &format!("sweep-{limit}"), &["--workers", "2"]);
+        let mut status = None;
+        let mut epolls = 0;
+        let settled = server.wait_for(Duration::from_secs(2), |server| {
+            status = server.0.try_wait().expect("try_wait");
+            epolls = server
+                .fds()
+                .iter()
+                .filter(|target| *target == "anon_inode:[eventpoll]")
+                .count();
+            status.is_some() || epolls == 2
+        });
+        assert!(
+            settled,
+            "ulimit -n {limit}: up for 2 s with {epolls} of 2 epoll instances"
+        );
+        match status {
+            Some(status) => {
+                assert!(!status.success(), "ulimit -n {limit}: exited {status}");
+                exited.push(limit);
+            }
+            None => served.push(limit),
+        }
+    }
+    assert!(
+        !exited.is_empty() && !served.is_empty(),
+        "exited under {exited:?}, served under {served:?}"
+    );
+}
+
+/// At the descriptor limit a shard must not spin on a listener it
+/// cannot accept from: it stops watching it for a while, keeps its
+/// connections, and admits the queued peer once a descriptor frees.
+#[test]
+fn accept_at_the_descriptor_limit_pauses_instead_of_spinning() {
+    const LIMIT: usize = 64;
+    let port_file =
+        std::env::temp_dir().join(format!("updp-reactor-{}-emfile.port", std::process::id()));
+    let _ = std::fs::remove_file(&port_file);
+    let mut server = Limited::spawn(
+        LIMIT,
+        "emfile",
+        &[
+            "--workers",
+            "1",
+            "--port-file",
+            port_file.to_str().expect("utf-8 path"),
+        ],
+    );
+    let mut port = String::new();
+    assert!(
+        server.wait_for(Duration::from_secs(5), |_| {
+            port = std::fs::read_to_string(&port_file).unwrap_or_default();
+            port.ends_with('\n')
+        }),
+        "no port file"
+    );
+    let _ = std::fs::remove_file(&port_file);
+    let addr = format!("127.0.0.1:{}", port.trim());
+
+    // Hold connections until the server has no descriptor left.
+    let mut held = Vec::new();
+    while server.fds().len() < LIMIT {
+        let open = server.fds().len();
+        held.push(TcpStream::connect(&addr).expect("connect"));
+        assert!(
+            server.wait_for(Duration::from_secs(2), |server| server.fds().len() > open),
+            "connection {} never accepted",
+            held.len()
+        );
+    }
+
+    let mut pending = TcpStream::connect(&addr).expect("connect past the limit");
+    pending
+        .write_all(b"GET /v1/healthz HTTP/1.1\r\nHost: t\r\n\r\n")
+        .expect("send healthz");
+    let before = server.cpu_ticks();
+    std::thread::sleep(Duration::from_secs(1));
+    let ticks = server.cpu_ticks() - before;
+    assert!(
+        ticks < 20,
+        "{ticks} CPU ticks in 1 s at the descriptor limit"
+    );
+
+    drop(held.pop());
+    let closed = Instant::now();
+    pending
+        .set_read_timeout(Some(Duration::from_secs(2)))
+        .expect("read timeout");
+    let mut head = [0u8; 12];
+    pending
+        .read_exact(&mut head)
+        .expect("pending peer answered");
+    assert_eq!(&head, b"HTTP/1.1 200");
+    assert!(closed.elapsed() < Duration::from_secs(2));
+
+    drop(held);
+    drop(pending);
+    Connection::open(&addr)
+        .expect("connect")
+        .shutdown()
+        .expect("shutdown");
+    let mut status = None;
+    server.wait_for(Duration::from_secs(5), |server| {
+        status = server.0.try_wait().expect("try_wait");
+        status.is_some()
+    });
+    assert!(
+        status.is_some_and(|status| status.success()),
+        "exit after shutdown: {status:?}"
+    );
 }
