@@ -49,9 +49,9 @@ pub mod nonprivate;
 
 pub use bs19::bs19_trimmed_mean;
 pub use catalog::{
-    baseline_estimators, Bs19TrimmedMean, CoinPressMean, CoinPressVariance,
-    Dl09Iqr as Dl09Estimator, Ksu20Mean, Kv18Mean, Kv18Variance, NaiveClipMean, NonPrivateIqr,
-    NonPrivateMean, NonPrivateVariance,
+    BASELINES, BS19_TRIMMED_MEAN, COINPRESS_MEAN, COINPRESS_VARIANCE, DL09_IQR, KSU20_MEAN,
+    KV18_MEAN, KV18_VARIANCE, NAIVE_CLIP_MEAN, NONPRIVATE_IQR, NONPRIVATE_MEAN,
+    NONPRIVATE_VARIANCE,
 };
 pub use coinpress::{coinpress_mean, coinpress_variance};
 pub use dl09::{dl09_iqr, Dl09Iqr};

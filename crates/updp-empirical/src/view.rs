@@ -1,4 +1,4 @@
-//! Cached dataset views — the data layer behind the `Estimator` trait.
+//! Cached dataset views — the data layer behind `Estimator::estimate`.
 //!
 //! The statistical estimators repeatedly derive the same artifacts from
 //! one dataset: a `total_cmp`-sorted copy of a column, and the sorted
@@ -383,7 +383,7 @@ impl<'a> ColumnView<'a> {
 }
 
 /// A borrowed, possibly-cached view of a column-major dataset — the
-/// uniform data argument of the `Estimator` trait.
+/// uniform data argument of `Estimator::estimate`.
 #[derive(Debug, Clone)]
 pub struct DataView<'a> {
     cols: Vec<ColumnView<'a>>,
@@ -428,7 +428,7 @@ impl<'a> DataView<'a> {
     ///
     /// # Panics
     /// If `i` is out of range; estimator arity is validated by callers
-    /// before estimation (see `Estimator::multi_column`).
+    /// before estimation (see `Estimator::is_multi_column`).
     pub fn col(&self, i: usize) -> &ColumnView<'a> {
         &self.cols[i]
     }

@@ -5,10 +5,10 @@
 use crate::config::ExpConfig;
 use crate::table::Table;
 use crate::trial::{estimator_trials, fmt_err, trial_map};
-use updp_baselines::{Dl09Estimator, NonPrivateIqr};
+use updp_baselines::{DL09_IQR, NONPRIVATE_IQR};
 use updp_core::privacy::{Delta, Epsilon};
 use updp_dist::{Cauchy, ContinuousDistribution, Gaussian, GaussianMixture, LogNormal, Uniform};
-use updp_statistical::{estimate_iqr_lower_bound, EstimateParams, UniversalIqr};
+use updp_statistical::{estimate_iqr_lower_bound, EstimateParams, IQR};
 
 fn eps(v: f64) -> Epsilon {
     Epsilon::new(v).unwrap()
@@ -117,7 +117,7 @@ pub fn iqr(cfg: &ExpConfig) -> Table {
                 cfg.trials,
                 m,
                 truth,
-                &UniversalIqr,
+                &IQR,
                 &EstimateParams::new(e).with_beta(0.1),
                 sample,
             );
@@ -125,7 +125,7 @@ pub fn iqr(cfg: &ExpConfig) -> Table {
                 cfg.trials,
                 m ^ 1,
                 truth,
-                &Dl09Estimator,
+                &DL09_IQR,
                 &EstimateParams::new(e).with("delta", delta.get()),
                 sample,
             );
@@ -133,7 +133,7 @@ pub fn iqr(cfg: &ExpConfig) -> Table {
                 cfg.trials,
                 m ^ 2,
                 truth,
-                &NonPrivateIqr,
+                &NONPRIVATE_IQR,
                 &EstimateParams::new(e),
                 sample,
             );

@@ -8,25 +8,25 @@ use crate::config::ExpConfig;
 use crate::table::Table;
 use crate::trial::{estimator_trials, fmt_err, run_trials, ErrorStats};
 use updp_baselines::{
-    sample_mean, sample_midrange, Bs19TrimmedMean, CoinPressMean, Ksu20Mean, Kv18Mean,
-    NaiveClipMean, NonPrivateMean,
+    sample_mean, sample_midrange, BS19_TRIMMED_MEAN, COINPRESS_MEAN, KSU20_MEAN, KV18_MEAN,
+    NAIVE_CLIP_MEAN, NONPRIVATE_MEAN,
 };
 use updp_core::privacy::Epsilon;
 use updp_dist::{Affine, ContinuousDistribution, Gaussian, Pareto, StudentT, Uniform};
-use updp_statistical::{EstimateParams, Estimator, UniversalMean};
+use updp_statistical::{EstimateParams, Estimator, MEAN};
 
 fn eps(v: f64) -> Epsilon {
     Epsilon::new(v).unwrap()
 }
 
-/// Trial sweep of one trait-dispatched estimator on fresh samples of
+/// Trial sweep of one [`Estimator`] on fresh samples of
 /// `dist` — the single helper every mean experiment routes through.
 fn stats_for(
     cfg: &ExpConfig,
     dist: &dyn ContinuousDistribution,
     n: usize,
     master: u64,
-    estimator: &dyn Estimator,
+    estimator: &Estimator,
     params: &EstimateParams,
 ) -> ErrorStats {
     estimator_trials(cfg.trials, master, dist.mean(), estimator, params, |rng| {
@@ -95,20 +95,13 @@ pub(crate) fn table1(cfg: &ExpConfig) -> Table {
         let m = master.wrapping_add(si as u64 * 7919);
         let d = sc.dist.as_ref();
         let sigma_ref = d.std_dev();
-        let ours = stats_for(
-            cfg,
-            d,
-            n,
-            m,
-            &UniversalMean,
-            &EstimateParams::new(e).with_beta(0.1),
-        );
+        let ours = stats_for(cfg, d, n, m, &MEAN, &EstimateParams::new(e).with_beta(0.1));
         let naive = stats_for(
             cfg,
             d,
             n,
             m ^ 1,
-            &NaiveClipMean,
+            &NAIVE_CLIP_MEAN,
             &EstimateParams::new(e).with("r", sc.r),
         );
         let kv = stats_for(
@@ -116,7 +109,7 @@ pub(crate) fn table1(cfg: &ExpConfig) -> Table {
             d,
             n,
             m ^ 2,
-            &Kv18Mean,
+            &KV18_MEAN,
             &EstimateParams::new(e)
                 .with("r", sc.r)
                 .with("sigma_min", sc.smin)
@@ -127,7 +120,7 @@ pub(crate) fn table1(cfg: &ExpConfig) -> Table {
             d,
             n,
             m ^ 3,
-            &CoinPressMean,
+            &COINPRESS_MEAN,
             &EstimateParams::new(e)
                 .with("r", sc.r)
                 .with("sigma", sc.smax),
@@ -137,7 +130,7 @@ pub(crate) fn table1(cfg: &ExpConfig) -> Table {
             d,
             n,
             m ^ 4,
-            &Bs19TrimmedMean,
+            &BS19_TRIMMED_MEAN,
             &EstimateParams::new(e)
                 .with("r", sc.r)
                 .with("trim_frac", 0.05),
@@ -206,13 +199,13 @@ pub(crate) fn gauss_mean(cfg: &ExpConfig) -> Table {
         let n = cfg.n(n_full);
         let m = master.wrapping_add(ni as u64 * 104729);
         let universal = EstimateParams::new(e).with_beta(0.1);
-        let ours = stats_for(cfg, &g, n, m, &UniversalMean, &universal);
+        let ours = stats_for(cfg, &g, n, m, &MEAN, &universal);
         let kv = stats_for(
             cfg,
             &g,
             n,
             m ^ 1,
-            &Kv18Mean,
+            &KV18_MEAN,
             &EstimateParams::new(e)
                 .with("r", 1e4)
                 .with("sigma_min", 0.01)
@@ -223,11 +216,11 @@ pub(crate) fn gauss_mean(cfg: &ExpConfig) -> Table {
             &g,
             n,
             m ^ 2,
-            &CoinPressMean,
+            &COINPRESS_MEAN,
             &EstimateParams::new(e).with("r", 1e4).with("sigma", 2.0),
         );
-        let np = stats_for(cfg, &g, n, m ^ 3, &NonPrivateMean, &EstimateParams::new(e));
-        let ours_far = stats_for(cfg, &far, n, m ^ 4, &UniversalMean, &universal);
+        let np = stats_for(cfg, &g, n, m ^ 3, &NONPRIVATE_MEAN, &EstimateParams::new(e));
+        let ours_far = stats_for(cfg, &far, n, m ^ 4, &MEAN, &universal);
         t.push_row(vec![
             n.to_string(),
             fmt_err(ours.median),
@@ -279,21 +272,14 @@ pub(crate) fn heavy_mean(cfg: &ExpConfig) -> Table {
         let d = dist.as_ref();
         let m = master.wrapping_add(di as u64 * 31337);
         let mu2 = d.central_moment(2);
-        let ours = stats_for(
-            cfg,
-            d,
-            n,
-            m,
-            &UniversalMean,
-            &EstimateParams::new(e).with_beta(0.1),
-        );
+        let ours = stats_for(cfg, d, n, m, &MEAN, &EstimateParams::new(e).with_beta(0.1));
         let ksu = |factor: f64, salt: u64| {
             stats_for(
                 cfg,
                 d,
                 n,
                 m ^ salt,
-                &Ksu20Mean,
+                &KSU20_MEAN,
                 &EstimateParams::new(e)
                     .with("r", 1e4)
                     .with("k", 2.0)
@@ -303,7 +289,7 @@ pub(crate) fn heavy_mean(cfg: &ExpConfig) -> Table {
         let honest = ksu(1.0, 1);
         let k3 = ksu(1e3, 2);
         let k6 = ksu(1e6, 3);
-        let np = stats_for(cfg, d, n, m ^ 4, &NonPrivateMean, &EstimateParams::new(e));
+        let np = stats_for(cfg, d, n, m ^ 4, &NONPRIVATE_MEAN, &EstimateParams::new(e));
         t.push_row(vec![
             label.clone(),
             fmt_err(ours.median),
@@ -351,20 +337,13 @@ pub(crate) fn arb_mean(cfg: &ExpConfig) -> Table {
         let d = dist.as_ref();
         let m = master.wrapping_add(di as u64 * 997);
         let mu2 = d.central_moment(2);
-        let ours = stats_for(
-            cfg,
-            d,
-            n,
-            m,
-            &UniversalMean,
-            &EstimateParams::new(e).with_beta(0.1),
-        );
+        let ours = stats_for(cfg, d, n, m, &MEAN, &EstimateParams::new(e).with_beta(0.1));
         let bs = stats_for(
             cfg,
             d,
             n,
             m ^ 1,
-            &Bs19TrimmedMean,
+            &BS19_TRIMMED_MEAN,
             &EstimateParams::new(e)
                 .with("r", 1e4)
                 .with("trim_frac", 0.05),
@@ -374,13 +353,13 @@ pub(crate) fn arb_mean(cfg: &ExpConfig) -> Table {
             d,
             n,
             m ^ 2,
-            &Ksu20Mean,
+            &KSU20_MEAN,
             &EstimateParams::new(e)
                 .with("r", 1e4)
                 .with("k", 2.0)
                 .with("mu_k_bound", mu2),
         );
-        let np = stats_for(cfg, d, n, m ^ 3, &NonPrivateMean, &EstimateParams::new(e));
+        let np = stats_for(cfg, d, n, m ^ 3, &NONPRIVATE_MEAN, &EstimateParams::new(e));
         t.push_row(vec![
             label.clone(),
             fmt_err(ours.median),

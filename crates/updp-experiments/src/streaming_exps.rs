@@ -23,10 +23,7 @@ use crate::table::Table;
 use crate::trial::{fmt_err, summarize, trial_map};
 use updp_core::privacy::Epsilon;
 use updp_dist::{ContinuousDistribution, Gaussian};
-use updp_statistical::{
-    EstimateParams, Estimator, PreparedDataset, UniversalIqr, UniversalMean, UniversalQuantile,
-    DEFAULT_BETA,
-};
+use updp_statistical::{EstimateParams, PreparedDataset, DEFAULT_BETA, IQR, MEAN, QUANTILE};
 
 /// Per-checkpoint absolute errors of one trial (mean, median, IQR);
 /// `None` marks an estimator refusal at that checkpoint.
@@ -54,9 +51,6 @@ pub(crate) fn streaming(cfg: &ExpConfig) -> Table {
     let epsilon = Epsilon::new(0.5).expect("valid epsilon");
     let master = cfg.master_for("streaming");
 
-    let mean = UniversalMean;
-    let quantile = UniversalQuantile;
-    let iqr = UniversalIqr;
     let mean_params = EstimateParams::new(epsilon).with_beta(DEFAULT_BETA);
     let mut median_params = EstimateParams::new(epsilon).with_beta(DEFAULT_BETA);
     median_params.set("q", 0.5);
@@ -70,9 +64,9 @@ pub(crate) fn streaming(cfg: &ExpConfig) -> Table {
         for (i, &n) in checkpoints.iter().enumerate() {
             let view = prepared.view();
             let row: Vec<Option<f64>> = [
-                (&mean as &dyn Estimator, &mean_params),
-                (&quantile as &dyn Estimator, &median_params),
-                (&iqr as &dyn Estimator, &iqr_params),
+                (MEAN, &mean_params),
+                (QUANTILE, &median_params),
+                (IQR, &iqr_params),
             ]
             .iter()
             .zip(truths)

@@ -88,20 +88,21 @@ where
 }
 
 /// Runs `trials` independent executions of an [`Estimator`] (the
-/// workspace-wide trait — universal estimators and Table 1 baselines
-/// alike), sampling a fresh dataset per trial with `sample`, and
-/// summarizes the absolute errors against `truth`.
+/// workspace-wide estimator type — universal estimators and Table 1
+/// baselines alike), sampling a fresh dataset per trial with `sample`,
+/// and summarizes the absolute errors against `truth`.
 ///
 /// This replaces the per-experiment closure glue: experiments name an
 /// estimator and its [`EstimateParams`] instead of hand-wiring each
-/// free function. Trait dispatch is bit-identical to the direct free
-/// function on the same seed (the equivalence suite pins this), so
-/// routing an experiment through here never changes its table.
+/// free function. [`Estimator::estimate`] is bit-identical to the
+/// direct free function on the same seed (the equivalence suite pins
+/// this), so routing an experiment through here never changes its
+/// table.
 pub(crate) fn estimator_trials<F>(
     trials: usize,
     master: u64,
     truth: f64,
-    estimator: &dyn Estimator,
+    estimator: &Estimator,
     params: &EstimateParams,
     sample: F,
 ) -> ErrorStats

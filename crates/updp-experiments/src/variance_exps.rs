@@ -5,23 +5,23 @@
 use crate::config::ExpConfig;
 use crate::table::Table;
 use crate::trial::{estimator_trials, fmt_err, ErrorStats};
-use updp_baselines::{CoinPressVariance, Kv18Variance, NonPrivateVariance};
+use updp_baselines::{COINPRESS_VARIANCE, KV18_VARIANCE, NONPRIVATE_VARIANCE};
 use updp_core::privacy::Epsilon;
 use updp_dist::{ContinuousDistribution, Gaussian, LogNormal, Pareto, StudentT};
-use updp_statistical::{EstimateParams, Estimator, UniversalVariance};
+use updp_statistical::{EstimateParams, Estimator, VARIANCE};
 
 fn eps(v: f64) -> Epsilon {
     Epsilon::new(v).unwrap()
 }
 
-/// Trial sweep of one trait-dispatched estimator against the true
+/// Trial sweep of one [`Estimator`] against the true
 /// variance of `dist`.
 fn stats_for(
     cfg: &ExpConfig,
     dist: &dyn ContinuousDistribution,
     n: usize,
     master: u64,
-    estimator: &dyn Estimator,
+    estimator: &Estimator,
     params: &EstimateParams,
 ) -> ErrorStats {
     estimator_trials(
@@ -68,17 +68,17 @@ pub(crate) fn gauss_var(cfg: &ExpConfig) -> Table {
             &g,
             n,
             m,
-            &UniversalVariance,
+            &VARIANCE,
             &EstimateParams::new(e).with_beta(0.1),
         );
-        let kv = stats_for(cfg, &g, n, m ^ 1, &Kv18Variance, &bounds);
-        let cp = stats_for(cfg, &g, n, m ^ 2, &CoinPressVariance, &bounds);
+        let kv = stats_for(cfg, &g, n, m ^ 1, &KV18_VARIANCE, &bounds);
+        let cp = stats_for(cfg, &g, n, m ^ 2, &COINPRESS_VARIANCE, &bounds);
         let np = stats_for(
             cfg,
             &g,
             n,
             m ^ 3,
-            &NonPrivateVariance,
+            &NONPRIVATE_VARIANCE,
             &EstimateParams::new(e),
         );
         t.push_row(vec![
@@ -136,7 +136,7 @@ pub(crate) fn heavy_var(cfg: &ExpConfig) -> Table {
                 d,
                 n,
                 m,
-                &UniversalVariance,
+                &VARIANCE,
                 &EstimateParams::new(e).with_beta(0.1),
             );
             let np = stats_for(
@@ -144,7 +144,7 @@ pub(crate) fn heavy_var(cfg: &ExpConfig) -> Table {
                 d,
                 n,
                 m ^ 1,
-                &NonPrivateVariance,
+                &NONPRIVATE_VARIANCE,
                 &EstimateParams::new(e),
             );
             t.push_row(vec![

@@ -33,13 +33,11 @@
 //! 2012). The estimator runs at `0.9·ε`, the remaining `0.1·ε` pays
 //! for the snapped re-release whose sensitivity proxy is the
 //! estimator's own [`Release::sensitivities`] entry (a privately
-//! derived or public-parameter scale — see the trait docs), and the
-//! ledger is debited `0.9·ε + 0.1·ε·(1 + inflation)` per DESIGN.md
-//! §1.3/§6.
+//! derived or public-parameter scale), and the ledger is debited
+//! `0.9·ε + 0.1·ε·(1 + inflation)` per DESIGN.md §1.3/§6.
 
 use crate::ledger::{Grant, Ledger, LedgerError, Refusal};
 use crate::registry::Dataset;
-use std::collections::HashMap;
 use updp_core::parallel::par_map_indexed;
 use updp_core::privacy::Epsilon;
 use updp_core::rng::child_rng;
@@ -56,68 +54,48 @@ pub(crate) const RELEASE_SHARE: f64 = 1.0 - ESTIMATOR_SHARE;
 /// override it per batch.
 pub const DEFAULT_BOUND: f64 = 1e9;
 
-/// The name-keyed estimator registry served by the engine: every
+/// The estimators served by the engine, sorted by name: every
 /// [`Privacy::PureDp`] estimator — the five universal ones plus the
 /// pure ε-DP `updp-baselines` comparators. The ledger sums ε under
 /// basic composition, which accounts for nothing weaker.
+#[derive(Debug)]
 pub struct EstimatorCatalog {
-    by_name: HashMap<&'static str, Box<dyn Estimator>>,
-}
-
-impl std::fmt::Debug for EstimatorCatalog {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("EstimatorCatalog")
-            .field("names", &self.names())
-            .finish()
-    }
-}
-
-impl Default for EstimatorCatalog {
-    fn default() -> Self {
-        EstimatorCatalog::standard()
-    }
+    estimators: Vec<&'static Estimator>,
 }
 
 impl EstimatorCatalog {
     /// The standard catalog: every pure ε-DP universal and baseline
     /// estimator (11 names).
     pub fn standard() -> Self {
-        let mut by_name: HashMap<&'static str, Box<dyn Estimator>> = HashMap::new();
-        for est in updp_statistical::universal_estimators()
+        let mut estimators: Vec<&'static Estimator> = updp_statistical::UNIVERSAL
             .into_iter()
-            .chain(updp_baselines::baseline_estimators())
+            .chain(updp_baselines::BASELINES)
             .filter(|est| est.privacy() == Privacy::PureDp)
-        {
-            let previous = by_name.insert(est.name(), est);
-            debug_assert!(previous.is_none(), "duplicate estimator name");
-        }
-        EstimatorCatalog { by_name }
+            .collect();
+        estimators.sort_by_key(|est| est.name());
+        EstimatorCatalog { estimators }
     }
 
     /// Resolves a wire name (accepting `multi_mean` as an alias for
     /// the historical `multi-mean`).
-    pub fn get(&self, name: &str) -> Option<&dyn Estimator> {
+    pub fn get(&self, name: &str) -> Option<&'static Estimator> {
         let canonical = if name == "multi_mean" {
             "multi-mean"
         } else {
             name
         };
-        self.by_name.get(canonical).map(|b| b.as_ref())
+        self.iter().find(|est| est.name() == canonical)
     }
 
     /// All estimator names, sorted (for listings and error messages).
     pub fn names(&self) -> Vec<&'static str> {
-        let mut names: Vec<&'static str> = self.by_name.keys().copied().collect();
-        names.sort_unstable();
-        names
+        self.iter().map(Estimator::name).collect()
     }
 
     /// All estimators, sorted by name (for the `/v1/estimators`
     /// listing).
-    pub fn iter(&self) -> impl Iterator<Item = &dyn Estimator> {
-        let mut entries: Vec<&dyn Estimator> = self.by_name.values().map(|b| b.as_ref()).collect();
-        entries.sort_by_key(|e| e.name());
-        entries.into_iter()
+    pub fn iter(&self) -> impl Iterator<Item = &'static Estimator> + '_ {
+        self.estimators.iter().copied()
     }
 }
 
@@ -267,7 +245,7 @@ fn validate_spec(
             spec.epsilon
         )));
     }
-    if !estimator.multi_column() && dim != 1 {
+    if !estimator.is_multi_column() && dim != 1 {
         return Err(EngineError::BadQuery(format!(
             "query `{}` needs a dimension-1 dataset, got dimension {dim}",
             estimator.name()
@@ -332,7 +310,7 @@ pub(crate) fn execute_batch_observed(
     for spec in specs {
         validate_spec(catalog, spec, dataset.dim)?;
     }
-    let estimators: Vec<&dyn Estimator> = specs
+    let estimators: Vec<&Estimator> = specs
         .iter()
         .map(|spec| catalog.get(&spec.estimator).expect("validated above"))
         .collect();
@@ -438,7 +416,7 @@ struct Execution {
     release: ReleaseInfo,
 }
 
-/// Runs query `i` of a batch through the estimator trait, or returns
+/// Runs query `i` of a batch through its [`Estimator`], or returns
 /// `Ok(None)` when `grant` refused it. This is the crate's one call of
 /// `Estimator::estimate` (R9 in DESIGN.md §9): the `Grant` is proof
 /// that the ledger debited the query's ε before any noise is drawn.
@@ -457,7 +435,7 @@ fn run_query(
     grant: &Grant,
     i: usize,
     view: &updp_statistical::DataView<'_>,
-    estimator: &dyn Estimator,
+    estimator: &Estimator,
     spec: &QuerySpec,
     bound: f64,
     seed: u64,
@@ -659,8 +637,8 @@ mod tests {
 
         // kv18's served value is the direct free function at
         // ESTIMATOR_SHARE·ε on query 0's child stream, snapped with the
-        // same stream at RELEASE_SHARE·ε and the trait's sensitivity
-        // proxy; it carries its Table 1 assumptions.
+        // same stream at RELEASE_SHARE·ε and the estimator's
+        // sensitivity proxy; it carries its Table 1 assumptions.
         let snapshot = dataset.snapshot().unwrap();
         let params = query_params(&specs[0], 0.5 * ESTIMATOR_SHARE).unwrap();
         let mut rng = child_rng(21, 0);

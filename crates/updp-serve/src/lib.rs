@@ -17,7 +17,7 @@
 //!   under basic composition, structured refusals on exhaustion, and
 //!   a persisted snapshot so restarts cannot replay budget;
 //! * [`engine`] — batched queries dispatched **by estimator name**
-//!   through the workspace [`updp_statistical::Estimator`] trait:
+//!   to the workspace's [`updp_statistical::Estimator`] values:
 //!   the 11 pure ε-DP estimators — the five universal ones plus the
 //!   pure ε-DP Table 1 baselines (`kv18`, `coinpress`, …,
 //!   assumptions echoed on the wire) — executed concurrently through

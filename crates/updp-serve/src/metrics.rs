@@ -30,6 +30,7 @@ pub(crate) struct ServeMetrics {
     // Reactor families, labelled by shard.
     accepted: Arc<Family<Counter>>,
     rejected_cap: Arc<Family<Counter>>,
+    accept_paused: Arc<Family<Counter>>,
     overloaded: Arc<Family<Counter>>,
     panics: Arc<Family<Counter>>,
     bytes_read: Arc<Family<Counter>>,
@@ -65,6 +66,11 @@ impl ServeMetrics {
         let rejected_cap = registry.register(
             "updp_reactor_connections_rejected_total",
             "Connections answered a pre-queued 503 at the connection cap, by shard.",
+            &["shard"],
+        );
+        let accept_paused = registry.register(
+            "updp_reactor_accept_paused_total",
+            "Times a shard stopped watching the listener at the descriptor limit, by shard.",
             &["shard"],
         );
         let overloaded = registry.register(
@@ -142,6 +148,7 @@ impl ServeMetrics {
             registry,
             accepted,
             rejected_cap,
+            accept_paused,
             overloaded,
             panics,
             bytes_read,
@@ -177,6 +184,7 @@ impl ServeMetrics {
             enabled: self.enabled,
             accepted: self.accepted.with_labels(&l),
             rejected_cap: self.rejected_cap.with_labels(&l),
+            accept_paused: self.accept_paused.with_labels(&l),
             overloaded: self.overloaded.with_labels(&l),
             panics: self.panics.with_labels(&l),
             bytes_read: self.bytes_read.with_labels(&l),
@@ -269,6 +277,7 @@ pub(crate) struct ShardMetrics {
     enabled: bool,
     accepted: Arc<Counter>,
     rejected_cap: Arc<Counter>,
+    accept_paused: Arc<Counter>,
     overloaded: Arc<Counter>,
     panics: Arc<Counter>,
     bytes_read: Arc<Counter>,
@@ -295,6 +304,12 @@ impl ShardMetrics {
     pub(crate) fn rejected_at_cap(&self) {
         if self.enabled {
             self.rejected_cap.inc();
+        }
+    }
+
+    pub(crate) fn accept_paused(&self) {
+        if self.enabled {
+            self.accept_paused.inc();
         }
     }
 

@@ -33,7 +33,8 @@
 //!   `ENFILE`, the peer stays queued and the level-triggered listener
 //!   stays readable, so the shard stops watching the listener for
 //!   [`ACCEPT_PAUSE`] instead of spinning, and keeps serving its
-//!   connections meanwhile.
+//!   connections meanwhile. `updp_reactor_accept_paused_total` counts
+//!   the pauses.
 //! * **panic isolation** — `route` runs under `catch_unwind`; a
 //!   panicking handler costs that request a 500 and its connection,
 //!   never the worker or its other connections.
@@ -329,6 +330,7 @@ impl<'a> Worker<'a> {
                 Err(e) if matches!(e.raw_os_error(), Some(poll::EMFILE | poll::ENFILE)) => {
                     let _ = self.epoll.delete(self.listener.as_raw_fd());
                     self.accept_paused_until = Some(Instant::now() + ACCEPT_PAUSE);
+                    self.shard.accept_paused();
                     return;
                 }
                 // Transient (ECONNABORTED & friends): the next

@@ -333,7 +333,7 @@ pub fn query_response(
 /// estimator with its statistic, privacy guarantee (pure ε-DP),
 /// Table 1 assumptions, and declared parameters.
 pub(crate) fn estimators_response<'a>(
-    estimators: impl Iterator<Item = &'a dyn updp_statistical::Estimator>,
+    estimators: impl Iterator<Item = &'a updp_statistical::Estimator>,
 ) -> String {
     let rows = estimators
         .map(|est| {
@@ -357,7 +357,7 @@ pub(crate) fn estimators_response<'a>(
                 ("statistic", est.statistic().into()),
                 ("privacy", PURE_DP.into()),
                 ("assumptions", strings(est.assumptions())),
-                ("multi_column", est.multi_column().into()),
+                ("multi_column", est.is_multi_column().into()),
                 ("params", JsonValue::Array(params)),
             ])
         })

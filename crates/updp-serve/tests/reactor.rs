@@ -426,10 +426,17 @@ fn accept_at_the_descriptor_limit_pauses_instead_of_spinning() {
 
     drop(held);
     drop(pending);
-    Connection::open(&addr)
-        .expect("connect")
-        .shutdown()
-        .expect("shutdown");
+    let mut last = Connection::open(&addr).expect("connect");
+    let metrics = last.metrics_text().expect("metrics");
+    let pauses = metrics
+        .lines()
+        .find_map(|line| line.strip_prefix("updp_reactor_accept_paused_total{shard=\"0\"} "))
+        .and_then(|value| value.parse::<u64>().ok());
+    assert!(
+        pauses.is_some_and(|pauses| pauses >= 1),
+        "accept pauses {pauses:?} in:\n{metrics}"
+    );
+    last.shutdown().expect("shutdown");
     let mut status = None;
     server.wait_for(Duration::from_secs(5), |server| {
         status = server.0.try_wait().expect("try_wait");

@@ -8,9 +8,9 @@
 //! Each stage pins two things against `tests/golden/releases.txt`:
 //!
 //! * `estimate` rows — the un-snapped estimator values, each
-//!   estimator called through the trait on the stage's snapshot with
-//!   query `i`'s generator `child_rng(BATCH_SEED, i)` at the full
-//!   nominal ε;
+//!   estimator called through `Estimator::estimate` on the stage's
+//!   snapshot with query `i`'s generator `child_rng(BATCH_SEED, i)`
+//!   at the full nominal ε;
 //! * `hardened` rows — the served releases of `execute_batch`,
 //!   rendered with `wire::outcome_json`.
 //!

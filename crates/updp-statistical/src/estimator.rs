@@ -1,15 +1,16 @@
-//! The `Estimator` trait: the workspace-wide uniform interface.
+//! The `Estimator` type: every estimator of the workspace as data.
 //!
-//! [`Estimator`] unifies *every* estimator (the five universal ones
-//! implemented in this crate and the Table 1 comparators in
-//! `updp-baselines`) behind one signature: `estimate(&mut rng,
-//! &DataView, &EstimateParams) -> Release`. Consumers (the serving
-//! engine's name-keyed registry, the experiment trial runner) dispatch
-//! through it instead of hand-rolled per-estimator glue. The dispatch
-//! layer is pure plumbing: a trait call is **bit-identical** to the
-//! direct free function on the same seed (pinned by the workspace
-//! equivalence suite), so routing a caller through the trait can never
-//! change a released value.
+//! An [`Estimator`] is one `const` value — a name, its Table 1
+//! metadata and a function `(&mut rng, &DataView, &EstimateParams) ->
+//! Release` — for the five universal estimators of this crate and the
+//! Table 1 comparators in `updp-baselines` alike. Consumers (the
+//! serving engine's name-sorted catalog, the experiment trial runner)
+//! call [`Estimator::estimate`] instead of hand-rolled per-estimator
+//! glue. Each body calls its free function with the same arguments in
+//! the same order, so a call through an [`Estimator`] is
+//! **bit-identical** to the direct free function on the same seed
+//! (pinned by the workspace equivalence suite) and can never change a
+//! released value.
 //!
 //! Applications that hold a plain `&[f64]` call the free functions
 //! ([`crate::estimate_mean`], [`crate::estimate_variance`], …) directly.
@@ -17,12 +18,13 @@
 //! parameters of the *same* dataset split their total budget across
 //! calls (basic composition, Lemma 2.2), e.g. with [`Epsilon::split`].
 
-use crate::iqr::estimate_iqr_view;
-use crate::mean::estimate_mean;
-use crate::quantile::estimate_quantile_view;
-use crate::variance::estimate_variance;
+use crate::iqr::IQR;
+use crate::mean::MEAN;
+use crate::multivariate::MULTI_MEAN;
+use crate::quantile::QUANTILE;
+use crate::variance::VARIANCE;
 use rand::RngCore;
-use updp_core::error::{ensure_beta, Result, UpdpError};
+use updp_core::error::{Result, UpdpError};
 use updp_core::privacy::Epsilon;
 pub use updp_empirical::view::{ColumnCache, ColumnView, DataView, PreparedDataset};
 
@@ -186,295 +188,184 @@ impl EstimateParams {
     }
 }
 
-/// One estimator behind the workspace-wide uniform interface.
+/// The signature every estimator body shares: `(rng, view, params) →
+/// release`.
+type Run = fn(&mut dyn RngCore, &DataView<'_>, &EstimateParams) -> Result<Release>;
+
+/// One estimator as data: its Table 1 metadata plus the function that
+/// runs it.
 ///
-/// Implemented by the five universal estimators here and by every
-/// Table 1 comparator in `updp-baselines`; dispatched by name in the
-/// serving engine and by reference in the experiment trial runner.
+/// Every estimator of the workspace is one `const` of this type next
+/// to its free function — the five universal ones here
+/// ([`crate::MEAN`], [`crate::VARIANCE`], [`crate::QUANTILE`],
+/// [`crate::IQR`], [`crate::MULTI_MEAN`], listed in [`UNIVERSAL`]) and
+/// the Table 1 comparators in `updp-baselines` (its `BASELINES`). The
+/// serving engine looks them up by name; the experiment trial runner
+/// takes them by reference.
 ///
 /// # Determinism obligation
 ///
-/// `estimate` must be a pure function of `(rng state, view contents,
+/// `run` must be a pure function of `(rng state, view contents,
 /// params)` — consuming the generator in **exactly** the same order as
-/// the underlying free function — so that trait dispatch is
-/// bit-identical to a direct call on the same seed. Implementations
-/// must not read cached view artifacts whose construction consumes
-/// randomness (see `updp_empirical::view` and DESIGN.md §7).
-pub trait Estimator: Send + Sync {
+/// the underlying free function — so that [`Estimator::estimate`] is
+/// bit-identical to a direct call on the same seed. It must not read
+/// cached view artifacts whose construction consumes randomness (see
+/// `updp_empirical::view` and DESIGN.md §7).
+///
+/// # Running one
+///
+/// The fields are private: [`Estimator::estimate`] is the only way to
+/// run an estimator, which is what lets the serving crate lint its one
+/// call site (R9 in DESIGN.md §9). Reading the body from outside this
+/// crate does not compile:
+///
+/// ```compile_fail,E0616
+/// let run = updp_statistical::MEAN.run;
+/// ```
+#[derive(Debug)]
+pub struct Estimator {
+    name: &'static str,
+    statistic: &'static str,
+    privacy: Privacy,
+    assumptions: &'static [&'static str],
+    params: &'static [ParamSpec],
+    multi_column: bool,
+    check: fn(&EstimateParams) -> Result<()>,
+    run: Run,
+}
+
+impl Estimator {
+    /// A scalar estimator: it reads column 0 of a dimension-1 view.
+    /// Pure ε-DP, no assumptions, no parameters until chained
+    /// otherwise.
+    pub const fn scalar(name: &'static str, statistic: &'static str, run: Run) -> Self {
+        Estimator {
+            name,
+            statistic,
+            privacy: Privacy::PureDp,
+            assumptions: &[],
+            params: &[],
+            multi_column: false,
+            check: |_| Ok(()),
+            run,
+        }
+    }
+
+    /// A multivariate estimator: it consumes every column of the view.
+    pub const fn multi_column(name: &'static str, statistic: &'static str, run: Run) -> Self {
+        Estimator {
+            multi_column: true,
+            ..Estimator::scalar(name, statistic, run)
+        }
+    }
+
+    /// Sets the privacy guarantee (builder style).
+    pub const fn with_privacy(self, privacy: Privacy) -> Self {
+        Estimator { privacy, ..self }
+    }
+
+    /// Sets the Table 1 assumptions (builder style).
+    pub const fn with_assumptions(self, assumptions: &'static [&'static str]) -> Self {
+        Estimator {
+            assumptions,
+            ..self
+        }
+    }
+
+    /// Declares the extra parameters and the range check that
+    /// [`Estimator::validate_params`] runs after the declared-names
+    /// check (builder style).
+    pub const fn with_params(
+        self,
+        params: &'static [ParamSpec],
+        check: fn(&EstimateParams) -> Result<()>,
+    ) -> Self {
+        Estimator {
+            params,
+            check,
+            ..self
+        }
+    }
+
     /// Stable registry/wire name (`[a-z0-9_-]`, e.g. `"mean"`,
     /// `"kv18"`).
-    fn name(&self) -> &'static str;
+    pub fn name(&self) -> &'static str {
+        self.name
+    }
 
     /// The statistic estimated (`"mean"`, `"variance"`, `"iqr"`,
     /// `"quantile"`, `"multi-mean"`).
-    fn statistic(&self) -> &'static str;
+    pub fn statistic(&self) -> &'static str {
+        self.statistic
+    }
 
     /// The privacy guarantee the released values carry.
-    fn privacy(&self) -> Privacy {
-        Privacy::PureDp
+    pub fn privacy(&self) -> Privacy {
+        self.privacy
     }
 
     /// Table 1 assumptions the estimator's *utility* needs (`"A1"` =
     /// a-priori mean range, `"A2"` = variance bounds, `"A3"` =
     /// distribution family). Empty for the universal estimators.
-    fn assumptions(&self) -> &'static [&'static str] {
-        &[]
+    pub fn assumptions(&self) -> &'static [&'static str] {
+        self.assumptions
     }
 
     /// Extra parameters beyond `(ε, β)` — see [`ParamSpec`].
-    fn params(&self) -> &'static [ParamSpec] {
-        &[]
+    pub fn params(&self) -> &'static [ParamSpec] {
+        self.params
     }
 
     /// Whether the estimator consumes every column of the view
     /// (multivariate). Scalar estimators read column 0 and require a
     /// dimension-1 view.
-    fn multi_column(&self) -> bool {
-        false
+    pub fn is_multi_column(&self) -> bool {
+        self.multi_column
     }
 
     /// Validates `params` *before* any budget is spent: every required
-    /// parameter present, no unknown option names, estimator-specific
-    /// range checks. The default checks presence/unknowns only.
-    fn validate_params(&self, params: &EstimateParams) -> Result<()> {
-        check_declared(self.params(), params)
+    /// parameter present, no unknown option names, then the
+    /// estimator's own range check.
+    pub fn validate_params(&self, params: &EstimateParams) -> Result<()> {
+        for spec in self.params {
+            params.resolve(spec)?;
+        }
+        for (name, _) in params.options() {
+            if !self.params.iter().any(|spec| spec.name == name) {
+                return Err(UpdpError::InvalidParameter {
+                    name: "params",
+                    reason: format!("unknown parameter `{name}`"),
+                });
+            }
+        }
+        (self.check)(params)
     }
 
-    /// Runs the estimator. See the trait docs for the determinism
+    /// Runs the estimator. A scalar estimator first rejects a view of
+    /// any dimension but 1. See the type docs for the determinism
     /// obligation.
-    fn estimate(
+    pub fn estimate(
         &self,
         rng: &mut dyn RngCore,
         view: &DataView<'_>,
         params: &EstimateParams,
-    ) -> Result<Release>;
-}
-
-/// Default [`Estimator::validate_params`] body: every required spec
-/// present (or defaulted) and no undeclared option names.
-pub fn check_declared(specs: &[ParamSpec], params: &EstimateParams) -> Result<()> {
-    for spec in specs {
-        params.resolve(spec)?;
-    }
-    for (name, _) in params.options() {
-        if !specs.iter().any(|spec| spec.name == name) {
+    ) -> Result<Release> {
+        if !self.multi_column && view.dim() != 1 {
             return Err(UpdpError::InvalidParameter {
-                name: "params",
-                reason: format!("unknown parameter `{name}`"),
+                name: self.name,
+                reason: format!(
+                    "scalar estimator needs a dimension-1 dataset, got dimension {}",
+                    view.dim()
+                ),
             });
         }
-    }
-    Ok(())
-}
-
-/// Resolves the single column a scalar estimator consumes, rejecting
-/// multivariate views with a uniform error. Shared by every scalar
-/// [`Estimator`] implementation (here and in `updp-baselines`).
-pub fn scalar_column<'a, 'v>(
-    view: &'a DataView<'v>,
-    name: &'static str,
-) -> Result<&'a ColumnView<'v>> {
-    if view.dim() != 1 {
-        return Err(UpdpError::InvalidParameter {
-            name,
-            reason: format!(
-                "scalar estimator needs a dimension-1 dataset, got dimension {}",
-                view.dim()
-            ),
-        });
-    }
-    Ok(view.col(0))
-}
-
-/// The universal mean (Algorithm 8) as an [`Estimator`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct UniversalMean;
-
-impl Estimator for UniversalMean {
-    fn name(&self) -> &'static str {
-        "mean"
-    }
-
-    fn statistic(&self) -> &'static str {
-        "mean"
-    }
-
-    fn estimate(
-        &self,
-        rng: &mut dyn RngCore,
-        view: &DataView<'_>,
-        params: &EstimateParams,
-    ) -> Result<Release> {
-        let col = scalar_column(view, "mean")?;
-        let est = estimate_mean(rng, col.data(), params.epsilon, params.beta)?;
-        Ok(Release::scalar(
-            est.estimate,
-            est.range.width() / col.len() as f64,
-        ))
+        (self.run)(rng, view, params)
     }
 }
 
-/// The universal variance (Algorithm 9) as an [`Estimator`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct UniversalVariance;
-
-impl Estimator for UniversalVariance {
-    fn name(&self) -> &'static str {
-        "variance"
-    }
-
-    fn statistic(&self) -> &'static str {
-        "variance"
-    }
-
-    fn estimate(
-        &self,
-        rng: &mut dyn RngCore,
-        view: &DataView<'_>,
-        params: &EstimateParams,
-    ) -> Result<Release> {
-        let col = scalar_column(view, "variance")?;
-        let est = estimate_variance(rng, col.data(), params.epsilon, params.beta)?;
-        Ok(Release::scalar(
-            est.estimate,
-            est.radius / est.pairs.max(1) as f64,
-        ))
-    }
-}
-
-/// The universal quantile (Algorithm 10 generalized) as an
-/// [`Estimator`]; the level is the required parameter `q`.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct UniversalQuantile;
-
-/// The quantile estimator's parameter table.
-pub(crate) const QUANTILE_PARAMS: &[ParamSpec] = &[ParamSpec::required(
-    "q",
-    "quantile level in (0,1), e.g. 0.9 for the p90",
-)];
-
-impl Estimator for UniversalQuantile {
-    fn name(&self) -> &'static str {
-        "quantile"
-    }
-
-    fn statistic(&self) -> &'static str {
-        "quantile"
-    }
-
-    fn params(&self) -> &'static [ParamSpec] {
-        QUANTILE_PARAMS
-    }
-
-    fn validate_params(&self, params: &EstimateParams) -> Result<()> {
-        check_declared(self.params(), params)?;
-        let q = params.resolve(&QUANTILE_PARAMS[0])?;
-        if !(q > 0.0 && q < 1.0) {
-            return Err(UpdpError::InvalidParameter {
-                name: "q",
-                reason: format!("quantile level must be in (0,1), got {q}"),
-            });
-        }
-        Ok(())
-    }
-
-    fn estimate(
-        &self,
-        rng: &mut dyn RngCore,
-        view: &DataView<'_>,
-        params: &EstimateParams,
-    ) -> Result<Release> {
-        let col = scalar_column(view, "quantile")?;
-        let q = params.resolve(&QUANTILE_PARAMS[0])?;
-        let est = estimate_quantile_view(rng, col, q, params.epsilon, params.beta)?;
-        Ok(Release::scalar(est.estimate, est.bucket))
-    }
-}
-
-/// The universal IQR (Algorithm 10) as an [`Estimator`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct UniversalIqr;
-
-impl Estimator for UniversalIqr {
-    fn name(&self) -> &'static str {
-        "iqr"
-    }
-
-    fn statistic(&self) -> &'static str {
-        "iqr"
-    }
-
-    fn estimate(
-        &self,
-        rng: &mut dyn RngCore,
-        view: &DataView<'_>,
-        params: &EstimateParams,
-    ) -> Result<Release> {
-        let col = scalar_column(view, "iqr")?;
-        let est = estimate_iqr_view(rng, col, params.epsilon, params.beta)?;
-        Ok(Release::scalar(est.estimate, est.bucket))
-    }
-}
-
-/// The multivariate mean (§1.2 extension) as an [`Estimator`]: one
-/// universal mean per column at ε/d and β/d (basic composition), the
-/// same arithmetic as [`crate::estimate_mean_multivariate`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct UniversalMultiMean;
-
-impl Estimator for UniversalMultiMean {
-    fn name(&self) -> &'static str {
-        "multi-mean"
-    }
-
-    fn statistic(&self) -> &'static str {
-        "multi-mean"
-    }
-
-    fn multi_column(&self) -> bool {
-        true
-    }
-
-    fn estimate(
-        &self,
-        rng: &mut dyn RngCore,
-        view: &DataView<'_>,
-        params: &EstimateParams,
-    ) -> Result<Release> {
-        let d = view.dim();
-        if d == 0 {
-            return Err(UpdpError::EmptyDataset);
-        }
-        ensure_beta(params.beta)?;
-        let per_coord = params.epsilon.scale(1.0 / d as f64);
-        let per_beta = params.beta / d as f64;
-        let mut release = Release {
-            values: Vec::with_capacity(d),
-            sensitivities: Vec::with_capacity(d),
-        };
-        for col in view.cols() {
-            let est = estimate_mean(rng, col.data(), per_coord, per_beta)?;
-            release.values.push(est.estimate);
-            release
-                .sensitivities
-                .push(est.range.width() / col.len() as f64);
-        }
-        Ok(release)
-    }
-}
-
-/// The five universal estimators as trait objects (the statistical
-/// half of a serving catalog; `updp_baselines::baseline_estimators`
-/// contributes the comparators).
-pub fn universal_estimators() -> Vec<Box<dyn Estimator>> {
-    vec![
-        Box::new(UniversalMean),
-        Box::new(UniversalVariance),
-        Box::new(UniversalQuantile),
-        Box::new(UniversalIqr),
-        Box::new(UniversalMultiMean),
-    ]
-}
+/// The five universal estimators (the statistical half of a serving
+/// catalog; `updp_baselines::BASELINES` holds the comparators).
+pub const UNIVERSAL: [&Estimator; 5] = [&MEAN, &VARIANCE, &QUANTILE, &IQR, &MULTI_MEAN];
 
 #[cfg(test)]
 // Exact `==` on f64 is deliberate in tests: they pin bit-identical
@@ -483,11 +374,13 @@ pub fn universal_estimators() -> Vec<Box<dyn Estimator>> {
 mod tests {
     use super::*;
     use crate::iqr::estimate_iqr;
+    use crate::mean::estimate_mean;
+    use crate::variance::estimate_variance;
     use updp_core::rng::seeded;
     use updp_dist::{ContinuousDistribution, Gaussian};
 
     #[test]
-    fn trait_dispatch_matches_free_functions_bit_for_bit() {
+    fn estimate_matches_free_functions_bit_for_bit() {
         let g = Gaussian::new(3.0, 2.0).unwrap();
         let mut rng = seeded(30);
         let data = g.sample_vec(&mut rng, 5_000);
@@ -496,33 +389,27 @@ mod tests {
         let view = DataView::of(&data);
 
         let direct = estimate_mean(&mut seeded(1), &data, e, 0.1).unwrap();
-        let via = UniversalMean
-            .estimate(&mut seeded(1), &view, &params)
-            .unwrap();
+        let via = MEAN.estimate(&mut seeded(1), &view, &params).unwrap();
         assert_eq!(via.primary().to_bits(), direct.estimate.to_bits());
 
         let direct = estimate_variance(&mut seeded(2), &data, e, 0.1).unwrap();
-        let via = UniversalVariance
-            .estimate(&mut seeded(2), &view, &params)
-            .unwrap();
+        let via = VARIANCE.estimate(&mut seeded(2), &view, &params).unwrap();
         assert_eq!(via.primary().to_bits(), direct.estimate.to_bits());
 
         let direct =
             crate::quantile::estimate_quantile(&mut seeded(3), &data, 0.9, e, 0.1).unwrap();
-        let via = UniversalQuantile
+        let via = QUANTILE
             .estimate(&mut seeded(3), &view, &params.clone().with("q", 0.9))
             .unwrap();
         assert_eq!(via.primary().to_bits(), direct.estimate.to_bits());
 
         let direct = estimate_iqr(&mut seeded(4), &data, e, 0.1).unwrap();
-        let via = UniversalIqr
-            .estimate(&mut seeded(4), &view, &params)
-            .unwrap();
+        let via = IQR.estimate(&mut seeded(4), &view, &params).unwrap();
         assert_eq!(via.primary().to_bits(), direct.estimate.to_bits());
     }
 
     #[test]
-    fn multi_mean_trait_matches_multivariate_free_function() {
+    fn multi_mean_matches_multivariate_free_function() {
         let mut rng = seeded(40);
         let g = Gaussian::new(1.0, 1.0).unwrap();
         let rows: Vec<Vec<f64>> = (0..4_000)
@@ -534,7 +421,7 @@ mod tests {
         let e = Epsilon::new(1.5).unwrap();
         let direct =
             crate::multivariate::estimate_mean_multivariate(&mut seeded(5), &rows, e, 0.1).unwrap();
-        let via = UniversalMultiMean
+        let via = MULTI_MEAN
             .estimate(
                 &mut seeded(5),
                 &DataView::of_columns(&columns),
@@ -551,28 +438,24 @@ mod tests {
     fn param_validation_catches_missing_unknown_and_out_of_range() {
         let e = Epsilon::new(1.0).unwrap();
         // Missing required q.
-        assert!(UniversalQuantile
-            .validate_params(&EstimateParams::new(e))
-            .is_err());
+        assert!(QUANTILE.validate_params(&EstimateParams::new(e)).is_err());
         // Out-of-range q.
-        assert!(UniversalQuantile
+        assert!(QUANTILE
             .validate_params(&EstimateParams::new(e).with("q", 1.5))
             .is_err());
         // Unknown option name.
-        assert!(UniversalQuantile
+        assert!(QUANTILE
             .validate_params(&EstimateParams::new(e).with("q", 0.5).with("zork", 1.0))
             .is_err());
         // Well-formed.
-        assert!(UniversalQuantile
+        assert!(QUANTILE
             .validate_params(&EstimateParams::new(e).with("q", 0.5))
             .is_ok());
         // Estimators with no extra params reject any option.
-        assert!(UniversalMean
+        assert!(MEAN
             .validate_params(&EstimateParams::new(e).with("r", 1.0))
             .is_err());
-        assert!(UniversalMean
-            .validate_params(&EstimateParams::new(e))
-            .is_ok());
+        assert!(MEAN.validate_params(&EstimateParams::new(e)).is_ok());
     }
 
     #[test]
@@ -580,21 +463,17 @@ mod tests {
         let columns = vec![vec![1.0; 64], vec![2.0; 64]];
         let view = DataView::of_columns(&columns);
         let params = EstimateParams::new(Epsilon::new(1.0).unwrap());
-        let err = UniversalMean
-            .estimate(&mut seeded(6), &view, &params)
-            .unwrap_err();
+        let err = MEAN.estimate(&mut seeded(6), &view, &params).unwrap_err();
         assert!(matches!(err, updp_core::UpdpError::InvalidParameter { .. }));
     }
 
     #[test]
     fn catalog_names_are_unique_and_metadata_present() {
-        let catalog = universal_estimators();
-        assert_eq!(catalog.len(), 5);
-        let mut names: Vec<&str> = catalog.iter().map(|e| e.name()).collect();
+        let mut names: Vec<&str> = UNIVERSAL.iter().map(|e| e.name()).collect();
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), 5);
-        for est in &catalog {
+        for est in UNIVERSAL {
             assert!(est.assumptions().is_empty(), "universal = assumption-free");
             assert_eq!(est.privacy(), Privacy::PureDp);
         }

@@ -14,6 +14,7 @@
 //! `(ε, δ)`-DP *and* converges at `α ∝ 1/(ε log n)` — exponentially
 //! slower in n. The `iqr` experiment measures exactly this gap.
 
+use crate::estimator::{Estimator, Release};
 use crate::iqr_lower_bound::estimate_iqr_lower_bound_view;
 use rand::Rng;
 use updp_core::error::{ensure_beta, Result, UpdpError};
@@ -89,6 +90,13 @@ pub fn estimate_iqr_view<R: Rng + ?Sized>(
         bucket,
     })
 }
+
+/// The universal IQR (Algorithm 10) as an [`Estimator`]; its
+/// sensitivity proxy is the private bucket size.
+pub const IQR: Estimator = Estimator::scalar("iqr", "iqr", |rng, view, params| {
+    let est = estimate_iqr_view(rng, view.col(0), params.epsilon, params.beta)?;
+    Ok(Release::scalar(est.estimate, est.bucket))
+});
 
 #[cfg(test)]
 mod tests {

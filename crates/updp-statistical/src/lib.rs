@@ -16,9 +16,10 @@
 //! | multivariate mean (extension, §1.2) | [`multivariate`] | coordinate-wise Laplace composition, `Õ(d^{3/2}/(εn))` in ℓ₂ |
 //!
 //! Each estimator has two ways in: its free function (e.g.
-//! [`estimate_mean`] on a `&[f64]`), and the [`Estimator`] trait in
-//! [`estimator`], through which the serving engine and the experiment
-//! runner dispatch by name. The two are bit-identical on the same seed.
+//! [`estimate_mean`] on a `&[f64]`), and its [`Estimator`] value (e.g.
+//! [`MEAN`]), through which the serving engine and the experiment
+//! runner call it by name or by reference. The two are bit-identical
+//! on the same seed.
 //!
 //! All estimators run in `O(n log n)` time and are universal: utility
 //! guarantees degrade only with log-log of the ill-behavedness `1/ϕ(1/16)`
@@ -50,17 +51,16 @@ mod scratch;
 pub mod variance;
 
 pub use estimator::{
-    check_declared, universal_estimators, ColumnCache, ColumnView, DataView, EstimateParams,
-    Estimator, ParamSpec, PreparedDataset, Privacy, Release, UniversalIqr, UniversalMean,
-    UniversalMultiMean, UniversalQuantile, UniversalVariance, DEFAULT_BETA,
+    ColumnCache, ColumnView, DataView, EstimateParams, Estimator, ParamSpec, PreparedDataset,
+    Privacy, Release, DEFAULT_BETA, UNIVERSAL,
 };
-pub use iqr::{estimate_iqr, estimate_iqr_view, IqrEstimate};
+pub use iqr::{estimate_iqr, estimate_iqr_view, IqrEstimate, IQR};
 pub use iqr_lower_bound::{estimate_iqr_lower_bound, estimate_iqr_lower_bound_view, pair_gaps};
 pub use mean::{
-    estimate_mean, estimate_mean_with_bucket, estimate_mean_with_subsample, MeanEstimate,
+    estimate_mean, estimate_mean_with_bucket, estimate_mean_with_subsample, MeanEstimate, MEAN,
 };
-pub use multivariate::{estimate_mean_multivariate, l2_distance, MultivariateMeanEstimate};
-pub use quantile::{
-    estimate_quantile, estimate_quantile_range, estimate_quantile_view, QuantileEstimate,
+pub use multivariate::{
+    estimate_mean_multivariate, l2_distance, MultivariateMeanEstimate, MULTI_MEAN,
 };
-pub use variance::{estimate_variance, VarianceEstimate};
+pub use quantile::{estimate_quantile, estimate_quantile_view, QuantileEstimate, QUANTILE};
+pub use variance::{estimate_variance, VarianceEstimate, VARIANCE};

@@ -21,6 +21,7 @@
 //! specialize it to Gaussians and heavy tails, beating all prior pure-DP
 //! estimators and removing assumptions A1/A2 for the first time.
 
+use crate::estimator::{Estimator, Release};
 use crate::iqr_lower_bound::estimate_iqr_lower_bound;
 use crate::scratch::with_subsample;
 use rand::Rng;
@@ -75,6 +76,17 @@ pub fn estimate_mean<R: Rng + ?Sized>(
     let m = default_subsample(epsilon, n);
     range_and_release(rng, data, epsilon, beta, bucket, m)
 }
+
+/// The universal mean (Algorithm 8) as an [`Estimator`]; its
+/// sensitivity proxy is the released range's width over `n`.
+pub const MEAN: Estimator = Estimator::scalar("mean", "mean", |rng, view, params| {
+    let col = view.col(0);
+    let est = estimate_mean(rng, col.data(), params.epsilon, params.beta)?;
+    Ok(Release::scalar(
+        est.estimate,
+        est.range.width() / col.len() as f64,
+    ))
+});
 
 /// Variant taking an externally-chosen bucket size, for the
 /// `ablate-bucket` experiment (§4.1: is the private `IQR̲` bucket as good

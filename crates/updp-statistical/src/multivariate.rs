@@ -16,6 +16,7 @@
 //! coordinates may live at wildly different locations and scales with no
 //! configuration.
 
+use crate::estimator::{Estimator, Release};
 use crate::mean::{estimate_mean, MeanEstimate};
 use rand::Rng;
 use updp_core::error::{ensure_beta, Result, UpdpError};
@@ -76,6 +77,33 @@ pub fn estimate_mean_multivariate<R: Rng + ?Sized>(
         coordinates,
     })
 }
+
+/// The multivariate mean (§1.2 extension) as an [`Estimator`] over
+/// the view's columns: one universal mean per column at ε/d and β/d
+/// (basic composition), the same arithmetic as
+/// [`estimate_mean_multivariate`].
+pub const MULTI_MEAN: Estimator =
+    Estimator::multi_column("multi-mean", "multi-mean", |rng, view, params| {
+        let d = view.dim();
+        if d == 0 {
+            return Err(UpdpError::EmptyDataset);
+        }
+        ensure_beta(params.beta)?;
+        let per_coord = params.epsilon.scale(1.0 / d as f64);
+        let per_beta = params.beta / d as f64;
+        let mut release = Release {
+            values: Vec::with_capacity(d),
+            sensitivities: Vec::with_capacity(d),
+        };
+        for col in view.cols() {
+            let est = estimate_mean(rng, col.data(), per_coord, per_beta)?;
+            release.values.push(est.estimate);
+            release
+                .sensitivities
+                .push(est.range.width() / col.len() as f64);
+        }
+        Ok(release)
+    });
 
 /// ℓ₂ distance helper for evaluating multivariate estimates.
 pub fn l2_distance(a: &[f64], b: &[f64]) -> f64 {

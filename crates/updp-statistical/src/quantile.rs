@@ -5,8 +5,8 @@
 //! choices of 1/4 and 3/4 are not very important: changing them to other
 //! constants does not affect our results". This module exposes that
 //! generality directly: an ε-DP estimator for `F⁻¹(q)` at any fixed
-//! `q ∈ (0, 1)`, and the interquantile range between two such points —
-//! the building block behind the latency-SLO style applications.
+//! `q ∈ (0, 1)` — the building block behind the latency-SLO style
+//! applications.
 //!
 //! Construction (identical budget pattern to Algorithm 10): privately
 //! lower-bound the IQR for the bucket size (ε/2), discretize with
@@ -16,12 +16,13 @@
 //! converges at `α ∝ 1/(εn·θ) + 1/√n` for any `q` bounded away from
 //! {0, 1}.
 
-use crate::iqr_lower_bound::{estimate_iqr_lower_bound, estimate_iqr_lower_bound_view};
+use crate::estimator::{Estimator, ParamSpec, Release};
+use crate::iqr_lower_bound::estimate_iqr_lower_bound_view;
 use rand::Rng;
-use updp_core::error::{ensure_beta, ensure_finite, Result, UpdpError};
+use updp_core::error::{ensure_beta, Result, UpdpError};
 use updp_core::privacy::Epsilon;
 use updp_empirical::discretize::real_quantile_view;
-use updp_empirical::view::{ColumnCache, ColumnView};
+use updp_empirical::view::ColumnView;
 
 /// Diagnostics accompanying a universal quantile estimate.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -47,14 +48,20 @@ fn validate(n: usize, q: f64, beta: f64) -> Result<usize> {
             context: "EstimateQuantile",
         });
     }
+    check_level(q)?;
+    ensure_beta(beta)?;
+    Ok(n)
+}
+
+/// The one check of a quantile level: `q ∈ (0, 1)`.
+fn check_level(q: f64) -> Result<()> {
     if !(q > 0.0 && q < 1.0) {
         return Err(UpdpError::InvalidParameter {
             name: "q",
             reason: format!("quantile level must be in (0,1), got {q}"),
         });
     }
-    ensure_beta(beta)?;
-    Ok(n)
+    Ok(())
 }
 
 /// ε-DP universal estimate of the `q`-quantile `F⁻¹(q)` of the unknown
@@ -100,39 +107,18 @@ pub fn estimate_quantile_view<R: Rng + ?Sized>(
     })
 }
 
-/// ε-DP universal estimate of the interquantile range
-/// `F⁻¹(q_hi) − F⁻¹(q_lo)` — Algorithm 10 generalized beyond
-/// `(1/4, 3/4)`.
-pub fn estimate_quantile_range<R: Rng + ?Sized>(
-    rng: &mut R,
-    data: &[f64],
-    q_lo: f64,
-    q_hi: f64,
-    epsilon: Epsilon,
-    beta: f64,
-) -> Result<f64> {
-    if q_lo >= q_hi {
-        return Err(UpdpError::InvalidParameter {
-            name: "q_lo/q_hi",
-            reason: format!("need q_lo < q_hi, got {q_lo} and {q_hi}"),
-        });
-    }
-    ensure_finite(data, "estimate_quantile input")?;
-    let n = validate(data.len(), q_lo, beta)?;
-    validate(n, q_hi, beta)?;
-    let third = epsilon.scale(1.0 / 3.0);
-    let lb = estimate_iqr_lower_bound(rng, data, third, beta / 6.0)?;
-    let bucket = (lb / n as f64).max(f64::MIN_POSITIVE);
-    let rank_lo = ((q_lo * n as f64).ceil() as usize).clamp(1, n);
-    let rank_hi = ((q_hi * n as f64).ceil() as usize).clamp(1, n);
-    // Both order statistics share one bucket: a throwaway local cache
-    // builds the discretized grid once instead of twice.
-    let cache = ColumnCache::new();
-    let view = ColumnView::cached(data, &cache);
-    let lo = real_quantile_view(rng, &view, rank_lo, bucket, third, beta / 6.0)?;
-    let hi = real_quantile_view(rng, &view, rank_hi, bucket, third, beta / 6.0)?;
-    Ok(hi - lo)
-}
+/// The quantile level, the one parameter of [`QUANTILE`].
+const Q: ParamSpec = ParamSpec::required("q", "quantile level in (0,1), e.g. 0.9 for the p90");
+
+/// The universal quantile (Algorithm 10 generalized) as an
+/// [`Estimator`]; the level is the required parameter `q`, and the
+/// sensitivity proxy is the private bucket size.
+pub const QUANTILE: Estimator = Estimator::scalar("quantile", "quantile", |rng, view, params| {
+    let q = params.resolve(&Q)?;
+    let est = estimate_quantile_view(rng, view.col(0), q, params.epsilon, params.beta)?;
+    Ok(Release::scalar(est.estimate, est.bucket))
+})
+.with_params(&[Q], |params| check_level(params.resolve(&Q)?));
 
 #[cfg(test)]
 // Exact `==` on f64 is deliberate in tests: they pin bit-identical
@@ -192,37 +178,12 @@ mod tests {
     }
 
     #[test]
-    fn quantile_range_matches_iqr() {
-        // (0.25, 0.75) range should agree with the dedicated IQR
-        // estimator on the same data up to noise.
-        let g = Gaussian::new(0.0, 1.0).unwrap();
-        let mut rng = seeded(5);
-        let data = g.sample_vec(&mut rng, 30_000);
-        let qr = estimate_quantile_range(&mut rng, &data, 0.25, 0.75, eps(1.0), 0.1).unwrap();
-        assert!((qr - g.iqr()).abs() < 0.15, "quantile range {qr}");
-    }
-
-    #[test]
-    fn decile_range_on_lognormal() {
-        let ln = LogNormal::new(1.0, 0.5).unwrap();
-        let truth = ln.quantile(0.9) - ln.quantile(0.1);
-        let mut rng = seeded(6);
-        let data = ln.sample_vec(&mut rng, 40_000);
-        let qr = estimate_quantile_range(&mut rng, &data, 0.1, 0.9, eps(1.0), 0.1).unwrap();
-        assert!(
-            (qr - truth).abs() / truth < 0.1,
-            "decile range {qr} vs {truth}"
-        );
-    }
-
-    #[test]
     fn rejects_bad_inputs() {
         let mut rng = seeded(7);
         let data = vec![1.0; 100];
         assert!(estimate_quantile(&mut rng, &data, 0.0, eps(1.0), 0.1).is_err());
         assert!(estimate_quantile(&mut rng, &data, 1.0, eps(1.0), 0.1).is_err());
         assert!(estimate_quantile(&mut rng, &[1.0; 4], 0.5, eps(1.0), 0.1).is_err());
-        assert!(estimate_quantile_range(&mut rng, &data, 0.7, 0.3, eps(1.0), 0.1).is_err());
     }
 
     #[test]

@@ -13,6 +13,7 @@
 //! Theorem 5.5 is the *first* private variance estimator for heavy-tailed
 //! distributions.
 
+use crate::estimator::{Estimator, Release};
 use crate::iqr_lower_bound::estimate_iqr_lower_bound;
 use crate::scratch::with_subsample;
 use rand::Rng;
@@ -125,6 +126,18 @@ pub fn estimate_variance<R: Rng + ?Sized>(
         clipped,
     })
 }
+
+/// The universal variance (Algorithm 9) as an [`Estimator`]; its
+/// sensitivity proxy is the released clipping radius over the pair
+/// count.
+pub const VARIANCE: Estimator = Estimator::scalar("variance", "variance", |rng, view, params| {
+    let col = view.col(0);
+    let est = estimate_variance(rng, col.data(), params.epsilon, params.beta)?;
+    Ok(Release::scalar(
+        est.estimate,
+        est.radius / est.pairs.max(1) as f64,
+    ))
+});
 
 #[cfg(test)]
 mod tests {

@@ -34,7 +34,7 @@
 //! |---|---|---|
 //! | [`core`] | `updp-core` | DP primitives: Laplace, SVT, inverse-sensitivity mechanism, clipped mean, amplification, ε/δ types |
 //! | [`empirical`] | `updp-empirical` | §3 instance-optimal empirical estimators over unbounded domains |
-//! | [`statistical`] | `updp-statistical` | §4–6 universal estimators (`EstimateMean`/`Variance`/`IQR`) + the workspace [`Estimator`](statistical::Estimator) trait |
+//! | [`statistical`] | `updp-statistical` | §4–6 universal estimators (`EstimateMean`/`Variance`/`IQR`) + the workspace [`Estimator`](statistical::Estimator) type |
 //! | [`baselines`] | `updp-baselines` | Table 1 comparators: KV18, CoinPress, KSU20, BS19, DL09 — all behind the `Estimator` catalog |
 //!
 //! The [`prelude`] pulls in the handful of names most applications need.
@@ -67,8 +67,8 @@ pub mod prelude {
     pub use updp_core::{Result, UpdpError};
     pub use updp_statistical::{
         estimate_iqr, estimate_mean, estimate_mean_multivariate, estimate_quantile,
-        estimate_quantile_range, estimate_variance, DataView, EstimateParams, Estimator,
-        IqrEstimate, MeanEstimate, MultivariateMeanEstimate, PreparedDataset, QuantileEstimate,
-        Release, VarianceEstimate, DEFAULT_BETA,
+        estimate_variance, DataView, EstimateParams, Estimator, IqrEstimate, MeanEstimate,
+        MultivariateMeanEstimate, PreparedDataset, QuantileEstimate, Release, VarianceEstimate,
+        DEFAULT_BETA,
     };
 }

@@ -1,11 +1,11 @@
-//! The trait-dispatch equivalence suite (DESIGN.md §7).
+//! The estimator equivalence suite (DESIGN.md §7).
 //!
-//! Every estimator reachable through the workspace-wide
-//! `updp_statistical::Estimator` trait — the five universal estimators
-//! *and* every Table 1 baseline — must release **bit-identical**
-//! values to its direct free-function call on the same seed and data.
-//! This is the determinism obligation that lets the serving engine and
-//! the experiment runner dispatch through the trait (and lets
+//! Every `updp_statistical::Estimator` value — the five universal
+//! estimators *and* every Table 1 baseline — must release
+//! **bit-identical** values through `Estimator::estimate` to its
+//! direct free-function call on the same seed and data. This is the
+//! determinism obligation that lets the serving engine and the
+//! experiment runner call estimators by name or by reference (and lets
 //! `PreparedDataset` feed cached artifacts to the estimators) without
 //! ever changing a released value.
 
@@ -13,14 +13,15 @@ use updp::core::privacy::{Delta, Epsilon};
 use updp::core::rng::seeded;
 use updp::statistical::{
     estimate_iqr, estimate_mean, estimate_mean_multivariate, estimate_quantile, estimate_variance,
-    ColumnCache, ColumnView, DataView, EstimateParams, Estimator, PreparedDataset, UniversalIqr,
-    UniversalMean, UniversalMultiMean, UniversalQuantile, UniversalVariance,
+    ColumnCache, ColumnView, DataView, EstimateParams, Estimator, PreparedDataset, IQR, MEAN,
+    MULTI_MEAN, QUANTILE, VARIANCE,
 };
 use updp_baselines::{
     bs19_trimmed_mean, coinpress_mean, coinpress_variance, dl09_iqr, ksu20_mean,
     kv18_gaussian_mean, kv18_gaussian_variance, naive_clipped_mean, sample_iqr, sample_mean,
-    sample_variance, Bs19TrimmedMean, CoinPressMean, CoinPressVariance, Dl09Estimator, Ksu20Mean,
-    Kv18Mean, Kv18Variance, NaiveClipMean, NonPrivateIqr, NonPrivateMean, NonPrivateVariance,
+    sample_variance, BS19_TRIMMED_MEAN, COINPRESS_MEAN, COINPRESS_VARIANCE, DL09_IQR, KSU20_MEAN,
+    KV18_MEAN, KV18_VARIANCE, NAIVE_CLIP_MEAN, NONPRIVATE_IQR, NONPRIVATE_MEAN,
+    NONPRIVATE_VARIANCE,
 };
 use updp_dist::{ContinuousDistribution, Gaussian, LogNormal};
 
@@ -38,9 +39,9 @@ fn lognormal(n: usize, seed: u64) -> Vec<f64> {
     LogNormal::new(1.0, 0.8).unwrap().sample_vec(&mut rng, n)
 }
 
-/// Asserts trait dispatch == direct call, bitwise, across several
+/// Asserts `Estimator::estimate` == direct call, bitwise, across several
 /// seeds, on both a bare view and a cached `PreparedDataset` view.
-fn assert_equivalent<F>(estimator: &dyn Estimator, params: &EstimateParams, data: &[f64], direct: F)
+fn assert_equivalent<F>(estimator: &Estimator, params: &EstimateParams, data: &[f64], direct: F)
 where
     F: Fn(&mut rand::rngs::StdRng) -> updp::core::Result<f64>,
 {
@@ -74,7 +75,7 @@ where
             Err(_) => {
                 assert!(
                     bare.is_err(),
-                    "{}: direct errored, trait did not",
+                    "{}: direct errored, estimate did not",
                     estimator.name()
                 );
                 assert!(cached_cold.is_err());
@@ -91,32 +92,26 @@ fn universal_estimators_match_their_free_functions() {
     let beta = 0.1;
     let params = EstimateParams::new(e).with_beta(beta);
 
-    assert_equivalent(&UniversalMean, &params, &data, |rng| {
+    assert_equivalent(&MEAN, &params, &data, |rng| {
         estimate_mean(rng, &data, e, beta).map(|r| r.estimate)
     });
-    assert_equivalent(&UniversalVariance, &params, &data, |rng| {
+    assert_equivalent(&VARIANCE, &params, &data, |rng| {
         estimate_variance(rng, &data, e, beta).map(|r| r.estimate)
     });
-    assert_equivalent(&UniversalIqr, &params, &data, |rng| {
+    assert_equivalent(&IQR, &params, &data, |rng| {
         estimate_iqr(rng, &data, e, beta).map(|r| r.estimate)
     });
-    assert_equivalent(
-        &UniversalQuantile,
-        &params.clone().with("q", 0.9),
-        &data,
-        |rng| estimate_quantile(rng, &data, 0.9, e, beta).map(|r| r.estimate),
-    );
+    assert_equivalent(&QUANTILE, &params.clone().with("q", 0.9), &data, |rng| {
+        estimate_quantile(rng, &data, 0.9, e, beta).map(|r| r.estimate)
+    });
     // Skewed data too (different SVT/discretization paths).
     let skewed = lognormal(6_000, 0xB);
-    assert_equivalent(&UniversalIqr, &params, &skewed, |rng| {
+    assert_equivalent(&IQR, &params, &skewed, |rng| {
         estimate_iqr(rng, &skewed, e, beta).map(|r| r.estimate)
     });
-    assert_equivalent(
-        &UniversalQuantile,
-        &params.clone().with("q", 0.99),
-        &skewed,
-        |rng| estimate_quantile(rng, &skewed, 0.99, e, beta).map(|r| r.estimate),
-    );
+    assert_equivalent(&QUANTILE, &params.clone().with("q", 0.99), &skewed, |rng| {
+        estimate_quantile(rng, &skewed, 0.99, e, beta).map(|r| r.estimate)
+    });
 }
 
 #[test]
@@ -133,7 +128,7 @@ fn multivariate_mean_matches_its_free_function() {
     let params = EstimateParams::new(e).with_beta(0.1);
     for seed in [2u64, 11] {
         let direct = estimate_mean_multivariate(&mut seeded(seed), &rows, e, 0.1).unwrap();
-        let via = UniversalMultiMean
+        let via = MULTI_MEAN
             .estimate(&mut seeded(seed), &DataView::of_columns(&columns), &params)
             .unwrap();
         assert_eq!(via.values.len(), direct.estimate.len());
@@ -153,13 +148,13 @@ fn baseline_estimators_match_their_free_functions() {
     let e = eps(0.9);
 
     assert_equivalent(
-        &NaiveClipMean,
+        &NAIVE_CLIP_MEAN,
         &EstimateParams::new(e).with("r", 500.0),
         &data,
         |rng| naive_clipped_mean(rng, &data, 500.0, e),
     );
     assert_equivalent(
-        &Kv18Mean,
+        &KV18_MEAN,
         &EstimateParams::new(e)
             .with("r", 500.0)
             .with("sigma_min", 0.1)
@@ -168,7 +163,7 @@ fn baseline_estimators_match_their_free_functions() {
         |rng| kv18_gaussian_mean(rng, &data, 500.0, 0.1, 100.0, e),
     );
     assert_equivalent(
-        &Kv18Variance,
+        &KV18_VARIANCE,
         &EstimateParams::new(e)
             .with("sigma_min", 0.1)
             .with("sigma_max", 100.0),
@@ -176,7 +171,7 @@ fn baseline_estimators_match_their_free_functions() {
         |rng| kv18_gaussian_variance(rng, &data, 0.1, 100.0, e),
     );
     assert_equivalent(
-        &CoinPressMean,
+        &COINPRESS_MEAN,
         &EstimateParams::new(e)
             .with("r", 500.0)
             .with("sigma", 4.0)
@@ -185,7 +180,7 @@ fn baseline_estimators_match_their_free_functions() {
         |rng| coinpress_mean(rng, &data, 500.0, 4.0, e, 3),
     );
     assert_equivalent(
-        &CoinPressVariance,
+        &COINPRESS_VARIANCE,
         &EstimateParams::new(e)
             .with("sigma_min", 0.1)
             .with("sigma_max", 100.0),
@@ -193,7 +188,7 @@ fn baseline_estimators_match_their_free_functions() {
         |rng| coinpress_variance(rng, &data, 0.1, 100.0, e, 4),
     );
     assert_equivalent(
-        &Ksu20Mean,
+        &KSU20_MEAN,
         &EstimateParams::new(e)
             .with("r", 500.0)
             .with("k", 2.0)
@@ -202,7 +197,7 @@ fn baseline_estimators_match_their_free_functions() {
         |rng| ksu20_mean(rng, &data, 500.0, 2, 16.0, e),
     );
     assert_equivalent(
-        &Bs19TrimmedMean,
+        &BS19_TRIMMED_MEAN,
         &EstimateParams::new(e)
             .with("r", 500.0)
             .with("trim_frac", 0.05),
@@ -211,21 +206,21 @@ fn baseline_estimators_match_their_free_functions() {
     );
     let delta = Delta::new(1e-6).unwrap();
     assert_equivalent(
-        &Dl09Estimator,
+        &DL09_IQR,
         &EstimateParams::new(e).with("delta", 1e-6),
         &data,
         |rng| dl09_iqr(rng, &data, e, delta).map(|r| r.estimate),
     );
-    assert_equivalent(&NonPrivateMean, &EstimateParams::new(e), &data, |_rng| {
+    assert_equivalent(&NONPRIVATE_MEAN, &EstimateParams::new(e), &data, |_rng| {
         sample_mean(&data)
     });
     assert_equivalent(
-        &NonPrivateVariance,
+        &NONPRIVATE_VARIANCE,
         &EstimateParams::new(e),
         &data,
         |_rng| sample_variance(&data),
     );
-    assert_equivalent(&NonPrivateIqr, &EstimateParams::new(e), &data, |_rng| {
+    assert_equivalent(&NONPRIVATE_IQR, &EstimateParams::new(e), &data, |_rng| {
         sample_iqr(&data)
     });
 }
@@ -239,14 +234,10 @@ fn cached_views_share_artifacts_without_changing_results() {
     let prepared = PreparedDataset::new(vec![data.clone()]);
     let params = EstimateParams::new(eps(1.0)).with_beta(0.1);
     let view = prepared.view();
-    let a = UniversalIqr
-        .estimate(&mut seeded(3), &view, &params)
-        .unwrap();
+    let a = IQR.estimate(&mut seeded(3), &view, &params).unwrap();
     let grids_after_first = view.col(0).cached_grids();
     assert!(grids_after_first >= 1, "grid cache must be warmed");
-    let b = UniversalIqr
-        .estimate(&mut seeded(3), &view, &params)
-        .unwrap();
+    let b = IQR.estimate(&mut seeded(3), &view, &params).unwrap();
     assert_eq!(a.primary().to_bits(), b.primary().to_bits());
     assert_eq!(
         view.col(0).cached_grids(),
@@ -255,7 +246,7 @@ fn cached_views_share_artifacts_without_changing_results() {
     );
     // And a throwaway local cache gives the same answer as none.
     let cache = ColumnCache::new();
-    let local = UniversalIqr
+    let local = IQR
         .estimate(
             &mut seeded(3),
             &DataView::from_views(vec![ColumnView::cached(&data, &cache)]),
@@ -282,16 +273,12 @@ fn gap_summary_mode_is_deterministic_and_warm_equals_cold() {
         "summary must be lazy, not built at registration"
     );
     for seed in [1u64, 7, 0xDECAF] {
-        let cold = UniversalIqr
-            .estimate(&mut seeded(seed), &view, &params)
-            .unwrap();
+        let cold = IQR.estimate(&mut seeded(seed), &view, &params).unwrap();
         assert!(
             view.col(0).has_gap_summary(),
             "first IQR query must warm the gap summary"
         );
-        let warm = UniversalIqr
-            .estimate(&mut seeded(seed), &view, &params)
-            .unwrap();
+        let warm = IQR.estimate(&mut seeded(seed), &view, &params).unwrap();
         assert_eq!(
             cold.primary().to_bits(),
             warm.primary().to_bits(),
@@ -300,7 +287,7 @@ fn gap_summary_mode_is_deterministic_and_warm_equals_cold() {
         // A second opted-in snapshot of the same column reproduces the
         // release exactly: the summary carries no hidden per-instance
         // state.
-        let replay = UniversalIqr
+        let replay = IQR
             .estimate(
                 &mut seeded(seed),
                 &PreparedDataset::new(vec![data.clone()])
@@ -313,19 +300,13 @@ fn gap_summary_mode_is_deterministic_and_warm_equals_cold() {
     }
     // Quantile routes through the same summary-backed IQR lower bound.
     let q_params = params.clone().with("q", 0.75);
-    let q_cold = UniversalQuantile
-        .estimate(&mut seeded(5), &view, &q_params)
-        .unwrap();
-    let q_warm = UniversalQuantile
-        .estimate(&mut seeded(5), &view, &q_params)
-        .unwrap();
+    let q_cold = QUANTILE.estimate(&mut seeded(5), &view, &q_params).unwrap();
+    let q_warm = QUANTILE.estimate(&mut seeded(5), &view, &q_params).unwrap();
     assert_eq!(q_cold.primary().to_bits(), q_warm.primary().to_bits());
     // Default snapshots never grow a summary, even after queries.
     let plain = PreparedDataset::new(vec![data]);
     let plain_view = plain.view();
-    UniversalIqr
-        .estimate(&mut seeded(3), &plain_view, &params)
-        .unwrap();
+    IQR.estimate(&mut seeded(3), &plain_view, &params).unwrap();
     assert!(
         !plain_view.col(0).has_gap_summary(),
         "default snapshots must keep the historical draw path"

@@ -6,7 +6,7 @@ use updp::core::privacy::{Delta, Epsilon};
 use updp::core::rng::seeded;
 use updp::core::UpdpError;
 use updp::empirical::{infinite_domain_mean, infinite_domain_sum, SortedInts};
-use updp::statistical::{estimate_quantile, estimate_quantile_range};
+use updp::statistical::estimate_quantile;
 
 fn eps(v: f64) -> Epsilon {
     Epsilon::new(v).unwrap()
@@ -108,10 +108,6 @@ fn statistical_quantiles_survive_adversarial_inputs() {
                 label,
             );
         }
-        acceptable(
-            estimate_quantile_range(&mut rng, &data, 0.1, 0.9, eps(1.0), 0.2),
-            label,
-        );
     }
 }
 
@@ -342,10 +338,6 @@ fn invalid_beta_is_an_error_never_a_panic() {
             (
                 "estimate_quantile_view",
                 stat::estimate_quantile_view(rng, &view, 0.9, e, beta).map(drop),
-            ),
-            (
-                "estimate_quantile_range",
-                estimate_quantile_range(rng, &data, 0.1, 0.9, e, beta).map(drop),
             ),
             (
                 "real_radius",
