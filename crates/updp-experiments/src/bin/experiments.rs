@@ -14,7 +14,7 @@
 //! `tests/golden/` are kept in.
 
 use std::io::Write;
-use updp_experiments::{find, registry, ExpConfig};
+use updp_experiments::{find, registry, ExpConfig, ExpFn};
 
 fn usage() -> ! {
     eprintln!(
@@ -77,17 +77,25 @@ fn main() {
     if ids.is_empty() {
         usage();
     }
-    ids.dedup();
+    // Resolve every id before running any: an unknown id fails with
+    // no table printed, and a repeated one runs once, where it first
+    // appears.
+    let mut runs: Vec<(String, ExpFn)> = Vec::new();
+    for id in ids {
+        let Some(f) = find(&id) else {
+            eprintln!("unknown experiment `{id}`");
+            usage();
+        };
+        if !runs.iter().any(|(seen, _)| *seen == id) {
+            runs.push((id, f));
+        }
+    }
 
     if let Some(dir) = &out_dir {
         std::fs::create_dir_all(dir).expect("create --out directory");
     }
 
-    for id in &ids {
-        let Some(f) = find(id) else {
-            eprintln!("unknown experiment `{id}`");
-            usage();
-        };
+    for (id, f) in &runs {
         let started = std::time::Instant::now();
         let table = f(&cfg);
         let rendered = table.render();

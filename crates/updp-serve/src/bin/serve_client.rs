@@ -24,7 +24,7 @@
 //! the CI smoke step relies on a budget-exhausted query exiting
 //! nonzero).
 
-use updp_serve::client::{query_body, query_body_named, ClientError, Connection, NamedQuery};
+use updp_serve::client::{query_body_named, ClientError, Connection, NamedQuery};
 
 fn die(message: &str) -> ! {
     eprintln!("serve-client: {message}");
@@ -157,29 +157,6 @@ fn main() {
             let seed = args
                 .f64_value("--seed")
                 .unwrap_or_else(|| die("query needs --seed")) as u64;
-            let mut queries: Vec<(&str, f64, Option<f64>)> = Vec::new();
-            if let Some(eps) = args.f64_value("--mean") {
-                queries.push(("mean", eps, None));
-            }
-            if let Some(eps) = args.f64_value("--variance") {
-                queries.push(("variance", eps, None));
-            }
-            if let Some(spec) = args.value("--quantile") {
-                let (q, eps) = spec
-                    .split_once(':')
-                    .unwrap_or_else(|| die("--quantile needs Q:E"));
-                queries.push((
-                    "quantile",
-                    eps.parse().unwrap_or_else(|_| die("bad --quantile ε")),
-                    Some(q.parse().unwrap_or_else(|_| die("bad --quantile level"))),
-                ));
-            }
-            if let Some(eps) = args.f64_value("--iqr") {
-                queries.push(("iqr", eps, None));
-            }
-            if let Some(eps) = args.f64_value("--multi-mean") {
-                queries.push(("multi-mean", eps, None));
-            }
             // Any catalog estimator by name: --estimator NAME:E with
             // its parameters as repeated --param k=v (applied to every
             // --estimator query in the request).
@@ -203,26 +180,49 @@ fn main() {
                     v.parse().unwrap_or_else(|_| die("bad --param value")),
                 ));
             }
-            if queries.is_empty() && named.is_empty() {
+            // The kind flags are named queries too, sent ahead of the
+            // --estimator ones: `--quantile Q:E` is `quantile` with
+            // param `q`.
+            let query = |estimator, epsilon, params| NamedQuery {
+                estimator,
+                epsilon,
+                params,
+            };
+            let mut queries: Vec<NamedQuery<'_>> = Vec::new();
+            if let Some(eps) = args.f64_value("--mean") {
+                queries.push(query("mean", eps, Vec::new()));
+            }
+            if let Some(eps) = args.f64_value("--variance") {
+                queries.push(query("variance", eps, Vec::new()));
+            }
+            if let Some(spec) = args.value("--quantile") {
+                let (q, eps) = spec
+                    .split_once(':')
+                    .unwrap_or_else(|| die("--quantile needs Q:E"));
+                queries.push(query(
+                    "quantile",
+                    eps.parse().unwrap_or_else(|_| die("bad --quantile ε")),
+                    vec![(
+                        "q",
+                        q.parse().unwrap_or_else(|_| die("bad --quantile level")),
+                    )],
+                ));
+            }
+            if let Some(eps) = args.f64_value("--iqr") {
+                queries.push(query("iqr", eps, Vec::new()));
+            }
+            if let Some(eps) = args.f64_value("--multi-mean") {
+                queries.push(query("multi-mean", eps, Vec::new()));
+            }
+            for (est, eps) in &named {
+                let params = params.iter().map(|(k, v)| (k.as_str(), *v)).collect();
+                queries.push(query(est, *eps, params));
+            }
+            if queries.is_empty() {
                 die("query needs at least one of --mean/--variance/--quantile/--iqr/--multi-mean/--estimator");
             }
             args.finish();
-            if named.is_empty() {
-                connection.query(&query_body(&name, seed, false, &queries))
-            } else {
-                if !queries.is_empty() {
-                    die("mix of kind flags and --estimator is not supported; use --estimator for all");
-                }
-                let named: Vec<NamedQuery<'_>> = named
-                    .iter()
-                    .map(|(est, eps)| NamedQuery {
-                        estimator: est,
-                        epsilon: *eps,
-                        params: params.iter().map(|(k, v)| (k.as_str(), *v)).collect(),
-                    })
-                    .collect();
-                connection.query(&query_body_named(&name, seed, &named))
-            }
+            connection.query(&query_body_named(&name, seed, &queries))
         }
         "estimators" => {
             args.finish();

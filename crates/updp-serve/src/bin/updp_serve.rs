@@ -3,7 +3,7 @@
 //! ```text
 //! updp-serve [--addr HOST:PORT] [--ledger PATH] [--port-file PATH]
 //!            [--buffer-rows N] [--buffer-age-ms MS]
-//!            [--workers N] [--max-conns N] [--no-metrics]
+//!            [--workers N] [--max-conns N]
 //! ```
 //!
 //! * `--addr` — bind address; default `127.0.0.1:7817`. Use port 0
@@ -25,10 +25,10 @@
 //! * `--max-conns` — live-connection cap across all shards; beyond it
 //!   new connections are answered with a structured 503 `overloaded`
 //!   and closed. Default 4096.
-//! * `--no-metrics` — disable the flight recorder (DESIGN.md §11);
-//!   `/v1/metrics` and `/v1/trace` then render empty families. The
-//!   recorder is observe-only, so released bytes are identical either
-//!   way.
+//!
+//! The flight recorder (DESIGN.md §11) is always on: `/v1/metrics`
+//! and `/v1/trace` report every request. It is observe-only, so no
+//! release depends on it.
 //!
 //! The deterministic parallel data kernels (the cold sorted-copy
 //! build, DESIGN.md §12) take their worker count from the
@@ -41,7 +41,7 @@ use updp_serve::{FlushPolicy, Ledger, Server, ServerConfig};
 fn usage() -> ! {
     eprintln!(
         "usage: updp-serve [--addr HOST:PORT] [--ledger PATH] [--port-file PATH] \
-         [--buffer-rows N] [--buffer-age-ms MS] [--workers N] [--max-conns N] [--no-metrics]"
+         [--buffer-rows N] [--buffer-age-ms MS] [--workers N] [--max-conns N]"
     );
     std::process::exit(2);
 }
@@ -75,7 +75,6 @@ fn main() {
             "--max-conns" => {
                 config.max_connections = value("--max-conns").parse().unwrap_or_else(|_| usage())
             }
-            "--no-metrics" => config.metrics = false,
             _ => usage(),
         }
     }

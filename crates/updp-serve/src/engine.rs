@@ -290,8 +290,9 @@ pub fn execute_batch(
 /// query counts, execution latency, and snapping-inflation totals
 /// recorded into `obs` (DESIGN.md §11). Observe-only by construction:
 /// the metrics sink is consulted for nothing — outcomes, seeds, and
-/// ledger arithmetic are identical with `obs` present, absent, or
-/// disabled (pinned by the bit-identical e2e test).
+/// ledger arithmetic are identical with `obs` present or absent
+/// (pinned by `served_releases_match_the_uninstrumented_engine` in
+/// `tests/observability.rs`).
 pub(crate) fn execute_batch_observed(
     dataset: &Dataset,
     catalog: &EstimatorCatalog,
@@ -423,8 +424,9 @@ struct Execution {
 /// The query's generator is `child_rng(seed, i)`, so the response is
 /// bit-reproducible for a given seed at any thread count.
 ///
-/// The estimator runs at `ESTIMATOR_SHARE·ε` and each released scalar is re-released through the snapping mechanism at
-/// its share of `RELEASE_SHARE·ε`, noised at the estimator's own
+/// The estimator runs at `ESTIMATOR_SHARE·ε` and each released scalar
+/// is re-released through the snapping mechanism at its share of
+/// `RELEASE_SHARE·ε`, noised at the estimator's own
 /// [`Release::sensitivities`] proxy (a privately-released or
 /// public-parameter scale, so reusing it is post-processing).
 #[expect(

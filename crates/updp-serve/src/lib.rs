@@ -41,9 +41,9 @@
 //!   reactor counters, per-endpoint latency histograms, per-estimator
 //!   engine timings and per-dataset ε gauges over [`updp_obs`],
 //!   exposed at `GET /v1/metrics` (Prometheus text or JSON) with a
-//!   bounded per-shard request trace at `GET /v1/trace`. Strictly
-//!   observe-only: released bytes are bit-identical with metrics on
-//!   or off.
+//!   bounded per-shard request trace at `GET /v1/trace`. Always on
+//!   and strictly observe-only: every served release equals what the
+//!   uninstrumented [`engine::execute_batch`] releases.
 //!
 //! Binaries: `updp-serve` (the server) and `serve-client` (scripted
 //! queries). Throughput and latency are measured out of process by

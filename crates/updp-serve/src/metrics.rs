@@ -25,7 +25,6 @@ const TRACE_RING_CAP: usize = 256;
 /// handles are resolved once per shard/endpoint/estimator and then
 /// recorded through lock-free atomics.
 pub(crate) struct ServeMetrics {
-    enabled: bool,
     registry: ObsRegistry,
     // Reactor families, labelled by shard.
     accepted: Arc<Family<Counter>>,
@@ -53,10 +52,8 @@ pub(crate) struct ServeMetrics {
 }
 
 impl ServeMetrics {
-    /// Builds the full family set for `workers` reactor shards. With
-    /// `enabled == false` every record call is a no-op (families still
-    /// exist, so `/v1/metrics` renders the same shape either way).
-    pub(crate) fn new(workers: usize, enabled: bool) -> ServeMetrics {
+    /// Builds the full family set for `workers` reactor shards.
+    pub(crate) fn new(workers: usize) -> ServeMetrics {
         let mut registry = ObsRegistry::new();
         let accepted = registry.register(
             "updp_reactor_connections_accepted_total",
@@ -144,7 +141,6 @@ impl ServeMetrics {
             &["estimator"],
         );
         ServeMetrics {
-            enabled,
             registry,
             accepted,
             rejected_cap,
@@ -170,18 +166,12 @@ impl ServeMetrics {
         }
     }
 
-    /// True when instrumentation is recording.
-    pub(crate) fn enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Resolves the per-shard handle bundle (called once per worker).
     pub(crate) fn shard(&self, index: usize) -> ShardMetrics {
         let label = index.to_string();
         let l = [label.as_str()];
         ShardMetrics {
             index,
-            enabled: self.enabled,
             accepted: self.accepted.with_labels(&l),
             rejected_cap: self.rejected_cap.with_labels(&l),
             accept_paused: self.accept_paused.with_labels(&l),
@@ -204,9 +194,6 @@ impl ServeMetrics {
         parse_micros: u64,
         handle_micros: u64,
     ) {
-        if !self.enabled {
-            return;
-        }
         self.requests.with_labels(&[endpoint]).inc();
         self.responses
             .with_labels(&[endpoint, status_class(status)])
@@ -221,9 +208,6 @@ impl ServeMetrics {
 
     /// Records one estimator execution.
     pub(crate) fn record_engine_query(&self, estimator: &str, micros: u64) {
-        if !self.enabled {
-            return;
-        }
         self.engine_queries.with_labels(&[estimator]).inc();
         self.engine_seconds
             .with_labels(&[estimator])
@@ -232,9 +216,6 @@ impl ServeMetrics {
 
     /// Records snapping ε inflation charged for a released query.
     pub(crate) fn record_engine_inflation(&self, estimator: &str, inflation: f64) {
-        if !self.enabled {
-            return;
-        }
         self.engine_inflation
             .with_labels(&[estimator])
             .add(inflation);
@@ -247,9 +228,6 @@ impl ServeMetrics {
 
     /// Pushes a trace event into its shard's ring.
     pub(crate) fn trace_event(&self, shard: usize, event: TraceEvent) {
-        if !self.enabled {
-            return;
-        }
         if let Some(ring) = self.rings.get(shard) {
             ring.push(event);
         }
@@ -274,86 +252,16 @@ impl ServeMetrics {
 pub(crate) struct ShardMetrics {
     /// The shard index (trace events carry it).
     pub(crate) index: usize,
-    enabled: bool,
-    accepted: Arc<Counter>,
-    rejected_cap: Arc<Counter>,
-    accept_paused: Arc<Counter>,
-    overloaded: Arc<Counter>,
-    panics: Arc<Counter>,
-    bytes_read: Arc<Counter>,
-    bytes_written: Arc<Counter>,
-    wakeups: Arc<Counter>,
-    queue_high_water: Arc<Gauge>,
-    write_seconds: Arc<Histogram>,
-}
-
-impl ShardMetrics {
-    /// True when recording is live. The reactor checks this before
-    /// taking clock readings so a metrics-off server skips even the
-    /// `Instant::now()` calls.
-    pub(crate) fn enabled(&self) -> bool {
-        self.enabled
-    }
-
-    pub(crate) fn accepted(&self) {
-        if self.enabled {
-            self.accepted.inc();
-        }
-    }
-
-    pub(crate) fn rejected_at_cap(&self) {
-        if self.enabled {
-            self.rejected_cap.inc();
-        }
-    }
-
-    pub(crate) fn accept_paused(&self) {
-        if self.enabled {
-            self.accept_paused.inc();
-        }
-    }
-
-    pub(crate) fn overloaded(&self) {
-        if self.enabled {
-            self.overloaded.inc();
-        }
-    }
-
-    pub(crate) fn panic_caught(&self) {
-        if self.enabled {
-            self.panics.inc();
-        }
-    }
-
-    pub(crate) fn bytes_read(&self, n: u64) {
-        if self.enabled {
-            self.bytes_read.add(n);
-        }
-    }
-
-    pub(crate) fn bytes_written(&self, n: u64) {
-        if self.enabled {
-            self.bytes_written.add(n);
-        }
-    }
-
-    pub(crate) fn wakeup(&self) {
-        if self.enabled {
-            self.wakeups.inc();
-        }
-    }
-
-    pub(crate) fn queue_high_water(&self, bytes: usize) {
-        if self.enabled {
-            self.queue_high_water.observe_max(bytes as i64);
-        }
-    }
-
-    pub(crate) fn write_flush_micros(&self, micros: u64) {
-        if self.enabled {
-            self.write_seconds.observe_micros(micros);
-        }
-    }
+    pub(crate) accepted: Arc<Counter>,
+    pub(crate) rejected_cap: Arc<Counter>,
+    pub(crate) accept_paused: Arc<Counter>,
+    pub(crate) overloaded: Arc<Counter>,
+    pub(crate) panics: Arc<Counter>,
+    pub(crate) bytes_read: Arc<Counter>,
+    pub(crate) bytes_written: Arc<Counter>,
+    pub(crate) wakeups: Arc<Counter>,
+    pub(crate) queue_high_water: Arc<Gauge>,
+    pub(crate) write_seconds: Arc<Histogram>,
 }
 
 /// The Prometheus status-class label for a status code.
@@ -394,38 +302,11 @@ mod tests {
     }
 
     #[test]
-    fn disabled_metrics_record_nothing() {
-        let metrics = ServeMetrics::new(1, false);
-        metrics.record_request("/v1/query", 200, 1, 2);
-        metrics.record_engine_query("mean", 5);
-        metrics.trace_event(
-            0,
-            TraceEvent {
-                id: 0,
-                shard: 0,
-                method: "GET".into(),
-                path: "/".into(),
-                dataset: None,
-                status: 200,
-                parse_micros: 0,
-                handle_micros: 0,
-                bytes_in: 0,
-                bytes_out: 0,
-                unix_ms: 0,
-            },
-        );
-        let text = updp_obs::render_prometheus(&metrics.snapshot());
-        assert!(text.contains("# TYPE updp_http_requests_total counter"));
-        assert!(!text.contains("updp_http_requests_total{"));
-        assert!(metrics.trace_snapshot().is_empty());
-    }
-
-    #[test]
-    fn enabled_metrics_render_families_with_children() {
-        let metrics = ServeMetrics::new(2, true);
+    fn metrics_render_families_with_children() {
+        let metrics = ServeMetrics::new(2);
         let shard = metrics.shard(1);
-        shard.accepted();
-        shard.bytes_read(100);
+        shard.accepted.inc();
+        shard.bytes_read.add(100);
         metrics.record_request("/v1/query", 200, 3, 40);
         metrics.record_request("/v1/query", 403, 1, 9);
         metrics.record_engine_inflation("mean", 0.001);

@@ -106,9 +106,8 @@ struct Conn {
     /// The interest set currently registered with epoll.
     interest: u32,
     /// When the first byte of the in-progress request arrived
-    /// (metrics only; `None` while metrics are off). Taken at
-    /// dispatch, so pipelined followers in the same batch report a
-    /// parse latency of 0.
+    /// (metrics only). Taken at dispatch, so pipelined followers in
+    /// the same batch report a parse latency of 0.
     req_started: Option<Instant>,
     /// When the write queue last went from empty to non-empty
     /// (metrics only): the start point of the write-flush latency.
@@ -284,7 +283,7 @@ impl<'a> Worker<'a> {
                 })
             };
             let fired = self.epoll.wait(&mut events, timeout)?;
-            self.shard.wakeup();
+            self.shard.wakeups.inc();
             for i in 0..fired {
                 let Some(event) = events.get(i) else { break };
                 match event.token {
@@ -330,7 +329,7 @@ impl<'a> Worker<'a> {
                 Err(e) if matches!(e.raw_os_error(), Some(poll::EMFILE | poll::ENFILE)) => {
                     let _ = self.epoll.delete(self.listener.as_raw_fd());
                     self.accept_paused_until = Some(Instant::now() + ACCEPT_PAUSE);
-                    self.shard.accept_paused();
+                    self.shard.accept_paused.inc();
                     return;
                 }
                 // Transient (ECONNABORTED & friends): the next
@@ -346,12 +345,12 @@ impl<'a> Worker<'a> {
             if let Some(bytes) = self.config.send_buffer {
                 let _ = poll::set_send_buffer(stream.as_raw_fd(), bytes);
             }
-            self.shard.accepted();
+            self.shard.accepted.inc();
             let over_cap =
                 self.state.conns.fetch_add(1, Ordering::SeqCst) >= self.config.max_connections;
             let mut conn = Conn::new(stream);
             if over_cap {
-                self.shard.rejected_at_cap();
+                self.shard.rejected_cap.inc();
                 conn.enqueue(
                     503,
                     &wire::error_body("overloaded", "connection limit reached"),
@@ -505,7 +504,7 @@ fn flush_out(conn: &mut Conn, shard: &ShardMetrics) -> bool {
             Ok(0) => return true,
             Ok(n) => {
                 conn.sent += n;
-                shard.bytes_written(n as u64);
+                shard.bytes_written.add(n as u64);
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                 // Reclaim the flushed prefix so a long-lived slow
@@ -525,7 +524,9 @@ fn flush_out(conn: &mut Conn, shard: &ShardMetrics) -> bool {
     conn.sent = 0;
     // Queue fully drained: close out the write-flush latency window.
     if let Some(since) = conn.out_since.take() {
-        shard.write_flush_micros(since.elapsed().as_micros() as u64);
+        shard
+            .write_seconds
+            .observe_micros(since.elapsed().as_micros() as u64);
     }
     false
 }
@@ -538,7 +539,7 @@ fn sink(conn: &mut Conn, scratch: &mut [u8], shard: &ShardMetrics) -> bool {
         match conn.stream.read(scratch) {
             Ok(0) => return false, // peer finished sending
             Ok(n) => {
-                shard.bytes_read(n as u64);
+                shard.bytes_read.add(n as u64);
                 continue;
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => return false,
@@ -573,8 +574,8 @@ fn read_and_dispatch(
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
             Err(_) => return true,
         };
-        shard.bytes_read(n as u64);
-        if conn.req_started.is_none() && shard.enabled() {
+        shard.bytes_read.add(n as u64);
+        if conn.req_started.is_none() {
             conn.req_started = Some(Instant::now());
         }
         #[expect(
@@ -610,8 +611,8 @@ fn read_and_dispatch(
 
 /// Routes one request and enqueues its response, applying the
 /// backpressure and panic-isolation contracts. Instrumentation here
-/// is strictly observe-only: every status, body byte, and connection
-/// fate is identical with metrics on or off.
+/// is strictly observe-only: nothing it records decides a status, a
+/// body byte, or a connection's fate.
 fn dispatch(
     conn: &mut Conn,
     request: &Request,
@@ -624,7 +625,7 @@ fn dispatch(
     // per request so the queue is bounded by the cap plus one
     // response.
     if conn.queued() > config.max_write_queue {
-        shard.overloaded();
+        shard.overloaded.inc();
         conn.enqueue(
             503,
             &wire::error_body(
@@ -642,9 +643,9 @@ fn dispatch(
         .map(|t| t.elapsed().as_micros() as u64)
         .unwrap_or(0);
     let is_shutdown = request.method == "POST" && request.path == "/v1/shutdown";
-    let handle_started = shard.enabled().then(Instant::now);
+    let handle_started = Instant::now();
     let routed = catch_unwind(AssertUnwindSafe(|| route(state, request)));
-    let handle_micros = handle_started.map_or(0, |t| t.elapsed().as_micros() as u64);
+    let handle_micros = handle_started.elapsed().as_micros() as u64;
     let (status, dataset, bytes_out) = match routed {
         Ok(routed) => {
             let meta = (routed.status, routed.dataset, routed.body.len() as u64);
@@ -660,15 +661,15 @@ fn dispatch(
         // its connection; the worker and its other connections are
         // untouched.
         Err(_) => {
-            shard.panic_caught();
+            shard.panics.inc();
             let body = wire::error_body("internal", "handler panicked");
             let len = body.len() as u64;
             conn.enqueue(500, &body, false);
             (500, None, len)
         }
     };
-    shard.queue_high_water(conn.queued());
-    if conn.queued() > 0 && conn.out_since.is_none() && shard.enabled() {
+    shard.queue_high_water.observe_max(conn.queued() as i64);
+    if conn.queued() > 0 && conn.out_since.is_none() {
         conn.out_since = Some(Instant::now());
     }
     let metrics = &state.metrics;
@@ -678,25 +679,23 @@ fn dispatch(
         parse_micros,
         handle_micros,
     );
-    if metrics.enabled() {
-        let event = TraceEvent {
-            id: metrics.next_request_id(),
-            shard: shard.index,
-            method: request.method.clone(),
-            path: request.path.clone(),
-            dataset,
-            status,
-            parse_micros,
-            handle_micros,
-            bytes_in: request.body.len() as u64,
-            bytes_out,
-            unix_ms: SystemTime::now()
-                .duration_since(UNIX_EPOCH)
-                .map(|d| d.as_millis() as u64)
-                .unwrap_or(0),
-        };
-        metrics.trace_event(shard.index, event);
-    }
+    let event = TraceEvent {
+        id: metrics.next_request_id(),
+        shard: shard.index,
+        method: request.method.clone(),
+        path: request.path.clone(),
+        dataset,
+        status,
+        parse_micros,
+        handle_micros,
+        bytes_in: request.body.len() as u64,
+        bytes_out,
+        unix_ms: SystemTime::now()
+            .duration_since(UNIX_EPOCH)
+            .map(|d| d.as_millis() as u64)
+            .unwrap_or(0),
+    };
+    metrics.trace_event(shard.index, event);
     if is_shutdown {
         state.begin_shutdown();
     }

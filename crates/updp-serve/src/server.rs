@@ -56,11 +56,6 @@ pub struct ServerConfig {
     /// buffering at high connection counts and makes the write-queue
     /// backpressure observable with small deterministic buffers.
     pub send_buffer: Option<usize>,
-    /// Record metrics and trace events (DESIGN.md §11). Always
-    /// observe-only; `false` exists so the e2e suite can pin that
-    /// released bytes are bit-identical with instrumentation hot or
-    /// cold.
-    pub metrics: bool,
 }
 
 impl Default for ServerConfig {
@@ -70,7 +65,6 @@ impl Default for ServerConfig {
             max_connections: 4096,
             max_write_queue: 256 * 1024,
             send_buffer: None,
-            metrics: true,
         }
     }
 }
@@ -132,7 +126,7 @@ impl AppState {
             registry: Registry::with_policy(policy),
             ledger,
             estimators: EstimatorCatalog::standard(),
-            metrics: ServeMetrics::new(workers, config.metrics),
+            metrics: ServeMetrics::new(workers),
             conns: AtomicUsize::new(0),
             started: Instant::now(),
             workers,
@@ -676,7 +670,6 @@ mod tests {
     fn wrong_method_on_every_route_is_405() {
         let config = ServerConfig {
             workers: 1,
-            metrics: false,
             ..ServerConfig::default()
         };
         let state = AppState::new(FlushPolicy::immediate(), Ledger::in_memory(), &config).unwrap();

@@ -162,9 +162,10 @@ pub fn parse_query(body: &str) -> Result<QueryRequest, WireError> {
     // rounded, breaking "bit-reproducible from the request seed" —
     // reject them instead of guessing.
     const MAX_SEED: f64 = 9_007_199_254_740_992.0; // 2^53
-                                                   // `fract() == 0.0` is the exact integrality test for a wire seed; a
-                                                   // non-integer seed must be rejected, never rounded
-                                                   // (bit-reproducibility).
+
+    // `fract() == 0.0` is the exact integrality test for a wire seed; a
+    // non-integer seed must be rejected, never rounded
+    // (bit-reproducibility).
     if !(seed >= 0.0 && seed.fract() == 0.0 && seed <= MAX_SEED) {
         return Err(WireError(format!(
             "seed must be an integer in [0, 2^53], got {seed}"

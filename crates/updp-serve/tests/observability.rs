@@ -1,16 +1,20 @@
 //! Flight-recorder acceptance (DESIGN.md §11) over real sockets:
 //! `/v1/metrics` family coverage in both renderings, `/v1/trace`
 //! events, the enriched `/v1/healthz`, drain summaries on shutdown —
-//! and the load-bearing determinism pin: a workload served with
-//! metrics hot is byte-identical to the same workload served with
-//! metrics cold.
+//! and the load-bearing determinism pin: every release an
+//! instrumented server serves is byte-identical to what the
+//! uninstrumented `engine::execute_batch` releases in process.
 
 use std::io::Write;
 use std::net::TcpStream;
 use std::path::PathBuf;
 use updp_core::json::JsonValue;
 use updp_serve::client::{query_body, Connection};
-use updp_serve::{DrainSummary, FlushPolicy, Ledger, Server, ServerConfig};
+use updp_serve::engine::execute_batch;
+use updp_serve::{
+    wire, DrainSummary, EstimatorCatalog, FlushPolicy, Ledger, Registry, ReleaseMode, Server,
+    ServerConfig,
+};
 
 fn temp_ledger(tag: &str) -> PathBuf {
     let path = std::env::temp_dir().join(format!("updp-obs-{}-{tag}.json", std::process::id()));
@@ -274,81 +278,77 @@ fn stalled_peer_is_aborted_at_the_drain_deadline() {
     drop(stalled);
 }
 
-/// The determinism pin: the same workload against an instrumented
-/// server (with interleaved scrapes and trace reads) and an
-/// uninstrumented one (`metrics: false`) must release byte-identical
-/// responses. Metrics are observe-only by contract; this is the test
-/// that keeps them that way.
+/// The determinism pin: an instrumented server, scraped and traced
+/// between queries, must release exactly what the uninstrumented
+/// engine releases. `execute_batch` records nothing, so each served
+/// body is compared with `wire::query_response` over it, run in
+/// process on a mirrored registry and ledger. Metrics are
+/// observe-only by contract; this is the test that keeps them that
+/// way.
 #[test]
-fn released_bytes_are_identical_with_metrics_on_or_off() {
-    let run = |tag: &str, metrics: bool| -> Vec<String> {
-        let config = ServerConfig {
-            workers: 1,
-            metrics,
-            ..ServerConfig::default()
-        };
-        let (addr, server) = start(tag, config, FlushPolicy::immediate());
-        let mut conn = Connection::open(&addr).expect("connect");
-        let data: Vec<f64> = (0..500).map(|i| (i % 97) as f64).collect();
-        let mut released = Vec::new();
-        released.push(conn.register("pin", 50.0, &data).expect("register"));
-        for seed in 0..5u64 {
-            // Interleaved scrapes on the instrumented server: recording
-            // AND rendering must both be invisible to the released bytes.
-            if metrics {
-                conn.metrics_text().expect("scrape");
-                conn.trace().expect("trace");
-            }
-            released.push(
-                conn.query(&query_body(
-                    "pin",
-                    seed,
-                    false,
-                    &[
-                        ("mean", 0.01, None),
-                        ("quantile", 0.01, Some(0.9)),
-                        ("iqr", 0.01, None),
-                    ],
-                ))
-                .expect("query"),
-            );
-        }
-        released.push(conn.append("pin", &[7.0, 11.0]).expect("append"));
-        released.push(
-            conn.query(&query_body("pin", 99, false, &[("variance", 0.01, None)]))
-                .expect("query after append"),
-        );
-        conn.shutdown().expect("shutdown");
-        server.join().expect("join").expect("clean shutdown");
-        released
-    };
-
-    let hot = run("pin-hot", true);
-    let cold = run("pin-cold", false);
-    assert_eq!(hot, cold, "instrumentation leaked into released bytes");
-}
-
-#[test]
-fn disabled_metrics_still_answer_with_empty_families() {
-    let config = ServerConfig {
-        workers: 1,
-        metrics: false,
-        ..ServerConfig::default()
-    };
-    let (addr, server) = start("metrics-off", config, FlushPolicy::immediate());
-
+fn served_releases_match_the_uninstrumented_engine() {
+    let (addr, server) = start("pin", one_worker(), FlushPolicy::immediate());
     let mut conn = Connection::open(&addr).expect("connect");
-    conn.healthz().expect("healthz");
-    let text = conn.metrics_text().expect("metrics text");
-    // Family headers render (the surface is stable) but no recorded
-    // children appear.
-    assert!(
-        text.contains("# TYPE updp_http_requests_total counter"),
-        "{text}"
+    let registry = Registry::with_policy(FlushPolicy::immediate());
+    let ledger = Ledger::in_memory();
+    let catalog = EstimatorCatalog::standard();
+
+    let data: Vec<f64> = (0..500).map(|i| (i % 97) as f64).collect();
+    conn.register("pin", 50.0, &data).expect("register");
+    ledger.register("pin", 50.0).expect("mirror account");
+    registry
+        .register("pin", vec![data])
+        .expect("mirror dataset");
+
+    let check = |conn: &mut Connection, body: &str| {
+        // Recording AND rendering must both be invisible to the
+        // released bytes.
+        conn.metrics_text().expect("scrape");
+        conn.trace().expect("trace");
+        let served = conn.query(body).expect("query");
+        let request = wire::parse_query(body).expect("query parses");
+        let dataset = registry.get(&request.dataset).expect("mirror dataset");
+        let outcomes = execute_batch(
+            &dataset,
+            &catalog,
+            &ledger,
+            &request.specs,
+            request.seed,
+            ReleaseMode::Hardened {
+                bound: request.bound,
+            },
+        )
+        .expect("in-process batch");
+        let account = ledger.account(&request.dataset).expect("mirror account");
+        assert_eq!(
+            served,
+            wire::query_response(&request, &outcomes, &account),
+            "instrumentation leaked into the release of {body}"
+        );
+    };
+    for seed in 0..5u64 {
+        check(
+            &mut conn,
+            &query_body(
+                "pin",
+                seed,
+                false,
+                &[
+                    ("mean", 0.01, None),
+                    ("quantile", 0.01, Some(0.9)),
+                    ("iqr", 0.01, None),
+                ],
+            ),
+        );
+    }
+    conn.append("pin", &[7.0, 11.0]).expect("append");
+    registry
+        .append("pin", vec![vec![7.0, 11.0]])
+        .expect("mirror append");
+    check(
+        &mut conn,
+        &query_body("pin", 99, false, &[("variance", 0.01, None)]),
     );
-    assert!(!text.contains("updp_http_requests_total{"), "{text}");
-    let trace = conn.trace().expect("trace");
-    assert_eq!(trace, "{\"events\":[]}", "{trace}");
 
     conn.shutdown().expect("shutdown");
     server.join().expect("join").expect("clean shutdown");
