@@ -24,6 +24,12 @@
 //!   [`std::thread::available_parallelism`].
 //! * **Panic propagation** — a panic in `f` propagates to the caller
 //!   when the scope joins, exactly like the serial loop.
+//! * **No nested pools** — [`max_threads`] reads 1 on this module's
+//!   worker threads, so a kernel called from inside a parallel map
+//!   (a sort or a pairing inside an experiment trial) runs serially
+//!   instead of starting a scope of its own.
+//! * **One size threshold** — the data kernels ([`threads_for`]) start
+//!   threads only from [`PAR_MIN_LEN`] elements or steps up.
 //!
 //! Work is handed out in contiguous chunks of size ~`n/(4·workers)`
 //! (capped at 64, floored at 1) claimed from a shared [`AtomicUsize`],
@@ -35,12 +41,31 @@
 // never a panic (DESIGN.md §6, §9).
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 
 /// Environment variable overriding the worker count. `0`, empty, or an
 /// unparsable value mean "auto" (use [`std::thread::available_parallelism`]).
 pub const THREADS_ENV: &str = "UPDP_THREADS";
+
+/// Data kernels shorter than this (in elements, or in Fisher–Yates
+/// steps) run serially whatever `UPDP_THREADS` permits: the sort of
+/// `updp_empirical::view::sorted_copy`, the pipelined shuffle of
+/// [`crate::rng`] and the pair pass of `updp_empirical::gaps`. Chosen so
+/// that the work amortizes a thread spawn even on modest hosts.
+pub const PAR_MIN_LEN: usize = 1 << 17;
+
+thread_local! {
+    /// Set on the worker threads of this module: [`max_threads`] reads
+    /// 1 there.
+    static IN_WORKER: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Marks the calling thread as a worker for the rest of its life.
+fn become_worker() {
+    IN_WORKER.with(|w| w.set(true));
+}
 
 /// Parses a raw `UPDP_THREADS` value. `None`/`0`/garbage → `None` (auto).
 fn parse_threads(raw: Option<&str>) -> Option<usize> {
@@ -54,18 +79,32 @@ fn parse_threads(raw: Option<&str>) -> Option<usize> {
 }
 
 /// The worker count in effect: the `UPDP_THREADS` override if set and
-/// valid, otherwise the machine's available parallelism (≥ 1).
+/// valid, otherwise the machine's available parallelism (≥ 1). Always 1
+/// on a worker thread of this module.
 #[expect(
     clippy::disallowed_methods,
     reason = "UPDP_THREADS only picks the worker count; §5 proves output is bit-identical at any thread count, so this env read cannot influence released values"
 )]
 pub fn max_threads() -> usize {
+    if IN_WORKER.with(Cell::get) {
+        return 1;
+    }
     let env = std::env::var(THREADS_ENV).ok();
     parse_threads(env.as_deref()).unwrap_or_else(|| {
         std::thread::available_parallelism()
             .map(|p| p.get())
             .unwrap_or(1)
     })
+}
+
+/// The worker count of a data kernel over `len` elements or steps:
+/// [`max_threads`] from [`PAR_MIN_LEN`] up, 1 below.
+pub fn threads_for(len: usize) -> usize {
+    if len >= PAR_MIN_LEN {
+        max_threads()
+    } else {
+        1
+    }
 }
 
 /// Maps `f` over `0..n` with the default worker count ([`max_threads`])
@@ -102,6 +141,7 @@ where
     std::thread::scope(|scope| {
         for _ in 0..workers {
             scope.spawn(|| {
+                become_worker();
                 let mut local: Vec<(usize, Vec<T>)> = Vec::new();
                 loop {
                     let start = next.fetch_add(chunk, Ordering::Relaxed);
@@ -136,6 +176,30 @@ where
     }
     debug_assert_eq!(out.len(), n);
     out
+}
+
+/// Calls `f` on each of `parts`, one scoped worker thread per part;
+/// zero or one part runs on the caller, starting no thread. Like those
+/// of [`par_map_indexed_threads`], the workers read [`max_threads`] as
+/// 1, and a panic in `f` propagates when the scope joins.
+pub fn par_for_each<T, F>(parts: Vec<T>, f: F)
+where
+    T: Send,
+    F: Fn(T) + Sync,
+{
+    if parts.len() <= 1 {
+        parts.into_iter().for_each(f);
+        return;
+    }
+    let f = &f;
+    std::thread::scope(|scope| {
+        for part in parts {
+            scope.spawn(move || {
+                become_worker();
+                f(part);
+            });
+        }
+    });
 }
 
 #[cfg(test)]
@@ -194,6 +258,40 @@ mod tests {
         let one = par_map_indexed_threads(1, 100, draw);
         let eight = par_map_indexed_threads(8, 100, draw);
         assert_eq!(one, eight);
+    }
+
+    #[test]
+    fn workers_do_not_nest() {
+        let seen = par_map_indexed_threads(2, 2, |_| (max_threads(), threads_for(PAR_MIN_LEN)));
+        assert_eq!(seen, vec![(1, 1); 2]);
+        let seen = Mutex::new(Vec::new());
+        par_for_each(vec![0, 1], |_| {
+            seen.lock().unwrap().push(max_threads());
+        });
+        assert_eq!(seen.into_inner().unwrap(), vec![1, 1]);
+    }
+
+    #[test]
+    fn par_for_each_visits_every_part_once() {
+        let mut out = vec![0usize; 10];
+        for parts in [1, 2, 3, 10] {
+            out.fill(0);
+            let per = out.len().div_ceil(parts);
+            let chunks: Vec<(usize, &mut [usize])> = out.chunks_mut(per).enumerate().collect();
+            par_for_each(chunks, |(k, chunk)| {
+                chunk.iter_mut().for_each(|x| *x += k + 1)
+            });
+            let want: Vec<usize> = (0..10).map(|i| i / per + 1).collect();
+            assert_eq!(out, want, "parts = {parts}");
+        }
+        par_for_each(Vec::<usize>::new(), |_| unreachable!());
+    }
+
+    #[test]
+    fn threads_for_gates_on_the_threshold() {
+        assert_eq!(threads_for(0), 1);
+        assert_eq!(threads_for(PAR_MIN_LEN - 1), 1);
+        assert_eq!(threads_for(PAR_MIN_LEN), max_threads());
     }
 
     #[test]

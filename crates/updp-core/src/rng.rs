@@ -19,14 +19,20 @@
 //! The one Fisher–Yates swap loop of the workspace also lives here
 //! ([`shuffle`], [`partial_shuffle`]): a block of
 //! [`FISHER_YATES_BLOCK`] steps draws its swap targets first, reads
-//! them all so their cache misses overlap, then swaps in order. Draws,
-//! swap order and trailing generator state are those of the vendored
-//! `SliceRandom::shuffle` and `seq::index::sample`, so the permutation
-//! is identical (DESIGN.md §12.3).
+//! them all so their cache misses overlap, then swaps in order. From
+//! [`PAR_MIN_LEN`](crate::parallel::PAR_MIN_LEN) steps up the draws and
+//! the swaps run on two threads: the caller keeps the generator and
+//! draws blocks of [`PIPELINE_BLOCK`] targets ahead, and one scoped
+//! thread owns the pool and applies them. Draws, swap order and trailing generator state are
+//! those of the vendored `SliceRandom::shuffle` and
+//! `seq::index::sample`, so the permutation is identical at any thread
+//! count (DESIGN.md §12.3).
 
+use crate::parallel::threads_for;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::ops::Range;
+use std::sync::mpsc;
 
 /// Creates a deterministic RNG from a 64-bit seed.
 ///
@@ -69,10 +75,19 @@ pub fn child_seed(master: u64, index: u64) -> u64 {
 /// any of their swaps is applied.
 pub const FISHER_YATES_BLOCK: usize = 64;
 
+/// Fisher–Yates steps per block that the pipelined kernel hands from
+/// the drawing thread to the swapping thread.
+pub const PIPELINE_BLOCK: usize = 1 << 14;
+
+/// Blocks in flight between the two threads of the pipelined kernel:
+/// one is drawn while the other is applied, and their buffers are
+/// reused.
+const PIPELINE_DEPTH: usize = 2;
+
 /// An index width for a Fisher–Yates pool: `u32` halves the memory a
 /// pool streams through and is what columns of up to `u32::MAX` rows
 /// use; `usize` is the same kernel for longer columns.
-pub trait PoolIndex: Copy {
+pub trait PoolIndex: Copy + Send + Sync {
     /// The longest pool whose indices this width holds without
     /// truncation.
     const MAX_LEN: usize;
@@ -121,50 +136,132 @@ pub fn fill_identity<I: PoolIndex>(pool: &mut Vec<I>, n: usize) {
 
 /// Shuffles `pool` uniformly: the permutation and trailing generator
 /// state of the vendored `SliceRandom::shuffle` (`j = gen_range(0..i + 1)`
-/// for `i = n − 1, …, 1`).
+/// for `i = n − 1, …, 1`). Pipelined on two threads from
+/// [`PAR_MIN_LEN`](crate::parallel::PAR_MIN_LEN) steps up (see
+/// [`shuffle_threads`]).
 pub fn shuffle<I: PoolIndex, R: Rng + ?Sized>(rng: &mut R, pool: &mut [I]) {
+    let threads = threads_for(pool.len().saturating_sub(1));
+    shuffle_threads(rng, pool, threads);
+}
+
+/// [`shuffle`] with an explicit thread count: 1 runs the serial kernel
+/// and starts no thread; 2 or more runs the two-thread pipeline at any
+/// length. The result is the same either way.
+pub fn shuffle_threads<I: PoolIndex, R: Rng + ?Sized>(rng: &mut R, pool: &mut [I], threads: usize) {
     let n = pool.len();
-    fisher_yates(rng, pool, (1..n).rev().map(|i| (i, 0..i + 1)));
+    let rows = (1..n).rev();
+    fisher_yates(rng, pool, rows.clone(), rows.map(|i| 0..i + 1), threads);
 }
 
 /// Moves a uniform `m`-sample of `pool` into `pool[..m]`, in draw
 /// order: on the identity pool, the indices and trailing generator
 /// state of the vendored `seq::index::sample(rng, n, m)`
-/// (`j = gen_range(i..n)` for `i = 0, …, m − 1`).
+/// (`j = gen_range(i..n)` for `i = 0, …, m − 1`). Pipelined on two
+/// threads from [`PAR_MIN_LEN`](crate::parallel::PAR_MIN_LEN) steps
+/// (`m`) up, whatever the pool's length.
 ///
 /// Panics if `m > pool.len()`, matching `seq::index::sample`.
 pub fn partial_shuffle<I: PoolIndex, R: Rng + ?Sized>(rng: &mut R, pool: &mut [I], m: usize) {
-    let n = pool.len();
-    assert!(m <= n, "cannot sample {m} indices from 0..{n}");
-    fisher_yates(rng, pool, (0..m).map(|i| (i, i..n)));
+    partial_shuffle_threads(rng, pool, m, threads_for(m));
 }
 
-/// The blocked Fisher–Yates kernel: step `(i, range)` swaps `pool[i]`
-/// with `pool[gen_range(range)]`. Per block it draws every target in
-/// step order, reads every `pool[j]` (independent loads, so the cache
-/// misses of a large pool overlap instead of queueing behind each
-/// swap), then applies the swaps in step order. The reads change
-/// nothing, so the result is the plain step-by-step loop's.
+/// [`partial_shuffle`] with an explicit thread count, as in
+/// [`shuffle_threads`].
+pub fn partial_shuffle_threads<I: PoolIndex, R: Rng + ?Sized>(
+    rng: &mut R,
+    pool: &mut [I],
+    m: usize,
+    threads: usize,
+) {
+    let n = pool.len();
+    assert!(m <= n, "cannot sample {m} indices from 0..{n}");
+    fisher_yates(rng, pool, 0..m, (0..m).map(|i| i..n), threads);
+}
+
+/// The Fisher–Yates kernel: step `k` swaps `pool[i]` with
+/// `pool[gen_range(range)]`, for the `k`-th `i` of `rows` and `range` of
+/// `ranges`. Below two threads it draws the targets of
+/// [`FISHER_YATES_BLOCK`] steps, then [`apply`]s them, and repeats.
+/// Otherwise the caller's thread keeps `rng` and draws the targets of
+/// [`PIPELINE_BLOCK`] steps at a time, and one scoped thread owns the
+/// pool and `rows` and [`apply`]s the targets in the order drawn. A
+/// target depends only on the generator and the step's range, never on
+/// the pool, so drawing ahead consumes the same `u64` stream, and the
+/// swaps run in the same order: the result is the plain step-by-step
+/// loop's either way.
+///
+/// Panics if `pool` is longer than `I::MAX_LEN`: a target is never
+/// truncated.
 fn fisher_yates<I: PoolIndex, R: Rng + ?Sized>(
     rng: &mut R,
     pool: &mut [I],
-    mut steps: impl Iterator<Item = (usize, Range<usize>)>,
+    mut rows: impl Iterator<Item = usize> + Send,
+    mut ranges: impl Iterator<Item = Range<usize>>,
+    threads: usize,
 ) {
-    let mut block = [(0usize, 0usize); FISHER_YATES_BLOCK];
-    loop {
-        let mut len = 0;
-        for (i, range) in steps.by_ref().take(FISHER_YATES_BLOCK) {
-            block[len] = (i, rng.gen_range(range));
-            len += 1;
+    assert!(
+        pool.len() <= I::MAX_LEN,
+        "a pool of {} indices does not fit width {}",
+        pool.len(),
+        std::mem::size_of::<I>()
+    );
+    let mut draw = |block: &mut Vec<I>, len: usize| {
+        block.clear();
+        block.extend(
+            ranges
+                .by_ref()
+                .take(len)
+                .map(|range| I::from_index(rng.gen_range(range))),
+        );
+        !block.is_empty()
+    };
+    if threads <= 1 {
+        let mut block = Vec::with_capacity(FISHER_YATES_BLOCK);
+        while draw(&mut block, FISHER_YATES_BLOCK) {
+            apply(pool, &mut rows, &block);
         }
-        if len == 0 {
-            return;
+        return;
+    }
+    let (full_tx, full_rx) = mpsc::channel::<Vec<I>>();
+    let (empty_tx, empty_rx) = mpsc::channel();
+    for _ in 0..PIPELINE_DEPTH {
+        // The receiver is alive: this send cannot fail.
+        let _ = empty_tx.send(Vec::with_capacity(PIPELINE_BLOCK));
+    }
+    std::thread::scope(|scope| {
+        scope.spawn(move || {
+            for block in full_rx {
+                apply(pool, &mut rows, &block);
+                // A closed return channel means the drawing side is
+                // done; the buffer is no longer needed.
+                let _ = empty_tx.send(block);
+            }
+        });
+        // Ends when the steps run out, or early if the swapping thread
+        // has died, whose panic the scope then re-raises. Dropping
+        // `full_tx` (also on a panic in `rng`) ends the swapping loop.
+        while let Ok(mut block) = empty_rx.recv() {
+            if !draw(&mut block, PIPELINE_BLOCK) || full_tx.send(block).is_err() {
+                break;
+            }
         }
-        let block = &block[..len];
-        let warm = block.iter().fold(0, |acc, &(_, j)| acc ^ pool[j].index());
+        drop(full_tx);
+    });
+}
+
+/// Applies the next `targets.len()` steps, taking their `i`s from
+/// `rows`, [`FISHER_YATES_BLOCK`] at a time: read every `pool[j]` of
+/// the block (independent loads, so the cache misses of a large pool
+/// overlap instead of queueing behind each swap), then swap in order.
+/// The reads change nothing.
+fn apply<I: PoolIndex>(pool: &mut [I], rows: &mut impl Iterator<Item = usize>, targets: &[I]) {
+    for block in targets.chunks(FISHER_YATES_BLOCK) {
+        let warm = block
+            .iter()
+            .fold(0, |acc, &j| acc ^ pool[j.index()].index());
         std::hint::black_box(warm);
-        for &(i, j) in block {
-            pool.swap(i, j);
+        for (&j, i) in block.iter().zip(rows.by_ref()) {
+            pool.swap(i, j.index());
         }
     }
 }

@@ -1,18 +1,32 @@
-//! The blocked Fisher–Yates kernel (`updp_core::rng::{shuffle,
+//! The Fisher–Yates kernel (`updp_core::rng::{shuffle,
 //! partial_shuffle}`) against its oracles, the vendored
 //! `SliceRandom::shuffle` and `seq::index::sample`: the same
 //! permutation or sample, and the same next `u64` drawn afterwards, at
-//! both pool widths.
+//! both pool widths, serial and pipelined on two threads.
 
 use proptest::prelude::*;
 use rand::seq::{index, SliceRandom};
 use rand::Rng;
+use updp_core::parallel::PAR_MIN_LEN;
 use updp_core::rng::{
-    fill_identity, partial_shuffle, seeded, shuffle, PoolIndex, FISHER_YATES_BLOCK,
+    fill_identity, partial_shuffle, partial_shuffle_threads, seeded, shuffle, shuffle_threads,
+    PoolIndex, FISHER_YATES_BLOCK, PIPELINE_BLOCK,
 };
 
 /// Lengths around the block boundaries.
 const EDGE_N: [usize; 10] = [0, 1, 2, 3, 63, 64, 65, 127, 128, 129];
+
+/// Pool lengths around the pipeline's block boundaries.
+const PIPELINE_N: [usize; 5] = [
+    PIPELINE_BLOCK - 1,
+    PIPELINE_BLOCK,
+    PIPELINE_BLOCK + 1,
+    PIPELINE_BLOCK + 2,
+    2 * PIPELINE_BLOCK + 1,
+];
+
+/// The serial kernel and the two-thread pipeline.
+const THREADS: [usize; 2] = [1, 2];
 
 fn identity<I: PoolIndex>(n: usize) -> Vec<I> {
     let mut pool = Vec::new();
@@ -24,11 +38,12 @@ fn widen<I: PoolIndex>(pool: &[I]) -> Vec<usize> {
     pool.iter().map(|i| i.index()).collect()
 }
 
-/// The kernel's full shuffle of `0..n` at width `I`, and the next draw.
-fn kernel_full<I: PoolIndex>(seed: u64, n: usize) -> (Vec<usize>, u64) {
+/// The kernel's full shuffle of `0..n` at width `I` on `threads`
+/// threads, and the next draw.
+fn kernel_full<I: PoolIndex>(seed: u64, n: usize, threads: usize) -> (Vec<usize>, u64) {
     let mut rng = seeded(seed);
     let mut pool = identity::<I>(n);
-    shuffle(&mut rng, &mut pool);
+    shuffle_threads(&mut rng, &mut pool, threads);
     (widen(&pool), rng.gen())
 }
 
@@ -40,11 +55,17 @@ fn oracle_full(seed: u64, n: usize) -> (Vec<usize>, u64) {
     (pool, rng.gen())
 }
 
-/// The kernel's `m`-prefix of `0..n` at width `I`, and the next draw.
-fn kernel_partial<I: PoolIndex>(seed: u64, n: usize, m: usize) -> (Vec<usize>, u64) {
+/// The kernel's `m`-prefix of `0..n` at width `I` on `threads`
+/// threads, and the next draw.
+fn kernel_partial<I: PoolIndex>(
+    seed: u64,
+    n: usize,
+    m: usize,
+    threads: usize,
+) -> (Vec<usize>, u64) {
     let mut rng = seeded(seed);
     let mut pool = identity::<I>(n);
-    partial_shuffle(&mut rng, &mut pool, m);
+    partial_shuffle_threads(&mut rng, &mut pool, m, threads);
     (widen(&pool[..m]), rng.gen())
 }
 
@@ -55,36 +76,61 @@ fn oracle_partial(seed: u64, n: usize, m: usize) -> (Vec<usize>, u64) {
     (sample, rng.gen())
 }
 
-/// Sample sizes at 0, 1, the block boundaries and `n` itself.
+/// Sample sizes at 0, 1, the block boundaries of both kernels and `n`
+/// itself.
 fn edge_m(n: usize) -> Vec<usize> {
     let b = FISHER_YATES_BLOCK;
-    let mut ms = vec![0, 1, b - 1, b, b + 1, 2 * b - 1, 2 * b, 2 * b + 1, n];
+    let p = PIPELINE_BLOCK;
+    let mut ms = vec![
+        0,
+        1,
+        b - 1,
+        b,
+        b + 1,
+        2 * b - 1,
+        2 * b,
+        2 * b + 1,
+        p - 1,
+        p,
+        p + 1,
+        n,
+    ];
     ms.retain(|&m| m <= n);
     ms.sort_unstable();
     ms.dedup();
     ms
 }
 
-/// Checks both widths: `usize` is what columns longer than `u32::MAX`
-/// rows get, forced here at small `n`.
+/// Checks both widths at both thread counts: `usize` is what columns
+/// longer than `u32::MAX` rows get, forced here at small `n`.
 fn check_full(seed: u64, n: usize) {
     let oracle = oracle_full(seed, n);
-    assert_eq!(kernel_full::<u32>(seed, n), oracle, "u32, n = {n}");
-    assert_eq!(kernel_full::<usize>(seed, n), oracle, "usize, n = {n}");
+    for threads in THREADS {
+        let at = format!("n = {n}, threads = {threads}");
+        assert_eq!(kernel_full::<u32>(seed, n, threads), oracle, "u32, {at}");
+        assert_eq!(
+            kernel_full::<usize>(seed, n, threads),
+            oracle,
+            "usize, {at}"
+        );
+    }
 }
 
 fn check_partial(seed: u64, n: usize, m: usize) {
     let oracle = oracle_partial(seed, n, m);
-    assert_eq!(
-        kernel_partial::<u32>(seed, n, m),
-        oracle,
-        "u32, n = {n}, m = {m}"
-    );
-    assert_eq!(
-        kernel_partial::<usize>(seed, n, m),
-        oracle,
-        "usize, n = {n}, m = {m}"
-    );
+    for threads in THREADS {
+        let at = format!("n = {n}, m = {m}, threads = {threads}");
+        assert_eq!(
+            kernel_partial::<u32>(seed, n, m, threads),
+            oracle,
+            "u32, {at}"
+        );
+        assert_eq!(
+            kernel_partial::<usize>(seed, n, m, threads),
+            oracle,
+            "usize, {at}"
+        );
+    }
 }
 
 #[test]
@@ -99,10 +145,64 @@ fn block_edge_lengths_match_the_vendored_shuffle_and_sample() {
 }
 
 #[test]
+fn pipeline_block_edge_lengths_match_the_vendored_shuffle_and_sample() {
+    for (seed, n) in PIPELINE_N.into_iter().enumerate() {
+        let seed = 100 + seed as u64;
+        check_full(seed, n);
+        for m in edge_m(n) {
+            check_partial(seed, n, m);
+        }
+    }
+}
+
+/// Past the threshold the default entries pipeline on their own (on a
+/// host with two or more threads): still the vendored permutation.
+#[test]
+fn default_entries_match_the_vendored_shuffle_past_the_threshold() {
+    let n = PAR_MIN_LEN + 1;
+    let mut rng = seeded(7);
+    let mut pool = identity::<u32>(n);
+    shuffle(&mut rng, &mut pool);
+    assert_eq!((widen(&pool), rng.gen::<u64>()), oracle_full(7, n));
+    for m in [PAR_MIN_LEN - 1, PAR_MIN_LEN] {
+        let mut rng = seeded(8);
+        let mut pool = identity::<u32>(n);
+        partial_shuffle(&mut rng, &mut pool, m);
+        assert_eq!(
+            (widen(&pool[..m]), rng.gen::<u64>()),
+            oracle_partial(8, n, m),
+            "m = {m}"
+        );
+    }
+}
+
+#[test]
 #[should_panic(expected = "cannot sample")]
 fn oversampling_panics_like_the_vendored_sample() {
     let mut pool = identity::<u32>(2);
     partial_shuffle(&mut seeded(1), &mut pool, 3);
+}
+
+/// A generator that panics mid-shuffle on the drawing thread: the panic
+/// reaches the caller and the swapping thread is not left waiting.
+#[test]
+#[should_panic(expected = "coins ran out")]
+fn a_panicking_generator_ends_the_pipeline() {
+    struct Finite(u64);
+    impl rand::RngCore for Finite {
+        fn next_u32(&mut self) -> u32 {
+            self.next_u64() as u32
+        }
+        fn next_u64(&mut self) -> u64 {
+            self.0 = self.0.checked_sub(1).expect("coins ran out");
+            self.0
+        }
+        fn fill_bytes(&mut self, _dest: &mut [u8]) {
+            unimplemented!()
+        }
+    }
+    let mut pool = identity::<u32>(3 * PIPELINE_BLOCK);
+    shuffle_threads(&mut Finite(2 * PIPELINE_BLOCK as u64), &mut pool, 2);
 }
 
 proptest! {

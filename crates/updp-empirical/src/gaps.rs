@@ -1,10 +1,13 @@
 //! The pair-gap structure of Algorithms 7 and 9 (DESIGN.md §12.3).
 //!
 //! Both algorithms "randomly group the elements in D into pairs".
-//! `for_each_random_pair` is that step, once: shuffle the record
-//! indices with the blocked Fisher–Yates kernel
-//! ([`updp_core::rng::shuffle`], `u32` indices up to `u32::MAX` rows),
-//! pair consecutive shuffled indices, and visit each pair. Algorithm 9
+//! `shuffled` is that step, once: shuffle the record indices with the
+//! Fisher–Yates kernel ([`updp_core::rng::shuffle_threads`], `u32`
+//! indices up to `u32::MAX` rows); consecutive shuffled indices are
+//! the pairs. From [`PAR_MIN_LEN`](updp_core::parallel::PAR_MIN_LEN)
+//! records up the shuffle is pipelined on two threads and the pass over
+//! the pairs is split into contiguous ranges, one per thread; the
+//! result is the serial pass's at any thread count. Algorithm 9
 //! maps a pair to its squared gap ([`map_random_pairs`]). Algorithm 7
 //! only counts absolute gaps `|X − X′|` below its SVT thresholds, which
 //! are all powers of two ([`pow2`]), so a [`GapSummary`] keeps no gaps:
@@ -34,7 +37,8 @@
 //!   can force all gaps to collapse.
 
 use rand::Rng;
-use updp_core::rng::{child_rng, fill_identity, shuffle, PoolIndex};
+use updp_core::parallel::{par_for_each, par_map_indexed_threads, threads_for};
+use updp_core::rng::{child_rng, fill_identity, shuffle_threads, PoolIndex};
 
 /// Domain-separation salt for the pairing permutation seed. Any fixed
 /// odd constant works; it only needs to differ from the trial-engine
@@ -71,53 +75,134 @@ const MIN_OCTAVE: i32 = -1022;
 const MAX_OCTAVE: i32 = 1024;
 const OCTAVES: usize = (MAX_OCTAVE - MIN_OCTAVE + 1) as usize;
 
-/// Randomly groups `data` into `⌊n/2⌋` pairs of original indices (a
-/// uniform shuffle drawn from `rng`, then consecutive indices of the
-/// shuffle) and visits each pair `(data[i], data[j])`. With odd `n` the
-/// last shuffled index is left out. The permutation is the vendored
-/// `SliceRandom::shuffle`'s, at any index width.
-pub(crate) fn for_each_random_pair<R: Rng + ?Sized>(
-    rng: &mut R,
-    data: &[f64],
-    mut f: impl FnMut(f64, f64),
-) {
-    if data.len() <= <u32 as PoolIndex>::MAX_LEN {
-        pair_up::<u32, R>(rng, data, &mut f);
-    } else {
-        pair_up::<usize, R>(rng, data, &mut f);
-    }
-}
-
-/// [`for_each_random_pair`] at one index width.
-fn pair_up<I: PoolIndex, R: Rng + ?Sized>(rng: &mut R, data: &[f64], f: &mut impl FnMut(f64, f64)) {
+/// A uniform shuffle of the record indices `0..n` drawn from `rng`:
+/// the vendored `SliceRandom::shuffle`'s permutation, at any index
+/// width and thread count. Consecutive indices of it are the random
+/// pairs; with odd `n` the last one is left out.
+fn shuffled<I: PoolIndex, R: Rng + ?Sized>(rng: &mut R, n: usize, threads: usize) -> Vec<I> {
     let mut pool = Vec::new();
-    fill_identity::<I>(&mut pool, data.len());
-    shuffle(rng, &mut pool);
-    for p in pool.chunks_exact(2) {
-        f(data[p[0].index()], data[p[1].index()]);
-    }
+    fill_identity(&mut pool, n);
+    shuffle_threads(rng, &mut pool, threads);
+    pool
 }
 
-/// Maps each random pair of `for_each_random_pair` through `f`, in
-/// pairing order.
+/// Pairs per contiguous range when `pairs` pairs are split among
+/// `threads` threads: the ranges are `per` long, the last one shorter.
+fn range_len(pairs: usize, threads: usize) -> usize {
+    pairs.div_ceil(threads.max(1)).max(1)
+}
+
+/// The pairs of a shuffled `range` (an even-length slice of the pool),
+/// as records, in pairing order.
+fn records<'a, I: PoolIndex>(
+    data: &'a [f64],
+    range: &'a [I],
+) -> impl Iterator<Item = (f64, f64)> + 'a {
+    range
+        .chunks_exact(2)
+        .map(|p| (data[p[0].index()], data[p[1].index()]))
+}
+
+/// Maps each random pair `(data[i], data[j])` through `f`, in pairing
+/// order: the pairs are consecutive indices of a uniform shuffle drawn
+/// from `rng`, and with odd `n` the last shuffled index is left out.
+/// From [`PAR_MIN_LEN`](updp_core::parallel::PAR_MIN_LEN) records up
+/// the shuffle is pipelined and the pairs are mapped on
+/// [`updp_core::parallel::max_threads`] threads.
 pub fn map_random_pairs<R: Rng + ?Sized>(
     rng: &mut R,
     data: &[f64],
-    f: impl Fn(f64, f64) -> f64,
+    f: impl Fn(f64, f64) -> f64 + Sync,
 ) -> Vec<f64> {
-    let mut out = Vec::with_capacity(data.len() / 2);
-    for_each_random_pair(rng, data, |a, b| out.push(f(a, b)));
+    map_random_pairs_threads(rng, data, threads_for(data.len()), f)
+}
+
+/// [`map_random_pairs`] with an explicit thread count (1 ⇒ no thread
+/// starts). Each thread writes its own contiguous slice of the output,
+/// so the result is the same at any count.
+pub fn map_random_pairs_threads<R: Rng + ?Sized>(
+    rng: &mut R,
+    data: &[f64],
+    threads: usize,
+    f: impl Fn(f64, f64) -> f64 + Sync,
+) -> Vec<f64> {
+    if data.len() <= <u32 as PoolIndex>::MAX_LEN {
+        map_pairs::<u32, R>(rng, data, threads, f)
+    } else {
+        map_pairs::<usize, R>(rng, data, threads, f)
+    }
+}
+
+/// [`map_random_pairs_threads`] at one index width.
+fn map_pairs<I: PoolIndex, R: Rng + ?Sized>(
+    rng: &mut R,
+    data: &[f64],
+    threads: usize,
+    f: impl Fn(f64, f64) -> f64 + Sync,
+) -> Vec<f64> {
+    let pool = shuffled::<I, R>(rng, data.len(), threads);
+    let pairs = pool.len() / 2;
+    let per = range_len(pairs, threads);
+    let mut out = vec![0.0; pairs];
+    let parts: Vec<(&mut [f64], &[I])> = out
+        .chunks_mut(per)
+        .zip(pool[..2 * pairs].chunks(2 * per))
+        .collect();
+    par_for_each(parts, |(out, range)| {
+        for (o, (a, b)) in out.iter_mut().zip(records(data, range)) {
+            *o = f(a, b);
+        }
+    });
     out
 }
 
 /// The gap summary of a random pairing drawn from the mechanism's
-/// coins `rng`.
+/// coins `rng`. From [`PAR_MIN_LEN`](updp_core::parallel::PAR_MIN_LEN)
+/// records up the shuffle is pipelined and the gaps are counted on
+/// [`updp_core::parallel::max_threads`] threads.
 ///
 /// Public so the benchmark can time the pair-gap stage on its own.
 pub fn pair_gaps<R: Rng + ?Sized>(rng: &mut R, data: &[f64]) -> GapSummary {
-    let mut counter = OctaveCounter::new();
-    for_each_random_pair(rng, data, |a, b| counter.add((a - b).abs()));
-    counter.finish(data.iter().all(|x| x.is_finite()))
+    pair_gaps_threads(rng, data, threads_for(data.len()))
+}
+
+/// [`pair_gaps`] with an explicit thread count (1 ⇒ no thread
+/// starts). Each thread counts a contiguous range of the pairs into its
+/// own counter; the counts are integers, so their sum is the same at
+/// any count.
+pub fn pair_gaps_threads<R: Rng + ?Sized>(rng: &mut R, data: &[f64], threads: usize) -> GapSummary {
+    if data.len() <= <u32 as PoolIndex>::MAX_LEN {
+        count_gaps::<u32, R>(rng, data, threads)
+    } else {
+        count_gaps::<usize, R>(rng, data, threads)
+    }
+}
+
+/// [`pair_gaps_threads`] at one index width.
+fn count_gaps<I: PoolIndex, R: Rng + ?Sized>(
+    rng: &mut R,
+    data: &[f64],
+    threads: usize,
+) -> GapSummary {
+    let pool = shuffled::<I, R>(rng, data.len(), threads);
+    let pairs = pool.len() / 2;
+    let ranges: Vec<&[I]> = pool[..2 * pairs]
+        .chunks(2 * range_len(pairs, threads))
+        .collect();
+    let counters = par_map_indexed_threads(threads, ranges.len(), |k| {
+        let mut counter = OctaveCounter::new();
+        records(data, ranges[k]).for_each(|(a, b)| counter.add(a, b));
+        counter
+    });
+    let mut total = OctaveCounter::new();
+    for counter in &counters {
+        total.merge(counter);
+    }
+    // The record an odd column leaves unpaired.
+    if let Some(&last) = pool.get(2 * pairs) {
+        total.all_finite &= data[last.index()].is_finite();
+    }
+    total.finish()
 }
 
 /// The pair-gap multiset of one column, reduced to what Algorithm 7
@@ -185,8 +270,10 @@ fn octave_slot(g: f64) -> Option<usize> {
     Some((k.max(MIN_OCTAVE) - MIN_OCTAVE) as usize)
 }
 
-/// Accumulates gaps into per-octave counts.
+/// Accumulates the gaps of record pairs into per-octave counts, and
+/// whether every record seen is finite.
 struct OctaveCounter {
+    all_finite: bool,
     pairs: usize,
     le_floor: usize,
     counts: Box<[usize]>,
@@ -195,14 +282,22 @@ struct OctaveCounter {
 impl OctaveCounter {
     fn new() -> Self {
         OctaveCounter {
+            all_finite: true,
             pairs: 0,
             le_floor: 0,
             counts: vec![0; OCTAVES].into_boxed_slice(),
         }
     }
 
+    /// Counts the gap `|a − b|` of one pair.
     #[inline]
-    fn add(&mut self, g: f64) {
+    fn add(&mut self, a: f64, b: f64) {
+        self.all_finite &= a.is_finite() & b.is_finite();
+        self.add_gap((a - b).abs());
+    }
+
+    #[inline]
+    fn add_gap(&mut self, g: f64) {
         self.pairs += 1;
         self.le_floor += usize::from(g <= SCALE_FLOOR);
         if let Some(slot) = octave_slot(g) {
@@ -210,14 +305,24 @@ impl OctaveCounter {
         }
     }
 
-    fn finish(mut self, all_finite: bool) -> GapSummary {
+    /// Adds the counts of `other`: integer sums, exact in any order.
+    fn merge(&mut self, other: &OctaveCounter) {
+        self.all_finite &= other.all_finite;
+        self.pairs += other.pairs;
+        self.le_floor += other.le_floor;
+        for (count, more) in self.counts.iter_mut().zip(other.counts.iter()) {
+            *count += more;
+        }
+    }
+
+    fn finish(mut self) -> GapSummary {
         let mut total = 0;
         for count in self.counts.iter_mut() {
             total += *count;
             *count = total;
         }
         GapSummary {
-            all_finite,
+            all_finite: self.all_finite,
             pairs: self.pairs,
             le_floor: self.le_floor,
             le_octave: self.counts,
@@ -257,8 +362,8 @@ mod tests {
 
     fn summarize(gaps: &[f64]) -> GapSummary {
         let mut counter = OctaveCounter::new();
-        gaps.iter().for_each(|&g| counter.add(g));
-        counter.finish(true)
+        gaps.iter().for_each(|&g| counter.add_gap(g));
+        counter.finish()
     }
 
     /// The reference gaps of `pair_gaps` on the same coins.
@@ -393,20 +498,20 @@ mod tests {
     #[test]
     fn index_widths_pair_identically() {
         // Columns past u32::MAX rows pair at usize width; forced here on
-        // a small column, it must visit the u32 pairs in the same order.
+        // a small column, it must give the u32 pairs, in the same order.
         let data: Vec<f64> = (0..1001).map(|i| f64::from(i).sqrt()).collect();
-        let visit = |wide: bool| {
-            let mut pairs = Vec::new();
-            let mut f = |a: f64, b: f64| pairs.push((a, b));
-            if wide {
-                pair_up::<usize, _>(&mut seeded(3), &data, &mut f);
-            } else {
-                pair_up::<u32, _>(&mut seeded(3), &data, &mut f);
-            }
-            pairs
-        };
-        assert_eq!(visit(true), visit(false));
-        assert_eq!(visit(false).len(), 500);
+        let gap = |a: f64, b: f64| a - b;
+        for threads in [1, 2] {
+            let narrow = map_pairs::<u32, _>(&mut seeded(3), &data, threads, gap);
+            let wide = map_pairs::<usize, _>(&mut seeded(3), &data, threads, gap);
+            assert_eq!(narrow.len(), 500);
+            assert_eq!(narrow, wide, "threads = {threads}");
+            assert_eq!(
+                count_gaps::<u32, _>(&mut seeded(3), &data, threads),
+                count_gaps::<usize, _>(&mut seeded(3), &data, threads),
+                "threads = {threads}"
+            );
+        }
     }
 
     #[test]

@@ -56,27 +56,16 @@ use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock, RwLock};
 use updp_core::error::{ensure_finite, Result, UpdpError};
 
-/// Columns shorter than this sort serially even when `UPDP_THREADS`
-/// permits parallelism. Experiment trials are themselves parallelized
-/// by the §5 engine, so per-trial sorts must not spawn nested worker
-/// pools; only genuinely large cold builds (the serving registry's
-/// registration path) clear this bar. Chosen so the O(n) merge rounds
-/// amortize the thread spawn cost even on modest hosts.
-pub(crate) const PAR_SORT_MIN_LEN: usize = 1 << 17;
-
 /// A `total_cmp`-sorted copy of `data`, parallel for large columns.
 ///
-/// Honors `UPDP_THREADS` via [`updp_core::parallel::max_threads`];
-/// columns below `PAR_SORT_MIN_LEN` take the serial fast path
-/// unconditionally. Output is bit-identical at any thread count (see
-/// [`sorted_copy_threads`]).
+/// Honors `UPDP_THREADS` via [`updp_core::parallel::threads_for`]:
+/// columns below [`PAR_MIN_LEN`](updp_core::parallel::PAR_MIN_LEN) take
+/// the serial fast path unconditionally, and so does a sort inside a
+/// parallel map's worker (experiment trials are themselves parallel, so
+/// their sorts must not start nested pools). Output is bit-identical at
+/// any thread count (see [`sorted_copy_threads`]).
 pub fn sorted_copy(data: &[f64]) -> Vec<f64> {
-    let threads = if data.len() >= PAR_SORT_MIN_LEN {
-        updp_core::parallel::max_threads()
-    } else {
-        1
-    };
-    sorted_copy_threads(data, threads)
+    sorted_copy_threads(data, updp_core::parallel::threads_for(data.len()))
 }
 
 /// [`sorted_copy`] with an explicit worker count (1 ⇒ serial

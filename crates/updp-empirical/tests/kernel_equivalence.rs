@@ -8,11 +8,20 @@
 //!   identical to a fresh summary built over the concatenated column
 //!   (the summary is a pure function of the column), and its
 //!   `count_le_pow2` matches the naive filter over the snapshot-paired
-//!   gaps at every power-of-two threshold.
+//!   gaps at every power-of-two threshold;
+//! * the pair pass (`pair_gaps`, `map_random_pairs`) is bitwise the
+//!   same at every thread count, including odd columns and non-finite
+//!   records, and past the parallel threshold on the default entries.
 
 use proptest::prelude::*;
-use updp_core::rng::child_rng;
-use updp_empirical::gaps::{map_random_pairs, pow2, GapSummary, GAP_PAIRING_SALT};
+use rand::seq::SliceRandom;
+use rand::RngCore;
+use updp_core::parallel::PAR_MIN_LEN;
+use updp_core::rng::{child_rng, seeded};
+use updp_empirical::gaps::{
+    map_random_pairs, map_random_pairs_threads, pair_gaps, pair_gaps_threads, pow2, GapSummary,
+    GAP_PAIRING_SALT,
+};
 use updp_empirical::view::{sorted_copy_threads, PreparedDataset};
 
 /// Replaces a mask-selected subset of `values` with adversarial bit
@@ -71,6 +80,35 @@ proptest! {
         }
     }
 
+    /// The pair pass at worker counts {2, 8} ≡ the serial pass, bitwise:
+    /// the same gap summary (uncounted NaN/+∞ gaps and the finiteness
+    /// bit included) and the same mapped pairs in the same order, with
+    /// the generator left in the same state.
+    #[test]
+    fn pair_pass_matches_serial_bitwise(
+        mut values in prop::collection::vec(-1e6f64..1e6, 0..400),
+        mask in 0u64..(1 << 16),
+        seed in 0u64..u64::MAX,
+    ) {
+        inject_specials(&mut values, mask);
+        let gap = |a: f64, b: f64| (a - b).abs();
+        let mut rng = seeded(seed);
+        let summary = pair_gaps_threads(&mut rng, &values, 1);
+        let after = rng.next_u64();
+        let mut rng = seeded(seed);
+        let mapped = map_random_pairs_threads(&mut rng, &values, 1, gap);
+        prop_assert_eq!(rng.next_u64(), after);
+        for threads in [2usize, 8] {
+            let mut rng = seeded(seed);
+            prop_assert_eq!(&pair_gaps_threads(&mut rng, &values, threads), &summary);
+            prop_assert_eq!(rng.next_u64(), after);
+            let mut rng = seeded(seed);
+            let par = map_random_pairs_threads(&mut rng, &values, threads, gap);
+            assert_bits_equal(&par, &mapped, &format!("threads={threads}"));
+            prop_assert_eq!(rng.next_u64(), after);
+        }
+    }
+
     /// The gap summary of an append-chain snapshot equals a fresh
     /// summary over the concatenated column — and `count_le_pow2`
     /// equals the naive filter at every `pow2` threshold, through its
@@ -107,6 +145,61 @@ proptest! {
             prop_assert_eq!(cached.count_le_pow2(k), naive, "k {}", k);
         }
     }
+}
+
+/// Columns with one non-finite record, placed in the first and last
+/// range of a split pass and, for odd columns, on the one record the
+/// pairing leaves out: the finiteness bit and the uncounted gaps split
+/// correctly.
+#[test]
+fn pair_pass_splits_non_finite_records_at_every_thread_count() {
+    let gap = |a: f64, b: f64| (a - b).abs();
+    for n in [2usize, 3, 9, 64, 65, 1001] {
+        let seed = n as u64;
+        let finite: Vec<f64> = (0..n).map(|i| (i as f64).sin() * 1e3).collect();
+        let clean = pair_gaps_threads(&mut seeded(seed), &finite, 1);
+        let mut order: Vec<usize> = (0..n).collect();
+        order.shuffle(&mut seeded(seed));
+        for special in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for at in [order[0], order[n - 1]] {
+                let mut values = finite.clone();
+                values[at] = special;
+                let serial = pair_gaps_threads(&mut seeded(seed), &values, 1);
+                assert_ne!(serial, clean, "n = {n}: the finiteness bit");
+                let mapped = map_random_pairs_threads(&mut seeded(seed), &values, 1, gap);
+                for threads in [2usize, 8] {
+                    let what = format!("n = {n}, at = {at}, threads = {threads}");
+                    let par = pair_gaps_threads(&mut seeded(seed), &values, threads);
+                    assert_eq!(par, serial, "{what}");
+                    let par = map_random_pairs_threads(&mut seeded(seed), &values, threads, gap);
+                    assert_bits_equal(&par, &mapped, &what);
+                }
+            }
+        }
+    }
+}
+
+/// Past the threshold the default entries split the pass on their own
+/// (on a host with two or more threads): still the serial pass's bits.
+#[test]
+fn default_pair_pass_matches_serial_past_the_threshold() {
+    let n = PAR_MIN_LEN + 1;
+    let mut values: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin() * 50.0).collect();
+    values[n / 3] = f64::NAN;
+    let square = |a: f64, b: f64| (a - b) * (a - b);
+    let mut rng = seeded(11);
+    let summary = pair_gaps(&mut rng, &values);
+    let after = rng.next_u64();
+    let mut rng = seeded(11);
+    assert_eq!(summary, pair_gaps_threads(&mut rng, &values, 1));
+    assert_eq!(rng.next_u64(), after);
+    let mut rng = seeded(12);
+    let mapped = map_random_pairs(&mut rng, &values, square);
+    let after = rng.next_u64();
+    let mut rng = seeded(12);
+    let serial = map_random_pairs_threads(&mut rng, &values, 1, square);
+    assert_bits_equal(&mapped, &serial, "map_random_pairs");
+    assert_eq!(rng.next_u64(), after);
 }
 
 /// Default-mode snapshots must never build or serve a gap summary —
