@@ -50,10 +50,11 @@ use std::sync::{Mutex, PoisonError};
 pub const THREADS_ENV: &str = "UPDP_THREADS";
 
 /// Data kernels shorter than this (in elements, or in Fisher–Yates
-/// steps) run serially whatever `UPDP_THREADS` permits: the sort of
-/// `updp_empirical::view::sorted_copy`, the pipelined shuffle of
-/// [`crate::rng`] and the pair pass of `updp_empirical::gaps`. Chosen so
-/// that the work amortizes a thread spawn even on modest hosts.
+/// steps) run serially whatever `UPDP_THREADS` permits: the sort
+/// ([`sort_unstable_threads`]) of `sorted_copy` and `SortedInts::new`,
+/// the pipelined shuffle of [`crate::rng`] and the pair pass of
+/// `updp_empirical::gaps`. Chosen so that the work amortizes a thread
+/// spawn even on modest hosts.
 pub const PAR_MIN_LEN: usize = 1 << 17;
 
 thread_local! {
@@ -200,6 +201,36 @@ where
             });
         }
     });
+}
+
+/// Sorts `v` in place by `cmp` on `threads` workers, no merge buffer:
+/// `select_nth_unstable_by` cuts `v`, serially, into `threads` parts
+/// whose every element orders after the previous part's, then one
+/// [`par_for_each`] sorts the parts. 1 thread ⇒ `sort_unstable_by`.
+/// Where elements that compare equal are indistinguishable
+/// (`f64::total_cmp`, `i64`), every thread count yields the same
+/// sequence (DESIGN.md §12.1).
+pub fn sort_unstable_threads<T, F>(v: &mut [T], threads: usize, cmp: F)
+where
+    T: Send,
+    F: Fn(&T, &T) -> std::cmp::Ordering + Sync,
+{
+    let (n, parts) = (v.len(), threads.min(v.len()));
+    if parts <= 1 {
+        v.sort_unstable_by(cmp);
+        return;
+    }
+    let mut pieces = Vec::with_capacity(parts);
+    let (mut rest, mut start) = (v, 0);
+    for k in 1..parts {
+        let cut = k * n / parts - start;
+        rest.select_nth_unstable_by(cut, &cmp);
+        let (piece, tail) = rest.split_at_mut(cut);
+        pieces.push(piece);
+        (rest, start) = (tail, start + cut);
+    }
+    pieces.push(rest);
+    par_for_each(pieces, |piece| piece.sort_unstable_by(&cmp));
 }
 
 #[cfg(test)]

@@ -7,6 +7,7 @@
 
 use updp_core::clipped_mean::clipped_sum_i64;
 use updp_core::error::{Result, UpdpError};
+use updp_core::parallel::{sort_unstable_threads, threads_for};
 
 /// A sorted multiset of integers — the dataset type `D ∈ Zⁿ`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -15,12 +16,13 @@ pub struct SortedInts {
 }
 
 impl SortedInts {
-    /// Builds a dataset from arbitrary-order values (sorts internally).
+    /// Builds a dataset from arbitrary-order values (sorts in place, on [`threads_for`] workers).
     pub fn new(mut values: Vec<i64>) -> Result<Self> {
         if values.is_empty() {
             return Err(UpdpError::EmptyDataset);
         }
-        values.sort_unstable();
+        let threads = threads_for(values.len());
+        sort_unstable_threads(&mut values, threads, i64::cmp);
         Ok(SortedInts { values })
     }
 

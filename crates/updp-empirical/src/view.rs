@@ -39,9 +39,10 @@
 //! views pair with the mechanism's coins.
 //!
 //! Cold sorted-copy builds go through [`sorted_copy`], a deterministic
-//! parallel merge sort: `total_cmp` ties are bit-identical, so chunked
-//! sorting plus run merging (the proptest-pinned `merge_sorted_f64`
-//! lemma) yields the identical byte sequence at any `UPDP_THREADS`.
+//! in-place parallel sort (select-and-split, DESIGN.md §12.1):
+//! `total_cmp` ties are bit-identical, so it yields the identical byte
+//! sequence at any `UPDP_THREADS`. Appends merge runs with the
+//! proptest-pinned `merge_sorted_f64` lemma instead.
 
 // Lock poisoning maps to structured errors or a reasoned recovery,
 // never a panic (DESIGN.md §6, §9).
@@ -68,51 +69,17 @@ pub fn sorted_copy(data: &[f64]) -> Vec<f64> {
     sorted_copy_threads(data, updp_core::parallel::threads_for(data.len()))
 }
 
-/// [`sorted_copy`] with an explicit worker count (1 ⇒ serial
-/// `sort_by(total_cmp)`, no threads, no threshold).
-///
-/// Parallel path: split into `threads` contiguous chunks, sort each
-/// with `total_cmp` via [`updp_core::parallel::par_map_indexed_threads`],
-/// then merge runs pairwise (also in parallel) until one remains.
-/// **Bit-identity lemma (DESIGN.md §12):** `total_cmp` is a total
+/// [`sorted_copy`] with an explicit worker count (1 ⇒ serial, no
+/// threads, no threshold): a copy sorted in place by
+/// [`updp_core::parallel::sort_unstable_threads`] under `total_cmp`.
+/// **Bit-identity lemma (DESIGN.md §12.1):** `total_cmp` is a total
 /// order in which elements that compare equal have identical bit
-/// patterns, so every correct sort of the same multiset — serial,
-/// chunked, any merge-tree shape — produces the identical byte
-/// sequence. `merge_sorted_f64` is the same proptest-pinned merge the
-/// append path uses.
+/// patterns, so every correct sort of the same multiset — serial or
+/// split at any thread count — produces the identical byte sequence.
 pub fn sorted_copy_threads(data: &[f64], threads: usize) -> Vec<f64> {
-    let n = data.len();
-    if threads <= 1 || n < 2 {
-        let mut v = data.to_vec();
-        v.sort_by(f64::total_cmp);
-        return v;
-    }
-    let workers = threads.min(n);
-    let chunk = n.div_ceil(workers);
-    let pieces = n.div_ceil(chunk);
-    let mut runs: Vec<Vec<f64>> =
-        updp_core::parallel::par_map_indexed_threads(threads, pieces, |i| {
-            let start = i * chunk;
-            let end = (start + chunk).min(n);
-            let mut run = data[start..end].to_vec();
-            run.sort_by(f64::total_cmp);
-            run
-        });
-    while runs.len() > 1 {
-        let pairs = runs.len() / 2;
-        let mut next = {
-            let runs_ref = &runs;
-            updp_core::parallel::par_map_indexed_threads(threads, pairs, |i| {
-                merge_sorted_f64(&runs_ref[2 * i], &runs_ref[2 * i + 1])
-            })
-        };
-        if runs.len() % 2 == 1 {
-            // The odd run out carries over unmerged.
-            next.extend(runs.pop());
-        }
-        runs = next;
-    }
-    runs.pop().unwrap_or_default()
+    let mut v = data.to_vec();
+    updp_core::parallel::sort_unstable_threads(&mut v, threads, f64::total_cmp);
+    v
 }
 
 /// Lazily-built, thread-safe artifacts of one `f64` column.
@@ -361,13 +328,6 @@ impl<'a> ColumnView<'a> {
     /// bare views) — a cache-effect diagnostic.
     pub fn has_sorted(&self) -> bool {
         self.cache.is_some_and(ColumnCache::has_sorted)
-    }
-
-    /// Whether a [`ColumnCache`] is attached (callers that benefit
-    /// from intra-call artifact reuse attach a throwaway cache when
-    /// this is false).
-    pub fn has_cache(&self) -> bool {
-        self.cache.is_some()
     }
 }
 

@@ -1,9 +1,12 @@
 //! The kernel determinism contract (DESIGN.md §12), pinned
 //! property-style:
 //!
-//! * the deterministic parallel merge sort produces **bitwise** the
-//!   same sequence as the serial `sort_by(f64::total_cmp)` at every
-//!   thread count, across `NaN`/`-0.0`/`±inf`/subnormal bit patterns;
+//! * the in-place parallel sort produces **bitwise** the same sequence
+//!   as the serial `sort_by(f64::total_cmp)` at every thread count,
+//!   across `NaN`/`-0.0`/`±inf`/subnormal bit patterns, and the same
+//!   `i64` grid as the serial `sort_unstable`, cuts inside runs of equal
+//!   values and past the parallel threshold on the default entries
+//!   included;
 //! * the cached pair-gap summary of a snapshot reached by appends is
 //!   identical to a fresh summary built over the concatenated column
 //!   (the summary is a pure function of the column), and its
@@ -16,13 +19,14 @@
 use proptest::prelude::*;
 use rand::seq::SliceRandom;
 use rand::RngCore;
-use updp_core::parallel::PAR_MIN_LEN;
+use updp_core::parallel::{sort_unstable_threads, PAR_MIN_LEN};
 use updp_core::rng::{child_rng, seeded};
 use updp_empirical::gaps::{
     map_random_pairs, map_random_pairs_threads, pair_gaps, pair_gaps_threads, pow2, GapSummary,
     GAP_PAIRING_SALT,
 };
-use updp_empirical::view::{sorted_copy_threads, PreparedDataset};
+use updp_empirical::view::{sorted_copy, sorted_copy_threads, PreparedDataset};
+use updp_empirical::SortedInts;
 
 /// Replaces a mask-selected subset of `values` with adversarial bit
 /// patterns (`NaN`, `-0.0`, `±inf`, huge magnitudes, denormals) so the
@@ -77,6 +81,33 @@ proptest! {
         for threads in [1usize, 2, 8] {
             let par = sorted_copy_threads(&values, threads);
             assert_bits_equal(&par, &serial, &format!("threads={threads}"));
+        }
+    }
+
+    /// The in-place kernel over `i64` at explicit worker counts, and
+    /// `SortedInts::new`, ≡ the serial `sort_unstable`. Each code picks
+    /// a full-range value, one of five small ones, `i64::MIN` or
+    /// `i64::MAX`, so runs of equal values that the cuts land inside
+    /// are common.
+    #[test]
+    fn integer_sort_matches_serial(codes in prop::collection::vec(0u64..u64::MAX, 1..300)) {
+        let values: Vec<i64> = codes
+            .iter()
+            .map(|&c| match c % 4 {
+                0 => c as i64,
+                1 => (c >> 2) as i64 % 5 - 2,
+                2 => i64::MIN,
+                _ => i64::MAX,
+            })
+            .collect();
+        let mut serial = values.clone();
+        serial.sort_unstable();
+        let grid = SortedInts::new(values.clone()).unwrap();
+        prop_assert_eq!(grid.values(), serial.as_slice());
+        for threads in [1usize, 2, 3, 8, 16] {
+            let mut par = values.clone();
+            sort_unstable_threads(&mut par, threads, i64::cmp);
+            prop_assert_eq!(&par, &serial, "threads={}", threads);
         }
     }
 
@@ -269,4 +300,53 @@ fn parallel_sort_nan_and_signed_zero_layout() {
         zero_bits,
         vec![(-0.0f64).to_bits(), (-0.0f64).to_bits(), 0, 0]
     );
+}
+
+/// Columns whose every cut lands inside a run: all equal, two-valued,
+/// and the `i64` extremes around zero.
+#[test]
+fn integer_sort_cuts_inside_runs() {
+    let columns: [Vec<i64>; 3] = [
+        vec![7; 101],
+        (0..101)
+            .map(|i| if i % 3 == 0 { i64::MAX } else { -1 })
+            .collect(),
+        (0..101).map(|i| [i64::MIN, i64::MAX, 0][i % 3]).collect(),
+    ];
+    for values in columns {
+        let mut serial = values.clone();
+        serial.sort_unstable();
+        for threads in [1usize, 2, 3, 8, 16, 101, 200] {
+            let mut par = values.clone();
+            sort_unstable_threads(&mut par, threads, i64::cmp);
+            assert_eq!(par, serial, "threads = {threads}");
+        }
+    }
+}
+
+/// Around the threshold the default entries (`SortedInts::new`,
+/// `sorted_copy`) split the sort on their own (on a host with two or
+/// more threads): still the serial sort's values and bits.
+#[test]
+fn default_sorts_match_serial_around_the_threshold() {
+    for n in [PAR_MIN_LEN - 1, PAR_MIN_LEN, PAR_MIN_LEN + 1] {
+        let ints: Vec<i64> = (0..n as u64)
+            .map(|i| (i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 52) as i64 - 2048)
+            .collect();
+        let mut serial = ints.clone();
+        serial.sort_unstable();
+        assert_eq!(
+            SortedInts::new(ints.clone()).unwrap().values(),
+            serial,
+            "n = {n}"
+        );
+
+        let mut floats: Vec<f64> = ints.iter().map(|&i| i as f64 * 0.5).collect();
+        floats[n / 3] = f64::NAN;
+        floats[n / 2] = -0.0;
+        floats[n / 4] = 0.0;
+        let mut serial = floats.clone();
+        serial.sort_by(f64::total_cmp);
+        assert_bits_equal(&sorted_copy(&floats), &serial, &format!("n = {n}"));
+    }
 }

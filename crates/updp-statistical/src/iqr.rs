@@ -19,8 +19,9 @@ use crate::iqr_lower_bound::estimate_iqr_lower_bound_view;
 use rand::Rng;
 use updp_core::error::{ensure_beta, Result, UpdpError};
 use updp_core::privacy::Epsilon;
-use updp_empirical::discretize::real_quantile_view;
-use updp_empirical::view::{ColumnCache, ColumnView};
+use updp_empirical::discretize::Discretizer;
+use updp_empirical::quantile::infinite_domain_quantile;
+use updp_empirical::view::ColumnView;
 
 /// Diagnostics accompanying a universal IQR estimate.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -48,23 +49,16 @@ pub fn estimate_iqr<R: Rng + ?Sized>(
     estimate_iqr_view(rng, &ColumnView::bare(data), epsilon, beta)
 }
 
-/// [`estimate_iqr`] over a [`ColumnView`]: the discretized grid for
-/// the privately-chosen bucket is reused both *within* a call (the
-/// two quartiles always share one bucket — a throwaway local cache is
-/// attached when the caller's view has none, so every call pays one
-/// `O(n log n)` build instead of two) and *across* calls on the same
-/// dataset snapshot. Bit-identical to [`estimate_iqr`] for the same
-/// seed.
+/// [`estimate_iqr`] over a [`ColumnView`]: both quartiles run on one
+/// discretized grid for the privately-chosen bucket, which a cached view
+/// also shares across calls on the same dataset snapshot. Bit-identical
+/// to [`estimate_iqr`] for the same seed.
 pub fn estimate_iqr_view<R: Rng + ?Sized>(
     rng: &mut R,
     view: &ColumnView<'_>,
     epsilon: Epsilon,
     beta: f64,
 ) -> Result<IqrEstimate> {
-    if !view.has_cache() {
-        let cache = ColumnCache::new();
-        return estimate_iqr_view(rng, &ColumnView::cached(view.data(), &cache), epsilon, beta);
-    }
     view.ensure_finite("estimate_iqr input")?;
     let n = view.len();
     if n < MIN_N {
@@ -80,8 +74,14 @@ pub fn estimate_iqr_view<R: Rng + ?Sized>(
     let lb = estimate_iqr_lower_bound_view(rng, view, third, beta / 6.0)?;
     let bucket = (lb / n as f64).max(f64::MIN_POSITIVE);
 
-    let q1 = real_quantile_view(rng, view, n / 4, bucket, third, beta / 6.0)?;
-    let q3 = real_quantile_view(rng, view, 3 * n / 4, bucket, third, beta / 6.0)?;
+    let disc = Discretizer::new(bucket)?;
+    let grid = view.grid(bucket)?;
+    let quartile = |rng: &mut R, tau| {
+        infinite_domain_quantile(rng, &grid, tau, third, beta / 6.0)
+            .map(|q| disc.to_real(q.estimate))
+    };
+    let q1 = quartile(rng, n / 4)?;
+    let q3 = quartile(rng, 3 * n / 4)?;
 
     Ok(IqrEstimate {
         estimate: q3 - q1,
@@ -101,8 +101,11 @@ pub const IQR: Estimator = Estimator::scalar("iqr", "iqr", |rng, view, params| {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::RngCore;
+    use updp_core::parallel::PAR_MIN_LEN;
     use updp_core::rng::seeded;
     use updp_dist::{Cauchy, ContinuousDistribution, Gaussian, LogNormal, Uniform};
+    use updp_empirical::view::{ColumnCache, PreparedDataset};
 
     fn eps(v: f64) -> Epsilon {
         Epsilon::new(v).unwrap()
@@ -190,5 +193,45 @@ mod tests {
         assert!(estimate_iqr(&mut rng, &[1.0; 4], eps(0.5), 0.1).is_err());
         assert!(estimate_iqr(&mut rng, &[f64::INFINITY; 100], eps(0.5), 0.1).is_err());
         assert!(estimate_iqr(&mut rng, &[1.0; 100], eps(0.5), -0.1).is_err());
+    }
+
+    /// The bare path discretizes straight into a parallel-sorted grid;
+    /// the cached and snapshot paths build theirs from the sorted copy.
+    /// Both sides of the sort threshold, on a duplicate-heavy and a
+    /// ±0.0 column, release the same bits and leave the generator in
+    /// the same state — and a cached view ends with one grid built
+    /// from its sorted copy.
+    #[test]
+    fn bare_cached_and_snapshot_paths_release_the_same_bits() {
+        let g = Gaussian::new(3.0, 2.0).unwrap();
+        for n in [PAR_MIN_LEN - 1, PAR_MIN_LEN + 1] {
+            let draws = g.sample_vec(&mut seeded(n as u64), n);
+            let duplicates: Vec<f64> = draws.iter().map(|x| (x * 4.0).round() / 4.0).collect();
+            let signed_zeros: Vec<f64> = draws
+                .iter()
+                .enumerate()
+                .map(|(i, &x)| [-0.0, 0.0, x][i % 3])
+                .collect();
+            for data in [duplicates, signed_zeros] {
+                let run = |view: &ColumnView<'_>| {
+                    let mut rng = seeded(17);
+                    let r = estimate_iqr_view(&mut rng, view, eps(1.0), 0.1).unwrap();
+                    let bits = [r.q1, r.q3, r.bucket].map(f64::to_bits);
+                    (bits, rng.next_u64())
+                };
+                let mut rng = seeded(17);
+                let bare = estimate_iqr(&mut rng, &data, eps(1.0), 0.1).unwrap();
+                let bare = (
+                    [bare.q1, bare.q3, bare.bucket].map(f64::to_bits),
+                    rng.next_u64(),
+                );
+                let cache = ColumnCache::new();
+                let cached = ColumnView::cached(&data, &cache);
+                assert_eq!(run(&cached), bare, "cached view, n = {n}");
+                assert_eq!((cache.cached_grids(), cache.has_sorted()), (1, true));
+                let prepared = PreparedDataset::new(vec![data.clone()]);
+                assert_eq!(run(prepared.view().col(0)), bare, "snapshot, n = {n}");
+            }
+        }
     }
 }

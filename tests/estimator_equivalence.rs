@@ -244,7 +244,7 @@ fn cached_views_share_artifacts_without_changing_results() {
         grids_after_first,
         "same-seed repeat must reuse the cached grid"
     );
-    // And a throwaway local cache gives the same answer as none.
+    // And a fresh standalone cache gives the same answer.
     let cache = ColumnCache::new();
     let local = IQR
         .estimate(
