@@ -17,7 +17,8 @@
 //! hardened release path (DESIGN.md §1.3).
 //!
 //! The one Fisher–Yates swap loop of the workspace also lives here
-//! ([`shuffle`], [`partial_shuffle`]): a block of
+//! ([`shuffle`], [`partial_shuffle`], and [`subsample`] over the
+//! latter): a block of
 //! [`FISHER_YATES_BLOCK`] steps draws its swap targets first, reads
 //! them all so their cache misses overlap, then swaps in order. From
 //! [`PAR_MIN_LEN`](crate::parallel::PAR_MIN_LEN) steps up the draws and
@@ -121,17 +122,16 @@ impl PoolIndex for usize {
     }
 }
 
-/// Refills `pool` with the identity `0..n`, reusing its allocation.
+/// The identity pool `0..n` at width `I`.
 ///
 /// Panics if `n` exceeds `I::MAX_LEN`: an index is never truncated.
-pub fn fill_identity<I: PoolIndex>(pool: &mut Vec<I>, n: usize) {
+pub fn identity<I: PoolIndex>(n: usize) -> Vec<I> {
     assert!(
         n <= I::MAX_LEN,
         "{n} indices do not fit a pool of width {}",
         std::mem::size_of::<I>()
     );
-    pool.clear();
-    pool.extend((0..n).map(I::from_index));
+    (0..n).map(I::from_index).collect()
 }
 
 /// Shuffles `pool` uniformly: the permutation and trailing generator
@@ -163,6 +163,29 @@ pub fn shuffle_threads<I: PoolIndex, R: Rng + ?Sized>(rng: &mut R, pool: &mut [I
 /// Panics if `m > pool.len()`, matching `seq::index::sample`.
 pub fn partial_shuffle<I: PoolIndex, R: Rng + ?Sized>(rng: &mut R, pool: &mut [I], m: usize) {
     partial_shuffle_threads(rng, pool, m, threads_for(m));
+}
+
+/// `m` values of `data` drawn without replacement, in draw order: the
+/// values at the indices, and the trailing generator state, of the
+/// vendored `seq::index::sample(rng, data.len(), m)`. The draw is
+/// [`partial_shuffle`] of an identity pool, `u32` up to `u32::MAX` rows
+/// and `usize` beyond; the pool is dropped on return. This is the
+/// subsample `D′` of Algorithms 8 and 9.
+///
+/// Panics if `m > data.len()`, matching `seq::index::sample`.
+pub fn subsample<R: Rng + ?Sized>(rng: &mut R, data: &[f64], m: usize) -> Vec<f64> {
+    if data.len() <= <u32 as PoolIndex>::MAX_LEN {
+        subsample_at::<u32, R>(rng, data, m)
+    } else {
+        subsample_at::<usize, R>(rng, data, m)
+    }
+}
+
+/// [`subsample`] with a pool of width `I`.
+fn subsample_at<I: PoolIndex, R: Rng + ?Sized>(rng: &mut R, data: &[f64], m: usize) -> Vec<f64> {
+    let mut pool = identity::<I>(data.len());
+    partial_shuffle(rng, &mut pool, m);
+    pool[..m].iter().map(|&i| data[i.index()]).collect()
 }
 
 /// [`partial_shuffle`] with an explicit thread count, as in
@@ -381,6 +404,64 @@ mod tests {
                 assert_eq!(rng.gen::<u64>(), expected);
             }
         }
+    }
+
+    /// The vendored `index::sample` gathered from `data`, and the next
+    /// draw.
+    fn oracle_subsample(seed: u64, data: &[f64], m: usize) -> (Vec<f64>, u64) {
+        let mut rng = seeded(seed);
+        let idx = rand::seq::index::sample(&mut rng, data.len(), m);
+        (idx.iter().map(|i| data[i]).collect(), rng.gen())
+    }
+
+    #[test]
+    fn subsample_matches_vendored_index_sample_bitwise() {
+        let data: Vec<f64> = (0..257).map(|i| f64::from(i).sin()).collect();
+        for (m, seed) in [(1usize, 1u64), (16, 2), (100, 3), (257, 4)] {
+            let mut rng = seeded(seed);
+            let got = subsample(&mut rng, &data, m);
+            // The generator must be left in the identical state.
+            assert_eq!(
+                (got, rng.gen()),
+                oracle_subsample(seed, &data, m),
+                "m = {m}"
+            );
+        }
+    }
+
+    /// Past the threshold the partial shuffle under the subsample is
+    /// pipelined (on a host with two or more threads): still the
+    /// vendored sample.
+    #[test]
+    fn pipelined_subsample_matches_vendored_index_sample() {
+        let data: Vec<f64> = (0..1 << 18).map(|i| f64::from(i).sqrt()).collect();
+        let m = crate::parallel::PAR_MIN_LEN + 1;
+        let mut rng = seeded(5);
+        let got = subsample(&mut rng, &data, m);
+        assert_eq!((got, rng.gen()), oracle_subsample(5, &data, m));
+    }
+
+    #[test]
+    fn subsample_index_widths_draw_the_same_sample() {
+        // Columns past u32::MAX rows subsample at usize width; forced
+        // here on a small column, it must equal the u32 draw.
+        let data: Vec<f64> = (0..300).map(|i| f64::from(i).cos()).collect();
+        let draw = |wide: bool| {
+            let mut rng = seeded(21);
+            let values = if wide {
+                subsample_at::<usize, _>(&mut rng, &data, 130)
+            } else {
+                subsample_at::<u32, _>(&mut rng, &data, 130)
+            };
+            (values, rng.gen::<u64>())
+        };
+        assert_eq!(draw(true), draw(false));
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot sample")]
+    fn oversampling_a_subsample_panics_like_upstream() {
+        subsample(&mut seeded(10), &[1.0, 2.0], 3);
     }
 
     #[test]

@@ -9,7 +9,7 @@ use rand::seq::{index, SliceRandom};
 use rand::Rng;
 use updp_core::parallel::PAR_MIN_LEN;
 use updp_core::rng::{
-    fill_identity, partial_shuffle, partial_shuffle_threads, seeded, shuffle, shuffle_threads,
+    identity, partial_shuffle, partial_shuffle_threads, seeded, shuffle, shuffle_threads,
     PoolIndex, FISHER_YATES_BLOCK, PIPELINE_BLOCK,
 };
 
@@ -27,12 +27,6 @@ const PIPELINE_N: [usize; 5] = [
 
 /// The serial kernel and the two-thread pipeline.
 const THREADS: [usize; 2] = [1, 2];
-
-fn identity<I: PoolIndex>(n: usize) -> Vec<I> {
-    let mut pool = Vec::new();
-    fill_identity(&mut pool, n);
-    pool
-}
 
 fn widen<I: PoolIndex>(pool: &[I]) -> Vec<usize> {
     pool.iter().map(|i| i.index()).collect()

@@ -22,7 +22,7 @@ use crate::quantile::infinite_domain_quantile;
 use crate::radius::infinite_domain_radius;
 use crate::range::infinite_domain_range;
 use rand::Rng;
-use updp_core::error::{ensure_beta, ensure_finite, ensure_nonempty, Result, UpdpError};
+use updp_core::error::{ensure_beta, Result, UpdpError};
 use updp_core::privacy::Epsilon;
 
 /// A real ↔ integer bucket mapping with bucket size `b`.
@@ -51,8 +51,8 @@ impl Discretizer {
     /// Maps a real value to its bucket index `round(x/b)`, saturated at
     /// `±2⁶²` so that a tiny private bucket cannot fail the estimate
     /// (ε-DP argument in the module docs). Non-finite `x` has no bucket
-    /// (`±∞` saturates, NaN maps to 0): callers reject such columns
-    /// first, as [`Discretizer::discretize`] does.
+    /// (`±∞` saturates, NaN maps to 0): callers reject such columns,
+    /// as [`Discretizer::discretize`] does.
     pub fn to_int(&self, x: f64) -> i64 {
         let limit = 2f64.powi(62);
         (x / self.bucket).round().clamp(-limit, limit) as i64
@@ -63,11 +63,25 @@ impl Discretizer {
         i as f64 * self.bucket
     }
 
-    /// Discretizes a whole real dataset into a sorted integer dataset.
+    /// Discretizes a whole real dataset into a sorted integer dataset:
+    /// [`UpdpError::EmptyDataset`] for no records, else
+    /// [`UpdpError::NonFiniteInput`] if any is NaN or infinite, found
+    /// in the same pass over `data` as the map.
     pub fn discretize(&self, data: &[f64]) -> Result<SortedInts> {
-        ensure_nonempty(data)?;
-        ensure_finite(data, "discretization input")?;
-        SortedInts::new(data.iter().map(|&x| self.to_int(x)).collect())
+        let mut finite = true;
+        let ints = data
+            .iter()
+            .map(|&x| {
+                finite &= x.is_finite();
+                self.to_int(x)
+            })
+            .collect();
+        if !finite {
+            return Err(UpdpError::NonFiniteInput {
+                context: "discretization input",
+            });
+        }
+        SortedInts::new(ints)
     }
 }
 
@@ -206,11 +220,19 @@ mod tests {
         // Non-finite columns have no grid: the column check reports them.
         let d = Discretizer::new(1.0).unwrap();
         for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
-            assert!(matches!(
-                d.discretize(&[1.0, bad]),
-                Err(UpdpError::NonFiniteInput { .. })
-            ));
+            for column in [[bad, 1.0, 2.0], [1.0, bad, 2.0], [1.0, 2.0, bad]] {
+                assert!(
+                    matches!(
+                        d.discretize(&column),
+                        Err(UpdpError::NonFiniteInput {
+                            context: "discretization input"
+                        })
+                    ),
+                    "{column:?}"
+                );
+            }
         }
+        assert_eq!(d.discretize(&[]).unwrap_err(), UpdpError::EmptyDataset);
     }
 
     #[test]

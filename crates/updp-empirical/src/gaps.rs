@@ -38,7 +38,7 @@
 
 use rand::Rng;
 use updp_core::parallel::{par_for_each, par_map_indexed_threads, threads_for};
-use updp_core::rng::{child_rng, fill_identity, shuffle_threads, PoolIndex};
+use updp_core::rng::{child_rng, identity, shuffle_threads, PoolIndex};
 
 /// Domain-separation salt for the pairing permutation seed. Any fixed
 /// odd constant works; it only needs to differ from the trial-engine
@@ -80,8 +80,7 @@ const OCTAVES: usize = (MAX_OCTAVE - MIN_OCTAVE + 1) as usize;
 /// width and thread count. Consecutive indices of it are the random
 /// pairs; with odd `n` the last one is left out.
 fn shuffled<I: PoolIndex, R: Rng + ?Sized>(rng: &mut R, n: usize, threads: usize) -> Vec<I> {
-    let mut pool = Vec::new();
-    fill_identity(&mut pool, n);
+    let mut pool = identity(n);
     shuffle_threads(rng, &mut pool, threads);
     pool
 }

@@ -47,7 +47,6 @@ pub mod iqr_lower_bound;
 pub mod mean;
 pub mod multivariate;
 pub mod quantile;
-mod scratch;
 pub mod variance;
 
 pub use estimator::{

@@ -23,14 +23,14 @@
 
 use crate::estimator::{Estimator, Release};
 use crate::iqr_lower_bound::estimate_iqr_lower_bound;
-use crate::scratch::with_subsample;
 use rand::Rng;
 use updp_core::amplification::paper_inner_epsilon;
 use updp_core::clipped_mean::clipped_mean_with_outside;
 use updp_core::error::{ensure_beta, ensure_finite, Result, UpdpError};
 use updp_core::laplace::sample_laplace;
 use updp_core::privacy::Epsilon;
-use updp_empirical::discretize::{real_range, RealRange};
+use updp_core::rng::subsample;
+use updp_empirical::discretize::{real_range, Discretizer, RealRange};
 
 /// Diagnostics accompanying a universal mean estimate.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -59,21 +59,12 @@ pub fn estimate_mean<R: Rng + ?Sized>(
     epsilon: Epsilon,
     beta: f64,
 ) -> Result<MeanEstimate> {
-    ensure_finite(data, "estimate_mean input")?;
-    let n = data.len();
-    if n < MIN_N {
-        return Err(UpdpError::InsufficientData {
-            required: MIN_N,
-            actual: n,
-            context: "EstimateMean",
-        });
-    }
-    ensure_beta(beta)?;
+    check_input(data, beta)?;
 
     // Stage 1 (ε/8): private bucket size.
     let bucket = estimate_iqr_lower_bound(rng, data, epsilon.scale(1.0 / 8.0), beta / 9.0)?;
 
-    let m = default_subsample(epsilon, n);
+    let m = default_subsample(epsilon, data.len());
     range_and_release(rng, data, epsilon, beta, bucket, m)
 }
 
@@ -100,23 +91,10 @@ pub fn estimate_mean_with_bucket<R: Rng + ?Sized>(
     beta: f64,
     bucket: f64,
 ) -> Result<MeanEstimate> {
-    ensure_finite(data, "estimate_mean input")?;
-    let n = data.len();
-    if n < MIN_N {
-        return Err(UpdpError::InsufficientData {
-            required: MIN_N,
-            actual: n,
-            context: "EstimateMean",
-        });
-    }
-    ensure_beta(beta)?;
-    if !(bucket.is_finite() && bucket > 0.0) {
-        return Err(UpdpError::InvalidParameter {
-            name: "bucket",
-            reason: format!("must be finite and positive, got {bucket}"),
-        });
-    }
-    let m = default_subsample(epsilon, n);
+    check_input(data, beta)?;
+    // Rejects a bucket no grid can use, as the range finder would.
+    Discretizer::new(bucket)?;
+    let m = default_subsample(epsilon, data.len());
     range_and_release(rng, data, epsilon, beta, bucket, m)
 }
 
@@ -144,17 +122,30 @@ pub fn estimate_mean_with_subsample<R: Rng + ?Sized>(
     range_and_release(rng, data, epsilon, beta, bucket, m)
 }
 
+/// The checks of [`estimate_mean`] and [`estimate_mean_with_bucket`],
+/// in order: finite records, at least [`MIN_N`] of them, then β.
+fn check_input(data: &[f64], beta: f64) -> Result<()> {
+    ensure_finite(data, "estimate_mean input")?;
+    if data.len() < MIN_N {
+        return Err(UpdpError::InsufficientData {
+            required: MIN_N,
+            actual: data.len(),
+            context: "EstimateMean",
+        });
+    }
+    ensure_beta(beta)
+}
+
 /// Stage 2's subsample size `m = εn`, at least enough for the range
 /// finder's own pairing plumbing and at most `n`.
 fn default_subsample(epsilon: Epsilon, n: usize) -> usize {
     ((epsilon.get() * n as f64).ceil() as usize).clamp(MIN_N.min(n), n)
 }
 
-/// Stages 2–4 of Algorithm 8 for a given bucket: draw an `m`-subsample
-/// into the reusable per-thread scratch buffer, find its range
-/// (amplified to 3ε/4), then release the clipped mean of the FULL data
-/// over `R̃(D′)` (fused with the clipping-bias count, one pass) plus
-/// Laplace noise at the ε/8 scale `8·|R̃|/(εn)`.
+/// Stages 2–4 of Algorithm 8 for a given bucket: draw an `m`-subsample,
+/// find its range (amplified to 3ε/4), then release the clipped mean of
+/// the FULL data over `R̃(D′)` (fused with the clipping-bias count, one
+/// pass) plus Laplace noise at the ε/8 scale `8·|R̃|/(εn)`.
 fn range_and_release<R: Rng + ?Sized>(
     rng: &mut R,
     data: &[f64],
@@ -164,9 +155,8 @@ fn range_and_release<R: Rng + ?Sized>(
     m: usize,
 ) -> Result<MeanEstimate> {
     let inner = paper_inner_epsilon(epsilon);
-    let range = with_subsample(rng, data, m, |rng, subsample| {
-        real_range(rng, subsample, bucket, inner.scale(3.0 / 4.0), beta / 9.0)
-    })?;
+    let sample = subsample(rng, data, m);
+    let range = real_range(rng, &sample, bucket, inner.scale(3.0 / 4.0), beta / 9.0)?;
     let (mean, clipped) = clipped_mean_with_outside(data, range.lo, range.hi)?;
     let width = range.width();
     let estimate = if width > 0.0 {

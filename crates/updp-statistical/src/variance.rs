@@ -15,13 +15,13 @@
 
 use crate::estimator::{Estimator, Release};
 use crate::iqr_lower_bound::estimate_iqr_lower_bound;
-use crate::scratch::with_subsample;
 use rand::Rng;
 use updp_core::amplification::paper_inner_epsilon;
 use updp_core::clipped_mean::clipped_mean_with_outside;
 use updp_core::error::{ensure_beta, ensure_finite, Result, UpdpError};
 use updp_core::laplace::sample_laplace;
 use updp_core::privacy::Epsilon;
+use updp_core::rng::subsample;
 use updp_empirical::discretize::real_radius;
 use updp_empirical::gaps::map_random_pairs;
 
@@ -81,24 +81,22 @@ pub fn estimate_variance<R: Rng + ?Sized>(
     });
     let n_prime = h.len();
 
-    // Stage 3: subsample εn′ products into the reusable per-thread
-    // scratch buffer.
+    // Stage 3: subsample εn′ products.
     let m = ((epsilon.get() * n_prime as f64).ceil() as usize).clamp(8.min(n_prime), n_prime);
+    let sample = subsample(rng, &h, m);
 
     // Stage 4 (amplified to 3ε/4): radius of the subsample with bucket
     // IQR̲² — only the width matters because Z is zero-anchored.
     let inner = paper_inner_epsilon(epsilon);
-    let radius = with_subsample(rng, &h, m, |rng, subsample| {
-        real_radius(
-            rng,
-            subsample,
-            // The squared bucket can overflow for ~1e155+-scale data;
-            // clamp into the finite positive range.
-            (bucket * bucket).clamp(f64::MIN_POSITIVE, f64::MAX),
-            inner.scale(3.0 / 4.0),
-            beta / 7.0,
-        )
-    })?
+    let radius = real_radius(
+        rng,
+        &sample,
+        // The squared bucket can overflow for ~1e155+-scale data;
+        // clamp into the finite positive range.
+        (bucket * bucket).clamp(f64::MIN_POSITIVE, f64::MAX),
+        inner.scale(3.0 / 4.0),
+        beta / 7.0,
+    )?
     // (r̃ad + ½)·IQR̲² can overflow too; clamp this private value the same way.
     .min(f64::MAX);
 
