@@ -317,4 +317,72 @@ mod tests {
         assert!(text.contains("updp_http_responses_total{endpoint=\"/v1/query\",class=\"4xx\"} 1"));
         assert!(text.contains("updp_engine_epsilon_inflation_total{estimator=\"mean\"} 0.001"));
     }
+
+    fn scrape_golden_path(file: &str) -> std::path::PathBuf {
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("tests/golden")
+            .join(file)
+    }
+
+    /// Both scrape renders of a fixed metric state: twelve resolved
+    /// shards (so shard `"10"` sorts before `"2"`), four of them
+    /// recording, requests on two routes plus an unknown path, and
+    /// three estimators.
+    fn render_scrape() -> (String, String) {
+        let metrics = ServeMetrics::new(12);
+        let shards: Vec<_> = (0..12).map(|index| metrics.shard(index)).collect();
+        for index in [0usize, 2, 10, 11] {
+            let shard = &shards[index];
+            let k = index as u64 + 1;
+            shard.accepted.add(k);
+            shard.rejected_cap.add(k % 3);
+            shard.accept_paused.add(k % 2);
+            shard.overloaded.add(k % 4);
+            shard.panics.add(u64::from(index == 10));
+            shard.bytes_read.add(1000 * k + 7);
+            shard.bytes_written.add(2000 * k + 11);
+            shard.wakeups.add(50 * k);
+            shard.queue_high_water.observe_max(300 * k as i64);
+            shard.queue_high_water.observe_max(7);
+            shard.write_seconds.observe_micros(3 * k);
+            shard.write_seconds.observe_micros(40_000 * k);
+        }
+        metrics.record_request(endpoint_label("/v1/query"), 200, 3, 40);
+        metrics.record_request(endpoint_label("/v1/query"), 200, 0, 1_500);
+        metrics.record_request(endpoint_label("/v1/query"), 403, 1, 9);
+        metrics.record_request(endpoint_label("/v1/metrics?format=json"), 200, 2, 700);
+        metrics.record_request(endpoint_label("/v1/nope"), 404, 5, 1);
+        metrics.record_engine_query("mean", 120);
+        metrics.record_engine_query("mean", 2_900);
+        metrics.record_engine_query("iqr", 65_000);
+        metrics.record_engine_query("kv18", 33);
+        metrics.record_engine_inflation("mean", 0.001);
+        metrics.record_engine_inflation("mean", 0.0625);
+        let families = metrics.snapshot();
+        (
+            updp_obs::render_prometheus(&families),
+            updp_obs::render_json(&families).to_compact(),
+        )
+    }
+
+    #[test]
+    fn scrape_renders_match_golden() {
+        let (text, json) = render_scrape();
+        for (file, actual) in [("scrape.prom", text), ("scrape.json", json)] {
+            let expected =
+                std::fs::read_to_string(scrape_golden_path(file)).expect("golden scrape file");
+            assert!(
+                actual == expected,
+                "{file} drifted from golden; actual render:\n{actual}"
+            );
+        }
+    }
+
+    #[test]
+    #[ignore = "writes the golden files; run only to regenerate them deliberately"]
+    fn regenerate_scrape_golden() {
+        let (text, json) = render_scrape();
+        std::fs::write(scrape_golden_path("scrape.prom"), text).expect("write golden scrape");
+        std::fs::write(scrape_golden_path("scrape.json"), json).expect("write golden scrape");
+    }
 }
