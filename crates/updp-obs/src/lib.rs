@@ -1,7 +1,11 @@
-//! First-party observability for the workspace: metrics primitives, a
-//! registry that copies its families into [`FamilySnapshot`]s, one
+//! First-party observability for the workspace: lock-free metric
+//! primitives, the [`FamilySnapshot`] a scrape builds from them, one
 //! renderer per scrape format ([`render_prometheus`], [`render_json`])
 //! over such snapshots, and bounded request-trace rings.
+//!
+//! There is no registry: the code that records a metric owns it and
+//! builds its family at scrape time, with every label set known when
+//! it allocates the metrics, so recording only touches atomics.
 //!
 //! # Design constraints
 //!
@@ -17,13 +21,12 @@
 //!   microseconds/milliseconds measured by the caller (transport code
 //!   in updp-serve); `updp-obs` only aggregates values it is handed.
 //! - **Non-throwing.** Recording never panics and never returns
-//!   errors; a poisoned lock degrades to dropping the observation
-//!   rather than taking the request path down.
+//!   errors; a trace ring's poisoned lock degrades to dropping the
+//!   event rather than taking the request path down.
 //! - **Deterministic rendering.** Histogram bucket boundaries are
-//!   fixed powers of two, label sets render in sorted (BTreeMap)
-//!   order, and families render in the order of the snapshot list
-//!   (registration order for the registry's own), so two snapshots of
-//!   equal state produce byte-equal exposition text.
+//!   fixed powers of two, and families and their samples render in
+//!   the order of the snapshot list, so two snapshots of equal state
+//!   produce byte-equal exposition text.
 //!
 //! The crate is dependency-free except for `updp_core::json`, the
 //! workspace's single JSON codec, used for the `?format=json` render.
@@ -42,11 +45,9 @@
 )]
 
 mod metrics;
-mod registry;
+mod render;
 mod trace;
 
 pub use metrics::{Counter, FloatCounter, Gauge, Histogram, HistogramSnapshot, BUCKETS};
-pub use registry::{
-    render_json, render_prometheus, Family, FamilySnapshot, Kind, Metric, Registry, Sample,
-};
+pub use render::{render_json, render_prometheus, FamilySnapshot, Kind, Sample};
 pub use trace::{TraceEvent, TraceRing};

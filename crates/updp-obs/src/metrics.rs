@@ -1,6 +1,6 @@
-//! Lock-free metric primitives: relaxed-atomic counters, gauges with
-//! high-water tracking, float accumulators, and a fixed-boundary
-//! log₂-bucketed latency histogram with mergeable snapshots.
+//! Lock-free metric primitives: relaxed-atomic counters, high-water
+//! gauges, float accumulators, and a fixed-boundary log₂-bucketed
+//! latency histogram.
 
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 
@@ -40,8 +40,7 @@ impl Counter {
     }
 }
 
-/// A signed instantaneous value (e.g. active connections, high-water
-/// queue depth).
+/// A signed high-water mark (e.g. the deepest write queue seen).
 #[derive(Default)]
 pub struct Gauge {
     value: AtomicI64,
@@ -51,16 +50,6 @@ impl Gauge {
     /// A zeroed gauge.
     pub fn new() -> Gauge {
         Gauge::default()
-    }
-
-    /// Sets the value.
-    pub fn set(&self, v: i64) {
-        self.value.store(v, Ordering::Relaxed);
-    }
-
-    /// Adds `n` (may be negative).
-    pub fn add(&self, n: i64) {
-        self.value.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Raises the value to `v` if `v` is larger (high-water marks).
@@ -132,9 +121,8 @@ pub(crate) fn upper_edge_micros(i: usize) -> Option<u64> {
 /// observations.
 ///
 /// Boundaries are powers of two from 1 µs to ~17.9 min, identical for
-/// every instance, so snapshots from different shards (or different
-/// processes) merge by element-wise addition and render with stable
-/// bucket edges.
+/// every instance, so every histogram renders with the same bucket
+/// edges.
 #[derive(Default)]
 pub struct Histogram {
     counts: [AtomicU64; BUCKETS],
@@ -166,7 +154,7 @@ impl Histogram {
     }
 }
 
-/// An owned, mergeable copy of a [`Histogram`]'s state.
+/// An owned copy of a [`Histogram`]'s state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     /// Per-bucket (non-cumulative) observation counts.
@@ -175,73 +163,10 @@ pub struct HistogramSnapshot {
     pub sum_micros: u64,
 }
 
-impl Default for HistogramSnapshot {
-    fn default() -> HistogramSnapshot {
-        HistogramSnapshot {
-            counts: [0; BUCKETS],
-            sum_micros: 0,
-        }
-    }
-}
-
 impl HistogramSnapshot {
-    /// An empty snapshot (the merge identity).
-    pub fn empty() -> HistogramSnapshot {
-        HistogramSnapshot::default()
-    }
-
     /// Total number of observations.
     pub fn count(&self) -> u64 {
         self.counts.iter().sum()
-    }
-
-    /// Element-wise sum of two snapshots. Associative and commutative
-    /// with [`HistogramSnapshot::empty`] as identity, so per-shard
-    /// snapshots fold in any order to the same result.
-    pub fn merge(&self, other: &HistogramSnapshot) -> HistogramSnapshot {
-        let mut counts = [0u64; BUCKETS];
-        for (i, slot) in counts.iter_mut().enumerate() {
-            *slot = self.counts[i].saturating_add(other.counts[i]);
-        }
-        HistogramSnapshot {
-            counts,
-            sum_micros: self.sum_micros.saturating_add(other.sum_micros),
-        }
-    }
-
-    /// The difference `self - earlier`, bucket-wise (for interval
-    /// measurements from two scrapes of a monotone histogram).
-    pub fn delta(&self, earlier: &HistogramSnapshot) -> HistogramSnapshot {
-        let mut counts = [0u64; BUCKETS];
-        for (i, slot) in counts.iter_mut().enumerate() {
-            *slot = self.counts[i].saturating_sub(earlier.counts[i]);
-        }
-        HistogramSnapshot {
-            counts,
-            sum_micros: self.sum_micros.saturating_sub(earlier.sum_micros),
-        }
-    }
-
-    /// A deterministic upper-bound quantile in microseconds: the upper
-    /// edge of the bucket containing the nearest-rank observation.
-    /// Observations in the `+Inf` bucket report twice the last finite
-    /// edge (saturated). Returns `None` for an empty snapshot.
-    pub fn quantile_micros(&self, q: f64) -> Option<u64> {
-        let total = self.count();
-        if total == 0 {
-            return None;
-        }
-        let clamped = q.clamp(0.0, 1.0);
-        // Nearest-rank: the smallest rank r with r >= q * total, at least 1.
-        let rank = ((clamped * total as f64).ceil() as u64).clamp(1, total);
-        let mut seen = 0u64;
-        for (i, &count) in self.counts.iter().enumerate() {
-            seen += count;
-            if seen >= rank {
-                return Some(upper_edge_micros(i).unwrap_or(2u64 << (BUCKETS - 2)));
-            }
-        }
-        None
     }
 }
 
@@ -286,10 +211,6 @@ mod tests {
 
     #[test]
     fn gauge_tracks_value_and_high_water() {
-        let gauge = Gauge::new();
-        gauge.add(5);
-        gauge.add(-2);
-        assert_eq!(gauge.get(), 3);
         let high = Gauge::new();
         high.observe_max(10);
         high.observe_max(4);
@@ -311,33 +232,5 @@ mod tests {
         });
         // 0.5 is exactly representable: the total is exact.
         assert_eq!(fc.get(), 2000.0);
-    }
-
-    #[test]
-    fn histogram_quantiles_report_bucket_upper_edges() {
-        let h = Histogram::new();
-        for v in [1u64, 2, 3, 100, 1000, 100_000] {
-            h.observe_micros(v);
-        }
-        let snap = h.snapshot();
-        assert_eq!(snap.count(), 6);
-        assert_eq!(snap.sum_micros, 101_106);
-        assert_eq!(snap.quantile_micros(0.0), Some(1));
-        assert_eq!(snap.quantile_micros(0.5), Some(4)); // 3rd of 6 → bucket of 3 → edge 4
-        assert_eq!(snap.quantile_micros(1.0), Some(131_072));
-        assert_eq!(HistogramSnapshot::empty().quantile_micros(0.5), None);
-    }
-
-    #[test]
-    fn snapshot_delta_recovers_interval_counts() {
-        let h = Histogram::new();
-        h.observe_micros(10);
-        let before = h.snapshot();
-        h.observe_micros(10);
-        h.observe_micros(5000);
-        let after = h.snapshot();
-        let delta = after.delta(&before);
-        assert_eq!(delta.count(), 2);
-        assert_eq!(delta.sum_micros, 5010);
     }
 }

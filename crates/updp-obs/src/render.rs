@@ -1,29 +1,16 @@
-//! Metric families, the registry that holds them, and the two
-//! renderers.
+//! Metric families as point-in-time [`FamilySnapshot`]s, and the two
+//! renderers that read them.
 //!
-//! A [`Family`] is a named metric with a fixed set of label keys and a
-//! lazily-created child per label-value combination. The [`Registry`]
-//! owns every family and copies the whole set into
-//! [`FamilySnapshot`]s; [`render_prometheus`] (text exposition format)
-//! and [`render_json`] (via `updp_core::json`) read nothing else, so a
-//! scrape-time family built outside the registry renders exactly like
-//! a registered one. Rendering is deterministic: families appear in
-//! the order given (registration order for the registry's own),
-//! children in sorted label order (`BTreeMap`), and histogram edges
-//! are the fixed power-of-two boundaries of [`crate::Histogram`].
-
-// Lock poisoning maps to structured errors or a reasoned recovery,
-// never a panic (DESIGN.md §6, §9).
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
-use std::collections::BTreeMap;
-use std::sync::{Arc, RwLock};
+//! The owner of a metric builds its family at scrape time from the
+//! values it holds; [`render_prometheus`] (text exposition format) and
+//! [`render_json`] (via `updp_core::json`) read nothing else.
+//! Rendering is deterministic: families appear in the order given,
+//! samples in the order given, and histogram edges are the fixed
+//! power-of-two boundaries of [`crate::Histogram`].
 
 use updp_core::json::JsonValue;
 
-use crate::metrics::{
-    upper_edge_micros, Counter, FloatCounter, Gauge, Histogram, HistogramSnapshot,
-};
+use crate::metrics::{upper_edge_micros, HistogramSnapshot};
 
 /// What a family measures, for exposition `# TYPE` lines.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,48 +42,7 @@ pub enum Sample {
     Histogram(Box<HistogramSnapshot>),
 }
 
-/// A metric type a [`Family`] can hold: its exposition kind and how to
-/// read its current [`Sample`].
-pub trait Metric: Default + Send + Sync + 'static {
-    /// The `# TYPE` every family of this metric renders.
-    const KIND: Kind;
-    /// The current reading.
-    fn sample(&self) -> Sample;
-}
-
-impl Metric for Counter {
-    const KIND: Kind = Kind::Counter;
-    fn sample(&self) -> Sample {
-        Sample::Value(self.get() as f64)
-    }
-}
-
-impl Metric for FloatCounter {
-    const KIND: Kind = Kind::Counter;
-    fn sample(&self) -> Sample {
-        Sample::Value(self.get())
-    }
-}
-
-impl Metric for Gauge {
-    const KIND: Kind = Kind::Gauge;
-    fn sample(&self) -> Sample {
-        Sample::Value(self.get() as f64)
-    }
-}
-
-impl Metric for Histogram {
-    const KIND: Kind = Kind::Histogram;
-    fn sample(&self) -> Sample {
-        Sample::Histogram(Box::new(self.snapshot()))
-    }
-}
-
 /// A point-in-time copy of one family: what both renderers read.
-/// Registered families produce these through [`Registry::snapshot`];
-/// values that live outside the registry (e.g. the privacy ledger's ε
-/// accounts, read from their single source of truth) are built as
-/// `FamilySnapshot`s at scrape time and rendered alongside.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FamilySnapshot {
     /// Metric name (`snake_case`, `_total` suffix for counters).
@@ -111,105 +57,24 @@ pub struct FamilySnapshot {
     pub samples: Vec<(Vec<String>, Sample)>,
 }
 
-/// A named metric with labelled children, created on first use.
-///
-/// Children live behind an `RwLock<BTreeMap>`: reads (the hot
-/// recording path re-resolving a child, and scrapes) take the shared
-/// lock; only the first observation for a new label set takes the
-/// exclusive lock.
-pub struct Family<M> {
-    name: &'static str,
-    help: &'static str,
-    label_keys: &'static [&'static str],
-    children: RwLock<BTreeMap<Vec<String>, Arc<M>>>,
-}
-
-impl<M: Metric> Family<M> {
-    /// The child for `labels` (one value per label key, in key order),
-    /// created on first use.
-    ///
-    /// Lock poisoning is unwrapped into the inner guard: the map's
-    /// own invariants survive a panicking holder (only `Vec<String>`
-    /// keys, whose `Ord` cannot panic, and `Arc` clones live inside),
-    /// and observability must keep working after an isolated handler
-    /// panic elsewhere in the process.
-    pub fn with_labels(&self, labels: &[&str]) -> Arc<M> {
-        debug_assert_eq!(labels.len(), self.label_keys.len());
-        let key: Vec<String> = labels.iter().map(|s| s.to_string()).collect();
-        if let Some(child) = self
-            .children
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .get(&key)
-        {
-            return Arc::clone(child);
-        }
-        let mut children = self.children.write().unwrap_or_else(|e| e.into_inner());
-        Arc::clone(children.entry(key).or_default())
-    }
-}
-
-/// A registered family with its metric type erased, so one registry
-/// holds families of every type.
-trait Snapshot: Send + Sync {
-    fn snapshot(&self) -> FamilySnapshot;
-}
-
-impl<M: Metric> Snapshot for Family<M> {
-    /// Children in sorted label order.
-    fn snapshot(&self) -> FamilySnapshot {
-        let children = self.children.read().unwrap_or_else(|e| e.into_inner());
-        FamilySnapshot {
-            name: self.name,
-            help: self.help,
-            kind: M::KIND,
-            label_keys: self.label_keys,
-            samples: children
-                .iter()
-                .map(|(labels, child)| (labels.clone(), child.sample()))
-                .collect(),
-        }
-    }
-}
-
-/// The metric families a process records.
-///
-/// Families are registered once at startup; the registry hands back
-/// `Arc<Family<_>>` handles the instrumented code keeps.
-#[derive(Default)]
-pub struct Registry {
-    families: Vec<Arc<dyn Snapshot>>,
-}
-
-impl Registry {
-    /// An empty registry.
-    pub fn new() -> Registry {
-        Registry::default()
-    }
-
-    /// Registers a family of `M` metrics and returns its handle.
-    pub fn register<M: Metric>(
-        &mut self,
+impl FamilySnapshot {
+    /// A family whose samples are sorted by their label values, the
+    /// order both renderers then show them in.
+    pub fn new(
         name: &'static str,
         help: &'static str,
+        kind: Kind,
         label_keys: &'static [&'static str],
-    ) -> Arc<Family<M>> {
-        let family = Arc::new(Family {
+        mut samples: Vec<(Vec<String>, Sample)>,
+    ) -> FamilySnapshot {
+        samples.sort_by(|a, b| a.0.cmp(&b.0));
+        FamilySnapshot {
             name,
             help,
+            kind,
             label_keys,
-            children: RwLock::new(BTreeMap::new()),
-        });
-        self.families.push(Arc::clone(&family) as Arc<dyn Snapshot>);
-        family
-    }
-
-    /// Every family, in registration order.
-    pub fn snapshot(&self) -> Vec<FamilySnapshot> {
-        self.families
-            .iter()
-            .map(|family| family.snapshot())
-            .collect()
+            samples,
+        }
     }
 }
 
@@ -431,19 +296,5 @@ mod tests {
     #[test]
     fn labels_escape_quotes_and_backslashes() {
         assert_eq!(escape_label("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-    }
-
-    #[test]
-    fn children_are_created_once_and_sorted() {
-        let mut registry = Registry::new();
-        let family = registry.register::<Counter>("t_total", "t", &["k"]);
-        family.with_labels(&["b"]).add(2);
-        family.with_labels(&["a"]).inc();
-        family.with_labels(&["b"]).inc();
-        let rows = registry.snapshot().remove(0).samples;
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].0, vec!["a".to_string()]);
-        assert_eq!(rows[1].0, vec!["b".to_string()]);
-        assert_eq!(rows[1].1, Sample::Value(3.0));
     }
 }

@@ -74,6 +74,13 @@ pub struct TraceRing {
     events: Mutex<VecDeque<TraceEvent>>,
 }
 
+impl Default for TraceRing {
+    /// A ring of the 256 most recent events.
+    fn default() -> TraceRing {
+        TraceRing::new(256)
+    }
+}
+
 impl TraceRing {
     /// A ring holding at most `cap` events (`cap` ≥ 1).
     pub fn new(cap: usize) -> TraceRing {

@@ -1,54 +1,82 @@
-//! Golden test for the Prometheus text exposition renderer, a
-//! JSON-render consistency check, and the concurrent-counter hammer.
-//! The golden text is the determinism pin: equal metric state must
-//! render byte-identically, families in registration order, children
-//! in sorted label order.
+//! Golden tests for the two renderers over hand-built family
+//! snapshots, and a JSON round-trip check. The golden text is the
+//! determinism pin: equal snapshots render byte-identically, families
+//! and samples in the order given.
 
 use updp_core::json::JsonValue;
-use updp_obs::{
-    render_json, render_prometheus, Counter, FamilySnapshot, FloatCounter, Gauge, Histogram, Kind,
-    Registry, Sample,
-};
+use updp_obs::{render_json, render_prometheus, FamilySnapshot, Histogram, Kind, Sample};
+
+fn family(
+    name: &'static str,
+    help: &'static str,
+    kind: Kind,
+    label_keys: &'static [&'static str],
+    samples: Vec<(&[&str], Sample)>,
+) -> FamilySnapshot {
+    FamilySnapshot {
+        name,
+        help,
+        kind,
+        label_keys,
+        samples: samples
+            .into_iter()
+            .map(|(labels, sample)| (labels.iter().map(|l| l.to_string()).collect(), sample))
+            .collect(),
+    }
+}
+
+/// A histogram sample holding `observations` (microseconds).
+fn histogram(observations: &[u64]) -> Sample {
+    let h = Histogram::new();
+    for &micros in observations {
+        h.observe_micros(micros);
+    }
+    Sample::Histogram(Box::new(h.snapshot()))
+}
 
 #[test]
 fn prometheus_text_golden() {
-    let mut registry = Registry::new();
-    let requests = registry.register::<Counter>(
-        "updp_http_requests_total",
-        "Requests dispatched, by endpoint.",
-        &["endpoint"],
-    );
-    let active =
-        registry.register::<Gauge>("updp_reactor_connections_active", "Open connections.", &[]);
-    let epsilon = registry.register::<FloatCounter>(
-        "updp_engine_epsilon_charged_total",
-        "Total epsilon charged.",
-        &["estimator"],
-    );
-    let latency = registry.register::<Histogram>(
-        "updp_http_handle_seconds",
-        "Handler wall time.",
-        &["endpoint"],
-    );
-
-    requests.with_labels(&["/v1/query"]).add(3);
-    requests.with_labels(&["/v1/healthz"]).inc();
-    active.with_labels(&[]).set(2);
-    epsilon.with_labels(&["mean"]).add(0.25);
-    let h = latency.with_labels(&["/v1/query"]);
-    h.observe_micros(1); // bucket 0 (le = 1 µs)
-    h.observe_micros(3); // bucket 2 (le = 4 µs)
-    h.observe_micros(3_000_000); // bucket 22 (le ≈ 4.19 s)
-
-    let scraped = FamilySnapshot {
-        name: "updp_ledger_epsilon_remaining",
-        help: "Remaining budget.",
-        kind: Kind::Gauge,
-        label_keys: &["dataset"],
-        samples: vec![(vec!["salaries".into()], Sample::Value(1.5))],
-    };
-    let mut families = registry.snapshot();
-    families.push(scraped.clone());
+    let families = vec![
+        family(
+            "updp_http_requests_total",
+            "Requests dispatched, by endpoint.",
+            Kind::Counter,
+            &["endpoint"],
+            vec![
+                (&["/v1/healthz"], Sample::Value(1.0)),
+                (&["/v1/query"], Sample::Value(3.0)),
+            ],
+        ),
+        family(
+            "updp_reactor_connections_active",
+            "Open connections.",
+            Kind::Gauge,
+            &[],
+            vec![(&[], Sample::Value(2.0))],
+        ),
+        family(
+            "updp_engine_epsilon_charged_total",
+            "Total epsilon charged.",
+            Kind::Counter,
+            &["estimator"],
+            vec![(&["mean"], Sample::Value(0.25))],
+        ),
+        family(
+            "updp_http_handle_seconds",
+            "Handler wall time.",
+            Kind::Histogram,
+            &["endpoint"],
+            // Buckets 0 (le = 1 µs), 2 (le = 4 µs) and 22 (le ≈ 4.19 s).
+            vec![(&["/v1/query"], histogram(&[1, 3, 3_000_000]))],
+        ),
+        family(
+            "updp_ledger_epsilon_remaining",
+            "Remaining budget.",
+            Kind::Gauge,
+            &["dataset"],
+            vec![(&["salaries"], Sample::Value(1.5))],
+        ),
+    ];
     let text = render_prometheus(&families);
 
     let mut expected = String::new();
@@ -105,42 +133,58 @@ fn prometheus_text_golden() {
     assert_eq!(text, expected);
 
     // Equal state renders byte-identically — the scrape-stability pin.
-    let mut families_again = registry.snapshot();
-    families_again.push(scraped);
-    assert_eq!(render_prometheus(&families_again), expected);
+    assert_eq!(render_prometheus(&families), expected);
 }
 
 /// The JSON twin of `prometheus_text_golden`: one family of each
-/// registered kind plus a scrape-time family whose label needs
-/// escaping and whose sample is not finite (JSON writes `null`).
+/// kind, a negative gauge, and a family whose label needs escaping and
+/// whose sample is not finite (JSON writes `null`).
 #[test]
 fn json_render_golden() {
-    let mut registry = Registry::new();
-    let requests = registry.register::<Counter>("r_total", "Requests.", &["endpoint"]);
-    let epsilon = registry.register::<FloatCounter>("e_total", "Epsilon.", &["estimator"]);
-    let active = registry.register::<Gauge>("a", "Active.", &[]);
-    let latency = registry.register::<Histogram>("h_seconds", "Latency.", &["endpoint"]);
-
-    requests.with_labels(&["/v1/query"]).add(3);
-    requests.with_labels(&["/v1/healthz"]).inc();
-    epsilon.with_labels(&["mean"]).add(0.25);
-    active.with_labels(&[]).set(-2);
-    let h = latency.with_labels(&["/v1/query"]);
-    h.observe_micros(3); // bucket 2 (le = 4 µs)
-    h.observe_micros(600); // bucket 10 (le = 1024 µs)
-
-    let scraped = FamilySnapshot {
-        name: "s",
-        help: "Scraped \"now\".",
-        kind: Kind::Gauge,
-        label_keys: &["dataset"],
-        samples: vec![
-            (vec!["a\"b\\c".into()], Sample::Value(f64::INFINITY)),
-            (vec!["plain".into()], Sample::Value(1.5)),
-        ],
-    };
-    let mut families = registry.snapshot();
-    families.push(scraped);
+    let families = vec![
+        family(
+            "r_total",
+            "Requests.",
+            Kind::Counter,
+            &["endpoint"],
+            vec![
+                (&["/v1/healthz"], Sample::Value(1.0)),
+                (&["/v1/query"], Sample::Value(3.0)),
+            ],
+        ),
+        family(
+            "e_total",
+            "Epsilon.",
+            Kind::Counter,
+            &["estimator"],
+            vec![(&["mean"], Sample::Value(0.25))],
+        ),
+        family(
+            "a",
+            "Active.",
+            Kind::Gauge,
+            &[],
+            vec![(&[], Sample::Value(-2.0))],
+        ),
+        family(
+            "h_seconds",
+            "Latency.",
+            Kind::Histogram,
+            &["endpoint"],
+            // Buckets 2 (le = 4 µs) and 10 (le = 1024 µs).
+            vec![(&["/v1/query"], histogram(&[3, 600]))],
+        ),
+        family(
+            "s",
+            "Scraped \"now\".",
+            Kind::Gauge,
+            &["dataset"],
+            vec![
+                (&["a\"b\\c"], Sample::Value(f64::INFINITY)),
+                (&["plain"], Sample::Value(1.5)),
+            ],
+        ),
+    ];
     let json = render_json(&families).to_compact();
 
     let buckets: Vec<String> = (0..32)
@@ -181,13 +225,24 @@ fn json_render_golden() {
 
 #[test]
 fn json_render_round_trips_and_matches_text_counts() {
-    let mut registry = Registry::new();
-    let requests = registry.register::<Counter>("r_total", "requests", &["endpoint"]);
-    requests.with_labels(&["/v1/query"]).add(7);
-    let latency = registry.register::<Histogram>("h_seconds", "latency", &[]);
-    latency.with_labels(&[]).observe_micros(500);
+    let families = vec![
+        family(
+            "r_total",
+            "requests",
+            Kind::Counter,
+            &["endpoint"],
+            vec![(&["/v1/query"], Sample::Value(7.0))],
+        ),
+        family(
+            "h_seconds",
+            "latency",
+            Kind::Histogram,
+            &[],
+            vec![(&[], histogram(&[500]))],
+        ),
+    ];
 
-    let json = render_json(&registry.snapshot());
+    let json = render_json(&families);
     let parsed = JsonValue::parse(&json.to_compact()).expect("self-produced JSON parses");
     let families = parsed
         .as_object("metrics")
@@ -220,45 +275,4 @@ fn json_render_round_trips_and_matches_text_counts() {
         .unwrap()
         .opt("le_micros")
         .is_none());
-}
-
-/// The counter hammer: heavy concurrent increments from many threads
-/// with interleaved reads lose no update.
-#[test]
-fn concurrent_counter_hammer_is_exact() {
-    let mut registry = Registry::new();
-    let family = registry.register::<Counter>("hammer_total", "hammer", &["worker_kind"]);
-    const THREADS: usize = 16;
-    const PER_THREAD: u64 = 50_000;
-
-    std::thread::scope(|scope| {
-        for t in 0..THREADS {
-            let family = &family;
-            scope.spawn(move || {
-                // Half the threads hit one child, half the other, and
-                // every thread re-resolves its child mid-run to
-                // exercise the get-or-create read path under load.
-                let label = if t % 2 == 0 { "even" } else { "odd" };
-                let child = family.with_labels(&[label]);
-                for i in 0..PER_THREAD {
-                    if i == PER_THREAD / 2 {
-                        let again = family.with_labels(&[label]);
-                        again.inc();
-                    } else {
-                        child.inc();
-                    }
-                }
-            });
-        }
-        // Concurrent reads must not disturb the totals.
-        scope.spawn(|| {
-            for _ in 0..1_000 {
-                let _ = family.with_labels(&["even"]).get();
-            }
-        });
-    });
-
-    let expected = (THREADS as u64 / 2) * PER_THREAD;
-    assert_eq!(family.with_labels(&["even"]).get(), expected);
-    assert_eq!(family.with_labels(&["odd"]).get(), expected);
 }

@@ -79,12 +79,18 @@ impl EstimatorCatalog {
     /// Resolves a wire name (accepting `multi_mean` as an alias for
     /// the historical `multi-mean`).
     pub fn get(&self, name: &str) -> Option<&'static Estimator> {
+        self.position(name).map(|i| self.estimators[i])
+    }
+
+    /// The index of [`EstimatorCatalog::get`]'s estimator in the sorted
+    /// catalog (the metrics' estimator label index).
+    pub(crate) fn position(&self, name: &str) -> Option<usize> {
         let canonical = if name == "multi_mean" {
             "multi-mean"
         } else {
             name
         };
-        self.iter().find(|est| est.name() == canonical)
+        self.iter().position(|est| est.name() == canonical)
     }
 
     /// All estimator names, sorted (for listings and error messages).
@@ -311,10 +317,11 @@ pub(crate) fn execute_batch_observed(
     for spec in specs {
         validate_spec(catalog, spec, dataset.dim)?;
     }
-    let estimators: Vec<&Estimator> = specs
+    let positions: Vec<usize> = specs
         .iter()
-        .map(|spec| catalog.get(&spec.estimator).expect("validated above"))
+        .map(|spec| catalog.position(&spec.estimator).expect("validated above"))
         .collect();
+    let estimators: Vec<&Estimator> = positions.iter().map(|&i| catalog.estimators[i]).collect();
 
     // Acquire the snapshot BEFORE any budget moves: if the registry
     // lock is poisoned, the request fails with `Internal` while the
@@ -343,7 +350,7 @@ pub(crate) fn execute_batch_observed(
         let result =
             run_query(&grant, i, &view, estimators[i], &specs[i], bound, seed).transpose()?;
         if let (Some(obs), Some(started)) = (obs, started) {
-            obs.record_engine_query(estimators[i].name(), started.elapsed().as_micros() as u64);
+            obs.record_engine_query(positions[i], started.elapsed().as_micros() as u64);
         }
         Some(result)
     });
@@ -387,7 +394,7 @@ pub(crate) fn execute_batch_observed(
                     None => {
                         if let Some(obs) = obs {
                             if inflation > 0.0 {
-                                obs.record_engine_inflation(kind, inflation);
+                                obs.record_engine_inflation(positions[i], inflation);
                             }
                         }
                         QueryOutcome::Released {

@@ -9,216 +9,106 @@
 //! transport code (`reactor.rs`, `engine.rs`); this module and
 //! `updp-obs` only aggregate the microsecond values they are handed.
 
+use crate::engine::EstimatorCatalog;
 use crate::server::ROUTES;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use updp_obs::{
-    Counter, Family, FamilySnapshot, FloatCounter, Gauge, Histogram, Registry as ObsRegistry,
-    TraceEvent, TraceRing,
+    Counter, FamilySnapshot, FloatCounter, Gauge, Histogram, Kind, Sample, TraceEvent, TraceRing,
 };
 
-/// Capacity of each per-shard trace ring.
-const TRACE_RING_CAP: usize = 256;
+/// The status-class labels, indexed by [`status_class`].
+const CLASSES: [&str; 4] = ["2xx", "3xx", "4xx", "5xx"];
 
-/// All metric families the serving stack records, plus the per-shard
-/// flight-recorder rings. Owned by [`crate::server::AppState`];
-/// handles are resolved once per shard/endpoint/estimator and then
-/// recorded through lock-free atomics.
+/// Every metric the serving stack records, and the per-shard trace
+/// rings. Owned by [`crate::server::AppState`].
+///
+/// Every label set is fixed at startup (shards `0..workers`, the
+/// `ROUTES` plus `other`, four status classes, the estimators of
+/// [`EstimatorCatalog::standard`]), so each child is a preallocated
+/// atomic found by index: recording takes no lock, looks up no map and
+/// allocates nothing. Families are built only when scraped.
 pub(crate) struct ServeMetrics {
-    registry: ObsRegistry,
-    // Reactor families, labelled by shard.
-    accepted: Arc<Family<Counter>>,
-    rejected_cap: Arc<Family<Counter>>,
-    accept_paused: Arc<Family<Counter>>,
-    overloaded: Arc<Family<Counter>>,
-    panics: Arc<Family<Counter>>,
-    bytes_read: Arc<Family<Counter>>,
-    bytes_written: Arc<Family<Counter>>,
-    wakeups: Arc<Family<Counter>>,
-    queue_high_water: Arc<Family<Gauge>>,
-    write_seconds: Arc<Family<Histogram>>,
-    // HTTP families, labelled by endpoint.
-    requests: Arc<Family<Counter>>,
-    responses: Arc<Family<Counter>>,
-    parse_seconds: Arc<Family<Histogram>>,
-    handle_seconds: Arc<Family<Histogram>>,
-    // Engine families, labelled by estimator.
-    engine_queries: Arc<Family<Counter>>,
-    engine_seconds: Arc<Family<Histogram>>,
-    engine_inflation: Arc<Family<FloatCounter>>,
-    // Flight recorder.
+    /// In index order: the reactor runs one worker per shard.
+    pub(crate) shards: Vec<ShardMetrics>,
+    /// Indexed by [`endpoint_index`].
+    endpoints: [EndpointMetrics; ROUTES.len() + 1],
+    /// `(name, metrics)`, indexed like [`EstimatorCatalog::standard`].
+    estimators: Vec<(&'static str, EstimatorMetrics)>,
     next_id: AtomicU64,
-    rings: Vec<TraceRing>,
+}
+
+/// One reactor shard's metrics and trace ring, borrowed by its worker.
+#[derive(Default)]
+pub(crate) struct ShardMetrics {
+    /// The shard index: its label, carried by its trace events.
+    pub(crate) index: usize,
+    pub(crate) trace: TraceRing,
+    pub(crate) accepted: Counter,
+    pub(crate) rejected_cap: Counter,
+    pub(crate) accept_paused: Counter,
+    pub(crate) overloaded: Counter,
+    pub(crate) panics: Counter,
+    pub(crate) bytes_read: Counter,
+    pub(crate) bytes_written: Counter,
+    pub(crate) wakeups: Counter,
+    pub(crate) queue_high_water: Gauge,
+    pub(crate) write_seconds: Histogram,
+}
+
+#[derive(Default)]
+struct EndpointMetrics {
+    requests: Counter,
+    /// Indexed by [`status_class`].
+    responses: [Counter; 4],
+    parse_seconds: Histogram,
+    handle_seconds: Histogram,
+}
+
+#[derive(Default)]
+struct EstimatorMetrics {
+    queries: Counter,
+    seconds: Histogram,
+    inflation: FloatCounter,
 }
 
 impl ServeMetrics {
-    /// Builds the full family set for `workers` reactor shards.
+    /// Preallocates every child, for `workers` reactor shards.
     pub(crate) fn new(workers: usize) -> ServeMetrics {
-        let mut registry = ObsRegistry::new();
-        let accepted = registry.register(
-            "updp_reactor_connections_accepted_total",
-            "Connections accepted, by reactor shard.",
-            &["shard"],
-        );
-        let rejected_cap = registry.register(
-            "updp_reactor_connections_rejected_total",
-            "Connections answered a pre-queued 503 at the connection cap, by shard.",
-            &["shard"],
-        );
-        let accept_paused = registry.register(
-            "updp_reactor_accept_paused_total",
-            "Times a shard stopped watching the listener at the descriptor limit, by shard.",
-            &["shard"],
-        );
-        let overloaded = registry.register(
-            "updp_reactor_overloaded_total",
-            "Requests answered 503 because the write queue was full, by shard.",
-            &["shard"],
-        );
-        let panics = registry.register(
-            "updp_reactor_handler_panics_total",
-            "Handler panics caught by the reactor, by shard.",
-            &["shard"],
-        );
-        let bytes_read = registry.register(
-            "updp_reactor_bytes_read_total",
-            "Bytes read from peers, by shard.",
-            &["shard"],
-        );
-        let bytes_written = registry.register(
-            "updp_reactor_bytes_written_total",
-            "Bytes written to peers, by shard.",
-            &["shard"],
-        );
-        let wakeups = registry.register(
-            "updp_reactor_wakeups_total",
-            "epoll_wait returns, by shard.",
-            &["shard"],
-        );
-        let queue_high_water = registry.register(
-            "updp_reactor_write_queue_high_water_bytes",
-            "Largest write-queue depth observed, by shard.",
-            &["shard"],
-        );
-        let write_seconds = registry.register(
-            "updp_http_write_seconds",
-            "Time from response enqueue to the write queue draining, by shard.",
-            &["shard"],
-        );
-        let requests = registry.register(
-            "updp_http_requests_total",
-            "Requests dispatched, by endpoint.",
-            &["endpoint"],
-        );
-        let responses = registry.register(
-            "updp_http_responses_total",
-            "Responses by endpoint and status class.",
-            &["endpoint", "class"],
-        );
-        let parse_seconds = registry.register(
-            "updp_http_parse_seconds",
-            "Time from first request byte to a complete parse, by endpoint.",
-            &["endpoint"],
-        );
-        let handle_seconds = registry.register(
-            "updp_http_handle_seconds",
-            "Handler (route) wall time, by endpoint.",
-            &["endpoint"],
-        );
-        let engine_queries = registry.register(
-            "updp_engine_queries_total",
-            "Estimator executions, by estimator name.",
-            &["estimator"],
-        );
-        let engine_seconds = registry.register(
-            "updp_engine_query_seconds",
-            "Estimator execution wall time, by estimator name.",
-            &["estimator"],
-        );
-        let engine_inflation = registry.register(
-            "updp_engine_epsilon_inflation_total",
-            "Total snapping epsilon inflation charged, by estimator name.",
-            &["estimator"],
-        );
-        ServeMetrics {
-            registry,
-            accepted,
-            rejected_cap,
-            accept_paused,
-            overloaded,
-            panics,
-            bytes_read,
-            bytes_written,
-            wakeups,
-            queue_high_water,
-            write_seconds,
-            requests,
-            responses,
-            parse_seconds,
-            handle_seconds,
-            engine_queries,
-            engine_seconds,
-            engine_inflation,
-            next_id: AtomicU64::new(0),
-            rings: (0..workers.max(1))
-                .map(|_| TraceRing::new(TRACE_RING_CAP))
-                .collect(),
-        }
-    }
-
-    /// Resolves the per-shard handle bundle (called once per worker).
-    pub(crate) fn shard(&self, index: usize) -> ShardMetrics {
-        let label = index.to_string();
-        let l = [label.as_str()];
-        ShardMetrics {
+        let shards = (0..workers.max(1)).map(|index| ShardMetrics {
             index,
-            accepted: self.accepted.with_labels(&l),
-            rejected_cap: self.rejected_cap.with_labels(&l),
-            accept_paused: self.accept_paused.with_labels(&l),
-            overloaded: self.overloaded.with_labels(&l),
-            panics: self.panics.with_labels(&l),
-            bytes_read: self.bytes_read.with_labels(&l),
-            bytes_written: self.bytes_written.with_labels(&l),
-            wakeups: self.wakeups.with_labels(&l),
-            queue_high_water: self.queue_high_water.with_labels(&l),
-            write_seconds: self.write_seconds.with_labels(&l),
+            ..ShardMetrics::default()
+        });
+        let estimators = EstimatorCatalog::standard().names().into_iter();
+        ServeMetrics {
+            shards: shards.collect(),
+            endpoints: Default::default(),
+            estimators: estimators.map(|name| (name, Default::default())).collect(),
+            next_id: AtomicU64::new(0),
         }
     }
 
-    /// Records one dispatched request's endpoint counters and phase
-    /// latencies.
-    pub(crate) fn record_request(
-        &self,
-        endpoint: &str,
-        status: u16,
-        parse_micros: u64,
-        handle_micros: u64,
-    ) {
-        self.requests.with_labels(&[endpoint]).inc();
-        self.responses
-            .with_labels(&[endpoint, status_class(status)])
-            .inc();
-        self.parse_seconds
-            .with_labels(&[endpoint])
-            .observe_micros(parse_micros);
-        self.handle_seconds
-            .with_labels(&[endpoint])
-            .observe_micros(handle_micros);
+    /// Records one request to `path`: its endpoint's counters and latencies.
+    pub(crate) fn record_request(&self, path: &str, status: u16, parse_us: u64, handle_us: u64) {
+        let endpoint = &self.endpoints[endpoint_index(path)];
+        endpoint.requests.inc();
+        endpoint.responses[status_class(status)].inc();
+        endpoint.parse_seconds.observe_micros(parse_us);
+        endpoint.handle_seconds.observe_micros(handle_us);
     }
 
-    /// Records one estimator execution.
-    pub(crate) fn record_engine_query(&self, estimator: &str, micros: u64) {
-        self.engine_queries.with_labels(&[estimator]).inc();
-        self.engine_seconds
-            .with_labels(&[estimator])
-            .observe_micros(micros);
+    /// Records one run of the catalog's `index`-th estimator.
+    pub(crate) fn record_engine_query(&self, index: usize, micros: u64) {
+        if let Some((_, estimator)) = self.estimators.get(index) {
+            estimator.queries.inc();
+            estimator.seconds.observe_micros(micros);
+        }
     }
 
-    /// Records snapping ε inflation charged for a released query.
-    pub(crate) fn record_engine_inflation(&self, estimator: &str, inflation: f64) {
-        self.engine_inflation
-            .with_labels(&[estimator])
-            .add(inflation);
+    /// Records the snapping ε inflation a release of that estimator charged.
+    pub(crate) fn record_engine_inflation(&self, index: usize, inflation: f64) {
+        if let Some((_, estimator)) = self.estimators.get(index) {
+            estimator.inflation.add(inflation);
+        }
     }
 
     /// The next process-wide request id (trace correlation only).
@@ -226,64 +116,171 @@ impl ServeMetrics {
         self.next_id.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Pushes a trace event into its shard's ring.
-    pub(crate) fn trace_event(&self, shard: usize, event: TraceEvent) {
-        if let Some(ring) = self.rings.get(shard) {
-            ring.push(event);
-        }
-    }
-
     /// All buffered trace events across shards, ordered by request id.
     pub(crate) fn trace_snapshot(&self) -> Vec<TraceEvent> {
-        let mut events: Vec<TraceEvent> =
-            self.rings.iter().flat_map(|ring| ring.snapshot()).collect();
+        let shards = self.shards.iter();
+        let mut events: Vec<TraceEvent> = shards.flat_map(|s| s.trace.snapshot()).collect();
         events.sort_by_key(|e| e.id);
         events
     }
 
-    /// Every registered family, in registration order.
+    /// Every family, read now: each shard renders a sample, an endpoint
+    /// or estimator one once it has recorded something.
     pub(crate) fn snapshot(&self) -> Vec<FamilySnapshot> {
-        self.registry.snapshot()
+        let endpoints = || (0..).map(endpoint_label).zip(&self.endpoints);
+        let by_shard = |name, help, kind, read: fn(&ShardMetrics) -> Sample| {
+            let shards = self.shards.iter();
+            let rows = shards.map(|shard| (vec![shard.index.to_string()], read(shard)));
+            FamilySnapshot::new(name, help, kind, &["shard"], rows.collect())
+        };
+        let shard_counter = |name, help, read| by_shard(name, help, Kind::Counter, read);
+        let by_endpoint = |name, help, kind, read: fn(&EndpointMetrics) -> Sample| {
+            let rows = endpoints().filter_map(|(label, e)| recorded(vec![label.into()], read(e)));
+            FamilySnapshot::new(name, help, kind, &["endpoint"], rows.collect())
+        };
+        let by_estimator = |name, help, kind, read: fn(&EstimatorMetrics) -> Sample| {
+            let rows = self.estimators.iter();
+            let rows = rows.filter_map(|(name, e)| recorded(vec![name.to_string()], read(e)));
+            FamilySnapshot::new(name, help, kind, &["estimator"], rows.collect())
+        };
+        let responses = endpoints().flat_map(|(label, endpoint)| {
+            let classes = CLASSES.into_iter().zip(&endpoint.responses);
+            classes
+                .filter_map(move |(class, n)| recorded(vec![label.into(), class.into()], count(n)))
+        });
+        vec![
+            shard_counter(
+                "updp_reactor_connections_accepted_total",
+                "Connections accepted, by reactor shard.",
+                |shard| count(&shard.accepted),
+            ),
+            shard_counter(
+                "updp_reactor_connections_rejected_total",
+                "Connections answered a pre-queued 503 at the connection cap, by shard.",
+                |shard| count(&shard.rejected_cap),
+            ),
+            shard_counter(
+                "updp_reactor_accept_paused_total",
+                "Times a shard stopped watching the listener at the descriptor limit, by shard.",
+                |shard| count(&shard.accept_paused),
+            ),
+            shard_counter(
+                "updp_reactor_overloaded_total",
+                "Requests answered 503 because the write queue was full, by shard.",
+                |shard| count(&shard.overloaded),
+            ),
+            shard_counter(
+                "updp_reactor_handler_panics_total",
+                "Handler panics caught by the reactor, by shard.",
+                |shard| count(&shard.panics),
+            ),
+            shard_counter(
+                "updp_reactor_bytes_read_total",
+                "Bytes read from peers, by shard.",
+                |shard| count(&shard.bytes_read),
+            ),
+            shard_counter(
+                "updp_reactor_bytes_written_total",
+                "Bytes written to peers, by shard.",
+                |shard| count(&shard.bytes_written),
+            ),
+            shard_counter(
+                "updp_reactor_wakeups_total",
+                "epoll_wait returns, by shard.",
+                |shard| count(&shard.wakeups),
+            ),
+            by_shard(
+                "updp_reactor_write_queue_high_water_bytes",
+                "Largest write-queue depth observed, by shard.",
+                Kind::Gauge,
+                |shard| Sample::Value(shard.queue_high_water.get() as f64),
+            ),
+            by_shard(
+                "updp_http_write_seconds",
+                "Time from response enqueue to the write queue draining, by shard.",
+                Kind::Histogram,
+                |shard| Sample::Histogram(Box::new(shard.write_seconds.snapshot())),
+            ),
+            by_endpoint(
+                "updp_http_requests_total",
+                "Requests dispatched, by endpoint.",
+                Kind::Counter,
+                |endpoint| count(&endpoint.requests),
+            ),
+            FamilySnapshot::new(
+                "updp_http_responses_total",
+                "Responses by endpoint and status class.",
+                Kind::Counter,
+                &["endpoint", "class"],
+                responses.collect(),
+            ),
+            by_endpoint(
+                "updp_http_parse_seconds",
+                "Time from first request byte to a complete parse, by endpoint.",
+                Kind::Histogram,
+                |endpoint| Sample::Histogram(Box::new(endpoint.parse_seconds.snapshot())),
+            ),
+            by_endpoint(
+                "updp_http_handle_seconds",
+                "Handler (route) wall time, by endpoint.",
+                Kind::Histogram,
+                |endpoint| Sample::Histogram(Box::new(endpoint.handle_seconds.snapshot())),
+            ),
+            by_estimator(
+                "updp_engine_queries_total",
+                "Estimator executions, by estimator name.",
+                Kind::Counter,
+                |estimator| count(&estimator.queries),
+            ),
+            by_estimator(
+                "updp_engine_query_seconds",
+                "Estimator execution wall time, by estimator name.",
+                Kind::Histogram,
+                |estimator| Sample::Histogram(Box::new(estimator.seconds.snapshot())),
+            ),
+            by_estimator(
+                "updp_engine_epsilon_inflation_total",
+                "Total snapping epsilon inflation charged, by estimator name.",
+                Kind::Counter,
+                |estimator| Sample::Value(estimator.inflation.get()),
+            ),
+        ]
     }
 }
 
-/// Per-shard handles, resolved once in `Worker::new` so the hot path
-/// never touches the family maps.
-pub(crate) struct ShardMetrics {
-    /// The shard index (trace events carry it).
-    pub(crate) index: usize,
-    pub(crate) accepted: Arc<Counter>,
-    pub(crate) rejected_cap: Arc<Counter>,
-    pub(crate) accept_paused: Arc<Counter>,
-    pub(crate) overloaded: Arc<Counter>,
-    pub(crate) panics: Arc<Counter>,
-    pub(crate) bytes_read: Arc<Counter>,
-    pub(crate) bytes_written: Arc<Counter>,
-    pub(crate) wakeups: Arc<Counter>,
-    pub(crate) queue_high_water: Arc<Gauge>,
-    pub(crate) write_seconds: Arc<Histogram>,
+fn count(counter: &Counter) -> Sample {
+    Sample::Value(counter.get() as f64)
 }
 
-/// The Prometheus status-class label for a status code.
-fn status_class(status: u16) -> &'static str {
-    match status {
-        200..=299 => "2xx",
-        300..=399 => "3xx",
-        400..=499 => "4xx",
-        _ => "5xx",
-    }
+/// The row `(labels, sample)` if its child has recorded anything:
+/// every recording adds a count, or a positive amount.
+fn recorded(labels: Vec<String>, sample: Sample) -> Option<(Vec<String>, Sample)> {
+    let any = match &sample {
+        Sample::Value(value) => *value > 0.0,
+        Sample::Histogram(snapshot) => snapshot.count() > 0,
+    };
+    any.then_some((labels, sample))
 }
 
-/// Normalizes a request path to a bounded endpoint label: known
-/// routes (`ROUTES`) keep their path (query string stripped),
-/// everything else — including 404 probes — collapses to `"other"` so
-/// hostile paths cannot inflate label cardinality.
-pub(crate) fn endpoint_label(path: &str) -> &'static str {
+/// The index into [`CLASSES`] of a status code: 2xx, 3xx and 4xx by
+/// their hundreds digit, and 5xx for every other code.
+fn status_class(status: u16) -> usize {
+    usize::from(status / 100).wrapping_sub(2).min(3)
+}
+
+/// The endpoint index of a request path: its route's position in
+/// `ROUTES` (query string stripped), or `ROUTES.len()`, labelled
+/// `"other"`, for everything else (404 probes included), so hostile
+/// paths cannot inflate label cardinality.
+pub(crate) fn endpoint_index(path: &str) -> usize {
     let route = path.split('?').next().unwrap_or(path);
-    ROUTES
-        .into_iter()
-        .find(|&known| known == route)
-        .unwrap_or("other")
+    let known = ROUTES.iter().position(|&r| r == route);
+    known.unwrap_or(ROUTES.len())
+}
+
+/// The label of endpoint index `i`.
+pub(crate) fn endpoint_label(i: usize) -> &'static str {
+    ROUTES.get(i).copied().unwrap_or("other")
 }
 
 #[cfg(test)]
@@ -292,30 +289,14 @@ mod tests {
 
     #[test]
     fn endpoint_labels_are_bounded() {
-        assert_eq!(endpoint_label("/v1/query"), "/v1/query");
-        assert_eq!(endpoint_label("/v1/metrics?format=json"), "/v1/metrics");
-        assert_eq!(endpoint_label("/v1/../../etc/passwd"), "other");
-        assert_eq!(endpoint_label("/v1/nope"), "other");
+        let label = |path| endpoint_label(endpoint_index(path));
+        assert_eq!(label("/v1/query"), "/v1/query");
+        assert_eq!(label("/v1/metrics?format=json"), "/v1/metrics");
+        assert_eq!(label("/v1/../../etc/passwd"), "other");
+        assert_eq!(label("/v1/nope"), "other");
         for route in ROUTES {
-            assert_eq!(endpoint_label(route), route);
+            assert_eq!(label(route), route);
         }
-    }
-
-    #[test]
-    fn metrics_render_families_with_children() {
-        let metrics = ServeMetrics::new(2);
-        let shard = metrics.shard(1);
-        shard.accepted.inc();
-        shard.bytes_read.add(100);
-        metrics.record_request("/v1/query", 200, 3, 40);
-        metrics.record_request("/v1/query", 403, 1, 9);
-        metrics.record_engine_inflation("mean", 0.001);
-        let text = updp_obs::render_prometheus(&metrics.snapshot());
-        assert!(text.contains("updp_reactor_connections_accepted_total{shard=\"1\"} 1"));
-        assert!(text.contains("updp_http_requests_total{endpoint=\"/v1/query\"} 2"));
-        assert!(text.contains("updp_http_responses_total{endpoint=\"/v1/query\",class=\"2xx\"} 1"));
-        assert!(text.contains("updp_http_responses_total{endpoint=\"/v1/query\",class=\"4xx\"} 1"));
-        assert!(text.contains("updp_engine_epsilon_inflation_total{estimator=\"mean\"} 0.001"));
     }
 
     fn scrape_golden_path(file: &str) -> std::path::PathBuf {
@@ -330,7 +311,7 @@ mod tests {
     /// three estimators.
     fn render_scrape() -> (String, String) {
         let metrics = ServeMetrics::new(12);
-        let shards: Vec<_> = (0..12).map(|index| metrics.shard(index)).collect();
+        let shards = &metrics.shards;
         for index in [0usize, 2, 10, 11] {
             let shard = &shards[index];
             let k = index as u64 + 1;
@@ -347,17 +328,19 @@ mod tests {
             shard.write_seconds.observe_micros(3 * k);
             shard.write_seconds.observe_micros(40_000 * k);
         }
-        metrics.record_request(endpoint_label("/v1/query"), 200, 3, 40);
-        metrics.record_request(endpoint_label("/v1/query"), 200, 0, 1_500);
-        metrics.record_request(endpoint_label("/v1/query"), 403, 1, 9);
-        metrics.record_request(endpoint_label("/v1/metrics?format=json"), 200, 2, 700);
-        metrics.record_request(endpoint_label("/v1/nope"), 404, 5, 1);
-        metrics.record_engine_query("mean", 120);
-        metrics.record_engine_query("mean", 2_900);
-        metrics.record_engine_query("iqr", 65_000);
-        metrics.record_engine_query("kv18", 33);
-        metrics.record_engine_inflation("mean", 0.001);
-        metrics.record_engine_inflation("mean", 0.0625);
+        metrics.record_request("/v1/query", 200, 3, 40);
+        metrics.record_request("/v1/query", 200, 0, 1_500);
+        metrics.record_request("/v1/query", 403, 1, 9);
+        metrics.record_request("/v1/metrics?format=json", 200, 2, 700);
+        metrics.record_request("/v1/nope", 404, 5, 1);
+        let catalog = EstimatorCatalog::standard();
+        let at = |name| catalog.position(name).expect("a served estimator");
+        metrics.record_engine_query(at("mean"), 120);
+        metrics.record_engine_query(at("mean"), 2_900);
+        metrics.record_engine_query(at("iqr"), 65_000);
+        metrics.record_engine_query(at("kv18"), 33);
+        metrics.record_engine_inflation(at("mean"), 0.001);
+        metrics.record_engine_inflation(at("mean"), 0.0625);
         let families = metrics.snapshot();
         (
             updp_obs::render_prometheus(&families),

@@ -59,7 +59,7 @@
 )]
 
 use crate::http::{encode_response_with_type, HttpError, Request, RequestParser};
-use crate::metrics::{endpoint_label, ShardMetrics};
+use crate::metrics::ShardMetrics;
 use crate::poll::{self, Epoll, Events};
 use crate::server::{route, AppState, DrainSummary, ServerConfig, CONTENT_TYPE_JSON};
 use crate::wire;
@@ -171,8 +171,11 @@ pub(crate) fn run(
     config: &ServerConfig,
 ) -> io::Result<DrainSummary> {
     listener.set_nonblocking(true)?;
-    let workers = (0..state.workers)
-        .map(|index| Worker::new(index, &listener, state, config))
+    let workers = state
+        .metrics
+        .shards
+        .iter()
+        .map(|shard| Worker::new(shard, &listener, state, config))
         .collect::<io::Result<Vec<_>>>()?;
     std::thread::scope(|scope| {
         let handles: Vec<_> = workers
@@ -223,8 +226,8 @@ struct Worker<'a> {
     /// Set while the listener is unwatched after descriptor
     /// exhaustion: when to watch it again.
     accept_paused_until: Option<Instant>,
-    /// This shard's pre-resolved metric handles.
-    shard: ShardMetrics,
+    /// This shard's counters.
+    shard: &'a ShardMetrics,
     /// Connections that flushed and closed cleanly during drain.
     drained: usize,
     /// Connections force-closed at the drain deadline.
@@ -233,7 +236,7 @@ struct Worker<'a> {
 
 impl<'a> Worker<'a> {
     fn new(
-        index: usize,
+        shard: &'a ShardMetrics,
         listener: &'a TcpListener,
         state: &'a AppState,
         config: &'a ServerConfig,
@@ -252,7 +255,7 @@ impl<'a> Worker<'a> {
             draining: false,
             deadline: None,
             accept_paused_until: None,
-            shard: state.metrics.shard(index),
+            shard,
             drained: 0,
             aborted: 0,
         };
@@ -388,25 +391,25 @@ impl<'a> Worker<'a> {
         };
         let mut dead = event.failed;
         if !dead && event.writable {
-            dead = flush_out(&mut conn, &self.shard);
+            dead = flush_out(&mut conn, self.shard);
         }
         if !dead && event.readable {
             dead = if conn.closing {
                 // Lingering close: discard peer bytes so the close
                 // (once `out` drains) sends FIN, not an RST that
                 // would destroy the final response in flight.
-                sink(&mut conn, &mut self.scratch, &self.shard)
+                sink(&mut conn, &mut self.scratch, self.shard)
             } else {
                 read_and_dispatch(
                     &mut conn,
                     &mut self.scratch,
                     self.state,
                     self.config,
-                    &self.shard,
+                    self.shard,
                 )
             };
             if !dead {
-                dead = flush_out(&mut conn, &self.shard);
+                dead = flush_out(&mut conn, self.shard);
             }
         }
         self.park(idx, conn, dead);
@@ -673,12 +676,7 @@ fn dispatch(
         conn.out_since = Some(Instant::now());
     }
     let metrics = &state.metrics;
-    metrics.record_request(
-        endpoint_label(&request.path),
-        status,
-        parse_micros,
-        handle_micros,
-    );
+    metrics.record_request(&request.path, status, parse_micros, handle_micros);
     let event = TraceEvent {
         id: metrics.next_request_id(),
         shard: shard.index,
@@ -695,7 +693,7 @@ fn dispatch(
             .map(|d| d.as_millis() as u64)
             .unwrap_or(0),
     };
-    metrics.trace_event(shard.index, event);
+    shard.trace.push(event);
     if is_shutdown {
         state.begin_shutdown();
     }

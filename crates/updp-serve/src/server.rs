@@ -25,7 +25,7 @@ use crate::engine::{
 };
 use crate::http::Request;
 use crate::ledger::{Ledger, LedgerError};
-use crate::metrics::{endpoint_label, ServeMetrics};
+use crate::metrics::{endpoint_index, endpoint_label, ServeMetrics};
 use crate::registry::{FlushPolicy, Registry, RegistryError};
 use crate::{reactor, wire};
 use std::io::Write;
@@ -321,8 +321,10 @@ pub(crate) fn route(state: &AppState, request: &Request) -> Routed {
         // The metrics/trace endpoints are the only routes with a
         // query string ("?format=json"); every other path is matched
         // verbatim, query string and all, exactly as before.
-        ("GET", path) if endpoint_label(path) == "/v1/metrics" => metrics_scrape(state, path),
-        ("GET", path) if endpoint_label(path) == "/v1/trace" => {
+        ("GET", path) if endpoint_label(endpoint_index(path)) == "/v1/metrics" => {
+            metrics_scrape(state, path)
+        }
+        ("GET", path) if endpoint_label(endpoint_index(path)) == "/v1/trace" => {
             Routed::json(200, wire::trace_body(&state.metrics.trace_snapshot()))
         }
         ("POST", "/v1/register") => register(state, body),
@@ -337,7 +339,7 @@ pub(crate) fn route(state: &AppState, request: &Request) -> Routed {
 }
 
 /// Every served path. A wrong method on one of them answers 405, and
-/// each is its own metrics endpoint label (`endpoint_label`).
+/// each is its own metrics endpoint label (`endpoint_index`).
 pub(crate) const ROUTES: [&str; 11] = [
     "/v1/healthz",
     "/v1/datasets",
@@ -420,19 +422,15 @@ fn metrics_scrape(state: &AppState, path: &str) -> Routed {
 /// reactor rather than duplicated into metric state.
 fn scraped_families(state: &AppState) -> Vec<FamilySnapshot> {
     let accounts = state.ledger.list().unwrap_or_default();
-    let family = |name, help, kind, rows: Vec<(Vec<String>, f64)>| FamilySnapshot {
-        name,
-        help,
-        kind,
-        label_keys: if rows.iter().any(|(labels, _)| !labels.is_empty()) {
+    let family = |name, help, kind, rows: Vec<(Vec<String>, f64)>| {
+        let label_keys: &[&str] = if rows.iter().any(|(labels, _)| !labels.is_empty()) {
             &["dataset"]
         } else {
             &[]
-        },
-        samples: rows
-            .into_iter()
-            .map(|(labels, value)| (labels, Sample::Value(value)))
-            .collect(),
+        };
+        let rows = rows.into_iter();
+        let samples = rows.map(|(labels, value)| (labels, Sample::Value(value)));
+        FamilySnapshot::new(name, help, kind, label_keys, samples.collect())
     };
     let per_account = |f: fn(&crate::ledger::Account) -> f64| -> Vec<(Vec<String>, f64)> {
         accounts
