@@ -15,7 +15,7 @@
 //! slower in n. The `iqr` experiment measures exactly this gap.
 
 use crate::estimator::{Estimator, Release};
-use crate::iqr_lower_bound::estimate_iqr_lower_bound_view;
+use crate::iqr_lower_bound::iqr_lower_bound;
 use rand::Rng;
 use updp_core::error::{ensure_beta, Result, UpdpError};
 use updp_core::privacy::Epsilon;
@@ -71,7 +71,7 @@ pub fn estimate_iqr_view<R: Rng + ?Sized>(
     ensure_beta(beta)?;
 
     let third = epsilon.scale(1.0 / 3.0);
-    let lb = estimate_iqr_lower_bound_view(rng, view, third, beta / 6.0)?;
+    let lb = iqr_lower_bound(rng, view, third);
     let bucket = (lb / n as f64).max(f64::MIN_POSITIVE);
 
     let disc = Discretizer::new(bucket)?;

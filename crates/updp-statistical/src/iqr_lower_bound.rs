@@ -27,7 +27,7 @@ use updp_core::error::{ensure_beta, Result, UpdpError};
 use updp_core::privacy::Epsilon;
 use updp_core::svt::{sparse_vector, DEFAULT_SVT_CAP};
 pub use updp_empirical::gaps::pair_gaps;
-use updp_empirical::gaps::{pow2, GapSummary, SCALE_FLOOR};
+use updp_empirical::gaps::{pow2, SCALE_FLOOR};
 use updp_empirical::view::ColumnView;
 
 /// ε-DP lower bound on the IQR (Algorithm 7).
@@ -68,16 +68,25 @@ pub fn estimate_iqr_lower_bound_view<R: Rng + ?Sized>(
         });
     }
     ensure_beta(beta)?;
+    Ok(iqr_lower_bound(rng, view, epsilon))
+}
+
+/// Algorithm 7 on a column its caller has checked: finite, at least
+/// four records, and a valid β (which the search never reads). The
+/// universal estimators call it after their own stricter checks, so
+/// each of their calls scans its column for non-finite values once.
+/// It pairs the records (or reads the view's gap summary), then runs
+/// the two-SVT scale search of lines 3–9 over the gap counting query
+/// `|{g ≤ pow2(k)}|`.
+pub(crate) fn iqr_lower_bound<R: Rng + ?Sized>(
+    rng: &mut R,
+    view: &ColumnView<'_>,
+    epsilon: Epsilon,
+) -> f64 {
     let gaps = match view.gap_summary() {
         Some(summary) => summary,
         None => std::sync::Arc::new(pair_gaps(rng, view.data())),
     };
-    Ok(iqr_lb_search(rng, &gaps, epsilon))
-}
-
-/// The two-SVT scale search of Algorithm 7 (lines 3–9) over the gap
-/// counting query `|{g ≤ pow2(k)}|`.
-fn iqr_lb_search<R: Rng + ?Sized>(rng: &mut R, gaps: &GapSummary, epsilon: Epsilon) -> f64 {
     let n_prime = gaps.pairs() as f64;
     let threshold = 3.0 * n_prime / 16.0;
     let half = epsilon.scale(0.5);

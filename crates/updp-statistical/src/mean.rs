@@ -22,7 +22,7 @@
 //! estimators and removing assumptions A1/A2 for the first time.
 
 use crate::estimator::{Estimator, Release};
-use crate::iqr_lower_bound::estimate_iqr_lower_bound;
+use crate::iqr_lower_bound::iqr_lower_bound;
 use rand::Rng;
 use updp_core::amplification::paper_inner_epsilon;
 use updp_core::clipped_mean::clipped_mean_with_outside;
@@ -31,6 +31,7 @@ use updp_core::laplace::sample_laplace;
 use updp_core::privacy::Epsilon;
 use updp_core::rng::subsample;
 use updp_empirical::discretize::{real_range, Discretizer, RealRange};
+use updp_empirical::view::ColumnView;
 
 /// Diagnostics accompanying a universal mean estimate.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -61,8 +62,8 @@ pub fn estimate_mean<R: Rng + ?Sized>(
 ) -> Result<MeanEstimate> {
     check_input(data, beta)?;
 
-    // Stage 1 (ε/8): private bucket size.
-    let bucket = estimate_iqr_lower_bound(rng, data, epsilon.scale(1.0 / 8.0), beta / 9.0)?;
+    // Stage 1 (ε/8, β/9): private bucket size.
+    let bucket = iqr_lower_bound(rng, &ColumnView::bare(data), epsilon.scale(1.0 / 8.0));
 
     let m = default_subsample(epsilon, data.len());
     range_and_release(rng, data, epsilon, beta, bucket, m)
@@ -118,7 +119,7 @@ pub fn estimate_mean_with_subsample<R: Rng + ?Sized>(
         });
     }
     ensure_beta(beta)?;
-    let bucket = estimate_iqr_lower_bound(rng, data, epsilon.scale(1.0 / 8.0), beta / 9.0)?;
+    let bucket = iqr_lower_bound(rng, &ColumnView::bare(data), epsilon.scale(1.0 / 8.0));
     range_and_release(rng, data, epsilon, beta, bucket, m)
 }
 

@@ -17,7 +17,7 @@
 //! {0, 1}.
 
 use crate::estimator::{Estimator, ParamSpec, Release};
-use crate::iqr_lower_bound::estimate_iqr_lower_bound_view;
+use crate::iqr_lower_bound::iqr_lower_bound;
 use rand::Rng;
 use updp_core::error::{ensure_beta, Result, UpdpError};
 use updp_core::privacy::Epsilon;
@@ -95,7 +95,7 @@ pub fn estimate_quantile_view<R: Rng + ?Sized>(
     view.ensure_finite("estimate_quantile input")?;
     let n = validate(view.len(), q, beta)?;
     let half = epsilon.scale(0.5);
-    let lb = estimate_iqr_lower_bound_view(rng, view, half, beta / 2.0)?;
+    let lb = iqr_lower_bound(rng, view, half);
     let bucket = (lb / n as f64).max(f64::MIN_POSITIVE);
     let rank = ((q * n as f64).ceil() as usize).clamp(1, n);
     let estimate = real_quantile_view(rng, view, rank, bucket, half, beta / 2.0)?;

@@ -14,7 +14,7 @@
 //! distributions.
 
 use crate::estimator::{Estimator, Release};
-use crate::iqr_lower_bound::estimate_iqr_lower_bound;
+use crate::iqr_lower_bound::iqr_lower_bound;
 use rand::Rng;
 use updp_core::amplification::paper_inner_epsilon;
 use updp_core::clipped_mean::clipped_mean_with_outside;
@@ -24,6 +24,7 @@ use updp_core::privacy::Epsilon;
 use updp_core::rng::subsample;
 use updp_empirical::discretize::real_radius;
 use updp_empirical::gaps::map_random_pairs;
+use updp_empirical::view::ColumnView;
 
 /// Diagnostics accompanying a universal variance estimate.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -61,8 +62,8 @@ pub fn estimate_variance<R: Rng + ?Sized>(
     }
     ensure_beta(beta)?;
 
-    // Stage 1 (ε/8): bucket scale.
-    let bucket = estimate_iqr_lower_bound(rng, data, epsilon.scale(1.0 / 8.0), beta / 7.0)?;
+    // Stage 1 (ε/8, β/7): bucket scale.
+    let bucket = iqr_lower_bound(rng, &ColumnView::bare(data), epsilon.scale(1.0 / 8.0));
 
     // Stage 2: H = {(X − X′)²} from a *random* pairing (the paper's
     // "randomly group the elements in D into pairs"); the permutation is

@@ -202,8 +202,19 @@ fn empirical_layer_survives_integer_extremes() {
     }
 }
 
+/// The `context` of a `NonFiniteInput` error; panics on anything else.
+fn non_finite_context<T: std::fmt::Debug>(result: Result<T, UpdpError>) -> &'static str {
+    match result {
+        Err(UpdpError::NonFiniteInput { context }) => context,
+        other => panic!("expected NonFiniteInput, got {other:?}"),
+    }
+}
+
 #[test]
 fn nan_and_infinity_are_rejected_not_propagated() {
+    use updp::statistical::{
+        estimate_iqr, estimate_iqr_lower_bound, estimate_mean, estimate_variance,
+    };
     let bad_inputs = [vec![f64::NAN; 100], vec![f64::INFINITY; 100], {
         let mut v = vec![1.0; 99];
         v.push(f64::NEG_INFINITY);
@@ -211,18 +222,28 @@ fn nan_and_infinity_are_rejected_not_propagated() {
     }];
     let mut rng = seeded(6);
     for data in &bad_inputs {
-        assert!(matches!(
-            updp::statistical::estimate_mean(&mut rng, data, eps(1.0), 0.2),
-            Err(UpdpError::NonFiniteInput { .. })
-        ));
-        assert!(matches!(
-            updp::statistical::estimate_variance(&mut rng, data, eps(1.0), 0.2),
-            Err(UpdpError::NonFiniteInput { .. })
-        ));
-        assert!(matches!(
-            updp::statistical::estimate_iqr(&mut rng, data, eps(1.0), 0.2),
-            Err(UpdpError::NonFiniteInput { .. })
-        ));
+        // Each entry point reports itself, whichever stage would have
+        // scanned the column next.
+        assert_eq!(
+            non_finite_context(estimate_mean(&mut rng, data, eps(1.0), 0.2)),
+            "estimate_mean input"
+        );
+        assert_eq!(
+            non_finite_context(estimate_variance(&mut rng, data, eps(1.0), 0.2)),
+            "estimate_variance input"
+        );
+        assert_eq!(
+            non_finite_context(estimate_quantile(&mut rng, data, 0.9, eps(1.0), 0.2)),
+            "estimate_quantile input"
+        );
+        assert_eq!(
+            non_finite_context(estimate_iqr(&mut rng, data, eps(1.0), 0.2)),
+            "estimate_iqr input"
+        );
+        assert_eq!(
+            non_finite_context(estimate_iqr_lower_bound(&mut rng, data, eps(1.0), 0.2)),
+            "estimate_iqr_lower_bound input"
+        );
     }
 }
 
