@@ -30,11 +30,14 @@
 //! and `/v1/trace` report every request. It is observe-only, so no
 //! release depends on it.
 //!
-//! The deterministic parallel data kernels (the cold sorted-copy
-//! build, DESIGN.md §12) take their worker count from the
-//! `UPDP_THREADS` environment variable (`0`/unset: available
-//! parallelism). Released bytes are identical at any value — the §5
-//! contract — so it is purely a performance knob.
+//! The `UPDP_THREADS` environment variable (`0`/unset: available
+//! parallelism) sets the worker count of every deterministic parallel
+//! kernel (DESIGN.md §12): the per-batch query fan-out
+//! (`par_map_indexed` in `engine::execute_batch_observed`), the cold
+//! sorted-copy build, the integer grid sort, the gap summary's shuffle
+//! and pair pass, and the subsample's Fisher–Yates draw. Released
+//! bytes are identical at any value — the §5 contract — so it is
+//! purely a performance knob.
 
 use updp_serve::{FlushPolicy, Ledger, Server, ServerConfig};
 

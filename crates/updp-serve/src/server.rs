@@ -401,10 +401,10 @@ fn shutdown(state: &AppState) -> Routed {
 }
 
 /// `GET /v1/metrics`: Prometheus text by default, JSON with
-/// `?format=json`. Registry families snapshot their atomics; ledger ε
-/// accounts, refusal counts, pending rows, active connections, and
-/// uptime are read from their single sources of truth at scrape time
-/// and appended, and both formats render the one list.
+/// `?format=json`. The reactor, HTTP and engine families are read from
+/// `ServeMetrics`; ledger ε accounts, refusal counts, pending rows,
+/// active connections, and uptime are read from their single sources
+/// of truth and appended, and both formats render the one list.
 fn metrics_scrape(state: &AppState, path: &str) -> Routed {
     let format = path.split_once('?').map(|(_, q)| q).unwrap_or("");
     let mut families = state.metrics.snapshot();
