@@ -104,7 +104,8 @@ impl ServeMetrics {
         }
     }
 
-    /// Records the snapping ε inflation a release of that estimator charged.
+    /// Records the snapping ε inflation charged by a release of the
+    /// catalog's `index`-th estimator.
     pub(crate) fn record_engine_inflation(&self, index: usize, inflation: f64) {
         if let Some((_, estimator)) = self.estimators.get(index) {
             estimator.inflation.add(inflation);
@@ -127,7 +128,8 @@ impl ServeMetrics {
     /// Every family, read now: each shard renders a sample, an endpoint
     /// or estimator one once it has recorded something.
     pub(crate) fn snapshot(&self) -> Vec<FamilySnapshot> {
-        let endpoints = || (0..).map(endpoint_label).zip(&self.endpoints);
+        let labels = (0..).map(|i| ROUTES.get(i).copied().unwrap_or("other"));
+        let endpoints = || labels.clone().zip(&self.endpoints);
         let by_shard = |name, help, kind, read: fn(&ShardMetrics) -> Sample| {
             let shards = self.shards.iter();
             let rows = shards.map(|shard| (vec![shard.index.to_string()], read(shard)));
@@ -262,25 +264,23 @@ fn recorded(labels: Vec<String>, sample: Sample) -> Option<(Vec<String>, Sample)
     any.then_some((labels, sample))
 }
 
-/// The index into [`CLASSES`] of a status code: 2xx, 3xx and 4xx by
-/// their hundreds digit, and 5xx for every other code.
+/// The index into [`CLASSES`] of a status code's class; every code
+/// outside 2xx–4xx counts as 5xx.
 fn status_class(status: u16) -> usize {
-    usize::from(status / 100).wrapping_sub(2).min(3)
+    match status / 100 {
+        class @ 2..=4 => usize::from(class - 2),
+        _ => 3,
+    }
 }
 
 /// The endpoint index of a request path: its route's position in
 /// `ROUTES` (query string stripped), or `ROUTES.len()`, labelled
 /// `"other"`, for everything else (404 probes included), so hostile
 /// paths cannot inflate label cardinality.
-pub(crate) fn endpoint_index(path: &str) -> usize {
+fn endpoint_index(path: &str) -> usize {
     let route = path.split('?').next().unwrap_or(path);
     let known = ROUTES.iter().position(|&r| r == route);
     known.unwrap_or(ROUTES.len())
-}
-
-/// The label of endpoint index `i`.
-pub(crate) fn endpoint_label(i: usize) -> &'static str {
-    ROUTES.get(i).copied().unwrap_or("other")
 }
 
 #[cfg(test)]
@@ -289,13 +289,13 @@ mod tests {
 
     #[test]
     fn endpoint_labels_are_bounded() {
-        let label = |path| endpoint_label(endpoint_index(path));
-        assert_eq!(label("/v1/query"), "/v1/query");
-        assert_eq!(label("/v1/metrics?format=json"), "/v1/metrics");
-        assert_eq!(label("/v1/../../etc/passwd"), "other");
-        assert_eq!(label("/v1/nope"), "other");
-        for route in ROUTES {
-            assert_eq!(label(route), route);
+        let other = ROUTES.len();
+        let metrics = endpoint_index("/v1/metrics");
+        assert_eq!(endpoint_index("/v1/metrics?format=json"), metrics);
+        assert_eq!(endpoint_index("/v1/../../etc/passwd"), other);
+        assert_eq!(endpoint_index("/v1/nope"), other);
+        for (i, route) in ROUTES.into_iter().enumerate() {
+            assert_eq!(endpoint_index(route), i);
         }
     }
 

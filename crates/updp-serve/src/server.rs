@@ -25,7 +25,7 @@ use crate::engine::{
 };
 use crate::http::Request;
 use crate::ledger::{Ledger, LedgerError};
-use crate::metrics::{endpoint_index, endpoint_label, ServeMetrics};
+use crate::metrics::ServeMetrics;
 use crate::registry::{FlushPolicy, Registry, RegistryError};
 use crate::{reactor, wire};
 use std::io::Write;
@@ -321,10 +321,10 @@ pub(crate) fn route(state: &AppState, request: &Request) -> Routed {
         // The metrics/trace endpoints are the only routes with a
         // query string ("?format=json"); every other path is matched
         // verbatim, query string and all, exactly as before.
-        ("GET", path) if endpoint_label(endpoint_index(path)) == "/v1/metrics" => {
+        ("GET", path) if path.split('?').next() == Some("/v1/metrics") => {
             metrics_scrape(state, path)
         }
-        ("GET", path) if endpoint_label(endpoint_index(path)) == "/v1/trace" => {
+        ("GET", path) if path.split('?').next() == Some("/v1/trace") => {
             Routed::json(200, wire::trace_body(&state.metrics.trace_snapshot()))
         }
         ("POST", "/v1/register") => register(state, body),
