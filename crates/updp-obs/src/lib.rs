@@ -3,9 +3,9 @@
 //! renderer per scrape format ([`render_prometheus`], [`render_json`])
 //! over such snapshots, and bounded request-trace rings.
 //!
-//! There is no registry: the code that records a metric owns it and
-//! builds its family at scrape time, with every label set known when
-//! it allocates the metrics, so recording only touches atomics.
+//! The code that records a metric owns it and builds its family at
+//! scrape time. Every label set is known when it allocates the
+//! metrics, so recording only touches atomics.
 //!
 //! # Design constraints
 //!
