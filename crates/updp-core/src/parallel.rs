@@ -52,9 +52,10 @@ pub const THREADS_ENV: &str = "UPDP_THREADS";
 /// Data kernels shorter than this (in elements, or in Fisher–Yates
 /// steps) run serially whatever `UPDP_THREADS` permits: the sort
 /// ([`sort_unstable_threads`]) of `sorted_copy` and `SortedInts::new`,
-/// the pipelined shuffle of [`crate::rng`] and the pair pass of
-/// `updp_empirical::gaps`. Chosen so that the work amortizes a thread
-/// spawn even on modest hosts.
+/// the pipelined shuffle of [`crate::rng`], and the [`par_fill`]s of
+/// the value copy that `updp_empirical::gaps` shuffles and of the grid
+/// of `Discretizer::discretize`. Chosen so that the work amortizes a
+/// thread spawn even on modest hosts.
 pub const PAR_MIN_LEN: usize = 1 << 17;
 
 thread_local! {
@@ -203,6 +204,30 @@ where
     });
 }
 
+/// Writes `out` from `src`, of equal length, in `threads` contiguous
+/// parts: `fill(out_part, src_part)` runs once per part on its own
+/// [`par_for_each`] worker, and the calls' results come back in part
+/// order. Each worker is the first to touch its part of a fresh `out`,
+/// so the pages of a large output fault in on every worker. 1 thread ⇒
+/// one call on the caller.
+pub fn par_fill<S, T, A, F>(threads: usize, out: &mut [T], src: &[S], fill: F) -> Vec<A>
+where
+    S: Sync,
+    T: Send,
+    A: Send,
+    F: Fn(&mut [T], &[S]) -> A + Sync,
+{
+    assert_eq!(out.len(), src.len(), "a fill writes one output per input");
+    let per = src.len().div_ceil(threads.max(1)).max(1);
+    let mut results: Vec<Option<A>> = src.chunks(per).map(|_| None).collect();
+    let parts: Vec<_> = results
+        .iter_mut()
+        .zip(out.chunks_mut(per).zip(src.chunks(per)))
+        .collect();
+    par_for_each(parts, |(result, (out, src))| *result = Some(fill(out, src)));
+    results.into_iter().flatten().collect()
+}
+
 /// Sorts `v` in place by `cmp` on `threads` workers, no merge buffer:
 /// `select_nth_unstable_by` cuts `v`, serially, into `threads` parts
 /// whose every element orders after the previous part's, then one
@@ -316,6 +341,25 @@ mod tests {
             assert_eq!(out, want, "parts = {parts}");
         }
         par_for_each(Vec::<usize>::new(), |_| unreachable!());
+    }
+
+    #[test]
+    fn par_fill_writes_every_part_in_order() {
+        let src: Vec<u32> = (0..11).collect();
+        for threads in [1, 2, 3, 11, 16] {
+            let mut out = vec![0u64; src.len()];
+            let sums = par_fill(threads, &mut out, &src, |out, src| {
+                for (o, &s) in out.iter_mut().zip(src) {
+                    *o = u64::from(s) * 3;
+                }
+                src.iter().sum::<u32>()
+            });
+            assert_eq!(out, (0..11).map(|i| i * 3).collect::<Vec<u64>>());
+            assert_eq!(sums.iter().sum::<u32>(), 55, "threads = {threads}");
+            assert_eq!(sums.len(), threads.min(src.len()), "threads = {threads}");
+        }
+        let none: Vec<()> = par_fill(2, &mut [0u8; 0], &[0u8; 0], |_, _| ());
+        assert!(none.is_empty());
     }
 
     #[test]

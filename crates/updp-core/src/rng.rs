@@ -24,10 +24,11 @@
 //! [`PAR_MIN_LEN`](crate::parallel::PAR_MIN_LEN) steps up the draws and
 //! the swaps run on two threads: the caller keeps the generator and
 //! draws blocks of [`PIPELINE_BLOCK`] targets ahead, and one scoped
-//! thread owns the pool and applies them. Draws, swap order and trailing generator state are
-//! those of the vendored `SliceRandom::shuffle` and
-//! `seq::index::sample`, so the permutation is identical at any thread
-//! count (DESIGN.md §12.3).
+//! thread owns the pool and applies them. Draws, swap order and
+//! trailing generator state are those of the vendored
+//! `SliceRandom::shuffle` and `seq::index::sample`, so the permutation
+//! is identical at any thread count (DESIGN.md §12.3). A [`shuffle`]d
+//! pool may hold values instead of indices: the same swaps move them.
 
 use crate::parallel::threads_for;
 use rand::rngs::StdRng;
@@ -85,9 +86,10 @@ pub const PIPELINE_BLOCK: usize = 1 << 14;
 /// reused.
 const PIPELINE_DEPTH: usize = 2;
 
-/// An index width for a Fisher–Yates pool: `u32` halves the memory a
-/// pool streams through and is what columns of up to `u32::MAX` rows
-/// use; `usize` is the same kernel for longer columns.
+/// An index width, of the Fisher–Yates kernel's swap targets and of an
+/// index pool: `u32` halves the memory they stream through and is what
+/// columns of up to `u32::MAX` rows use; `usize` is the same kernel for
+/// longer columns.
 pub trait PoolIndex: Copy + Send + Sync {
     /// The longest pool whose indices this width holds without
     /// truncation.
@@ -136,10 +138,12 @@ pub fn identity<I: PoolIndex>(n: usize) -> Vec<I> {
 
 /// Shuffles `pool` uniformly: the permutation and trailing generator
 /// state of the vendored `SliceRandom::shuffle` (`j = gen_range(0..i + 1)`
-/// for `i = n − 1, …, 1`). Pipelined on two threads from
-/// [`PAR_MIN_LEN`](crate::parallel::PAR_MIN_LEN) steps up (see
-/// [`shuffle_threads`]).
-pub fn shuffle<I: PoolIndex, R: Rng + ?Sized>(rng: &mut R, pool: &mut [I]) {
+/// for `i = n − 1, …, 1`). The pool holds any `Copy` values: shuffling
+/// a column's values moves `data[π(k)]` to `k` for the permutation `π`
+/// that the same coins give the identity pool `0..n`. Pipelined on two
+/// threads from [`PAR_MIN_LEN`](crate::parallel::PAR_MIN_LEN) steps up
+/// (see [`shuffle_threads`]).
+pub fn shuffle<T: Copy + Send, R: Rng + ?Sized>(rng: &mut R, pool: &mut [T]) {
     let threads = threads_for(pool.len().saturating_sub(1));
     shuffle_threads(rng, pool, threads);
 }
@@ -147,10 +151,27 @@ pub fn shuffle<I: PoolIndex, R: Rng + ?Sized>(rng: &mut R, pool: &mut [I]) {
 /// [`shuffle`] with an explicit thread count: 1 runs the serial kernel
 /// and starts no thread; 2 or more runs the two-thread pipeline at any
 /// length. The result is the same either way.
-pub fn shuffle_threads<I: PoolIndex, R: Rng + ?Sized>(rng: &mut R, pool: &mut [I], threads: usize) {
+pub fn shuffle_threads<T: Copy + Send, R: Rng + ?Sized>(
+    rng: &mut R,
+    pool: &mut [T],
+    threads: usize,
+) {
+    if pool.len() <= <u32 as PoolIndex>::MAX_LEN {
+        shuffle_at::<u32, T, R>(rng, pool, threads);
+    } else {
+        shuffle_at::<usize, T, R>(rng, pool, threads);
+    }
+}
+
+/// [`shuffle_threads`] with swap targets of width `J`.
+fn shuffle_at<J: PoolIndex, T: Copy + Send, R: Rng + ?Sized>(
+    rng: &mut R,
+    pool: &mut [T],
+    threads: usize,
+) {
     let n = pool.len();
     let rows = (1..n).rev();
-    fisher_yates(rng, pool, rows.clone(), rows.map(|i| 0..i + 1), threads);
+    fisher_yates::<J, T, R>(rng, pool, rows.clone(), rows.map(|i| 0..i + 1), threads);
 }
 
 /// Moves a uniform `m`-sample of `pool` into `pool[..m]`, in draw
@@ -198,7 +219,7 @@ pub fn partial_shuffle_threads<I: PoolIndex, R: Rng + ?Sized>(
 ) {
     let n = pool.len();
     assert!(m <= n, "cannot sample {m} indices from 0..{n}");
-    fisher_yates(rng, pool, 0..m, (0..m).map(|i| i..n), threads);
+    fisher_yates::<I, I, R>(rng, pool, 0..m, (0..m).map(|i| i..n), threads);
 }
 
 /// The Fisher–Yates kernel: step `k` swaps `pool[i]` with
@@ -211,30 +232,31 @@ pub fn partial_shuffle_threads<I: PoolIndex, R: Rng + ?Sized>(
 /// target depends only on the generator and the step's range, never on
 /// the pool, so drawing ahead consumes the same `u64` stream, and the
 /// swaps run in the same order: the result is the plain step-by-step
-/// loop's either way.
+/// loop's either way, whatever the pool holds. Targets are kept at
+/// width `J`, which sizes only their buffers.
 ///
-/// Panics if `pool` is longer than `I::MAX_LEN`: a target is never
+/// Panics if `pool` is longer than `J::MAX_LEN`: a target is never
 /// truncated.
-fn fisher_yates<I: PoolIndex, R: Rng + ?Sized>(
+fn fisher_yates<J: PoolIndex, T: Copy + Send, R: Rng + ?Sized>(
     rng: &mut R,
-    pool: &mut [I],
+    pool: &mut [T],
     mut rows: impl Iterator<Item = usize> + Send,
     mut ranges: impl Iterator<Item = Range<usize>>,
     threads: usize,
 ) {
     assert!(
-        pool.len() <= I::MAX_LEN,
-        "a pool of {} indices does not fit width {}",
+        pool.len() <= J::MAX_LEN,
+        "a pool of {} values has no targets of width {}",
         pool.len(),
-        std::mem::size_of::<I>()
+        std::mem::size_of::<J>()
     );
-    let mut draw = |block: &mut Vec<I>, len: usize| {
+    let mut draw = |block: &mut Vec<J>, len: usize| {
         block.clear();
         block.extend(
             ranges
                 .by_ref()
                 .take(len)
-                .map(|range| I::from_index(rng.gen_range(range))),
+                .map(|range| J::from_index(rng.gen_range(range))),
         );
         !block.is_empty()
     };
@@ -245,7 +267,7 @@ fn fisher_yates<I: PoolIndex, R: Rng + ?Sized>(
         }
         return;
     }
-    let (full_tx, full_rx) = mpsc::channel::<Vec<I>>();
+    let (full_tx, full_rx) = mpsc::channel::<Vec<J>>();
     let (empty_tx, empty_rx) = mpsc::channel();
     for _ in 0..PIPELINE_DEPTH {
         // The receiver is alive: this send cannot fail.
@@ -277,12 +299,15 @@ fn fisher_yates<I: PoolIndex, R: Rng + ?Sized>(
 /// the block (independent loads, so the cache misses of a large pool
 /// overlap instead of queueing behind each swap), then swap in order.
 /// The reads change nothing.
-fn apply<I: PoolIndex>(pool: &mut [I], rows: &mut impl Iterator<Item = usize>, targets: &[I]) {
+fn apply<J: PoolIndex, T: Copy>(
+    pool: &mut [T],
+    rows: &mut impl Iterator<Item = usize>,
+    targets: &[J],
+) {
     for block in targets.chunks(FISHER_YATES_BLOCK) {
-        let warm = block
-            .iter()
-            .fold(0, |acc, &j| acc ^ pool[j.index()].index());
-        std::hint::black_box(warm);
+        for &j in block {
+            std::hint::black_box(pool[j.index()]);
+        }
         for (&j, i) in block.iter().zip(rows.by_ref()) {
             pool.swap(i, j.index());
         }
@@ -456,6 +481,31 @@ mod tests {
             (values, rng.gen::<u64>())
         };
         assert_eq!(draw(true), draw(false));
+    }
+
+    #[test]
+    fn target_widths_shuffle_identically() {
+        // Pools past u32::MAX values draw usize targets; forced here on
+        // a short pool of values, they must give the u32 permutation and
+        // leave the generator in the same state.
+        let data: Vec<f64> = (0..1001).map(|i| f64::from(i).sqrt()).collect();
+        let run = |wide: bool, threads: usize| {
+            let mut rng = seeded(3);
+            let mut pool = data.clone();
+            if wide {
+                shuffle_at::<usize, _, _>(&mut rng, &mut pool, threads);
+            } else {
+                shuffle_at::<u32, _, _>(&mut rng, &mut pool, threads);
+            }
+            (pool, rng.gen::<u64>())
+        };
+        for threads in [1, 2] {
+            assert_eq!(
+                run(true, threads),
+                run(false, threads),
+                "threads = {threads}"
+            );
+        }
     }
 
     #[test]

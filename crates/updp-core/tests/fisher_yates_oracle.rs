@@ -1,8 +1,10 @@
 //! The Fisher–Yates kernel (`updp_core::rng::{shuffle,
 //! partial_shuffle}`) against its oracles, the vendored
 //! `SliceRandom::shuffle` and `seq::index::sample`: the same
-//! permutation or sample, and the same next `u64` drawn afterwards, at
-//! both pool widths, serial and pipelined on two threads.
+//! permutation or sample, and the same next `u64` drawn afterwards, on
+//! `u32` and `usize` index pools and on `f64` value pools (whose
+//! shuffle must be the values gathered through the vendored index
+//! shuffle), serial and pipelined on two threads.
 
 use proptest::prelude::*;
 use rand::seq::{index, SliceRandom};
@@ -47,6 +49,51 @@ fn oracle_full(seed: u64, n: usize) -> (Vec<usize>, u64) {
     let mut pool: Vec<usize> = (0..n).collect();
     pool.shuffle(&mut rng);
     (pool, rng.gen())
+}
+
+/// A column of `n` values, with a NaN and both infinities
+/// among them.
+fn column(n: usize) -> Vec<f64> {
+    let mut data: Vec<f64> = (0..n).map(|i| (i as f64 * 0.61).sin() * 1e3).collect();
+    for (at, special) in [
+        (n / 2, f64::NAN),
+        (n / 3, f64::INFINITY),
+        (n / 5, f64::NEG_INFINITY),
+    ] {
+        if at < n {
+            data[at] = special;
+        }
+    }
+    data
+}
+
+/// The bits of the kernel's shuffle of `data` as a value pool on
+/// `threads` threads (`None`: the default entry's count), and the next
+/// draw.
+fn kernel_values(seed: u64, data: &[f64], threads: Option<usize>) -> (Vec<u64>, u64) {
+    let mut rng = seeded(seed);
+    let mut pool = data.to_vec();
+    match threads {
+        Some(threads) => shuffle_threads(&mut rng, &mut pool, threads),
+        None => shuffle(&mut rng, &mut pool),
+    }
+    (pool.iter().map(|x| x.to_bits()).collect(), rng.gen())
+}
+
+/// The bits of `data` gathered through the vendored shuffle of `0..n`,
+/// and the next draw.
+fn oracle_values(seed: u64, data: &[f64]) -> (Vec<u64>, u64) {
+    let (order, next) = oracle_full(seed, data.len());
+    (order.iter().map(|&i| data[i].to_bits()).collect(), next)
+}
+
+fn check_values(seed: u64, n: usize) {
+    let data = column(n);
+    let oracle = oracle_values(seed, &data);
+    for threads in THREADS {
+        let at = format!("n = {n}, threads = {threads}");
+        assert_eq!(kernel_values(seed, &data, Some(threads)), oracle, "{at}");
+    }
 }
 
 /// The kernel's `m`-prefix of `0..n` at width `I` on `threads`
@@ -95,8 +142,7 @@ fn edge_m(n: usize) -> Vec<usize> {
     ms
 }
 
-/// Checks both widths at both thread counts: `usize` is what columns
-/// longer than `u32::MAX` rows get, forced here at small `n`.
+/// Checks both index pools at both thread counts.
 fn check_full(seed: u64, n: usize) {
     let oracle = oracle_full(seed, n);
     for threads in THREADS {
@@ -149,11 +195,20 @@ fn pipeline_block_edge_lengths_match_the_vendored_shuffle_and_sample() {
     }
 }
 
+#[test]
+fn value_pools_match_the_values_gathered_through_the_vendored_shuffle() {
+    for (seed, n) in EDGE_N.into_iter().chain(PIPELINE_N).enumerate() {
+        check_values(200 + seed as u64, n);
+    }
+}
+
 /// Past the threshold the default entries pipeline on their own (on a
 /// host with two or more threads): still the vendored permutation.
 #[test]
 fn default_entries_match_the_vendored_shuffle_past_the_threshold() {
     let n = PAR_MIN_LEN + 1;
+    let data = column(n);
+    assert_eq!(kernel_values(6, &data, None), oracle_values(6, &data));
     let mut rng = seeded(7);
     let mut pool = identity::<u32>(n);
     shuffle(&mut rng, &mut pool);
@@ -205,6 +260,7 @@ proptest! {
     #[test]
     fn full_shuffle_matches_the_vendored_shuffle(seed in 0u64..u64::MAX, n in 0usize..10_001) {
         check_full(seed, n);
+        check_values(seed, n);
     }
 
     #[test]

@@ -23,6 +23,7 @@ use crate::radius::infinite_domain_radius;
 use crate::range::infinite_domain_range;
 use rand::Rng;
 use updp_core::error::{ensure_beta, Result, UpdpError};
+use updp_core::parallel::{par_fill, threads_for};
 use updp_core::privacy::Epsilon;
 
 /// A real ↔ integer bucket mapping with bucket size `b`.
@@ -66,17 +67,27 @@ impl Discretizer {
     /// Discretizes a whole real dataset into a sorted integer dataset:
     /// [`UpdpError::EmptyDataset`] for no records, else
     /// [`UpdpError::NonFiniteInput`] if any is NaN or infinite, found
-    /// in the same pass over `data` as the map.
+    /// in the same pass over `data` as the map. From
+    /// [`PAR_MIN_LEN`](updp_core::parallel::PAR_MIN_LEN) records up the
+    /// map runs on [`updp_core::parallel::max_threads`] threads.
     pub fn discretize(&self, data: &[f64]) -> Result<SortedInts> {
-        let mut finite = true;
-        let ints = data
-            .iter()
-            .map(|&x| {
+        self.discretize_threads(data, threads_for(data.len()))
+    }
+
+    /// [`Discretizer::discretize`] with the map in `threads` contiguous
+    /// parts, each with its own finiteness flag (1 ⇒ no thread starts);
+    /// the grid or error is the same at any count.
+    pub(crate) fn discretize_threads(&self, data: &[f64], threads: usize) -> Result<SortedInts> {
+        let mut ints = vec![0; data.len()];
+        let finite = par_fill(threads, &mut ints, data, |ints, data| {
+            let mut finite = true;
+            for (int, &x) in ints.iter_mut().zip(data) {
                 finite &= x.is_finite();
-                self.to_int(x)
-            })
-            .collect();
-        if !finite {
+                *int = self.to_int(x);
+            }
+            finite
+        });
+        if finite.contains(&false) {
             return Err(UpdpError::NonFiniteInput {
                 context: "discretization input",
             });
@@ -233,6 +244,37 @@ mod tests {
             }
         }
         assert_eq!(d.discretize(&[]).unwrap_err(), UpdpError::EmptyDataset);
+    }
+
+    #[test]
+    fn thread_counts_give_the_same_grid_or_error() {
+        // Past the threshold, with a NaN first, last and on the
+        // boundary of the two parts.
+        let n = updp_core::parallel::PAR_MIN_LEN + 1;
+        let data: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin() * 1e3).collect();
+        let d = Discretizer::new(0.01).unwrap();
+        let grid = d.discretize_threads(&data, 1).unwrap();
+        assert_eq!(d.discretize_threads(&data, 2).unwrap(), grid);
+        assert_eq!(d.discretize(&data).unwrap(), grid);
+        for at in [0, n - 1, n.div_ceil(2) - 1, n.div_ceil(2)] {
+            let mut bad = data.clone();
+            bad[at] = f64::NAN;
+            for threads in [1, 2] {
+                assert_eq!(
+                    d.discretize_threads(&bad, threads),
+                    Err(UpdpError::NonFiniteInput {
+                        context: "discretization input"
+                    }),
+                    "at = {at}, threads = {threads}"
+                );
+            }
+        }
+        for threads in [1, 2] {
+            assert_eq!(
+                d.discretize_threads(&[], threads),
+                Err(UpdpError::EmptyDataset)
+            );
+        }
     }
 
     #[test]

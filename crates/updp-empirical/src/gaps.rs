@@ -1,16 +1,18 @@
 //! The pair-gap structure of Algorithms 7 and 9 (DESIGN.md §12.3).
 //!
 //! Both algorithms "randomly group the elements in D into pairs".
-//! `shuffled` is that step, once: shuffle the record indices with the
-//! Fisher–Yates kernel ([`updp_core::rng::shuffle_threads`], `u32`
-//! indices up to `u32::MAX` rows); consecutive shuffled indices are
-//! the pairs. From [`PAR_MIN_LEN`](updp_core::parallel::PAR_MIN_LEN)
-//! records up the shuffle is pipelined on two threads and the pass over
-//! the pairs is split into contiguous ranges, one per thread; the
-//! result is the serial pass's at any thread count. Algorithm 9
-//! maps a pair to its squared gap ([`map_random_pairs`]). Algorithm 7
-//! only counts absolute gaps `|X − X′|` below its SVT thresholds, which
-//! are all powers of two ([`pow2`]), so a [`GapSummary`] keeps no gaps:
+//! `shuffled` is that step, once: copy the column's values and shuffle
+//! the copy with the Fisher–Yates kernel
+//! ([`updp_core::rng::shuffle_threads`]); adjacent shuffled values are
+//! the pairs. The swaps are those that would shuffle the record indices
+//! `0..n`, so value `k` is `data[π(k)]` and each pair is still a pair of
+//! original records. From [`PAR_MIN_LEN`](updp_core::parallel::PAR_MIN_LEN)
+//! records up the copy is filled on all threads and the shuffle is
+//! pipelined on two; the result is the serial pass's at any thread
+//! count. Algorithm 9 maps a pair to its squared gap
+//! ([`map_random_pairs`]). Algorithm 7 only counts absolute gaps
+//! `|X − X′|` below its SVT thresholds, which are all powers of two
+//! ([`pow2`]), so a [`GapSummary`] keeps no gaps:
 //! it counts each one in its octave, the smallest `k` with `g ≤ 2ᵏ`,
 //! and answers [`GapSummary::count_le_pow2`] from cumulative counts in
 //! O(1). A summary has two pairing sources:
@@ -37,8 +39,8 @@
 //!   can force all gaps to collapse.
 
 use rand::Rng;
-use updp_core::parallel::{par_for_each, par_map_indexed_threads, threads_for};
-use updp_core::rng::{child_rng, identity, shuffle_threads, PoolIndex};
+use updp_core::parallel::{par_fill, threads_for};
+use updp_core::rng::{child_rng, shuffle_threads};
 
 /// Domain-separation salt for the pairing permutation seed. Any fixed
 /// odd constant works; it only needs to differ from the trial-engine
@@ -75,133 +77,76 @@ const MIN_OCTAVE: i32 = -1022;
 const MAX_OCTAVE: i32 = 1024;
 const OCTAVES: usize = (MAX_OCTAVE - MIN_OCTAVE + 1) as usize;
 
-/// A uniform shuffle of the record indices `0..n` drawn from `rng`:
-/// the vendored `SliceRandom::shuffle`'s permutation, at any index
-/// width and thread count. Consecutive indices of it are the random
-/// pairs; with odd `n` the last one is left out.
-fn shuffled<I: PoolIndex, R: Rng + ?Sized>(rng: &mut R, n: usize, threads: usize) -> Vec<I> {
-    let mut pool = identity(n);
-    shuffle_threads(rng, &mut pool, threads);
-    pool
-}
-
-/// Pairs per contiguous range when `pairs` pairs are split among
-/// `threads` threads: the ranges are `per` long, the last one shorter.
-fn range_len(pairs: usize, threads: usize) -> usize {
-    pairs.div_ceil(threads.max(1)).max(1)
-}
-
-/// The pairs of a shuffled `range` (an even-length slice of the pool),
-/// as records, in pairing order.
-fn records<'a, I: PoolIndex>(
-    data: &'a [f64],
-    range: &'a [I],
-) -> impl Iterator<Item = (f64, f64)> + 'a {
-    range
-        .chunks_exact(2)
-        .map(|p| (data[p[0].index()], data[p[1].index()]))
+/// The values of `data` in a uniform random order drawn from `rng`:
+/// `data[π(k)]` at `k`, for the permutation `π` that the vendored
+/// `SliceRandom::shuffle` gives `0..n` on the same coins, at any thread
+/// count. Adjacent values are the random pairs; with odd `n` the last
+/// one is left out. The copy is filled in `threads` parts, so a large
+/// one's fresh pages fault in on every thread.
+fn shuffled<R: Rng + ?Sized>(rng: &mut R, data: &[f64], threads: usize) -> Vec<f64> {
+    let mut values = vec![0.0; data.len()];
+    par_fill(threads, &mut values, data, <[f64]>::copy_from_slice);
+    shuffle_threads(rng, &mut values, threads);
+    values
 }
 
 /// Maps each random pair `(data[i], data[j])` through `f`, in pairing
-/// order: the pairs are consecutive indices of a uniform shuffle drawn
-/// from `rng`, and with odd `n` the last shuffled index is left out.
-/// From [`PAR_MIN_LEN`](updp_core::parallel::PAR_MIN_LEN) records up
-/// the shuffle is pipelined and the pairs are mapped on
+/// order: the pairs are adjacent values of a uniform shuffle drawn from
+/// `rng`, and with odd `n` the last shuffled value is left out. From
+/// [`PAR_MIN_LEN`](updp_core::parallel::PAR_MIN_LEN) records up the
+/// shuffle is pipelined and the copy it shuffles is filled on
 /// [`updp_core::parallel::max_threads`] threads.
 pub fn map_random_pairs<R: Rng + ?Sized>(
     rng: &mut R,
     data: &[f64],
-    f: impl Fn(f64, f64) -> f64 + Sync,
+    f: impl Fn(f64, f64) -> f64,
 ) -> Vec<f64> {
     map_random_pairs_threads(rng, data, threads_for(data.len()), f)
 }
 
 /// [`map_random_pairs`] with an explicit thread count (1 ⇒ no thread
-/// starts). Each thread writes its own contiguous slice of the output,
-/// so the result is the same at any count.
+/// starts); the result is the same at any count. The pairs are mapped
+/// in place into the front half of the shuffled copy, which is then cut
+/// to that half: no second buffer of `n/2` values is allocated.
 pub fn map_random_pairs_threads<R: Rng + ?Sized>(
     rng: &mut R,
     data: &[f64],
     threads: usize,
-    f: impl Fn(f64, f64) -> f64 + Sync,
+    f: impl Fn(f64, f64) -> f64,
 ) -> Vec<f64> {
-    if data.len() <= <u32 as PoolIndex>::MAX_LEN {
-        map_pairs::<u32, R>(rng, data, threads, f)
-    } else {
-        map_pairs::<usize, R>(rng, data, threads, f)
+    let mut values = shuffled(rng, data, threads);
+    let pairs = values.len() / 2;
+    // Pair k sits at 2k and 2k + 1 ≥ k: writing slot k reads no slot
+    // that is yet to be read.
+    for k in 0..pairs {
+        values[k] = f(values[2 * k], values[2 * k + 1]);
     }
-}
-
-/// [`map_random_pairs_threads`] at one index width.
-fn map_pairs<I: PoolIndex, R: Rng + ?Sized>(
-    rng: &mut R,
-    data: &[f64],
-    threads: usize,
-    f: impl Fn(f64, f64) -> f64 + Sync,
-) -> Vec<f64> {
-    let pool = shuffled::<I, R>(rng, data.len(), threads);
-    let pairs = pool.len() / 2;
-    let per = range_len(pairs, threads);
-    let mut out = vec![0.0; pairs];
-    let parts: Vec<(&mut [f64], &[I])> = out
-        .chunks_mut(per)
-        .zip(pool[..2 * pairs].chunks(2 * per))
-        .collect();
-    par_for_each(parts, |(out, range)| {
-        for (o, (a, b)) in out.iter_mut().zip(records(data, range)) {
-            *o = f(a, b);
-        }
-    });
-    out
+    values.truncate(pairs);
+    values.shrink_to_fit();
+    values
 }
 
 /// The gap summary of a random pairing drawn from the mechanism's
 /// coins `rng`. From [`PAR_MIN_LEN`](updp_core::parallel::PAR_MIN_LEN)
-/// records up the shuffle is pipelined and the gaps are counted on
-/// [`updp_core::parallel::max_threads`] threads.
+/// records up the shuffle is pipelined and the copy it shuffles is
+/// filled on [`updp_core::parallel::max_threads`] threads.
 ///
 /// Public so the benchmark can time the pair-gap stage on its own.
 pub fn pair_gaps<R: Rng + ?Sized>(rng: &mut R, data: &[f64]) -> GapSummary {
     pair_gaps_threads(rng, data, threads_for(data.len()))
 }
 
-/// [`pair_gaps`] with an explicit thread count (1 ⇒ no thread
-/// starts). Each thread counts a contiguous range of the pairs into its
-/// own counter; the counts are integers, so their sum is the same at
-/// any count.
+/// [`pair_gaps`] with an explicit thread count (1 ⇒ no thread starts);
+/// the result is the same at any count.
 pub fn pair_gaps_threads<R: Rng + ?Sized>(rng: &mut R, data: &[f64], threads: usize) -> GapSummary {
-    if data.len() <= <u32 as PoolIndex>::MAX_LEN {
-        count_gaps::<u32, R>(rng, data, threads)
-    } else {
-        count_gaps::<usize, R>(rng, data, threads)
-    }
-}
-
-/// [`pair_gaps_threads`] at one index width.
-fn count_gaps<I: PoolIndex, R: Rng + ?Sized>(
-    rng: &mut R,
-    data: &[f64],
-    threads: usize,
-) -> GapSummary {
-    let pool = shuffled::<I, R>(rng, data.len(), threads);
-    let pairs = pool.len() / 2;
-    let ranges: Vec<&[I]> = pool[..2 * pairs]
-        .chunks(2 * range_len(pairs, threads))
-        .collect();
-    let counters = par_map_indexed_threads(threads, ranges.len(), |k| {
-        let mut counter = OctaveCounter::new();
-        records(data, ranges[k]).for_each(|(a, b)| counter.add(a, b));
-        counter
-    });
-    let mut total = OctaveCounter::new();
-    for counter in &counters {
-        total.merge(counter);
-    }
+    let values = shuffled(rng, data, threads);
+    let pairs = values.chunks_exact(2);
     // The record an odd column leaves unpaired.
-    if let Some(&last) = pool.get(2 * pairs) {
-        total.all_finite &= data[last.index()].is_finite();
-    }
-    total.finish()
+    let unpaired = pairs.remainder().iter().all(|x| x.is_finite());
+    let mut counter = OctaveCounter::new();
+    pairs.for_each(|p| counter.add(p[0], p[1]));
+    counter.all_finite &= unpaired;
+    counter.finish()
 }
 
 /// The pair-gap multiset of one column, reduced to what Algorithm 7
@@ -301,16 +246,6 @@ impl OctaveCounter {
         self.le_floor += usize::from(g <= SCALE_FLOOR);
         if let Some(slot) = octave_slot(g) {
             self.counts[slot] += 1;
-        }
-    }
-
-    /// Adds the counts of `other`: integer sums, exact in any order.
-    fn merge(&mut self, other: &OctaveCounter) {
-        self.all_finite &= other.all_finite;
-        self.pairs += other.pairs;
-        self.le_floor += other.le_floor;
-        for (count, more) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *count += more;
         }
     }
 
@@ -441,6 +376,7 @@ mod tests {
         for (c, data) in columns.iter().enumerate() {
             let paired = pair_gaps(&mut seeded(c as u64), data);
             assert_exact(&paired, &gaps_of(&mut seeded(c as u64), data));
+            assert_eq!(paired.all_finite(), data.iter().all(|x| x.is_finite()));
             let n = data.len() as u64;
             let built = GapSummary::build(data);
             assert_exact(&built, &gaps_of(&mut child_rng(GAP_PAIRING_SALT, n), data));
@@ -492,25 +428,6 @@ mod tests {
             "same coins, same pairing"
         );
         assert_eq!(ga.pairs(), 2, "n = 5 yields 2 pairs");
-    }
-
-    #[test]
-    fn index_widths_pair_identically() {
-        // Columns past u32::MAX rows pair at usize width; forced here on
-        // a small column, it must give the u32 pairs, in the same order.
-        let data: Vec<f64> = (0..1001).map(|i| f64::from(i).sqrt()).collect();
-        let gap = |a: f64, b: f64| a - b;
-        for threads in [1, 2] {
-            let narrow = map_pairs::<u32, _>(&mut seeded(3), &data, threads, gap);
-            let wide = map_pairs::<usize, _>(&mut seeded(3), &data, threads, gap);
-            assert_eq!(narrow.len(), 500);
-            assert_eq!(narrow, wide, "threads = {threads}");
-            assert_eq!(
-                count_gaps::<u32, _>(&mut seeded(3), &data, threads),
-                count_gaps::<usize, _>(&mut seeded(3), &data, threads),
-                "threads = {threads}"
-            );
-        }
     }
 
     #[test]

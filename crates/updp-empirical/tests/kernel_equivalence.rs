@@ -14,7 +14,11 @@
 //!   gaps at every power-of-two threshold;
 //! * the pair pass (`pair_gaps`, `map_random_pairs`) is bitwise the
 //!   same at every thread count, including odd columns and non-finite
-//!   records, and past the parallel threshold on the default entries.
+//!   records, and past the parallel threshold on the default entries;
+//! * it pairs original records: its pairs are those of the vendored
+//!   `SliceRandom::shuffle` of the indices `0..n`, adjacent indices
+//!   `(p₀, p₁)` giving `(data[p₀], data[p₁])`, in order, with the
+//!   generator left in the same state (DESIGN.md §12.3).
 
 use proptest::prelude::*;
 use rand::seq::SliceRandom;
@@ -178,10 +182,10 @@ proptest! {
     }
 }
 
-/// Columns with one non-finite record, placed in the first and last
-/// range of a split pass and, for odd columns, on the one record the
-/// pairing leaves out: the finiteness bit and the uncounted gaps split
-/// correctly.
+/// Columns with one non-finite record, placed in the first pair and,
+/// for odd columns, on the one record the pairing leaves out (else in
+/// the last pair): the finiteness bit and the uncounted gaps are the
+/// same at every thread count.
 #[test]
 fn pair_pass_splits_non_finite_records_at_every_thread_count() {
     let gap = |a: f64, b: f64| (a - b).abs();
@@ -210,8 +214,91 @@ fn pair_pass_splits_non_finite_records_at_every_thread_count() {
     }
 }
 
-/// Past the threshold the default entries split the pass on their own
-/// (on a host with two or more threads): still the serial pass's bits.
+/// The pairing oracle: the vendored `SliceRandom::shuffle` of the
+/// record indices `0..n` on `seed`'s coins, the records of each pair of
+/// adjacent indices, in order, and the draw after the shuffle.
+fn oracle_pairs(seed: u64, data: &[f64]) -> (Vec<(f64, f64)>, u64) {
+    let mut rng = seeded(seed);
+    let mut order: Vec<usize> = (0..data.len()).collect();
+    order.shuffle(&mut rng);
+    let pairs = order
+        .chunks_exact(2)
+        .map(|p| (data[p[0]], data[p[1]]))
+        .collect();
+    (pairs, rng.next_u64())
+}
+
+/// `pair_gaps` and `map_random_pairs` against the pairing oracle, on
+/// `threads` threads, or the default entries' own count for `None`:
+/// the same records in each pair, in the same order, the same gap
+/// counts at every power-of-two threshold, and the same next draw.
+fn check_pairing(seed: u64, data: &[f64], threads: Option<usize>) {
+    let what = format!("n = {}, threads = {threads:?}", data.len());
+    let (pairs, after) = oracle_pairs(seed, data);
+    let map = |f: fn(f64, f64) -> f64| {
+        let mut rng = seeded(seed);
+        let mapped = match threads {
+            Some(threads) => map_random_pairs_threads(&mut rng, data, threads, f),
+            None => map_random_pairs(&mut rng, data, f),
+        };
+        assert_eq!(rng.next_u64(), after, "{what}: map_random_pairs coins");
+        mapped
+    };
+    let firsts: Vec<f64> = pairs.iter().map(|p| p.0).collect();
+    let seconds: Vec<f64> = pairs.iter().map(|p| p.1).collect();
+    assert_bits_equal(&map(|a, _| a), &firsts, &format!("{what}: firsts"));
+    assert_bits_equal(&map(|_, b| b), &seconds, &format!("{what}: seconds"));
+
+    let mut rng = seeded(seed);
+    let summary = match threads {
+        Some(threads) => pair_gaps_threads(&mut rng, data, threads),
+        None => pair_gaps(&mut rng, data),
+    };
+    assert_eq!(rng.next_u64(), after, "{what}: pair_gaps coins");
+    let mut gaps: Vec<f64> = pairs.iter().map(|(a, b)| (a - b).abs()).collect();
+    gaps.sort_by(f64::total_cmp);
+    assert_eq!(summary.pairs(), gaps.len(), "{what}");
+    for k in -1100..=1100 {
+        let naive = gaps.partition_point(|&g| g <= pow2(k));
+        assert_eq!(summary.count_le_pow2(k), naive, "{what}, k = {k}");
+    }
+}
+
+/// Odd and even columns, with a NaN, a +∞ and a −∞ record; on odd
+/// columns the −∞ is the record the pairing leaves out.
+#[test]
+fn pair_pass_pairs_the_records_of_the_vendored_index_shuffle() {
+    for n in [0usize, 1, 2, 3, 4, 5, 64, 65, 1000, 1001] {
+        let seed = 40 + n as u64;
+        let mut data: Vec<f64> = (0..n).map(|i| (i as f64 * 0.7).cos() * 1e2).collect();
+        let mut order: Vec<usize> = (0..n).collect();
+        order.shuffle(&mut seeded(seed));
+        if n >= 3 {
+            data[order[0]] = f64::NAN;
+            data[order[n / 2]] = f64::INFINITY;
+            data[order[n - 1]] = f64::NEG_INFINITY;
+        }
+        for threads in [1, 2] {
+            check_pairing(seed, &data, Some(threads));
+        }
+    }
+}
+
+/// Past the threshold the default entries fill and shuffle on two
+/// threads (on a host with two or more): still the oracle's pairs.
+#[test]
+fn default_pair_pass_pairs_the_records_of_the_vendored_index_shuffle() {
+    let n = PAR_MIN_LEN + 1;
+    let mut data: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin() * 50.0).collect();
+    let mut order: Vec<usize> = (0..n).collect();
+    order.shuffle(&mut seeded(13));
+    data[order[1]] = f64::NAN;
+    data[order[n - 1]] = f64::INFINITY;
+    check_pairing(13, &data, None);
+}
+
+/// Past the threshold the default entries run the pass on two threads
+/// (on a host with two or more): still the serial pass's bits.
 #[test]
 fn default_pair_pass_matches_serial_past_the_threshold() {
     let n = PAR_MIN_LEN + 1;

@@ -34,10 +34,10 @@
 //! parallelism) sets the worker count of every deterministic parallel
 //! kernel (DESIGN.md §12): the per-batch query fan-out
 //! (`par_map_indexed` in `engine::execute_batch_observed`), the cold
-//! sorted-copy build, the integer grid sort, the gap summary's shuffle
-//! and pair pass, and the subsample's Fisher–Yates draw. Released
-//! bytes are identical at any value — the §5 contract — so it is
-//! purely a performance knob.
+//! sorted-copy build, the integer grid's discretize map and sort, the
+//! gap summary's value copy and shuffle, and the subsample's
+//! Fisher–Yates draw. Released bytes are identical at any value — the
+//! §5 contract — so it is purely a performance knob.
 
 use updp_serve::{FlushPolicy, Ledger, Server, ServerConfig};
 

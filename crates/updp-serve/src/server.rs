@@ -419,15 +419,12 @@ fn metrics_scrape(state: &AppState, path: &str) -> Routed {
 }
 
 /// The scrape-time families: values owned by the ledger/registry/
-/// reactor rather than duplicated into metric state.
+/// reactor rather than duplicated into metric state. The per-dataset
+/// ones keep their `dataset` label key while no dataset exists.
 fn scraped_families(state: &AppState) -> Vec<FamilySnapshot> {
+    const DATASET: &[&str] = &["dataset"];
     let accounts = state.ledger.list().unwrap_or_default();
-    let family = |name, help, kind, rows: Vec<(Vec<String>, f64)>| {
-        let label_keys: &[&str] = if rows.iter().any(|(labels, _)| !labels.is_empty()) {
-            &["dataset"]
-        } else {
-            &[]
-        };
+    let family = |name, help, kind, label_keys, rows: Vec<(Vec<String>, f64)>| {
         let rows = rows.into_iter();
         let samples = rows.map(|(labels, value)| (labels, Sample::Value(value)));
         FamilySnapshot::new(name, help, kind, label_keys, samples.collect())
@@ -443,24 +440,28 @@ fn scraped_families(state: &AppState) -> Vec<FamilySnapshot> {
             "updp_ledger_epsilon_budget",
             "Total epsilon budget pinned at first registration, by dataset.",
             Kind::Gauge,
+            DATASET,
             per_account(|a| a.budget),
         ),
         family(
             "updp_ledger_epsilon_spent",
             "Epsilon spent (monotone, survives restarts), by dataset.",
             Kind::Gauge,
+            DATASET,
             per_account(|a| a.spent),
         ),
         family(
             "updp_ledger_epsilon_remaining",
             "Epsilon still available, by dataset.",
             Kind::Gauge,
+            DATASET,
             per_account(|a| a.remaining()),
         ),
         family(
             "updp_ledger_refusals_total",
             "budget_exhausted refusals served this process lifetime, by dataset.",
             Kind::Counter,
+            DATASET,
             state
                 .ledger
                 .refusal_counts()
@@ -472,6 +473,7 @@ fn scraped_families(state: &AppState) -> Vec<FamilySnapshot> {
             "updp_registry_pending_rows",
             "Unflushed delta-log rows, by dataset.",
             Kind::Gauge,
+            DATASET,
             state
                 .registry
                 .list()
@@ -484,12 +486,14 @@ fn scraped_families(state: &AppState) -> Vec<FamilySnapshot> {
             "updp_reactor_connections_active",
             "Open connections across all shards.",
             Kind::Gauge,
+            &[],
             vec![(Vec::new(), state.conns.load(Ordering::SeqCst) as f64)],
         ),
         family(
             "updp_server_uptime_seconds",
             "Seconds since the server bound its listener.",
             Kind::Gauge,
+            &[],
             vec![(Vec::new(), state.started.elapsed().as_secs_f64())],
         ),
     ]

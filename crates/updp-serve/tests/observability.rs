@@ -184,6 +184,51 @@ fn budget_refusals_are_counted_per_dataset() {
 }
 
 #[test]
+fn per_dataset_families_keep_their_label_key_with_no_datasets() {
+    let (addr, server) = start("no-datasets", one_worker(), FlushPolicy::immediate());
+
+    let mut conn = Connection::open(&addr).expect("connect");
+    let json = conn.metrics_json().expect("metrics json");
+    let doc = JsonValue::parse(&json).expect("metrics json parses");
+    let families = doc
+        .as_object("metrics")
+        .expect("object")
+        .get_array("families")
+        .expect("families");
+    let label_keys = |name: &str| -> Vec<String> {
+        let family = families
+            .iter()
+            .map(|f| f.as_object("family").expect("family"))
+            .find(|f| f.get_str("name").expect("name") == name)
+            .unwrap_or_else(|| panic!("{name} is scraped"));
+        family
+            .get_array("label_keys")
+            .expect("label_keys")
+            .iter()
+            .map(|key| key.as_str("label key").expect("string").to_string())
+            .collect()
+    };
+    for name in [
+        "updp_ledger_epsilon_budget",
+        "updp_ledger_epsilon_spent",
+        "updp_ledger_epsilon_remaining",
+        "updp_ledger_refusals_total",
+        "updp_registry_pending_rows",
+    ] {
+        assert_eq!(label_keys(name), ["dataset"], "{name}");
+    }
+    for name in [
+        "updp_reactor_connections_active",
+        "updp_server_uptime_seconds",
+    ] {
+        assert!(label_keys(name).is_empty(), "{name}");
+    }
+
+    conn.shutdown().expect("shutdown");
+    server.join().expect("join").expect("clean shutdown");
+}
+
+#[test]
 fn trace_buffers_request_events_in_order() {
     let (addr, server) = start("trace", one_worker(), FlushPolicy::immediate());
 
