@@ -86,10 +86,9 @@ pub const PIPELINE_BLOCK: usize = 1 << 14;
 /// reused.
 const PIPELINE_DEPTH: usize = 2;
 
-/// An index width, of the Fisher–Yates kernel's swap targets and of an
-/// index pool: `u32` halves the memory they stream through and is what
-/// columns of up to `u32::MAX` rows use; `usize` is the same kernel for
-/// longer columns.
+/// An index width for a Fisher–Yates index pool: `u32` halves the
+/// memory a pool streams through and is what columns of up to
+/// `u32::MAX` rows use; `usize` is the same kernel for longer columns.
 pub trait PoolIndex: Copy + Send + Sync {
     /// The longest pool whose indices this width holds without
     /// truncation.
@@ -156,22 +155,9 @@ pub fn shuffle_threads<T: Copy + Send, R: Rng + ?Sized>(
     pool: &mut [T],
     threads: usize,
 ) {
-    if pool.len() <= <u32 as PoolIndex>::MAX_LEN {
-        shuffle_at::<u32, T, R>(rng, pool, threads);
-    } else {
-        shuffle_at::<usize, T, R>(rng, pool, threads);
-    }
-}
-
-/// [`shuffle_threads`] with swap targets of width `J`.
-fn shuffle_at<J: PoolIndex, T: Copy + Send, R: Rng + ?Sized>(
-    rng: &mut R,
-    pool: &mut [T],
-    threads: usize,
-) {
     let n = pool.len();
     let rows = (1..n).rev();
-    fisher_yates::<J, T, R>(rng, pool, rows.clone(), rows.map(|i| 0..i + 1), threads);
+    fisher_yates(rng, pool, rows.clone(), rows.map(|i| 0..i + 1), threads);
 }
 
 /// Moves a uniform `m`-sample of `pool` into `pool[..m]`, in draw
@@ -219,7 +205,7 @@ pub fn partial_shuffle_threads<I: PoolIndex, R: Rng + ?Sized>(
 ) {
     let n = pool.len();
     assert!(m <= n, "cannot sample {m} indices from 0..{n}");
-    fisher_yates::<I, I, R>(rng, pool, 0..m, (0..m).map(|i| i..n), threads);
+    fisher_yates(rng, pool, 0..m, (0..m).map(|i| i..n), threads);
 }
 
 /// The Fisher–Yates kernel: step `k` swaps `pool[i]` with
@@ -232,32 +218,17 @@ pub fn partial_shuffle_threads<I: PoolIndex, R: Rng + ?Sized>(
 /// target depends only on the generator and the step's range, never on
 /// the pool, so drawing ahead consumes the same `u64` stream, and the
 /// swaps run in the same order: the result is the plain step-by-step
-/// loop's either way, whatever the pool holds. Targets are kept at
-/// width `J`, which sizes only their buffers.
-///
-/// Panics if `pool` is longer than `J::MAX_LEN`: a target is never
-/// truncated.
-fn fisher_yates<J: PoolIndex, T: Copy + Send, R: Rng + ?Sized>(
+/// loop's either way, whatever the pool holds.
+fn fisher_yates<T: Copy + Send, R: Rng + ?Sized>(
     rng: &mut R,
     pool: &mut [T],
     mut rows: impl Iterator<Item = usize> + Send,
     mut ranges: impl Iterator<Item = Range<usize>>,
     threads: usize,
 ) {
-    assert!(
-        pool.len() <= J::MAX_LEN,
-        "a pool of {} values has no targets of width {}",
-        pool.len(),
-        std::mem::size_of::<J>()
-    );
-    let mut draw = |block: &mut Vec<J>, len: usize| {
+    let mut draw = |block: &mut Vec<usize>, len: usize| {
         block.clear();
-        block.extend(
-            ranges
-                .by_ref()
-                .take(len)
-                .map(|range| J::from_index(rng.gen_range(range))),
-        );
+        block.extend(ranges.by_ref().take(len).map(|range| rng.gen_range(range)));
         !block.is_empty()
     };
     if threads <= 1 {
@@ -267,7 +238,7 @@ fn fisher_yates<J: PoolIndex, T: Copy + Send, R: Rng + ?Sized>(
         }
         return;
     }
-    let (full_tx, full_rx) = mpsc::channel::<Vec<J>>();
+    let (full_tx, full_rx) = mpsc::channel::<Vec<usize>>();
     let (empty_tx, empty_rx) = mpsc::channel();
     for _ in 0..PIPELINE_DEPTH {
         // The receiver is alive: this send cannot fail.
@@ -299,17 +270,13 @@ fn fisher_yates<J: PoolIndex, T: Copy + Send, R: Rng + ?Sized>(
 /// the block (independent loads, so the cache misses of a large pool
 /// overlap instead of queueing behind each swap), then swap in order.
 /// The reads change nothing.
-fn apply<J: PoolIndex, T: Copy>(
-    pool: &mut [T],
-    rows: &mut impl Iterator<Item = usize>,
-    targets: &[J],
-) {
+fn apply<T: Copy>(pool: &mut [T], rows: &mut impl Iterator<Item = usize>, targets: &[usize]) {
     for block in targets.chunks(FISHER_YATES_BLOCK) {
         for &j in block {
-            std::hint::black_box(pool[j.index()]);
+            std::hint::black_box(pool[j]);
         }
         for (&j, i) in block.iter().zip(rows.by_ref()) {
-            pool.swap(i, j.index());
+            pool.swap(i, j);
         }
     }
 }
@@ -481,31 +448,6 @@ mod tests {
             (values, rng.gen::<u64>())
         };
         assert_eq!(draw(true), draw(false));
-    }
-
-    #[test]
-    fn target_widths_shuffle_identically() {
-        // Pools past u32::MAX values draw usize targets; forced here on
-        // a short pool of values, they must give the u32 permutation and
-        // leave the generator in the same state.
-        let data: Vec<f64> = (0..1001).map(|i| f64::from(i).sqrt()).collect();
-        let run = |wide: bool, threads: usize| {
-            let mut rng = seeded(3);
-            let mut pool = data.clone();
-            if wide {
-                shuffle_at::<usize, _, _>(&mut rng, &mut pool, threads);
-            } else {
-                shuffle_at::<u32, _, _>(&mut rng, &mut pool, threads);
-            }
-            (pool, rng.gen::<u64>())
-        };
-        for threads in [1, 2] {
-            assert_eq!(
-                run(true, threads),
-                run(false, threads),
-                "threads = {threads}"
-            );
-        }
     }
 
     #[test]
