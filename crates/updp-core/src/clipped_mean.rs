@@ -21,12 +21,11 @@ pub(crate) fn clip_i64(x: i64, lo: i64, hi: i64) -> i64 {
     x.clamp(lo, hi)
 }
 
-/// Fixed chunk width of the branchless clip/count/sum kernels below
+/// Fixed chunk width of [`clipped_sum_i64`]'s `i64` partial sums
 /// (DESIGN.md §12). The width is a compile-time constant so the inner
-/// loops have a known trip count the compiler unrolls and
-/// autovectorizes; 64 f64s fill eight AVX-512 / sixteen SSE2 registers
-/// and stay far below any overflow bound the integer kernels need.
-pub(crate) const KERNEL_CHUNK: usize = 64;
+/// loop has a known trip count the compiler unrolls and autovectorizes,
+/// and it stays far below the overflow bound the partials need.
+const KERNEL_CHUNK: usize = 64;
 
 /// Exact clipped sum `Σ clamp(x, [lo, hi])` with `i128` accumulation.
 ///
@@ -86,45 +85,20 @@ pub fn clipped_mean(data: &[f64], lo: f64, hi: f64) -> Result<f64> {
 /// Algorithms 8 and 9). NaN compares false on both sides, so NaNs are
 /// not counted as outside.
 ///
-/// Per `KERNEL_CHUNK`-wide chunk, the kernel clamps into a stack
-/// buffer and counts out-of-range elements branchlessly (two simple
-/// elementwise loops, written to autovectorize), then folds the clamped
-/// chunk through **exactly** the serial streaming recurrence of the
-/// historical implementation.
-///
-/// Bit-identity argument (DESIGN.md §12): the mean recurrence
-/// `m += (c − m)/(i+1)` is order-dependent and is **not** re-associated
-/// — it consumes the same clamped values in the same order as before.
-/// Only the clamp (elementwise, no cross-element data flow) and the
-/// count (integer addition, exact and associative) are re-chunked, and
-/// neither can change any released bit.
+/// One loop clamps each element, counts it if it lies outside and
+/// folds it into the streaming mean `m += (c − m)/(i+1)`. That
+/// recurrence is order-dependent and latency-bound (each step divides
+/// by the running count and waits on the previous mean), so it is not
+/// re-associated or chunked: the values are consumed in input order,
+/// which fixes every released bit (DESIGN.md §12).
 pub fn clipped_mean_with_outside(data: &[f64], lo: f64, hi: f64) -> Result<(f64, usize)> {
     ensure_nonempty(data)?;
     validate_interval(lo, hi)?;
     let mut mean = 0.0f64;
     let mut outside = 0usize;
-    let mut i = 0usize;
-    let mut buf = [0.0f64; KERNEL_CHUNK];
-    let mut chunks = data.chunks_exact(KERNEL_CHUNK);
-    for chunk in &mut chunks {
-        for (slot, &x) in buf.iter_mut().zip(chunk) {
-            *slot = x.clamp(lo, hi);
-        }
-        let mut out = 0usize;
-        for &x in chunk {
-            out += usize::from(x < lo) + usize::from(x > hi);
-        }
-        outside += out;
-        for &c in &buf {
-            mean += (c - mean) / (i + 1) as f64;
-            i += 1;
-        }
-    }
-    for &x in chunks.remainder() {
+    for (i, &x) in data.iter().enumerate() {
         outside += usize::from(x < lo) + usize::from(x > hi);
-        let c = x.clamp(lo, hi);
-        mean += (c - mean) / (i + 1) as f64;
-        i += 1;
+        mean += (x.clamp(lo, hi) - mean) / (i + 1) as f64;
     }
     Ok((mean, outside))
 }

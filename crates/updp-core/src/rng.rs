@@ -16,21 +16,22 @@
 //! against the Mironov floating-point attack; [`crate::snapping`] is the
 //! hardened release path (DESIGN.md §1.3).
 //!
-//! The one Fisher–Yates swap loop of the workspace also lives here
-//! ([`shuffle`], [`partial_shuffle`], and [`subsample`] over the
-//! latter): a block of
-//! [`FISHER_YATES_BLOCK`] steps draws its swap targets first, reads
-//! them all so their cache misses overlap, then swaps in order. From
+//! The one Fisher–Yates swap loop of the workspace also lives here,
+//! behind two entries that shuffle a copy of the caller's values:
+//! [`shuffled`] (the whole column) and [`subsample`] (the first `m`
+//! steps, cut to those `m` values). The serial kernel draws the swap
+//! targets of [`FISHER_YATES_BLOCK`] steps, then swaps in order. From
 //! [`PAR_MIN_LEN`](crate::parallel::PAR_MIN_LEN) steps up the draws and
 //! the swaps run on two threads: the caller keeps the generator and
 //! draws blocks of [`PIPELINE_BLOCK`] targets ahead, and one scoped
-//! thread owns the pool and applies them. Draws, swap order and
+//! thread owns the copy and applies them. Draws, swap order and
 //! trailing generator state are those of the vendored
-//! `SliceRandom::shuffle` and `seq::index::sample`, so the permutation
-//! is identical at any thread count (DESIGN.md §12.3). A [`shuffle`]d
-//! pool may hold values instead of indices: the same swaps move them.
+//! `SliceRandom::shuffle` and `seq::index::sample`, which draw the same
+//! targets whatever the pool holds, so value `k` of the copy is
+//! `data[π(k)]` for the permutation `π` they give the indices `0..n`, at
+//! any thread count (DESIGN.md §12.3).
 
-use crate::parallel::threads_for;
+use crate::parallel::{par_fill, threads_for};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::ops::Range;
@@ -73,8 +74,8 @@ pub fn child_seed(master: u64, index: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Fisher–Yates steps whose swap targets are drawn, and read, before
-/// any of their swaps is applied.
+/// Fisher–Yates steps whose swap targets the serial kernel draws
+/// before it applies any of their swaps.
 pub const FISHER_YATES_BLOCK: usize = 64;
 
 /// Fisher–Yates steps per block that the pipelined kernel hands from
@@ -86,126 +87,70 @@ pub const PIPELINE_BLOCK: usize = 1 << 14;
 /// reused.
 const PIPELINE_DEPTH: usize = 2;
 
-/// An index width for a Fisher–Yates index pool: `u32` halves the
-/// memory a pool streams through and is what columns of up to
-/// `u32::MAX` rows use; `usize` is the same kernel for longer columns.
-pub trait PoolIndex: Copy + Send + Sync {
-    /// The longest pool whose indices this width holds without
-    /// truncation.
-    const MAX_LEN: usize;
-    /// `i` at this width; callers keep `i < MAX_LEN`.
-    fn from_index(i: usize) -> Self;
-    /// The index as `usize`.
-    fn index(self) -> usize;
-}
-
-impl PoolIndex for u32 {
-    const MAX_LEN: usize = u32::MAX as usize;
-    #[inline]
-    fn from_index(i: usize) -> Self {
-        i as u32
-    }
-    #[inline]
-    fn index(self) -> usize {
-        self as usize
-    }
-}
-
-impl PoolIndex for usize {
-    const MAX_LEN: usize = usize::MAX;
-    #[inline]
-    fn from_index(i: usize) -> Self {
-        i
-    }
-    #[inline]
-    fn index(self) -> usize {
-        self
-    }
-}
-
-/// The identity pool `0..n` at width `I`.
-///
-/// Panics if `n` exceeds `I::MAX_LEN`: an index is never truncated.
-pub fn identity<I: PoolIndex>(n: usize) -> Vec<I> {
-    assert!(
-        n <= I::MAX_LEN,
-        "{n} indices do not fit a pool of width {}",
-        std::mem::size_of::<I>()
+/// The values of `data` in a uniform random order drawn from `rng`:
+/// `data[π(k)]` at `k`, for the permutation `π` and trailing generator
+/// state that the vendored `SliceRandom::shuffle` gives `0..n`
+/// (`j = gen_range(0..i + 1)` for `i = n − 1, …, 1`). The copy is
+/// filled in `threads` parts, so a large one's fresh pages fault in on
+/// every thread; 1 thread runs the serial kernel and starts none, 2 or
+/// more pipeline the shuffle at any length. The result is the same
+/// either way.
+pub fn shuffled<T, R>(rng: &mut R, data: &[T], threads: usize) -> Vec<T>
+where
+    T: Copy + Default + Send + Sync,
+    R: Rng + ?Sized,
+{
+    let mut values = copy(data, threads);
+    let rows = (1..values.len()).rev();
+    fisher_yates(
+        rng,
+        &mut values,
+        rows.clone(),
+        rows.map(|i| 0..i + 1),
+        threads,
     );
-    (0..n).map(I::from_index).collect()
-}
-
-/// Shuffles `pool` uniformly: the permutation and trailing generator
-/// state of the vendored `SliceRandom::shuffle` (`j = gen_range(0..i + 1)`
-/// for `i = n − 1, …, 1`). The pool holds any `Copy` values: shuffling
-/// a column's values moves `data[π(k)]` to `k` for the permutation `π`
-/// that the same coins give the identity pool `0..n`. Pipelined on two
-/// threads from [`PAR_MIN_LEN`](crate::parallel::PAR_MIN_LEN) steps up
-/// (see [`shuffle_threads`]).
-pub fn shuffle<T: Copy + Send, R: Rng + ?Sized>(rng: &mut R, pool: &mut [T]) {
-    let threads = threads_for(pool.len().saturating_sub(1));
-    shuffle_threads(rng, pool, threads);
-}
-
-/// [`shuffle`] with an explicit thread count: 1 runs the serial kernel
-/// and starts no thread; 2 or more runs the two-thread pipeline at any
-/// length. The result is the same either way.
-pub fn shuffle_threads<T: Copy + Send, R: Rng + ?Sized>(
-    rng: &mut R,
-    pool: &mut [T],
-    threads: usize,
-) {
-    let n = pool.len();
-    let rows = (1..n).rev();
-    fisher_yates(rng, pool, rows.clone(), rows.map(|i| 0..i + 1), threads);
-}
-
-/// Moves a uniform `m`-sample of `pool` into `pool[..m]`, in draw
-/// order: on the identity pool, the indices and trailing generator
-/// state of the vendored `seq::index::sample(rng, n, m)`
-/// (`j = gen_range(i..n)` for `i = 0, …, m − 1`). Pipelined on two
-/// threads from [`PAR_MIN_LEN`](crate::parallel::PAR_MIN_LEN) steps
-/// (`m`) up, whatever the pool's length.
-///
-/// Panics if `m > pool.len()`, matching `seq::index::sample`.
-pub fn partial_shuffle<I: PoolIndex, R: Rng + ?Sized>(rng: &mut R, pool: &mut [I], m: usize) {
-    partial_shuffle_threads(rng, pool, m, threads_for(m));
+    values
 }
 
 /// `m` values of `data` drawn without replacement, in draw order: the
 /// values at the indices, and the trailing generator state, of the
-/// vendored `seq::index::sample(rng, data.len(), m)`. The draw is
-/// [`partial_shuffle`] of an identity pool, `u32` up to `u32::MAX` rows
-/// and `usize` beyond; the pool is dropped on return. This is the
-/// subsample `D′` of Algorithms 8 and 9.
+/// vendored `seq::index::sample(rng, data.len(), m)`
+/// (`j = gen_range(i..n)` for `i = 0, …, m − 1`). This is the subsample
+/// `D′` of Algorithms 8 and 9. Pipelined on two threads from
+/// [`PAR_MIN_LEN`](crate::parallel::PAR_MIN_LEN) steps (`m`) up,
+/// whatever the column's length (see [`subsample_threads`]).
 ///
 /// Panics if `m > data.len()`, matching `seq::index::sample`.
-pub fn subsample<R: Rng + ?Sized>(rng: &mut R, data: &[f64], m: usize) -> Vec<f64> {
-    if data.len() <= <u32 as PoolIndex>::MAX_LEN {
-        subsample_at::<u32, R>(rng, data, m)
-    } else {
-        subsample_at::<usize, R>(rng, data, m)
-    }
+pub fn subsample<T, R>(rng: &mut R, data: &[T], m: usize) -> Vec<T>
+where
+    T: Copy + Default + Send + Sync,
+    R: Rng + ?Sized,
+{
+    subsample_threads(rng, data, m, threads_for(m))
 }
 
-/// [`subsample`] with a pool of width `I`.
-fn subsample_at<I: PoolIndex, R: Rng + ?Sized>(rng: &mut R, data: &[f64], m: usize) -> Vec<f64> {
-    let mut pool = identity::<I>(data.len());
-    partial_shuffle(rng, &mut pool, m);
-    pool[..m].iter().map(|&i| data[i.index()]).collect()
-}
-
-/// [`partial_shuffle`] with an explicit thread count, as in
-/// [`shuffle_threads`].
-pub fn partial_shuffle_threads<I: PoolIndex, R: Rng + ?Sized>(
-    rng: &mut R,
-    pool: &mut [I],
-    m: usize,
-    threads: usize,
-) {
-    let n = pool.len();
+/// [`subsample`] with an explicit thread count, as in [`shuffled`]:
+/// the first `m` steps of a partial shuffle of a copy of `data`, which
+/// is then cut to those `m` values.
+pub fn subsample_threads<T, R>(rng: &mut R, data: &[T], m: usize, threads: usize) -> Vec<T>
+where
+    T: Copy + Default + Send + Sync,
+    R: Rng + ?Sized,
+{
+    let n = data.len();
     assert!(m <= n, "cannot sample {m} indices from 0..{n}");
-    fisher_yates(rng, pool, 0..m, (0..m).map(|i| i..n), threads);
+    let mut values = copy(data, threads);
+    fisher_yates(rng, &mut values, 0..m, (0..m).map(|i| i..n), threads);
+    values.truncate(m);
+    values.shrink_to_fit();
+    values
+}
+
+/// A copy of `data`, filled in `threads` parts.
+fn copy<T: Copy + Default + Send + Sync>(data: &[T], threads: usize) -> Vec<T> {
+    let mut values = vec![T::default(); data.len()];
+    par_fill(threads, &mut values, data, <[T]>::copy_from_slice);
+    values
 }
 
 /// The Fisher–Yates kernel: step `k` swaps `pool[i]` with
@@ -219,7 +164,7 @@ pub fn partial_shuffle_threads<I: PoolIndex, R: Rng + ?Sized>(
 /// the pool, so drawing ahead consumes the same `u64` stream, and the
 /// swaps run in the same order: the result is the plain step-by-step
 /// loop's either way, whatever the pool holds.
-fn fisher_yates<T: Copy + Send, R: Rng + ?Sized>(
+fn fisher_yates<T: Send, R: Rng + ?Sized>(
     rng: &mut R,
     pool: &mut [T],
     mut rows: impl Iterator<Item = usize> + Send,
@@ -265,19 +210,11 @@ fn fisher_yates<T: Copy + Send, R: Rng + ?Sized>(
     });
 }
 
-/// Applies the next `targets.len()` steps, taking their `i`s from
-/// `rows`, [`FISHER_YATES_BLOCK`] at a time: read every `pool[j]` of
-/// the block (independent loads, so the cache misses of a large pool
-/// overlap instead of queueing behind each swap), then swap in order.
-/// The reads change nothing.
-fn apply<T: Copy>(pool: &mut [T], rows: &mut impl Iterator<Item = usize>, targets: &[usize]) {
-    for block in targets.chunks(FISHER_YATES_BLOCK) {
-        for &j in block {
-            std::hint::black_box(pool[j]);
-        }
-        for (&j, i) in block.iter().zip(rows.by_ref()) {
-            pool.swap(i, j);
-        }
+/// Applies the next `targets.len()` steps in order, taking their `i`s
+/// from `rows`.
+fn apply<T>(pool: &mut [T], rows: &mut impl Iterator<Item = usize>, targets: &[usize]) {
+    for (&j, i) in targets.iter().zip(rows) {
+        pool.swap(i, j);
     }
 }
 
@@ -431,23 +368,6 @@ mod tests {
         let mut rng = seeded(5);
         let got = subsample(&mut rng, &data, m);
         assert_eq!((got, rng.gen()), oracle_subsample(5, &data, m));
-    }
-
-    #[test]
-    fn subsample_index_widths_draw_the_same_sample() {
-        // Columns past u32::MAX rows subsample at usize width; forced
-        // here on a small column, it must equal the u32 draw.
-        let data: Vec<f64> = (0..300).map(|i| f64::from(i).cos()).collect();
-        let draw = |wide: bool| {
-            let mut rng = seeded(21);
-            let values = if wide {
-                subsample_at::<usize, _>(&mut rng, &data, 130)
-            } else {
-                subsample_at::<u32, _>(&mut rng, &data, 130)
-            };
-            (values, rng.gen::<u64>())
-        };
-        assert_eq!(draw(true), draw(false));
     }
 
     #[test]

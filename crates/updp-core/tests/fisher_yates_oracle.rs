@@ -1,18 +1,17 @@
-//! The Fisher–Yates kernel (`updp_core::rng::{shuffle,
-//! partial_shuffle}`) against its oracles, the vendored
-//! `SliceRandom::shuffle` and `seq::index::sample`: the same
-//! permutation or sample, and the same next `u64` drawn afterwards, on
-//! `u32` and `usize` index pools and on `f64` value pools (whose
-//! shuffle must be the values gathered through the vendored index
-//! shuffle), serial and pipelined on two threads.
+//! The Fisher–Yates kernel (`updp_core::rng::{shuffled, subsample}`)
+//! against its oracles, the vendored `SliceRandom::shuffle` and
+//! `seq::index::sample`: the same permutation or sample, and the same
+//! next `u64` drawn afterwards, on `u32` and `usize` index columns
+//! `0..n` and on `f64` columns (whose copies must hold the values
+//! gathered through the vendored indices), serial and pipelined on two
+//! threads.
 
 use proptest::prelude::*;
 use rand::seq::{index, SliceRandom};
 use rand::Rng;
 use updp_core::parallel::PAR_MIN_LEN;
 use updp_core::rng::{
-    identity, partial_shuffle, partial_shuffle_threads, seeded, shuffle, shuffle_threads,
-    PoolIndex, FISHER_YATES_BLOCK, PIPELINE_BLOCK,
+    seeded, shuffled, subsample, subsample_threads, FISHER_YATES_BLOCK, PIPELINE_BLOCK,
 };
 
 /// Lengths around the block boundaries.
@@ -30,17 +29,45 @@ const PIPELINE_N: [usize; 5] = [
 /// The serial kernel and the two-thread pipeline.
 const THREADS: [usize; 2] = [1, 2];
 
-fn widen<I: PoolIndex>(pool: &[I]) -> Vec<usize> {
-    pool.iter().map(|i| i.index()).collect()
+/// An index type for the columns `0..n`.
+trait Index: Copy + Default + Send + Sync {
+    fn from_usize(i: usize) -> Self;
+    fn to_usize(self) -> usize;
 }
 
-/// The kernel's full shuffle of `0..n` at width `I` on `threads`
-/// threads, and the next draw.
-fn kernel_full<I: PoolIndex>(seed: u64, n: usize, threads: usize) -> (Vec<usize>, u64) {
+impl Index for u32 {
+    fn from_usize(i: usize) -> Self {
+        u32::try_from(i).expect("test columns are short")
+    }
+    fn to_usize(self) -> usize {
+        self as usize
+    }
+}
+
+impl Index for usize {
+    fn from_usize(i: usize) -> Self {
+        i
+    }
+    fn to_usize(self) -> usize {
+        self
+    }
+}
+
+/// The index column `0..n` of type `I`.
+fn indices<I: Index>(n: usize) -> Vec<I> {
+    (0..n).map(I::from_usize).collect()
+}
+
+fn widen<I: Index>(values: &[I]) -> Vec<usize> {
+    values.iter().map(|i| i.to_usize()).collect()
+}
+
+/// The kernel's shuffle of `0..n` of type `I` on `threads` threads,
+/// and the next draw.
+fn kernel_full<I: Index>(seed: u64, n: usize, threads: usize) -> (Vec<usize>, u64) {
     let mut rng = seeded(seed);
-    let mut pool = identity::<I>(n);
-    shuffle_threads(&mut rng, &mut pool, threads);
-    (widen(&pool), rng.gen())
+    let values = shuffled(&mut rng, &indices::<I>(n), threads);
+    (widen(&values), rng.gen())
 }
 
 /// The vendored full shuffle of `0..n`, and the next draw.
@@ -51,7 +78,7 @@ fn oracle_full(seed: u64, n: usize) -> (Vec<usize>, u64) {
     (pool, rng.gen())
 }
 
-/// A column of `n` values, with a NaN and both infinities
+/// A column of `n` values, with a NaN, both infinities and −0.0
 /// among them.
 fn column(n: usize) -> Vec<f64> {
     let mut data: Vec<f64> = (0..n).map(|i| (i as f64 * 0.61).sin() * 1e3).collect();
@@ -59,6 +86,7 @@ fn column(n: usize) -> Vec<f64> {
         (n / 2, f64::NAN),
         (n / 3, f64::INFINITY),
         (n / 5, f64::NEG_INFINITY),
+        (n / 7, -0.0),
     ] {
         if at < n {
             data[at] = special;
@@ -67,17 +95,16 @@ fn column(n: usize) -> Vec<f64> {
     data
 }
 
-/// The bits of the kernel's shuffle of `data` as a value pool on
-/// `threads` threads (`None`: the default entry's count), and the next
-/// draw.
-fn kernel_values(seed: u64, data: &[f64], threads: Option<usize>) -> (Vec<u64>, u64) {
+/// The bits of the kernel's shuffle of `data` on `threads` threads,
+/// and the next draw.
+fn kernel_values(seed: u64, data: &[f64], threads: usize) -> (Vec<u64>, u64) {
     let mut rng = seeded(seed);
-    let mut pool = data.to_vec();
-    match threads {
-        Some(threads) => shuffle_threads(&mut rng, &mut pool, threads),
-        None => shuffle(&mut rng, &mut pool),
-    }
-    (pool.iter().map(|x| x.to_bits()).collect(), rng.gen())
+    let values = shuffled(&mut rng, data, threads);
+    (bits(&values), rng.gen())
+}
+
+fn bits(values: &[f64]) -> Vec<u64> {
+    values.iter().map(|x| x.to_bits()).collect()
 }
 
 /// The bits of `data` gathered through the vendored shuffle of `0..n`,
@@ -92,22 +119,16 @@ fn check_values(seed: u64, n: usize) {
     let oracle = oracle_values(seed, &data);
     for threads in THREADS {
         let at = format!("n = {n}, threads = {threads}");
-        assert_eq!(kernel_values(seed, &data, Some(threads)), oracle, "{at}");
+        assert_eq!(kernel_values(seed, &data, threads), oracle, "{at}");
     }
 }
 
-/// The kernel's `m`-prefix of `0..n` at width `I` on `threads`
+/// The kernel's `m`-sample of `0..n` of type `I` on `threads`
 /// threads, and the next draw.
-fn kernel_partial<I: PoolIndex>(
-    seed: u64,
-    n: usize,
-    m: usize,
-    threads: usize,
-) -> (Vec<usize>, u64) {
+fn kernel_partial<I: Index>(seed: u64, n: usize, m: usize, threads: usize) -> (Vec<usize>, u64) {
     let mut rng = seeded(seed);
-    let mut pool = identity::<I>(n);
-    partial_shuffle_threads(&mut rng, &mut pool, m, threads);
-    (widen(&pool[..m]), rng.gen())
+    let values = subsample_threads(&mut rng, &indices::<I>(n), m, threads);
+    (widen(&values), rng.gen())
 }
 
 /// The vendored `index::sample(n, m)`, and the next draw.
@@ -142,7 +163,7 @@ fn edge_m(n: usize) -> Vec<usize> {
     ms
 }
 
-/// Checks both index pools at both thread counts.
+/// Checks both index columns at both thread counts.
 fn check_full(seed: u64, n: usize) {
     let oracle = oracle_full(seed, n);
     for threads in THREADS {
@@ -156,8 +177,16 @@ fn check_full(seed: u64, n: usize) {
     }
 }
 
+/// Checks both index columns and an `f64` column, whose sample must be
+/// its values gathered through the vendored indices, at both thread
+/// counts.
 fn check_partial(seed: u64, n: usize, m: usize) {
     let oracle = oracle_partial(seed, n, m);
+    let data = column(n);
+    let gathered = (
+        oracle.0.iter().map(|&i| data[i].to_bits()).collect(),
+        oracle.1,
+    );
     for threads in THREADS {
         let at = format!("n = {n}, m = {m}, threads = {threads}");
         assert_eq!(
@@ -170,6 +199,9 @@ fn check_partial(seed: u64, n: usize, m: usize) {
             oracle,
             "usize, {at}"
         );
+        let mut rng = seeded(seed);
+        let values = subsample_threads(&mut rng, &data, m, threads);
+        assert_eq!((bits(&values), rng.gen()), gathered, "f64, {at}");
     }
 }
 
@@ -196,29 +228,23 @@ fn pipeline_block_edge_lengths_match_the_vendored_shuffle_and_sample() {
 }
 
 #[test]
-fn value_pools_match_the_values_gathered_through_the_vendored_shuffle() {
+fn value_columns_match_the_values_gathered_through_the_vendored_shuffle() {
     for (seed, n) in EDGE_N.into_iter().chain(PIPELINE_N).enumerate() {
         check_values(200 + seed as u64, n);
     }
 }
 
-/// Past the threshold the default entries pipeline on their own (on a
-/// host with two or more threads): still the vendored permutation.
+/// Past the threshold the default subsample pipelines on its own (on a
+/// host with two or more threads): still the vendored sample.
 #[test]
-fn default_entries_match_the_vendored_shuffle_past_the_threshold() {
+fn default_subsample_matches_the_vendored_sample_past_the_threshold() {
     let n = PAR_MIN_LEN + 1;
-    let data = column(n);
-    assert_eq!(kernel_values(6, &data, None), oracle_values(6, &data));
-    let mut rng = seeded(7);
-    let mut pool = identity::<u32>(n);
-    shuffle(&mut rng, &mut pool);
-    assert_eq!((widen(&pool), rng.gen::<u64>()), oracle_full(7, n));
+    let data = indices::<u32>(n);
     for m in [PAR_MIN_LEN - 1, PAR_MIN_LEN] {
         let mut rng = seeded(8);
-        let mut pool = identity::<u32>(n);
-        partial_shuffle(&mut rng, &mut pool, m);
+        let values = subsample(&mut rng, &data, m);
         assert_eq!(
-            (widen(&pool[..m]), rng.gen::<u64>()),
+            (widen(&values), rng.gen::<u64>()),
             oracle_partial(8, n, m),
             "m = {m}"
         );
@@ -228,8 +254,7 @@ fn default_entries_match_the_vendored_shuffle_past_the_threshold() {
 #[test]
 #[should_panic(expected = "cannot sample")]
 fn oversampling_panics_like_the_vendored_sample() {
-    let mut pool = identity::<u32>(2);
-    partial_shuffle(&mut seeded(1), &mut pool, 3);
+    subsample(&mut seeded(1), &[0u32, 1], 3);
 }
 
 /// A generator that panics mid-shuffle on the drawing thread: the panic
@@ -250,8 +275,8 @@ fn a_panicking_generator_ends_the_pipeline() {
             unimplemented!()
         }
     }
-    let mut pool = identity::<u32>(3 * PIPELINE_BLOCK);
-    shuffle_threads(&mut Finite(2 * PIPELINE_BLOCK as u64), &mut pool, 2);
+    let data = indices::<u32>(3 * PIPELINE_BLOCK);
+    shuffled(&mut Finite(2 * PIPELINE_BLOCK as u64), &data, 2);
 }
 
 proptest! {
@@ -264,7 +289,7 @@ proptest! {
     }
 
     #[test]
-    fn partial_shuffle_matches_the_vendored_sample(
+    fn subsample_matches_the_vendored_sample(
         seed in 0u64..u64::MAX,
         n in 0usize..10_001,
         m_frac in 0.0f64..1.0,

@@ -1,12 +1,12 @@
 //! The pair-gap structure of Algorithms 7 and 9 (DESIGN.md §12.3).
 //!
 //! Both algorithms "randomly group the elements in D into pairs".
-//! `shuffled` is that step, once: copy the column's values and shuffle
-//! the copy with the Fisher–Yates kernel
-//! ([`updp_core::rng::shuffle_threads`]); adjacent shuffled values are
-//! the pairs. The swaps are those that would shuffle the record indices
-//! `0..n`, so value `k` is `data[π(k)]` and each pair is still a pair of
-//! original records. From [`PAR_MIN_LEN`](updp_core::parallel::PAR_MIN_LEN)
+//! [`updp_core::rng::shuffled`] is that step, once: it copies the
+//! column's values and shuffles the copy with the Fisher–Yates kernel;
+//! adjacent shuffled values are the pairs. The swaps are those that
+//! would shuffle the record indices `0..n`, so value `k` is `data[π(k)]`
+//! and each pair is still a pair of original records. From
+//! [`PAR_MIN_LEN`](updp_core::parallel::PAR_MIN_LEN)
 //! records up the copy is filled on all threads and the shuffle is
 //! pipelined on two; the result is the serial pass's at any thread
 //! count. Algorithm 9 maps a pair to its squared gap
@@ -39,8 +39,8 @@
 //!   can force all gaps to collapse.
 
 use rand::Rng;
-use updp_core::parallel::{par_fill, threads_for};
-use updp_core::rng::{child_rng, shuffle_threads};
+use updp_core::parallel::threads_for;
+use updp_core::rng::{child_rng, shuffled};
 
 /// Domain-separation salt for the pairing permutation seed. Any fixed
 /// odd constant works; it only needs to differ from the trial-engine
@@ -76,19 +76,6 @@ pub fn pow2(k: i32) -> f64 {
 const MIN_OCTAVE: i32 = -1022;
 const MAX_OCTAVE: i32 = 1024;
 const OCTAVES: usize = (MAX_OCTAVE - MIN_OCTAVE + 1) as usize;
-
-/// The values of `data` in a uniform random order drawn from `rng`:
-/// `data[π(k)]` at `k`, for the permutation `π` that the vendored
-/// `SliceRandom::shuffle` gives `0..n` on the same coins, at any thread
-/// count. Adjacent values are the random pairs; with odd `n` the last
-/// one is left out. The copy is filled in `threads` parts, so a large
-/// one's fresh pages fault in on every thread.
-fn shuffled<R: Rng + ?Sized>(rng: &mut R, data: &[f64], threads: usize) -> Vec<f64> {
-    let mut values = vec![0.0; data.len()];
-    par_fill(threads, &mut values, data, <[f64]>::copy_from_slice);
-    shuffle_threads(rng, &mut values, threads);
-    values
-}
 
 /// Maps each random pair `(data[i], data[j])` through `f`, in pairing
 /// order: the pairs are adjacent values of a uniform shuffle drawn from
