@@ -19,8 +19,8 @@
 //! The one Fisher–Yates swap loop of the workspace also lives here,
 //! behind two entries that shuffle a copy of the caller's values:
 //! [`shuffled`] (the whole column) and [`subsample`] (the first `m`
-//! steps, cut to those `m` values). The serial kernel draws the swap
-//! targets of [`FISHER_YATES_BLOCK`] steps, then swaps in order. From
+//! steps, cut to those `m` values). The serial kernel is the plain
+//! step loop: draw a target, swap, repeat. From
 //! [`PAR_MIN_LEN`](crate::parallel::PAR_MIN_LEN) steps up the draws and
 //! the swaps run on two threads: the caller keeps the generator and
 //! draws blocks of [`PIPELINE_BLOCK`] targets ahead, and one scoped
@@ -73,10 +73,6 @@ pub fn child_seed(master: u64, index: u64) -> u64 {
     z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
     z ^ (z >> 31)
 }
-
-/// Fisher–Yates steps whose swap targets the serial kernel draws
-/// before it applies any of their swaps.
-pub const FISHER_YATES_BLOCK: usize = 64;
 
 /// Fisher–Yates steps per block that the pipelined kernel hands from
 /// the drawing thread to the swapping thread.
@@ -155,8 +151,7 @@ fn copy<T: Copy + Default + Send + Sync>(data: &[T], threads: usize) -> Vec<T> {
 
 /// The Fisher–Yates kernel: step `k` swaps `pool[i]` with
 /// `pool[gen_range(range)]`, for the `k`-th `i` of `rows` and `range` of
-/// `ranges`. Below two threads it draws the targets of
-/// [`FISHER_YATES_BLOCK`] steps, then [`apply`]s them, and repeats.
+/// `ranges`. Below two threads it runs that loop as written.
 /// Otherwise the caller's thread keeps `rng` and draws the targets of
 /// [`PIPELINE_BLOCK`] steps at a time, and one scoped thread owns the
 /// pool and `rows` and [`apply`]s the targets in the order drawn. A
@@ -171,15 +166,9 @@ fn fisher_yates<T: Send, R: Rng + ?Sized>(
     mut ranges: impl Iterator<Item = Range<usize>>,
     threads: usize,
 ) {
-    let mut draw = |block: &mut Vec<usize>, len: usize| {
-        block.clear();
-        block.extend(ranges.by_ref().take(len).map(|range| rng.gen_range(range)));
-        !block.is_empty()
-    };
     if threads <= 1 {
-        let mut block = Vec::with_capacity(FISHER_YATES_BLOCK);
-        while draw(&mut block, FISHER_YATES_BLOCK) {
-            apply(pool, &mut rows, &block);
+        for (i, range) in rows.zip(ranges) {
+            pool.swap(i, rng.gen_range(range));
         }
         return;
     }
@@ -202,7 +191,14 @@ fn fisher_yates<T: Send, R: Rng + ?Sized>(
         // has died, whose panic the scope then re-raises. Dropping
         // `full_tx` (also on a panic in `rng`) ends the swapping loop.
         while let Ok(mut block) = empty_rx.recv() {
-            if !draw(&mut block, PIPELINE_BLOCK) || full_tx.send(block).is_err() {
+            block.clear();
+            block.extend(
+                ranges
+                    .by_ref()
+                    .take(PIPELINE_BLOCK)
+                    .map(|r| rng.gen_range(r)),
+            );
+            if block.is_empty() || full_tx.send(block).is_err() {
                 break;
             }
         }

@@ -10,11 +10,9 @@ use proptest::prelude::*;
 use rand::seq::{index, SliceRandom};
 use rand::Rng;
 use updp_core::parallel::PAR_MIN_LEN;
-use updp_core::rng::{
-    seeded, shuffled, subsample, subsample_threads, FISHER_YATES_BLOCK, PIPELINE_BLOCK,
-};
+use updp_core::rng::{seeded, shuffled, subsample, subsample_threads, PIPELINE_BLOCK};
 
-/// Lengths around the block boundaries.
+/// Short lengths, and those around 64 and 128 steps.
 const EDGE_N: [usize; 10] = [0, 1, 2, 3, 63, 64, 65, 127, 128, 129];
 
 /// Pool lengths around the pipeline's block boundaries.
@@ -138,25 +136,11 @@ fn oracle_partial(seed: u64, n: usize, m: usize) -> (Vec<usize>, u64) {
     (sample, rng.gen())
 }
 
-/// Sample sizes at 0, 1, the block boundaries of both kernels and `n`
-/// itself.
+/// Sample sizes at 0, 1, around 64 and 128 steps, around the
+/// pipeline's block boundary and at `n` itself.
 fn edge_m(n: usize) -> Vec<usize> {
-    let b = FISHER_YATES_BLOCK;
     let p = PIPELINE_BLOCK;
-    let mut ms = vec![
-        0,
-        1,
-        b - 1,
-        b,
-        b + 1,
-        2 * b - 1,
-        2 * b,
-        2 * b + 1,
-        p - 1,
-        p,
-        p + 1,
-        n,
-    ];
+    let mut ms = vec![0, 1, 63, 64, 65, 127, 128, 129, p - 1, p, p + 1, n];
     ms.retain(|&m| m <= n);
     ms.sort_unstable();
     ms.dedup();

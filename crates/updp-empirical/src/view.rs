@@ -30,7 +30,7 @@
 //! bit-identical to the uncached path. The one exception is opt-in: the
 //! pair-gap structure of Algorithms 7 and 9 ([`GapSummary`]: per-octave
 //! gap counts, ~16 KB per column whatever its length) pairs the records
-//! by a permutation drawn with the blocked Fisher–Yates kernel, and a
+//! by a permutation drawn with the Fisher–Yates kernel, and a
 //! cache can only hold the summary whose permutation derives from the
 //! snapshot itself (DESIGN.md §12.3). An
 //! estimator served that summary skips drawing the permutation from its

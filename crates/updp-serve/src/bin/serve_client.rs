@@ -25,6 +25,7 @@
 //! nonzero).
 
 use updp_serve::client::{query_body_named, ClientError, Connection, NamedQuery};
+use updp_serve::wire::MAX_SEED;
 
 fn die(message: &str) -> ! {
     eprintln!("serve-client: {message}");
@@ -39,6 +40,14 @@ fn parse_data(text: &str) -> Vec<f64> {
                 .unwrap_or_else(|_| die(&format!("bad number `{tok}` in --data")))
         })
         .collect()
+}
+
+/// Parses `--seed` as an integer up to the wire's [`MAX_SEED`]; any
+/// other text is refused, never rounded, so the server gets that seed.
+fn parse_seed(text: &str) -> Result<u64, String> {
+    (text.parse::<u64>().ok())
+        .filter(|&seed| seed <= MAX_SEED)
+        .ok_or_else(|| format!("--seed needs an integer in [0, 2^53], got `{text}`"))
 }
 
 /// Deterministic Gaussian(100, 5) sample for quickstart registration:
@@ -155,8 +164,9 @@ fn main() {
         "query" => {
             let name = args.positional().unwrap_or_else(|| die("query NAME"));
             let seed = args
-                .f64_value("--seed")
-                .unwrap_or_else(|| die("query needs --seed")) as u64;
+                .value("--seed")
+                .map(|text| parse_seed(&text).unwrap_or_else(|e| die(&e)))
+                .unwrap_or_else(|| die("query needs --seed"));
             // Any catalog estimator by name: --estimator NAME:E with
             // its parameters as repeated --param k=v (applied to every
             // --estimator query in the request).
@@ -269,6 +279,19 @@ fn main() {
 #[cfg(test)]
 mod tests {
     use updp_dist::ContinuousDistribution;
+
+    #[test]
+    fn seed_is_sent_as_given_or_refused() {
+        use super::{parse_seed, MAX_SEED};
+        assert_eq!(parse_seed("0"), Ok(0));
+        assert_eq!(parse_seed("9007199254740992"), Ok(MAX_SEED));
+        // Each of these used to pass through an f64 and reach the
+        // server as a different seed (0, 0, 1 and 2^53).
+        for refused in ["-1", "nan", "1.5", "9007199254740993"] {
+            let err = parse_seed(refused).unwrap_err();
+            assert!(err.contains(refused), "{refused}: {err}");
+        }
+    }
 
     #[test]
     fn demo_data_matches_the_distribution_layer_bit_for_bit() {

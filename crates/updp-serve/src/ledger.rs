@@ -27,7 +27,7 @@
 // never a panic (DESIGN.md §6, §9).
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 use updp_core::json::JsonValue;
@@ -118,22 +118,40 @@ impl std::ops::Deref for Grant {
     }
 }
 
-/// The ledger: every account behind one mutex (held only for the
-/// budget arithmetic — never across file I/O), optionally mirrored to
-/// a snapshot file on each mutation. Snapshot writes serialize on a
-/// separate `persist_lock` and re-render the latest state under a
-/// brief `accounts` lock, so concurrent writers can never regress the
-/// on-disk file to an older state, and queries against *other*
-/// datasets only ever contend on the cheap arithmetic section.
+/// One dataset's ledger entry: its account and its refusal tally.
+#[derive(Debug)]
+struct Entry {
+    account: Account,
+    /// Budget refusals served this process lifetime. Observability
+    /// only (DESIGN.md §11): never persisted, never consulted by
+    /// reservation decisions.
+    refusals: u64,
+}
+
+impl Entry {
+    fn new(account: Account) -> Self {
+        Entry {
+            account,
+            refusals: 0,
+        }
+    }
+}
+
+/// The ledger: every entry in one name-ordered map behind one mutex
+/// (held only for the budget arithmetic — never across file I/O),
+/// optionally mirrored to a snapshot file on each mutation. Snapshot
+/// writes serialize on a separate `persist_lock` and re-render the
+/// latest state under a brief `accounts` lock, so concurrent writers
+/// can never regress the on-disk file to an older state, and queries
+/// against *other* datasets only ever contend on the cheap arithmetic
+/// section.
 #[derive(Debug)]
 pub struct Ledger {
     path: Option<PathBuf>,
-    accounts: Mutex<HashMap<String, Account>>,
+    /// Name → entry. Byte order of the names is the order of every
+    /// listing and of the snapshot file.
+    accounts: Mutex<BTreeMap<String, Entry>>,
     persist_lock: Mutex<()>,
-    /// Budget refusals served per dataset this process lifetime.
-    /// Observability only (DESIGN.md §11): never persisted, never
-    /// consulted by reservation decisions.
-    refusals: Mutex<BTreeMap<String, u64>>,
 }
 
 impl Ledger {
@@ -141,9 +159,8 @@ impl Ledger {
     pub fn in_memory() -> Self {
         Ledger {
             path: None,
-            accounts: Mutex::new(HashMap::new()),
+            accounts: Mutex::new(BTreeMap::new()),
             persist_lock: Mutex::new(()),
-            refusals: Mutex::new(BTreeMap::new()),
         }
     }
 
@@ -155,14 +172,13 @@ impl Ledger {
     pub fn open(path: &Path) -> Result<Self, LedgerError> {
         let accounts = match std::fs::read_to_string(path) {
             Ok(text) => parse_snapshot(&text)?,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => HashMap::new(),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => BTreeMap::new(),
             Err(e) => return Err(LedgerError::Snapshot(format!("read {path:?}: {e}"))),
         };
         Ok(Ledger {
             path: Some(path.into()),
             accounts: Mutex::new(accounts),
             persist_lock: Mutex::new(()),
-            refusals: Mutex::new(BTreeMap::new()),
         })
     }
 
@@ -187,9 +203,9 @@ impl Ledger {
         {
             let mut accounts = self.accounts.lock().map_err(|_| LedgerError::Poisoned)?;
             if let Some(existing) = accounts.get(name) {
-                return Ok(*existing);
+                return Ok(existing.account);
             }
-            accounts.insert(name.into(), Account { budget, spent: 0.0 });
+            accounts.insert(name.into(), Entry::new(Account { budget, spent: 0.0 }));
         }
         self.persist()?;
         Ok(Account { budget, spent: 0.0 })
@@ -214,13 +230,14 @@ impl Ledger {
         }
         let (outcomes, any_granted) = {
             let mut accounts = self.accounts.lock().map_err(|_| LedgerError::Poisoned)?;
-            let account = accounts
+            let Entry { account, refusals } = accounts
                 .get_mut(name)
                 .ok_or_else(|| LedgerError::UnknownDataset(name.into()))?;
             let mut outcomes = Vec::with_capacity(amounts.len());
             let mut any_granted = false;
             for &eps in amounts {
                 if account.spent + eps > account.budget + budget_tolerance(account.budget) {
+                    *refusals += 1;
                     outcomes.push(Err(Refusal {
                         requested: eps,
                         available: account.remaining(),
@@ -233,15 +250,6 @@ impl Ledger {
             }
             (outcomes, any_granted)
         };
-        let refused = outcomes.iter().filter(|o| o.is_err()).count() as u64;
-        if refused > 0 {
-            // Observe-only refusal tally for `/v1/metrics`. A poisoned
-            // counter map drops the observation rather than surfacing
-            // an error into the query path.
-            if let Ok(mut refusals) = self.refusals.lock() {
-                *refusals.entry(name.into()).or_insert(0) += refused;
-            }
-        }
         if any_granted {
             // The spend is committed in memory; callers only observe
             // the grant after this persists, so a crash in between
@@ -257,32 +265,34 @@ impl Ledger {
             .lock()
             .map_err(|_| LedgerError::Poisoned)?
             .get(name)
-            .copied()
+            .map(|entry| entry.account)
             .ok_or_else(|| LedgerError::UnknownDataset(name.into()))
     }
 
-    /// Budget refusals served per dataset this process lifetime,
-    /// sorted by name. Not persisted; resets on restart. Degrades to
-    /// an empty list on lock poisoning (observability must not fail
-    /// the scrape).
+    /// Budget refusals served per dataset this process lifetime, in
+    /// name order, for the datasets with at least one. Not persisted;
+    /// resets on restart. Degrades to an empty list on lock poisoning
+    /// (observability must not fail the scrape).
     pub(crate) fn refusal_counts(&self) -> Vec<(String, u64)> {
-        match self.refusals.lock() {
-            Ok(refusals) => refusals.iter().map(|(k, &v)| (k.clone(), v)).collect(),
+        match self.accounts.lock() {
+            Ok(accounts) => accounts
+                .iter()
+                .filter(|(_, entry)| entry.refusals > 0)
+                .map(|(name, entry)| (name.clone(), entry.refusals))
+                .collect(),
             Err(_) => Vec::new(),
         }
     }
 
-    /// All accounts as `(name, account)` rows, sorted by name.
+    /// All accounts as `(name, account)` rows, in name order.
     pub fn list(&self) -> Result<Vec<(String, Account)>, LedgerError> {
-        let mut rows: Vec<(String, Account)> = self
+        Ok(self
             .accounts
             .lock()
             .map_err(|_| LedgerError::Poisoned)?
             .iter()
-            .map(|(k, v)| (k.clone(), *v))
-            .collect();
-        rows.sort_by(|a, b| a.0.cmp(&b.0));
-        Ok(rows)
+            .map(|(name, entry)| (name.clone(), entry.account))
+            .collect())
     }
 
     /// Writes the snapshot file. Writers serialize on `persist_lock`
@@ -292,9 +302,8 @@ impl Ledger {
     ///
     /// Lock order: `persist_lock` → `accounts`, taken only here. Every
     /// other method takes `accounts` alone and releases it before
-    /// calling this; `refusals` is never held with another lock. The
-    /// lock fields are private to this module, so no caller can nest
-    /// them in another order (DESIGN.md §9).
+    /// calling this. The lock fields are private to this module, so no
+    /// caller can nest them in another order (DESIGN.md §9).
     fn persist(&self) -> Result<(), LedgerError> {
         let Some(path) = &self.path else {
             return Ok(());
@@ -313,16 +322,14 @@ impl Ledger {
     }
 }
 
-fn render_snapshot(accounts: &HashMap<String, Account>) -> String {
-    let mut rows: Vec<(&String, &Account)> = accounts.iter().collect();
-    rows.sort_by(|a, b| a.0.cmp(b.0));
-    let datasets = rows
-        .into_iter()
-        .map(|(name, a)| {
+fn render_snapshot(accounts: &BTreeMap<String, Entry>) -> String {
+    let datasets = accounts
+        .iter()
+        .map(|(name, Entry { account, .. })| {
             JsonValue::object(vec![
                 ("name", name.as_str().into()),
-                ("budget", a.budget.into()),
-                ("spent", a.spent.into()),
+                ("budget", account.budget.into()),
+                ("spent", account.spent.into()),
             ])
         })
         .collect();
@@ -335,15 +342,15 @@ fn render_snapshot(accounts: &HashMap<String, Account>) -> String {
     out
 }
 
-fn parse_snapshot(text: &str) -> Result<HashMap<String, Account>, LedgerError> {
-    let parse = || -> Result<HashMap<String, Account>, String> {
+fn parse_snapshot(text: &str) -> Result<BTreeMap<String, Entry>, LedgerError> {
+    let parse = || -> Result<BTreeMap<String, Entry>, String> {
         let doc = JsonValue::parse(text)?;
         let obj = doc.as_object("snapshot")?;
         let schema = obj.get_str("schema")?;
         if schema != SCHEMA {
             return Err(format!("unknown schema `{schema}`, expected `{SCHEMA}`"));
         }
-        let mut accounts = HashMap::new();
+        let mut accounts = BTreeMap::new();
         for row in obj.get_array("datasets")? {
             let row = row.as_object("dataset row")?;
             let name = row.get_str("name")?;
@@ -363,7 +370,7 @@ fn parse_snapshot(text: &str) -> Result<HashMap<String, Account>, LedgerError> {
                     "row `{name}`: spent must be finite and non-negative"
                 ));
             }
-            if accounts.insert(name.clone(), account).is_some() {
+            if accounts.insert(name.clone(), Entry::new(account)).is_some() {
                 return Err(format!("row `{name}` appears twice"));
             }
         }
@@ -478,6 +485,26 @@ mod tests {
     }
 
     #[test]
+    fn refusal_counts_list_the_refused_datasets_in_name_order() {
+        let ledger = Ledger::in_memory();
+        for name in ["c", "b", "a"] {
+            ledger.register(name, 1.0).unwrap();
+        }
+        let c = ledger.reserve_many("c", &[0.6, 0.6, 0.6, 0.3]).unwrap();
+        let b = ledger.reserve_many("b", &[0.5, 0.5]).unwrap();
+        let a = ledger.reserve_many("a", &[0.9, 0.2]).unwrap();
+        let refused = |grant: &Grant| grant.iter().filter(|o| o.is_err()).count() as u64;
+        assert_eq!((refused(&a), refused(&b), refused(&c)), (1, 0, 2));
+        assert_eq!(
+            ledger.refusal_counts(),
+            vec![
+                ("a".to_string(), refused(&a)),
+                ("c".to_string(), refused(&c))
+            ]
+        );
+    }
+
+    #[test]
     fn snapshot_round_trips_through_the_shared_codec() {
         let ledger = Ledger::in_memory();
         ledger.register("b", 2.0).unwrap();
@@ -486,7 +513,7 @@ mod tests {
         let accounts = parse_snapshot(&render_snapshot(&ledger.accounts.lock().unwrap())).unwrap();
         assert_eq!(accounts.len(), 2);
         assert_eq!(
-            accounts["a"],
+            accounts["a"].account,
             Account {
                 budget: 1.0,
                 spent: 0.25

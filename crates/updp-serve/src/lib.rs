@@ -7,7 +7,7 @@
 //! privacy budgets across queries. DESIGN.md §6 is the contract;
 //! the pieces:
 //!
-//! * [`registry`] — sharded in-memory dataset registry
+//! * [`registry`] — in-memory dataset registry, one name-ordered map
 //!   (register/append/flush/drop, stable ids) handing out immutable
 //!   `Arc<PreparedDataset>` snapshots whose sorted/discretized
 //!   artifacts are cached across queries; appends coalesce in a
@@ -57,13 +57,11 @@
 // `undocumented_unsafe_blocks` enforces the comments). Everything else
 // in the crate still refuses unsafe.
 #![deny(unsafe_code)]
-// Reserve before estimate and child-seeded generators (this crate's
-// clippy.toml, DESIGN.md §6.2/§9), and no prints in library code.
-// Test builds and binaries are exempt.
-#![cfg_attr(
-    not(test),
-    deny(clippy::disallowed_methods, clippy::print_stdout, clippy::print_stderr)
-)]
+// Reserve before estimate, child-seeded generators and no hash-ordered
+// collections (this crate's clippy.toml, DESIGN.md §6.2/§9), and no
+// prints in library code. Test builds and binaries are exempt.
+#![cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::disallowed_types))]
+#![cfg_attr(not(test), deny(clippy::print_stdout, clippy::print_stderr))]
 
 pub mod client;
 pub mod engine;

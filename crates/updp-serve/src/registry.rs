@@ -1,5 +1,4 @@
-//! The sharded in-memory dataset registry with buffered streaming
-//! ingestion.
+//! The in-memory dataset registry with buffered streaming ingestion.
 //!
 //! Datasets are keyed by a client-chosen *name* which doubles as the
 //! stable dataset id: it survives server restarts (the budget
@@ -7,8 +6,9 @@
 //! restart-replay impossible) and is validated to a conservative token
 //! alphabet so it can appear verbatim in URLs, file names, and logs.
 //!
-//! Concurrency layout: names hash to one of `SHARDS` shards, each an
-//! independent `RwLock<HashMap>`; dataset *contents* are an immutable
+//! Concurrency layout: one `RwLock<BTreeMap>` from name to dataset,
+//! held only to look a name up, insert or remove it, or list the
+//! datasets in name order; dataset *contents* are an immutable
 //! [`PreparedDataset`] snapshot behind a per-dataset
 //! `RwLock<Arc<…>>`. Queries clone the `Arc` and estimate **without
 //! holding any lock** — readers never block each other or appends.
@@ -41,17 +41,10 @@
 // never a panic (DESIGN.md §6, §9).
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 use updp_statistical::PreparedDataset;
-
-/// Number of registry shards. A fixed small power of two: enough to
-/// decorrelate unrelated datasets' lock traffic, cheap to scan for
-/// listings.
-pub(crate) const SHARDS: usize = 16;
 
 /// Maximum dataset-name length (the name is the wire-visible id).
 pub(crate) const MAX_NAME_LEN: usize = 64;
@@ -90,12 +83,6 @@ impl FlushPolicy {
             max_rows: max_rows.max(1),
             max_age,
         }
-    }
-}
-
-impl Default for FlushPolicy {
-    fn default() -> Self {
-        FlushPolicy::immediate()
     }
 }
 
@@ -263,10 +250,10 @@ impl Dataset {
     /// lost-update-safe because both callers hold the pending mutex,
     /// which serializes publications.
     ///
-    /// Lock order: registry shard → `pending` → `snapshot`.
+    /// Lock order: registry map → `pending` → `snapshot`.
     /// `buffer_append` and `flush` hold `pending` and call this, which
-    /// takes `snapshot` (read, then write); `Registry::list` holds a
-    /// shard lock while it reads each dataset's `snapshot` and
+    /// takes `snapshot` (read, then write); `Registry::list` holds the
+    /// map's read lock while it reads each dataset's `snapshot` and
     /// `pending` in turn. Nothing takes a lock earlier in the order
     /// while holding a later one. The lock fields are private to this
     /// module, so no caller can nest them differently (DESIGN.md §9).
@@ -369,10 +356,12 @@ pub struct ListingRow {
     pub pending: usize,
 }
 
-/// The sharded registry.
+/// The registry: every dataset by name, in one ordered map behind
+/// one lock.
 #[derive(Debug)]
 pub struct Registry {
-    shards: Vec<RwLock<HashMap<String, Arc<Dataset>>>>,
+    /// Name → dataset. Byte order of the names is the listing order.
+    datasets: RwLock<BTreeMap<String, Arc<Dataset>>>,
     policy: FlushPolicy,
 }
 
@@ -383,8 +372,8 @@ impl Default for Registry {
 }
 
 impl Registry {
-    /// Creates an empty registry with `SHARDS` shards and the
-    /// immediate (unbuffered) flush policy.
+    /// Creates an empty registry with the immediate (unbuffered) flush
+    /// policy.
     pub fn new() -> Self {
         Registry::with_policy(FlushPolicy::immediate())
     }
@@ -392,15 +381,9 @@ impl Registry {
     /// Creates an empty registry with an explicit [`FlushPolicy`].
     pub fn with_policy(policy: FlushPolicy) -> Self {
         Registry {
-            shards: (0..SHARDS).map(|_| RwLock::new(HashMap::new())).collect(),
+            datasets: RwLock::new(BTreeMap::new()),
             policy,
         }
-    }
-
-    fn shard(&self, name: &str) -> &RwLock<HashMap<String, Arc<Dataset>>> {
-        let mut hasher = DefaultHasher::new();
-        name.hash(&mut hasher);
-        &self.shards[hasher.finish() as usize % SHARDS]
     }
 
     /// Registers a new dataset from column-major data.
@@ -411,11 +394,8 @@ impl Registry {
     ) -> Result<Arc<Dataset>, RegistryError> {
         validate_name(name)?;
         validate_columns(&columns)?;
-        let mut shard = self
-            .shard(name)
-            .write()
-            .map_err(|_| RegistryError::Poisoned)?;
-        if shard.contains_key(name) {
+        let mut datasets = self.datasets.write().map_err(|_| RegistryError::Poisoned)?;
+        if datasets.contains_key(name) {
             return Err(RegistryError::AlreadyExists(name.into()));
         }
         let dataset = Arc::new(Dataset {
@@ -431,13 +411,13 @@ impl Registry {
             snapshot: RwLock::new(Arc::new(PreparedDataset::new(columns).with_gap_summaries())),
             pending: Mutex::new(Pending::default()),
         });
-        shard.insert(name.into(), Arc::clone(&dataset));
+        datasets.insert(name.into(), Arc::clone(&dataset));
         Ok(dataset)
     }
 
     /// Looks a dataset up by name.
     pub fn get(&self, name: &str) -> Result<Arc<Dataset>, RegistryError> {
-        self.shard(name)
+        self.datasets
             .read()
             .map_err(|_| RegistryError::Poisoned)?
             .get(name)
@@ -479,7 +459,7 @@ impl Registry {
     /// ledger entry deliberately survives (see `crate::ledger`):
     /// dropping and re-registering a name must not mint fresh budget.
     pub(crate) fn drop_dataset(&self, name: &str) -> Result<(), RegistryError> {
-        self.shard(name)
+        self.datasets
             .write()
             .map_err(|_| RegistryError::Poisoned)?
             .remove(name)
@@ -487,23 +467,22 @@ impl Registry {
             .ok_or_else(|| RegistryError::NotFound(name.into()))
     }
 
-    /// All registered datasets as listing rows, sorted by name for
-    /// stable listings.
+    /// All registered datasets as listing rows, in byte order of their
+    /// names.
     pub fn list(&self) -> Result<Vec<ListingRow>, RegistryError> {
-        let mut rows: Vec<ListingRow> = Vec::new();
-        for shard in &self.shards {
-            let shard = shard.read().map_err(|_| RegistryError::Poisoned)?;
-            for d in shard.values() {
-                rows.push(ListingRow {
+        self.datasets
+            .read()
+            .map_err(|_| RegistryError::Poisoned)?
+            .values()
+            .map(|d| {
+                Ok(ListingRow {
                     name: d.name.clone(),
                     dim: d.dim,
                     records: d.len()?,
                     pending: d.pending_rows()?,
-                });
-            }
-        }
-        rows.sort_by(|a, b| a.name.cmp(&b.name));
-        Ok(rows)
+                })
+            })
+            .collect()
     }
 }
 
@@ -683,7 +662,7 @@ mod tests {
     }
 
     #[test]
-    fn shards_do_not_alias_datasets() {
+    fn distinct_names_do_not_alias_datasets() {
         let reg = Registry::new();
         for i in 0..100 {
             reg.register(&format!("ds-{i}"), col(&[i as f64])).unwrap();
@@ -693,6 +672,16 @@ mod tests {
             let d = reg.get(&format!("ds-{i}")).unwrap();
             assert_eq!(d.snapshot().unwrap().columns()[0][0], i as f64);
         }
+    }
+
+    #[test]
+    fn list_is_in_byte_order_of_the_names_not_insertion_order() {
+        let reg = Registry::new();
+        for name in ["b", "a9", "a10", "A"] {
+            reg.register(name, col(&[1.0])).unwrap();
+        }
+        let names: Vec<String> = reg.list().unwrap().into_iter().map(|r| r.name).collect();
+        assert_eq!(names, ["A", "a10", "a9", "b"]);
     }
 
     #[test]

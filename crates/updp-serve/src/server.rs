@@ -87,7 +87,7 @@ impl ServerConfig {
 /// single byte `AppState::begin_shutdown` writes keeps every shard
 /// waking until it enters drain and deletes the registration.
 pub struct AppState {
-    /// The sharded dataset registry.
+    /// The dataset registry.
     pub registry: Registry,
     /// The persisted privacy-budget ledger.
     pub ledger: Ledger,

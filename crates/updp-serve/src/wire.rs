@@ -150,6 +150,11 @@ fn parse_spec(q: &JsonValue) -> Result<QuerySpec, WireError> {
     })
 }
 
+/// The largest request seed, 2⁵³. JSON numbers are `f64`s: integers
+/// above 2⁵³ would be silently rounded, breaking "bit-reproducible
+/// from the request seed", so they are rejected instead of guessed.
+pub const MAX_SEED: u64 = 1 << 53;
+
 /// Parses a query body:
 /// `{"dataset", "seed", "bound"?, "queries": [{"estimator"|"kind",
 /// "epsilon", "q"?, "params"?}, …]}`. Every release is snapped, so a
@@ -158,15 +163,10 @@ pub fn parse_query(body: &str) -> Result<QueryRequest, WireError> {
     let doc = JsonValue::parse(body)?;
     let obj = doc.as_object("query request")?;
     let seed = obj.get_f64("seed")?;
-    // JSON numbers are f64: integers above 2^53 would be silently
-    // rounded, breaking "bit-reproducible from the request seed" —
-    // reject them instead of guessing.
-    const MAX_SEED: f64 = 9_007_199_254_740_992.0; // 2^53
-
     // `fract() == 0.0` is the exact integrality test for a wire seed; a
     // non-integer seed must be rejected, never rounded
-    // (bit-reproducibility).
-    if !(seed >= 0.0 && seed.fract() == 0.0 && seed <= MAX_SEED) {
+    // (bit-reproducibility). `MAX_SEED` is exact as an f64.
+    if !(seed >= 0.0 && seed.fract() == 0.0 && seed <= MAX_SEED as f64) {
         return Err(WireError(format!(
             "seed must be an integer in [0, 2^53], got {seed}"
         )));
