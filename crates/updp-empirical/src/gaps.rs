@@ -124,20 +124,23 @@ pub fn pair_gaps<R: Rng + ?Sized>(rng: &mut R, data: &[f64]) -> GapSummary {
 }
 
 /// [`pair_gaps`] with an explicit thread count (1 ⇒ no thread starts);
-/// the result is the same at any count.
+/// the result is the same at any count. It counts the gap of each pair
+/// of adjacent shuffled values and reads nothing else: with odd `n` the
+/// last shuffled value is left out unseen.
 pub fn pair_gaps_threads<R: Rng + ?Sized>(rng: &mut R, data: &[f64], threads: usize) -> GapSummary {
     let values = shuffled(rng, data, threads);
-    let pairs = values.chunks_exact(2);
-    // The record an odd column leaves unpaired.
-    let unpaired = pairs.remainder().iter().all(|x| x.is_finite());
     let mut counter = OctaveCounter::new();
-    pairs.for_each(|p| counter.add(p[0], p[1]));
-    counter.all_finite &= unpaired;
+    values
+        .chunks_exact(2)
+        .for_each(|p| counter.add((p[0] - p[1]).abs()));
     counter.finish()
 }
 
 /// The pair-gap multiset of one column, reduced to what Algorithm 7
-/// asks of it: `|{g : g ≤ pow2(k)}|` for every `k`.
+/// asks of it: `|{g : g ≤ pow2(k)}|` for every `k`. It says nothing
+/// about finiteness, an input precondition that every estimator checks
+/// with one [`ensure_finite`](updp_core::error::ensure_finite) scan at
+/// entry.
 ///
 /// It holds one cumulative count per octave (~16 KB whatever the
 /// column length) and one exact count at [`SCALE_FLOOR`], which is not
@@ -145,7 +148,6 @@ pub fn pair_gaps_threads<R: Rng + ?Sized>(rng: &mut R, data: &[f64], threads: us
 /// via `Arc`.
 #[derive(Debug, PartialEq, Eq)]
 pub struct GapSummary {
-    all_finite: bool,
     pairs: usize,
     /// `|{g : g ≤ SCALE_FLOOR}|`.
     le_floor: usize,
@@ -164,12 +166,6 @@ impl GapSummary {
     /// Number of gap pairs (`⌊records/2⌋`).
     pub fn pairs(&self) -> usize {
         self.pairs
-    }
-
-    /// Whether every record of the column is finite, so consumers can
-    /// replace their O(n) `ensure_finite` scan with an O(1) check.
-    pub(crate) fn all_finite(&self) -> bool {
-        self.all_finite
     }
 
     /// `|{g : g ≤ pow2(k)}|`, exactly `partition_point(v ≤ pow2(k))` on
@@ -201,10 +197,8 @@ fn octave_slot(g: f64) -> Option<usize> {
     Some((k.max(MIN_OCTAVE) - MIN_OCTAVE) as usize)
 }
 
-/// Accumulates the gaps of record pairs into per-octave counts, and
-/// whether every record seen is finite.
+/// Accumulates the gaps of record pairs into per-octave counts.
 struct OctaveCounter {
-    all_finite: bool,
     pairs: usize,
     le_floor: usize,
     counts: Box<[usize]>,
@@ -213,22 +207,15 @@ struct OctaveCounter {
 impl OctaveCounter {
     fn new() -> Self {
         OctaveCounter {
-            all_finite: true,
             pairs: 0,
             le_floor: 0,
             counts: vec![0; OCTAVES].into_boxed_slice(),
         }
     }
 
-    /// Counts the gap `|a − b|` of one pair.
+    /// Counts the gap `g = |X − X′|` of one pair.
     #[inline]
-    fn add(&mut self, a: f64, b: f64) {
-        self.all_finite &= a.is_finite() & b.is_finite();
-        self.add_gap((a - b).abs());
-    }
-
-    #[inline]
-    fn add_gap(&mut self, g: f64) {
+    fn add(&mut self, g: f64) {
         self.pairs += 1;
         self.le_floor += usize::from(g <= SCALE_FLOOR);
         if let Some(slot) = octave_slot(g) {
@@ -243,7 +230,6 @@ impl OctaveCounter {
             *count = total;
         }
         GapSummary {
-            all_finite: self.all_finite,
             pairs: self.pairs,
             le_floor: self.le_floor,
             le_octave: self.counts,
@@ -283,7 +269,7 @@ mod tests {
 
     fn summarize(gaps: &[f64]) -> GapSummary {
         let mut counter = OctaveCounter::new();
-        gaps.iter().for_each(|&g| counter.add_gap(g));
+        gaps.iter().for_each(|&g| counter.add(g));
         counter.finish()
     }
 
@@ -363,11 +349,9 @@ mod tests {
         for (c, data) in columns.iter().enumerate() {
             let paired = pair_gaps(&mut seeded(c as u64), data);
             assert_exact(&paired, &gaps_of(&mut seeded(c as u64), data));
-            assert_eq!(paired.all_finite(), data.iter().all(|x| x.is_finite()));
             let n = data.len() as u64;
             let built = GapSummary::build(data);
             assert_exact(&built, &gaps_of(&mut child_rng(GAP_PAIRING_SALT, n), data));
-            assert_eq!(built.all_finite(), data.iter().all(|x| x.is_finite()));
         }
     }
 
@@ -385,7 +369,6 @@ mod tests {
         let a = GapSummary::build(&data);
         assert_eq!(a, GapSummary::build(&data));
         assert_eq!(a.pairs(), 50);
-        assert!(a.all_finite());
     }
 
     #[test]

@@ -36,7 +36,10 @@
 //! estimator served that summary skips drawing the permutation from its
 //! own coins, so the summary is enabled only through
 //! [`PreparedDataset::with_gap_summaries`]; default snapshots and bare
-//! views pair with the mechanism's coins.
+//! views pair with the mechanism's coins. No artifact records whether
+//! the column is finite: each estimator checks that precondition with
+//! one [`ensure_finite`](updp_core::error::ensure_finite) scan at entry,
+//! cached view or not.
 //!
 //! Cold sorted-copy builds go through [`sorted_copy`], a deterministic
 //! in-place parallel sort (select-and-split, DESIGN.md §12.1):
@@ -55,7 +58,7 @@ use crate::gaps::GapSummary;
 // (rule R2, DESIGN.md §9) — its iteration order is seeded per process.
 use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock, RwLock};
-use updp_core::error::{ensure_finite, Result, UpdpError};
+use updp_core::error::Result;
 
 /// A `total_cmp`-sorted copy of `data`, parallel for large columns.
 ///
@@ -295,17 +298,6 @@ impl<'a> ColumnView<'a> {
         self.cache.is_some_and(ColumnCache::has_gap_summary)
     }
 
-    /// Rejects a column holding a non-finite record with
-    /// `NonFiniteInput { context }`: an O(1) check when the view carries
-    /// a gap summary, an O(n) scan otherwise.
-    pub fn ensure_finite(&self, context: &'static str) -> Result<()> {
-        match self.gap_summary() {
-            Some(summary) if summary.all_finite() => Ok(()),
-            Some(_) => Err(UpdpError::NonFiniteInput { context }),
-            None => ensure_finite(self.data, context),
-        }
-    }
-
     /// The sorted integer grid `round(x/bucket)`, saturated at `±2⁶²`
     /// (cached per distinct bucket when a cache is attached).
     /// Bit-identical to `Discretizer::new(bucket)?.discretize(data)` in
@@ -431,12 +423,6 @@ impl PreparedDataset {
             cache.gaps_enabled = true;
         }
         self
-    }
-
-    /// Whether the gap-summary path is enabled (diagnostic; false for a
-    /// snapshot without columns).
-    pub fn gap_summaries_enabled(&self) -> bool {
-        self.caches.iter().any(|cache| cache.gaps_enabled)
     }
 
     /// Record dimension.

@@ -110,6 +110,9 @@ impl Args {
     }
 }
 
+/// One parsed command, waiting for the connection it runs on.
+type Call = Box<dyn FnOnce(&mut Connection) -> Result<String, ClientError>>;
+
 fn main() {
     let mut args = Args(std::env::args().skip(1).collect());
     let addr = args
@@ -117,9 +120,9 @@ fn main() {
         .unwrap_or_else(|| "127.0.0.1:7817".into());
     let command = args.positional().unwrap_or_else(|| die("missing command"));
 
-    let mut connection =
-        Connection::open(&addr).unwrap_or_else(|e| die(&format!("cannot reach {addr}: {e}")));
-    let result = match command.as_str() {
+    // The whole command line is parsed before connecting, so a usage
+    // error is reported as one even while the server is down.
+    let call: Call = match command.as_str() {
         "register" => {
             let name = args.positional().unwrap_or_else(|| die("register NAME"));
             let budget = args
@@ -134,7 +137,7 @@ fn main() {
                 _ => die("register needs exactly one of --data / --gaussian"),
             };
             args.finish();
-            connection.register(&name, budget, &data)
+            Box::new(move |c| c.register(&name, budget, &data))
         }
         "append" => {
             let name = args.positional().unwrap_or_else(|| die("append NAME"));
@@ -143,23 +146,23 @@ fn main() {
                 .map(|text| parse_data(&text))
                 .unwrap_or_else(|| die("append needs --data"));
             args.finish();
-            connection.append(&name, &data)
+            Box::new(move |c| c.append(&name, &data))
         }
         "flush" => {
             let name = args.positional().unwrap_or_else(|| die("flush NAME"));
             args.finish();
-            connection.flush(&name)
+            Box::new(move |c| c.flush(&name))
         }
         "drop" => {
             let name = args.positional().unwrap_or_else(|| die("drop NAME"));
             args.finish();
             let body = updp_core::json::JsonValue::object(vec![("name", name.as_str().into())])
                 .to_compact();
-            connection.request("POST", "/v1/drop", &body)
+            Box::new(move |c| c.request("POST", "/v1/drop", &body))
         }
         "list" => {
             args.finish();
-            connection.request("GET", "/v1/datasets", "")
+            Box::new(|c| c.request("GET", "/v1/datasets", ""))
         }
         "query" => {
             let name = args.positional().unwrap_or_else(|| die("query NAME"));
@@ -232,35 +235,40 @@ fn main() {
                 die("query needs at least one of --mean/--variance/--quantile/--iqr/--multi-mean/--estimator");
             }
             args.finish();
-            connection.query(&query_body_named(&name, seed, &queries))
+            let body = query_body_named(&name, seed, &queries);
+            Box::new(move |c| c.query(&body))
         }
         "estimators" => {
             args.finish();
-            connection.request("GET", "/v1/estimators", "")
+            Box::new(|c| c.request("GET", "/v1/estimators", ""))
         }
         "healthz" => {
             args.finish();
-            connection.healthz()
+            Box::new(Connection::healthz)
         }
         "metrics" => {
             let json = args.flag("--json");
             args.finish();
             if json {
-                connection.metrics_json()
+                Box::new(Connection::metrics_json)
             } else {
-                connection.metrics_text()
+                Box::new(Connection::metrics_text)
             }
         }
         "trace" => {
             args.finish();
-            connection.trace()
+            Box::new(Connection::trace)
         }
         "shutdown" => {
             args.finish();
-            connection.shutdown()
+            Box::new(Connection::shutdown)
         }
         other => die(&format!("unknown command `{other}`")),
     };
+
+    let mut connection =
+        Connection::open(&addr).unwrap_or_else(|e| die(&format!("cannot reach {addr}: {e}")));
+    let result = call(&mut connection);
 
     match result {
         Ok(body) => println!("{body}"),

@@ -18,8 +18,8 @@
 //! * `--buffer-rows` / `--buffer-age-ms` — the streaming write-buffer
 //!   thresholds (DESIGN.md §8): appends coalesce into a pending delta
 //!   log and publish one snapshot when either threshold is hit, or on
-//!   explicit `POST /v1/flush`. Default `--buffer-rows 1`: every
-//!   append publishes immediately (the historical behaviour).
+//!   explicit `POST /v1/flush`. Default `--buffer-rows 1` (0 reads
+//!   as 1): every append publishes at once, whatever the age bound.
 //! * `--workers` — reactor worker shards (DESIGN.md §10). Default 0:
 //!   one shard per available hardware thread.
 //! * `--max-conns` — live-connection cap across all shards; beyond it
@@ -81,11 +81,8 @@ fn main() {
             _ => usage(),
         }
     }
-    let policy = if buffer_rows <= 1 {
-        FlushPolicy::immediate()
-    } else {
-        FlushPolicy::buffered(buffer_rows, std::time::Duration::from_millis(buffer_age_ms))
-    };
+    let policy =
+        FlushPolicy::buffered(buffer_rows, std::time::Duration::from_millis(buffer_age_ms));
 
     let ledger = match Ledger::open(std::path::Path::new(&ledger_path)) {
         Ok(ledger) => ledger,

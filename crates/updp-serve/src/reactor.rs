@@ -594,7 +594,7 @@ fn read_and_dispatch(
             }
             Err(_) => return true,
         };
-        for request in &requests {
+        for request in requests {
             dispatch(conn, request, state, config, shard);
             if conn.closing {
                 // A close-after-this response (shutdown, parse-error,
@@ -618,7 +618,7 @@ fn read_and_dispatch(
 /// body byte, or a connection's fate.
 fn dispatch(
     conn: &mut Conn,
-    request: &Request,
+    request: Request,
     state: &AppState,
     config: &ServerConfig,
     shard: &ShardMetrics,
@@ -647,7 +647,7 @@ fn dispatch(
         .unwrap_or(0);
     let is_shutdown = request.method == "POST" && request.path == "/v1/shutdown";
     let handle_started = Instant::now();
-    let routed = catch_unwind(AssertUnwindSafe(|| route(state, request)));
+    let routed = catch_unwind(AssertUnwindSafe(|| route(state, &request)));
     let handle_micros = handle_started.elapsed().as_micros() as u64;
     let (status, dataset, bytes_out) = match routed {
         Ok(routed) => {
@@ -680,13 +680,13 @@ fn dispatch(
     let event = TraceEvent {
         id: metrics.next_request_id(),
         shard: shard.index,
-        method: request.method.clone(),
-        path: request.path.clone(),
+        bytes_in: request.body.len() as u64,
+        method: request.method,
+        path: request.path,
         dataset,
         status,
         parse_micros,
         handle_micros,
-        bytes_in: request.body.len() as u64,
         bytes_out,
         unix_ms: SystemTime::now()
             .duration_since(UNIX_EPOCH)

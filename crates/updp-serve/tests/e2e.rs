@@ -609,3 +609,37 @@ fn concurrent_clients_share_one_budget_safely() {
     setup.shutdown().unwrap();
     server.join().unwrap().unwrap();
 }
+
+#[test]
+fn client_reports_usage_errors_before_connecting() {
+    // A port nobody listens on: bound, read, then released.
+    let port = std::net::TcpListener::bind("127.0.0.1:0")
+        .and_then(|listener| listener.local_addr())
+        .expect("ephemeral port")
+        .port();
+    let addr = format!("127.0.0.1:{port}");
+    let run = |args: &[&str]| {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_serve-client"))
+            .args(["--addr", &addr])
+            .args(args)
+            .output()
+            .expect("run serve-client");
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        (out.status.code(), stderr)
+    };
+    for (args, message) in [
+        (&["bogus"][..], "unknown command `bogus`"),
+        (&["query", "x", "--seed", "-1"], "--seed needs an integer"),
+        (&["query", "x"], "query needs --seed"),
+        (&["register", "x"], "register needs --budget"),
+    ] {
+        let (code, stderr) = run(args);
+        assert_eq!(code, Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(message), "{args:?}: {stderr}");
+        assert!(!stderr.contains("cannot reach"), "{args:?}: {stderr}");
+    }
+    // A well-formed command still reports the transport failure.
+    let (code, stderr) = run(&["query", "x", "--seed", "1", "--mean", "0.1"]);
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(stderr.contains(&format!("cannot reach {addr}")), "{stderr}");
+}

@@ -17,7 +17,7 @@
 use crate::estimator::{Estimator, Release};
 use crate::iqr_lower_bound::iqr_lower_bound;
 use rand::Rng;
-use updp_core::error::{ensure_beta, Result, UpdpError};
+use updp_core::error::{ensure_beta, ensure_finite, Result, UpdpError};
 use updp_core::privacy::Epsilon;
 use updp_empirical::discretize::Discretizer;
 use updp_empirical::quantile::infinite_domain_quantile;
@@ -59,7 +59,7 @@ pub fn estimate_iqr_view<R: Rng + ?Sized>(
     epsilon: Epsilon,
     beta: f64,
 ) -> Result<IqrEstimate> {
-    view.ensure_finite("estimate_iqr input")?;
+    ensure_finite(view.data(), "estimate_iqr input")?;
     let n = view.len();
     if n < MIN_N {
         return Err(UpdpError::InsufficientData {

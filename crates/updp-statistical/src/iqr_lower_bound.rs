@@ -23,7 +23,7 @@
 //! view).
 
 use rand::Rng;
-use updp_core::error::{ensure_beta, Result, UpdpError};
+use updp_core::error::{ensure_beta, ensure_finite, Result, UpdpError};
 use updp_core::privacy::Epsilon;
 use updp_core::svt::{sparse_vector, DEFAULT_SVT_CAP};
 pub use updp_empirical::gaps::pair_gaps;
@@ -47,19 +47,20 @@ pub fn estimate_iqr_lower_bound<R: Rng + ?Sized>(
 ///
 /// The pair gaps come from the view's cached gap summary when it
 /// carries one (DESIGN.md §12.3, opt-in via
-/// `PreparedDataset::with_gap_summaries`): no per-call pairing and an
-/// O(1) finiteness check. Otherwise the records are paired with the
-/// mechanism's coins ([`pair_gaps`]). Either way every counting query
-/// is an O(1) lookup in the summary's per-octave counts. The
-/// two sources draw different coins, so they release different (equally
-/// valid) values; each is bit-reproducible per `(data, seed)`.
+/// `PreparedDataset::with_gap_summaries`): no per-call pairing.
+/// Otherwise the records are paired with the mechanism's coins
+/// ([`pair_gaps`]). Either way the column is first scanned once for
+/// non-finite values, and every counting query is an O(1) lookup in
+/// the summary's per-octave counts. The two sources draw different
+/// coins, so they release different (equally valid) values; each is
+/// bit-reproducible per `(data, seed)`.
 pub fn estimate_iqr_lower_bound_view<R: Rng + ?Sized>(
     rng: &mut R,
     view: &ColumnView<'_>,
     epsilon: Epsilon,
     beta: f64,
 ) -> Result<f64> {
-    view.ensure_finite("estimate_iqr_lower_bound input")?;
+    ensure_finite(view.data(), "estimate_iqr_lower_bound input")?;
     if view.len() < 4 {
         return Err(UpdpError::InsufficientData {
             required: 4,

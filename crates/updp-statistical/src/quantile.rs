@@ -19,7 +19,7 @@
 use crate::estimator::{Estimator, ParamSpec, Release};
 use crate::iqr_lower_bound::iqr_lower_bound;
 use rand::Rng;
-use updp_core::error::{ensure_beta, Result, UpdpError};
+use updp_core::error::{ensure_beta, ensure_finite, Result, UpdpError};
 use updp_core::privacy::Epsilon;
 use updp_empirical::discretize::real_quantile_view;
 use updp_empirical::view::ColumnView;
@@ -80,9 +80,9 @@ pub fn estimate_quantile<R: Rng + ?Sized>(
 /// discretized grid for the privately-chosen bucket is built once per
 /// `(dataset version, bucket)` and reused across calls. When the view
 /// additionally carries a pair-gap summary (DESIGN.md §12.3, opt-in),
-/// the per-call `O(n)` finiteness scan and pairing pass are replaced
-/// by O(1)/O(log n) summary queries, so warm repeat queries do no
-/// per-call work linear in `n` outside the mechanism itself.
+/// the per-call pairing pass is replaced by O(1) summary lookups, so a
+/// warm repeat query's only per-call work linear in `n` outside the
+/// mechanism is the entry's one finiteness scan.
 /// Bit-identical to [`estimate_quantile`] for the same seed whenever
 /// no summary is attached (the default).
 pub fn estimate_quantile_view<R: Rng + ?Sized>(
@@ -92,7 +92,7 @@ pub fn estimate_quantile_view<R: Rng + ?Sized>(
     epsilon: Epsilon,
     beta: f64,
 ) -> Result<QuantileEstimate> {
-    view.ensure_finite("estimate_quantile input")?;
+    ensure_finite(view.data(), "estimate_quantile input")?;
     let n = validate(view.len(), q, beta)?;
     let half = epsilon.scale(0.5);
     let lb = iqr_lower_bound(rng, view, half);

@@ -212,8 +212,10 @@ fn non_finite_context<T: std::fmt::Debug>(result: Result<T, UpdpError>) -> &'sta
 
 #[test]
 fn nan_and_infinity_are_rejected_not_propagated() {
+    use rand::RngCore;
     use updp::statistical::{
-        estimate_iqr, estimate_iqr_lower_bound, estimate_mean, estimate_variance,
+        estimate_iqr, estimate_iqr_lower_bound, estimate_iqr_lower_bound_view, estimate_mean,
+        estimate_variance, EstimateParams, PreparedDataset, IQR, QUANTILE,
     };
     let bad_inputs = [vec![f64::NAN; 100], vec![f64::INFINITY; 100], {
         let mut v = vec![1.0; 99];
@@ -244,6 +246,38 @@ fn nan_and_infinity_are_rejected_not_propagated() {
             non_finite_context(estimate_iqr_lower_bound(&mut rng, data, eps(1.0), 0.2)),
             "estimate_iqr_lower_bound input"
         );
+        // A view opted in to the cached gap summary runs the same scan
+        // first, before the summary is built (cold) and after (warm),
+        // and the refusal draws no coin.
+        let prepared = PreparedDataset::new(vec![data.clone()]).with_gap_summaries();
+        let params = EstimateParams::new(eps(1.0)).with_beta(0.2);
+        let mut coins = seeded(9);
+        for warm in [false, true] {
+            if warm {
+                assert!(prepared.view().col(0).gap_summary().is_some());
+            }
+            let view = prepared.view();
+            assert_eq!(view.col(0).has_gap_summary(), warm);
+            assert_eq!(
+                non_finite_context(IQR.estimate(&mut coins, &view, &params)),
+                "estimate_iqr input"
+            );
+            let p90 = params.clone().with("q", 0.9);
+            assert_eq!(
+                non_finite_context(QUANTILE.estimate(&mut coins, &view, &p90)),
+                "estimate_quantile input"
+            );
+            assert_eq!(
+                non_finite_context(estimate_iqr_lower_bound_view(
+                    &mut coins,
+                    view.col(0),
+                    eps(1.0),
+                    0.2
+                )),
+                "estimate_iqr_lower_bound input"
+            );
+        }
+        assert_eq!(coins.next_u64(), seeded(9).next_u64(), "no coin drawn");
     }
 }
 
